@@ -73,19 +73,22 @@ bench:
 # of surfacing at the next snapshot. The heavy scaling rungs (4x+)
 # stay out — they build multi-gigabyte worlds.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFullPipeline$$|BenchmarkContextBuild|BenchmarkEngineApply/1x|BenchmarkServeHTTP|BenchmarkServeOverload|BenchmarkHostServe|BenchmarkScaleWorld/1x|BenchmarkRecovery/1x' -benchmem -benchtime=1x
+	$(GO) test -run '^$$' -bench 'BenchmarkFullPipeline$$|BenchmarkContextBuild|BenchmarkColdFirstRun/1x|BenchmarkEngineApply/1x|BenchmarkServeHTTP|BenchmarkServeOverload|BenchmarkHostServe|BenchmarkScaleWorld/1x|BenchmarkRecovery/1x' -benchmem -benchtime=1x
 
 # Compare a fresh run of the fast headline benchmarks against a
 # committed baseline snapshot and fail on >20% ns/op regression
 # (override: THRESHOLD=0.5; CI uses a loose threshold because runner
 # hardware differs from the snapshot machine). The fresh run covers
-# the same cheap set as bench-smoke, at 3 iterations to damp noise.
+# the same cheap set as bench-smoke, at 3 iterations to damp noise,
+# plus the baseline and alias-coverage ablations, whose ACC%/COV%/FPR%
+# rpi-benchdiff requires to equal the snapshot's exactly: a verdict
+# moved by alias work fails the comparison.
 BASE ?= BENCH_PR$(PR).json
 THRESHOLD ?= 0.20
 bench-compare:
 	tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
 	$(GO) run ./cmd/rpi-benchsnap \
-		-bench 'BenchmarkFullPipeline$$|BenchmarkContextBuild$$|BenchmarkEngineApply/1x|BenchmarkServeHTTP|BenchmarkScaleWorld/1x$$|BenchmarkScaleWorld/16x-worldfile' \
+		-bench 'BenchmarkFullPipeline$$|BenchmarkContextBuild$$|BenchmarkEngineApply/1x|BenchmarkServeHTTP|BenchmarkScaleWorld/1x$$|BenchmarkScaleWorld/16x-worldfile|BenchmarkAblationBaselinePipeline$$|BenchmarkAblationAliasCoverageMode$$' \
 		-benchtime 3x -o $$tmp; \
 	$(GO) run ./cmd/rpi-benchdiff -base $(BASE) -new $$tmp -threshold $(THRESHOLD)
 

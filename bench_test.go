@@ -197,6 +197,36 @@ func BenchmarkContextBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkColdFirstRun prices a fresh context's first pipeline run:
+// the run that probes the alias plane and fills the alias, ring and
+// Step 4 memos. The context build runs outside the timer, so the rung
+// isolates the stage between BenchmarkContextBuild and the warm
+// BenchmarkFullPipeline.
+func BenchmarkColdFirstRun(b *testing.B) {
+	for _, factor := range []int{1, 4} {
+		b.Run(fmt.Sprintf("%dx", factor), func(b *testing.B) {
+			e := benchScaledEnv(b, factor)
+			opt := core.DefaultOptions()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ctx, err := core.NewContext(e.Inputs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				runtime.GC() // don't bill the build's garbage to the run
+				b.StartTimer()
+				rep, err := ctx.Run(opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sink = rep
+			}
+		})
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Ablations (DESIGN.md section 6)
 

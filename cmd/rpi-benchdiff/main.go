@@ -20,12 +20,19 @@
 // between runs on the same machine; CI wiring should compare
 // runner-built snapshots with a generous threshold or pin the runner
 // class.
+//
+// Accuracy is judged exactly, on every benchmark present in both
+// snapshots whatever -headline selects: the ACC%, COV% and FPR%
+// metrics the ablation benchmarks report are deterministic outputs of
+// the methodology, so any difference is either a bug or a deliberate
+// re-pin of the baseline snapshot, never noise.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"regexp"
@@ -36,10 +43,11 @@ import (
 // AllocsPerOp are pointers: absent means the snapshot predates
 // -benchmem capture, which must not read as "zero allocations".
 type Record struct {
-	Name        string   `json:"name"`
-	NsPerOp     float64  `json:"ns_per_op"`
-	BytesPerOp  *float64 `json:"b_per_op,omitempty"`
-	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
+	Name        string             `json:"name"`
+	NsPerOp     float64            `json:"ns_per_op"`
+	BytesPerOp  *float64           `json:"b_per_op,omitempty"`
+	AllocsPerOp *float64           `json:"allocs_per_op,omitempty"`
+	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Snapshot mirrors rpi-benchsnap's file layout.
@@ -97,6 +105,40 @@ func main() {
 		fmt.Printf("note: snapshots come from different CPUs (%q vs %q); ratios may reflect hardware, not code\n", baseCPU, newCPU)
 	}
 
+	res := diff(os.Stdout, baseRec, newRec, re, *threshold)
+	if res.compared == 0 {
+		log.Fatal("no headline benchmarks in common; nothing compared")
+	}
+	failed := false
+	if res.regressions > 0 {
+		log.Printf("%d of %d headline metrics regressed beyond %.0f%%", res.regressions, res.compared, *threshold*100)
+		failed = true
+	}
+	if res.drifts > 0 {
+		log.Printf("%d of %d accuracy metrics differ from %s", res.drifts, res.accuracy, *base)
+		failed = true
+	}
+	if failed {
+		os.Exit(1)
+	}
+	fmt.Printf("ok: %d headline metrics within %.0f%%, %d accuracy metrics equal to %s\n", res.compared, *threshold*100, res.accuracy, *base)
+}
+
+// accuracyMetrics are the methodology outputs judged exactly.
+var accuracyMetrics = []string{"ACC%", "COV%", "FPR%"}
+
+// result counts what diff judged and what failed.
+type result struct {
+	compared, regressions int // headline perf metrics
+	accuracy, drifts      int // exact accuracy metrics
+}
+
+// diff judges fresh against base, printing one row per judged metric
+// to w. Headline benchmarks (matching re) have ns/op, B/op and
+// allocs/op judged against the threshold; every benchmark in both
+// snapshots has its accuracy metrics compared exactly.
+func diff(w io.Writer, baseRec, newRec map[string]Record, re *regexp.Regexp, threshold float64) result {
+	var res result
 	names := make([]string, 0, len(baseRec))
 	for name := range baseRec {
 		names = append(names, name)
@@ -104,30 +146,43 @@ func main() {
 	sort.Strings(names)
 
 	// judge compares one metric of one benchmark, printing the row and
-	// reporting whether it regressed past the threshold. Metrics
-	// missing on either side (old snapshots without -benchmem, or a
-	// zero baseline) are skipped, not failed.
-	compared, regressions := 0, 0
+	// counting a regression past the threshold. Metrics missing on
+	// either side (old snapshots without -benchmem, or a zero
+	// baseline) are skipped, not failed.
 	judge := func(name, unit string, b, n float64) {
 		if b <= 0 {
 			return
 		}
-		compared++
+		res.compared++
 		ratio := n / b
 		mark := " "
-		if ratio > 1+*threshold {
+		if ratio > 1+threshold {
 			mark = "!"
-			regressions++
+			res.regressions++
 		}
-		fmt.Printf("%s %-55s %14.0f -> %14.0f %s  (%.2fx)\n", mark, name, b, n, unit, ratio)
+		fmt.Fprintf(w, "%s %-55s %14.0f -> %14.0f %s  (%.2fx)\n", mark, name, b, n, unit, ratio)
 	}
 	for _, name := range names {
-		if !re.MatchString(name) {
-			continue
-		}
 		b := baseRec[name]
 		n, ok := newRec[name]
 		if !ok {
+			continue
+		}
+		for _, m := range accuracyMetrics {
+			bv, okB := b.Metrics[m]
+			nv, okN := n.Metrics[m]
+			if !okB || !okN {
+				continue
+			}
+			res.accuracy++
+			mark := " "
+			if bv != nv {
+				mark = "!"
+				res.drifts++
+			}
+			fmt.Fprintf(w, "%s %-55s %14.4g -> %14.4g %s  (exact)\n", mark, name, bv, nv, m)
+		}
+		if !re.MatchString(name) {
 			continue
 		}
 		judge(name, "ns/op", b.NsPerOp, n.NsPerOp)
@@ -138,11 +193,5 @@ func main() {
 			judge(name, "allocs/op", *b.AllocsPerOp, *n.AllocsPerOp)
 		}
 	}
-	if compared == 0 {
-		log.Fatal("no headline benchmarks in common; nothing compared")
-	}
-	if regressions > 0 {
-		log.Fatalf("%d of %d headline metrics regressed beyond %.0f%%", regressions, compared, *threshold*100)
-	}
-	fmt.Printf("ok: %d headline metrics within %.0f%% of %s\n", compared, *threshold*100, *base)
+	return res
 }

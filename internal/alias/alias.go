@@ -10,14 +10,19 @@
 // between: ModePrecision (MIDAR + iffinder: strict, very low false
 // positives) and ModeCoverage (adding kapar-style looser matching:
 // higher coverage, more errors).
+//
+// Probing is mode-independent and a pure function of (seed,
+// interface), so the probe outcomes live in one columnar Plane indexed
+// by interface slot; resolution under either mode reads that plane.
 package alias
 
 import (
 	"math"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 
+	"rpeer/internal/ident"
 	"rpeer/internal/netsim"
 	"rpeer/internal/rng"
 )
@@ -48,9 +53,9 @@ func (m Mode) String() string {
 //
 // Probing is a pure function of (seed, interface, probe time): per-probe
 // randomness (loss, counter jitter) is derived from a stable hash rather
-// than a shared RNG stream. This makes Resolve a pure function of its
-// input set, so callers (core.Context) can memoize resolution results
-// across pipeline runs without changing any outcome.
+// than a shared RNG stream. This makes resolution a pure function of
+// its input set, so callers (core.Context) can memoize resolution
+// results across pipeline runs without changing any outcome.
 type Prober struct {
 	w *netsim.World
 	// RandomIPIDFrac is the fraction of routers with unusable IP-ID
@@ -61,9 +66,9 @@ type Prober struct {
 	seed        int64
 
 	// usable caches the per-router counter-usability verdict (pure in
-	// (seed, router), recomputed tens of times per router by the
-	// resolver's probe rounds before the cache). Built on first probe so
-	// post-construction tuning of RandomIPIDFrac still takes effect.
+	// (seed, router), read once per probed interface). Built on first
+	// probe so post-construction tuning of RandomIPIDFrac still takes
+	// effect.
 	usableOnce sync.Once
 	usable     []bool
 }
@@ -152,273 +157,34 @@ func (p *Prober) Probe(iface netip.Addr, t float64) (uint16, bool) {
 	return uint16(uint64(v) % 65536), true
 }
 
-// sampleSeries probes one interface across rounds, hoisting the
-// router resolution, usability verdict and address words out of the
-// per-round loop (Probe re-derives all three per call; a MIDAR series
-// touches the same interface 30 times). Identical outcomes to calling
-// Probe round by round.
-func (p *Prober) sampleSeries(iface netip.Addr, rounds int, spacing, offset float64) []sample {
-	rid, ok := p.w.RouterOf(iface)
-	if !ok {
-		return nil
-	}
-	r := p.w.Router(rid)
-	if !p.usableCounter(r) {
-		return nil // every probe replies without signal
-	}
-	lo, hi := addrWords(iface)
-	base := rng.Key2(p.seed, lo, hi)
-	out := make([]sample, 0, rounds)
-	for i := 0; i < rounds; i++ {
-		t := float64(i)*spacing + offset
-		ht := rng.Mix(base, math.Float64bits(t))
-		if float64(rng.Mix(ht, 0x5A)>>11)/(1<<53) < p.NoReplyProb {
-			continue
-		}
-		jitter := float64(rng.Mix(ht, 0x33)>>11) / (1 << 53)
-		v := float64(r.IPIDInit) + r.IPIDRate*t + jitter*3
-		out = append(out, sample{t, uint16(uint64(v) % 65536)})
-	}
-	return out
-}
-
-// sample is one (time, unwrapped-id) observation.
-type sample struct {
-	t  float64
-	id uint16
-}
-
-// ifaceSeries is the memoized probe outcome for one interface: the
-// time-ordered sample series and its fitted counter velocity. Probing
-// is a pure function of (prober seed, interface), so one record serves
-// every Resolve call that touches the interface.
-type ifaceSeries struct {
-	samples []sample
-	vel     float64
-	velOK   bool
-}
-
-// Resolver clusters interfaces into routers.
+// Resolver clusters an ad-hoc address set into routers. It is the
+// address-edge convenience over a Plane built for the one call; callers
+// that resolve many sets over one interface space (core.Context) keep
+// a Plane and resolve slot lists on it instead.
 type Resolver struct {
 	Prober *Prober
 	Mode   Mode
-	// Rounds is the number of interleaved probe rounds per interface.
-	Rounds int
-	// Spacing is the inter-round spacing in seconds.
-	Spacing float64
-
-	// memo caches the per-interface series across Resolve calls. The
-	// probe schedule offsets by a hash of the address (not the position
-	// of the interface within one call's input set), so a series is a
-	// pure function of the interface and can be shared by every call.
-	memoMu sync.RWMutex
-	memo   map[netip.Addr]*ifaceSeries
 }
 
-// NewResolver returns a resolver with MIDAR-like defaults (30 rounds,
-// 10 s spacing).
+// NewResolver returns a resolver running the MIDAR probe schedule
+// (30 rounds, 10 s apart).
 func NewResolver(p *Prober, mode Mode) *Resolver {
-	return &Resolver{
-		Prober: p, Mode: mode, Rounds: 30, Spacing: 10,
-		memo: make(map[netip.Addr]*ifaceSeries),
-	}
-}
-
-// seriesFor returns the memoized series of one interface, probing it
-// across all rounds on first use. The round offset interleaves
-// interfaces MIDAR-style; it is derived from the address so that the
-// series does not depend on which other interfaces share the call.
-func (r *Resolver) seriesFor(iface netip.Addr) *ifaceSeries {
-	r.memoMu.RLock()
-	s, ok := r.memo[iface]
-	r.memoMu.RUnlock()
-	if ok {
-		return s
-	}
-
-	lo, hi := addrWords(iface)
-	offset := float64(rng.Key3(r.Prober.seed, lo, hi, 0x0f)%7) * (r.Spacing / 7)
-	s = &ifaceSeries{samples: r.Prober.sampleSeries(iface, r.Rounds, r.Spacing, offset)}
-	s.vel, s.velOK = velocity(s.samples)
-
-	r.memoMu.Lock()
-	if prev, ok := r.memo[iface]; ok {
-		s = prev // concurrent duplicate computed the identical value
-	} else {
-		r.memo[iface] = s
-	}
-	r.memoMu.Unlock()
-	return s
-}
-
-// velocity estimates the counter rate (IDs per second) of a series by
-// unwrapping 16-bit wraparounds, returning ok=false for short series.
-func velocity(s []sample) (rate float64, ok bool) {
-	if len(s) < 5 {
-		return 0, false
-	}
-	// Unwrap: assume the counter advances less than 2^16 between
-	// consecutive samples (true for MIDAR-scale spacing and rates),
-	// accumulating the least-squares terms in one pass.
-	var sx, sy, sxx, sxy float64
-	offset := 0.0
-	prev := float64(s[0].id)
-	for i, smp := range s {
-		cur := float64(smp.id)
-		if i > 0 && cur < prev {
-			offset += 65536
-		}
-		prev = cur
-		v := cur + offset
-		sx += smp.t
-		sy += v
-		sxx += smp.t * smp.t
-		sxy += smp.t * v
-	}
-	n := float64(len(s))
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return 0, false
-	}
-	return (n*sxy - sx*sy) / den, true
-}
-
-// mbt runs the Monotonic Bounds Test on two interleaved series: merged
-// by time, the unwrapped sequence must be strictly non-decreasing and
-// consistent with a single linear counter. Both series are already
-// time-ordered, so the merge is a two-pointer walk with no allocation.
-func (r *Resolver) mbt(sa, sb *ifaceSeries) bool {
-	a, b := sa.samples, sb.samples
-	if len(a) < 5 || len(b) < 5 {
-		return false
-	}
-	if !sa.velOK || !sb.velOK {
-		return false
-	}
-	va, vb := sa.vel, sb.vel
-	// Velocities of a shared counter agree closely.
-	if math.Abs(va-vb) > 0.05*math.Max(va, vb)+2 {
-		return false
-	}
-	// Monotonicity of the merged sequence with the common velocity:
-	// successive samples must advance by roughly rate*dt.
-	rate := (va + vb) / 2
-	i, j := 0, 0
-	var prev sample
-	for i < len(a) || j < len(b) {
-		var cur sample
-		if j >= len(b) || (i < len(a) && a[i].t <= b[j].t) {
-			cur = a[i]
-			i++
-		} else {
-			cur = b[j]
-			j++
-		}
-		if i+j > 1 {
-			dt := cur.t - prev.t
-			expect := rate * dt
-			diff := float64(cur.id) - float64(prev.id)
-			if diff < 0 {
-				diff += 65536 // wraparound
-			}
-			// Allow generous jitter around the expected advance.
-			if math.Abs(diff-expect) > 0.35*expect+25 {
-				return false
-			}
-		}
-		prev = cur
-	}
-	return true
+	return &Resolver{Prober: p, Mode: mode}
 }
 
 // Resolve clusters the given interfaces into alias sets (routers).
-// Interfaces that resolve with nothing form singleton clusters. The
-// result is deterministic for a given prober seed and input order is
-// normalised internally.
+// Interfaces that resolve with nothing form singleton clusters.
+// Duplicates collapse, and clusters come in ascending address order of
+// their first member, each in ascending address order.
 func (r *Resolver) Resolve(ifaces []netip.Addr) [][]netip.Addr {
-	sorted := append([]netip.Addr(nil), ifaces...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
-	// Dedup so the union-find indexes are one-per-interface.
-	dedup := sorted[:0]
-	for i, ip := range sorted {
-		if i == 0 || ip != sorted[i-1] {
-			dedup = append(dedup, ip)
-		}
+	dedup := slices.Clone(ifaces)
+	slices.SortFunc(dedup, netip.Addr.Compare)
+	dedup = slices.Compact(dedup)
+	pl := NewPlane(r.Prober)
+	pl.Cover(dedup)
+	slots := make([]ident.IfaceID, len(dedup))
+	for i := range slots {
+		slots[i] = ident.IfaceID(i)
 	}
-	sorted = dedup
-
-	series := make([]*ifaceSeries, len(sorted))
-	for i, ip := range sorted {
-		series[i] = r.seriesFor(ip)
-	}
-
-	// Union-find over alias-positive pairs, by index into sorted.
-	parent := make([]int32, len(sorted))
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]] // path halving
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int32) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			if rb < ra {
-				ra, rb = rb, ra
-			}
-			parent[rb] = ra
-		}
-	}
-
-	for i := 0; i < len(sorted); i++ {
-		si := series[i]
-		if !si.velOK {
-			continue
-		}
-		for j := i + 1; j < len(sorted); j++ {
-			sj := series[j]
-			if !sj.velOK || find(int32(i)) == find(int32(j)) {
-				continue
-			}
-			va, vb := si.vel, sj.vel
-			// Cheap velocity pre-filter before the expensive MBT.
-			if math.Abs(va-vb) > 0.10*math.Max(va, vb)+5 {
-				continue
-			}
-			switch r.Mode {
-			case ModePrecision:
-				if r.mbt(si, sj) {
-					union(int32(i), int32(j))
-				}
-			case ModeCoverage:
-				if r.mbt(si, sj) || math.Abs(va-vb) < 0.02*math.Max(va, vb)+1 {
-					union(int32(i), int32(j))
-				}
-			}
-		}
-	}
-
-	// Emit clusters in ascending order of their smallest member (the
-	// root, since union keeps the lower index as root and indexes are
-	// address-ordered).
-	groups := make(map[int32][]netip.Addr, len(sorted))
-	var roots []int32
-	for i, ip := range sorted {
-		root := find(int32(i))
-		if _, ok := groups[root]; !ok {
-			roots = append(roots, root)
-		}
-		groups[root] = append(groups[root], ip)
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-	out := make([][]netip.Addr, 0, len(roots))
-	for _, root := range roots {
-		out = append(out, groups[root])
-	}
-	return out
+	return Sets(dedup, pl.Resolve(r.Mode, slots))
 }

@@ -48,10 +48,15 @@ import (
 //     memoized per-(VP, facility-set) sorted-distance index keyed by
 //     packed integer IDs, so each feasible-ring query is a binary
 //     search instead of a Vincenty solve per facility;
-//   - memoized alias-resolution clusters in ID space (sound because
-//     alias probing is a pure function of seed, interface and probe
-//     time), and the memoized multi-IXP router observations Step 4
-//     re-reads on every run;
+//   - the alias probe plane (alias.Plane): every interface's IP-ID
+//     series in ID-indexed columns, probed in parallel on the first
+//     resolution and shared by both alias modes, plus each mode's
+//     resolution memos (aliasMemo) — Step 4's multi-IXP routers and
+//     Step 5's per-AS private-link components and per-membership
+//     router neighbours. All are sound to keep because probing is a
+//     pure function of seed, interface and probe time;
+//   - the memoized per-AS crossing observations Step 4 re-reads on
+//     every run;
 //   - a pool of per-shard scratch columns (epoch-stamped mark arrays)
 //     so the per-entry classification of Steps 1-3 and 5 allocates
 //     nothing in steady state.
@@ -106,15 +111,19 @@ type Context struct {
 	domSpare  []domEntry
 	memGroups map[uint64][]int32
 
-	// obs / clusters memoize Step 4's crossing observations and
-	// alias-resolved multi-IXP clusters; both depend only on the
-	// substrate (not the options, beyond the alias mode), so Apply is
-	// the only invalidator.
-	obsMu     sync.Mutex
-	obsBuilt  bool
-	obs       []*asObs
-	clusterMu sync.Mutex
-	clusters  map[alias.Mode][]cachedRouter
+	// obs memoizes Step 4's crossing observations; it depends only on
+	// the substrate, so Apply is the only invalidator.
+	obsMu    sync.Mutex
+	obsBuilt bool
+	obs      []*asObs
+
+	// probes is the alias probe plane over the interface ID space
+	// (slot = IfaceID): filled on the first resolution, extended by
+	// the interfaces Apply interns. aliasMemos holds each alias mode's
+	// resolution memos.
+	probes     *alias.Plane
+	aliasMu    sync.Mutex
+	aliasMemos map[alias.Mode]*aliasMemo
 
 	// Traceroute-RTT augmentation columns, built lazily under traceMu.
 	// Apply only clears traceBuilt: the columns keep their capacity and
@@ -140,10 +149,6 @@ type Context struct {
 	// touch. Keys are packed integers (see ringKeyFor).
 	ringMu sync.RWMutex
 	rings  map[uint64][]ringEntry
-
-	resolvers  map[alias.Mode]*alias.Resolver
-	aliasMu    sync.RWMutex
-	aliasCache map[string][][]ident.IfaceID
 
 	// scratchPool recycles the per-shard classification scratch across
 	// runs (the epoch-stamped mark columns are sized to the ID spaces
@@ -203,9 +208,8 @@ func newContext(in Inputs) *Context {
 		vpSlot:     make(map[*pingsim.VP]int32),
 		pseudoVPs:  make(map[string]*pingsim.VP),
 		rings:      make(map[uint64][]ringEntry),
-		resolvers:  make(map[alias.Mode]*alias.Resolver),
-		aliasCache: make(map[string][][]ident.IfaceID),
-		clusters:   make(map[alias.Mode][]cachedRouter),
+		probes:     alias.NewPlane(alias.NewProber(in.World, in.Seed)),
+		aliasMemos: make(map[alias.Mode]*aliasMemo),
 	}
 
 	// ---- interning phase (serial; everything after assumes a frozen
@@ -487,19 +491,6 @@ func (c *Context) BestVP(ip netip.Addr) (*pingsim.VP, bool) {
 		return nil, false
 	}
 	return c.vpAt(slot), true
-}
-
-// resolverFor returns the memoized resolver for an alias mode,
-// creating it on first use (construction is cheap and pure).
-func (c *Context) resolverFor(mode alias.Mode) *alias.Resolver {
-	c.aliasMu.Lock()
-	defer c.aliasMu.Unlock()
-	r, ok := c.resolvers[mode]
-	if !ok {
-		r = alias.NewResolver(alias.NewProber(c.in.World, c.in.Seed), mode)
-		c.resolvers[mode] = r
-	}
-	return r
 }
 
 // Inputs returns the inputs the context was built from.
@@ -898,48 +889,4 @@ func (c *Context) facDist(a, b []netsim.FacilityID) (minKm, maxKm float64, ok bo
 		}
 	}
 	return minKm, maxKm, ok
-}
-
-// resolveIDs memoizes alias resolution per (mode, interface-ID set).
-// ids must be sorted ascending by address (all call sites sort), so
-// equal address multisets share one cache key. Resolution itself runs
-// at the address edge — the resolver probes netip.Addr values — but
-// both the memo key and the cached clusters live in ID space. The
-// returned clusters are shared across runs and must be treated as
-// read-only. keyBuf is scratch for the lookup key (may be nil).
-func (c *Context) resolveIDs(mode alias.Mode, ifaceIDs []ident.IfaceID, keyBuf []byte) ([][]ident.IfaceID, []byte) {
-	keyBuf = keyBuf[:0]
-	keyBuf = append(keyBuf, byte(mode))
-	for _, id := range ifaceIDs {
-		keyBuf = append(keyBuf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-
-	c.aliasMu.RLock()
-	if r, ok := c.aliasCache[string(keyBuf)]; ok {
-		c.aliasMu.RUnlock()
-		return r, keyBuf
-	}
-	c.aliasMu.RUnlock()
-
-	// Resolution runs outside the lock: it is pure, so a concurrent
-	// duplicate computes the identical value.
-	addrs := make([]netip.Addr, len(ifaceIDs))
-	for i, id := range ifaceIDs {
-		addrs[i] = c.ids.Addr(id)
-	}
-	clusters := c.resolverFor(mode).Resolve(addrs)
-	res := make([][]ident.IfaceID, len(clusters))
-	for i, cl := range clusters {
-		out := make([]ident.IfaceID, len(cl))
-		for j, ip := range cl {
-			id, _ := c.ids.Iface(ip)
-			out[j] = id
-		}
-		res[i] = out
-	}
-
-	c.aliasMu.Lock()
-	c.aliasCache[string(keyBuf)] = res
-	c.aliasMu.Unlock()
-	return res, keyBuf
 }

@@ -58,9 +58,11 @@ func (d *Delta) Empty() bool {
 //     place, and rebuilds the cheap member-set, domain and Step 4
 //     observation indexes; the hop-by-hop corpus scan and the IP-to-AS
 //     map are never repeated;
-//   - the facility geometry, ring memos and alias clusters survive
-//     untouched: they are keyed by VP slot, facility set and
-//     interface-ID content, none of which a delta invalidates.
+//   - the facility geometry, ring memos, alias probe plane and alias
+//     memos survive: they are keyed by VP slot, facility set,
+//     interface ID and member AS, none of which a delta invalidates.
+//     The plane only grows to probe newly interned interfaces, and
+//     Step 4's router list is re-assembled from its per-AS memo.
 //
 // The traceroute-RTT augmentation is dropped and rebuilt lazily into
 // its existing column capacity.
@@ -154,17 +156,15 @@ func (c *Context) Apply(d Delta) error {
 		c.growByASPriv()
 		c.patchDomain(d, leaving)
 
-		// Step 4's observation and cluster memos fold crossings and
-		// member interfaces; both are membership state.
+		// Step 4's observations and the router lists assembled from
+		// them fold crossings and member interfaces; both are
+		// membership state. The per-AS alias clusters behind the lists
+		// are pure in their interface sets and survive.
 		c.obsMu.Lock()
 		c.obsBuilt = false
 		c.obs = nil
 		c.obsMu.Unlock()
-		c.clusterMu.Lock()
-		for mode := range c.clusters {
-			delete(c.clusters, mode)
-		}
-		c.clusterMu.Unlock()
+		c.dropRouterLists()
 	}
 
 	// ---- lazily rebuilt views: drop the built flag, keep capacity ----

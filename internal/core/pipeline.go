@@ -131,6 +131,8 @@ type pipeline struct {
 	in  Inputs
 	opt Options
 	ctx *Context
+	// alias holds the resolution memos of opt.AliasMode.
+	alias *aliasMemo
 
 	// rtt is the per-interface campaign minimum across usable VPs,
 	// indexed by IfaceID (NaN = unmeasured).
@@ -164,19 +166,16 @@ type scratch struct {
 	ringA, ringB []netsim.FacilityID
 
 	// epoch stamps the mark columns; bumping it invalidates every mark
-	// in O(1). ifaceMark doubles as "in the candidate set" (epoch e1)
-	// and "in the member's alias cluster" (epoch e2).
+	// in O(1). ifaceMark marks the member interface's alias set, and
+	// memMark the distinct neighbours behind it.
 	epoch     uint32
 	ifaceMark []uint32
 	memMark   []uint32
 	facStamp  []uint32
 	facCount  []int32
 
-	ifaceIDs []ident.IfaceID
-	members  []ident.MemberID
-	facs     []netsim.FacilityID
-	fCommon  []netsim.FacilityID
-	keyBuf   []byte
+	facs    []netsim.FacilityID
+	fCommon []netsim.FacilityID
 
 	// ixpLocal/ixpRemote/ixpUnknown hold Step 4's per-router partition
 	// of involved IXPs by prior verdict.
@@ -244,7 +243,7 @@ func (c *Context) putScratch(s *scratch) { c.scratchPool.Put(s) }
 // package-level entry points included — runs over a Context; there is
 // no separate context-free code path.
 func (c *Context) newPipeline(opt Options) *pipeline {
-	p := &pipeline{in: c.in, opt: opt, ctx: c}
+	p := &pipeline{in: c.in, opt: opt, ctx: c, alias: c.aliasMemoFor(opt.AliasMode)}
 	p.bind()
 	return p
 }

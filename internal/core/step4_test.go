@@ -201,7 +201,7 @@ func TestStep4ShardDeterminism(t *testing.T) {
 	}
 	// The fixture world must actually contain several member runs, or
 	// the parallel branch would silently collapse to serial.
-	cached := ctx.multiRouters(DefaultOptions().AliasMode)
+	cached := ctx.multiRouters(ctx.aliasMemoFor(DefaultOptions().AliasMode), 0)
 	runs := 0
 	for i := range cached {
 		if i == 0 || cached[i].member != cached[i-1].member {

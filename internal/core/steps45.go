@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"rpeer/internal/alias"
 	"rpeer/internal/geo"
 	"rpeer/internal/ident"
 	"rpeer/internal/netsim"
@@ -72,10 +71,11 @@ func (c *Context) obsIndex() []*asObs {
 	}
 	// Member IDs are dense, so the per-member grouping runs on flat
 	// count/offset columns and two contiguous pair slabs — no map of
-	// individually-growing slices. The dataset map is walked twice
-	// (count, then fill); its iteration order varies, but every pair
-	// lands in its member's slab region and the regions are sorted
-	// below, so the index is order-independent.
+	// individually-growing slices. The dataset map is walked once into
+	// a record list, which the fill pass reuses; the map's iteration
+	// order varies, but every pair lands in its member's slab region
+	// and the regions are sorted below, so the index is
+	// order-independent.
 	nm := c.ids.NumMembers()
 	nearOff := make([]int32, nm+1)
 	memOff := make([]int32, nm+1)
@@ -97,8 +97,14 @@ func (c *Context) obsIndex() []*asObs {
 		}
 		return member, obsPair{iface, ixp}, true
 	}
+	type memRec struct {
+		m  ident.MemberID
+		pr obsPair
+	}
+	recs := make([]memRec, 0, len(c.in.Dataset.IfaceIXP))
 	for ip, name := range c.in.Dataset.IfaceIXP {
-		if m, _, ok := memPair(ip, name); ok {
+		if m, pr, ok := memPair(ip, name); ok {
+			recs = append(recs, memRec{m, pr})
 			memOff[m+1]++
 		}
 	}
@@ -119,11 +125,9 @@ func (c *Context) obsIndex() []*asObs {
 		nearSlab[nearCur[m]] = obsPair{c.cross.Near[i], c.cross.IXP[i]}
 		nearCur[m]++
 	}
-	for ip, name := range c.in.Dataset.IfaceIXP {
-		if m, pr, ok := memPair(ip, name); ok {
-			memSlab[memCur[m]] = pr
-			memCur[m]++
-		}
+	for _, r := range recs {
+		memSlab[memCur[r.m]] = r.pr
+		memCur[r.m]++
 	}
 
 	// Assembly: the asObs structs live in one arena and the distinct
@@ -186,66 +190,12 @@ func (c *Context) obsIndex() []*asObs {
 
 // cachedRouter is one alias-resolved multi-IXP cluster in ID space,
 // memoized per alias mode: the cluster interfaces (shared with the
-// alias cache, read-only) and the distinct IXPs the cluster faces
-// (sorted ascending, which for interned IXPs equals name order).
+// per-AS cluster memo, read-only) and the distinct IXPs the cluster
+// faces (sorted ascending, which for interned IXPs equals name order).
 type cachedRouter struct {
 	member ident.MemberID
 	ifaces []ident.IfaceID
 	ixps   []ident.IXPID
-}
-
-// multiRouters returns the clusters facing more than one IXP, built
-// lazily per alias mode over the memoized observations. Candidate ASes
-// are visited in ascending AS-number order and clusters keep resolver
-// output order, matching the pre-interning report order exactly.
-func (c *Context) multiRouters(mode alias.Mode) []cachedRouter {
-	c.clusterMu.Lock()
-	defer c.clusterMu.Unlock()
-	if r, ok := c.clusters[mode]; ok {
-		return r
-	}
-	obs := c.obsIndex()
-	ixpMark := make([]uint32, c.ids.NumIXPs())
-	epoch := uint32(0)
-	var keyBuf []byte
-	var idbuf []ident.IfaceID
-	routers := []cachedRouter{}
-	for _, o := range obs {
-		if o.nixps < 2 {
-			continue // candidate: the AS appears to peer at more than one IXP
-		}
-		idbuf = idbuf[:0]
-		idbuf = append(idbuf, o.nearIfaces...)
-		for _, pr := range o.mems {
-			idbuf = append(idbuf, pr.iface)
-		}
-		sort.Slice(idbuf, func(i, j int) bool { return c.ids.AddrLess(idbuf[i], idbuf[j]) })
-		var clusters [][]ident.IfaceID
-		clusters, keyBuf = c.resolveIDs(mode, idbuf, keyBuf)
-		for _, cluster := range clusters {
-			epoch++
-			var ixps []ident.IXPID
-			for _, id := range cluster {
-				o.nearIXPsOf(id, func(x ident.IXPID) {
-					if ixpMark[x] != epoch {
-						ixpMark[x] = epoch
-						ixps = append(ixps, x)
-					}
-				})
-				if x, ok := o.memIXPOf(id); ok && ixpMark[x] != epoch {
-					ixpMark[x] = epoch
-					ixps = append(ixps, x)
-				}
-			}
-			if len(ixps) < 2 {
-				continue
-			}
-			sort.Slice(ixps, func(i, j int) bool { return ixps[i] < ixps[j] })
-			routers = append(routers, cachedRouter{member: o.member, ifaces: cluster, ixps: ixps})
-		}
-	}
-	c.clusters[mode] = routers
-	return routers
 }
 
 // stepMultiIXP classifies multi-IXP routers (Fig 3 taxonomy) and
@@ -265,12 +215,12 @@ func (c *Context) multiRouters(mode alias.Mode) []cachedRouter {
 // order, preserving the intra-member read-after-write sequence (an
 // earlier router's assignment is visible to a later router of the same
 // member exactly as in the serial sweep). The geometry memos the sweep
-// leans on (facDist, ringQuery, the alias cache) are mutex-guarded and
+// leans on (facDist, ringQuery) are mutex-guarded and
 // value-deterministic, so the report is bit-identical for every worker
 // count — pinned by TestStep4ShardDeterminism.
 func (p *pipeline) stepMultiIXP(rep *Report, seed func(netsim.ASN, string) PeerClass) {
 	c := p.ctx
-	cached := c.multiRouters(p.opt.AliasMode)
+	cached := c.multiRouters(p.alias, p.opt.Workers)
 
 	// Materialize the public router list fresh per run: Class is a
 	// per-run verdict and the Report owns its slices (the cached
@@ -586,6 +536,7 @@ func (p *pipeline) stepPrivate(rep *Report) {
 	if p.ctx.priv.Len() == 0 {
 		return
 	}
+	p.ctx.aliasPlane()
 	p.forEachInference(rep, p.classifyPrivate)
 }
 
@@ -599,50 +550,13 @@ func (p *pipeline) classifyPrivate(s *scratch, e domEntry, inf *Inference) {
 	if len(ns) == 0 {
 		return
 	}
-	// Candidate set: the member interface plus the AS's private-link
-	// interfaces, deduplicated via the epoch marks, sorted by address
-	// (the alias memo's canonical order).
-	e1 := s.nextEpoch()
-	s.ifaceIDs = s.ifaceIDs[:0]
-	s.ifaceMark[e.iface] = e1
-	s.ifaceIDs = append(s.ifaceIDs, e.iface)
-	for _, n := range ns {
-		if s.ifaceMark[n.iface] != e1 {
-			s.ifaceMark[n.iface] = e1
-			s.ifaceIDs = append(s.ifaceIDs, n.iface)
-		}
-	}
-	sort.Slice(s.ifaceIDs, func(i, j int) bool { return c.ids.AddrLess(s.ifaceIDs[i], s.ifaceIDs[j]) })
-
-	// Alias-resolve and keep the cluster holding the member interface
-	// (the router actually facing the IXP).
-	var clusters [][]ident.IfaceID
-	clusters, s.keyBuf = c.resolveIDs(p.opt.AliasMode, s.ifaceIDs, s.keyBuf)
-	var cluster []ident.IfaceID
-	for _, cl := range clusters {
-		for _, id := range cl {
-			if id == e.iface {
-				cluster = cl
-				break
-			}
-		}
-	}
-	e2 := s.nextEpoch()
-	for _, id := range cluster {
-		s.ifaceMark[id] = e2
-	}
-	// Private AS neighbours of this router, deduplicated in first-
-	// observation order.
-	s.members = s.members[:0]
-	for _, n := range ns {
-		if s.ifaceMark[n.iface] == e2 && s.memMark[n.other] != e2 {
-			s.memMark[n.other] = e2
-			s.members = append(s.members, n.other)
-		}
-	}
-	if len(s.members) == 0 {
+	// Private AS neighbours of the router facing the IXP: the alias set
+	// of the member interface among its AS's private-link interfaces.
+	members := p.privRouterNeighbours(s, e, ns)
+	if len(members) == 0 {
 		return
 	}
+	vote := s.nextEpoch()
 
 	// Vote: the facilities most common among the neighbours, which
 	// must also clear a majority of the voters (private
@@ -650,15 +564,15 @@ func (p *pipeline) classifyPrivate(s *scratch, e domEntry, inf *Inference) {
 	// top-voted facility is where this router most plausibly sits).
 	s.facs = s.facs[:0]
 	voters := 0
-	for _, m := range s.members {
+	for _, m := range members {
 		facs, ok := c.colo.Facilities(m)
 		if !ok {
 			continue
 		}
 		voters++
 		for _, f := range facs {
-			if s.facStamp[f] != e2 {
-				s.facStamp[f] = e2
+			if s.facStamp[f] != vote {
+				s.facStamp[f] = vote
 				s.facCount[f] = 1
 				s.facs = append(s.facs, f)
 			} else {

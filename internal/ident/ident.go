@@ -151,10 +151,6 @@ func (t *Table) RetireIface(id IfaceID) { t.dead.Set(uint32(id)) }
 // IfaceRetired reports whether the ID is tombstoned.
 func (t *Table) IfaceRetired(id IfaceID) bool { return t.dead.Get(uint32(id)) }
 
-// AddrLess orders two interface IDs by their underlying addresses
-// (ID order itself is only address-ordered over the frozen inputs).
-func (t *Table) AddrLess(a, b IfaceID) bool { return t.addrs[a].Less(t.addrs[b]) }
-
 // Ifaces returns the interface address column (IfaceID -> address,
 // tombstones included) — the column-dump hook the snapshot layer walks
 // to persist membership state in a deterministic order without

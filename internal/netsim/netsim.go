@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"rpeer/internal/geo"
+	"rpeer/internal/ip4"
 )
 
 // ASN is an autonomous system number.
@@ -223,8 +224,13 @@ type World struct {
 	Private    []PrivateLink
 	Resellers  []ASN
 
-	ifaceOwner  map[netip.Addr]ASN
-	ifaceRouter map[netip.Addr]RouterID
+	// ifaceRouter4 maps IPv4 interface addresses (every address the
+	// generator and the loader produce) to their routers on uint32
+	// keys; ifaceRouterGen holds any other address. An interface's
+	// owner is its router's.
+	ifaceRouter4   map[uint32]RouterID
+	ifaceRouterGen map[netip.Addr]RouterID
+
 	memberByIXP map[IXPID][]*Member
 	asMembers   map[ASN][]*Member
 	asPrefixes  map[ASN][]netip.Prefix
@@ -264,7 +270,7 @@ func (w *World) MembersOf(id IXPID) []*Member { return w.memberByIXP[id] }
 // NumIfaces returns the total number of router interface addresses in
 // the world — the capacity bound consumers interning world addresses
 // (peering-LAN and infrastructure alike) should presize for.
-func (w *World) NumIfaces() int { return len(w.ifaceOwner) }
+func (w *World) NumIfaces() int { return len(w.ifaceRouter4) + len(w.ifaceRouterGen) }
 
 // MembershipsOf returns all IXP memberships of an AS.
 func (w *World) MembershipsOf(asn ASN) []*Member { return w.asMembers[asn] }
@@ -272,14 +278,21 @@ func (w *World) MembershipsOf(asn ASN) []*Member { return w.asMembers[asn] }
 // OwnerOf returns the AS owning an interface address and whether the
 // address is known.
 func (w *World) OwnerOf(ip netip.Addr) (ASN, bool) {
-	a, ok := w.ifaceOwner[ip]
-	return a, ok
+	r, ok := w.RouterOf(ip)
+	if !ok {
+		return 0, false
+	}
+	return w.Router(r).Owner, true
 }
 
 // RouterOf returns the router an interface address belongs to and
 // whether the address is known.
 func (w *World) RouterOf(ip netip.Addr) (RouterID, bool) {
-	r, ok := w.ifaceRouter[ip]
+	if ip.Is4() {
+		r, ok := w.ifaceRouter4[ip4.U32(ip)]
+		return r, ok
+	}
+	r, ok := w.ifaceRouterGen[ip]
 	return r, ok
 }
 
@@ -345,8 +358,8 @@ func (w *World) buildIndices() {
 			maxRtr = r.ID
 		}
 	}
-	w.ifaceOwner = make(map[netip.Addr]ASN, nIfaces)
-	w.ifaceRouter = make(map[netip.Addr]RouterID, nIfaces)
+	w.ifaceRouter4 = make(map[uint32]RouterID, nIfaces)
+	w.ifaceRouterGen = nil
 	w.memberByIXP = make(map[IXPID][]*Member, len(w.IXPs))
 	w.asMembers = make(map[ASN][]*Member, len(w.ASes))
 	w.facByID = make(map[FacilityID]*Facility, len(w.Facilities))
@@ -357,8 +370,14 @@ func (w *World) buildIndices() {
 	for _, r := range w.Routers {
 		w.routerByID[r.ID] = r
 		for _, ip := range r.Ifaces {
-			w.ifaceOwner[ip] = r.Owner
-			w.ifaceRouter[ip] = r.ID
+			if ip.Is4() {
+				w.ifaceRouter4[ip4.U32(ip)] = r.ID
+				continue
+			}
+			if w.ifaceRouterGen == nil {
+				w.ifaceRouterGen = make(map[netip.Addr]RouterID)
+			}
+			w.ifaceRouterGen[ip] = r.ID
 		}
 	}
 	for _, m := range w.Members {
