@@ -10,7 +10,7 @@ PR ?= 10
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build vet test test-race soak chaos bot-smoke crash-matrix bench bench-smoke bench-worldfile bench-snapshot bench-compare examples-smoke
+.PHONY: all build vet test test-race soak chaos bot-smoke serve-smoke crash-matrix bench bench-smoke bench-worldfile bench-snapshot bench-compare examples-smoke
 
 all: vet build test
 
@@ -49,11 +49,40 @@ chaos:
 
 # Fleet load generator smoke: an in-process 4-tenant host driven by
 # mixed readers/appliers/streamers for a few seconds under the race
-# detector, then the per-tenant byte-identity check (host bytes ==
-# single-engine bytes over the same inputs). Fails on any protocol
+# detector, then the per-tenant byte-identity check (host bytes == a
+# cold engine's bytes over the same inputs). Fails on any protocol
 # violation (a status outside the allowed set) or identity mismatch.
 bot-smoke:
 	$(GO) run -race ./cmd/rpi-bot -tenants 4 -duration 3s
+
+# The rpi-serve binary end to end: start it on a fresh data dir, wait
+# for /readyz to answer 200 (the default tenant has opened), require
+# the short /v1/infer alias and /v1/t/default/infer to serve identical
+# bytes, apply one delta (a leave of the first served membership), then
+# SIGTERM it and require a clean exit (status 0) that left a final
+# snapshot in the default tenant's directory. Needs curl and jq.
+SERVE_SMOKE_ADDR ?= 127.0.0.1:18090
+serve-smoke:
+	tmp=$$(mktemp -d); pid=; \
+	trap 'if [ -n "$$pid" ]; then kill $$pid 2>/dev/null; fi; rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o $$tmp/rpi-serve ./cmd/rpi-serve; \
+	$$tmp/rpi-serve -addr $(SERVE_SMOKE_ADDR) -data-dir $$tmp/data & pid=$$!; \
+	base=http://$(SERVE_SMOKE_ADDR); \
+	for i in $$(seq 1 240); do \
+		if [ "$$(curl -s -o /dev/null -w '%{http_code}' $$base/readyz)" = 200 ]; then break; fi; \
+		kill -0 $$pid || { echo "serve-smoke: rpi-serve exited before ready"; exit 1; }; \
+		sleep 0.5; \
+	done; \
+	curl -sf $$base/readyz; \
+	curl -sf -o $$tmp/alias.json $$base/v1/infer; \
+	curl -sf -o $$tmp/tenant.json $$base/v1/t/default/infer; \
+	cmp $$tmp/alias.json $$tmp/tenant.json; \
+	jq -c '{leaves: [.inferences[0] | {ixp, iface}]}' $$tmp/alias.json \
+		| curl -sf -o /dev/null -X POST --data-binary @- $$base/v1/apply; \
+	kill -TERM $$pid; status=0; wait $$pid || status=$$?; pid=; \
+	[ $$status -eq 0 ] || { echo "serve-smoke: exit status $$status"; exit 1; }; \
+	ls $$tmp/data/tenants/default/snap-* > /dev/null; \
+	echo "serve-smoke: PASS ($$(wc -c < $$tmp/alias.json) identical bytes, clean shutdown, final snapshot)"
 
 # The fault-injection matrix: kill the simulated machine at every
 # filesystem operation across an engine lifetime and prove recovery

@@ -34,9 +34,7 @@ import (
 	"rpeer/internal/host"
 	"rpeer/internal/netsim"
 	"rpeer/internal/pingsim"
-	"rpeer/internal/supervisor"
 	"rpeer/internal/tracesim"
-	"rpeer/internal/wal"
 	"rpeer/internal/worldfile"
 	"rpeer/pkg/rpi"
 	"rpeer/pkg/rpi/serve"
@@ -513,16 +511,43 @@ func BenchmarkEngineApply(b *testing.B) {
 	}
 }
 
-// BenchmarkServeHTTP drives the rpi-serve handler through a real HTTP
-// stack (httptest): snapshot serving, per-IXP reports, and applies.
-func BenchmarkServeHTTP(b *testing.B) {
-	e := benchEnv(b)
-	eng, err := rpi.New(e.Inputs)
+// serveDefaultTenant is the rpi-serve wiring in-process: an in-memory
+// host whose one tenant holds in, fronted with that tenant as the
+// default so the short /v1 routes reach it. It returns the server and
+// the tenant's (opened) engine; cleanup runs when b ends.
+func serveDefaultTenant(b *testing.B, in rpi.Inputs, cfg serve.Config) (*httptest.Server, *rpi.Engine) {
+	b.Helper()
+	quiet := log.New(io.Discard, "", 0)
+	h, err := host.Open(host.Config{
+		Inputs: func(host.TenantSpec) (rpi.Inputs, error) { return in, nil },
+		Logger: quiet,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := httptest.NewServer(serve.New(eng))
-	defer srv.Close()
+	b.Cleanup(func() { _ = h.Close() })
+	if err := h.Create(host.TenantSpec{Name: "default"}); err != nil {
+		b.Fatal(err)
+	}
+	lease, err := h.Lease(context.Background(), "default")
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := lease.Guard().Engine()
+	lease.Release()
+	cfg.Logger = quiet
+	srv := httptest.NewServer(serve.NewHost(h, "default", cfg))
+	b.Cleanup(srv.Close)
+	return srv, eng
+}
+
+// BenchmarkServeHTTP drives the rpi-serve handler through a real HTTP
+// stack (httptest): snapshot serving, per-IXP reports, and applies
+// (each journaled to the tenant's in-memory WAL), all through the
+// default tenant's short /v1 routes.
+func BenchmarkServeHTTP(b *testing.B) {
+	e := benchEnv(b)
+	srv, eng := serveDefaultTenant(b, e.Inputs, serve.Config{})
 	client := srv.Client()
 
 	get := func(b *testing.B, url string) int {
@@ -586,25 +611,17 @@ func BenchmarkServeHTTP(b *testing.B) {
 // reported metrics are the serving-plane SLO pair: shed% (how much of
 // the burst was refused — high is correct here, the valve working)
 // and p99-ms (tail latency of the admitted reads — the number the
-// valve exists to protect).
+// valve exists to protect). The tenant's fair-share cap is lifted, so
+// the class gate alone is the valve being priced.
 func BenchmarkServeOverload(b *testing.B) {
 	const burst = 64
 	e := benchEnv(b)
-	eng, err := rpi.New(e.Inputs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	quiet := log.New(io.Discard, "", 0)
-	g := supervisor.New(supervisor.Options{Logger: quiet})
-	g.Publish(eng)
-	front := serve.NewSupervised(g, serve.Config{
+	srv, _ := serveDefaultTenant(b, e.Inputs, serve.Config{
 		Admission: admission.Config{
-			Read: admission.Limits{Slots: 2, Queue: 2, MaxWait: 2 * time.Millisecond},
+			Read:        admission.Limits{Slots: 2, Queue: 2, MaxWait: 2 * time.Millisecond},
+			TenantShare: 1,
 		},
-		Logger: quiet,
 	})
-	srv := httptest.NewServer(front)
-	defer srv.Close()
 	client := srv.Client()
 
 	var (
@@ -974,8 +991,7 @@ func BenchmarkHostServe(b *testing.B) {
 			cfg.Seed = sp.Seed
 			return rpi.InputsFromConfig(cfg, sp.Seed)
 		},
-		Options: []rpi.Option{rpi.WithWALFS(wal.NewMemFS())},
-		Logger:  quiet,
+		Logger: quiet,
 	})
 	if err != nil {
 		b.Fatal(err)

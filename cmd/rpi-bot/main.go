@@ -8,12 +8,12 @@
 // tenants over an in-memory WAL, so `rpi-bot` with no flags is a
 // complete fleet benchmark. After the run it cross-checks every
 // tenant: the host's /v1/t/{tenant}/infer bytes must be byte-identical
-// to a fresh single-engine rpi-serve handler built over the same
-// inputs — multi-tenancy must not change a single served byte.
+// to the wire report of a fresh engine built over the same inputs —
+// multi-tenancy must not change a single served byte.
 //
 //	rpi-bot -tenants 4 -readers 6 -appliers 1 -streamers 2 -duration 5s
 //	rpi-bot -o BENCH_PR8.json -merge     # record/refresh the SLO snapshot
-//	rpi-bot -addr http://host:8090       # drive an external rpi-serve -multi
+//	rpi-bot -addr http://host:8090       # drive an external rpi-serve
 //
 // With -o the results are written as benchmark records in the same
 // JSON shape as rpi-benchsnap; -merge folds them into an existing file
@@ -31,7 +31,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/signal"
 	"runtime"
@@ -44,7 +43,6 @@ import (
 	"rpeer/internal/bot"
 	"rpeer/internal/host"
 	"rpeer/internal/netsim"
-	"rpeer/internal/wal"
 	"rpeer/internal/worldfile"
 	"rpeer/pkg/rpi"
 	"rpeer/pkg/rpi/serve"
@@ -70,7 +68,7 @@ func run() int {
 	tenantShare := flag.Float64("tenant-share", 0, "per-tenant fairness share of each class's slots (0 = default)")
 	out := flag.String("o", "", "write benchmark records to this JSON file (rpi-benchsnap shape)")
 	merge := flag.Bool("merge", false, "with -o: merge into the existing file, replacing same-name records")
-	verify := flag.Bool("verify", true, "after the run, check per-tenant byte identity vs a single-engine server (in-process mode only)")
+	verify := flag.Bool("verify", true, "after the run, check per-tenant byte identity vs a cold engine over the same inputs (in-process mode only)")
 	flag.Parse()
 
 	if *tenants < 1 {
@@ -148,7 +146,7 @@ func run() int {
 			log.Printf("BYTE IDENTITY FAILED: %v", err)
 			return 1
 		}
-		log.Printf("byte identity: all %d tenants match a single-engine server over the same inputs", *tenants)
+		log.Printf("byte identity: all %d tenants match a cold engine over the same inputs", *tenants)
 	}
 
 	if *out != "" {
@@ -179,8 +177,8 @@ func tenantSeed(base int64, names []string, tn string) int64 {
 
 // inProcessHost stands up the self-contained fleet: a host with one
 // tiny world per tenant (or one shared pre-generated .rpw bundle) over
-// an in-memory WAL, fronted by the shared serving plane on a loopback
-// listener.
+// an in-memory WAL (the host has no data dir), fronted by the shared
+// serving plane on a loopback listener.
 func inProcessHost(names []string, seed int64, worldPath string, adm admission.Config) (*host.Host, string, func(), error) {
 	inputs := func(sp host.TenantSpec) (rpi.Inputs, error) {
 		return tinyInputs(sp.Seed)
@@ -196,7 +194,6 @@ func inProcessHost(names []string, seed int64, worldPath string, adm admission.C
 	}
 	h, err := host.Open(host.Config{
 		Inputs:     inputs,
-		Options:    []rpi.Option{rpi.WithWALFS(wal.NewMemFS())},
 		MaxTenants: len(names),
 		Logger:     log.New(io.Discard, "", 0),
 	})
@@ -274,11 +271,11 @@ func ensureTenants(ctx context.Context, base string, names []string, seed int64)
 }
 
 // verifyByteIdentity proves multi-tenancy is invisible to readers: for
-// each tenant, a fresh single-engine server built over the tenant
-// engine's current inputs must serve exactly the bytes the host
-// serves. (Engine inputs track every applied delta, so a cold rebuild
-// over them equals the incrementally-maintained world — the same
-// invariant the chaos harness checks.)
+// each tenant, a fresh engine built over the tenant engine's current
+// inputs must marshal exactly the bytes the host serves. (Engine
+// inputs track every applied delta, so a cold rebuild over them equals
+// the incrementally-maintained world — the same invariant the chaos
+// harness checks.)
 func verifyByteIdentity(h *host.Host, base string, names []string) error {
 	cl := &http.Client{Timeout: 30 * time.Second}
 	for _, tn := range names {
@@ -296,20 +293,18 @@ func verifyByteIdentity(h *host.Host, base string, names []string) error {
 		if err != nil {
 			return fmt.Errorf("tenant %q: cold rebuild: %w", tn, err)
 		}
-		single := httptest.NewServer(serve.New(cold))
-		singleBytes, err := getBody(cl, single.URL+"/v1/infer")
-		single.Close()
+		coldBytes, err := rpi.MarshalReport(cold.Snapshot())
 		cold.Abandon()
 		if err != nil {
-			return fmt.Errorf("tenant %q: single-engine read: %w", tn, err)
+			return fmt.Errorf("tenant %q: marshal cold report: %w", tn, err)
 		}
 		hostBytes, err := getBody(cl, base+"/v1/t/"+tn+"/infer")
 		if err != nil {
 			return fmt.Errorf("tenant %q: host read: %w", tn, err)
 		}
-		if !bytes.Equal(hostBytes, singleBytes) {
-			return fmt.Errorf("tenant %q: host served %d bytes != single-engine %d bytes",
-				tn, len(hostBytes), len(singleBytes))
+		if !bytes.Equal(hostBytes, coldBytes) {
+			return fmt.Errorf("tenant %q: host served %d bytes != cold engine %d bytes",
+				tn, len(hostBytes), len(coldBytes))
 		}
 	}
 	return nil

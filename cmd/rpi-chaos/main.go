@@ -1,7 +1,9 @@
 // Command rpi-chaos is the liveness proof of the serving plane: it
-// stands up the full production wiring — persistent engine over a
-// fault-injectable in-memory filesystem, supervisor guard, admission
-// control, HTTP front end on a real listener — drives it with a mixed
+// stands up the full production wiring — a one-tenant host whose
+// persistent engine runs over a fault-injectable in-memory filesystem,
+// its supervisor guard, admission control, the HTTP front end on a
+// real listener, reached through the short /v1 routes of the default
+// tenant — drives it with a mixed
 // workload (readers, streamers, a deliberately stalled streamer,
 // appliers, a deadline storm), injects engine faults while the traffic
 // runs, and asserts the overload/self-healing SLOs:
@@ -45,14 +47,17 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rpeer/internal/admission"
+	"rpeer/internal/host"
 	"rpeer/internal/netsim"
 	"rpeer/internal/supervisor"
 	"rpeer/internal/wal"
 	"rpeer/pkg/rpi"
 	"rpeer/pkg/rpi/serve"
-
-	"rpeer/internal/admission"
 )
+
+// tenant is the harness's one tenant, served through the short routes.
+const tenant = "chaos"
 
 func main() {
 	log.SetFlags(0)
@@ -80,8 +85,8 @@ func main() {
 // harness is the in-process serving plane under test.
 type harness struct {
 	fsys  *wal.MemFS
+	host  *host.Host
 	guard *supervisor.Guard
-	front *serve.Server
 	base  string // http://127.0.0.1:port
 	ixp   string
 
@@ -114,8 +119,9 @@ func run(cycles int, seed int64, recoveryBound, p99Bound time.Duration, verbose 
 		h.ixp = name
 		break
 	}
-	open := func() (*rpi.Engine, *rpi.RecoveryInfo, error) {
-		return rpi.Open("chaos", in,
+	h.host, err = host.Open(host.Config{
+		Inputs: func(host.TenantSpec) (rpi.Inputs, error) { return in, nil },
+		Options: []rpi.Option{
 			rpi.WithWALFS(h.fsys),
 			// Append-only fs traffic: injected faults land on the log,
 			// never on a background snapshot.
@@ -126,23 +132,20 @@ func run(cycles int, seed int64, recoveryBound, p99Bound time.Duration, verbose 
 					panic("rpi-chaos: injected engine fault")
 				}
 			}),
-		)
-	}
-	h.guard = supervisor.New(supervisor.Options{
-		Reopen:        open,
-		RetryInterval: 50 * time.Millisecond,
-		Logger:        lg,
+		},
+		Logger: lg,
 	})
-	eng, _, err := open()
 	if err != nil {
 		return err
 	}
-	h.guard.Publish(eng)
-	defer h.guard.Close()
+	defer h.host.Close()
+	if err := h.host.Create(host.TenantSpec{Name: tenant}); err != nil {
+		return err
+	}
 
 	// Deliberately tiny limits: the workload must saturate them so the
 	// shedding path is exercised, not just available.
-	h.front = serve.NewSupervised(h.guard, serve.Config{
+	front := serve.NewHost(h.host, tenant, serve.Config{
 		Admission: admission.Config{
 			Cheap:  admission.Limits{Slots: 4, Queue: 4, MaxWait: 500 * time.Millisecond},
 			Read:   admission.Limits{Slots: 2, Queue: 2, MaxWait: 500 * time.Millisecond},
@@ -158,10 +161,25 @@ func run(cycles int, seed int64, recoveryBound, p99Bound time.Duration, verbose 
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: h.front}
+	srv := &http.Server{Handler: front}
 	go srv.Serve(ln)
 	defer srv.Close()
 	h.base = "http://" + ln.Addr().String()
+	// Live but not ready until the tenant's first lease opens its engine.
+	if h.ready() {
+		return fmt.Errorf("/readyz answered 200 before the tenant opened")
+	}
+	lease, err := h.host.Lease(context.Background(), tenant)
+	if err != nil {
+		return err
+	}
+	// The host never evicts here, so this guard serves the whole run:
+	// recoveries republish into it.
+	h.guard = lease.Guard()
+	lease.Release()
+	if err := h.waitReady(recoveryBound); err != nil {
+		return err
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
@@ -268,18 +286,35 @@ func (h *harness) waitStat(bound time.Duration, what string, ok func(supervisor.
 	}
 }
 
+// waitReady polls /readyz until it answers 200 or the bound expires.
+func (h *harness) waitReady(bound time.Duration) error {
+	deadline := time.Now().Add(bound)
+	for !h.ready() {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("/readyz not 200 within %s", bound)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	return nil
+}
+
+func (h *harness) ready() bool {
+	resp, err := http.Get(h.base + "/readyz")
+	if err != nil {
+		return false
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode == http.StatusOK
+}
+
 // waitWritable proves recovery end-to-end: /readyz answers 200 and an
 // actual apply commits, all within the bound.
 func (h *harness) waitWritable(bound time.Duration) error {
 	deadline := time.Now().Add(bound)
 	for {
-		resp, err := http.Get(h.base + "/readyz")
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK && h.applyOnce(time.Now().UnixNano()%1000) {
-				return nil
-			}
+		if h.ready() && h.applyOnce(time.Now().UnixNano()%1000) {
+			return nil
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("not writable within %s after fault", bound)

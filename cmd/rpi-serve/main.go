@@ -1,80 +1,82 @@
-// Command rpi-serve runs the remote peering inference service: one
-// long-lived rpi.Engine over a generated world, exposed over HTTP/JSON
-// (the /v1 wire schema of pkg/rpi).
+// Command rpi-serve runs the remote peering inference service: an
+// internal/host tenant registry of long-lived rpi.Engines, exposed over
+// HTTP/JSON (the /v1 wire schema of pkg/rpi). Each tenant owns its own
+// world, engine, data directory and supervisor; all of them share one
+// listener and one admission controller.
 //
 // Endpoints:
 //
-//	GET  /healthz          liveness + applied-delta sequence
-//	GET  /readyz           readiness (503 until recovery finishes)
-//	GET  /v1/infer         full inference report
-//	GET  /v1/report/{ixp}  one IXP's report
-//	POST /v1/apply         membership joins/leaves + RTT refreshes
-//	GET  /v1/stream        server-sent events: verdict changes as they land
+//	GET    /healthz                liveness
+//	GET    /readyz                 readiness (503 until the default tenant has opened)
+//	POST   /v1/tenants             {"name":"acme","seed":7,"profile":"tiny"}
+//	GET    /v1/tenants             every tenant's live state
+//	GET    /v1/tenants/{tenant}    one tenant's state
+//	DELETE /v1/tenants/{tenant}    drop a tenant (?purge=1 removes its data)
+//	GET    /v1/t/{tenant}/infer    that tenant's full report
+//	GET    /v1/t/{tenant}/report/{ixp}
+//	POST   /v1/t/{tenant}/apply    membership joins/leaves + RTT refreshes
+//	GET    /v1/t/{tenant}/stream   server-sent events: verdict changes as they land
+//
+// The short routes /v1/infer, /v1/report/{ixp}, /v1/apply and
+// /v1/stream are aliases for the -default-tenant ("default"), which
+// rpi-serve creates at startup from -seed/-scale — or, with -world F,
+// serves the pre-generated .rpw world file F. So with no flags at all
+// rpi-serve is a one-world inference service.
 //
 // Usage:
 //
-//	rpi-serve [-seed N] [-scale N] [-addr :8090] [-workers N]
+//	rpi-serve [-seed N] [-scale N] [-world F] [-addr :8090] [-workers N]
 //	          [-data-dir DIR] [-fsync every|interval|off] [-snapshot-every N]
+//	          [-default-tenant NAME] [-max-tenants N] [-idle-evict D]
 //	          [-request-timeout 0] [-admit-read N] [-admit-cheap N]
 //	          [-admit-write N] [-admit-stream N]
 //	          [-debug-addr :8091] [-shutdown-timeout 10s]
 //
-// With -data-dir set the engine is crash-safe: every applied delta is
-// journaled to a checksummed write-ahead log in DIR before it is
-// acknowledged, columnar snapshots bound replay, and a restart
-// recovers the exact pre-crash state (see pkg/rpi.Open). The listener
-// binds immediately and /healthz answers while recovery replays;
-// /readyz (and the /v1 endpoints) go green when the engine is up.
+// With -data-dir set every tenant is crash-safe: each applied delta is
+// journaled to a checksummed write-ahead log under
+// DIR/tenants/<name> before it is acknowledged, columnar snapshots
+// bound replay, and a restart recovers the exact pre-crash state (see
+// pkg/rpi.Open). Without it, tenant state lives in memory and is lost
+// on restart. The listener binds first and the default tenant is
+// opened after, so /healthz answers during a long recovery and /readyz
+// goes green when the default tenant's engine is up. Other tenants'
+// engines open lazily on first request and, with -idle-evict, close
+// (final snapshot) after sitting idle.
+//
+// Tenant profiles: "paper" (the paper-sized world; "paper-N" scales
+// it Nx) and "tiny" (a millisecond-scale world for tests and demos). A
+// tenant's world derives deterministically from its (seed, profile),
+// so a host restart rebuilds or recovers every tenant exactly.
 //
 // The serving plane is overload-safe and self-healing. Every /v1
 // endpoint passes through per-class admission control: cheap per-IXP
 // reads, full-report reads, mutating applies and SSE streams are each
 // independently bounded (machine-scaled defaults; override slots with
-// the -admit-* flags), and saturation answers 503 + Retry-After
-// instead of queueing without bound. -request-timeout caps the
-// end-to-end time of non-streaming requests, and the deadline
-// propagates into the engine — an abandoned request stops costing
-// anything. A panic escaping the engine's Apply (or a broken WAL)
-// quarantines the engine instead of killing the process: reads keep
-// serving the last good snapshot, writes answer 503, and with a
-// -data-dir a background re-Open heals the engine from the journal and
-// the plane goes writable again.
+// the -admit-* flags), one tenant may hold at most
+// admission.DefaultTenantShare of a class's slots, and saturation
+// answers 503 + Retry-After instead of queueing without bound.
+// -request-timeout caps the end-to-end time of non-streaming requests,
+// and the deadline propagates into the engine. A panic escaping an
+// engine's Apply (or a broken WAL) quarantines that tenant instead of
+// killing the process: reads keep serving the last good snapshot,
+// writes answer 503, and a background re-Open heals the engine from
+// its journal.
 //
 // SIGINT/SIGTERM shut the service down gracefully: in-flight requests
-// drain (bounded by -shutdown-timeout), then the engine closes,
+// drain (bounded by -shutdown-timeout), then every open engine closes,
 // publishing a final snapshot so the next start replays nothing.
 //
 // With -debug-addr set, a second listener exposes the Go runtime
-// diagnostics — /debug/pprof/ (heap, CPU, goroutine profiles) and
-// /debug/vars (expvar: engine sequence, inference counts, dropped
-// subscriber updates, per-class admission counters, supervisor fault
-// and recovery counts) — kept off the service address so the profiling
-// surface is never reachable from the API network.
-//
-// Multi-tenant mode (-multi) replaces the single engine with an
-// internal/host tenant registry: one engine, one data directory and
-// one supervisor per tenant, all behind the same listener and the same
-// admission controller (with per-tenant fairness on top — one tenant
-// may hold at most half of a class's slots by default). Tenants are
-// created and deleted over HTTP and served under /v1/t/{tenant}/...;
-// the classic single-tenant routes keep working as aliases for the
-// -default-tenant, so existing clients run unchanged. Engines open
-// lazily on first request and, with -idle-evict, close (final
-// snapshot) after sitting idle:
-//
-//	POST   /v1/tenants            {"name":"acme","seed":7,"profile":"tiny"}
-//	GET    /v1/tenants            every tenant's live state
-//	DELETE /v1/tenants/{tenant}   drop a tenant (?purge=1 removes its data)
-//	GET    /v1/t/{tenant}/infer   that tenant's full report
-//
-// Tenant profiles: "paper" (default, the paper-sized world; "paper-N"
-// scales it Nx) and "tiny" (a millisecond-scale world for tests and
-// demos). A tenant's world derives deterministically from its (seed,
-// profile), so a host restart rebuilds or recovers every tenant
-// exactly.
+// diagnostics — /debug/pprof/ and /debug/vars (expvar: rpi.host with
+// each tenant's state, acked seq, faults, recoveries, continuity
+// violations and dropped stream updates; rpi.admission with per-class
+// and per-tenant admission counters; rpi.handler_panics) — kept off the
+// service address so the profiling surface is never reachable from the
+// API network.
 //
 // Example session:
 //
+//	curl localhost:8090/readyz
 //	curl localhost:8090/v1/report/Frankfurt-IX
 //	curl -X POST localhost:8090/v1/apply -d '{"leaves":[{"ixp":"Frankfurt-IX","iface":"185.0.0.9"}]}'
 //	curl -N localhost:8090/v1/stream
@@ -83,18 +85,23 @@ package main
 
 import (
 	"context"
+	"errors"
 	"expvar"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
 	"rpeer/internal/admission"
-	"rpeer/internal/supervisor"
+	"rpeer/internal/host"
+	"rpeer/internal/netsim"
 	"rpeer/internal/worldfile"
 	"rpeer/pkg/rpi"
 	"rpeer/pkg/rpi/serve"
@@ -103,12 +110,12 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rpi-serve: ")
-	seed := flag.Int64("seed", 1, "world generation seed")
-	scale := flag.Int("scale", 1, "world scale factor (1 = paper-sized)")
-	worldPath := flag.String("world", "", "load the input bundle from this .rpw world file (written by rpi-gen -o; overrides -seed/-scale)")
+	seed := flag.Int64("seed", 1, "default tenant's world generation seed")
+	scale := flag.Int("scale", 1, "default tenant's world scale factor (1 = paper-sized)")
+	worldPath := flag.String("world", "", "serve this .rpw world file (written by rpi-gen -o) as the default tenant's world (overrides -seed/-scale)")
 	addr := flag.String("addr", ":8090", "listen address")
 	workers := flag.Int("workers", 0, "inference shard workers (0 = one per CPU)")
-	dataDir := flag.String("data-dir", "", "durable state directory: delta WAL + snapshots (empty = in-memory engine)")
+	dataDir := flag.String("data-dir", "", "durable state root: per-tenant delta WAL + snapshots (empty = in-memory)")
 	fsync := flag.String("fsync", "every", "WAL fsync policy: every (per record), interval, off")
 	fsyncInterval := flag.Duration("fsync-interval", time.Second, "flush period for -fsync interval")
 	snapEvery := flag.Int("snapshot-every", rpi.DefaultSnapshotEvery, "deltas between automatic snapshots (0 = only on shutdown)")
@@ -119,44 +126,49 @@ func main() {
 	admitStream := flag.Int("admit-stream", 0, "concurrent SSE streams (0 = scale to CPUs)")
 	debugAddr := flag.String("debug-addr", "", "listen address for /debug/pprof and expvar (empty = disabled)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "graceful-drain deadline on SIGINT/SIGTERM")
-	multi := flag.Bool("multi", false, "multi-tenant mode: a tenant host instead of one engine")
-	defaultTenant := flag.String("default-tenant", "default", "tenant the legacy /v1 routes alias to in -multi mode (empty = tenant routes only)")
-	maxTenants := flag.Int("max-tenants", 64, "tenant registry bound in -multi mode")
-	idleEvict := flag.Duration("idle-evict", 0, "evict a tenant's engine after this long without traffic in -multi mode (0 = never)")
+	defaultTenant := flag.String("default-tenant", "default", "tenant created at startup that the short /v1 routes alias to (empty = tenant routes only)")
+	maxTenants := flag.Int("max-tenants", 64, "tenant registry bound")
+	idleEvict := flag.Duration("idle-evict", 0, "evict a tenant's engine after this long without traffic (0 = never)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *multi {
-		os.Exit(runHost(ctx, hostParams{
-			addr: *addr, debugAddr: *debugAddr, dataDir: *dataDir,
-			seed: *seed, scale: *scale, workers: *workers,
-			fsync: *fsync, fsyncInterval: *fsyncInterval, snapEvery: *snapEvery,
-			reqTimeout:    *reqTimeout,
-			admission:     admissionConfig(*admitCheap, *admitRead, *admitWrite, *admitStream),
-			defaultTenant: *defaultTenant, maxTenants: *maxTenants,
-			idleEvict: *idleEvict, shutdownTimeout: *shutdownTimeout,
-		}))
+	inputs, err := inputsFor(*worldPath, *defaultTenant)
+	if err != nil {
+		log.Fatal(err)
+	}
+	opts, err := persistOpts(*fsync, *fsyncInterval, *snapEvery)
+	if err != nil {
+		log.Fatal(err)
+	}
+	opts = append(opts, rpi.WithWorkers(*workers))
+	if *dataDir == "" {
+		log.Print("no -data-dir: tenant state is in-memory (lost on restart)")
+	}
+	h, err := host.Open(host.Config{
+		Dir:         *dataDir,
+		Inputs:      inputs,
+		Options:     opts,
+		MaxTenants:  *maxTenants,
+		IdleTimeout: *idleEvict,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if *defaultTenant != "" {
+		// A restarted data dir already lists it in its manifest.
+		err := h.Create(host.TenantSpec{Name: *defaultTenant, Seed: *seed, Profile: profileFor(*scale)})
+		if err != nil && !errors.Is(err, host.ErrTenantExists) {
+			log.Fatal(err)
+		}
 	}
 
-	// The supervisor owns the engine pointer. reopen is bound after the
-	// first engine build (it needs the assembled inputs) and strictly
-	// before the engine is published — no fault can race the binding.
-	var reopen supervisor.Reopen
-	supOpts := supervisor.Options{RetryInterval: time.Second}
-	if *dataDir != "" {
-		supOpts.Reopen = func() (*rpi.Engine, *rpi.RecoveryInfo, error) { return reopen() }
-	}
-	guard := supervisor.New(supOpts)
-
-	// Bind the service port before the (possibly long) engine build:
-	// orchestrators see liveness immediately, readiness when recovery
-	// completes.
-	front := serve.NewSupervised(guard, serve.Config{
+	front := serve.NewHost(h, *defaultTenant, serve.Config{
 		Admission:      admissionConfig(*admitCheap, *admitRead, *admitWrite, *admitStream),
 		RequestTimeout: *reqTimeout,
 	})
+	publishVars(front)
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           front,
@@ -166,7 +178,7 @@ func main() {
 	}
 	srvErr := make(chan error, 1)
 	go func() { srvErr <- srv.ListenAndServe() }()
-	log.Printf("serving /v1 on %s (pending until engine is ready)", *addr)
+	log.Printf("serving on %s (%d tenants registered)", *addr, len(h.Tenants()))
 
 	var dbg *http.Server
 	dbgErr := make(chan error, 1)
@@ -176,16 +188,20 @@ func main() {
 		log.Printf("serving /debug/pprof and /debug/vars on %s", *debugAddr)
 	}
 
-	eng, reopenFn, err := buildEngine(*seed, *scale, *worldPath, *workers, *dataDir, *fsync, *fsyncInterval, *snapEvery)
-	if err != nil {
-		log.Print(err)
-		srv.Close()
-		os.Exit(1)
+	// Open the default tenant now, after the port is bound: /healthz
+	// answers during a long build or recovery, /readyz turns green when
+	// this lease returns.
+	if *defaultTenant != "" {
+		lease, err := h.Lease(ctx, *defaultTenant)
+		if err != nil {
+			log.Print(err)
+			srv.Close()
+			_ = h.Close()
+			os.Exit(1)
+		}
+		log.Printf("ready: tenant %q serving at seq %d", *defaultTenant, lease.Guard().Engine().Seq())
+		lease.Release()
 	}
-	reopen = reopenFn
-	publishServeVars(front)
-	front.SetEngine(eng)
-	log.Printf("ready: serving at seq %d", eng.Seq())
 
 	// Wait for a shutdown signal or a listener failure.
 	select {
@@ -210,16 +226,87 @@ func main() {
 		_ = dbg.Shutdown(drainCtx)
 	}
 	// Close after the listeners stop: no request can race the final
-	// snapshot, and the last acknowledged delta is on disk. The guard
-	// closes the current engine (a quarantined one was already
-	// abandoned; its durable state is the acknowledged prefix).
-	if err := guard.Close(); err != nil {
-		log.Printf("engine close: %v", err)
+	// snapshots, and the last acknowledged delta is on disk.
+	if err := h.Close(); err != nil {
+		log.Printf("host close: %v", err)
 		os.Exit(1)
 	}
-	if cur := guard.Engine(); cur != nil {
-		log.Printf("shut down cleanly at seq %d", cur.Seq())
+	log.Print("shut down cleanly")
+}
+
+// inputsFor returns the host's tenant world factory: tenantInputs, with
+// the default tenant's world read from worldPath when one is given.
+// A world file needs a default tenant to serve it.
+func inputsFor(worldPath, defaultTenant string) (func(host.TenantSpec) (rpi.Inputs, error), error) {
+	if worldPath == "" {
+		return tenantInputs, nil
 	}
+	if defaultTenant == "" {
+		return nil, errors.New("-world needs a -default-tenant to serve it")
+	}
+	return func(sp host.TenantSpec) (rpi.Inputs, error) {
+		if sp.Name != defaultTenant {
+			return tenantInputs(sp)
+		}
+		log.Printf("loading world bundle %s...", worldPath)
+		start := time.Now()
+		in, err := worldfile.Load(worldPath)
+		if err != nil {
+			return rpi.Inputs{}, err
+		}
+		log.Printf("world loaded in %s: %d memberships, seed %d",
+			time.Since(start).Round(time.Millisecond), len(in.World.Members), in.Seed)
+		return in, nil
+	}, nil
+}
+
+// tenantInputs derives a tenant's base world from its spec, and only
+// its spec — a restarted host rebuilds every tenant identically.
+// Profiles: "" / "paper" (paper-sized world), "paper-N" (scaled Nx),
+// "tiny" (millisecond-scale world for tests and demos).
+func tenantInputs(sp host.TenantSpec) (rpi.Inputs, error) {
+	switch {
+	case sp.Profile == "" || sp.Profile == "paper":
+		return rpi.SyntheticInputs(sp.Seed, 1)
+	case sp.Profile == "tiny":
+		cfg := netsim.TinyConfig()
+		if sp.Seed != 0 {
+			cfg.Seed = sp.Seed
+		}
+		return rpi.InputsFromConfig(cfg, sp.Seed)
+	case strings.HasPrefix(sp.Profile, "paper-"):
+		scale, err := strconv.Atoi(strings.TrimPrefix(sp.Profile, "paper-"))
+		if err != nil || scale < 1 {
+			return rpi.Inputs{}, fmt.Errorf("bad profile %q: want paper-N with N >= 1", sp.Profile)
+		}
+		return rpi.SyntheticInputs(sp.Seed, scale)
+	default:
+		return rpi.Inputs{}, fmt.Errorf("unknown profile %q (want paper, paper-N or tiny)", sp.Profile)
+	}
+}
+
+func profileFor(scale int) string {
+	if scale <= 1 {
+		return "paper"
+	}
+	return fmt.Sprintf("paper-%d", scale)
+}
+
+// persistOpts translates the -fsync/-snapshot-every flags into engine
+// options.
+func persistOpts(fsync string, fsyncInterval time.Duration, snapEvery int) ([]rpi.Option, error) {
+	var opts []rpi.Option
+	switch fsync {
+	case "every":
+		opts = append(opts, rpi.WithSync(rpi.SyncEveryDelta))
+	case "interval":
+		opts = append(opts, rpi.WithSyncInterval(fsyncInterval))
+	case "off":
+		opts = append(opts, rpi.WithSync(rpi.SyncOff))
+	default:
+		return nil, errors.New("bad -fsync: want every, interval or off")
+	}
+	return append(opts, rpi.WithSnapshotEvery(snapEvery)), nil
 }
 
 // admissionConfig translates the -admit-* slot flags into per-class
@@ -252,132 +339,14 @@ func waitShutdown(ctx context.Context, srvErr chan error) {
 	}
 }
 
-// buildEngine assembles the inputs — generated in-process, or loaded
-// from a pre-generated .rpw world file (the fast path at scale) — and
-// builds either an in-memory engine or, with a data directory, a
-// crash-safe persistent one. For a persistent engine it also returns
-// the reopen closure the supervisor uses to heal a quarantined engine
-// from the same directory.
-func buildEngine(seed int64, scale int, worldPath string, workers int, dataDir, fsync string, fsyncInterval time.Duration, snapEvery int) (*rpi.Engine, supervisor.Reopen, error) {
-	var (
-		in  rpi.Inputs
-		err error
-	)
-	if worldPath != "" {
-		log.Printf("loading world bundle %s...", worldPath)
-		start := time.Now()
-		in, err = worldfile.Load(worldPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		log.Printf("world loaded in %s: %d memberships, seed %d",
-			time.Since(start).Round(time.Millisecond), len(in.World.Members), in.Seed)
-	} else {
-		log.Printf("assembling inputs (seed %d, scale %dx)...", seed, scale)
-		in, err = rpi.SyntheticInputs(seed, scale)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	log.Printf("building engine over %d memberships...", len(in.Dataset.IfaceIXP))
-	opts := []rpi.Option{rpi.WithWorkers(workers)}
-	var (
-		eng    *rpi.Engine
-		reopen supervisor.Reopen
-	)
-	if dataDir == "" {
-		eng, err = rpi.New(in, opts...)
-	} else {
-		popts, perr := persistOpts(fsync, fsyncInterval, snapEvery)
-		if perr != nil {
-			return nil, nil, perr
-		}
-		opts = append(opts, popts...)
-		reopen = func() (*rpi.Engine, *rpi.RecoveryInfo, error) {
-			return rpi.Open(dataDir, in, opts...)
-		}
-		var info *rpi.RecoveryInfo
-		eng, info, err = rpi.Open(dataDir, in, opts...)
-		if err != nil {
-			return nil, nil, err
-		}
-		switch {
-		case info.SnapshotName != "":
-			log.Printf("recovered %s: snapshot %s (seq %d) + %d replayed deltas",
-				dataDir, info.SnapshotName, info.SnapshotSeq, info.Replayed)
-		case info.Replayed > 0:
-			log.Printf("recovered %s: %d replayed deltas", dataDir, info.Replayed)
-		default:
-			log.Printf("fresh data directory %s", dataDir)
-		}
-		if info.TornTail {
-			log.Printf("truncated torn log tail at byte %d (%s) — crash artifact, state is consistent",
-				info.TruncatedAt, info.TornReason)
-		}
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	rep := eng.Snapshot()
-	var local, remote int
-	for _, inf := range rep.Inferences {
-		switch inf.Class {
-		case rpi.ClassLocal:
-			local++
-		case rpi.ClassRemote:
-			remote++
-		}
-	}
-	log.Printf("engine ready: %d memberships (%d local, %d remote), %d multi-IXP routers, seq %d",
-		len(rep.Inferences), local, remote, len(rep.MultiRouters), eng.Seq())
-	return eng, reopen, nil
-}
-
-// publishServeVars exposes live serving-plane gauges through expvar
-// (served on the debug listener): delta sequence, domain size, verdict
-// mix, the slow-subscriber drop counter, per-class admission counters,
-// and the supervisor's fault/recovery state. All gauges read through
-// the guard, so they follow the engine across quarantine recoveries.
-func publishServeVars(front *serve.Server) {
-	guard := front.Guard()
-	engine := func() *rpi.Engine { return guard.Engine() }
-	counts := func(want rpi.PeerClass) func() interface{} {
-		return func() interface{} {
-			eng := engine()
-			if eng == nil {
-				return 0
-			}
-			n := 0
-			for _, inf := range eng.Snapshot().Inferences {
-				if inf.Class == want {
-					n++
-				}
-			}
-			return n
-		}
-	}
-	expvar.Publish("rpi.seq", expvar.Func(func() interface{} {
-		if eng := engine(); eng != nil {
-			return eng.Seq()
-		}
-		return 0
-	}))
-	expvar.Publish("rpi.inferences", expvar.Func(func() interface{} {
-		if eng := engine(); eng != nil {
-			return len(eng.Snapshot().Inferences)
-		}
-		return 0
-	}))
-	expvar.Publish("rpi.local", expvar.Func(counts(rpi.ClassLocal)))
-	expvar.Publish("rpi.remote", expvar.Func(counts(rpi.ClassRemote)))
-	expvar.Publish("rpi.dropped_updates", expvar.Func(func() interface{} {
-		if eng := engine(); eng != nil {
-			return eng.DroppedUpdates()
-		}
-		return uint64(0)
-	}))
+// publishVars exposes the serving gauges through expvar (served on the
+// debug listener): per-tenant state (rpi.host), per-class and
+// per-tenant admission counters (rpi.admission), and the handler panic
+// net.
+func publishVars(front *serve.HostServer) {
+	h := front.Host()
+	expvar.Publish("rpi.host", expvar.Func(func() interface{} { return h.Tenants() }))
 	expvar.Publish("rpi.admission", front.Admission().Expvar())
-	expvar.Publish("rpi.supervisor", expvar.Func(func() interface{} { return guard.Stats() }))
 	expvar.Publish("rpi.handler_panics", expvar.Func(func() interface{} { return front.HandlerPanics() }))
 }
 

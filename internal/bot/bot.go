@@ -6,7 +6,7 @@
 // records.
 //
 // The bot speaks only the public wire surface (it works against an
-// in-process httptest server or a remote rpi-serve -multi), and it
+// in-process httptest server or a remote rpi-serve), and it
 // classifies every response the way an operator would: 200 admitted,
 // 503 shed (admission or quarantine), 400/422 rejected (a delta that
 // lost a validation race), 499/timeouts abandoned. Shedding is load
@@ -82,7 +82,7 @@ func (c ClassStats) ShedPct() float64 {
 
 // Report is one run's outcome: per tenant, per class.
 type Report struct {
-	Duration time.Duration                   `json:"duration_ns"`
+	Duration time.Duration                    `json:"duration_ns"`
 	Tenants  map[string]map[string]ClassStats `json:"tenants"`
 	// StreamEvents counts SSE update events received across all
 	// streams, per tenant.

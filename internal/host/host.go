@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"rpeer/internal/supervisor"
+	"rpeer/internal/wal"
 	"rpeer/pkg/rpi"
 )
 
@@ -73,16 +74,16 @@ type TenantSpec struct {
 	// seed and profile hold identical (but fully independent) worlds.
 	Seed int64 `json:"seed,omitempty"`
 	// Profile selects the world scale; interpretation belongs to the
-	// Config.Inputs factory (cmd/rpi-serve maps "tiny" and "default").
+	// Config.Inputs factory (cmd/rpi-serve maps "paper", "paper-N" and "tiny").
 	Profile string `json:"profile,omitempty"`
 }
 
 // Config tunes a Host.
 type Config struct {
 	// Dir is the root data directory; each tenant persists under
-	// Dir/tenants/<name>. Empty disables the manifest (tenants live
-	// only as long as the process) — pair it with a memory-backed WAL
-	// via Options for fully in-memory hosts.
+	// Dir/tenants/<name>. Empty makes the host fully in-memory: no
+	// manifest, and tenant WALs and snapshots live on one wal.MemFS for
+	// the process's lifetime (an rpi.WithWALFS in Options still wins).
 	Dir string
 	// Inputs builds a tenant's base world from its spec. Required.
 	Inputs func(TenantSpec) (rpi.Inputs, error)
@@ -108,8 +109,9 @@ type Config struct {
 // transitions (open, evict, delete, drain) for this tenant only —
 // tenants never block one another.
 type tenant struct {
-	spec TenantSpec
-	dir  string
+	spec   TenantSpec
+	dir    string
+	onDisk bool // dir is on the OS filesystem (the host has a Dir)
 
 	mu      sync.Mutex
 	guard   *supervisor.Guard // nil while cold
@@ -150,6 +152,10 @@ func Open(cfg Config) (*Host, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = log.Default()
 	}
+	if cfg.Dir == "" {
+		// Prepended, so a caller's own WithWALFS overrides it.
+		cfg.Options = append([]rpi.Option{rpi.WithWALFS(wal.NewMemFS())}, cfg.Options...)
+	}
 	if cfg.IdleTimeout > 0 && cfg.SweepInterval <= 0 {
 		cfg.SweepInterval = cfg.IdleTimeout / 4
 		if cfg.SweepInterval < time.Second {
@@ -181,6 +187,7 @@ func (h *Host) newTenant(sp TenantSpec) *tenant {
 	return &tenant{
 		spec:    sp,
 		dir:     filepath.Join(h.cfg.Dir, "tenants", sp.Name),
+		onDisk:  h.cfg.Dir != "",
 		lastUse: time.Now(),
 	}
 }
@@ -316,7 +323,7 @@ func (t *tenant) closeLocked(why string) {
 		}
 		t.guard = nil
 	}
-	if t.deleted && t.purge && t.dir != "" {
+	if t.deleted && t.purge && t.onDisk {
 		_ = os.RemoveAll(t.dir)
 	}
 }
@@ -421,11 +428,15 @@ type TenantStatus struct {
 	Leases    int    `json:"leases"`
 	Opens     uint64 `json:"opens"`
 	Evictions uint64 `json:"evictions"`
-	// Supervisor detail, present while the engine is open.
-	AckedSeq   uint64 `json:"acked_seq,omitempty"`
-	Generation uint64 `json:"generation,omitempty"`
-	Faults     uint64 `json:"faults,omitempty"`
-	Recoveries uint64 `json:"recoveries,omitempty"`
+	// Supervisor and engine detail, present while the engine is open.
+	AckedSeq             uint64 `json:"acked_seq,omitempty"`
+	Generation           uint64 `json:"generation,omitempty"`
+	Faults               uint64 `json:"faults,omitempty"`
+	Recoveries           uint64 `json:"recoveries,omitempty"`
+	ContinuityViolations uint64 `json:"continuity_violations,omitempty"`
+	// DroppedUpdates counts stream updates the current engine shed from
+	// slow subscribers.
+	DroppedUpdates uint64 `json:"dropped_updates,omitempty"`
 }
 
 // Tenants lists every registered tenant's status, sorted by name.
@@ -439,25 +450,44 @@ func (h *Host) Tenants() []TenantStatus {
 
 	out := make([]TenantStatus, 0, len(ts))
 	for _, t := range ts {
-		t.mu.Lock()
-		st := TenantStatus{
-			Name: t.spec.Name, Seed: t.spec.Seed, Profile: t.spec.Profile,
-			State: "cold", Leases: t.leases, Opens: t.opens, Evictions: t.evictions,
-		}
-		if t.guard != nil {
-			gs := t.guard.Stats()
-			st.State = "serving"
-			if gs.Quarantined {
-				st.State = "quarantined"
-			}
-			st.AckedSeq, st.Generation = gs.AckedSeq, gs.Generation
-			st.Faults, st.Recoveries = gs.Faults, gs.Recoveries
-		}
-		t.mu.Unlock()
-		out = append(out, st)
+		out = append(out, t.status())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+// Status returns one tenant's status; false if it is not registered.
+func (h *Host) Status(name string) (TenantStatus, bool) {
+	h.mu.Lock()
+	t, ok := h.tenants[name]
+	h.mu.Unlock()
+	if !ok {
+		return TenantStatus{}, false
+	}
+	return t.status(), true
+}
+
+func (t *tenant) status() TenantStatus {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	st := TenantStatus{
+		Name: t.spec.Name, Seed: t.spec.Seed, Profile: t.spec.Profile,
+		State: "cold", Leases: t.leases, Opens: t.opens, Evictions: t.evictions,
+	}
+	if t.guard != nil {
+		gs := t.guard.Stats()
+		st.State = "serving"
+		if gs.Quarantined {
+			st.State = "quarantined"
+		}
+		st.AckedSeq, st.Generation = gs.AckedSeq, gs.Generation
+		st.Faults, st.Recoveries = gs.Faults, gs.Recoveries
+		st.ContinuityViolations = gs.ContinuityViolations
+		if eng := t.guard.Engine(); eng != nil {
+			st.DroppedUpdates = eng.DroppedUpdates()
+		}
+	}
+	return st
 }
 
 // Close drains the host: new leases fail with ErrHostClosed, active

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"log"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -396,5 +398,49 @@ func TestQuarantineIsolation(t *testing.T) {
 	}
 	if st := h.Tenants(); st[0].Recoveries != 1 || st[1].Faults != 0 {
 		t.Fatalf("isolation accounting: %+v", st)
+	}
+}
+
+// TestInMemoryHostLeavesNoFiles: a host without a Dir keeps every
+// tenant's WAL and snapshots in memory. Leasing, purging and closing
+// must not write into (or delete from) the working directory.
+func TestInMemoryHostLeavesNoFiles(t *testing.T) {
+	t.Chdir(t.TempDir())
+	h, err := Open(Config{Inputs: tinyFactory(), Logger: quiet()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCreate(t, h, "x", 1)
+	lease, err := h.Lease(context.Background(), "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lease.Guard().Apply(context.Background(), churn(t, h, lease)); err != nil {
+		t.Fatal(err)
+	}
+	lease.Release()
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat("tenants"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("in-memory host touched the working directory: stat tenants: %v", err)
+	}
+
+	// A purge on an in-memory host must not reach a same-named directory
+	// on disk either.
+	if err := os.MkdirAll(filepath.Join("tenants", "y"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	h, err = Open(Config{Inputs: tinyFactory(), Logger: quiet()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = h.Close() })
+	mustCreate(t, h, "y", 2)
+	if err := h.Delete("y", true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join("tenants", "y")); err != nil {
+		t.Fatalf("in-memory purge removed an on-disk directory: %v", err)
 	}
 }

@@ -79,16 +79,20 @@ func postJSON(t *testing.T, url string, v any, wantStatus int) []byte {
 // bytes); an apply (seq bump) or an engine swap (generation bump)
 // invalidates it and the served bytes track the live report exactly.
 func TestInferReportCache(t *testing.T) {
-	eng, err := rpi.New(testInputs(t))
-	if err != nil {
-		t.Fatal(err)
+	h := newTenantHost(t, testInputs(t))
+	g := defaultGuard(t, h)
+	eng := g.Engine()
+	s, srv := serveHost(t, h, Config{})
+	cached := func() *cachedReport {
+		v, ok := s.bes.Load(defTenant)
+		if !ok {
+			t.Fatal("no backend for the default tenant")
+		}
+		return v.(*backend).rep.Load()
 	}
-	s := New(eng)
-	srv := httptest.NewServer(s)
-	t.Cleanup(srv.Close)
 
 	b1 := get(t, srv.URL+"/v1/infer", http.StatusOK)
-	c1 := s.be.rep.Load()
+	c1 := cached()
 	if c1 == nil || c1.seq != 0 {
 		t.Fatalf("cache after first read: %+v", c1)
 	}
@@ -96,7 +100,7 @@ func TestInferReportCache(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("repeated reads at one publication differ")
 	}
-	if s.be.rep.Load() != c1 {
+	if cached() != c1 {
 		t.Fatal("second read re-marshaled instead of hitting the cache")
 	}
 
@@ -110,7 +114,7 @@ func TestInferReportCache(t *testing.T) {
 	if !bytes.Equal(b3, want) {
 		t.Fatal("post-apply read served stale cached bytes")
 	}
-	if c3 := s.be.rep.Load(); c3.seq != 1 {
+	if c3 := cached(); c3.seq != 1 {
 		t.Fatalf("cache seq = %d, want 1", c3.seq)
 	}
 
@@ -123,7 +127,7 @@ func TestInferReportCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetEngine(eng2)
+	g.Publish(eng2)
 	b4 := get(t, srv.URL+"/v1/infer", http.StatusOK)
 	want2, err := rpi.MarshalReport(eng2.Snapshot())
 	if err != nil {
@@ -179,9 +183,9 @@ func TestHostTenantLifecycleHTTP(t *testing.T) {
 }
 
 // TestHostByteIdentity is the acceptance check: a tenant served
-// through the host answers byte-identical /v1 reports to a
-// single-engine server over the same inputs and the same deltas —
-// multi-tenancy changes routing, never results.
+// through the host answers /v1 report bytes identical to a bare engine
+// over the same inputs and the same deltas — multi-tenancy changes
+// routing, never results.
 func TestHostByteIdentity(t *testing.T) {
 	_, _, srv := testHost(t, Config{}, "", host.TenantSpec{Name: "a", Seed: 3})
 
@@ -193,17 +197,19 @@ func TestHostByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ssrv := httptest.NewServer(New(single))
-	t.Cleanup(ssrv.Close)
-
-	wd := wireChurn(rpi.ChurnDelta(in, 0.02, 9))
-	postJSON(t, srv.URL+"/v1/t/a/apply", wd, http.StatusOK)
-	postJSON(t, ssrv.URL+"/v1/apply", wd, http.StatusOK)
+	d := rpi.ChurnDelta(in, 0.02, 9)
+	postJSON(t, srv.URL+"/v1/t/a/apply", wireChurn(d), http.StatusOK)
+	if _, err := single.Apply(context.Background(), d); err != nil {
+		t.Fatal(err)
+	}
 
 	hostBytes := get(t, srv.URL+"/v1/t/a/infer", http.StatusOK)
-	singleBytes := get(t, ssrv.URL+"/v1/infer", http.StatusOK)
+	singleBytes, err := rpi.MarshalReport(single.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(hostBytes, singleBytes) {
-		t.Fatalf("host and single-engine reports differ (%d vs %d bytes)", len(hostBytes), len(singleBytes))
+		t.Fatalf("host and bare-engine reports differ (%d vs %d bytes)", len(hostBytes), len(singleBytes))
 	}
 	// And the cached re-read is the same bytes again.
 	if !bytes.Equal(get(t, srv.URL+"/v1/t/a/infer", http.StatusOK), hostBytes) {

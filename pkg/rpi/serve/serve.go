@@ -3,45 +3,53 @@
 // the binary). All responses use the versioned /v1 wire schema of
 // package rpi.
 //
-// Two front ends share one handler core:
+// HostServer wraps an internal/host tenant host: one engine per
+// tenant, each served under /v1/t/{tenant}/..., plus tenant lifecycle
+// endpoints:
 //
-//   - Server wraps a single supervised engine (the original
-//     single-tenant plane);
-//   - HostServer (host.go) wraps an internal/host multi-engine host —
-//     one engine per tenant behind /v1/t/{tenant}/..., with tenant
-//     lifecycle endpoints and the legacy single-tenant routes aliased
-//     to a default tenant.
+//	GET    /healthz                 liveness
+//	GET    /readyz                  readiness (see below)
+//	POST   /v1/tenants              create a tenant (JSON TenantSpec)
+//	GET    /v1/tenants              list tenants + live state
+//	GET    /v1/tenants/{tenant}     one tenant's state
+//	DELETE /v1/tenants/{tenant}     delete (durable state kept; ?purge=1 removes it)
+//	GET    /v1/t/{tenant}/infer     full wire report (current snapshot)
+//	GET    /v1/t/{tenant}/report/{ixp}  one IXP's wire report
+//	POST   /v1/t/{tenant}/apply     apply a world delta, returns the verdict changes
+//	GET    /v1/t/{tenant}/stream    server-sent events: verdict changes as they land
 //
-// Single-tenant endpoints:
-//
-//	GET  /healthz          liveness + delta sequence number
-//	GET  /readyz           readiness: 200 once the engine is built/recovered
-//	GET  /v1/infer         full wire report (current snapshot)
-//	GET  /v1/report/{ixp}  one IXP's wire report
-//	POST /v1/apply         apply a world delta, returns the verdict changes
-//	GET  /v1/stream        server-sent events: verdict changes as they land
+// When built with a default tenant, the short routes (/v1/infer,
+// /v1/report/{ixp}, /v1/apply, /v1/stream) are aliases for it, so a
+// one-tenant deployment serves the classic single-world surface.
 //
 // Liveness and readiness are distinct probes: /healthz answers 200 as
-// soon as the listener is up (the process is alive — don't kill it),
-// while /readyz answers 503 until the engine has finished building or
-// recovering from its data directory, and again while a quarantined
-// engine is healing (don't route traffic yet — though reads that do
-// arrive are still served from the last good snapshot).
+// soon as the listener is up (the process is alive — don't kill it).
+// With a default tenant, /readyz answers 503 + Retry-After until that
+// tenant's engine has opened once (built or recovered from its data
+// directory) and again while it is quarantined and healing (don't
+// route traffic yet — though reads that do arrive are still served
+// from the last good snapshot). Without a default tenant engines open
+// lazily per tenant, so the host is ready once its registry is loaded;
+// per-tenant health is what GET /v1/tenants reports.
 //
 // The server is overload-safe by construction: every /v1 endpoint
 // passes through per-class admission control (internal/admission) and
-// answers 503 + Retry-After instead of queueing unboundedly; request
-// deadlines propagate into the engine (a caller that gives up stops
-// costing anything); and the engine sits behind a supervisor.Guard, so
-// a panic escaping Apply quarantines the engine (reads keep serving,
-// writes answer 503) while a background re-Open heals it from the
-// write-ahead log.
+// answers 503 + Retry-After instead of queueing unboundedly. Admission
+// is shared across tenants (one machine's worth of limits) with
+// per-tenant fairness on top: one tenant may hold at most
+// Admission.TenantShare of a class's slots, so a hot tenant sheds
+// before it starves its siblings. Request deadlines propagate into
+// the engine (a caller that gives up stops costing anything), and each
+// engine sits behind a supervisor.Guard, so a panic escaping Apply
+// quarantines that tenant (reads keep serving, writes answer 503)
+// while a background re-Open heals it from the write-ahead log.
 //
-// Full-report reads are served from a per-publication byte cache: the
-// wire report is marshaled once per (guard generation, delta seq) and
-// every further GET /v1/infer at that publication is a buffer write,
-// not a re-marshal — under heavy read load the hot path does no
-// allocation proportional to the world.
+// Requests hold a host lease for their lifetime — a stream pins its
+// tenant's engine against idle eviction for exactly as long as the
+// subscriber is attached. Full-report reads are served from a
+// per-publication byte cache: the wire report is marshaled once per
+// (guard generation, delta seq) and every further read at that
+// publication is a buffer write, not a re-marshal.
 package serve
 
 import (
@@ -54,6 +62,7 @@ import (
 	"math"
 	"net/http"
 	"net/netip"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -76,7 +85,7 @@ const StatusClientClosedRequest = 499
 type Config struct {
 	// Admission bounds per-class concurrency; zero-valued classes take
 	// admission.DefaultConfig. Admission.TenantShare bounds one
-	// tenant's share of each class on a HostServer.
+	// tenant's share of each class.
 	Admission admission.Config
 	// RequestTimeout caps the end-to-end time of non-streaming requests
 	// (queue wait + engine work + marshal). Zero means no cap.
@@ -89,7 +98,7 @@ type Config struct {
 	StreamHeartbeat time.Duration
 	// StreamBuffer is the per-subscriber update buffer; a consumer that
 	// falls further behind has its oldest updates shed by the engine
-	// (rpi.dropped_updates counts them).
+	// (a tenant's dropped_updates counts them).
 	StreamBuffer int
 	// Logger receives handler panics and client-gone notices (default
 	// log.Default()).
@@ -112,14 +121,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// backend is one supervised engine as the handler core sees it: the
-// guard plus the per-publication caches that make repeated reads
-// cheap. The single-tenant Server owns exactly one; the HostServer
-// keeps one per tenant (reset when a tenant's guard is replaced after
-// idle eviction).
+// backend is one tenant's supervised engine as the handlers see it:
+// the guard plus the per-publication caches that make repeated reads
+// cheap. It is replaced when the tenant's guard is (idle eviction and
+// reopen, delete and recreate).
 type backend struct {
-	tenant string // "" on the single-tenant plane
-	g      *supervisor.Guard
+	g *supervisor.Guard
 
 	// vps caches the VP index of the current engine publication (see
 	// vpIndex); rebuilt only when the supervisor swaps engines.
@@ -136,88 +143,71 @@ type cachedReport struct {
 	body     []byte
 }
 
-// plane is the handler core shared by the single-tenant Server and the
-// multi-tenant HostServer: admission, config, panic net, and the
-// per-backend endpoint logic.
-type plane struct {
+// HostServer is the HTTP facade over a tenant host. Queries run under
+// an engine's read lock and scale across connections; applies
+// serialize behind its write lock; all of it is bounded by admission
+// control and survives engine faults via each tenant's supervisor.
+type HostServer struct {
 	adm *admission.Controller
 	cfg Config
 	mux *http.ServeMux
+	h   *host.Host
+	def string // default tenant for the short /v1 routes; "" disables them
+
+	// bes holds one backend per tenant, replaced whenever the tenant's
+	// guard changes (evict + reopen, delete + recreate).
+	bes sync.Map // string -> *backend
 
 	// panics counts handler panics absorbed by the recover middleware
 	// (read-path bugs: the engine quarantine is the guard's job).
 	panics atomic.Uint64
 }
 
-func newPlane(cfg Config) plane {
-	return plane{adm: admission.New(cfg.Admission), cfg: cfg.withDefaults(), mux: http.NewServeMux()}
-}
-
-// Server is the HTTP facade over one supervised engine. Queries run
-// under the engine's read lock and scale across connections; applies
-// serialize behind its write lock; all of it is bounded by admission
-// control and survives engine faults via the supervisor.
-type Server struct {
-	plane
-	be backend
-}
-
-// New builds the HTTP handler over a shared engine, ready immediately.
-// The engine is wrapped in a supervisor without a reopen path: a fault
-// quarantines it permanently (reads keep serving). Binaries that want
-// self-healing build the guard themselves and use NewSupervised.
-func New(eng *rpi.Engine) *Server {
-	s := NewPending()
-	s.SetEngine(eng)
-	return s
-}
-
-// NewPending builds the HTTP handler with no engine yet: /healthz
-// reports alive, /readyz and every /v1 endpoint answer 503 until
-// SetEngine. This is how a binary can bind its port before recovery
-// so that orchestrators see liveness during a long replay.
-func NewPending() *Server {
-	return NewSupervised(supervisor.New(supervisor.Options{}), Config{})
-}
-
-// NewSupervised builds the HTTP handler over a caller-owned supervisor
-// guard — the full-fat constructor: the guard brings quarantine and
-// self-healing, cfg brings admission limits and deadlines.
-func NewSupervised(g *supervisor.Guard, cfg Config) *Server {
-	s := &Server{plane: newPlane(cfg), be: backend{g: g}}
+// NewHost builds the HTTP handler over a caller-owned host.
+// defaultTenant, when non-empty, must name a tenant that exists (or
+// will exist) in the host: the short /v1 routes alias to it and
+// /readyz follows it.
+func NewHost(h *host.Host, defaultTenant string, cfg Config) *HostServer {
+	s := &HostServer{
+		adm: admission.New(cfg.Admission), cfg: cfg.withDefaults(), mux: http.NewServeMux(),
+		h: h, def: defaultTenant,
+	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.HandleFunc("GET /v1/infer", s.admitted(admission.Read, "", func(w http.ResponseWriter, r *http.Request) {
-		s.infer(w, r, &s.be)
-	}))
-	s.mux.HandleFunc("GET /v1/report/{ixp}", s.admitted(admission.Cheap, "", func(w http.ResponseWriter, r *http.Request) {
-		s.report(w, r, &s.be, r.PathValue("ixp"))
-	}))
-	s.mux.HandleFunc("POST /v1/apply", s.admitted(admission.Write, "", func(w http.ResponseWriter, r *http.Request) {
-		s.apply(w, r, &s.be)
-	}))
-	s.mux.HandleFunc("GET /v1/stream", s.admitted(admission.Stream, "", func(w http.ResponseWriter, r *http.Request) {
-		s.stream(w, r, &s.be)
-	}))
+
+	s.mux.HandleFunc("POST /v1/tenants", s.lifecycle(s.handleCreate))
+	s.mux.HandleFunc("GET /v1/tenants", s.lifecycle(s.handleList))
+	s.mux.HandleFunc("GET /v1/tenants/{tenant}", s.lifecycle(s.handleGet))
+	s.mux.HandleFunc("DELETE /v1/tenants/{tenant}", s.lifecycle(s.handleDelete))
+
+	report := func(w http.ResponseWriter, r *http.Request, be *backend) {
+		s.report(w, r, be, r.PathValue("ixp"))
+	}
+	pathTenant := func(r *http.Request) string { return r.PathValue("tenant") }
+	s.mux.HandleFunc("GET /v1/t/{tenant}/infer", s.forTenant(admission.Read, pathTenant, s.infer))
+	s.mux.HandleFunc("GET /v1/t/{tenant}/report/{ixp}", s.forTenant(admission.Cheap, pathTenant, report))
+	s.mux.HandleFunc("POST /v1/t/{tenant}/apply", s.forTenant(admission.Write, pathTenant, s.apply))
+	s.mux.HandleFunc("GET /v1/t/{tenant}/stream", s.forTenant(admission.Stream, pathTenant, s.stream))
+
+	if defaultTenant != "" {
+		def := func(*http.Request) string { return defaultTenant }
+		s.mux.HandleFunc("GET /v1/infer", s.forTenant(admission.Read, def, s.infer))
+		s.mux.HandleFunc("GET /v1/report/{ixp}", s.forTenant(admission.Cheap, def, report))
+		s.mux.HandleFunc("POST /v1/apply", s.forTenant(admission.Write, def, s.apply))
+		s.mux.HandleFunc("GET /v1/stream", s.forTenant(admission.Stream, def, s.stream))
+	}
 	return s
 }
 
-// SetEngine publishes the engine and flips the server ready. Safe to
-// call from the recovery goroutine while requests are being served.
-func (s *Server) SetEngine(eng *rpi.Engine) { s.be.g.Publish(eng) }
-
-// Ready reports whether an engine is published and writable.
-func (s *Server) Ready() bool { return s.be.g.Ready() }
-
-// Guard exposes the supervisor for binaries that wire recovery or
-// publish its stats.
-func (s *Server) Guard() *supervisor.Guard { return s.be.g }
+// Host exposes the underlying tenant host (expvar publication,
+// shutdown wiring in the serving binary).
+func (s *HostServer) Host() *host.Host { return s.h }
 
 // Admission exposes the admission controller (expvar publication).
-func (p *plane) Admission() *admission.Controller { return p.adm }
+func (s *HostServer) Admission() *admission.Controller { return s.adm }
 
 // HandlerPanics returns the number of handler panics absorbed so far.
-func (p *plane) HandlerPanics() uint64 { return p.panics.Load() }
+func (s *HostServer) HandlerPanics() uint64 { return s.panics.Load() }
 
 // respWriter tracks whether the response has been committed, so the
 // panic middleware knows if a 500 can still be sent, and unreachable
@@ -242,7 +232,7 @@ func (rw *respWriter) Unwrap() http.ResponseWriter { return rw.ResponseWriter }
 
 // ServeHTTP implements http.Handler: no-store headers (every response
 // reflects live, churning state), then the panic net, then the mux.
-func (p *plane) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+func (s *HostServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rw := &respWriter{ResponseWriter: w}
 	rw.Header().Set("Cache-Control", "no-store")
 	defer func() {
@@ -250,74 +240,162 @@ func (p *plane) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			if rec == http.ErrAbortHandler { //nolint:errorlint // sentinel by identity, per net/http docs
 				panic(rec)
 			}
-			p.panics.Add(1)
-			p.cfg.Logger.Printf("serve: panic in %s %s: %v", r.Method, r.URL.Path, rec)
+			s.panics.Add(1)
+			s.cfg.Logger.Printf("serve: panic in %s %s: %v", r.Method, r.URL.Path, rec)
 			if !rw.wroteHeader {
 				http.Error(rw, "internal error", http.StatusInternalServerError)
 			}
 		}
 	}()
-	p.mux.ServeHTTP(rw, r)
+	s.mux.ServeHTTP(rw, r)
 }
 
-// admitted wraps a handler in admission control and the request
-// deadline: the slot is held for the handler's whole run, and the
+// admitted wraps a handler in the request deadline and admission
+// control: the slot is held for the handler's whole run, and the
 // request context carries the configured timeout so the deadline
 // reaches the engine (streams are exempt from the timeout — they are
-// supposed to be long-lived). A non-empty tenant attributes the
-// request and applies the per-tenant fairness cap.
-func (p *plane) admitted(cl admission.Class, tenant string, h http.HandlerFunc) http.HandlerFunc {
+// supposed to be long-lived). name resolves the tenant the request is
+// attributed to, which applies the per-tenant fairness cap; "" means
+// no tenant (the control-plane endpoints).
+func (s *HostServer) admitted(cl admission.Class, name func(*http.Request) string, h func(http.ResponseWriter, *http.Request, string)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if p.cfg.RequestTimeout > 0 && cl != admission.Stream {
-			ctx, cancel := context.WithTimeout(r.Context(), p.cfg.RequestTimeout)
+		tn := name(r)
+		if s.cfg.RequestTimeout > 0 && cl != admission.Stream {
+			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 			defer cancel()
 			r = r.WithContext(ctx)
 		}
-		release, err := p.adm.AdmitTenant(r.Context(), cl, tenant)
+		release, err := s.adm.AdmitTenant(r.Context(), cl, tn)
 		if err != nil {
-			p.writeError(w, r, err)
+			s.writeError(w, r, err)
 			return
 		}
 		defer release()
-		h(w, r)
+		h(w, r, tn)
 	}
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	body := map[string]any{"ok": true}
-	if eng := s.be.g.Engine(); eng != nil {
-		body["seq"] = eng.Seq()
-	} else {
-		body["recovering"] = true
-	}
-	if s.be.g.Quarantined() {
-		body["quarantined"] = true
-	}
-	s.writeJSON(w, http.StatusOK, body)
+// forTenant is the per-tenant request spine: resolve the tenant name,
+// apply the request deadline, pass shared admission with per-tenant
+// fairness, take a host lease (first touch opens or recovers the
+// engine — inside the admission slot, so cold starts are bounded by
+// the class gate too), and hand the tenant's backend to the handler.
+func (s *HostServer) forTenant(cl admission.Class, name func(*http.Request) string, fn func(http.ResponseWriter, *http.Request, *backend)) http.HandlerFunc {
+	return s.admitted(cl, name, func(w http.ResponseWriter, r *http.Request, tn string) {
+		lease, err := s.h.Lease(r.Context(), tn)
+		if err != nil {
+			s.writeError(w, r, err)
+			return
+		}
+		defer lease.Release()
+		fn(w, r, s.backendFor(tn, lease))
+	})
 }
 
-func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	eng := s.be.g.Engine()
+// backendFor returns the tenant's backend — guard plus report/VP
+// caches — creating or replacing it when the guard changed (the tenant
+// was evicted and reopened, or deleted and recreated). Matching on the
+// guard pointer is what keeps cached bytes from ever crossing engine
+// instances: a backend only serves requests whose lease holds the same
+// guard it was built for.
+func (s *HostServer) backendFor(tn string, lease *host.Lease) *backend {
+	g := lease.Guard()
+	if v, ok := s.bes.Load(tn); ok {
+		if be := v.(*backend); be.g == g {
+			return be
+		}
+	}
+	be := &backend{g: g}
+	s.bes.Store(tn, be)
+	return be
+}
+
+// lifecycle wraps tenant-management endpoints: cheap-class admission,
+// no tenant attribution (they are control plane, not tenant traffic).
+func (s *HostServer) lifecycle(h http.HandlerFunc) http.HandlerFunc {
+	noTenant := func(*http.Request) string { return "" }
+	return s.admitted(admission.Cheap, noTenant, func(w http.ResponseWriter, r *http.Request, _ string) { h(w, r) })
+}
+
+func (s *HostServer) handleCreate(w http.ResponseWriter, r *http.Request) {
+	var sp host.TenantSpec
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sp); err != nil {
+		http.Error(w, fmt.Sprintf("bad tenant spec: %v", err), http.StatusBadRequest)
+		return
+	}
+	if err := s.h.Create(sp); err != nil {
+		s.writeError(w, r, err)
+		return
+	}
+	s.writeJSON(w, http.StatusCreated, sp)
+}
+
+func (s *HostServer) handleList(w http.ResponseWriter, _ *http.Request) {
+	s.writeJSON(w, http.StatusOK, map[string]any{"tenants": s.h.Tenants()})
+}
+
+func (s *HostServer) handleGet(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("tenant")
+	st, ok := s.h.Status(name)
+	if !ok {
+		s.writeError(w, r, fmt.Errorf("%w: %q", host.ErrUnknownTenant, name))
+		return
+	}
+	s.writeJSON(w, http.StatusOK, st)
+}
+
+func (s *HostServer) handleDelete(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("tenant")
+	purge := r.URL.Query().Get("purge") == "1"
+	if err := s.h.Delete(name, purge); err != nil {
+		s.writeError(w, r, err)
+		return
+	}
+	// The tenant's admission attribution and cached backend go with it;
+	// a recreated tenant starts from zero on both.
+	s.adm.ForgetTenant(name)
+	s.bes.Delete(name)
+	w.WriteHeader(http.StatusNoContent)
+}
+
+// handleHealthz: host-level liveness — the process and registry are up.
+func (s *HostServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	s.writeJSON(w, http.StatusOK, map[string]any{"ok": true, "tenants": len(s.h.Tenants())})
+}
+
+// handleReadyz: without a default tenant the host is ready as soon as
+// its registry is loaded. With one, readiness follows that tenant: 503
+// until its engine has opened once (the first lease builds or recovers
+// it) and while it is quarantined.
+func (s *HostServer) handleReadyz(w http.ResponseWriter, _ *http.Request) {
+	if s.def == "" {
+		s.writeJSON(w, http.StatusOK, map[string]any{"ready": true, "tenants": len(s.h.Tenants())})
+		return
+	}
+	st, ok := s.h.Status(s.def)
 	switch {
-	case eng == nil:
+	case !ok || st.Opens == 0:
+		w.Header().Set("Retry-After", "1")
 		s.writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false})
-	case s.be.g.Quarantined():
+	case st.State == "quarantined":
 		// Healing: stop routing new traffic here, but requests that do
 		// arrive are answered from the last good snapshot.
 		w.Header().Set("Retry-After", "1")
 		s.writeJSON(w, http.StatusServiceUnavailable,
 			map[string]any{"ready": false, "quarantined": true})
 	default:
-		s.writeJSON(w, http.StatusOK, map[string]any{"ready": true, "seq": eng.Seq()})
+		s.writeJSON(w, http.StatusOK, map[string]any{"ready": true, "seq": st.AckedSeq})
 	}
 }
 
 // infer serves the full wire report, from the backend's byte cache
 // when the publication has not moved since the last marshal.
-func (p *plane) infer(w http.ResponseWriter, r *http.Request, be *backend) {
+func (s *HostServer) infer(w http.ResponseWriter, r *http.Request, be *backend) {
 	rep, gen, seq, err := be.g.Published()
 	if err != nil {
-		p.writeError(w, r, err)
+		s.writeError(w, r, err)
 		return
 	}
 	if c := be.rep.Load(); c != nil && c.gen == gen && c.seq == seq {
@@ -327,7 +405,7 @@ func (p *plane) infer(w http.ResponseWriter, r *http.Request, be *backend) {
 	}
 	b, err := rpi.MarshalReportCtx(r.Context(), rep)
 	if err != nil {
-		p.writeError(w, r, err)
+		s.writeError(w, r, err)
 		return
 	}
 	// Concurrent misses marshal the same publication to identical
@@ -337,13 +415,13 @@ func (p *plane) infer(w http.ResponseWriter, r *http.Request, be *backend) {
 	_, _ = w.Write(b)
 }
 
-func (p *plane) report(w http.ResponseWriter, r *http.Request, be *backend, ixp string) {
+func (s *HostServer) report(w http.ResponseWriter, r *http.Request, be *backend, ixp string) {
 	rep, err := be.g.ReportFor(r.Context(), ixp)
 	if err != nil {
-		p.writeError(w, r, err)
+		s.writeError(w, r, err)
 		return
 	}
-	p.writeReport(w, r, rep)
+	s.writeReport(w, r, rep)
 }
 
 // WireDelta is the JSON body of POST /v1/apply.
@@ -378,10 +456,10 @@ type WireRTT struct {
 	Drop     bool    `json:"drop,omitempty"`
 }
 
-func (p *plane) apply(w http.ResponseWriter, r *http.Request, be *backend) {
+func (s *HostServer) apply(w http.ResponseWriter, r *http.Request, be *backend) {
 	eng := be.g.Engine()
 	if eng == nil {
-		p.writeError(w, r, supervisor.ErrNoEngine)
+		s.writeError(w, r, supervisor.ErrNoEngine)
 		return
 	}
 	var wd WireDelta
@@ -401,10 +479,10 @@ func (p *plane) apply(w http.ResponseWriter, r *http.Request, be *backend) {
 	}
 	up, err := be.g.Apply(r.Context(), d)
 	if err != nil {
-		p.writeError(w, r, err)
+		s.writeError(w, r, err)
 		return
 	}
-	p.writeJSON(w, http.StatusOK, up)
+	s.writeJSON(w, http.StatusOK, up)
 }
 
 // vpCache is the vantage-point index of one engine publication. The VP
@@ -506,24 +584,24 @@ type streamEvent struct {
 // blocks on a stalled consumer). An engine swap (quarantine recovery)
 // closes the stream with a "reset" event: resynchronize from /v1/infer
 // and resubscribe.
-func (p *plane) stream(w http.ResponseWriter, r *http.Request, be *backend) {
+func (s *HostServer) stream(w http.ResponseWriter, r *http.Request, be *backend) {
 	eng := be.g.Engine()
 	if eng == nil {
-		p.writeError(w, r, supervisor.ErrNoEngine)
+		s.writeError(w, r, supervisor.ErrNoEngine)
 		return
 	}
 	gen := be.g.Generation()
-	updates, cancel := eng.Subscribe(p.cfg.StreamBuffer)
+	updates, cancel := eng.Subscribe(s.cfg.StreamBuffer)
 	defer cancel()
 
 	rc := http.NewResponseController(w)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.WriteHeader(http.StatusOK)
-	if err := p.sseWrite(rc, w, "hello", streamEvent{Seq: eng.Seq(), Generation: gen}); err != nil {
+	if err := s.sseWrite(rc, w, "hello", streamEvent{Seq: eng.Seq(), Generation: gen}); err != nil {
 		return
 	}
 
-	heartbeat := time.NewTicker(p.cfg.StreamHeartbeat)
+	heartbeat := time.NewTicker(s.cfg.StreamHeartbeat)
 	defer heartbeat.Stop()
 	for {
 		select {
@@ -532,7 +610,7 @@ func (p *plane) stream(w http.ResponseWriter, r *http.Request, be *backend) {
 		case <-heartbeat.C:
 			// A comment line: keeps NATs and proxies from reaping the
 			// connection, and detects dead clients on idle streams.
-			_ = rc.SetWriteDeadline(time.Now().Add(p.cfg.StreamWriteTimeout))
+			_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.StreamWriteTimeout))
 			if _, err := io.WriteString(w, ": keep-alive\n\n"); err != nil {
 				return
 			}
@@ -542,7 +620,7 @@ func (p *plane) stream(w http.ResponseWriter, r *http.Request, be *backend) {
 		case up, ok := <-updates:
 			if !ok {
 				// Engine closed or quarantined underneath us.
-				_ = p.sseWrite(rc, w, "reset", streamEvent{Generation: be.g.Generation()})
+				_ = s.sseWrite(rc, w, "reset", streamEvent{Generation: be.g.Generation()})
 				return
 			}
 			batch := []rpi.Update{up}
@@ -560,11 +638,11 @@ func (p *plane) stream(w http.ResponseWriter, r *http.Request, be *backend) {
 					break coalesce
 				}
 			}
-			if err := p.sseWrite(rc, w, "updates", batch); err != nil {
+			if err := s.sseWrite(rc, w, "updates", batch); err != nil {
 				return
 			}
 			if closed {
-				_ = p.sseWrite(rc, w, "reset", streamEvent{Generation: be.g.Generation()})
+				_ = s.sseWrite(rc, w, "reset", streamEvent{Generation: be.g.Generation()})
 				return
 			}
 		}
@@ -572,29 +650,29 @@ func (p *plane) stream(w http.ResponseWriter, r *http.Request, be *backend) {
 }
 
 // sseWrite emits one SSE event under the stream write deadline.
-func (p *plane) sseWrite(rc *http.ResponseController, w http.ResponseWriter, event string, v any) error {
+func (s *HostServer) sseWrite(rc *http.ResponseController, w http.ResponseWriter, event string, v any) error {
 	b, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	_ = rc.SetWriteDeadline(time.Now().Add(p.cfg.StreamWriteTimeout))
+	_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.StreamWriteTimeout))
 	if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b); err != nil {
 		return err
 	}
 	return rc.Flush()
 }
 
-func (p *plane) writeReport(w http.ResponseWriter, r *http.Request, rep *rpi.Report) {
+func (s *HostServer) writeReport(w http.ResponseWriter, r *http.Request, rep *rpi.Report) {
 	b, err := rpi.MarshalReportCtx(r.Context(), rep)
 	if err != nil {
-		p.writeError(w, r, err)
+		s.writeError(w, r, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(b)
 }
 
-func (p *plane) writeJSON(w http.ResponseWriter, status int, v any) {
+func (s *HostServer) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
@@ -604,12 +682,12 @@ func (p *plane) writeJSON(w http.ResponseWriter, status int, v any) {
 // statuses. Cancellation is special-cased: when the caller is already
 // gone there is nobody to answer, so it is logged and recorded as the
 // 499 convention instead of surfacing as a fake 500.
-func (p *plane) writeError(w http.ResponseWriter, r *http.Request, err error) {
+func (s *HostServer) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case errors.Is(err, rpi.ErrCanceled),
 		errors.Is(err, context.Canceled),
 		errors.Is(err, context.DeadlineExceeded):
-		p.cfg.Logger.Printf("serve: %s %s abandoned: %v", r.Method, r.URL.Path, err)
+		s.cfg.Logger.Printf("serve: %s %s abandoned: %v", r.Method, r.URL.Path, err)
 		w.WriteHeader(StatusClientClosedRequest)
 		return
 	}

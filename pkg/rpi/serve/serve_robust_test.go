@@ -50,46 +50,26 @@ func tinyInputs(t testing.TB) rpi.Inputs {
 type supervisedServer struct {
 	fsys  *wal.MemFS
 	g     *supervisor.Guard
-	s     *Server
+	s     *HostServer
 	srv   *httptest.Server
 	armed atomic.Bool
 }
 
 func newSupervisedServer(t *testing.T, cfg Config) *supervisedServer {
 	t.Helper()
-	in := tinyInputs(t)
 	h := &supervisedServer{fsys: wal.NewMemFS()}
-	open := func() (*rpi.Engine, *rpi.RecoveryInfo, error) {
-		return rpi.Open("data", in,
-			rpi.WithWALFS(h.fsys),
-			rpi.WithSnapshotEvery(0),
-			rpi.WithLogger(quiet),
-			rpi.WithApplyHook(func(uint64, rpi.Delta) {
-				if h.armed.CompareAndSwap(true, false) {
-					panic("serve_test: injected engine fault")
-				}
-			}),
-		)
-	}
-	h.g = supervisor.New(supervisor.Options{
-		Reopen:        open,
-		RetryInterval: 5 * time.Millisecond,
-		Logger:        quiet,
-	})
-	eng, _, err := open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.g.Publish(eng)
-	if cfg.Logger == nil {
-		cfg.Logger = quiet
-	}
-	h.s = NewSupervised(h.g, cfg)
-	h.srv = httptest.NewServer(h.s)
-	t.Cleanup(func() {
-		h.srv.Close()
-		_ = h.g.Close()
-	})
+	hst := newTenantHost(t, tinyInputs(t),
+		rpi.WithWALFS(h.fsys),
+		rpi.WithSnapshotEvery(0),
+		rpi.WithLogger(quiet),
+		rpi.WithApplyHook(func(uint64, rpi.Delta) {
+			if h.armed.CompareAndSwap(true, false) {
+				panic("serve_test: injected engine fault")
+			}
+		}),
+	)
+	h.g = defaultGuard(t, hst)
+	h.s, h.srv = serveHost(t, hst, cfg)
 	return h
 }
 
@@ -247,16 +227,9 @@ func TestQuarantineOverHTTP(t *testing.T) {
 // TestStreamDeliversUpdates: a well-behaved SSE consumer gets a hello
 // and then coalesced update batches as deltas land.
 func TestStreamDeliversUpdates(t *testing.T) {
-	in := tinyInputs(t)
-	eng, err := rpi.New(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := supervisor.New(supervisor.Options{Logger: quiet})
-	g.Publish(eng)
-	s := NewSupervised(g, Config{Logger: quiet})
-	srv := httptest.NewServer(s)
-	t.Cleanup(srv.Close)
+	h := newTenantHost(t, tinyInputs(t))
+	eng := defaultGuard(t, h).Engine()
+	_, srv := serveHost(t, h, Config{})
 
 	resp, err := http.Get(srv.URL + "/v1/stream")
 	if err != nil {
@@ -300,19 +273,13 @@ func TestStreamDeliversUpdates(t *testing.T) {
 // (rpi.dropped_updates counts them), the write deadline disconnects
 // the dead stream, and the server keeps answering other traffic.
 func TestStalledStreamConsumer(t *testing.T) {
-	in := tinyInputs(t)
-	eng, err := rpi.New(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := supervisor.New(supervisor.Options{Logger: quiet})
-	g.Publish(eng)
-	s := NewSupervised(g, Config{
+	h := newTenantHost(t, tinyInputs(t))
+	eng := defaultGuard(t, h).Engine()
+	srv := httptest.NewUnstartedServer(NewHost(h, defTenant, Config{
 		StreamBuffer:       1,
 		StreamWriteTimeout: 300 * time.Millisecond,
 		Logger:             quiet,
-	})
-	srv := httptest.NewUnstartedServer(s)
+	}))
 	// Shrink the server-side socket buffer so a non-reading client
 	// exerts backpressure after a few KB instead of a few hundred.
 	srv.Config.ConnContext = func(ctx context.Context, c net.Conn) context.Context {
@@ -371,15 +338,9 @@ func TestStalledStreamConsumer(t *testing.T) {
 // the response is built is logged and answered with the 499 convention,
 // not a fake 500.
 func TestRequestTimeoutMapsTo499(t *testing.T) {
-	eng, err := rpi.New(tinyInputs(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := supervisor.New(supervisor.Options{Logger: quiet})
-	g.Publish(eng)
-	s := NewSupervised(g, Config{RequestTimeout: time.Nanosecond, Logger: quiet})
-	srv := httptest.NewServer(s)
-	t.Cleanup(srv.Close)
+	h := newTenantHost(t, tinyInputs(t))
+	defaultGuard(t, h) // open first: the deadline must expire in the read, not the open
+	_, srv := serveHost(t, h, Config{RequestTimeout: time.Nanosecond})
 
 	resp, err := http.Get(srv.URL + "/v1/infer")
 	if err != nil {
@@ -395,18 +356,9 @@ func TestRequestTimeoutMapsTo499(t *testing.T) {
 // TestStreamSheds503: the stream class has no queue — once its slots
 // are taken, the next subscriber gets an immediate 503 + Retry-After.
 func TestStreamSheds503(t *testing.T) {
-	eng, err := rpi.New(tinyInputs(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := supervisor.New(supervisor.Options{Logger: quiet})
-	g.Publish(eng)
-	s := NewSupervised(g, Config{
+	s, srv := serveHost(t, newTenantHost(t, tinyInputs(t)), Config{
 		Admission: admission.Config{Stream: admission.Limits{Slots: 1}},
-		Logger:    quiet,
 	})
-	srv := httptest.NewServer(s)
-	t.Cleanup(srv.Close)
 
 	first, err := http.Get(srv.URL + "/v1/stream")
 	if err != nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +12,9 @@ import (
 	"sync"
 	"testing"
 
+	"rpeer/internal/admission"
+	"rpeer/internal/host"
+	"rpeer/internal/supervisor"
 	"rpeer/pkg/rpi"
 )
 
@@ -31,15 +35,62 @@ func testInputs(t testing.TB) rpi.Inputs {
 	return fixIn
 }
 
-func testServer(t testing.TB) (*rpi.Engine, *httptest.Server) {
+// defTenant is the tenant the short /v1 routes alias to in these tests.
+const defTenant = "default"
+
+// newTenantHost builds an in-memory host holding one tenant, defTenant,
+// whose world is in. opts reach every rpi.Open of the tenant.
+func newTenantHost(t testing.TB, in rpi.Inputs, opts ...rpi.Option) *host.Host {
 	t.Helper()
-	eng, err := rpi.New(testInputs(t))
+	h, err := host.Open(host.Config{
+		Inputs:  func(host.TenantSpec) (rpi.Inputs, error) { return in, nil },
+		Options: opts,
+		Logger:  quiet,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(New(eng))
+	t.Cleanup(func() { _ = h.Close() })
+	if err := h.Create(host.TenantSpec{Name: defTenant}); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// defaultGuard leases the default tenant (opening its engine on first
+// touch) and returns its guard. The host never evicts, so the guard
+// outlives the lease.
+func defaultGuard(t testing.TB, h *host.Host) *supervisor.Guard {
+	t.Helper()
+	lease, err := h.Lease(context.Background(), defTenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lease.Release()
+	return lease.Guard()
+}
+
+// serveHost fronts h with defTenant as the default tenant.
+func serveHost(t testing.TB, h *host.Host, cfg Config) (*HostServer, *httptest.Server) {
+	t.Helper()
+	if cfg.Logger == nil {
+		cfg.Logger = quiet
+	}
+	s := NewHost(h, defTenant, cfg)
+	srv := httptest.NewServer(s)
 	t.Cleanup(srv.Close)
-	return eng, srv
+	return s, srv
+}
+
+// testServer serves the paper-sized world as a one-tenant host and
+// returns the tenant's engine. With no sibling to be fair to, the
+// tenant's fair-share cap is lifted, so concurrent clients queue on the
+// class gates alone.
+func testServer(t testing.TB) (*rpi.Engine, *httptest.Server) {
+	t.Helper()
+	h := newTenantHost(t, testInputs(t))
+	_, srv := serveHost(t, h, Config{Admission: admission.Config{TenantShare: 1}})
+	return defaultGuard(t, h).Engine(), srv
 }
 
 func get(t *testing.T, url string, wantStatus int) []byte {
@@ -59,46 +110,35 @@ func get(t *testing.T, url string, wantStatus int) []byte {
 	return b
 }
 
-// TestReadinessGating: a pending server is alive but not ready — every
-// /v1 endpoint and /readyz answer 503 until SetEngine, 200 after.
+// TestReadinessGating: a host whose default tenant has not opened yet
+// is alive but not ready — /readyz answers 503 + Retry-After until the
+// first lease builds the engine, 200 with the tenant's seq after. A /v1
+// request arriving meanwhile waits for the open instead of failing.
 func TestReadinessGating(t *testing.T) {
-	s := NewPending()
-	srv := httptest.NewServer(s)
-	t.Cleanup(srv.Close)
+	h := newTenantHost(t, tinyInputs(t))
+	_, srv := serveHost(t, h, Config{})
 
 	var health struct {
-		OK         bool `json:"ok"`
-		Recovering bool `json:"recovering"`
+		OK      bool `json:"ok"`
+		Tenants int  `json:"tenants"`
 	}
 	if err := json.Unmarshal(get(t, srv.URL+"/healthz", http.StatusOK), &health); err != nil {
 		t.Fatal(err)
 	}
-	if !health.OK || !health.Recovering {
+	if !health.OK || health.Tenants != 1 {
 		t.Fatalf("pending healthz = %+v", health)
 	}
-	get(t, srv.URL+"/readyz", http.StatusServiceUnavailable)
-	get(t, srv.URL+"/v1/infer", http.StatusServiceUnavailable)
-	get(t, srv.URL+"/v1/report/any", http.StatusServiceUnavailable)
-	resp, err := http.Post(srv.URL+"/v1/apply", "application/json", strings.NewReader("{}"))
+	resp, err := http.Get(srv.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("pending apply: status %d, want 503", resp.StatusCode)
-	}
-	if s.Ready() {
-		t.Fatal("Ready() before SetEngine")
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("unopened readyz: status %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 
-	eng, err := rpi.New(testInputs(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetEngine(eng)
-	if !s.Ready() {
-		t.Fatal("Ready() false after SetEngine")
-	}
+	// The first request opens the default tenant lazily.
+	get(t, srv.URL+"/v1/infer", http.StatusOK)
 	var ready struct {
 		Ready bool   `json:"ready"`
 		Seq   uint64 `json:"seq"`
@@ -106,22 +146,26 @@ func TestReadinessGating(t *testing.T) {
 	if err := json.Unmarshal(get(t, srv.URL+"/readyz", http.StatusOK), &ready); err != nil {
 		t.Fatal(err)
 	}
-	if !ready.Ready {
+	if !ready.Ready || ready.Seq != 0 {
 		t.Fatalf("readyz = %+v", ready)
 	}
-	get(t, srv.URL+"/v1/infer", http.StatusOK)
+
+	// Without a default tenant, readiness waits for no engine.
+	bare := httptest.NewServer(NewHost(newTenantHost(t, tinyInputs(t)), "", Config{Logger: quiet}))
+	t.Cleanup(bare.Close)
+	get(t, bare.URL+"/readyz", http.StatusOK)
 }
 
 func TestHealthz(t *testing.T) {
 	_, srv := testServer(t)
 	var body struct {
-		OK  bool   `json:"ok"`
-		Seq uint64 `json:"seq"`
+		OK      bool `json:"ok"`
+		Tenants int  `json:"tenants"`
 	}
 	if err := json.Unmarshal(get(t, srv.URL+"/healthz", http.StatusOK), &body); err != nil {
 		t.Fatal(err)
 	}
-	if !body.OK || body.Seq != 0 {
+	if !body.OK || body.Tenants != 1 {
 		t.Fatalf("healthz = %+v", body)
 	}
 }
