@@ -611,15 +611,15 @@ func BenchmarkServeHTTP(b *testing.B) {
 // reported metrics are the serving-plane SLO pair: shed% (how much of
 // the burst was refused — high is correct here, the valve working)
 // and p99-ms (tail latency of the admitted reads — the number the
-// valve exists to protect). The tenant's fair-share cap is lifted, so
-// the class gate alone is the valve being priced.
+// valve exists to protect). The host holds one tenant, so no
+// fair-share cap applies: the class gate alone is the valve being
+// priced.
 func BenchmarkServeOverload(b *testing.B) {
 	const burst = 64
 	e := benchEnv(b)
 	srv, _ := serveDefaultTenant(b, e.Inputs, serve.Config{
 		Admission: admission.Config{
-			Read:        admission.Limits{Slots: 2, Queue: 2, MaxWait: 2 * time.Millisecond},
-			TenantShare: 1,
+			Read: admission.Limits{Slots: 2, Queue: 2, MaxWait: 2 * time.Millisecond},
 		},
 	})
 	client := srv.Client()

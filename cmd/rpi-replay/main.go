@@ -1,11 +1,12 @@
-// Command rpi-replay re-drives the durable delta log of an rpi-serve
-// data directory and prints the inference state at any historical
-// record index — the post-incident debugging tool: "what did the
-// engine believe after delta N?".
+// Command rpi-replay re-drives the durable delta log of one rpi-serve
+// tenant (the directory DIR/tenants/<name> under the server's
+// -data-dir) and prints the inference state at any historical record
+// index — the post-incident debugging tool: "what did the engine
+// believe after delta N?".
 //
 // Usage:
 //
-//	rpi-replay -data-dir DIR [-seed N] [-scale N] [-upto N] [-summary]
+//	rpi-replay -data-dir DIR/tenants/default [-seed N] [-scale N] [-upto N] [-summary]
 //
 // The base inputs (seed, scale) must match the ones the directory was
 // written with — replay refuses a mismatched world rather than
@@ -31,7 +32,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rpi-replay: ")
-	dataDir := flag.String("data-dir", "", "data directory written by rpi-serve (required)")
+	dataDir := flag.String("data-dir", "", "one tenant's data directory, DIR/tenants/<name> under rpi-serve's -data-dir (required)")
 	seed := flag.Int64("seed", 1, "world generation seed the directory was created with")
 	scale := flag.Int("scale", 1, "world scale factor the directory was created with")
 	upTo := flag.Uint64("upto", ^uint64(0), "replay up to and including this delta sequence (default: all)")

@@ -36,12 +36,18 @@
 // journaled to a checksummed write-ahead log under
 // DIR/tenants/<name> before it is acknowledged, columnar snapshots
 // bound replay, and a restart recovers the exact pre-crash state (see
-// pkg/rpi.Open). Without it, tenant state lives in memory and is lost
-// on restart. The listener binds first and the default tenant is
-// opened after, so /healthz answers during a long recovery and /readyz
-// goes green when the default tenant's engine is up. Other tenants'
-// engines open lazily on first request and, with -idle-evict, close
-// (final snapshot) after sitting idle.
+// pkg/rpi.Open). A DIR written by the older single-engine server, with
+// its log and snapshots directly in DIR, is moved into
+// DIR/tenants/<default tenant> at startup. Without -data-dir, tenant
+// state lives in memory (one snapshot plus the log after it per
+// tenant) and is lost on restart.
+//
+// The listener binds first and the default tenant is opened after, so
+// /healthz answers during a long recovery and /readyz goes green when
+// the default tenant's engine is up. The default tenant then stays
+// open until shutdown; other tenants' engines open lazily on first
+// request and, with -idle-evict, close (final snapshot) after sitting
+// idle.
 //
 // Tenant profiles: "paper" (the paper-sized world; "paper-N" scales
 // it Nx) and "tiny" (a millisecond-scale world for tests and demos). A
@@ -94,6 +100,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -145,6 +152,11 @@ func main() {
 	opts = append(opts, rpi.WithWorkers(*workers))
 	if *dataDir == "" {
 		log.Print("no -data-dir: tenant state is in-memory (lost on restart)")
+	} else if n, err := migrateLegacyDir(*dataDir, *defaultTenant); err != nil {
+		log.Fatal(err)
+	} else if n > 0 {
+		log.Printf("moved %d single-engine WAL/snapshot files from %s into %s",
+			n, *dataDir, filepath.Join(*dataDir, "tenants", *defaultTenant))
 	}
 	h, err := host.Open(host.Config{
 		Dir:         *dataDir,
@@ -190,17 +202,18 @@ func main() {
 
 	// Open the default tenant now, after the port is bound: /healthz
 	// answers during a long build or recovery, /readyz turns green when
-	// this lease returns.
+	// this lease returns. The lease is held until shutdown, so
+	// -idle-evict never closes the world the short routes serve.
+	var pin *host.Lease
 	if *defaultTenant != "" {
-		lease, err := h.Lease(ctx, *defaultTenant)
+		pin, err = h.Lease(ctx, *defaultTenant)
 		if err != nil {
 			log.Print(err)
 			srv.Close()
 			_ = h.Close()
 			os.Exit(1)
 		}
-		log.Printf("ready: tenant %q serving at seq %d", *defaultTenant, lease.Guard().Engine().Seq())
-		lease.Release()
+		log.Printf("ready: tenant %q serving at seq %d", *defaultTenant, pin.Guard().Engine().Seq())
 	}
 
 	// Wait for a shutdown signal or a listener failure.
@@ -227,6 +240,9 @@ func main() {
 	}
 	// Close after the listeners stop: no request can race the final
 	// snapshots, and the last acknowledged delta is on disk.
+	if pin != nil {
+		pin.Release()
+	}
 	if err := h.Close(); err != nil {
 		log.Printf("host close: %v", err)
 		os.Exit(1)
@@ -258,6 +274,50 @@ func inputsFor(worldPath, defaultTenant string) (func(host.TenantSpec) (rpi.Inpu
 			time.Since(start).Round(time.Millisecond), len(in.World.Members), in.Seed)
 		return in, nil
 	}, nil
+}
+
+// migrateLegacyDir upgrades a data directory written by the
+// single-engine server, which kept its WAL segments (wal-*) and
+// snapshots (snap-*) at the top of dir: they move into
+// dir/tenants/<tenant>, where the default tenant recovers them. The
+// files gather in a staging directory first and publish with one
+// rename, so a crash mid-move is finished by the next start. It
+// returns how many files moved, and fails rather than guess when the
+// tenant directory already exists or there is no default tenant.
+func migrateLegacyDir(dir, tenant string) (int, error) {
+	ents, err := os.ReadDir(dir)
+	if errors.Is(err, os.ErrNotExist) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	var legacy []string
+	for _, e := range ents {
+		if n := e.Name(); !e.IsDir() && (strings.HasPrefix(n, "wal-") || strings.HasPrefix(n, "snap-")) {
+			legacy = append(legacy, n)
+		}
+	}
+	stage := filepath.Join(dir, "tenants", "."+tenant+".migrating")
+	if _, err := os.Stat(stage); len(legacy) == 0 && err != nil {
+		return 0, nil // nothing to move and no move to finish
+	}
+	if tenant == "" {
+		return 0, fmt.Errorf("%s holds a single-engine WAL/snapshot layout, which needs a -default-tenant to recover into", dir)
+	}
+	dst := filepath.Join(dir, "tenants", tenant)
+	if _, err := os.Stat(dst); err == nil {
+		return 0, fmt.Errorf("%s holds a single-engine WAL/snapshot layout and %s already exists: move one of them aside", dir, dst)
+	}
+	if err := os.MkdirAll(stage, 0o755); err != nil {
+		return 0, err
+	}
+	for _, n := range legacy {
+		if err := os.Rename(filepath.Join(dir, n), filepath.Join(stage, n)); err != nil {
+			return 0, err
+		}
+	}
+	return len(legacy), os.Rename(stage, dst)
 }
 
 // tenantInputs derives a tenant's base world from its spec, and only

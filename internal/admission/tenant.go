@@ -151,17 +151,3 @@ func (c *Controller) TenantStats() map[string]map[string]TenantClassStats {
 	})
 	return out
 }
-
-// TenantShed sums one tenant's shed counters across classes.
-func (c *Controller) TenantShed(tenant string) uint64 {
-	v, ok := c.tenants.Load(tenant)
-	if !ok {
-		return 0
-	}
-	ts := v.(*tenantState)
-	var n uint64
-	for cl := Class(0); cl < numClasses; cl++ {
-		n += ts.classes[cl].shed.Load()
-	}
-	return n
-}

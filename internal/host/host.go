@@ -83,7 +83,10 @@ type Config struct {
 	// Dir is the root data directory; each tenant persists under
 	// Dir/tenants/<name>. Empty makes the host fully in-memory: no
 	// manifest, and tenant WALs and snapshots live on one wal.MemFS for
-	// the process's lifetime (an rpi.WithWALFS in Options still wins).
+	// the process's lifetime, each tenant keeping only its newest
+	// snapshot and the log after it, so memory stays bounded under
+	// churn (an rpi.WithWALFS or rpi.WithSnapshotRetention in Options
+	// still wins).
 	Dir string
 	// Inputs builds a tenant's base world from its spec. Required.
 	Inputs func(TenantSpec) (rpi.Inputs, error)
@@ -153,8 +156,9 @@ func Open(cfg Config) (*Host, error) {
 		cfg.Logger = log.Default()
 	}
 	if cfg.Dir == "" {
-		// Prepended, so a caller's own WithWALFS overrides it.
-		cfg.Options = append([]rpi.Option{rpi.WithWALFS(wal.NewMemFS())}, cfg.Options...)
+		// Prepended, so a caller's own options override them. Nothing
+		// outlives the process, so there is no history worth keeping.
+		cfg.Options = append([]rpi.Option{rpi.WithWALFS(wal.NewMemFS()), rpi.WithSnapshotRetention(1)}, cfg.Options...)
 	}
 	if cfg.IdleTimeout > 0 && cfg.SweepInterval <= 0 {
 		cfg.SweepInterval = cfg.IdleTimeout / 4
@@ -343,9 +347,6 @@ type Lease struct {
 // Guard returns the tenant's supervisor for the duration of the lease.
 func (l *Lease) Guard() *supervisor.Guard { return l.g }
 
-// Tenant returns the tenant name.
-func (l *Lease) Tenant() string { return l.t.spec.Name }
-
 // Release unpins the tenant. The last release of a deleted tenant
 // closes its engine (and purges its directory if requested). Safe to
 // call more than once.
@@ -454,6 +455,13 @@ func (h *Host) Tenants() []TenantStatus {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+// Len returns the number of registered tenants.
+func (h *Host) Len() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.tenants)
 }
 
 // Status returns one tenant's status; false if it is not registered.

@@ -7,12 +7,14 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"rpeer/internal/netsim"
+	"rpeer/internal/wal"
 	"rpeer/pkg/rpi"
 )
 
@@ -442,5 +444,61 @@ func TestInMemoryHostLeavesNoFiles(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join("tenants", "y")); err != nil {
 		t.Fatalf("in-memory purge removed an on-disk directory: %v", err)
+	}
+}
+
+// TestInMemoryHostBoundsItsLog: an in-memory host keeps each tenant's
+// newest snapshot and the log after it, so applying several snapshot
+// intervals' worth of deltas leaves one snapshot and one log segment
+// of about the same size every time — memory does not grow with churn.
+func TestInMemoryHostBoundsItsLog(t *testing.T) {
+	fsys := wal.NewMemFS()
+	h, err := Open(Config{Inputs: tinyFactory(), Logger: quiet(), Options: []rpi.Option{rpi.WithWALFS(fsys)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = h.Close() })
+	mustCreate(t, h, "x", 1)
+	lease, err := h.Lease(context.Background(), "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lease.Release()
+	g := lease.Guard()
+	fwd := churn(t, h, lease)
+	deltas := [2]rpi.Delta{fwd, rpi.InvertDelta(g.Engine().Inputs(), fwd)}
+
+	footprint := func() (size, snaps, segs int) {
+		names, _ := fsys.ReadDir("tenants/x")
+		for _, n := range names {
+			b, _ := fsys.ReadFile("tenants/x/" + n)
+			size += len(b)
+			switch {
+			case strings.HasPrefix(n, "snap-"):
+				snaps++
+			case strings.HasPrefix(n, "wal-"):
+				segs++
+			}
+		}
+		return size, snaps, segs
+	}
+	var first int
+	for cycle := 1; cycle <= 4; cycle++ {
+		for i := 0; i < rpi.DefaultSnapshotEvery; i++ {
+			if _, err := g.Apply(context.Background(), deltas[i%2]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		size, snaps, segs := footprint()
+		if snaps != 1 || segs != 1 {
+			t.Fatalf("after %d deltas: %d snapshots and %d log segments, want 1 of each",
+				cycle*rpi.DefaultSnapshotEvery, snaps, segs)
+		}
+		if cycle == 1 {
+			first = size
+		} else if size > first+first/4 {
+			t.Fatalf("after %d deltas the tenant holds %d bytes, %d after the first interval",
+				cycle*rpi.DefaultSnapshotEvery, size, first)
+		}
 	}
 }

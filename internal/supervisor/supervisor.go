@@ -143,9 +143,6 @@ func (g *Guard) publishLocked(eng *rpi.Engine) {
 // reads go through the Guard's methods instead.
 func (g *Guard) Engine() *rpi.Engine { return g.eng.Load() }
 
-// Ready reports "published and writable": the /readyz signal.
-func (g *Guard) Ready() bool { return g.eng.Load() != nil && !g.sick.Load() }
-
 // Quarantined reports whether the engine is currently healing.
 func (g *Guard) Quarantined() bool { return g.sick.Load() }
 

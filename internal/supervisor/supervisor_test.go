@@ -79,7 +79,7 @@ func (h *harness) delta(seed int64) rpi.Delta {
 func (h *harness) waitReady() {
 	h.t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for !h.g.Ready() {
+	for h.g.Engine() == nil || h.g.Quarantined() {
 		if time.Now().After(deadline) {
 			h.t.Fatalf("guard not ready after 10s: %+v", h.g.Stats())
 		}
@@ -223,7 +223,7 @@ func TestNoReopenQuarantineIsPermanent(t *testing.T) {
 	// No recovery path: stays quarantined, reads keep serving, writes
 	// keep refusing.
 	time.Sleep(50 * time.Millisecond)
-	if h.g.Ready() {
+	if !h.g.Quarantined() {
 		t.Fatal("guard became ready without a reopen path")
 	}
 	if _, err := h.g.Snapshot(); err != nil {
@@ -239,8 +239,8 @@ func TestNoReopenQuarantineIsPermanent(t *testing.T) {
 
 func TestNoEngine(t *testing.T) {
 	g := New(Options{Logger: quiet})
-	if g.Ready() {
-		t.Fatal("empty guard reports ready")
+	if g.Engine() != nil {
+		t.Fatal("empty guard has an engine")
 	}
 	if _, err := g.Snapshot(); !errors.Is(err, ErrNoEngine) {
 		t.Fatalf("Snapshot: err = %v, want ErrNoEngine", err)

@@ -17,6 +17,7 @@ type config struct {
 	sync      wal.Policy
 	snapEvery uint64
 	snapSet   bool // WithSnapshotEvery given (0 means "disabled", not "default")
+	retain    int  // WithSnapshotRetention; 0 keeps every file
 	logger    *log.Logger
 	walFS     wal.FS
 

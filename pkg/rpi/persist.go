@@ -76,6 +76,18 @@ func WithSnapshotEvery(n int) Option {
 	}
 }
 
+// WithSnapshotRetention bounds what a persistent engine keeps in its
+// data directory: each time a snapshot publishes, only the n newest
+// snapshots stay, and log segments whose every record is covered by
+// the oldest of them are removed. A long-lived engine then holds O(n)
+// snapshots plus one snapshot interval of log, however many deltas it
+// takes. The default, 0, keeps every file, which is what Replay needs
+// to reach any historical seq. Choose n >= 2 on a real disk, so a
+// damaged newest snapshot still falls back to the one before it.
+func WithSnapshotRetention(n int) Option {
+	return func(c *config) { c.retain = n }
+}
+
 // WithLogger routes recovery and persistence warnings (torn-tail
 // truncation, skipped snapshots, failed background snapshots) to l
 // instead of the process-default logger.
@@ -100,6 +112,7 @@ type persister struct {
 	dir       string
 	pol       wal.Policy
 	snapEvery uint64
+	retain    int
 	logger    *log.Logger
 	fp        uint64
 	w         *wal.Writer
@@ -178,7 +191,7 @@ func Open(dir string, base Inputs, opts ...Option) (*Engine, *RecoveryInfo, erro
 	}
 	e.pers = &persister{
 		fsys: fsys, dir: dir, pol: cfg.sync,
-		snapEvery: cfg.snapEvery, logger: cfg.logger,
+		snapEvery: cfg.snapEvery, retain: cfg.retain, logger: cfg.logger,
 		fp: fp, w: w, lastSnap: info.SnapshotSeq,
 	}
 	return e, info, nil
@@ -385,21 +398,80 @@ func (e *Engine) snapshotLocked(rotate bool) error {
 		return fmt.Errorf("%w: %v", ErrPersistence, err)
 	}
 	p.lastSnap = e.seq
-	if !rotate {
-		return nil
+	if rotate {
+		if err := p.w.Close(); err != nil {
+			p.broken = err
+			return fmt.Errorf("%w: close log segment: %v", ErrPersistence, err)
+		}
+		w, err := wal.Create(p.fsys, p.dir, wal.SegmentName(e.seq),
+			wal.Header{Fingerprint: p.fp, FirstSeq: e.seq}, p.pol)
+		if err != nil {
+			p.broken = err
+			return fmt.Errorf("%w: rotate log segment: %v", ErrPersistence, err)
+		}
+		p.w = w
 	}
-	if err := p.w.Close(); err != nil {
-		p.broken = err
-		return fmt.Errorf("%w: close log segment: %v", ErrPersistence, err)
-	}
-	w, err := wal.Create(p.fsys, p.dir, wal.SegmentName(e.seq),
-		wal.Header{Fingerprint: p.fp, FirstSeq: e.seq}, p.pol)
-	if err != nil {
-		p.broken = err
-		return fmt.Errorf("%w: rotate log segment: %v", ErrPersistence, err)
-	}
-	p.w = w
+	p.prune()
 	return nil
+}
+
+// prune applies WithSnapshotRetention after a snapshot publishes: it
+// removes all but the newest retain snapshots, then every log segment
+// whose records all lie at or below the oldest kept one (recovery
+// starts from that snapshot, so it never replays them). Nothing is
+// removed until retain snapshots exist. The open segment is always the
+// newest and is never removed. Failures are logged, not returned: a
+// file left behind only costs space.
+func (p *persister) prune() {
+	if p.retain <= 0 {
+		return
+	}
+	logger := p.logger
+	if logger == nil {
+		logger = log.Default()
+	}
+	snaps, err := snapshot.List(p.fsys, p.dir) // newest first
+	if err != nil {
+		logger.Printf("rpi: retention: list snapshots: %v", err)
+		return
+	}
+	if len(snaps) < p.retain {
+		return
+	}
+	remove := func(name string) {
+		if err := p.fsys.Remove(p.dir + "/" + name); err != nil {
+			logger.Printf("rpi: retention: remove %s: %v", name, err)
+		}
+	}
+	floor := snaps[p.retain-1].Seq
+	removed := len(snaps) - p.retain
+	for _, s := range snaps[p.retain:] {
+		remove(s.Name)
+	}
+	names, err := p.fsys.ReadDir(p.dir)
+	if err != nil {
+		logger.Printf("rpi: retention: list log segments: %v", err)
+		return
+	}
+	var segs []string
+	for _, n := range names {
+		if _, ok := wal.ParseSegmentName(n); ok {
+			segs = append(segs, n) // ReadDir sorts: seq order
+		}
+	}
+	// Segment i holds the records after its first seq up to the next
+	// segment's first seq.
+	for i := 0; i+1 < len(segs); i++ {
+		if next, _ := wal.ParseSegmentName(segs[i+1]); next <= floor {
+			remove(segs[i])
+			removed++
+		}
+	}
+	if removed > 0 {
+		if err := p.fsys.SyncDir(p.dir); err != nil {
+			logger.Printf("rpi: retention: sync dir: %v", err)
+		}
+	}
 }
 
 // logDelta journals a validated, resolved delta before it mutates the

@@ -12,6 +12,7 @@ import (
 
 	"rpeer/internal/netsim"
 	"rpeer/internal/pingsim"
+	"rpeer/internal/snapshot"
 	"rpeer/internal/wal"
 )
 
@@ -482,5 +483,45 @@ func TestSubscribeDropCount(t *testing.T) {
 	up := <-ch
 	if up.Seq != 3 {
 		t.Fatalf("survivor update has seq %d, want the newest (3)", up.Seq)
+	}
+}
+
+// TestSnapshotRetention: with WithSnapshotRetention(2) only the two
+// newest snapshots and the log after the older one survive, and that
+// is still enough to recover the latest state when the newest snapshot
+// is damaged.
+func TestSnapshotRetention(t *testing.T) {
+	in := tinyInputs(t)
+	h := tinyHistory(t)
+	fsys := wal.NewMemFS()
+	opts := []Option{WithWALFS(fsys), WithLogger(quietLogger()), WithSnapshotEvery(1), WithSnapshotRetention(2)}
+	eng, _, err := Open("data", in, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range h.deltas {
+		if _, err := eng.Apply(context.Background(), d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := uint64(len(h.deltas))
+	names, _ := fsys.ReadDir("data")
+	want := []string{snapshot.FileName(last - 1), snapshot.FileName(last), wal.SegmentName(last - 1), wal.SegmentName(last)}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Fatalf("data dir holds %v, want %v", names, want)
+	}
+
+	// No Close: the process was killed, and the newest snapshot is bad.
+	fsys.WriteFile("data/"+snapshot.FileName(last), []byte("not a snapshot"))
+	rec, info, err := Open("data", in, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if info.SnapshotSeq != last-1 || rec.Seq() != last {
+		t.Fatalf("recovered from snapshot %d to seq %d, want %d to %d", info.SnapshotSeq, rec.Seq(), last-1, last)
+	}
+	if !bytes.Equal(reportBytes(t, rec), h.reports[last]) {
+		t.Fatal("recovered report differs from golden")
 	}
 }

@@ -320,6 +320,104 @@ func TestHostPerTenantAdmission(t *testing.T) {
 	}
 }
 
+// TestFairShareOnlyAmongSiblings: a host with one tenant admits that
+// tenant on the class gates alone — a second concurrent apply queues
+// for the single Write slot instead of being shed at the tenant's
+// fair-share cap — and the cap comes back as soon as a sibling exists.
+func TestFairShareOnlyAmongSiblings(t *testing.T) {
+	h, hs, srv := testHost(t, Config{
+		Admission: admission.Config{Write: admission.Limits{Slots: 1, Queue: 2, MaxWait: 10 * time.Second}},
+	}, "d", host.TenantSpec{Name: "d", Seed: 3})
+	get(t, srv.URL+"/v1/infer", http.StatusOK) // open the engine
+	lease, err := h.Lease(context.Background(), "d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := lease.Guard().Engine().Inputs()
+	lease.Release()
+	fwd := rpi.ChurnDelta(in, 0.02, 7)
+	bodies := make([][]byte, 2)
+	for i, d := range []rpi.Delta{fwd, rpi.InvertDelta(in, fwd)} {
+		if bodies[i], err = json.Marshal(wireChurn(d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply := func(body []byte) <-chan int {
+		status := make(chan int, 1)
+		go func() {
+			resp, err := http.Post(srv.URL+"/v1/apply", "application/json", bytes.NewReader(body))
+			if err != nil {
+				status <- -1
+				return
+			}
+			resp.Body.Close()
+			status <- resp.StatusCode
+		}()
+		return status
+	}
+
+	// Hold the tenant's one Write slot, as an apply in flight would.
+	adm := hs.Admission()
+	rel, err := adm.AdmitTenant(context.Background(), admission.Write, "d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	status := apply(bodies[0])
+	for deadline := time.Now().Add(10 * time.Second); adm.Stats()["write"].Queued == 0; {
+		select {
+		case code := <-status:
+			t.Fatalf("apply on a one-tenant host answered %d while the slot was held; want it queued", code)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("apply never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	rel()
+	if code := <-status; code != http.StatusOK {
+		t.Fatalf("queued apply answered %d, want 200", code)
+	}
+
+	// A sibling brings fairness back: the same held slot now puts the
+	// default tenant at its cap, and the apply is shed at once.
+	if err := h.Create(host.TenantSpec{Name: "sibling", Seed: 4}); err != nil {
+		t.Fatal(err)
+	}
+	rel, err = adm.AdmitTenant(context.Background(), admission.Write, "d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rel()
+	if code := <-apply(bodies[1]); code != http.StatusServiceUnavailable {
+		t.Fatalf("apply past the fair-share cap answered %d, want 503", code)
+	}
+}
+
+// TestReadyzFollowsDefaultTenant: /readyz is green only while the
+// default tenant is open and serving — an idle eviction closes it and
+// readiness goes back to 503 until the next request reopens it.
+func TestReadyzFollowsDefaultTenant(t *testing.T) {
+	h, _, srv := testHost(t, Config{}, "d", host.TenantSpec{Name: "d", Seed: 2})
+	get(t, srv.URL+"/v1/infer", http.StatusOK)
+	get(t, srv.URL+"/readyz", http.StatusOK)
+
+	if n := h.Sweep(time.Now().Add(2 * time.Hour)); n != 1 {
+		t.Fatalf("sweep evicted %d tenants, want 1", n)
+	}
+	resp, err := http.Get(srv.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("evicted readyz: status %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+
+	get(t, srv.URL+"/v1/infer", http.StatusOK)
+	get(t, srv.URL+"/readyz", http.StatusOK)
+}
+
 // TestHostStreamPinsTenant: an SSE subscriber holds its tenant's lease
 // — eviction skips the tenant for as long as the stream is attached,
 // and streamed updates carry applies routed through the tenant path.

@@ -24,25 +24,29 @@
 //
 // Liveness and readiness are distinct probes: /healthz answers 200 as
 // soon as the listener is up (the process is alive — don't kill it).
-// With a default tenant, /readyz answers 503 + Retry-After until that
-// tenant's engine has opened once (built or recovered from its data
-// directory) and again while it is quarantined and healing (don't
-// route traffic yet — though reads that do arrive are still served
-// from the last good snapshot). Without a default tenant engines open
-// lazily per tenant, so the host is ready once its registry is loaded;
-// per-tenant health is what GET /v1/tenants reports.
+// With a default tenant, /readyz answers 200 only while that tenant's
+// engine is open and serving: 503 + Retry-After before it has opened
+// (built or recovered from its data directory), after an idle eviction
+// closed it, and while it is quarantined and healing (don't route
+// traffic yet — though reads that do arrive are still served from the
+// last good snapshot). The serving binary holds a lease on its default
+// tenant for its whole life, so that tenant is never evicted. Without
+// a default tenant engines open lazily per tenant, so the host is
+// ready once its registry is loaded; per-tenant health is what
+// GET /v1/tenants reports.
 //
 // The server is overload-safe by construction: every /v1 endpoint
 // passes through per-class admission control (internal/admission) and
 // answers 503 + Retry-After instead of queueing unboundedly. Admission
 // is shared across tenants (one machine's worth of limits) with
-// per-tenant fairness on top: one tenant may hold at most
-// Admission.TenantShare of a class's slots, so a hot tenant sheds
-// before it starves its siblings. Request deadlines propagate into
-// the engine (a caller that gives up stops costing anything), and each
-// engine sits behind a supervisor.Guard, so a panic escaping Apply
-// quarantines that tenant (reads keep serving, writes answer 503)
-// while a background re-Open heals it from the write-ahead log.
+// per-tenant fairness on top: while the host holds more than one
+// tenant, one tenant may hold at most Admission.TenantShare of a
+// class's slots, so a hot tenant sheds before it starves its siblings.
+// Request deadlines propagate into the engine (a caller that gives up
+// stops costing anything), and each engine sits behind a
+// supervisor.Guard, so a panic escaping Apply quarantines that tenant
+// (reads keep serving, writes answer 503) while a background re-Open
+// heals it from the write-ahead log.
 //
 // Requests hold a host lease for their lifetime — a stream pins its
 // tenant's engine against idle eviction for exactly as long as the
@@ -256,7 +260,9 @@ func (s *HostServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // reaches the engine (streams are exempt from the timeout — they are
 // supposed to be long-lived). name resolves the tenant the request is
 // attributed to, which applies the per-tenant fairness cap; "" means
-// no tenant (the control-plane endpoints).
+// no tenant (the control-plane endpoints). On a host with a single
+// registered tenant the cap would protect nobody, so the request is
+// admitted on the class gates alone, as a one-world server should be.
 func (s *HostServer) admitted(cl admission.Class, name func(*http.Request) string, h func(http.ResponseWriter, *http.Request, string)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tn := name(r)
@@ -265,7 +271,11 @@ func (s *HostServer) admitted(cl admission.Class, name func(*http.Request) strin
 			defer cancel()
 			r = r.WithContext(ctx)
 		}
-		release, err := s.adm.AdmitTenant(r.Context(), cl, tn)
+		attr := tn
+		if s.h.Len() <= 1 {
+			attr = ""
+		}
+		release, err := s.adm.AdmitTenant(r.Context(), cl, attr)
 		if err != nil {
 			s.writeError(w, r, err)
 			return
@@ -366,9 +376,10 @@ func (s *HostServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleReadyz: without a default tenant the host is ready as soon as
-// its registry is loaded. With one, readiness follows that tenant: 503
-// until its engine has opened once (the first lease builds or recovers
-// it) and while it is quarantined.
+// its registry is loaded. With one, readiness follows that tenant: 200
+// only while its engine is open and serving, 503 while it is cold
+// (never opened, or evicted) or quarantined. The seq comes from the
+// live guard.
 func (s *HostServer) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if s.def == "" {
 		s.writeJSON(w, http.StatusOK, map[string]any{"ready": true, "tenants": len(s.h.Tenants())})
@@ -376,17 +387,17 @@ func (s *HostServer) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	}
 	st, ok := s.h.Status(s.def)
 	switch {
-	case !ok || st.Opens == 0:
-		w.Header().Set("Retry-After", "1")
-		s.writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false})
-	case st.State == "quarantined":
+	case ok && st.State == "serving":
+		s.writeJSON(w, http.StatusOK, map[string]any{"ready": true, "seq": st.AckedSeq})
+	case ok && st.State == "quarantined":
 		// Healing: stop routing new traffic here, but requests that do
 		// arrive are answered from the last good snapshot.
 		w.Header().Set("Retry-After", "1")
 		s.writeJSON(w, http.StatusServiceUnavailable,
 			map[string]any{"ready": false, "quarantined": true})
 	default:
-		s.writeJSON(w, http.StatusOK, map[string]any{"ready": true, "seq": st.AckedSeq})
+		w.Header().Set("Retry-After", "1")
+		s.writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false})
 	}
 }
 

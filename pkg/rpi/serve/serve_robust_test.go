@@ -200,7 +200,7 @@ func TestQuarantineOverHTTP(t *testing.T) {
 	// Recovery: the guard re-Opens in the background; the plane must be
 	// writable again within the bound.
 	deadline := time.Now().Add(10 * time.Second)
-	for !h.g.Ready() {
+	for h.g.Engine() == nil || h.g.Quarantined() {
 		if time.Now().After(deadline) {
 			t.Fatalf("not writable 10s after fault: %+v", h.g.Stats())
 		}

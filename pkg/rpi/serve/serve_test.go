@@ -12,7 +12,6 @@ import (
 	"sync"
 	"testing"
 
-	"rpeer/internal/admission"
 	"rpeer/internal/host"
 	"rpeer/internal/supervisor"
 	"rpeer/pkg/rpi"
@@ -82,14 +81,13 @@ func serveHost(t testing.TB, h *host.Host, cfg Config) (*HostServer, *httptest.S
 	return s, srv
 }
 
-// testServer serves the paper-sized world as a one-tenant host and
-// returns the tenant's engine. With no sibling to be fair to, the
-// tenant's fair-share cap is lifted, so concurrent clients queue on the
-// class gates alone.
+// testServer serves the paper-sized world as a one-tenant host, with
+// the admission config rpi-serve ships, and returns the tenant's
+// engine.
 func testServer(t testing.TB) (*rpi.Engine, *httptest.Server) {
 	t.Helper()
 	h := newTenantHost(t, testInputs(t))
-	_, srv := serveHost(t, h, Config{Admission: admission.Config{TenantShare: 1}})
+	_, srv := serveHost(t, h, Config{})
 	return defaultGuard(t, h).Engine(), srv
 }
 
