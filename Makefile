@@ -36,22 +36,26 @@ test-race:
 soak:
 	RPEER_SOAK=1 $(GO) test -race -run 'TestChurnSoak' ./pkg/rpi -count=1 -v
 
-# Chaos harness for the serving plane: mixed readers, streamers,
-# stalled consumers, appliers and deadline storms against the
-# supervised HTTP front end while engine panics and WAL append
-# failures are injected mid-apply; asserts the liveness SLOs (reads
-# never fail hard, recovery within bound, recovered state
-# byte-identical to a cold rebuild, sequence continuity). Runs under
-# the race detector. Short deterministic mode by default (2 fault
-# cycles); set RPEER_CHAOS=1 for the long soak (8 cycles).
+# Fault injection through the load harness: rpi-bot's fleet load
+# (readers, streamers, appliers, plus a stalled streamer and a 1 ms
+# deadline storm per tenant) against an in-process host under tight
+# admission limits, while CHAOS_CYCLES fault cycles alternate an engine
+# panic mid-apply with a WAL append failure. Fails unless every fault
+# heals to a writable engine within 30s, served bytes equal a cold
+# rebuild after each recovery, sequence continuity holds, shedding is
+# observed, admitted-read p99 stays under 2s and the plane answers at
+# the end. Runs under the race detector; CHAOS_CYCLES=8 is the long
+# soak.
+CHAOS_CYCLES ?= 2
 chaos:
-	$(GO) run -race ./cmd/rpi-chaos
+	$(GO) run -race ./cmd/rpi-bot -tenants 1 -faults $(CHAOS_CYCLES)
 
 # Fleet load generator smoke: an in-process 4-tenant host driven by
 # mixed readers/appliers/streamers for a few seconds under the race
 # detector, then the per-tenant byte-identity check (host bytes == a
 # cold engine's bytes over the same inputs). Fails on any protocol
-# violation (a status outside the allowed set) or identity mismatch.
+# violation (a status outside the allowed set, or a 503 without
+# Retry-After) or identity mismatch.
 bot-smoke:
 	$(GO) run -race ./cmd/rpi-bot -tenants 4 -duration 3s
 

@@ -9,9 +9,18 @@
 // complete fleet benchmark. After the run it cross-checks every
 // tenant: the host's /v1/t/{tenant}/infer bytes must be byte-identical
 // to the wire report of a fresh engine built over the same inputs —
-// multi-tenancy must not change a single served byte.
+// multi-tenancy must not change a single served byte. Every run fails
+// on a protocol violation: a status outside the allowed set, or a 503
+// without Retry-After.
+//
+// With -faults N the same load runs against an in-process host whose
+// engines can be made to fail: N fault cycles alternate an engine
+// panic mid-apply with a WAL append error, under tight fixed admission
+// limits plus a stalled streamer and a deadline storm per tenant, and
+// the run asserts the serving plane's recovery SLOs (see faults.go).
 //
 //	rpi-bot -tenants 4 -readers 6 -appliers 1 -streamers 2 -duration 5s
+//	rpi-bot -tenants 1 -faults 2         # fault injection (make chaos)
 //	rpi-bot -o BENCH_PR8.json -merge     # record/refresh the SLO snapshot
 //	rpi-bot -addr http://host:8090       # drive an external rpi-serve
 //
@@ -39,10 +48,10 @@ import (
 	"syscall"
 	"time"
 
-	"rpeer/internal/admission"
 	"rpeer/internal/bot"
 	"rpeer/internal/host"
 	"rpeer/internal/netsim"
+	"rpeer/internal/wal"
 	"rpeer/internal/worldfile"
 	"rpeer/pkg/rpi"
 	"rpeer/pkg/rpi/serve"
@@ -51,28 +60,34 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rpi-bot: ")
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
-	addr := flag.String("addr", "", "drive an external host at this base URL instead of an in-process one")
-	tenants := flag.Int("tenants", 4, "number of tenants to drive")
-	readers := flag.Int("readers", 6, "reader workers per tenant (infer + cheap per-IXP reads)")
-	appliers := flag.Int("appliers", 1, "applier workers per tenant (churn + inverse deltas)")
-	streamers := flag.Int("streamers", 2, "SSE streamer workers per tenant")
-	duration := flag.Duration("duration", 5*time.Second, "load duration")
-	seed := flag.Int64("seed", 1, "base world seed; tenant i uses seed+i")
-	worldPath := flag.String("world", "", "serve this pre-generated .rpw world bundle to every tenant (in-process mode) instead of per-tenant tiny worlds")
-	churn := flag.Float64("churn", 0.02, "membership fraction churned per applier delta")
-	readSlots := flag.Int("read-slots", 0, "override full-report read slots (0 = admission default); lower to provoke shedding")
-	tenantShare := flag.Float64("tenant-share", 0, "per-tenant fairness share of each class's slots (0 = default)")
-	out := flag.String("o", "", "write benchmark records to this JSON file (rpi-benchsnap shape)")
-	merge := flag.Bool("merge", false, "with -o: merge into the existing file, replacing same-name records")
-	verify := flag.Bool("verify", true, "after the run, check per-tenant byte identity vs a cold engine over the same inputs (in-process mode only)")
-	flag.Parse()
-
+func run(args []string) int {
+	fs := flag.NewFlagSet("rpi-bot", flag.ContinueOnError)
+	addr := fs.String("addr", "", "drive an external host at this base URL instead of an in-process one")
+	tenants := fs.Int("tenants", 4, "number of tenants to drive")
+	readers := fs.Int("readers", 6, "reader workers per tenant (infer + cheap per-IXP reads)")
+	appliers := fs.Int("appliers", 1, "applier workers per tenant (churn + inverse deltas)")
+	streamers := fs.Int("streamers", 2, "SSE streamer workers per tenant")
+	duration := fs.Duration("duration", 5*time.Second, "load duration (ignored with -faults: the run ends after the last recovery)")
+	seed := fs.Int64("seed", 1, "base world seed; tenant i uses seed+i")
+	worldPath := fs.String("world", "", "serve this pre-generated .rpw world bundle to every tenant (in-process mode) instead of per-tenant tiny worlds")
+	churn := fs.Float64("churn", 0.02, "membership fraction churned per applier delta")
+	faults := fs.Int("faults", 0, "run N fault cycles (engine panic, WAL append error, alternating) under tight admission limits and assert the recovery SLOs (in-process mode only)")
+	out := fs.String("o", "", "write benchmark records to this JSON file (rpi-benchsnap shape)")
+	merge := fs.Bool("merge", false, "with -o: merge into the existing file, replacing same-name records")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 	if *tenants < 1 {
 		log.Print("need at least one tenant")
+		return 2
+	}
+	if *faults > 0 && *addr != "" {
+		log.Print("-faults needs the in-process host; it cannot be combined with -addr")
 		return 2
 	}
 	names := make([]string, *tenants)
@@ -93,27 +108,28 @@ func run() int {
 	}
 
 	var h *host.Host
+	var inj *injector
 	if *addr == "" {
-		adm := admission.Config{TenantShare: *tenantShare}
-		if *readSlots > 0 {
-			adm.Read = admission.Limits{Slots: *readSlots, Queue: 2 * *readSlots, MaxWait: 2 * time.Second}
+		opts, sc := []rpi.Option(nil), serve.Config{RequestTimeout: 10 * time.Second}
+		if *faults > 0 {
+			inj = &injector{fsys: wal.NewMemFS()}
+			opts, sc = inj.options(), faultServe
+			cfg.Hostile, cfg.Duration = true, 0
 		}
-		var base string
 		var shutdown func()
 		var err error
-		h, base, shutdown, err = inProcessHost(names, *seed, *worldPath, adm)
+		h, cfg.BaseURL, shutdown, err = inProcessHost(names, *seed, *worldPath, opts, sc)
 		if err != nil {
 			log.Print(err)
 			return 1
 		}
 		defer shutdown()
-		cfg.BaseURL = base
 		cfg.Inputs = func(tn string) (rpi.Inputs, error) { return liveInputs(h, tn) }
 		worlds := "tiny worlds"
 		if *worldPath != "" {
 			worlds = "world bundle " + *worldPath
 		}
-		log.Printf("in-process host on %s: %d tenants, %s, in-memory WAL", base, *tenants, worlds)
+		log.Printf("in-process host on %s: %d tenants, %s, in-memory WAL", cfg.BaseURL, *tenants, worlds)
 	} else {
 		cfg.BaseURL = strings.TrimRight(*addr, "/")
 		if err := ensureTenants(ctx, cfg.BaseURL, names, *seed); err != nil {
@@ -130,18 +146,37 @@ func run() int {
 		log.Printf("driving external host %s: %d tenants", cfg.BaseURL, *tenants)
 	}
 
-	rep, err := bot.Run(ctx, cfg)
+	loadCtx, stop := context.WithCancel(ctx)
+	defer stop()
+	load, err := bot.Start(loadCtx, cfg)
 	if err != nil {
 		log.Print(err)
 		return 1
 	}
+	var faultErr error
+	if inj != nil {
+		faultErr = inj.drive(load, h, cfg.BaseURL, names, *faults)
+		stop()
+	}
+	rep := load.Wait()
 	printReport(rep)
+	if faultErr != nil {
+		log.Printf("FAULT SLO FAILED: %v", faultErr)
+		return 1
+	}
 	if rep.BadStatus != "" {
 		log.Printf("PROTOCOL VIOLATION: %s", rep.BadStatus)
 		return 1
 	}
+	if inj != nil {
+		if err := checkFaultRun(rep, h, cfg.BaseURL, names, *faults); err != nil {
+			log.Printf("FAULT SLO FAILED: %v", err)
+			return 1
+		}
+		log.Printf("faults: %d cycles injected and recovered, all SLOs held", *faults)
+	}
 
-	if *verify && h != nil {
+	if h != nil {
 		if err := verifyByteIdentity(h, cfg.BaseURL, names); err != nil {
 			log.Printf("BYTE IDENTITY FAILED: %v", err)
 			return 1
@@ -177,9 +212,9 @@ func tenantSeed(base int64, names []string, tn string) int64 {
 
 // inProcessHost stands up the self-contained fleet: a host with one
 // tiny world per tenant (or one shared pre-generated .rpw bundle) over
-// an in-memory WAL (the host has no data dir), fronted by the shared
-// serving plane on a loopback listener.
-func inProcessHost(names []string, seed int64, worldPath string, adm admission.Config) (*host.Host, string, func(), error) {
+// an in-memory WAL (the host has no data dir; opts may swap it), fronted
+// by the shared serving plane, configured by sc, on a loopback listener.
+func inProcessHost(names []string, seed int64, worldPath string, opts []rpi.Option, sc serve.Config) (*host.Host, string, func(), error) {
 	inputs := func(sp host.TenantSpec) (rpi.Inputs, error) {
 		return tinyInputs(sp.Seed)
 	}
@@ -194,6 +229,7 @@ func inProcessHost(names []string, seed int64, worldPath string, adm admission.C
 	}
 	h, err := host.Open(host.Config{
 		Inputs:     inputs,
+		Options:    opts,
 		MaxTenants: len(names),
 		Logger:     log.New(io.Discard, "", 0),
 	})
@@ -206,10 +242,7 @@ func inProcessHost(names []string, seed int64, worldPath string, adm admission.C
 			return nil, "", nil, err
 		}
 	}
-	front := serve.NewHost(h, "", serve.Config{
-		Admission:      adm,
-		RequestTimeout: 10 * time.Second,
-	})
+	front := serve.NewHost(h, "", sc)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		_ = h.Close()
@@ -217,10 +250,11 @@ func inProcessHost(names []string, seed int64, worldPath string, adm admission.C
 	}
 	srv := &http.Server{Handler: front}
 	go func() { _ = srv.Serve(ln) }()
+	// The load has finished by the time this runs, so nothing is left
+	// to drain: a graceful Shutdown would only wait out connections a
+	// client pooled but never used.
 	shutdown := func() {
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(sctx)
+		_ = srv.Close()
 		_ = h.Close()
 	}
 	return h, "http://" + ln.Addr().String(), shutdown, nil
@@ -270,12 +304,13 @@ func ensureTenants(ctx context.Context, base string, names []string, seed int64)
 	return nil
 }
 
-// verifyByteIdentity proves multi-tenancy is invisible to readers: for
-// each tenant, a fresh engine built over the tenant engine's current
-// inputs must marshal exactly the bytes the host serves. (Engine
-// inputs track every applied delta, so a cold rebuild over them equals
-// the incrementally-maintained world — the same invariant the chaos
-// harness checks.)
+// verifyByteIdentity proves multi-tenancy, faults and recovery are
+// invisible to readers: for each tenant, a fresh engine built over the
+// tenant engine's current inputs must marshal exactly the bytes the
+// host serves. (Engine inputs track every applied delta, so a cold
+// rebuild over them equals the incrementally-maintained world.) The
+// tenants' writes must be held off meanwhile; a read the front end
+// sheds is retried.
 func verifyByteIdentity(h *host.Host, base string, names []string) error {
 	cl := &http.Client{Timeout: 30 * time.Second}
 	for _, tn := range names {
@@ -299,6 +334,10 @@ func verifyByteIdentity(h *host.Host, base string, names []string) error {
 			return fmt.Errorf("tenant %q: marshal cold report: %w", tn, err)
 		}
 		hostBytes, err := getBody(cl, base+"/v1/t/"+tn+"/infer")
+		for deadline := time.Now().Add(recoveryBound); errors.Is(err, errShed) && time.Now().Before(deadline); {
+			time.Sleep(20 * time.Millisecond)
+			hostBytes, err = getBody(cl, base+"/v1/t/"+tn+"/infer")
+		}
 		if err != nil {
 			return fmt.Errorf("tenant %q: host read: %w", tn, err)
 		}
@@ -310,6 +349,9 @@ func verifyByteIdentity(h *host.Host, base string, names []string) error {
 	return nil
 }
 
+// errShed marks a read the front end answered with 503.
+var errShed = errors.New("shed (503)")
+
 func getBody(cl *http.Client, url string) ([]byte, error) {
 	resp, err := cl.Get(url)
 	if err != nil {
@@ -320,7 +362,11 @@ func getBody(cl *http.Client, url string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
+	switch resp.StatusCode {
+	case http.StatusOK:
+	case http.StatusServiceUnavailable:
+		return nil, fmt.Errorf("%s: %w", url, errShed)
+	default:
 		return nil, fmt.Errorf("%s: status %d", url, resp.StatusCode)
 	}
 	return b, nil
@@ -387,7 +433,7 @@ func writeSnapshot(path string, merge bool, rep *bot.Report) error {
 				continue
 			}
 			recs = append(recs, record{
-				Name:       fmt.Sprintf("BotHostLoad/tenant=%s/class=%s", orDefault(tn), cl),
+				Name:       fmt.Sprintf("BotHostLoad/tenant=%s/class=%s", tn, cl),
 				Iterations: int64(st.Admitted),
 				NsPerOp:    st.MeanMs * 1e6,
 				Metrics: map[string]float64{
@@ -456,11 +502,4 @@ func writeSnapshot(path string, merge bool, rep *bot.Report) error {
 		return err
 	}
 	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-func orDefault(tn string) string {
-	if tn == "" {
-		return "default"
-	}
-	return tn
 }

@@ -20,8 +20,8 @@ var quiet = log.New(io.Discard, "", 0)
 
 // harness is one supervised persistent engine over a fault-injectable
 // in-memory filesystem, with a one-shot arming lever for an apply-time
-// panic (the "engine bug" fault) — the same rig cmd/rpi-chaos drives
-// over HTTP.
+// panic (the "engine bug" fault) — the same rig `rpi-bot -faults`
+// drives over HTTP.
 type harness struct {
 	t     *testing.T
 	fsys  *wal.MemFS
