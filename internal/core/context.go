@@ -36,11 +36,10 @@ import (
 //
 //   - the per-interface RTT / best-VP / rounding columns folded from
 //     the ping campaign (one pass, shared by every run);
-//   - the registry IP-to-AS map, the traIXroute detector, the detected
-//     IXP crossings and private hops of the traceroute corpus (kept
-//     both raw, for the ingestion edge, and compacted into ID columns
-//     for the classification loops), and the ID-indexed colocation /
-//     port-capacity view;
+//   - the registry IP-to-AS map, the traIXroute detector, the
+//     traceroute corpus with its live crossing plane, the crossing and
+//     private-hop ID columns the classification loops read, and the
+//     ID-indexed colocation / port-capacity view;
 //   - the lazily-built traceroute-RTT augmentation ("Beyond Pings"),
 //     shared by every run with Options.UseTracerouteRTT;
 //   - the geo fast path: facility coordinates converted once to unit
@@ -86,13 +85,12 @@ type Context struct {
 	bestVP []int32
 	rounds ident.Bits
 
-	ipmap     *registry.IPMap
-	det       *traix.Detector
-	corpus    *traix.Corpus
-	lans      *traix.LANSet
-	crossings []traix.Crossing
-	cross     traix.CrossingTab
-	priv      traix.PrivateTab
+	ipmap  *registry.IPMap
+	det    *traix.Detector
+	corpus *traix.Corpus
+	lans   *traix.LANSet
+	cross  traix.CrossingTab
+	priv   traix.PrivateTab
 
 	// colo is the ID-indexed colocation and port-capacity view the
 	// per-entry classification reads.
@@ -103,13 +101,19 @@ type Context struct {
 	byASPriv [][]privNeighbour
 
 	// domain is built lazily under domMu and patched in place by Apply
-	// (a sync.Once would survive deltas it must not survive). memGroups
-	// groups domain indexes per (member, IXP) for Step 4's propagation.
+	// (a sync.Once would survive deltas it must not survive). groups
+	// indexes the domain per member for Step 4's propagation.
+	// offRoster holds the interface records at interned IXPs outside
+	// the roster (their prefix record was lost to source noise): not
+	// inference targets, but Step 4 still observes them. leaveMark is
+	// patchDomain's scratch mark of departing interface IDs.
 	domMu     sync.Mutex
 	domBuilt  bool
 	domain    []domEntry
 	domSpare  []domEntry
-	memGroups map[uint64][]int32
+	offRoster []domEntry
+	groups    groupIndex
+	leaveMark ident.Bits
 
 	// obs memoizes Step 4's crossing observations; it depends only on
 	// the substrate, so Apply is the only invalidator.
@@ -296,10 +300,11 @@ func newContext(in Inputs) *Context {
 		if len(in.Paths) > 0 {
 			// The corpus splits the paths into membership-independent
 			// detections (settled here, once) and peering-LAN candidates
-			// that Detect re-evaluates against the current dataset —
-			// both now and after every membership delta (see Apply).
+			// whose crossing verdicts form the live crossing plane,
+			// settled now and kept current by every membership delta
+			// (see Apply). Settling interns nothing; Compact below does.
 			c.corpus = traix.NewCorpus(in.Paths, c.lans, c.ipmap)
-			c.crossings = c.corpus.DetectCrossings(c.det)
+			c.corpus.Settle(c.det)
 		}
 	}()
 	go func() {
@@ -325,8 +330,8 @@ func newContext(in Inputs) *Context {
 	// ---- back to serial: compact the detections into ID columns
 	// (interning crossing participants), project the colocation and
 	// port tables, and index the private neighbours. ----
-	c.cross.CompactCrossings(c.crossings, c.ids)
 	if c.corpus != nil {
+		c.corpus.Compact(c.ids, &c.cross)
 		c.corpus.CompactStaticInto(&c.priv, c.ids)
 	}
 	c.growColumns()
@@ -605,7 +610,7 @@ func (c *Context) Baseline(thresholdMs float64) (*Report, error) {
 func (c *Context) domainReport(rtt []float64, measured func(inf *Inference, rtt float64, e domEntry)) (*Report, []Inference) {
 	entries := c.domainEntries()
 	infs := make([]Inference, len(entries))
-	rep := &Report{Inferences: make(map[Key]*Inference, len(entries))}
+	rep := &Report{Inferences: make(map[Key]*Inference, len(entries)), aligned: infs}
 	for i, e := range entries {
 		inf := &infs[i]
 		*inf = Inference{
@@ -633,22 +638,51 @@ func (c *Context) domainEntries() []domEntry {
 	return c.domain
 }
 
-// memberGroups returns the (member, IXP) -> domain-index grouping Step
-// 4's propagation reads, building the domain as needed. Group indexes
-// are ascending by interface address (the domain order within one
-// IXP), which classOf's first-decided-entry rule depends on.
-func (c *Context) memberGroups() map[uint64][]int32 {
+// memberships returns every interface record at an interned IXP as
+// interned (iface, member, IXP) triples — the domain plus the
+// off-roster records — building the domain as needed. Step 4's
+// observation index reads them instead of re-hashing the dataset.
+func (c *Context) memberships() (domain, offRoster []domEntry) {
 	c.domMu.Lock()
 	defer c.domMu.Unlock()
 	c.buildDomainLocked()
-	return c.memGroups
+	return c.domain, c.offRoster
 }
 
-func groupKey(m ident.MemberID, x ident.IXPID) uint64 {
-	return uint64(m)<<32 | uint64(x)
+// memberGroups returns the per-member domain index Step 4's
+// propagation reads, building the domain as needed.
+func (c *Context) memberGroups() *groupIndex {
+	c.domMu.Lock()
+	defer c.domMu.Unlock()
+	c.buildDomainLocked()
+	return &c.groups
 }
 
-// buildDomainLocked builds the domain and its (member, IXP) grouping;
+// groupIndex indexes the domain by member: member m's domain indexes
+// are idx[off[m]:off[m+1]], ascending. The domain is ordered by (IXP,
+// address), so each (member, IXP) group is one contiguous run of them,
+// ascending by interface address — the order classOf's
+// first-decided-entry rule depends on.
+type groupIndex struct {
+	off, idx []int32
+	domain   []domEntry
+}
+
+// of returns the domain indexes of one (member, IXP) group.
+func (g *groupIndex) of(m ident.MemberID, x ident.IXPID) []int32 {
+	if int(m)+1 >= len(g.off) {
+		return nil
+	}
+	run := g.idx[g.off[m]:g.off[m+1]]
+	lo := sort.Search(len(run), func(i int) bool { return g.domain[run[i]].ixp >= x })
+	hi := lo
+	for hi < len(run) && g.domain[run[hi]].ixp == x {
+		hi++
+	}
+	return run[lo:hi]
+}
+
+// buildDomainLocked builds the domain and its member grouping;
 // the caller holds domMu. One pass over the dataset's interface
 // records groups them per roster IXP (the old per-IXP MembersOf scans
 // walked the whole record map once per exchange — O(records x IXPs));
@@ -659,13 +693,18 @@ func (c *Context) buildDomainLocked() {
 		return
 	}
 	buckets := make([][]domEntry, c.ids.NumIXPs())
+	c.offRoster = c.offRoster[:0]
 	for ip, name := range c.in.Dataset.IfaceIXP {
 		id, ok := c.ids.IXP(name)
-		if !ok || !c.roster.Get(uint32(id)) {
+		if !ok {
 			continue
 		}
-		buckets[id] = append(buckets[id],
-			c.newDomEntry(Key{IXP: name, Iface: ip}, c.in.Dataset.IfaceASN[ip]))
+		e := c.newDomEntry(Key{IXP: name, Iface: ip}, c.in.Dataset.IfaceASN[ip])
+		if !c.roster.Get(uint32(id)) {
+			c.offRoster = append(c.offRoster, e)
+			continue
+		}
+		buckets[id] = append(buckets[id], e)
 	}
 	n := 0
 	for _, b := range buckets {
@@ -700,15 +739,30 @@ func (c *Context) newDomEntry(k Key, asn netsim.ASN) domEntry {
 	return domEntry{key: k, asn: asn, iface: iface, member: member, ixp: ixp}
 }
 
-// rebuildGroupsLocked reindexes memGroups from the current domain; the
+// rebuildGroupsLocked reindexes the member groups from the current
+// domain — a counting sort by member into the retained columns; the
 // caller holds domMu.
 func (c *Context) rebuildGroupsLocked() {
-	groups := make(map[uint64][]int32, len(c.memGroups))
-	for i, e := range c.domain {
-		gk := groupKey(e.member, e.ixp)
-		groups[gk] = append(groups[gk], int32(i))
+	g := &c.groups
+	nm := c.ids.NumMembers()
+	g.off = slices.Grow(g.off[:0], nm+1)[:nm+1]
+	clear(g.off)
+	g.idx = slices.Grow(g.idx[:0], len(c.domain))[:len(c.domain)]
+	g.domain = c.domain
+	for _, e := range c.domain {
+		g.off[e.member+1]++
 	}
-	c.memGroups = groups
+	for m := 1; m <= nm; m++ {
+		g.off[m] += g.off[m-1]
+	}
+	// Fill with off[m] as member m's cursor, then shift the advanced
+	// cursors (now each member's end) back into start offsets.
+	for i, e := range c.domain {
+		g.idx[g.off[e.member]] = int32(i)
+		g.off[e.member]++
+	}
+	copy(g.off[1:], g.off[:nm])
+	g.off[0] = 0
 }
 
 // rebuildByASPriv reindexes the private-hop neighbours per member,
@@ -762,7 +816,11 @@ func (c *Context) traceAugmented() (rtt []float64, bestVP []int32, rounds, deriv
 		copy(c.traceBestVP, c.bestVP)
 		c.traceRounds.CopyFrom(&c.rounds)
 		c.traceDerived.Reset()
-		for _, e := range DeriveTracerouteRTT(c.crossings) {
+		var crossings []traix.Crossing
+		if c.corpus != nil {
+			crossings = c.corpus.Crossings()
+		}
+		for _, e := range DeriveTracerouteRTT(crossings) {
 			id, ok := c.ids.Iface(e.Iface)
 			if !ok || int(id) >= n {
 				continue

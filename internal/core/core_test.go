@@ -290,8 +290,7 @@ func TestBeyondPingsIncreasesCoverage(t *testing.T) {
 
 func TestDeriveTracerouteRTTPositive(t *testing.T) {
 	in, _, _ := fixtures(t)
-	p := newContext(in).newPipeline(DefaultOptions())
-	ests := DeriveTracerouteRTT(p.crossings)
+	ests := DeriveTracerouteRTT(newContext(in).corpus.Crossings())
 	if len(ests) < 1000 {
 		t.Fatalf("only %d traceroute RTT estimates", len(ests))
 	}
@@ -310,9 +309,10 @@ func TestTracerouteRTTAgreesWithPing(t *testing.T) {
 	// should track the ping minimum (Fig 12b's premise): compare
 	// medians of the two distributions over common interfaces.
 	in, _, _ := fixtures(t)
-	p := newContext(in).newPipeline(DefaultOptions())
+	ctx := newContext(in)
+	p := ctx.newPipeline(DefaultOptions())
 	var pings, traces []float64
-	for _, e := range DeriveTracerouteRTT(p.crossings) {
+	for _, e := range DeriveTracerouteRTT(ctx.corpus.Crossings()) {
 		if ping, ok := p.rttFor(e.Iface); ok {
 			pings = append(pings, ping)
 			traces = append(traces, e.RTTMs)

@@ -52,12 +52,14 @@ func (d *Delta) Empty() bool {
 //     compacted, so every column and memo stays valid;
 //   - the RTT columns are patched per overridden interface; the full
 //     campaign fold is not repeated;
-//   - membership churn re-evaluates only the traceroute corpus's
-//     peering-LAN candidates (the membership-dependent sliver of the
-//     detection work), recompacts the crossing/private-hop columns in
-//     place, and rebuilds the cheap member-set, domain and Step 4
-//     observation indexes; the hop-by-hop corpus scan and the IP-to-AS
-//     map are never repeated;
+//   - membership churn adjusts the detector's member-set refcounts per
+//     record and re-evaluates only the crossing-plane candidates the
+//     delta can move (those reading a changed address, and those whose
+//     member set gained or lost one of their ASes), then refills the
+//     crossing columns from the plane; the domain is patched in order
+//     and the Step 4 observations rebuild from interned columns. The
+//     hop-by-hop corpus scan, the IP-to-AS map and the static private
+//     hops are never revisited;
 //   - the facility geometry, ring memos, alias probe plane and alias
 //     memos survive: they are keyed by VP slot, facility set,
 //     interface ID and member AS, none of which a delta invalidates.
@@ -135,11 +137,11 @@ func (c *Context) Apply(d Delta) error {
 	// ---- membership-dependent substrate ----
 	if len(d.Joins)+len(d.Leaves) > 0 {
 		// Only the crossing plane re-evaluates, and only where the
-		// delta can reach: candidates anchored on changed addresses
-		// re-resolve their address assignments, the rest re-check
-		// membership (rule 3) against the incrementally-maintained
-		// member sets. The private plane is fully static (see
-		// traix.Corpus) and keeps its cold-build columns.
+		// delta can reach: candidates reading changed addresses
+		// re-resolve their address assignments, and candidates whose
+		// member sets crossed zero re-check rule 3. The private plane
+		// is fully static (see traix.Corpus) and keeps its cold-build
+		// columns.
 		if c.corpus != nil {
 			changed := make(map[netip.Addr]bool, len(d.Joins)+len(d.Leaves))
 			for ip := range leaving {
@@ -148,13 +150,12 @@ func (c *Context) Apply(d Delta) error {
 			for _, j := range d.Joins {
 				changed[j.Iface] = true
 			}
-			c.crossings = c.corpus.DetectDelta(c.det, changed)
+			c.corpus.DetectDelta(c.det, changed, c.ids, &c.cross)
 		}
-		c.cross.CompactCrossings(c.crossings, c.ids)
 		c.growColumns()
 		c.colo.Grow(c.ids)
 		c.growByASPriv()
-		c.patchDomain(d, leaving)
+		c.patchDomain(d)
 
 		// Step 4's observations and the router lists assembled from
 		// them fold crossings and member interfaces; both are
@@ -257,7 +258,7 @@ func (c *Context) validateDelta(d Delta) (leaving map[netip.Addr]bool, err error
 // join batch — O(domain + churn log churn), not a full re-sort. An
 // unbuilt domain needs no patching — it will be built from the
 // post-delta dataset on first use.
-func (c *Context) patchDomain(d Delta, leaving map[netip.Addr]bool) {
+func (c *Context) patchDomain(d Delta) {
 	c.domMu.Lock()
 	defer c.domMu.Unlock()
 	if !c.domBuilt {
@@ -282,9 +283,16 @@ func (c *Context) patchDomain(d Delta, leaving map[netip.Addr]bool) {
 	if need := len(c.domain) + len(joins); cap(out) < need {
 		out = make([]domEntry, 0, need+need/4)
 	}
+	// Departures are marked by interface ID, so the walk below reads a
+	// bit per entry instead of hashing its address.
+	for _, k := range d.Leaves {
+		if id, ok := c.ids.Iface(k.Iface); ok {
+			c.leaveMark.Set(uint32(id))
+		}
+	}
 	ji := 0
 	for _, e := range c.domain {
-		if leaving[e.key.Iface] {
+		if c.leaveMark.Get(uint32(e.iface)) {
 			continue
 		}
 		for ji < len(joins) && less(joins[ji], e) {
@@ -297,4 +305,20 @@ func (c *Context) patchDomain(d Delta, leaving map[netip.Addr]bool) {
 	c.domSpare = c.domain
 	c.domain = out
 	c.rebuildGroupsLocked()
+	// Joins only land on roster IXPs; a leave may drop an off-roster
+	// record.
+	if len(d.Leaves) > 0 {
+		kept := c.offRoster[:0]
+		for _, e := range c.offRoster {
+			if !c.leaveMark.Get(uint32(e.iface)) {
+				kept = append(kept, e)
+			}
+		}
+		c.offRoster = kept
+	}
+	for _, k := range d.Leaves {
+		if id, ok := c.ids.Iface(k.Iface); ok {
+			c.leaveMark.Clear(uint32(id))
+		}
+	}
 }

@@ -146,8 +146,6 @@ type pipeline struct {
 	// (nil unless Options.UseTracerouteRTT).
 	traceDerived *ident.Bits
 
-	crossings []traix.Crossing
-
 	// domFor / domInfs / domEntries bind the report produced by
 	// newDomain to its backing inference array and the context's
 	// aligned entry list.
@@ -256,7 +254,6 @@ func (p *pipeline) bind() {
 	} else {
 		p.rtt, p.bestVP, p.rounds, p.traceDerived = c.rtt, c.bestVP, &c.rounds, nil
 	}
-	p.crossings = c.crossings
 }
 
 // rttFor reports an interface's bound RTT minimum at the address edge

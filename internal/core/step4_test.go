@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"net/netip"
 	"runtime"
+	"slices"
+	"sort"
 	"testing"
 
 	"rpeer/internal/geo"
+	"rpeer/internal/ident"
 	"rpeer/internal/netsim"
 	"rpeer/internal/registry"
 	"rpeer/internal/traix"
@@ -236,4 +239,69 @@ func TestStep4ShardDeterminism(t *testing.T) {
 		}
 		reportsEqual(t, fmt.Sprintf("step4 standalone workers=%d", workers), refStep, gotStep)
 	}
+}
+
+// TestObsIndexMatchesDatasetWalk pins Step 4's observation index to its
+// definition: each member's membership side equals a walk of the
+// dataset's interface records at interned IXPs — roster or not — both
+// after a cold build and after a delta that also drops an off-roster
+// record.
+func TestObsIndexMatchesDatasetWalk(t *testing.T) {
+	in := deltaInputs(t)
+	// Move two records onto an exchange the prefix plane does not know,
+	// as source noise does when it loses a prefix record.
+	known := make([]netip.Addr, 0, len(in.Dataset.IfaceIXP))
+	for ip := range in.Dataset.IfaceIXP {
+		known = append(known, ip)
+	}
+	sort.Slice(known, func(i, j int) bool { return known[i].Less(known[j]) })
+	for _, ip := range known[:2] {
+		in.Dataset.IfaceIXP[ip] = "zz-lost-prefix-ix"
+	}
+	ctx := newContext(in)
+	check := func(label string) {
+		t.Helper()
+		want := map[ident.MemberID][]obsPair{}
+		for ip, name := range in.Dataset.IfaceIXP {
+			iface, ok1 := ctx.ids.Iface(ip)
+			m, ok2 := ctx.ids.Member(in.Dataset.IfaceASN[ip])
+			x, ok3 := ctx.ids.IXP(name)
+			if ok1 && ok2 && ok3 {
+				want[m] = append(want[m], obsPair{iface, x})
+			}
+		}
+		n := 0
+		for _, o := range ctx.obsIndex() {
+			if len(o.mems) == 0 {
+				continue
+			}
+			n++
+			w := want[o.member]
+			sort.Slice(w, func(i, j int) bool { return w[i].iface < w[j].iface })
+			if !slices.Equal(o.mems, w) {
+				t.Fatalf("%s: member %d observes %v, dataset walk %v", label, o.member, o.mems, w)
+			}
+		}
+		if n != len(want) {
+			t.Fatalf("%s: %d members observed, dataset walk has %d", label, n, len(want))
+		}
+	}
+	check("cold")
+
+	var offRoster []Key
+	for ip, name := range in.Dataset.IfaceIXP {
+		if !ctx.HasIXP(name) {
+			offRoster = append(offRoster, Key{IXP: name, Iface: ip})
+		}
+	}
+	if len(offRoster) != 2 {
+		t.Fatalf("%d off-roster records, want 2", len(offRoster))
+	}
+	sort.Slice(offRoster, func(i, j int) bool { return offRoster[i].Iface.Less(offRoster[j].Iface) })
+	d := churnDelta(t, in, 20, 20)
+	d.Leaves = dedupLeaves(append(d.Leaves, offRoster[0]))
+	if err := ctx.Apply(d); err != nil {
+		t.Fatal(err)
+	}
+	check("after delta")
 }

@@ -71,41 +71,21 @@ func (c *Context) obsIndex() []*asObs {
 	}
 	// Member IDs are dense, so the per-member grouping runs on flat
 	// count/offset columns and two contiguous pair slabs — no map of
-	// individually-growing slices. The dataset map is walked once into
-	// a record list, which the fill pass reuses; the map's iteration
-	// order varies, but every pair lands in its member's slab region
-	// and the regions are sorted below, so the index is
-	// order-independent.
+	// individually-growing slices. The membership side comes from the
+	// context's interned record triples (domain plus off-roster), so
+	// nothing here hashes an address or a name; every pair lands in
+	// its member's slab region and the regions are sorted below, so
+	// the index is independent of record order.
 	nm := c.ids.NumMembers()
 	nearOff := make([]int32, nm+1)
 	memOff := make([]int32, nm+1)
 	for i := 0; i < c.cross.Len(); i++ {
 		nearOff[c.cross.NearAS[i]+1]++
 	}
-	memPair := func(ip netip.Addr, name string) (ident.MemberID, obsPair, bool) {
-		iface, ok := c.ids.Iface(ip)
-		if !ok {
-			return 0, obsPair{}, false
-		}
-		member, ok := c.ids.Member(c.in.Dataset.IfaceASN[ip])
-		if !ok {
-			return 0, obsPair{}, false
-		}
-		ixp, ok := c.ids.IXP(name)
-		if !ok {
-			return 0, obsPair{}, false
-		}
-		return member, obsPair{iface, ixp}, true
-	}
-	type memRec struct {
-		m  ident.MemberID
-		pr obsPair
-	}
-	recs := make([]memRec, 0, len(c.in.Dataset.IfaceIXP))
-	for ip, name := range c.in.Dataset.IfaceIXP {
-		if m, pr, ok := memPair(ip, name); ok {
-			recs = append(recs, memRec{m, pr})
-			memOff[m+1]++
+	domain, offRoster := c.memberships()
+	for _, recs := range [2][]domEntry{domain, offRoster} {
+		for _, e := range recs {
+			memOff[e.member+1]++
 		}
 	}
 	populated := 0
@@ -125,9 +105,11 @@ func (c *Context) obsIndex() []*asObs {
 		nearSlab[nearCur[m]] = obsPair{c.cross.Near[i], c.cross.IXP[i]}
 		nearCur[m]++
 	}
-	for _, r := range recs {
-		memSlab[memCur[r.m]] = r.pr
-		memCur[r.m]++
+	for _, recs := range [2][]domEntry{domain, offRoster} {
+		for _, e := range recs {
+			memSlab[memCur[e.member]] = obsPair{e.iface, e.ixp}
+			memCur[e.member]++
+		}
 	}
 
 	// Assembly: the asObs structs live in one arena and the distinct
@@ -304,13 +286,13 @@ func (p *pipeline) stepMultiIXP(rep *Report, seed func(netsim.ASN, string) PeerC
 // writing the router's class and propagating verdicts into its
 // member's domain entries. All side effects are confined to cr.member
 // (see stepMultiIXP's sharding argument).
-func (p *pipeline) classifyMultiRouter(s *scratch, rep *Report, groups map[uint64][]int32, cr *cachedRouter, r *MultiIXPRouter, seed func(netsim.ASN, string) PeerClass) {
+func (p *pipeline) classifyMultiRouter(s *scratch, rep *Report, groups *groupIndex, cr *cachedRouter, r *MultiIXPRouter, seed func(netsim.ASN, string) PeerClass) {
 	c := p.ctx
 	classOf := func(m ident.MemberID, x ident.IXPID) PeerClass {
 		if seed != nil {
 			return seed(c.ids.ASN(m), c.ids.IXPName(x))
 		}
-		for _, di := range groups[groupKey(m, x)] {
+		for _, di := range groups.of(m, x) {
 			if inf := p.infAt(rep, int(di)); inf.Class != ClassUnknown {
 				return inf.Class
 			}
@@ -323,7 +305,7 @@ func (p *pipeline) classifyMultiRouter(s *scratch, rep *Report, groups map[uint6
 	// as "the AS is inferred local/remote to all involved IXPs".
 	standalone := seed != nil
 	assign := func(m ident.MemberID, x ident.IXPID, cls PeerClass) {
-		for _, di := range groups[groupKey(m, x)] {
+		for _, di := range groups.of(m, x) {
 			inf := p.infAt(rep, int(di))
 			if inf.Class == ClassUnknown || (standalone && inf.Step == StepMultiIXP) {
 				inf.Class = cls
@@ -372,7 +354,7 @@ func (p *pipeline) classifyMultiRouter(s *scratch, rep *Report, groups map[uint6
 		anchorFacs := p.in.Colo.IXPFacilities[c.ids.IXPName(anchor)]
 		dMinAS, _, okAS := p.facDist(asFacs, anchorFacs)
 		if !okAS {
-			dMinAS = p.anchorRingDMin(groups[groupKey(cr.member, anchor)])
+			dMinAS = p.anchorRingDMin(groups.of(cr.member, anchor))
 		}
 		all2a := p.allShareFacility(s, r.IXPs)
 		assigned := 0

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"strings"
 
 	"rpeer/internal/netsim"
 )
@@ -166,6 +167,78 @@ type Report struct {
 	Inferences map[Key]*Inference
 	// MultiRouters lists the classified multi-IXP routers (Fig 9d).
 	MultiRouters []*MultiIXPRouter
+
+	// aligned is the array backing Inferences in domain order — IXP
+	// name, then interface address, ascending — for reports a Context
+	// built; nil for hand-built and decoded ones. The map and the array
+	// share their Inference values.
+	aligned []Inference
+}
+
+// DiffVerdicts calls fn for every membership whose verdict (class or
+// step) differs between old and new: o is nil for a membership only
+// new has, n nil for one only old has. When both reports come from a
+// Context the diff is one merge over their domain-ordered arrays, and
+// fn sees the changes in (IXP, interface address) order; otherwise it
+// walks the maps, in no particular order.
+func DiffVerdicts(old, new *Report, fn func(k Key, o, n *Inference)) {
+	if old.aligned == nil || new.aligned == nil {
+		diffVerdictMaps(old, new, fn)
+		return
+	}
+	a, b := old.aligned, new.aligned
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		c := 0
+		switch {
+		case i == len(a):
+			c = 1
+		case j == len(b):
+			c = -1
+		default:
+			c = compareMembership(&a[i], &b[j])
+		}
+		switch {
+		case c < 0:
+			fn(Key{IXP: a[i].IXP, Iface: a[i].Iface}, &a[i], nil)
+			i++
+		case c > 0:
+			fn(Key{IXP: b[j].IXP, Iface: b[j].Iface}, nil, &b[j])
+			j++
+		default:
+			if a[i].Class != b[j].Class || a[i].Step != b[j].Step {
+				fn(Key{IXP: b[j].IXP, Iface: b[j].Iface}, &a[i], &b[j])
+			}
+			i++
+			j++
+		}
+	}
+}
+
+// compareMembership orders two inferences by (IXP name, interface
+// address), the domain order.
+func compareMembership(x, y *Inference) int {
+	if x.IXP != y.IXP {
+		return strings.Compare(x.IXP, y.IXP)
+	}
+	return x.Iface.Compare(y.Iface)
+}
+
+// diffVerdictMaps is DiffVerdicts over the report maps.
+func diffVerdictMaps(old, new *Report, fn func(k Key, o, n *Inference)) {
+	for k, o := range old.Inferences {
+		n, ok := new.Inferences[k]
+		if !ok {
+			fn(k, o, nil)
+		} else if o.Class != n.Class || o.Step != n.Step {
+			fn(k, o, n)
+		}
+	}
+	for k, n := range new.Inferences {
+		if _, ok := old.Inferences[k]; !ok {
+			fn(k, nil, n)
+		}
+	}
 }
 
 // ByIXP groups inferences per IXP name.

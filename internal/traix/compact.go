@@ -8,17 +8,17 @@ import (
 // products. Detection itself stays in the address/name domain — paths,
 // the registry dataset and the prefix-to-AS map are ingestion-edge
 // artefacts — but everything the inference pipeline consumes
-// repeatedly (crossings for the multi-IXP rules and the traceroute-RTT
-// extension, private hops for the facility voting) is compacted into
-// ID-indexed struct-of-arrays right after each detection pass, so the
-// hot loops above never hash an address or an IXP name again.
+// repeatedly (crossings for the multi-IXP rules, private hops for the
+// facility voting) is kept in ID-indexed struct-of-arrays, so the hot
+// loops above never hash an address or an IXP name again.
 
-// CrossingTab is the columnar form of a []Crossing, reduced to the
-// columns the multi-IXP observation index actually folds: the crossed
-// IXP and the near-side interface and AS. (The far side and the hop
-// RTTs stay on the raw []Crossing, which the traceroute-RTT estimator
-// consumes at the ingestion edge.) IXP interfaces are still interned —
-// they anchor the "Beyond Pings" estimates downstream.
+// CrossingTab is the columnar view of the corpus's live crossings,
+// reduced to the columns the multi-IXP observation index actually
+// folds: the crossed IXP and the near-side interface and AS. The
+// corpus refills it from its crossing plane (Corpus.Compact,
+// Corpus.DetectDelta); the far side and the hop RTTs stay on the
+// corpus, which materializes full rows only for the traceroute-RTT
+// estimator (Corpus.Crossings).
 type CrossingTab struct {
 	IXP    []ident.IXPID
 	Near   []ident.IfaceID
@@ -28,32 +28,8 @@ type CrossingTab struct {
 // Len returns the number of crossings.
 func (t *CrossingTab) Len() int { return len(t.IXP) }
 
-// CompactCrossings rebuilds the tab from a detection pass, interning
-// previously unseen entities and reusing the tab's column capacity
-// (Apply re-detects after every membership delta; the columns must not
-// be reallocated from zero each time). Rows keep detection order.
-func (t *CrossingTab) CompactCrossings(cs []Crossing, tab *ident.Table) {
-	if cap(t.IXP) < len(cs) {
-		t.IXP = make([]ident.IXPID, 0, len(cs))
-		t.Near = make([]ident.IfaceID, 0, len(cs))
-		t.NearAS = make([]ident.MemberID, 0, len(cs))
-	}
-	t.IXP = t.IXP[:0]
-	t.Near = t.Near[:0]
-	t.NearAS = t.NearAS[:0]
-	for _, c := range cs {
-		ixp, ok := tab.IXP(c.IXP)
-		if !ok {
-			continue // crossing at an IXP outside the interned roster
-		}
-		t.IXP = append(t.IXP, ixp)
-		t.Near = append(t.Near, tab.AddIface(c.NearIP))
-		t.NearAS = append(t.NearAS, tab.AddMember(c.NearAS))
-		tab.AddIface(c.IXPIP)
-	}
-}
-
-// PrivateTab is the columnar form of a []PrivateHop.
+// PrivateTab is the columnar form of the corpus's static private hops
+// (Corpus.CompactStaticInto).
 type PrivateTab struct {
 	A, B     []ident.IfaceID
 	AAS, BAS []ident.MemberID
@@ -61,25 +37,3 @@ type PrivateTab struct {
 
 // Len returns the number of private hops.
 func (t *PrivateTab) Len() int { return len(t.A) }
-
-// CompactPrivate rebuilds the tab from a detection pass, interning
-// previously unseen entities and reusing column capacity. Rows keep
-// detection order.
-func (t *PrivateTab) CompactPrivate(hs []PrivateHop, tab *ident.Table) {
-	if cap(t.A) < len(hs) {
-		t.A = make([]ident.IfaceID, 0, len(hs))
-		t.B = make([]ident.IfaceID, 0, len(hs))
-		t.AAS = make([]ident.MemberID, 0, len(hs))
-		t.BAS = make([]ident.MemberID, 0, len(hs))
-	}
-	t.A = t.A[:0]
-	t.B = t.B[:0]
-	t.AAS = t.AAS[:0]
-	t.BAS = t.BAS[:0]
-	for _, h := range hs {
-		t.A = append(t.A, tab.AddIface(h.AIP))
-		t.B = append(t.B, tab.AddIface(h.BIP))
-		t.AAS = append(t.AAS, tab.AddMember(h.AAS))
-		t.BAS = append(t.BAS, tab.AddMember(h.BAS))
-	}
-}

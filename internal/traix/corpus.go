@@ -1,8 +1,10 @@
 package traix
 
 import (
+	"cmp"
 	"net/netip"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -29,8 +31,13 @@ import (
 //     first Detect) and re-resolved per delta only for candidates
 //     touching a changed address (DetectDelta).
 //   - the per-IXP member AS sets (which churn with every delta): rule 3.
-//     Re-evaluated on every Detect from the detector's refcounted sets —
-//     two set probes per surviving candidate.
+//     Two set probes per settled candidate. A delta re-checks it only
+//     for candidates whose (exchange, AS) refcount crossed zero.
+//
+// The candidates that pass all three rules form the live crossing
+// plane (Settle, Compact, DetectDelta): per candidate a live bit and
+// the interned near interface and member, from which the CrossingTab
+// is refilled without hashing.
 //
 // Private-hop detection is *fully static*: a consecutive-hop pair with
 // a peering-LAN address can never classify as a private interconnect
@@ -67,7 +74,7 @@ type Corpus struct {
 	// Settled per-candidate stage-1 state (rules 1+2, address-
 	// assignment-dependent): whether the triplet resolves, and to
 	// whom. setIdx is the detector's dense name index — the rule-3
-	// probes in emit are integer-keyed, no string hashing.
+	// probes are integer-keyed, no string hashing.
 	settled     bool
 	settledWith *Detector
 	ok12        []bool
@@ -75,13 +82,52 @@ type Corpus struct {
 	nearAS      []netsim.ASN
 	farAS       []netsim.ASN
 
-	// byLAN maps each candidate's peering-LAN addresses (the anchor,
-	// plus LAN-resident neighbours, whose AS resolution also rides on
-	// the dataset) to candidate indexes. Built lazily on the first
-	// DetectDelta — cold starts never pay for it.
-	byLANOnce sync.Once
-	byLAN     map[netip.Addr][]int32
+	// The live crossing plane: live marks the candidates that pass
+	// rules 1-3 against the detector's current state, and for those
+	// nearID / nearMem hold the interned near interface and near
+	// member. setIXP caches each member-set index's interned IXP (-1:
+	// outside the intern table's IXP space). plane is set once Compact
+	// has interned every live candidate; DetectDelta keeps it current.
+	plane   bool
+	live    []bool
+	nearID  []ident.IfaceID
+	nearMem []ident.MemberID
+	setIXP  []int32
+
+	// byLAN indexes the candidates by the peering-LAN addresses their
+	// rules 1+2 read (the anchor, plus LAN-resident neighbours, whose AS
+	// resolution also rides on the dataset): sorted IPv4<<32|candidate
+	// words, so one address's candidates form one run. Built lazily on
+	// the first DetectDelta — cold starts never pay for it.
+	byLAN []uint64
+
+	// The rule-3 index: member set s's entries are
+	// keyEnts[keyOff[s]:keyOff[s+1]], sorted AS<<32|candidate words —
+	// every rule-1+2 candidate under its near AS, so the candidates a
+	// zero crossing of (s, AS) can move form one run. The far AS needs
+	// no entry: the anchor's own dataset record keeps it in the set, and
+	// a delta that removes or reassigns the anchor re-settles the
+	// candidate anyway. Built on the first DetectDelta. keyAdds collects
+	// the keys re-settled candidates gain afterwards; once it outgrows
+	// an eighth of the index, the index is rebuilt from the current
+	// state. mark flags the candidates one DetectDelta visits.
+	keyOff  []int32
+	keyEnts []uint64
+	keyAdds []keyCand
+	mark    []uint8
 }
+
+// keyCand is one keyAdds entry: a flipKey and a candidate.
+type keyCand struct {
+	key  uint64
+	cand int32
+}
+
+// DetectDelta visit marks.
+const (
+	markResettled = 1 // address assignments moved: rules 1-3 re-run
+	markRecheck   = 2 // a rule-3 member set crossed zero: rule 3 re-runs
+)
 
 // LANSet answers "is this address on any peering-LAN prefix?" with a
 // single binary search over sorted, merged address intervals in the
@@ -230,8 +276,10 @@ func NewCorpus(paths []*Path, set *LANSet, ipmap *registry.IPMap) *Corpus {
 	return c
 }
 
-// settleAll resolves stage 1 (rules 1+2) for every candidate against
-// the detector's current dataset, fanning out over candidate chunks.
+// settleAll resolves every candidate against the detector's current
+// state — rules 1+2 from the address assignments, rule 3 from the
+// member sets — fanning out over candidate chunks. It interns nothing
+// and invalidates the crossing plane until the next Compact.
 func (c *Corpus) settleAll(d *Detector) {
 	n := len(c.candPath)
 	if cap(c.ok12) < n {
@@ -239,11 +287,13 @@ func (c *Corpus) settleAll(d *Detector) {
 		c.setIdx = make([]int32, n)
 		c.nearAS = make([]netsim.ASN, n)
 		c.farAS = make([]netsim.ASN, n)
+		c.live = make([]bool, n)
 	}
 	c.ok12 = c.ok12[:n]
 	c.setIdx = c.setIdx[:n]
 	c.nearAS = c.nearAS[:n]
 	c.farAS = c.farAS[:n]
+	c.live = c.live[:n]
 	const chunk = 4096
 	nChunks := (n + chunk - 1) / chunk
 	par.Do(runtime.GOMAXPROCS(0), nChunks, func(ci int) {
@@ -257,9 +307,13 @@ func (c *Corpus) settleAll(d *Detector) {
 	})
 	c.settled = true
 	c.settledWith = d
+	c.plane = false
+	c.setIXP = c.setIXP[:0]
+	c.keyOff = c.keyOff[:0]
+	c.keyAdds = c.keyAdds[:0]
 }
 
-// settleOne resolves one candidate's stage-1 state.
+// settleOne resolves one candidate's rules 1-3.
 func (c *Corpus) settleOne(d *Detector, i int) {
 	p := c.paths[c.candPath[i]]
 	hop := int(c.candHop[i])
@@ -268,6 +322,14 @@ func (c *Corpus) settleOne(d *Detector, i int) {
 	c.setIdx[i] = idx
 	c.nearAS[i] = nearAS
 	c.farAS[i] = farAS
+	c.live[i] = ok && c.rule3(d, i)
+}
+
+// rule3 reports whether both ASes of a settled candidate are current
+// members of the exchange.
+func (c *Corpus) rule3(d *Detector, i int) bool {
+	set := d.sets[c.setIdx[i]]
+	return set[c.nearAS[i]] != 0 && set[c.farAS[i]] != 0
 }
 
 // Detect evaluates the corpus against the detector's current dataset
@@ -285,36 +347,278 @@ func (c *Corpus) Detect(d *Detector) ([]Crossing, []PrivateHop) {
 }
 
 // DetectCrossings is Detect without materializing the static private
-// rows (bulk consumers read those through CompactStaticInto).
+// rows.
 func (c *Corpus) DetectCrossings(d *Detector) []Crossing {
 	if !c.settled || c.settledWith != d {
 		c.settleAll(d)
 	}
-	return c.emit(d)
+	out := make([]Crossing, 0, len(c.candPath)/2)
+	for i := range c.candPath {
+		if c.ok12[i] && c.rule3(d, i) {
+			out = append(out, c.row(d, i))
+		}
+	}
+	return out
 }
 
-// DetectDelta is DetectCrossings after a membership delta: candidates
-// whose peering-LAN addresses appear in changed are re-settled (their
-// address assignments moved); everything else keeps its stage-1 state
-// and only rule 3 is re-evaluated during the emit walk.
-func (c *Corpus) DetectDelta(d *Detector, changed map[netip.Addr]bool) []Crossing {
-	if !c.settled || c.settledWith != d {
-		c.settleAll(d)
-		return c.emit(d)
+// row materializes settled candidate i as a crossing.
+func (c *Corpus) row(d *Detector, i int) Crossing {
+	p := c.paths[c.candPath[i]]
+	hop := int(c.candHop[i])
+	return Crossing{
+		Path: p, Index: hop, IXP: d.names[c.setIdx[i]],
+		NearIP: p.Hops[hop-1].IP, NearAS: c.nearAS[i],
+		IXPIP: p.Hops[hop].IP, FarAS: c.farAS[i],
 	}
-	if len(changed) > 0 {
-		c.byLANOnce.Do(c.buildByLAN)
-		seen := make(map[int32]bool)
-		for ip := range changed {
-			for _, i := range c.byLAN[ip] {
-				if !seen[i] {
-					seen[i] = true
-					c.settleOne(d, int(i))
-				}
+}
+
+// Settle evaluates every candidate against d and starts the crossing
+// plane: from here on the detector records the member-set zero
+// crossings DetectDelta consumes. Settle interns nothing, so it may run
+// beside other interning work; Compact must follow before the plane is
+// read.
+func (c *Corpus) Settle(d *Detector) {
+	c.settleAll(d)
+	d.trackFlips = true
+	d.flips = d.flips[:0]
+}
+
+// Compact interns the entities of every live crossing — near
+// interface, near member and IXP interface, in candidate order, and
+// only at IXPs the table knows — and refills t from the plane.
+func (c *Corpus) Compact(tab *ident.Table, t *CrossingTab) {
+	d := c.settledWith
+	if cap(c.nearID) < len(c.live) {
+		c.nearID = make([]ident.IfaceID, len(c.live))
+		c.nearMem = make([]ident.MemberID, len(c.live))
+	}
+	c.nearID = c.nearID[:len(c.live)]
+	c.nearMem = c.nearMem[:len(c.live)]
+	for i, ok := range c.live {
+		if ok {
+			c.intern(d, tab, i)
+		}
+	}
+	c.plane = true
+	c.fill(t)
+}
+
+// intern records live candidate i's interned near side (interning any
+// entity the table has not seen) and interns its IXP interface.
+func (c *Corpus) intern(d *Detector, tab *ident.Table, i int) {
+	if c.ixpOf(d, tab, c.setIdx[i]) < 0 {
+		return // crossing at an IXP outside the interned roster
+	}
+	p := c.paths[c.candPath[i]]
+	hop := int(c.candHop[i])
+	c.nearID[i] = tab.AddIface(p.Hops[hop-1].IP)
+	c.nearMem[i] = tab.AddMember(c.nearAS[i])
+	tab.AddIface(p.Hops[hop].IP)
+}
+
+// ixpOf returns the interned IXP of a member-set index (-1 when the
+// table does not know the name), caching the lookup.
+func (c *Corpus) ixpOf(d *Detector, tab *ident.Table, set int32) int32 {
+	for int(set) >= len(c.setIXP) {
+		x := int32(-1)
+		if id, ok := tab.IXP(d.names[len(c.setIXP)]); ok {
+			x = int32(id)
+		}
+		c.setIXP = append(c.setIXP, x)
+	}
+	return c.setIXP[set]
+}
+
+// fill rebuilds t from the live plane in candidate order, reusing the
+// columns' capacity; it reads only integer columns.
+func (c *Corpus) fill(t *CrossingTab) {
+	t.IXP = t.IXP[:0]
+	t.Near = t.Near[:0]
+	t.NearAS = t.NearAS[:0]
+	for i, ok := range c.live {
+		if !ok {
+			continue
+		}
+		x := c.setIXP[c.setIdx[i]]
+		if x < 0 {
+			continue
+		}
+		t.IXP = append(t.IXP, ident.IXPID(x))
+		t.Near = append(t.Near, c.nearID[i])
+		t.NearAS = append(t.NearAS, c.nearMem[i])
+	}
+}
+
+// Crossings materializes the live plane as rows in path-then-hop order:
+// the crossings DetectCrossings would return over the detector the
+// plane follows, without re-evaluating anything.
+func (c *Corpus) Crossings() []Crossing {
+	var out []Crossing
+	for i, ok := range c.live {
+		if ok {
+			out = append(out, c.row(c.settledWith, i))
+		}
+	}
+	return out
+}
+
+// DetectDelta brings the crossing plane up to date after a membership
+// delta and refills t. Only two kinds of candidate can change verdict:
+// those reading an address in changed (re-settled: rules 1-3 re-run),
+// and those whose (exchange, AS) member-set count crossed zero (found
+// through the sorted rule-3 index: rule 3 re-runs). Both are visited in
+// candidate order, so entities first seen in this delta intern in the
+// order a full re-detection would meet them. A corpus without a plane
+// for d settles and compacts from scratch.
+func (c *Corpus) DetectDelta(d *Detector, changed map[netip.Addr]bool, tab *ident.Table, t *CrossingTab) {
+	if !c.plane || c.settledWith != d {
+		c.Settle(d)
+		c.Compact(tab, t)
+		return
+	}
+	if c.byLAN == nil || len(c.keyOff) == 0 {
+		// The first delta on this plane builds both indexes; they read
+		// disjoint state, so side by side.
+		par.Do(2, 2, func(k int) {
+			if k == 0 && c.byLAN == nil {
+				c.buildByLAN()
+			} else if k == 1 && len(c.keyOff) == 0 {
+				c.buildByKey(d)
+			}
+		})
+	}
+	var resettled, visit []int32
+	for ip := range changed {
+		if !ip.Is4() {
+			continue // the peering-LAN plane is IPv4
+		}
+		run := lookupRun(c.byLAN, ip4.U32(ip))
+		for _, e := range run {
+			if i := int32(uint32(e)); c.mark[i] == 0 {
+				c.mark[i] = markResettled
+				resettled = append(resettled, i)
 			}
 		}
 	}
-	return c.emit(d)
+	visit = append(visit, resettled...)
+	// The index holds at least every untouched candidate's current
+	// keys, which is what a flip must be matched against; a re-settled
+	// candidate is visited anyway.
+	slices.Sort(d.flips)
+	for k, key := range d.flips {
+		if k > 0 && key == d.flips[k-1] {
+			continue
+		}
+		visit = c.visitFlip(key, visit)
+	}
+	d.flips = d.flips[:0]
+
+	for _, i := range resettled {
+		was, wasOK := c.keyOf(i)
+		c.settleOne(d, int(i))
+		if now, ok := c.keyOf(i); ok && (!wasOK || now != was) {
+			c.keyAdds = append(c.keyAdds, keyCand{now, i})
+		}
+	}
+	if len(c.keyAdds) > len(c.keyEnts)/8 {
+		c.buildByKey(d)
+	} else {
+		slices.SortFunc(c.keyAdds, func(a, b keyCand) int { return cmp.Compare(a.key, b.key) })
+	}
+	slices.Sort(visit)
+	for _, i := range visit {
+		// A re-checked candidate that stays live keeps its near side.
+		intern := c.mark[i] == markResettled
+		if c.mark[i] == markRecheck {
+			was := c.live[i]
+			c.live[i] = c.ok12[i] && c.rule3(d, int(i))
+			intern = !was
+		}
+		c.mark[i] = 0
+		if intern && c.live[i] {
+			c.intern(d, tab, int(i))
+		}
+	}
+	c.fill(t)
+}
+
+// lookupRun returns the run of sorted hi<<32|lo words whose high word
+// is hi.
+func lookupRun(words []uint64, hi uint32) []uint64 {
+	j, _ := slices.BinarySearch(words, uint64(hi)<<32)
+	k := j
+	for k < len(words) && uint32(words[k]>>32) == hi {
+		k++
+	}
+	return words[j:k]
+}
+
+// visitFlip marks and appends the not yet visited candidates listed
+// under one rule-3 key, in the index and in keyAdds. Entries a
+// re-settled candidate has since left behind cost only a redundant
+// rule-3 re-check.
+func (c *Corpus) visitFlip(key uint64, visit []int32) []int32 {
+	mark := func(i int32) {
+		if c.mark[i] == 0 {
+			c.mark[i] = markRecheck
+			visit = append(visit, i)
+		}
+	}
+	if set := int(key >> 32); set+1 < len(c.keyOff) {
+		for _, e := range lookupRun(c.keyEnts[c.keyOff[set]:c.keyOff[set+1]], uint32(key)) {
+			mark(int32(uint32(e)))
+		}
+	}
+	j, _ := slices.BinarySearchFunc(c.keyAdds, key, func(e keyCand, key uint64) int {
+		return cmp.Compare(e.key, key)
+	})
+	for ; j < len(c.keyAdds) && c.keyAdds[j].key == key; j++ {
+		mark(c.keyAdds[j].cand)
+	}
+	return visit
+}
+
+// keyOf returns a candidate's rule-3 index key, (member set, near AS),
+// and whether it has one (rules 1+2 hold).
+func (c *Corpus) keyOf(i int32) (uint64, bool) {
+	return flipKey(c.setIdx[i], c.nearAS[i]), c.ok12[i]
+}
+
+// buildByKey indexes every rule-1+2 candidate under its rule-3 key from
+// the current settled state — a counting sort by member set, then a
+// sort of each set's words — and empties keyAdds.
+func (c *Corpus) buildByKey(d *Detector) {
+	ns := len(d.names)
+	off := slices.Grow(c.keyOff[:0], ns+1)[:ns+1]
+	clear(off)
+	for i, ok := range c.ok12 {
+		if ok {
+			off[c.setIdx[i]+1]++
+		}
+	}
+	for s := 1; s <= ns; s++ {
+		off[s] += off[s-1]
+	}
+	ents := slices.Grow(c.keyEnts[:0], int(off[ns]))[:off[ns]]
+	// Fill with off[s] as set s's cursor, then shift the advanced
+	// cursors (now each set's end) back into start offsets.
+	for i, ok := range c.ok12 {
+		if ok {
+			s := c.setIdx[i]
+			ents[off[s]] = uint64(c.nearAS[i])<<32 | uint64(i)
+			off[s]++
+		}
+	}
+	copy(off[1:], off[:ns])
+	off[0] = 0
+	for s := 0; s < ns; s++ {
+		slices.Sort(ents[off[s]:off[s+1]])
+	}
+	c.keyOff, c.keyEnts = off, ents
+	c.keyAdds = c.keyAdds[:0]
+	if len(c.mark) < len(c.candPath) {
+		c.mark = make([]uint8, len(c.candPath))
+	}
 }
 
 // buildByLAN indexes candidates by the peering-LAN addresses their
@@ -323,13 +627,13 @@ func (c *Corpus) DetectDelta(d *Detector, changed map[netip.Addr]bool) []Crossin
 // Infrastructure neighbours resolve through the static prefix-to-AS
 // map and need no index.
 func (c *Corpus) buildByLAN() {
-	idx := make(map[netip.Addr][]int32, len(c.candPath))
+	words := make([]uint64, 0, 2*len(c.candPath))
 	for i := range c.candPath {
 		p := c.paths[c.candPath[i]]
 		hop := int(c.candHop[i])
 		add := func(ip netip.Addr) {
 			if ip.IsValid() && c.set.Contains(ip) {
-				idx[ip] = append(idx[ip], int32(i))
+				words = append(words, uint64(ip4.U32(ip))<<32|uint64(i))
 			}
 		}
 		add(p.Hops[hop].IP)
@@ -338,29 +642,8 @@ func (c *Corpus) buildByLAN() {
 			add(p.Hops[hop+1].IP)
 		}
 	}
-	c.byLAN = idx
-}
-
-// emit assembles the crossing list from the settled candidates,
-// applying rule 3 (both ASes are current members of the exchange).
-func (c *Corpus) emit(d *Detector) []Crossing {
-	out := make([]Crossing, 0, len(c.candPath)/2)
-	for i := range c.candPath {
-		if !c.ok12[i] {
-			continue
-		}
-		if set := d.sets[c.setIdx[i]]; set[c.nearAS[i]] == 0 || set[c.farAS[i]] == 0 {
-			continue
-		}
-		p := c.paths[c.candPath[i]]
-		hop := int(c.candHop[i])
-		out = append(out, Crossing{
-			Path: p, Index: hop, IXP: d.names[c.setIdx[i]],
-			NearIP: p.Hops[hop-1].IP, NearAS: c.nearAS[i],
-			IXPIP: p.Hops[hop].IP, FarAS: c.farAS[i],
-		})
-	}
-	return out
+	slices.Sort(words)
+	c.byLAN = words
 }
 
 // StaticPrivate materializes the static private hops as rows

@@ -1,8 +1,12 @@
 package traix_test
 
 import (
+	"fmt"
+	"net/netip"
+	"sort"
 	"testing"
 
+	"rpeer/internal/ident"
 	"rpeer/internal/netsim"
 	"rpeer/internal/registry"
 	"rpeer/internal/tracesim"
@@ -119,5 +123,151 @@ func TestLANSetContains(t *testing.T) {
 		if set.Contains(ix.MgmtLAN.Addr()) {
 			t.Fatalf("management address of %s misclassified as peering LAN", ix.Name)
 		}
+	}
+}
+
+// TestCrossingPlaneTracksDeltas is the crossing plane's identity
+// contract: after any sequence of membership deltas absorbed through
+// DetectDelta, the live rows equal a fresh corpus's full detection
+// over the post-delta detector, and the interned CrossingTab equals
+// those rows in ID space.
+func TestCrossingPlaneTracksDeltas(t *testing.T) {
+	w, ds0, im, paths := corpusFixtures(t)
+	ds := ds0.Clone()
+	lans := traix.NewLANSet(traix.LANPrefixes(w))
+	d := traix.NewDetector(ds, im)
+	corpus := traix.NewCorpus(paths, lans, im)
+
+	names := map[string]bool{}
+	for _, name := range ds.PrefixIXP {
+		names[name] = true
+	}
+	for _, name := range ds.IfaceIXP {
+		names[name] = true
+	}
+	sorted := make([]string, 0, len(names))
+	for name := range names {
+		sorted = append(sorted, name)
+	}
+	sort.Strings(sorted)
+	tab := ident.NewTable(0, 0, 0)
+	tab.SetIXPs(sorted)
+	var ct traix.CrossingTab
+	corpus.Settle(d)
+	corpus.Compact(tab, &ct)
+	initial := len(corpus.Crossings())
+
+	known := make([]netip.Addr, 0, len(ds.IfaceIXP))
+	for ip := range ds.IfaceIXP {
+		known = append(known, ip)
+	}
+	sort.Slice(known, func(i, j int) bool { return known[i].Less(known[j]) })
+	var hidden []*netsim.Member
+	for _, m := range w.Members {
+		if _, ok := ds.IfaceIXP[m.Iface]; !ok && names[w.IXP(m.IXP).Name] {
+			hidden = append(hidden, m)
+		}
+	}
+
+	type rec struct {
+		ixp string
+		asn netsim.ASN
+	}
+	leave := func(changed map[netip.Addr]bool, ip netip.Addr) rec {
+		r := rec{ds.IfaceIXP[ip], ds.IfaceASN[ip]}
+		d.NoteLeave(r.ixp, r.asn)
+		delete(ds.IfaceIXP, ip)
+		delete(ds.IfaceASN, ip)
+		changed[ip] = true
+		return r
+	}
+	join := func(changed map[netip.Addr]bool, ip netip.Addr, r rec) {
+		d.NoteJoin(r.ixp, r.asn)
+		ds.IfaceIXP[ip] = r.ixp
+		ds.IfaceASN[ip] = r.asn
+		changed[ip] = true
+	}
+
+	left := map[netip.Addr]rec{}
+	deltas := []func(changed map[netip.Addr]bool){
+		// Leaves: every 7th known interface.
+		func(changed map[netip.Addr]bool) {
+			for i := 0; i < len(known); i += 7 {
+				left[known[i]] = leave(changed, known[i])
+			}
+		},
+		// Joins: the members the registry noise hid.
+		func(changed map[netip.Addr]bool) {
+			for _, m := range hidden {
+				join(changed, m.Iface, rec{w.IXP(m.IXP).Name, m.ASN})
+			}
+		},
+		// Re-joins of the departed interfaces, every other one under a
+		// foreign AS, plus leave-and-rejoin in one delta.
+		func(changed map[netip.Addr]bool) {
+			i := 0
+			for _, ip := range known {
+				r, ok := left[ip]
+				if !ok {
+					continue
+				}
+				if i%2 == 1 {
+					r.asn = w.Members[0].ASN
+				}
+				join(changed, ip, r)
+				i++
+			}
+			for i := 3; i < len(known); i += 11 {
+				if _, ok := ds.IfaceIXP[known[i]]; ok {
+					r := leave(changed, known[i])
+					join(changed, known[i], rec{r.ixp, w.Members[1].ASN})
+				}
+			}
+		},
+		// Whole-AS departures: the member sets lose these ASes, so
+		// candidates reading only unchanged addresses must drop too.
+		func(changed map[netip.Addr]bool) {
+			gone := map[netsim.ASN]bool{}
+			for i := 0; i < len(w.Members); i += 13 {
+				gone[w.Members[i].ASN] = true
+			}
+			for _, ip := range known {
+				if asn, ok := ds.IfaceASN[ip]; ok && gone[asn] {
+					leave(changed, ip)
+				}
+			}
+		},
+	}
+	for step, delta := range deltas {
+		changed := map[netip.Addr]bool{}
+		delta(changed)
+		corpus.DetectDelta(d, changed, tab, &ct)
+
+		want := traix.NewCorpus(paths, lans, im).DetectCrossings(d)
+		label := fmt.Sprintf("delta %d", step)
+		sameCrossings(t, label, corpus.Crossings(), want)
+		k := 0
+		for _, c := range want {
+			x, ok := tab.IXP(c.IXP)
+			if !ok {
+				continue
+			}
+			near, okN := tab.Iface(c.NearIP)
+			m, okM := tab.Member(c.NearAS)
+			_, okX := tab.Iface(c.IXPIP)
+			if !okN || !okM || !okX {
+				t.Fatalf("%s: crossing %+v not interned", label, c)
+			}
+			if k >= ct.Len() || ct.IXP[k] != x || ct.Near[k] != near || ct.NearAS[k] != m {
+				t.Fatalf("%s: tab row %d disagrees with crossing %+v", label, k, c)
+			}
+			k++
+		}
+		if k != ct.Len() {
+			t.Fatalf("%s: tab has %d rows, want %d", label, ct.Len(), k)
+		}
+	}
+	if final := len(corpus.Crossings()); final == initial {
+		t.Fatalf("deltas left the crossing count at %d; test is vacuous", initial)
 	}
 }

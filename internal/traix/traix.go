@@ -63,6 +63,20 @@ type Detector struct {
 	names  []string
 	byName map[string]int32
 	sets   []map[netsim.ASN]int
+
+	// flips records the (set, AS) pairs whose refcount crossed zero
+	// since a corpus last drained them (see flipKey) — the only rule-3
+	// verdicts a membership delta can move. Recording starts when a
+	// corpus settles against the detector (Corpus.Settle), so a
+	// detector without a corpus never accumulates them.
+	trackFlips bool
+	flips      []uint64
+}
+
+// flipKey packs a (member-set index, AS) pair into the sort key of the
+// corpus's rule-3 index: set in the high word, AS in the low word.
+func flipKey(set int32, asn netsim.ASN) uint64 {
+	return uint64(uint32(set))<<32 | uint64(asn)
 }
 
 // NewDetector builds a Detector over the merged IXP dataset and the
@@ -96,7 +110,11 @@ func (d *Detector) nameIndex(name string) int32 {
 // dataset scan).
 func (d *Detector) NoteJoin(ixp string, asn netsim.ASN) {
 	idx := d.nameIndex(ixp) // hoisted: nameIndex may grow d.sets
-	d.sets[idx][asn]++
+	set := d.sets[idx]
+	set[asn]++
+	if set[asn] == 1 && d.trackFlips {
+		d.flips = append(d.flips, flipKey(idx, asn))
+	}
 }
 
 // NoteLeave records one interface record departing from (ixp, asn).
@@ -105,8 +123,11 @@ func (d *Detector) NoteLeave(ixp string, asn netsim.ASN) {
 		set := d.sets[i]
 		if set[asn] > 1 {
 			set[asn]--
-		} else {
+		} else if _, ok := set[asn]; ok {
 			delete(set, asn)
+			if d.trackFlips {
+				d.flips = append(d.flips, flipKey(i, asn))
+			}
 		}
 	}
 }

@@ -117,9 +117,10 @@ func SyntheticInputs(seed int64, scale int) (Inputs, error) {
 }
 
 // InputsFromConfig builds the full input bundle over an explicit world
-// config — the seam in-module tooling (cmd/rpi-chaos) uses to run real
-// engine histories over a netsim.TinyConfig world in milliseconds
-// instead of the paper-sized default.
+// config — the seam in-module tooling (rpi-bot and its -faults cycles,
+// rpi-serve's tenant profiles, rpi-gen) uses to run real engine
+// histories over a netsim.TinyConfig world in milliseconds instead of
+// the paper-sized default.
 func InputsFromConfig(cfg netsim.Config, seed int64) (Inputs, error) {
 	return syntheticInputs(cfg, seed)
 }

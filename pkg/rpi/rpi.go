@@ -21,7 +21,7 @@
 //
 // Reports cross process boundaries through the versioned JSON wire
 // schema (MarshalReport / UnmarshalReport); cmd/rpi-serve serves it
-// over HTTP from one shared engine.
+// over HTTP as a tenant host, one supervised engine per tenant.
 package rpi
 
 import (
@@ -534,37 +534,27 @@ type Update struct {
 	Changes []VerdictChange `json:"changes"`
 }
 
-// diffReports lists the verdict changes between two snapshots.
+// diffReports lists the verdict changes between two snapshots: one
+// merge over the reports' domain-ordered inference arrays (see
+// core.DiffVerdicts), then a sort of the change list alone into the
+// wire order, (IXP, interface string).
 func diffReports(seq uint64, old, new *core.Report) *Update {
 	up := &Update{Seq: seq}
-	for k, o := range old.Inferences {
-		n, ok := new.Inferences[k]
-		if !ok {
-			up.Changes = append(up.Changes, VerdictChange{
-				IXP: k.IXP, Iface: k.Iface.String(),
-				From: o.Class.String(), FromStep: stepName(o.Step),
-				To: core.ClassUnknown.String(), Removed: true,
-			})
-			continue
+	core.DiffVerdicts(old, new, func(k Key, o, n *Inference) {
+		ch := VerdictChange{IXP: k.IXP, Iface: k.Iface.String()}
+		switch {
+		case n == nil:
+			ch.From, ch.FromStep = o.Class.String(), stepName(o.Step)
+			ch.To, ch.Removed = core.ClassUnknown.String(), true
+		case o == nil:
+			ch.From = core.ClassUnknown.String()
+			ch.To, ch.ToStep, ch.Added = n.Class.String(), stepName(n.Step), true
+		default:
+			ch.From, ch.FromStep = o.Class.String(), stepName(o.Step)
+			ch.To, ch.ToStep = n.Class.String(), stepName(n.Step)
 		}
-		if o.Class != n.Class || o.Step != n.Step {
-			up.Changes = append(up.Changes, VerdictChange{
-				IXP: k.IXP, Iface: k.Iface.String(),
-				From: o.Class.String(), FromStep: stepName(o.Step),
-				To: n.Class.String(), ToStep: stepName(n.Step),
-			})
-		}
-	}
-	for k, n := range new.Inferences {
-		if _, ok := old.Inferences[k]; !ok {
-			up.Changes = append(up.Changes, VerdictChange{
-				IXP: k.IXP, Iface: k.Iface.String(),
-				From: core.ClassUnknown.String(),
-				To:   n.Class.String(), ToStep: stepName(n.Step),
-				Added: true,
-			})
-		}
-	}
+		up.Changes = append(up.Changes, ch)
+	})
 	sort.Slice(up.Changes, func(i, j int) bool {
 		if up.Changes[i].IXP != up.Changes[j].IXP {
 			return up.Changes[i].IXP < up.Changes[j].IXP
