@@ -150,7 +150,7 @@ examples-smoke:
 # run) merge into the same file last.
 bench-snapshot:
 	tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
-	$(GO) test -run '^$$' -timeout 30m -bench 'BenchmarkFullPipeline$$|BenchmarkFullPipelineCold|BenchmarkContextBuild|BenchmarkAblation|BenchmarkAllArtefacts|BenchmarkParallelPingCampaign|BenchmarkEngineApply|BenchmarkServeHTTP|BenchmarkServeOverload|BenchmarkHostServe' \
+	$(GO) test -run '^$$' -timeout 30m -bench 'BenchmarkFullPipeline$$|BenchmarkContextBuild|BenchmarkAblation|BenchmarkAllArtefacts|BenchmarkParallelPingCampaign|BenchmarkEngineApply|BenchmarkServeHTTP|BenchmarkServeOverload|BenchmarkHostServe' \
 		-benchmem -benchtime=3x > $$tmp; \
 	$(GO) test -run '^$$' -timeout 120m -bench 'BenchmarkScaleWorld|BenchmarkRecovery' -benchmem -benchtime=1x >> $$tmp; \
 	$(GO) run ./cmd/rpi-benchsnap -o BENCH_PR$(PR).json < $$tmp; \

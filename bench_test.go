@@ -163,23 +163,6 @@ func BenchmarkFullPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkFullPipelineCold measures the pre-Context path: every
-// iteration rebuilds the full inference substrate (RTT indexes, IP
-// map, traceroute detections, geo rings, alias clusters) from scratch.
-func BenchmarkFullPipelineCold(b *testing.B) {
-	e := benchEnv(b)
-	opt := core.DefaultOptions()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := core.Run(e.Inputs, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sink = rep
-	}
-}
-
 // BenchmarkContextBuild prices the one-off substrate construction the
 // shared runs amortise.
 func BenchmarkContextBuild(b *testing.B) {
@@ -367,23 +350,6 @@ func BenchmarkExtensionBeyondPings(b *testing.B) {
 
 func BenchmarkExtensionLongitudinal(b *testing.B) {
 	run(b, exp.Sec8Longitudinal)
-}
-
-func BenchmarkWorldSaveLoad(b *testing.B) {
-	e := benchEnv(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := e.World.Save(&buf); err != nil {
-			b.Fatal(err)
-		}
-		w, err := netsim.Load(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sink = w
-	}
 }
 
 func BenchmarkParallelPingCampaign(b *testing.B) {

@@ -120,7 +120,9 @@ func main() {
 	}
 	enc = append(enc, '\n')
 	if *out == "" {
-		os.Stdout.Write(enc)
+		if _, err := os.Stdout.Write(enc); err != nil {
+			log.Fatal(err)
+		}
 		return
 	}
 	if err := os.WriteFile(*out, enc, 0o644); err != nil {

@@ -82,6 +82,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	os.Stdout.Write(b)
-	fmt.Println()
+	if _, err := os.Stdout.Write(append(b, '\n')); err != nil {
+		log.Fatal(err)
+	}
 }

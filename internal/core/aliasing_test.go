@@ -90,7 +90,7 @@ func TestAliasPlaneAcrossApply(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold, err := Run(ctx.Inputs(), opt)
+			cold, err := coldContext(t, ctx.Inputs()).Run(opt)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,20 +9,6 @@ import (
 // remote, everything measured below it local.
 const DefaultBaselineThresholdMs = 10.0
 
-// Baseline runs the state-of-the-art RTT-threshold inference the paper
-// compares against (Section 4 / Table 4 first row). Only memberships
-// with a usable campaign minimum receive a verdict.
-//
-// Like Run, this builds a fresh Context per call; repeated callers
-// should use Context.Baseline.
-func Baseline(in Inputs, thresholdMs float64) (*Report, error) {
-	c, err := NewContext(in)
-	if err != nil {
-		return nil, err
-	}
-	return c.Baseline(thresholdMs)
-}
-
 // ixpNames lists the IXPs of the merged dataset, deterministically.
 func ixpNames(in Inputs) []string {
 	seen := make(map[string]bool)

@@ -502,8 +502,9 @@ func (c *Context) BestVP(ip netip.Addr) (*pingsim.VP, bool) {
 func (c *Context) Inputs() Inputs { return c.in }
 
 // Run executes the methodology over all memberships known to the
-// merged dataset, reusing the shared substrate. Reports are identical
-// to the package-level Run for the same inputs and options.
+// merged dataset and returns a verdict for each, reusing the shared
+// substrate: repeated runs amortise all input-dependent precomputation,
+// and their reports are identical to a fresh context's.
 func (c *Context) Run(opt Options) (*Report, error) {
 	p := c.newPipeline(opt)
 	rep := p.newDomain()
@@ -545,9 +546,11 @@ func (c *Context) RunWithOrder(opt Options, order []Step) (*Report, error) {
 	return rep, nil
 }
 
-// RunStep evaluates one step of the methodology in isolation over a
-// fresh all-unknown domain (the per-step rows of Table 4); see the
-// package-level RunStep for the seeding semantics of Step 4.
+// RunStep evaluates one step of the methodology in isolation: the full
+// pipeline provides the seed context (needed by the multi-IXP rules),
+// and the requested step is then re-applied over a fresh, all-unknown
+// domain so that its own reach and error rates are visible (the
+// per-step rows of Table 4, whose coverages overlap across steps).
 func (c *Context) RunStep(opt Options, s Step) (*Report, error) {
 	p := c.newPipeline(opt)
 	overlay := p.newDomain()

@@ -8,6 +8,18 @@ import (
 	"rpeer/internal/alias"
 )
 
+// coldContext builds a fresh Context over in: the cold reference that
+// the shared-context tests compare against. Each call starts from an
+// empty substrate, so no memo state carries over between calls.
+func coldContext(t testing.TB, in Inputs) *Context {
+	t.Helper()
+	c, err := NewContext(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // reportsEqual compares two reports field by field (NaN-aware on RTT).
 func reportsEqual(t *testing.T, label string, a, b *Report) {
 	t.Helper()
@@ -71,8 +83,8 @@ func optionVariants() map[string]Options {
 
 // TestSharedContextMatchesColdRun is the determinism contract of the
 // shared-context API: a context reused across many runs (with warm
-// alias/ring caches) must produce reports identical to a cold
-// package-level Run for every option set, and repeated shared runs
+// alias/ring caches) must produce reports identical to a fresh
+// context's first Run for every option set, and repeated shared runs
 // must be self-identical.
 func TestSharedContextMatchesColdRun(t *testing.T) {
 	in, _, _ := fixtures(t)
@@ -81,7 +93,7 @@ func TestSharedContextMatchesColdRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, opt := range optionVariants() {
-		cold, err := Run(in, opt)
+		cold, err := coldContext(t, in).Run(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +117,7 @@ func TestSharedContextRunStepMatchesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []Step{StepPortCapacity, StepRTTColo, StepMultiIXP, StepPrivate} {
-		cold, err := RunStep(in, DefaultOptions(), s)
+		cold, err := coldContext(t, in).RunStep(DefaultOptions(), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +136,7 @@ func TestSharedContextRunWithOrderMatchesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	order := []Step{StepRTTColo, StepPortCapacity, StepMultiIXP, StepPrivate}
-	cold, err := RunWithOrder(in, DefaultOptions(), order)
+	cold, err := coldContext(t, in).RunWithOrder(DefaultOptions(), order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +154,7 @@ func TestSharedContextBaselineMatchesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, th := range []float64{2, 10, 20} {
-		cold, err := Baseline(in, th)
+		cold, err := coldContext(t, in).Baseline(th)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +175,7 @@ func TestSharedContextConcurrentRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Run(in, DefaultOptions())
+	cold, err := coldContext(t, in).Run(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

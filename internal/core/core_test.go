@@ -36,7 +36,7 @@ func fixtures(t testing.TB) (Inputs, *Report, *Validation) {
 			World: w, Dataset: ds, Colo: colo, Ping: ping, Paths: paths,
 			Speed: geo.DefaultSpeedModel(), Seed: 7,
 		}
-		rep, err := Run(cin, DefaultOptions())
+		rep, err := coldContext(t, cin).Run(DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,9 +46,21 @@ func fixtures(t testing.TB) (Inputs, *Report, *Validation) {
 	return cin, crep, cval
 }
 
+// TestRunRequiresInputs: the pipeline entry refuses inputs that lack
+// any one of World, Dataset or Colo, not only wholly empty ones.
 func TestRunRequiresInputs(t *testing.T) {
-	if _, err := Run(Inputs{}, DefaultOptions()); err == nil {
-		t.Error("want error for empty inputs")
+	in, _, _ := fixtures(t)
+	for name, drop := range map[string]func(*Inputs){
+		"all":     func(p *Inputs) { *p = Inputs{} },
+		"World":   func(p *Inputs) { p.World = nil },
+		"Dataset": func(p *Inputs) { p.Dataset = nil },
+		"Colo":    func(p *Inputs) { p.Colo = nil },
+	} {
+		bad := in
+		drop(&bad)
+		if _, err := NewContext(bad); err == nil {
+			t.Errorf("no %s: want error", name)
+		}
 	}
 }
 
@@ -90,7 +102,7 @@ func TestCombinedAccuracyShape(t *testing.T) {
 func TestBaselineWorseThanCombined(t *testing.T) {
 	in, rep, val := fixtures(t)
 	test := val.InIXPs(val.TestIXPs)
-	base, err := Baseline(in, DefaultBaselineThresholdMs)
+	base, err := coldContext(t, in).Baseline(DefaultBaselineThresholdMs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +243,7 @@ func TestValidationDisjointSets(t *testing.T) {
 
 func TestBaselineOnlyMeasured(t *testing.T) {
 	in, _, _ := fixtures(t)
-	base, err := Baseline(in, DefaultBaselineThresholdMs)
+	base, err := coldContext(t, in).Baseline(DefaultBaselineThresholdMs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +259,7 @@ func BenchmarkPipeline(b *testing.B) {
 	opt := DefaultOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(in, opt); err != nil {
+		if _, err := coldContext(b, in).Run(opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -257,7 +269,7 @@ func TestBeyondPingsIncreasesCoverage(t *testing.T) {
 	in, rep, val := fixtures(t)
 	opt := DefaultOptions()
 	opt.UseTracerouteRTT = true
-	ext, err := Run(in, opt)
+	ext, err := coldContext(t, in).Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}

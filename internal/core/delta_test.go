@@ -172,7 +172,7 @@ func TestApplyMatchesColdRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := Run(ctx.Inputs(), opt)
+		cold, err := coldContext(t, ctx.Inputs()).Run(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestApplyMatchesColdRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldBase, err := Baseline(ctx.Inputs(), DefaultBaselineThresholdMs)
+	coldBase, err := coldContext(t, ctx.Inputs()).Baseline(DefaultBaselineThresholdMs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestApplyMatchesColdRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold2, err := Run(ctx.Inputs(), DefaultOptions())
+	cold2, err := coldContext(t, ctx.Inputs()).Run(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Run(restored, DefaultOptions())
+	cold, err := coldContext(t, restored).Run(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,46 +68,6 @@ func DefaultOptions() Options {
 	}
 }
 
-// Run executes the methodology over all memberships known to the
-// merged dataset and returns a verdict for each.
-//
-// Run builds a fresh Context per call. Callers that run the pipeline
-// more than once over the same inputs (the ablation suite, the
-// experiment harness) should build one Context with NewContext and use
-// its Run method instead: the reports are identical and the shared
-// substrate amortises all input-dependent precomputation.
-func Run(in Inputs, opt Options) (*Report, error) {
-	c, err := NewContext(in)
-	if err != nil {
-		return nil, err
-	}
-	return c.Run(opt)
-}
-
-// RunWithOrder executes the enabled steps in an explicit order instead
-// of the paper's 1,2+3,4,5 sequence — the step-ordering ablation
-// (DESIGN.md section 6). Steps absent from order do not run.
-func RunWithOrder(in Inputs, opt Options, order []Step) (*Report, error) {
-	c, err := NewContext(in)
-	if err != nil {
-		return nil, err
-	}
-	return c.RunWithOrder(opt, order)
-}
-
-// RunStep evaluates one step of the methodology in isolation: the full
-// pipeline provides the seed context (needed by the multi-IXP rules),
-// and the requested step is then re-applied over a fresh, all-unknown
-// domain so that its own reach and error rates are visible (the
-// per-step rows of Table 4, whose coverages overlap across steps).
-func RunStep(in Inputs, opt Options, s Step) (*Report, error) {
-	c, err := NewContext(in)
-	if err != nil {
-		return nil, err
-	}
-	return c.RunStep(opt, s)
-}
-
 // newDomain instantiates the inference domain: one unknown-classified
 // entry per interface record of the merged dataset. The entry list is
 // precomputed on the shared context; the per-run cost is one Inference
@@ -237,9 +197,8 @@ func (c *Context) getScratch() *scratch {
 
 func (c *Context) putScratch(s *scratch) { c.scratchPool.Put(s) }
 
-// newPipeline binds a run view to the context. Every pipeline — cold
-// package-level entry points included — runs over a Context; there is
-// no separate context-free code path.
+// newPipeline binds a run view to the context. Every pipeline runs
+// over a Context; there is no separate context-free code path.
 func (c *Context) newPipeline(opt Options) *pipeline {
 	p := &pipeline{in: c.in, opt: opt, ctx: c, alias: c.aliasMemoFor(opt.AliasMode)}
 	p.bind()

@@ -152,7 +152,7 @@ func TestStep4RemotePropagation(t *testing.T) {
 	}
 	s.in.Colo.ASFacilities[owner] = []netsim.FacilityID{far}
 
-	rep, err := Run(s.in, DefaultOptions())
+	rep, err := coldContext(t, s.in).Run(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,15 +10,13 @@
 // membership kinds in the netsim world are touched exclusively by the
 // validation helpers.
 //
-// Callers that run the pipeline once can use the package-level Run /
-// RunWithOrder / RunStep / Baseline. Callers that run it repeatedly
-// over the same inputs — the ablation suite, the experiment harness —
-// should build a Context once with NewContext and call the equivalent
-// methods on it: the context precomputes and memoizes everything that
-// depends only on the inputs (RTT indexes, traceroute detections,
-// facility geometry, alias clusters), is safe for concurrent use, and
-// produces reports identical to the package-level functions (see
-// DESIGN.md section 4 and the determinism tests in context_test.go).
+// The one entry point is NewContext followed by the Context's Run /
+// RunWithOrder / RunStep / Baseline methods. The context precomputes
+// and memoizes everything that depends only on the inputs (RTT
+// indexes, traceroute detections, facility geometry, alias clusters),
+// is safe for concurrent use, and a context reused across many runs
+// produces reports identical to a fresh one's (see DESIGN.md section 4
+// and the determinism tests in context_test.go).
 package core
 
 import (

@@ -190,8 +190,6 @@ func Evaluate(rep *Report, v *Validation) Metrics {
 			m.FalseNeg++
 		}
 	}
-	infL := m.TruePosL + m.FalseNeg // inferred-local within VD... see below
-	_ = infL
 	if m.Validated > 0 {
 		m.COV = float64(m.Inferred) / float64(m.Validated)
 	}

@@ -13,12 +13,10 @@ import (
 	"sync/atomic"
 
 	"rpeer/internal/core"
-	"rpeer/internal/geo"
 	"rpeer/internal/netsim"
 	"rpeer/internal/pingsim"
 	"rpeer/internal/registry"
 	"rpeer/internal/report"
-	"rpeer/internal/tracesim"
 	"rpeer/internal/traix"
 	"rpeer/pkg/rpi"
 )
@@ -65,102 +63,24 @@ func NewEnv(seed int64, opts ...rpi.Option) (*Env, error) {
 
 // NewEnvWithConfig builds the environment over an explicit world
 // configuration (the scaling suite feeds it netsim.ScaledConfig
-// presets); cfg.Seed is overridden by seed. The build is a dataflow
-// DAG, not a barrier pipeline: once the world is generated, the
-// registry, colocation DB, ping campaign, traceroute corpus and
-// validation split all start concurrently, the engine (whose shared
-// context again shards its own index construction) starts as soon as
-// its four inputs — dataset, colo, campaign, corpus — are ready, and
-// the validation split (pure experiment metadata no inference stage
-// reads) only joins at the very end. The result is identical to a
-// fully sequential build — every stage draws from its own seeded
-// streams and no stage reads another's output.
+// presets); cfg.Seed is overridden by seed. It is NewEnvFromInputs over
+// rpi.InputsFromConfig(cfg, seed).
 func NewEnvWithConfig(cfg netsim.Config, seed int64, opts ...rpi.Option) (*Env, error) {
-	cfg.Seed = seed
-	w, err := netsim.Generate(cfg)
+	in, err := rpi.InputsFromConfig(cfg, seed)
 	if err != nil {
-		return nil, fmt.Errorf("exp: generate world: %w", err)
+		return nil, fmt.Errorf("exp: %w", err)
 	}
-
-	var (
-		wgIn  sync.WaitGroup // the engine's input stages
-		wgVal sync.WaitGroup // validation: joins last
-		ds    *registry.Dataset
-		colo  *registry.ColoDB
-		vps   []*pingsim.VP
-		ping  *pingsim.Result
-		paths []*traix.Path
-		val   *core.Validation
-	)
-	wgIn.Add(4)
-	go func() {
-		defer wgIn.Done()
-		ds = registry.Build(w, registry.DefaultNoise(), seed+1)
-	}()
-	go func() {
-		defer wgIn.Done()
-		colo = registry.BuildColo(w, registry.DefaultColoNoise(), seed+2)
-	}()
-	go func() {
-		defer wgIn.Done()
-		vps = pingsim.DeriveVPs(w, seed+3)
-		pcfg := pingsim.DefaultCampaign()
-		pcfg.Seed = seed + 4
-		ping = pingsim.RunParallel(w, vps, pcfg, 0)
-	}()
-	go func() {
-		defer wgIn.Done()
-		tcfg := tracesim.DefaultConfig()
-		tcfg.Seed = seed + 5
-		paths = tracesim.Generate(w, tcfg)
-	}()
-	wgVal.Add(1)
-	go func() {
-		defer wgVal.Done()
-		vcfg := core.DefaultValidationConfig()
-		vcfg.Seed = seed + 7
-		val = core.BuildValidation(w, vcfg)
-	}()
-	wgIn.Wait()
-
-	in := core.Inputs{
-		World: w, Dataset: ds, Colo: colo, Ping: ping, Paths: paths,
-		Speed: geo.DefaultSpeedModel(), Seed: seed + 6,
-	}
-	eng, err := rpi.New(in, opts...)
-	if err != nil {
-		return nil, fmt.Errorf("exp: engine: %w", err)
-	}
-	base, err := eng.Baseline()
-	if err != nil {
-		return nil, fmt.Errorf("exp: baseline: %w", err)
-	}
-	wgVal.Wait()
-
-	// The engine owns a private dataset clone; expose its view so
-	// experiment reads and applied deltas stay coherent.
-	in = eng.Inputs()
-	env := &Env{
-		World: w, Dataset: in.Dataset, Colo: colo, VPs: vps, Ping: ping,
-		Paths: paths, Inputs: in, Engine: eng, Ctx: eng.Context(),
-		Report: eng.Snapshot(), BaseReport: base,
-		Validation: val,
-		ixpByName:  make(map[string]*netsim.IXP, len(w.IXPs)),
-	}
-	for _, ix := range w.IXPs {
-		env.ixpByName[ix.Name] = ix
-	}
-	return env, nil
+	return NewEnvFromInputs(in, opts...)
 }
 
 // NewEnvFromInputs builds the environment over a pre-assembled input
-// bundle — the path a world file (internal/worldfile, written by
-// rpi-gen -o world.rpw) takes into the experiment and benchmark
-// harnesses: no generation, just the engine build and pipeline run.
-// The validation split is re-derived from the world with the same
-// seed layout NewEnvWithConfig uses (base+7, where in.Seed is base+6),
-// so an env loaded from a file and one generated in-process over the
-// same (seed, config) are interchangeable.
+// bundle, generated in-process or loaded from a world file
+// (internal/worldfile, written by rpi-gen -o world.rpw): the engine
+// build, the pipeline and baseline runs, and, concurrently with them,
+// the validation split. The split is derived from the world at
+// in.Seed+1, the next offset of rpi.InputsFromConfig's seed layout, so
+// an env loaded from a file and one generated in-process over the same
+// (seed, config) are interchangeable.
 func NewEnvFromInputs(in core.Inputs, opts ...rpi.Option) (*Env, error) {
 	var (
 		wgVal sync.WaitGroup

@@ -13,8 +13,7 @@ import (
 // IXPs (how many facilities each is present at).
 func Fig1a(env *Env) Result {
 	var asCounts, ixpCounts []float64
-	for asn, facs := range env.Colo.ASFacilities {
-		_ = asn
+	for _, facs := range env.Colo.ASFacilities {
 		asCounts = append(asCounts, float64(len(facs)))
 	}
 	for _, facs := range env.Colo.IXPFacilities {

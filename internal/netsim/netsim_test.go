@@ -1,9 +1,9 @@
 package netsim
 
 import (
-	"bytes"
 	"math/rand"
-	"strings"
+	"net/netip"
+	"reflect"
 	"testing"
 
 	"rpeer/internal/geo"
@@ -343,28 +343,50 @@ func BenchmarkGenerateDefault(b *testing.B) {
 	}
 }
 
+// savedParts is what a world writer saves and a loader hands back to
+// FromParts: the entity content of w, with every entity and slice
+// freshly allocated as a decoder would, so nothing is shared with w.
+func savedParts(w *World) WorldParts {
+	p := w.Parts()
+	p.Cities = append([]City(nil), p.Cities...)
+	p.Private = append([]PrivateLink(nil), p.Private...)
+	p.Resellers = append([]ASN(nil), p.Resellers...)
+	p.Facilities = copyPtrs(p.Facilities)
+	p.IXPs = copyPtrs(p.IXPs)
+	p.ASes = copyPtrs(p.ASes)
+	p.Routers = copyPtrs(p.Routers)
+	p.Members = copyPtrs(p.Members)
+	prefixes := make(map[ASN][]netip.Prefix, len(p.Prefixes))
+	for asn, ps := range p.Prefixes {
+		prefixes[asn] = append([]netip.Prefix(nil), ps...)
+	}
+	p.Prefixes = prefixes
+	return p
+}
+
+func copyPtrs[T any](in []*T) []*T {
+	out := make([]*T, len(in))
+	for i, v := range in {
+		c := *v
+		out[i] = &c
+	}
+	return out
+}
+
+// TestSaveLoadRoundTrip: a world loaded from its saved parts has the
+// same entities and rebuilds the derived state a loader must not
+// carry: interface lookups, the prefix table and the latency oracle.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	w1, err := Generate(TinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := w1.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	w2, err := Load(&buf)
+	w2, err := FromParts(savedParts(w1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(w2.Members) != len(w1.Members) || len(w2.Routers) != len(w1.Routers) ||
-		len(w2.IXPs) != len(w1.IXPs) || len(w2.Facilities) != len(w1.Facilities) {
-		t.Fatal("entity counts differ after round trip")
-	}
-	for i, m1 := range w1.Members {
-		m2 := w2.Members[i]
-		if m1.ASN != m2.ASN || m1.Iface != m2.Iface || m1.Kind != m2.Kind || m1.Router != m2.Router {
-			t.Fatalf("member %d differs: %+v vs %+v", i, m1, m2)
-		}
+	if !reflect.DeepEqual(w1.Parts(), w2.Parts()) {
+		t.Fatal("entities differ after round trip")
 	}
 	// Indices rebuilt: interface lookups must work.
 	m := w1.Members[0]
@@ -374,9 +396,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if rid, ok := w2.RouterOf(m.Iface); !ok || rid != m.Router {
 		t.Fatal("RouterOf broken after load")
 	}
+	if !reflect.DeepEqual(w1.ASNs, w2.ASNs) || !reflect.DeepEqual(w1.RouterIDs, w2.RouterIDs) {
+		t.Fatal("sorted AS/router IDs differ after load")
+	}
 	// Prefix table survived.
 	for _, asn := range w1.ASNs[:50] {
-		if len(w2.ASPrefixes(asn)) != len(w1.ASPrefixes(asn)) {
+		if !reflect.DeepEqual(w2.ASPrefixes(asn), w1.ASPrefixes(asn)) {
 			t.Fatalf("AS%d prefixes differ", asn)
 		}
 	}
@@ -389,12 +414,22 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsGarbage: parts whose members reference an IXP or a
+// router the parts do not hold are refused, not assembled.
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("not json")); err == nil {
-		t.Error("want error for junk input")
+	w, err := Generate(TinyConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Load(strings.NewReader(`{"version": 99}`)); err == nil {
-		t.Error("want error for unknown version")
+	for name, corrupt := range map[string]func(*Member){
+		"unknown IXP":    func(m *Member) { m.IXP = 1 << 30 },
+		"unknown router": func(m *Member) { m.Router = 1 << 30 },
+	} {
+		p := savedParts(w)
+		corrupt(p.Members[len(p.Members)/2])
+		if _, err := FromParts(p); err == nil {
+			t.Errorf("%s: want error", name)
+		}
 	}
 }
 

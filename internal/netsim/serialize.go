@@ -1,104 +1,14 @@
 package netsim
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/netip"
 )
 
-// worldJSON is the on-disk representation of a World. It stores the
-// generated entities verbatim (not the generator config), so a loaded
-// world is usable even if generator defaults change between versions.
-type worldJSON struct {
-	Version    int              `json:"version"`
-	Cfg        Config           `json:"config"`
-	Cities     []City           `json:"cities"`
-	Facilities []*Facility      `json:"facilities"`
-	IXPs       []*IXP           `json:"ixps"`
-	ASes       []*AS            `json:"ases"`
-	Routers    []*Router        `json:"routers"`
-	Members    []*Member        `json:"members"`
-	Private    []PrivateLink    `json:"private_links"`
-	Resellers  []ASN            `json:"resellers"`
-	Prefixes   []asPrefixesJSON `json:"as_prefixes"`
-}
-
-type asPrefixesJSON struct {
-	ASN      ASN      `json:"asn"`
-	Prefixes []string `json:"prefixes"`
-}
-
-const worldFormatVersion = 1
-
-// Save serialises the world as JSON.
-func (w *World) Save(out io.Writer) error {
-	doc := worldJSON{
-		Version:    worldFormatVersion,
-		Cfg:        w.Cfg,
-		Cities:     w.Cities,
-		Facilities: w.Facilities,
-		IXPs:       w.IXPs,
-		Members:    w.Members,
-		Private:    w.Private,
-		Resellers:  w.Resellers,
-	}
-	for _, asn := range w.ASNs {
-		doc.ASes = append(doc.ASes, w.ASes[asn])
-		if ps := w.asPrefixes[asn]; len(ps) > 0 {
-			e := asPrefixesJSON{ASN: asn}
-			for _, p := range ps {
-				e.Prefixes = append(e.Prefixes, p.String())
-			}
-			doc.Prefixes = append(doc.Prefixes, e)
-		}
-	}
-	for _, id := range w.RouterIDs {
-		doc.Routers = append(doc.Routers, w.Routers[id])
-	}
-	enc := json.NewEncoder(out)
-	return enc.Encode(doc)
-}
-
-// Load deserialises a world saved with Save, rebuilding all lookup
-// indices and the latency oracle.
-func Load(in io.Reader) (*World, error) {
-	var doc worldJSON
-	if err := json.NewDecoder(in).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("netsim: decode world: %w", err)
-	}
-	if doc.Version != worldFormatVersion {
-		return nil, fmt.Errorf("netsim: unsupported world format version %d", doc.Version)
-	}
-	parts := WorldParts{
-		Cfg:        doc.Cfg,
-		Cities:     doc.Cities,
-		Facilities: doc.Facilities,
-		IXPs:       doc.IXPs,
-		ASes:       doc.ASes,
-		Routers:    doc.Routers,
-		Members:    doc.Members,
-		Private:    doc.Private,
-		Resellers:  doc.Resellers,
-		Prefixes:   make(map[ASN][]netip.Prefix, len(doc.Prefixes)),
-	}
-	for _, e := range doc.Prefixes {
-		for _, s := range e.Prefixes {
-			p, err := netip.ParsePrefix(s)
-			if err != nil {
-				return nil, fmt.Errorf("netsim: AS%d prefix %q: %w", e.ASN, s, err)
-			}
-			parts.Prefixes[e.ASN] = append(parts.Prefixes[e.ASN], p)
-		}
-	}
-	return FromParts(parts)
-}
-
 // WorldParts is the entity-level content of a World: everything a
 // serialised form must carry, none of the derived state (lookup
-// indices, the latency oracle) a loader rebuilds. Both world decoders
-// — the JSON Load above and the binary columnar internal/worldfile —
-// assemble through it.
+// indices, the latency oracle) a loader rebuilds. The world decoder of
+// the binary columnar internal/worldfile assembles through it.
 type WorldParts struct {
 	Cfg        Config
 	Cities     []City

@@ -1,34 +1,31 @@
 package netsim
 
 import (
-	"bytes"
+	"reflect"
 	"runtime"
 	"testing"
 )
 
 // TestGenerateWorkersByteIdentical pins the sharded-RNG generation
-// contract: the same seed must produce a byte-identical world for
-// every worker count, because all randomness is keyed by (seed, stage,
+// contract: the same seed must produce an identical world for every
+// worker count, because all randomness is keyed by (seed, stage,
 // entity) and shared-resource assignment is a serial realization pass.
+// The comparison walks every entity field of World.Parts.
 func TestGenerateWorkersByteIdentical(t *testing.T) {
 	cfgs := map[string]Config{"tiny": TinyConfig(), "default": DefaultConfig()}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
-			var ref []byte
+			var ref *WorldParts
 			for _, workers := range []int{1, 4, runtime.NumCPU()} {
 				w, err := GenerateWorkers(cfg, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				var buf bytes.Buffer
-				if err := w.Save(&buf); err != nil {
-					t.Fatal(err)
-				}
+				p := w.Parts()
 				if ref == nil {
-					ref = buf.Bytes()
-				} else if !bytes.Equal(ref, buf.Bytes()) {
-					t.Fatalf("workers=%d world differs from workers=1 (%d vs %d bytes)",
-						workers, buf.Len(), len(ref))
+					ref = &p
+				} else if !reflect.DeepEqual(*ref, p) {
+					t.Fatalf("workers=%d world differs from workers=1", workers)
 				}
 			}
 		})
@@ -49,14 +46,10 @@ func TestGenerateWorkersSeedSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b1, b2 bytes.Buffer
-	if err := w1.Save(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Save(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(b1.Bytes(), b2.Bytes()) {
+	p1, p2 := w1.Parts(), w2.Parts()
+	// Equal seeds in the compared config: the entities must differ.
+	p2.Cfg.Seed = p1.Cfg.Seed
+	if reflect.DeepEqual(p1, p2) {
 		t.Fatal("seeds 1 and 2 generated identical worlds")
 	}
 }

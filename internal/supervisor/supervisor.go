@@ -234,21 +234,7 @@ func (g *Guard) ReportFor(ctx context.Context, ixp string) (*rpi.Report, error) 
 	if !last.ixps[ixp] {
 		return nil, fmt.Errorf("%w: %q", rpi.ErrUnknownIXP, ixp)
 	}
-	out := &rpi.Report{Inferences: make(map[rpi.Key]*rpi.Inference)}
-	for k, inf := range last.rep.Inferences {
-		if k.IXP == ixp {
-			out.Inferences[k] = inf
-		}
-	}
-	for _, r := range last.rep.MultiRouters {
-		for _, name := range r.IXPs {
-			if name == ixp {
-				out.MultiRouters = append(out.MultiRouters, r)
-				break
-			}
-		}
-	}
-	return out, nil
+	return rpi.FilterIXP(ctx, last.rep, ixp)
 }
 
 // Apply forwards a delta to the current engine with the quarantine

@@ -148,6 +148,12 @@ func TestPanicQuarantineAndRecovery(t *testing.T) {
 	if _, err := h.g.ReportFor(ctx, "no-such-ixp"); !errors.Is(err, rpi.ErrUnknownIXP) {
 		t.Fatalf("quarantined ReportFor unknown: err = %v, want ErrUnknownIXP", err)
 	}
+	// A caller that has already gone gets no walk of the last good map.
+	gone, cancelGone := context.WithCancel(ctx)
+	cancelGone()
+	if _, err := h.g.ReportFor(gone, h.anyIXP()); !errors.Is(err, rpi.ErrCanceled) {
+		t.Fatalf("quarantined ReportFor canceled: err = %v, want ErrCanceled", err)
+	}
 
 	// Background recovery re-Opens from the WAL and swaps the engine in.
 	h.waitReady()

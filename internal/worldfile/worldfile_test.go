@@ -37,6 +37,20 @@ func encode(t *testing.T, in core.Inputs) []byte {
 	return b
 }
 
+// run is one cold pipeline run over in with the default options.
+func run(t *testing.T, in core.Inputs) *core.Report {
+	t.Helper()
+	ctx, err := core.NewContext(in)
+	if err != nil {
+		t.Fatalf("context: %v", err)
+	}
+	rep, err := ctx.Run(core.DefaultOptions())
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return rep
+}
+
 func feq(a, b float64) bool {
 	return a == b || (math.IsNaN(a) && math.IsNaN(b))
 }
@@ -52,17 +66,28 @@ func TestWorldFileRoundTrip(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 
-	// World: byte-identical JSON serialisation.
-	var want, have bytes.Buffer
-	if err := in.World.Save(&want); err != nil {
-		t.Fatalf("save original: %v", err)
+	// World: every entity field, then the re-encoding byte for byte.
+	if !reflect.DeepEqual(in.World.Parts(), got.World.Parts()) {
+		t.Fatalf("decoded world differs from generated world")
 	}
-	if err := got.World.Save(&have); err != nil {
-		t.Fatalf("save decoded: %v", err)
+	if re := encode(t, got); !bytes.Equal(b, re) {
+		t.Fatalf("re-encoded bundle differs from the original (%d vs %d bytes)", len(re), len(b))
 	}
-	if !bytes.Equal(want.Bytes(), have.Bytes()) {
-		t.Fatalf("decoded world JSON differs from generated world (%d vs %d bytes)",
-			want.Len(), have.Len())
+	// Derived state the decoder rebuilds: lookup indices and the
+	// latency oracle.
+	for _, m := range in.World.Members {
+		if asn, ok := got.World.OwnerOf(m.Iface); !ok || asn != m.ASN {
+			t.Fatalf("OwnerOf(%s) = %v, %v after round trip; want %v", m.Iface, asn, ok, m.ASN)
+		}
+		if rid, ok := got.World.RouterOf(m.Iface); !ok || rid != m.Router {
+			t.Fatalf("RouterOf(%s) = %v, %v after round trip; want %v", m.Iface, rid, ok, m.Router)
+		}
+	}
+	ids := in.World.RouterIDs
+	r1, r2 := in.World.Router(ids[0]), in.World.Router(ids[len(ids)/2])
+	if have, want := got.World.Latency().RouterRTT(got.World.Router(r1.ID), got.World.Router(r2.ID)),
+		in.World.Latency().RouterRTT(r1, r2); have != want {
+		t.Fatalf("latency oracle differs after round trip: %v vs %v", have, want)
 	}
 
 	// Fingerprint, dataset, colo, paths.
@@ -139,14 +164,8 @@ func TestWorldFileRoundTrip(t *testing.T) {
 	}
 
 	// The pipeline over the decoded bundle must produce the same report.
-	wantRep, err := core.Run(in, core.DefaultOptions())
-	if err != nil {
-		t.Fatalf("run original: %v", err)
-	}
-	haveRep, err := core.Run(got, core.DefaultOptions())
-	if err != nil {
-		t.Fatalf("run decoded: %v", err)
-	}
+	wantRep := run(t, in)
+	haveRep := run(t, got)
 	if len(wantRep.Inferences) != len(haveRep.Inferences) {
 		t.Fatalf("report size %d vs %d", len(wantRep.Inferences), len(haveRep.Inferences))
 	}

@@ -113,22 +113,17 @@ func SyntheticInputs(seed int64, scale int) (Inputs, error) {
 	if scale > 1 {
 		cfg = netsim.ScaledConfig(scale)
 	}
-	return syntheticInputs(cfg, seed)
+	return InputsFromConfig(cfg, seed)
 }
 
 // InputsFromConfig builds the full input bundle over an explicit world
-// config — the seam in-module tooling (rpi-bot and its -faults cycles,
-// rpi-serve's tenant profiles, rpi-gen) uses to run real engine
-// histories over a netsim.TinyConfig world in milliseconds instead of
-// the paper-sized default.
+// config, overriding cfg.Seed with seed. Each stage draws from its own
+// offset of seed (registry +1, colo +2, VPs +3, campaign +4,
+// traceroutes +5; Inputs.Seed is +6), and the independent stages build
+// concurrently. A netsim.TinyConfig world builds in milliseconds, which
+// rpi-bot, rpi-serve's tenant profiles and the crash-recovery tests
+// rely on.
 func InputsFromConfig(cfg netsim.Config, seed int64) (Inputs, error) {
-	return syntheticInputs(cfg, seed)
-}
-
-// syntheticInputs builds the full input bundle over any world config —
-// the seam the crash-recovery tests use to run real engine histories
-// over a netsim.TinyConfig world in milliseconds.
-func syntheticInputs(cfg netsim.Config, seed int64) (Inputs, error) {
 	cfg.Seed = seed
 	w, err := netsim.Generate(cfg)
 	if err != nil {

@@ -28,7 +28,7 @@ var (
 func tinyInputs(t testing.TB) Inputs {
 	t.Helper()
 	tinyOnce.Do(func() {
-		tinyIn, tinyErr = syntheticInputs(netsim.TinyConfig(), 21)
+		tinyIn, tinyErr = InputsFromConfig(netsim.TinyConfig(), 21)
 	})
 	if tinyErr != nil {
 		t.Fatal(tinyErr)
@@ -336,7 +336,7 @@ func TestOpenBaseMismatch(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	other, err := syntheticInputs(netsim.TinyConfig(), 22)
+	other, err := InputsFromConfig(netsim.TinyConfig(), 22)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -224,19 +224,30 @@ func (e *Engine) ReportFor(ctx context.Context, ixp string) (*Report, error) {
 	if !e.ctx.HasIXP(ixp) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownIXP, ixp)
 	}
+	return FilterIXP(ctx, e.report, ixp)
+}
+
+// FilterIXP returns the verdicts of one IXP in rep: its inferences and
+// the multi-IXP routers present there. The result shares inference
+// values with rep and must be treated as read-only. The walk checks
+// ctx before the first row and every 16k rows after it, so a canceled
+// caller gets ErrCanceled instead of the rest of the scan. It does not
+// check that rep knows ixp; callers hold their own IXP index.
+func FilterIXP(ctx context.Context, rep *Report, ixp string) (*Report, error) {
 	out := &Report{Inferences: make(map[Key]*Inference)}
 	scanned := 0
-	for k, inf := range e.report.Inferences {
-		if scanned++; scanned&0x3fff == 0 {
+	for k, inf := range rep.Inferences {
+		if scanned&0x3fff == 0 {
 			if err := ctxErr(ctx); err != nil {
 				return nil, err
 			}
 		}
+		scanned++
 		if k.IXP == ixp {
 			out.Inferences[k] = inf
 		}
 	}
-	for _, r := range e.report.MultiRouters {
+	for _, r := range rep.MultiRouters {
 		for _, name := range r.IXPs {
 			if name == ixp {
 				out.MultiRouters = append(out.MultiRouters, r)

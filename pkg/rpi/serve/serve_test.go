@@ -184,6 +184,150 @@ func TestInferServesWireReport(t *testing.T) {
 	}
 }
 
+// inferReport fetches and decodes the full wire report.
+func inferReport(t *testing.T, url string) *rpi.WireReport {
+	t.Helper()
+	w, err := rpi.UnmarshalReport(get(t, url+"/v1/infer", http.StatusOK))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// TestInferSummary: the headline counts a portal front page shows are
+// /v1/infer's summary, consistent with the rows it covers.
+func TestInferSummary(t *testing.T) {
+	_, srv := testServer(t)
+	w := inferReport(t, srv.URL)
+	sum := w.Summary
+	if sum.Total < 5000 || sum.Total != len(w.Inferences) {
+		t.Fatalf("total = %d over %d rows, want thousands", sum.Total, len(w.Inferences))
+	}
+	if sum.Local+sum.Remote+sum.Unknown != sum.Total {
+		t.Fatalf("summary counts inconsistent: %+v", sum)
+	}
+	classes := map[string]int{}
+	for _, inf := range w.Inferences {
+		classes[inf.Class]++
+	}
+	if classes["local"] != sum.Local || classes["remote"] != sum.Remote || classes["unknown"] != sum.Unknown {
+		t.Fatalf("row classes %v disagree with summary %+v", classes, sum)
+	}
+	if share := float64(sum.Remote) / float64(sum.Total); share < 0.15 || share > 0.45 {
+		t.Errorf("remote share = %.3f, want ~0.28", share)
+	}
+}
+
+// TestInferListsIXPs: the IXP list is the IXP names in /v1/infer's
+// rows, and each of them answers on /v1/report/{ixp}.
+func TestInferListsIXPs(t *testing.T) {
+	_, srv := testServer(t)
+	ixps := map[string]int{}
+	for _, inf := range inferReport(t, srv.URL).Inferences {
+		ixps[inf.IXP]++
+	}
+	if len(ixps) < 30 {
+		t.Fatalf("ixps = %d", len(ixps))
+	}
+	for ixp, n := range ixps {
+		w, err := rpi.UnmarshalReport(get(t, srv.URL+"/v1/report/"+ixp, http.StatusOK))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.Summary.Total != n {
+			t.Fatalf("%s: report has %d members, /v1/infer lists %d", ixp, w.Summary.Total, n)
+		}
+	}
+}
+
+// TestReportIXPMembers: an IXP's member list is /v1/report/{ixp} — for
+// the largest IXP, exactly its /v1/infer rows, each interface once,
+// each with a known class.
+func TestReportIXPMembers(t *testing.T) {
+	_, srv := testServer(t)
+	rows := map[string]map[rpi.WireInference]bool{}
+	for _, inf := range inferReport(t, srv.URL).Inferences {
+		if rows[inf.IXP] == nil {
+			rows[inf.IXP] = map[rpi.WireInference]bool{}
+		}
+		inf.RTTMinMs, inf.FeasibleIXPFacilities = nil, nil
+		rows[inf.IXP][inf] = true
+	}
+	var name string
+	for ixp, r := range rows {
+		if len(r) > len(rows[name]) || (len(r) == len(rows[name]) && ixp < name) {
+			name = ixp
+		}
+	}
+	w, err := rpi.UnmarshalReport(get(t, srv.URL+"/v1/report/"+name, http.StatusOK))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(w.Inferences) != len(rows[name]) {
+		t.Fatalf("%s: %d members, /v1/infer lists %d", name, len(w.Inferences), len(rows[name]))
+	}
+	seen := map[string]bool{}
+	for _, inf := range w.Inferences {
+		if inf.Class != "local" && inf.Class != "remote" && inf.Class != "unknown" {
+			t.Fatalf("bad class %q", inf.Class)
+		}
+		if seen[inf.Iface] {
+			t.Fatalf("duplicate iface %s", inf.Iface)
+		}
+		seen[inf.Iface] = true
+		inf.RTTMinMs, inf.FeasibleIXPFacilities = nil, nil
+		if !rows[name][inf] {
+			t.Fatalf("%s: member %+v is not a /v1/infer row", name, inf)
+		}
+	}
+}
+
+// TestReportUnknownIXP: an IXP name the world does not hold is a 404
+// on the short and the tenant-scoped route alike, and names match
+// exactly, not by case.
+func TestReportUnknownIXP(t *testing.T) {
+	eng, srv := testServer(t)
+	var known string
+	for k := range eng.Snapshot().Inferences {
+		known = k.IXP
+		break
+	}
+	paths := []string{"/v1/report/Nowhere-IX", "/v1/t/" + defTenant + "/report/Nowhere-IX"}
+	if other := strings.ToLower(known); other != known {
+		paths = append(paths, "/v1/report/"+other)
+	} else if other := strings.ToUpper(known); other != known {
+		paths = append(paths, "/v1/report/"+other)
+	}
+	for _, path := range paths {
+		get(t, srv.URL+path, http.StatusNotFound)
+	}
+}
+
+// TestInferMethodNotAllowed: the read routes refuse a write method and
+// the write route a read, with 405.
+func TestInferMethodNotAllowed(t *testing.T) {
+	_, srv := testServer(t)
+	for _, c := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/infer"},
+		{http.MethodPost, "/v1/t/" + defTenant + "/infer"},
+		{http.MethodDelete, "/v1/infer"},
+		{http.MethodGet, "/v1/apply"},
+	} {
+		req, err := http.NewRequest(c.method, srv.URL+c.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s: status %d, want 405", c.method, c.path, resp.StatusCode)
+		}
+	}
+}
+
 func TestReportPerIXP(t *testing.T) {
 	eng, srv := testServer(t)
 	var ixp string
