@@ -113,15 +113,16 @@ bench-smoke:
 # (override: THRESHOLD=0.5; CI uses a loose threshold because runner
 # hardware differs from the snapshot machine). The fresh run covers
 # the same cheap set as bench-smoke, at 3 iterations to damp noise,
-# plus the baseline and alias-coverage ablations, whose ACC%/COV%/FPR%
-# rpi-benchdiff requires to equal the snapshot's exactly: a verdict
-# moved by alias work fails the comparison.
+# plus the ablations, whose ACC%/COV%/FPR%/FNR% rpi-benchdiff requires
+# to equal the snapshot's exactly: a verdict moved by alias work or by
+# the step selection (Options.Steps: the no-port, no-private and
+# step-order ablations) fails the comparison.
 BASE ?= BENCH_PR$(PR).json
 THRESHOLD ?= 0.20
 bench-compare:
 	tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
 	$(GO) run ./cmd/rpi-benchsnap \
-		-bench 'BenchmarkFullPipeline$$|BenchmarkContextBuild$$|BenchmarkEngineApply/1x|BenchmarkServeHTTP|BenchmarkScaleWorld/1x$$|BenchmarkScaleWorld/16x-worldfile|BenchmarkAblationBaselinePipeline$$|BenchmarkAblationAliasCoverageMode$$' \
+		-bench 'BenchmarkFullPipeline$$|BenchmarkContextBuild$$|BenchmarkEngineApply/1x|BenchmarkServeHTTP|BenchmarkScaleWorld/1x$$|BenchmarkScaleWorld/16x-worldfile|BenchmarkAblationBaselinePipeline$$|BenchmarkAblationAliasCoverageMode$$|BenchmarkAblationNoPortCapacity$$|BenchmarkAblationNoPrivateLinks$$|BenchmarkAblationStepOrder$$|BenchmarkAblationNoVmin$$' \
 		-benchtime 3x -o $$tmp; \
 	$(GO) run ./cmd/rpi-benchdiff -base $(BASE) -new $$tmp -threshold $(THRESHOLD)
 
@@ -147,11 +148,11 @@ examples-smoke:
 # leave a plausible-looking partial snapshot behind (the -e shell
 # aborts on the failing stage; the EXIT trap cleans the temp file up).
 # The fleet SLO rows (per-tenant p50/p99/shed% from the rpi-bot load
-# run) merge into the same file last.
+# run, printed as benchmark lines) join the same temp file last.
 bench-snapshot:
 	tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
 	$(GO) test -run '^$$' -timeout 30m -bench 'BenchmarkFullPipeline$$|BenchmarkContextBuild|BenchmarkAblation|BenchmarkAllArtefacts|BenchmarkParallelPingCampaign|BenchmarkEngineApply|BenchmarkServeHTTP|BenchmarkServeOverload|BenchmarkHostServe' \
 		-benchmem -benchtime=3x > $$tmp; \
 	$(GO) test -run '^$$' -timeout 120m -bench 'BenchmarkScaleWorld|BenchmarkRecovery' -benchmem -benchtime=1x >> $$tmp; \
-	$(GO) run ./cmd/rpi-benchsnap -o BENCH_PR$(PR).json < $$tmp; \
-	$(GO) run ./cmd/rpi-bot -tenants 4 -duration 5s -o BENCH_PR$(PR).json -merge
+	$(GO) run ./cmd/rpi-bot -tenants 4 -duration 5s >> $$tmp; \
+	$(GO) run ./cmd/rpi-benchsnap -o BENCH_PR$(PR).json < $$tmp

@@ -249,13 +249,13 @@ func BenchmarkAblationAliasCoverageMode(b *testing.B) {
 
 func BenchmarkAblationNoPortCapacity(b *testing.B) {
 	opt := core.DefaultOptions()
-	opt.EnablePortCapacity = false
+	opt.Steps = []core.Step{core.StepRTTColo, core.StepMultiIXP, core.StepPrivate}
 	ablate(b, opt)
 }
 
 func BenchmarkAblationNoPrivateLinks(b *testing.B) {
 	opt := core.DefaultOptions()
-	opt.EnablePrivate = false
+	opt.Steps = []core.Step{core.StepPortCapacity, core.StepRTTColo, core.StepMultiIXP}
 	ablate(b, opt)
 }
 
@@ -265,11 +265,12 @@ func BenchmarkAblationStepOrder(b *testing.B) {
 	// colocated reseller customers.
 	e := benchEnv(b)
 	test := e.TestSubset()
-	order := []core.Step{core.StepRTTColo, core.StepPortCapacity, core.StepMultiIXP, core.StepPrivate}
+	opt := core.DefaultOptions()
+	opt.Steps = []core.Step{core.StepRTTColo, core.StepPortCapacity, core.StepMultiIXP, core.StepPrivate}
 	b.ResetTimer()
 	var m core.Metrics
 	for i := 0; i < b.N; i++ {
-		rep, err := e.Ctx.RunWithOrder(core.DefaultOptions(), order)
+		rep, err := e.Ctx.Run(opt)
 		if err != nil {
 			b.Fatal(err)
 		}

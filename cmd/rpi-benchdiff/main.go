@@ -22,7 +22,7 @@
 // class.
 //
 // Accuracy is judged exactly, on every benchmark present in both
-// snapshots whatever -headline selects: the ACC%, COV% and FPR%
+// snapshots whatever -headline selects: the ACC%, COV%, FPR% and FNR%
 // metrics the ablation benchmarks report are deterministic outputs of
 // the methodology, so any difference is either a bug or a deliberate
 // re-pin of the baseline snapshot, never noise.
@@ -125,7 +125,7 @@ func main() {
 }
 
 // accuracyMetrics are the methodology outputs judged exactly.
-var accuracyMetrics = []string{"ACC%", "COV%", "FPR%"}
+var accuracyMetrics = []string{"ACC%", "COV%", "FPR%", "FNR%"}
 
 // result counts what diff judged and what failed.
 type result struct {

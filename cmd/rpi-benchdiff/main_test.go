@@ -30,11 +30,11 @@ func TestDiffJudgesAccuracyExactlyOnEveryRow(t *testing.T) {
 				"BenchmarkFullPipeline":              {NsPerOp: 110},
 				"BenchmarkAblationBaselinePipeline":  {NsPerOp: 900, Metrics: acc(94.24, 94.13, 5.169)},
 				"BenchmarkAblationAliasCoverageMode": {NsPerOp: 100, Metrics: acc(93.67, 94.47, 6.05)},
-				"BenchmarkAblationStepOrder":         {NsPerOp: 100, Metrics: map[string]float64{"ACC%": 92.93, "FNR%": 12}},
+				"BenchmarkAblationStepOrder":         {NsPerOp: 100, Metrics: map[string]float64{"ACC%": 92.93, "FNR%": 10.99}},
 			},
-			// Ablation ns/op is outside the headline set; FNR% is not
-			// an accuracy metric; BenchmarkGone is absent from fresh.
-			compared: 1, accuracy: 7,
+			// Ablation ns/op is outside the headline set; BenchmarkGone
+			// is absent from fresh.
+			compared: 1, accuracy: 8,
 		},
 		{
 			name: "drift outside the headline set",
@@ -42,8 +42,9 @@ func TestDiffJudgesAccuracyExactlyOnEveryRow(t *testing.T) {
 				"BenchmarkFullPipeline":              {NsPerOp: 100},
 				"BenchmarkAblationBaselinePipeline":  {NsPerOp: 100, Metrics: acc(94.24, 94.12, 5.169)},
 				"BenchmarkAblationAliasCoverageMode": {NsPerOp: 100, Metrics: acc(93.68, 94.47, 6.06)},
+				"BenchmarkAblationStepOrder":         {NsPerOp: 100, Metrics: map[string]float64{"ACC%": 92.93, "FNR%": 12}},
 			},
-			compared: 1, accuracy: 6, drifts: 3,
+			compared: 1, accuracy: 8, drifts: 4,
 		},
 		{
 			name: "metric missing on one side",

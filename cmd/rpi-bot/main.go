@@ -21,12 +21,15 @@
 //
 //	rpi-bot -tenants 4 -readers 6 -appliers 1 -streamers 2 -duration 5s
 //	rpi-bot -tenants 1 -faults 2         # fault injection (make chaos)
-//	rpi-bot -o BENCH_PR8.json -merge     # record/refresh the SLO snapshot
+//	rpi-bot | rpi-benchsnap -o BENCH.json # record the SLO rows
 //	rpi-bot -addr http://host:8090       # drive an external rpi-serve
 //
-// With -o the results are written as benchmark records in the same
-// JSON shape as rpi-benchsnap; -merge folds them into an existing file
-// (replacing records with the same name) instead of overwriting it.
+// The progress log and the human-readable table go to stderr. Stdout
+// carries the results as `go test -bench` lines, one per (tenant,
+// class) plus a fleet-wide read row, so rpi-benchsnap parses them like
+// any other benchmark:
+//
+//	BenchmarkBotHostLoad/tenant=t0/class=read 1520 3112000 ns/op 2.1 p50-ms 9.8 p99-ms 0 shed-pct
 package main
 
 import (
@@ -42,7 +45,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"sort"
 	"strings"
 	"syscall"
@@ -75,8 +77,6 @@ func run(args []string) int {
 	worldPath := fs.String("world", "", "serve this pre-generated .rpw world bundle to every tenant (in-process mode) instead of per-tenant tiny worlds")
 	churn := fs.Float64("churn", 0.02, "membership fraction churned per applier delta")
 	faults := fs.Int("faults", 0, "run N fault cycles (engine panic, WAL append error, alternating) under tight admission limits and assert the recovery SLOs (in-process mode only)")
-	out := fs.String("o", "", "write benchmark records to this JSON file (rpi-benchsnap shape)")
-	merge := fs.Bool("merge", false, "with -o: merge into the existing file, replacing same-name records")
 	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
 		return 0
 	} else if err != nil {
@@ -160,6 +160,7 @@ func run(args []string) int {
 	}
 	rep := load.Wait()
 	printReport(rep)
+	printBench(os.Stdout, rep)
 	if faultErr != nil {
 		log.Printf("FAULT SLO FAILED: %v", faultErr)
 		return 1
@@ -182,14 +183,6 @@ func run(args []string) int {
 			return 1
 		}
 		log.Printf("byte identity: all %d tenants match a cold engine over the same inputs", *tenants)
-	}
-
-	if *out != "" {
-		if err := writeSnapshot(*out, *merge, rep); err != nil {
-			log.Print(err)
-			return 1
-		}
-		log.Printf("wrote %s", *out)
 	}
 	return 0
 }
@@ -269,11 +262,7 @@ func liveInputs(h *host.Host, tn string) (rpi.Inputs, error) {
 		return rpi.Inputs{}, err
 	}
 	defer lease.Release()
-	eng := lease.Guard().Engine()
-	if eng == nil {
-		return rpi.Inputs{}, errors.New("tenant has no engine (quarantined?)")
-	}
-	return eng.Inputs(), nil
+	return lease.Guard().Engine().Inputs(), nil
 }
 
 // ensureTenants registers the bot's tenants on an external host,
@@ -318,12 +307,7 @@ func verifyByteIdentity(h *host.Host, base string, names []string) error {
 		if err != nil {
 			return fmt.Errorf("tenant %q: %w", tn, err)
 		}
-		eng := lease.Guard().Engine()
-		if eng == nil {
-			lease.Release()
-			return fmt.Errorf("tenant %q: no engine", tn)
-		}
-		cold, err := rpi.New(eng.Inputs())
+		cold, err := rpi.New(lease.Guard().Engine().Inputs())
 		lease.Release()
 		if err != nil {
 			return fmt.Errorf("tenant %q: cold rebuild: %w", tn, err)
@@ -395,30 +379,10 @@ func printReport(rep *bot.Report) {
 	}
 }
 
-// Record / Snapshot mirror rpi-benchsnap's JSON file layout, so bot
-// results land in the same BENCH_PRn.json files the CI snapshots.
-type record struct {
-	Name        string             `json:"name"`
-	Iterations  int64              `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	BytesPerOp  *float64           `json:"b_per_op,omitempty"`
-	AllocsPerOp *float64           `json:"allocs_per_op,omitempty"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
-}
-
-type snapshot struct {
-	GoOS   string   `json:"goos,omitempty"`
-	GoArch string   `json:"goarch,omitempty"`
-	Pkg    string   `json:"pkg,omitempty"`
-	CPU    string   `json:"cpu,omitempty"`
-	Bench  []record `json:"benchmarks"`
-}
-
-// writeSnapshot renders the run as one benchmark record per (tenant,
-// class) with p50/p99/shed% metrics, plus a fleet-wide read aggregate,
-// and writes (or merges) the rpi-benchsnap-shaped file.
-func writeSnapshot(path string, merge bool, rep *bot.Report) error {
-	var recs []record
+// printBench writes the run as `go test -bench` lines: one per
+// (tenant, class) with the mean latency as ns/op and p50/p99/shed%
+// metrics, plus a fleet-wide read aggregate.
+func printBench(w io.Writer, rep *bot.Report) {
 	tns := make([]string, 0, len(rep.Tenants))
 	for tn := range rep.Tenants {
 		tns = append(tns, tn)
@@ -432,16 +396,8 @@ func writeSnapshot(path string, merge bool, rep *bot.Report) error {
 			if !ok || st.Requests == 0 {
 				continue
 			}
-			recs = append(recs, record{
-				Name:       fmt.Sprintf("BotHostLoad/tenant=%s/class=%s", tn, cl),
-				Iterations: int64(st.Admitted),
-				NsPerOp:    st.MeanMs * 1e6,
-				Metrics: map[string]float64{
-					"p50-ms":   st.P50Ms,
-					"p99-ms":   st.P99Ms,
-					"shed-pct": st.ShedPct(),
-				},
-			})
+			fmt.Fprintf(w, "BenchmarkBotHostLoad/tenant=%s/class=%s %d %.0f ns/op %g p50-ms %g p99-ms %g shed-pct\n",
+				tn, cl, st.Admitted, st.MeanMs*1e6, st.P50Ms, st.P99Ms, st.ShedPct())
 			if cl == "read" {
 				aggReq += st.Requests
 				aggAdm += st.Admitted
@@ -451,55 +407,8 @@ func writeSnapshot(path string, merge bool, rep *bot.Report) error {
 		}
 	}
 	if aggAdm > 0 {
-		shedPct := 100 * float64(aggShed) / float64(aggReq)
-		recs = append(recs, record{
-			Name:       "BotHostLoad/fleet/class=read",
-			Iterations: int64(aggAdm),
-			NsPerOp:    aggLatMs / float64(aggAdm) * 1e6,
-			Metrics: map[string]float64{
-				"shed-pct":  shedPct,
-				"tenants":   float64(len(rep.Tenants)),
-				"reads-sec": float64(aggAdm) / rep.Duration.Seconds(),
-			},
-		})
+		fmt.Fprintf(w, "BenchmarkBotHostLoad/fleet/class=read %d %.0f ns/op %g shed-pct %d tenants %g reads-sec\n",
+			aggAdm, aggLatMs/float64(aggAdm)*1e6, 100*float64(aggShed)/float64(aggReq),
+			len(rep.Tenants), float64(aggAdm)/rep.Duration.Seconds())
 	}
-
-	snap := snapshot{
-		GoOS:   runtime.GOOS,
-		GoArch: runtime.GOARCH,
-		Pkg:    "rpeer/cmd/rpi-bot",
-		Bench:  recs,
-	}
-	if merge {
-		if prev, err := os.ReadFile(path); err == nil {
-			var old snapshot
-			if err := json.Unmarshal(prev, &old); err != nil {
-				return fmt.Errorf("merge %s: %w", path, err)
-			}
-			mine := make(map[string]bool, len(recs))
-			for _, r := range recs {
-				mine[r.Name] = true
-			}
-			kept := make([]record, 0, len(old.Bench)+len(recs))
-			for _, r := range old.Bench {
-				if !mine[r.Name] {
-					kept = append(kept, r)
-				}
-			}
-			snap.Bench = append(kept, recs...)
-			if old.Pkg != "" && old.Pkg != snap.Pkg {
-				snap.Pkg = old.Pkg + "+rpi-bot"
-			}
-			if old.CPU != "" {
-				snap.CPU = old.CPU
-			}
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return err
-		}
-	}
-	b, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

@@ -20,10 +20,10 @@ import (
 
 // Context is the reusable inference substrate: everything a pipeline
 // run needs that depends only on the Inputs, not on the Options. Build
-// it once with NewContext and share it across Run / RunWithOrder /
-// RunStep / Baseline calls — the ablation suite and the experiment
-// harness run the pipeline dozens of times over one input set, and
-// rebuilding this state per run dominated their cost.
+// it once with NewContext and share it across Run / RunStep / Baseline
+// calls — the ablation suite and the experiment harness run the
+// pipeline dozens of times over one input set, and rebuilding this
+// state per run dominated their cost.
 //
 // The substrate is columnar: every entity the hot paths touch —
 // interface, member AS, IXP, facility — is interned into a dense
@@ -78,6 +78,10 @@ type Context struct {
 	vpMu   sync.Mutex
 	vps    []*pingsim.VP
 	vpSlot map[*pingsim.VP]int32
+	// vpByID resolves the campaign roster by VP ID (nil without a
+	// campaign). Deltas refresh RTTs, never the roster, so it is built
+	// once and read without a lock.
+	vpByID map[int]*pingsim.VP
 
 	// Ping-only per-interface campaign columns, indexed by IfaceID:
 	// NaN / -1 mark unmeasured interfaces.
@@ -214,6 +218,12 @@ func newContext(in Inputs) *Context {
 		rings:      make(map[uint64][]ringEntry),
 		probes:     alias.NewPlane(alias.NewProber(in.World, in.Seed)),
 		aliasMemos: make(map[alias.Mode]*aliasMemo),
+	}
+	if in.Ping != nil {
+		c.vpByID = make(map[int]*pingsim.VP, len(in.Ping.VPs))
+		for _, vp := range in.Ping.VPs {
+			c.vpByID[vp.ID] = vp
+		}
 	}
 
 	// ---- interning phase (serial; everything after assumes a frozen
@@ -482,6 +492,14 @@ func (c *Context) HasIXP(name string) bool {
 	return ok && c.roster.Get(uint32(id))
 }
 
+// VP resolves a vantage point of the campaign roster by ID, the form
+// WAL records and /v1/apply bodies carry. ok is false for an unknown
+// ID and for a context without a campaign. Safe for concurrent use.
+func (c *Context) VP(id int) (vp *pingsim.VP, ok bool) {
+	vp, ok = c.vpByID[id]
+	return vp, ok
+}
+
 // BestVP returns the vantage point behind an interface's current
 // campaign minimum, reflecting all applied deltas. Callers must not
 // run concurrently with Apply (the rpi engine resolves under its
@@ -501,35 +519,15 @@ func (c *Context) BestVP(ip netip.Addr) (*pingsim.VP, bool) {
 // Inputs returns the inputs the context was built from.
 func (c *Context) Inputs() Inputs { return c.in }
 
-// Run executes the methodology over all memberships known to the
+// Run executes opt.Steps, in order, over all memberships known to the
 // merged dataset and returns a verdict for each, reusing the shared
 // substrate: repeated runs amortise all input-dependent precomputation,
-// and their reports are identical to a fresh context's.
+// and their reports are identical to a fresh context's. A step that is
+// not part of the pipeline (StepNone, StepBaseline) fails the run.
 func (c *Context) Run(opt Options) (*Report, error) {
 	p := c.newPipeline(opt)
 	rep := p.newDomain()
-	if opt.EnablePortCapacity {
-		p.stepPortCapacity(rep)
-	}
-	if opt.EnableRTTColo {
-		p.stepRTTColo(rep)
-	}
-	if opt.EnableMultiIXP {
-		p.stepMultiIXP(rep, nil)
-	}
-	if opt.EnablePrivate {
-		p.stepPrivate(rep)
-	}
-	return rep, nil
-}
-
-// RunWithOrder executes the enabled steps in an explicit order (the
-// step-ordering ablation, DESIGN.md section 6). Steps absent from
-// order do not run.
-func (c *Context) RunWithOrder(opt Options, order []Step) (*Report, error) {
-	p := c.newPipeline(opt)
-	rep := p.newDomain()
-	for _, s := range order {
+	for _, s := range opt.Steps {
 		switch s {
 		case StepPortCapacity:
 			p.stepPortCapacity(rep)
@@ -540,7 +538,7 @@ func (c *Context) RunWithOrder(opt Options, order []Step) (*Report, error) {
 		case StepPrivate:
 			p.stepPrivate(rep)
 		default:
-			return nil, fmt.Errorf("core: RunWithOrder does not support %v", s)
+			return nil, fmt.Errorf("core: Run does not support %v", s)
 		}
 	}
 	return rep, nil

@@ -71,7 +71,7 @@ func optionVariants() map[string]Options {
 	trace := DefaultOptions()
 	trace.UseTracerouteRTT = true
 	noport := DefaultOptions()
-	noport.EnablePortCapacity = false
+	noport.Steps = []Step{StepRTTColo, StepMultiIXP, StepPrivate}
 	return map[string]Options{
 		"default":      DefaultOptions(),
 		"no-vmin":      novmin,
@@ -129,22 +129,50 @@ func TestSharedContextRunStepMatchesCold(t *testing.T) {
 	}
 }
 
-func TestSharedContextRunWithOrderMatchesCold(t *testing.T) {
+func TestSharedContextStepOrderMatchesCold(t *testing.T) {
 	in, _, _ := fixtures(t)
 	ctx, err := NewContext(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := []Step{StepRTTColo, StepPortCapacity, StepMultiIXP, StepPrivate}
-	cold, err := coldContext(t, in).RunWithOrder(DefaultOptions(), order)
+	opt := DefaultOptions()
+	opt.Steps = []Step{StepRTTColo, StepPortCapacity, StepMultiIXP, StepPrivate}
+	cold, err := coldContext(t, in).Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := ctx.RunWithOrder(DefaultOptions(), order)
+	warm, err := ctx.Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reportsEqual(t, "ordered", cold, warm)
+}
+
+// TestRunRejectsNonPipelineSteps pins that Options.Steps names only
+// pipeline steps: the baseline and the no-verdict marker fail the run
+// wherever they appear, and an empty list runs nothing.
+func TestRunRejectsNonPipelineSteps(t *testing.T) {
+	in, _, _ := fixtures(t)
+	ctx, err := NewContext(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []Step{StepBaseline, StepNone} {
+		opt := DefaultOptions()
+		opt.Steps = append(opt.Steps[:2:2], bad, StepPrivate)
+		if rep, err := ctx.Run(opt); err == nil || rep != nil {
+			t.Fatalf("Run with %v in Steps: rep = %v, err = %v; want an error", bad, rep, err)
+		}
+	}
+	rep, err := ctx.Run(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, inf := range rep.Inferences {
+		if inf.Class != ClassUnknown || inf.Step != StepNone {
+			t.Fatalf("%v: nil Steps decided %v by %v", k, inf.Class, inf.Step)
+		}
+	}
 }
 
 func TestSharedContextBaselineMatchesCold(t *testing.T) {

@@ -40,7 +40,7 @@ func TestShardedRunBitIdenticalAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestShardedRunStepAndOrderBitIdentical extends the worker-count
-// invariance to the per-step evaluation and the explicit-order path.
+// invariance to the per-step evaluation and a reordered Options.Steps.
 func TestShardedRunStepAndOrderBitIdentical(t *testing.T) {
 	in, _, _ := fixtures(t)
 	ctx, err := NewContext(in)
@@ -60,12 +60,13 @@ func TestShardedRunStepAndOrderBitIdentical(t *testing.T) {
 		}
 		reportsEqual(t, "step "+s.String(), ref, got)
 	}
-	order := []Step{StepPrivate, StepRTTColo, StepPortCapacity}
-	ref, err := ctx.RunWithOrder(serial, order)
+	serial.Steps = []Step{StepPrivate, StepRTTColo, StepPortCapacity}
+	par.Steps = serial.Steps
+	ref, err := ctx.Run(serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ctx.RunWithOrder(par, order)
+	got, err := ctx.Run(par)
 	if err != nil {
 		t.Fatal(err)
 	}

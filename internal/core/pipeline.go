@@ -33,12 +33,13 @@ type Inputs struct {
 	Seed int64
 }
 
-// Options toggles steps and knobs, mainly for the ablation benchmarks.
+// Options selects the steps and knobs of a run, mainly for the
+// ablation benchmarks.
 type Options struct {
-	EnablePortCapacity bool // Step 1
-	EnableRTTColo      bool // Steps 2+3
-	EnableMultiIXP     bool // Step 4
-	EnablePrivate      bool // Step 5
+	// Steps lists the steps a run executes, in order (DefaultOptions:
+	// the paper's 1, 2+3, 4, 5). Nil runs none; StepNone and
+	// StepBaseline are not pipeline steps and fail the run.
+	Steps []Step
 	// Workers bounds the shard pool every pipeline stage fans out over
 	// (0 = GOMAXPROCS, 1 = serial). Steps 1, 2+3 and 5 classify each
 	// membership independently from shared read-only state; Step 4's
@@ -57,14 +58,11 @@ type Options struct {
 	AliasMode alias.Mode
 }
 
-// DefaultOptions enables the full methodology.
+// DefaultOptions runs the full methodology in the paper's order.
 func DefaultOptions() Options {
 	return Options{
-		EnablePortCapacity: true,
-		EnableRTTColo:      true,
-		EnableMultiIXP:     true,
-		EnablePrivate:      true,
-		AliasMode:          alias.ModePrecision,
+		Steps:     []Step{StepPortCapacity, StepRTTColo, StepMultiIXP, StepPrivate},
+		AliasMode: alias.ModePrecision,
 	}
 }
 

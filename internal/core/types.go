@@ -11,7 +11,7 @@
 // validation helpers.
 //
 // The one entry point is NewContext followed by the Context's Run /
-// RunWithOrder / RunStep / Baseline methods. The context precomputes
+// RunStep / Baseline methods. The context precomputes
 // and memoizes everything that depends only on the inputs (RTT
 // indexes, traceroute detections, facility geometry, alias clusters),
 // is safe for concurrent use, and a context reused across many runs
@@ -237,15 +237,6 @@ func diffVerdictMaps(old, new *Report, fn func(k Key, o, n *Inference)) {
 			fn(k, nil, n)
 		}
 	}
-}
-
-// ByIXP groups inferences per IXP name.
-func (r *Report) ByIXP() map[string][]*Inference {
-	out := make(map[string][]*Inference)
-	for _, inf := range r.Inferences {
-		out[inf.IXP] = append(out[inf.IXP], inf)
-	}
-	return out
 }
 
 // StepShare returns, per IXP, the fraction of decided inferences made

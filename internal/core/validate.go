@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"net/netip"
 	"sort"
 
 	"rpeer/internal/netsim"
@@ -247,17 +246,4 @@ func StepInferences(rep *Report, s Step) *Report {
 		}
 	}
 	return out
-}
-
-// GroundTruthRemote exposes the world's hidden membership kind for one
-// interface; it exists for experiment harnesses that need full-world
-// truth (e.g. Fig 10b sanity lines) and must never be called from the
-// pipeline.
-func GroundTruthRemote(w *netsim.World, iface netip.Addr) (bool, bool) {
-	for _, m := range w.Members {
-		if m.Iface == iface {
-			return m.Remote(), true
-		}
-	}
-	return false, false
 }

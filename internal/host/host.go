@@ -308,9 +308,7 @@ func (h *Host) openLocked(t *tenant) error {
 	if err != nil {
 		return fmt.Errorf("host: tenant %q open: %w", t.spec.Name, err)
 	}
-	g := supervisor.New(supervisor.Options{Reopen: reopen, Logger: logger})
-	g.Publish(eng)
-	t.guard = g
+	t.guard = supervisor.New(eng, supervisor.Options{Reopen: reopen, Logger: logger})
 	t.opens++
 	logger.Printf("host: tenant %q open: seq %d (replayed %d) in %s",
 		t.spec.Name, info.Seq, info.Replayed, time.Since(start).Round(time.Millisecond))
@@ -491,9 +489,7 @@ func (t *tenant) status() TenantStatus {
 		st.AckedSeq, st.Generation = gs.AckedSeq, gs.Generation
 		st.Faults, st.Recoveries = gs.Faults, gs.Recoveries
 		st.ContinuityViolations = gs.ContinuityViolations
-		if eng := t.guard.Engine(); eng != nil {
-			st.DroppedUpdates = eng.DroppedUpdates()
-		}
+		st.DroppedUpdates = t.guard.Engine().DroppedUpdates()
 	}
 	return st
 }

@@ -208,9 +208,6 @@ func (t *Table) Fac(f netsim.FacilityID) (FacID, bool) {
 // FacilityID returns the netsim id behind a dense facility ID.
 func (t *Table) FacilityID(id FacID) netsim.FacilityID { return t.facs[id] }
 
-// NumFacs returns the facility ID space size.
-func (t *Table) NumFacs() int { return len(t.facs) }
-
 // ---------------------------------------------------------------------------
 // IXPs
 

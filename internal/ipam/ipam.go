@@ -47,9 +47,6 @@ func MustNew(root netip.Prefix) *Allocator {
 	return a
 }
 
-// Root returns the allocator's root prefix.
-func (a *Allocator) Root() netip.Prefix { return a.root }
-
 // AllocPrefix carves the next /bits prefix from the root. It returns an
 // error when bits is coarser than the root or when the root is
 // exhausted.

@@ -46,10 +46,6 @@ import (
 // maps it to 503 + Retry-After; reads are unaffected.
 var ErrQuarantined = errors.New("supervisor: engine quarantined, recovering")
 
-// ErrNoEngine is returned before the first Publish: the listener is
-// up but cold start or crash recovery has not finished.
-var ErrNoEngine = errors.New("supervisor: no engine published yet")
-
 // Reopen rebuilds an engine from durable state (rpi.Open over the
 // same data directory and base inputs). It runs on the supervisor's
 // recovery goroutine, possibly many times.
@@ -57,9 +53,7 @@ type Reopen func() (*rpi.Engine, *rpi.RecoveryInfo, error)
 
 // Options configures a Guard.
 type Options struct {
-	// Reopen enables self-healing. Nil (an in-memory engine with no
-	// durable state to recover from) leaves a quarantine permanent:
-	// reads keep serving, writes keep answering 503.
+	// Reopen is how a quarantined engine heals (required).
 	Reopen Reopen
 	// RetryInterval is the base backoff between failed re-Opens
 	// (default 1s, doubling to 10x).
@@ -102,19 +96,24 @@ type Guard struct {
 	stop   chan struct{}
 }
 
-// New builds a Guard in the pending state; Publish arms it.
-func New(opts Options) *Guard {
+// New builds a Guard serving eng, its first engine. It panics without
+// opts.Reopen.
+func New(eng *rpi.Engine, opts Options) *Guard {
+	if opts.Reopen == nil {
+		panic("supervisor: Options.Reopen is required")
+	}
 	if opts.RetryInterval <= 0 {
 		opts.RetryInterval = time.Second
 	}
 	if opts.Logger == nil {
 		opts.Logger = log.Default()
 	}
-	return &Guard{opts: opts, stop: make(chan struct{})}
+	g := &Guard{opts: opts, stop: make(chan struct{})}
+	g.publishLocked(eng)
+	return g
 }
 
-// Publish installs an engine (initial cold start, crash recovery, or
-// a manual replacement) and clears any quarantine.
+// Publish installs a replacement engine and clears any quarantine.
 func (g *Guard) Publish(eng *rpi.Engine) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -137,10 +136,10 @@ func (g *Guard) publishLocked(eng *rpi.Engine) {
 	g.sick.Store(false)
 }
 
-// Engine returns the current engine (nil before the first Publish).
-// During a quarantine it still returns the sick engine — Snapshot on
-// it is safe; anything touching the substrate is not, which is why
-// reads go through the Guard's methods instead.
+// Engine returns the current engine. During a quarantine it still
+// returns the sick engine — Snapshot on it is safe; anything touching
+// the substrate is not, which is why reads go through the Guard's
+// methods instead.
 func (g *Guard) Engine() *rpi.Engine { return g.eng.Load() }
 
 // Quarantined reports whether the engine is currently healing.
@@ -152,7 +151,6 @@ func (g *Guard) Generation() uint64 { return g.gen.Load() }
 
 // Stats is the guard's observable state.
 type Stats struct {
-	Published            bool   `json:"published"`
 	Quarantined          bool   `json:"quarantined"`
 	Generation           uint64 `json:"generation"`
 	AckedSeq             uint64 `json:"acked_seq"`
@@ -165,7 +163,6 @@ type Stats struct {
 // Stats snapshots the guard.
 func (g *Guard) Stats() Stats {
 	s := Stats{
-		Published:            g.eng.Load() != nil,
 		Quarantined:          g.sick.Load(),
 		Generation:           g.gen.Load(),
 		AckedSeq:             g.acked.Load(),
@@ -195,9 +192,6 @@ func (g *Guard) Snapshot() (*rpi.Report, error) {
 func (g *Guard) Published() (*rpi.Report, uint64, uint64, error) {
 	for {
 		eng := g.eng.Load()
-		if eng == nil {
-			return nil, 0, 0, ErrNoEngine
-		}
 		gen := g.gen.Load()
 		var (
 			rep *rpi.Report
@@ -224,9 +218,6 @@ func (g *Guard) Published() (*rpi.Report, uint64, uint64, error) {
 // substrate (whose indexes may be half-mutated).
 func (g *Guard) ReportFor(ctx context.Context, ixp string) (*rpi.Report, error) {
 	eng := g.eng.Load()
-	if eng == nil {
-		return nil, ErrNoEngine
-	}
 	if !g.sick.Load() {
 		return eng.ReportFor(ctx, ixp)
 	}
@@ -244,9 +235,6 @@ func (g *Guard) ReportFor(ctx context.Context, ixp string) (*rpi.Report, error) 
 // ErrQuarantined (wrapping the original fault).
 func (g *Guard) Apply(ctx context.Context, d rpi.Delta) (up *rpi.Update, err error) {
 	eng := g.eng.Load()
-	if eng == nil {
-		return nil, ErrNoEngine
-	}
 	if g.sick.Load() {
 		return nil, ErrQuarantined
 	}
@@ -275,9 +263,6 @@ func (g *Guard) Apply(ctx context.Context, d rpi.Delta) (up *rpi.Update, err err
 // good state and the seq is acknowledged.
 func (g *Guard) noteGood(eng *rpi.Engine, seq uint64) {
 	last := g.lastGood.Load()
-	if last == nil {
-		return // unreachable: Publish precedes any Apply
-	}
 	rep, engSeq := eng.SnapshotSeq()
 	g.lastGood.Store(&published{rep: rep, seq: engSeq, ixps: last.ixps})
 	for {
@@ -321,10 +306,6 @@ func (g *Guard) quarantine(gen uint64, eng *rpi.Engine, reason string, stack []b
 		}()
 		eng.Abandon()
 	}()
-	if g.opts.Reopen == nil {
-		g.opts.Logger.Printf("supervisor: no reopen configured; quarantine is permanent (reads keep serving)")
-		return
-	}
 	go g.recoverLoop(gen)
 }
 
@@ -395,7 +376,7 @@ func (g *Guard) Close() error {
 	eng := g.eng.Load()
 	sick := g.sick.Load()
 	g.mu.Unlock()
-	if eng == nil || sick {
+	if sick {
 		return nil
 	}
 	return eng.Close()

@@ -30,25 +30,18 @@ type harness struct {
 	panic atomic.Bool // armed: next Apply panics after journaling
 }
 
-func newHarness(t *testing.T, withReopen bool) *harness {
+func newHarness(t *testing.T) *harness {
 	t.Helper()
 	in, err := rpi.InputsFromConfig(netsim.TinyConfig(), 21)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := &harness{t: t, fsys: wal.NewMemFS(), in: in}
-	opts := Options{RetryInterval: 5 * time.Millisecond, Logger: quiet}
-	if withReopen {
-		opts.Reopen = func() (*rpi.Engine, *rpi.RecoveryInfo, error) {
-			return h.open()
-		}
-	}
-	h.g = New(opts)
 	eng, _, err := h.open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.g.Publish(eng)
+	h.g = New(eng, Options{Reopen: h.open, RetryInterval: 5 * time.Millisecond, Logger: quiet})
 	t.Cleanup(func() { _ = h.g.Close() })
 	return h
 }
@@ -79,7 +72,7 @@ func (h *harness) delta(seed int64) rpi.Delta {
 func (h *harness) waitReady() {
 	h.t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for h.g.Engine() == nil || h.g.Quarantined() {
+	for h.g.Quarantined() {
 		if time.Now().After(deadline) {
 			h.t.Fatalf("guard not ready after 10s: %+v", h.g.Stats())
 		}
@@ -97,7 +90,7 @@ func (h *harness) anyIXP() string {
 }
 
 func TestPanicQuarantineAndRecovery(t *testing.T) {
-	h := newHarness(t, true)
+	h := newHarness(t)
 	ctx := context.Background()
 
 	// A healthy apply establishes acked state past the initial publish.
@@ -189,7 +182,7 @@ func TestPanicQuarantineAndRecovery(t *testing.T) {
 }
 
 func TestPersistenceFaultQuarantineAndRecovery(t *testing.T) {
-	h := newHarness(t, true)
+	h := newHarness(t)
 	ctx := context.Background()
 
 	if _, err := h.g.Apply(ctx, h.delta(1)); err != nil {
@@ -218,49 +211,8 @@ func TestPersistenceFaultQuarantineAndRecovery(t *testing.T) {
 	}
 }
 
-func TestNoReopenQuarantineIsPermanent(t *testing.T) {
-	h := newHarness(t, false)
-	ctx := context.Background()
-
-	h.panic.Store(true)
-	if _, err := h.g.Apply(ctx, h.delta(1)); !errors.Is(err, ErrQuarantined) {
-		t.Fatalf("err = %v, want ErrQuarantined", err)
-	}
-	// No recovery path: stays quarantined, reads keep serving, writes
-	// keep refusing.
-	time.Sleep(50 * time.Millisecond)
-	if !h.g.Quarantined() {
-		t.Fatal("guard became ready without a reopen path")
-	}
-	if _, err := h.g.Snapshot(); err != nil {
-		t.Fatalf("read during permanent quarantine: %v", err)
-	}
-	if _, err := h.g.Apply(ctx, h.delta(2)); !errors.Is(err, ErrQuarantined) {
-		t.Fatalf("write during permanent quarantine: err = %v", err)
-	}
-	if st := h.g.Stats(); st.Faults != 1 || st.Recoveries != 0 {
-		t.Fatalf("stats: %+v", st)
-	}
-}
-
-func TestNoEngine(t *testing.T) {
-	g := New(Options{Logger: quiet})
-	if g.Engine() != nil {
-		t.Fatal("empty guard has an engine")
-	}
-	if _, err := g.Snapshot(); !errors.Is(err, ErrNoEngine) {
-		t.Fatalf("Snapshot: err = %v, want ErrNoEngine", err)
-	}
-	if _, err := g.Apply(context.Background(), rpi.Delta{}); !errors.Is(err, ErrNoEngine) {
-		t.Fatalf("Apply: err = %v, want ErrNoEngine", err)
-	}
-	if _, err := g.ReportFor(context.Background(), "x"); !errors.Is(err, ErrNoEngine) {
-		t.Fatalf("ReportFor: err = %v, want ErrNoEngine", err)
-	}
-}
-
 func TestGenerationBumpsPerPublish(t *testing.T) {
-	h := newHarness(t, true)
+	h := newHarness(t)
 	if h.g.Generation() != 1 {
 		t.Fatalf("generation after first publish = %d, want 1", h.g.Generation())
 	}

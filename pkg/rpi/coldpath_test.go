@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"rpeer/internal/alias"
 	"rpeer/internal/core"
 )
 
@@ -15,7 +16,7 @@ import (
 // worker count marshal to identical bytes, in both alias modes.
 func TestColdFirstRunMatchesWarmRuns(t *testing.T) {
 	in := testInputs(t)
-	for _, mode := range []AliasMode{AliasPrecision, AliasCoverage} {
+	for _, mode := range []alias.Mode{alias.ModePrecision, alias.ModeCoverage} {
 		opt := core.DefaultOptions()
 		opt.AliasMode = mode
 		marshal := func(label string, ctx *core.Context, workers int) []byte {

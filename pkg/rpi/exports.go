@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"rpeer/internal/alias"
 	"rpeer/internal/core"
 	"rpeer/internal/geo"
 	"rpeer/internal/netsim"
@@ -40,8 +39,6 @@ type (
 	Validation = core.Validation
 	// ValidationConfig controls validation-set construction.
 	ValidationConfig = core.ValidationConfig
-	// AliasMode selects the alias-resolution trade-off.
-	AliasMode = alias.Mode
 	// PingResult is a ping campaign outcome (Inputs.Ping).
 	PingResult = pingsim.Result
 )
@@ -69,12 +66,6 @@ const (
 	RouterLocal        = core.RouterLocal
 	RouterRemote       = core.RouterRemote
 	RouterHybrid       = core.RouterHybrid
-)
-
-// Alias-resolution modes.
-const (
-	AliasPrecision = alias.ModePrecision
-	AliasCoverage  = alias.ModeCoverage
 )
 
 // DefaultBaselineThresholdMs is the Castro et al. remoteness

@@ -10,15 +10,14 @@ import (
 // config is the resolved engine configuration.
 type config struct {
 	opt       core.Options
-	order     []core.Step // nil = the paper's 1, 2+3, 4, 5 order
 	threshold float64
 
 	// Persistence knobs (Open/Replay only; New ignores them).
 	sync      wal.Policy
 	snapEvery uint64
-	snapSet   bool // WithSnapshotEvery given (0 means "disabled", not "default")
-	retain    int  // WithSnapshotRetention; 0 keeps every file
-	logger    *log.Logger
+	snapSet   bool        // WithSnapshotEvery given (0 means "disabled", not "default")
+	retain    int         // WithSnapshotRetention; 0 keeps every file
+	logger    *log.Logger // WithLogger; log.Default() otherwise
 	walFS     wal.FS
 
 	// applyHook, when set, runs inside Apply after the delta is
@@ -30,6 +29,7 @@ func defaultConfig() config {
 	return config{
 		opt:       core.DefaultOptions(),
 		threshold: core.DefaultBaselineThresholdMs,
+		logger:    log.Default(),
 	}
 }
 
@@ -47,49 +47,6 @@ func WithWorkers(n int) Option {
 // al. baseline served by Engine.Baseline. The default is 10 ms.
 func WithThreshold(ms float64) Option {
 	return func(c *config) { c.threshold = ms }
-}
-
-// WithSteps restricts the pipeline to the given steps, in the given
-// order (the step-ordering ablation). The default is the paper's full
-// sequence: port capacity, RTT+colocation, multi-IXP, private links.
-func WithSteps(steps ...Step) Option {
-	return func(c *config) {
-		c.order = append([]core.Step(nil), steps...)
-		c.opt.EnablePortCapacity = false
-		c.opt.EnableRTTColo = false
-		c.opt.EnableMultiIXP = false
-		c.opt.EnablePrivate = false
-		for _, s := range steps {
-			switch s {
-			case core.StepPortCapacity:
-				c.opt.EnablePortCapacity = true
-			case core.StepRTTColo:
-				c.opt.EnableRTTColo = true
-			case core.StepMultiIXP:
-				c.opt.EnableMultiIXP = true
-			case core.StepPrivate:
-				c.opt.EnablePrivate = true
-			}
-		}
-	}
-}
-
-// WithAliasMode selects the alias-resolution confidence trade-off
-// (AliasPrecision by default, AliasCoverage for broader clusters).
-func WithAliasMode(m AliasMode) Option {
-	return func(c *config) { c.opt.AliasMode = m }
-}
-
-// WithTracerouteRTT enables the "Beyond Pings" extension: interfaces
-// without ping coverage receive traceroute-derived RTT minimums.
-func WithTracerouteRTT() Option {
-	return func(c *config) { c.opt.UseTracerouteRTT = true }
-}
-
-// WithoutVminBound zeroes the lower distance bound of the feasible
-// ring (the vmin ablation).
-func WithoutVminBound() Option {
-	return func(c *config) { c.opt.DisableVminBound = true }
 }
 
 // WithApplyHook installs a fault-injection hook that Apply calls with

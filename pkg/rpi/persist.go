@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"rpeer/internal/core"
-	"rpeer/internal/pingsim"
 	"rpeer/internal/snapshot"
 	"rpeer/internal/wal"
 )
@@ -90,7 +89,7 @@ func WithSnapshotRetention(n int) Option {
 
 // WithLogger routes recovery and persistence warnings (torn-tail
 // truncation, skipped snapshots, failed background snapshots) to l
-// instead of the process-default logger.
+// instead of the process-default logger. l must not be nil.
 func WithLogger(l *log.Logger) Option {
 	return func(c *config) { c.logger = l }
 }
@@ -231,10 +230,6 @@ func recoverState(fsys wal.FS, dir string, base Inputs, cfg config, maxSeq uint6
 	if base.World == nil || base.Dataset == nil || base.Colo == nil {
 		return nil, nil, fmt.Errorf("%w: World, Dataset and Colo are required", ErrMissingInput)
 	}
-	logger := cfg.logger
-	if logger == nil {
-		logger = log.Default()
-	}
 	fp := core.Fingerprint(base)
 	info := &RecoveryInfo{}
 
@@ -244,7 +239,7 @@ func recoverState(fsys wal.FS, dir string, base Inputs, cfg config, maxSeq uint6
 	}
 	info.SkippedSnapshots = skipped
 	for _, s := range skipped {
-		logger.Printf("rpi: recovery skipped invalid snapshot %s", s)
+		cfg.logger.Printf("rpi: recovery skipped invalid snapshot %s", s)
 	}
 	in := base
 	if ok {
@@ -266,13 +261,6 @@ func recoverState(fsys wal.FS, dir string, base Inputs, cfg config, maxSeq uint6
 		return nil, nil, fmt.Errorf("%w: %v", ErrMissingInput, err)
 	}
 
-	vpByID := make(map[uint32]*pingsim.VP)
-	if base.Ping != nil {
-		for _, vp := range base.Ping.VPs {
-			vpByID[uint32(vp.ID)] = vp
-		}
-	}
-
 	names, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: list log segments: %v", ErrCorruptLog, err)
@@ -283,13 +271,13 @@ func recoverState(fsys wal.FS, dir string, base Inputs, cfg config, maxSeq uint6
 			segs = append(segs, n) // ReadDir sorts; fixed-width hex = seq order
 		}
 	}
-	return replaySegments(fsys, dir, segs, ctx, vpByID, fp, maxSeq, readOnly, logger, info)
+	return replaySegments(fsys, dir, segs, ctx, fp, maxSeq, readOnly, cfg.logger, info)
 }
 
 // replaySegments applies every log record past info.Seq (and <=
 // maxSeq) to ctx, handling torn tails and corruption per the recovery
 // state machine documented on Open.
-func replaySegments(fsys wal.FS, dir string, segs []string, ctx *core.Context, vpByID map[uint32]*pingsim.VP, fp, maxSeq uint64, readOnly bool, logger *log.Logger, info *RecoveryInfo) (*core.Context, *RecoveryInfo, error) {
+func replaySegments(fsys wal.FS, dir string, segs []string, ctx *core.Context, fp, maxSeq uint64, readOnly bool, logger *log.Logger, info *RecoveryInfo) (*core.Context, *RecoveryInfo, error) {
 	cur := info.Seq
 	for i, name := range segs {
 		path := dir + "/" + name
@@ -356,7 +344,7 @@ func replaySegments(fsys wal.FS, dir string, segs []string, ctx *core.Context, v
 				return nil, nil, fmt.Errorf("%w: segment %s jumps from seq %d to %d (missing records)",
 					ErrCorruptLog, name, cur, r.seq)
 			}
-			d, err := decodeDelta(r.payload, vpByID)
+			d, err := decodeDelta(r.payload, ctx.VP)
 			if err != nil {
 				return nil, nil, fmt.Errorf("%w: record %d in %s: %v", ErrCorruptLog, r.seq, name, err)
 			}
@@ -426,13 +414,9 @@ func (p *persister) prune() {
 	if p.retain <= 0 {
 		return
 	}
-	logger := p.logger
-	if logger == nil {
-		logger = log.Default()
-	}
 	snaps, err := snapshot.List(p.fsys, p.dir) // newest first
 	if err != nil {
-		logger.Printf("rpi: retention: list snapshots: %v", err)
+		p.logger.Printf("rpi: retention: list snapshots: %v", err)
 		return
 	}
 	if len(snaps) < p.retain {
@@ -440,7 +424,7 @@ func (p *persister) prune() {
 	}
 	remove := func(name string) {
 		if err := p.fsys.Remove(p.dir + "/" + name); err != nil {
-			logger.Printf("rpi: retention: remove %s: %v", name, err)
+			p.logger.Printf("rpi: retention: remove %s: %v", name, err)
 		}
 	}
 	floor := snaps[p.retain-1].Seq
@@ -450,7 +434,7 @@ func (p *persister) prune() {
 	}
 	names, err := p.fsys.ReadDir(p.dir)
 	if err != nil {
-		logger.Printf("rpi: retention: list log segments: %v", err)
+		p.logger.Printf("rpi: retention: list log segments: %v", err)
 		return
 	}
 	var segs []string
@@ -469,7 +453,7 @@ func (p *persister) prune() {
 	}
 	if removed > 0 {
 		if err := p.fsys.SyncDir(p.dir); err != nil {
-			logger.Printf("rpi: retention: sync dir: %v", err)
+			p.logger.Printf("rpi: retention: sync dir: %v", err)
 		}
 	}
 }
@@ -501,10 +485,6 @@ func (e *Engine) maybeSnapshot() {
 		return
 	}
 	if err := e.snapshotLocked(true); err != nil {
-		logger := p.logger
-		if logger == nil {
-			logger = log.Default()
-		}
-		logger.Printf("rpi: automatic snapshot at seq %d failed: %v", e.seq, err)
+		p.logger.Printf("rpi: automatic snapshot at seq %d failed: %v", e.seq, err)
 	}
 }

@@ -45,10 +45,7 @@ type Engine struct {
 	ctx    *core.Context
 	cfg    config
 	report *core.Report
-	// baseline caches the threshold-baseline report; Apply drops it
-	// (RTT and membership deltas both move it).
-	baseline *core.Report
-	seq      uint64
+	seq    uint64
 	// pers is the durable half of a persistent engine (Open); nil for
 	// the in-memory engines New and Replay build.
 	pers *persister
@@ -83,39 +80,13 @@ func New(in Inputs, opts ...Option) (*Engine, error) {
 }
 
 // buildEngine finishes engine construction over a ready (possibly
-// recovered) context: the initial pipeline run and baseline scan,
-// overlapped (both only read the shared context).
+// recovered) context: the initial pipeline run.
 func buildEngine(ctx *core.Context, cfg config) (*Engine, error) {
-	e := &Engine{ctx: ctx, cfg: cfg, subs: make(map[int]chan Update)}
-	var (
-		wg      sync.WaitGroup
-		base    *core.Report
-		baseErr error
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		base, baseErr = ctx.Baseline(cfg.threshold)
-	}()
-	rep, err := e.run()
-	wg.Wait()
+	rep, err := ctx.Run(cfg.opt)
 	if err != nil {
 		return nil, err
 	}
-	if baseErr != nil {
-		return nil, baseErr
-	}
-	e.report, e.baseline = rep, base
-	return e, nil
-}
-
-// run executes the configured pipeline over the warm context. Callers
-// hold at least a read lock (core.Context runs are concurrency-safe).
-func (e *Engine) run() (*core.Report, error) {
-	if e.cfg.order != nil {
-		return e.ctx.RunWithOrder(e.cfg.opt, e.cfg.order)
-	}
-	return e.ctx.Run(e.cfg.opt)
+	return &Engine{ctx: ctx, cfg: cfg, report: rep, subs: make(map[int]chan Update)}, nil
 }
 
 // Snapshot returns the current report. The report is shared and must
@@ -166,37 +137,17 @@ func (e *Engine) Context() *core.Context {
 	return e.ctx
 }
 
-// Baseline returns the Castro et al. RTT-threshold baseline over the
-// shared substrate at the configured threshold (WithThreshold),
-// cached until the next Apply. The report is shared and read-only.
+// VP resolves a vantage point of the campaign roster by ID, the form
+// /v1/apply bodies and WAL records name it in (core.Context.VP).
+func (e *Engine) VP(id int) (*pingsim.VP, bool) { return e.ctx.VP(id) }
+
+// Baseline computes the Castro et al. RTT-threshold baseline over the
+// current substrate at the configured threshold (WithThreshold). Each
+// call builds a fresh report; nothing is cached.
 func (e *Engine) Baseline() (*Report, error) {
-	for {
-		e.mu.RLock()
-		if b := e.baseline; b != nil {
-			e.mu.RUnlock()
-			return b, nil
-		}
-		seq := e.seq
-		base, err := e.ctx.Baseline(e.cfg.threshold)
-		e.mu.RUnlock()
-		if err != nil {
-			return nil, err
-		}
-		e.mu.Lock()
-		if e.seq == seq {
-			// A concurrent identical recompute may have stored first;
-			// keep one instance.
-			if e.baseline == nil {
-				e.baseline = base
-			}
-			base = e.baseline
-			e.mu.Unlock()
-			return base, nil
-		}
-		// An Apply landed mid-compute: the report reflects the old
-		// world; recompute rather than caching stale state.
-		e.mu.Unlock()
-	}
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.ctx.Baseline(e.cfg.threshold)
 }
 
 // RunStep evaluates one methodology step in isolation over the shared
@@ -332,13 +283,12 @@ func (e *Engine) Apply(ctx context.Context, d Delta) (*Update, error) {
 		}
 		return nil, fmt.Errorf("%w: %v", ErrBadDelta, err)
 	}
-	rep, err := e.run()
+	rep, err := e.ctx.Run(e.cfg.opt)
 	if err != nil {
 		return nil, err
 	}
 	old := e.report
 	e.report = rep
-	e.baseline = nil
 	e.seq++
 	e.maybeSnapshot()
 	up := diffReports(e.seq, old, rep)

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"rpeer/internal/core"
 	"rpeer/internal/evolve"
 	"rpeer/internal/netsim"
 	"rpeer/internal/pingsim"
@@ -268,14 +269,41 @@ func TestApplyRejectsBadDelta(t *testing.T) {
 	}
 }
 
-func TestWithStepsRestrictsPipeline(t *testing.T) {
-	eng, err := New(testInputs(t), WithSteps(StepPortCapacity), WithWorkers(1))
+// TestWithThresholdBaseline pins that Engine.Baseline serves the
+// configured threshold: its wire bytes equal a cold context's
+// Baseline at the same threshold, and differ from the default's.
+func TestWithThresholdBaseline(t *testing.T) {
+	in := testInputs(t)
+	eng, err := New(in, WithThreshold(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, inf := range eng.Snapshot().Inferences {
-		if inf.Class != ClassUnknown && inf.Step != StepPortCapacity {
-			t.Fatalf("step %v decided a verdict despite WithSteps(StepPortCapacity)", inf.Step)
+	base, err := eng.Baseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := MarshalReport(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := core.NewContext(eng.Inputs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		ms   float64
+		same bool
+	}{{5, true}, {DefaultBaselineThresholdMs, false}} {
+		rep, err := cold.Baseline(tc.ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := MarshalReport(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(got, want) != tc.same {
+			t.Fatalf("WithThreshold(5) baseline vs cold Baseline(%v): equal = %v, want %v", tc.ms, !tc.same, tc.same)
 		}
 	}
 }

@@ -132,9 +132,6 @@ func (c Config) withDefaults() Config {
 type backend struct {
 	g *supervisor.Guard
 
-	// vps caches the VP index of the current engine publication (see
-	// vpIndex); rebuilt only when the supervisor swaps engines.
-	vps atomic.Pointer[vpCache]
 	// rep caches the marshaled full wire report of the current
 	// publication, keyed on (generation, seq): under read load
 	// GET /v1/infer is a buffer write, not a re-marshal.
@@ -302,9 +299,9 @@ func (s *HostServer) forTenant(cl admission.Class, name func(*http.Request) stri
 	})
 }
 
-// backendFor returns the tenant's backend — guard plus report/VP
-// caches — creating or replacing it when the guard changed (the tenant
-// was evicted and reopened, or deleted and recreated). Matching on the
+// backendFor returns the tenant's backend — guard plus report cache —
+// creating or replacing it when the guard changed (the tenant was
+// evicted and reopened, or deleted and recreated). Matching on the
 // guard pointer is what keeps cached bytes from ever crossing engine
 // instances: a backend only serves requests whose lease holds the same
 // guard it was built for.
@@ -468,11 +465,6 @@ type WireRTT struct {
 }
 
 func (s *HostServer) apply(w http.ResponseWriter, r *http.Request, be *backend) {
-	eng := be.g.Engine()
-	if eng == nil {
-		s.writeError(w, r, supervisor.ErrNoEngine)
-		return
-	}
 	var wd WireDelta
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
 	dec.DisallowUnknownFields()
@@ -483,7 +475,7 @@ func (s *HostServer) apply(w http.ResponseWriter, r *http.Request, be *backend) 
 		http.Error(w, fmt.Sprintf("bad delta body: %v", err), http.StatusBadRequest)
 		return
 	}
-	d, err := toDelta(eng, be, wd)
+	d, err := toDelta(be.g.Engine(), wd)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -496,37 +488,8 @@ func (s *HostServer) apply(w http.ResponseWriter, r *http.Request, be *backend) 
 	s.writeJSON(w, http.StatusOK, up)
 }
 
-// vpCache is the vantage-point index of one engine publication. The VP
-// set is frozen per engine (deltas refresh RTTs, never the VP roster),
-// so the index is built once per supervisor generation instead of on
-// every /v1/apply.
-type vpCache struct {
-	gen     uint64
-	hasPing bool
-	byID    map[int]*pingsim.VP
-}
-
-// vpIndex returns the cached VP index for the backend's current
-// publication, building it on first use after an engine swap.
-func vpIndex(eng *rpi.Engine, be *backend) *vpCache {
-	gen := be.g.Generation()
-	if c := be.vps.Load(); c != nil && c.gen == gen {
-		return c
-	}
-	c := &vpCache{gen: gen}
-	if in := eng.Inputs(); in.Ping != nil {
-		c.hasPing = true
-		c.byID = make(map[int]*pingsim.VP, len(in.Ping.VPs))
-		for _, vp := range in.Ping.VPs {
-			c.byID[vp.ID] = vp
-		}
-	}
-	be.vps.Store(c)
-	return c
-}
-
 // toDelta resolves a wire delta against the engine's current state.
-func toDelta(eng *rpi.Engine, be *backend, wd WireDelta) (rpi.Delta, error) {
+func toDelta(eng *rpi.Engine, wd WireDelta) (rpi.Delta, error) {
 	var d rpi.Delta
 	for _, j := range wd.Joins {
 		ip, err := netip.ParseAddr(j.Iface)
@@ -547,8 +510,7 @@ func toDelta(eng *rpi.Engine, be *backend, wd WireDelta) (rpi.Delta, error) {
 	if len(wd.RTT) == 0 {
 		return d, nil
 	}
-	vps := vpIndex(eng, be)
-	if !vps.hasPing {
+	if eng.Inputs().Ping == nil {
 		return d, fmt.Errorf("rtt: engine has no ping campaign")
 	}
 	d.Ping = make(map[netip.Addr]pingsim.Override, len(wd.RTT))
@@ -569,7 +531,8 @@ func toDelta(eng *rpi.Engine, be *backend, wd WireDelta) (rpi.Delta, error) {
 		// apply cannot slip between resolution and application.
 		var vp *pingsim.VP
 		if u.VPID != nil {
-			if vp = vps.byID[*u.VPID]; vp == nil {
+			var ok bool
+			if vp, ok = eng.VP(*u.VPID); !ok {
 				return d, fmt.Errorf("rtt: unknown vp_id %d", *u.VPID)
 			}
 		}
@@ -597,10 +560,6 @@ type streamEvent struct {
 // and resubscribe.
 func (s *HostServer) stream(w http.ResponseWriter, r *http.Request, be *backend) {
 	eng := be.g.Engine()
-	if eng == nil {
-		s.writeError(w, r, supervisor.ErrNoEngine)
-		return
-	}
 	gen := be.g.Generation()
 	updates, cancel := eng.Subscribe(s.cfg.StreamBuffer)
 	defer cancel()
@@ -717,12 +676,11 @@ func (s *HostServer) writeError(w http.ResponseWriter, r *http.Request, err erro
 	case errors.Is(err, admission.ErrOverloaded),
 		errors.Is(err, rpi.ErrOverloaded),
 		errors.Is(err, supervisor.ErrQuarantined),
-		errors.Is(err, supervisor.ErrNoEngine),
 		errors.Is(err, host.ErrHostClosed),
 		errors.Is(err, rpi.ErrClosed),
 		errors.Is(err, rpi.ErrPersistence):
-		// Transient serving-plane states: shed load, healing engine,
-		// recovery still running, or a log that can no longer promise
+		// Transient serving-plane states: shed load, a healing engine,
+		// a closing host or engine, or a log that can no longer promise
 		// durability. All of them clear up (or at worst persist) without
 		// the client changing its request: retry shortly.
 		status = http.StatusServiceUnavailable

@@ -156,8 +156,8 @@ func (d *recDec) addr() netip.Addr {
 func (d *recDec) name() string { return string(d.take(int(d.u16()))) }
 
 // decodeDelta parses one WAL record, resolving persisted vantage-point
-// IDs against the base campaign roster.
-func decodeDelta(payload []byte, vpByID map[uint32]*pingsim.VP) (Delta, error) {
+// IDs against the campaign roster (core.Context.VP).
+func decodeDelta(payload []byte, vpByID func(id int) (*pingsim.VP, bool)) (Delta, error) {
 	d := &recDec{b: payload}
 	if v := d.u8(); v > recVersion {
 		return Delta{}, fmt.Errorf("record version %d is newer than supported %d", v, recVersion)
@@ -187,7 +187,7 @@ func decodeDelta(payload []byte, vpByID map[uint32]*pingsim.VP) (Delta, error) {
 		id := d.u32()
 		fl := d.u8()
 		if id != noRecVP {
-			vp, ok := vpByID[id]
+			vp, ok := vpByID(int(id))
 			if !ok {
 				return Delta{}, fmt.Errorf("record references unknown vantage point %d", id)
 			}
