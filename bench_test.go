@@ -375,7 +375,7 @@ func BenchmarkAllArtefactsSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink = exp.AllSerial(e)
+		sink = exp.All(e, 1)
 	}
 }
 
@@ -384,7 +384,7 @@ func BenchmarkAllArtefactsParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink = exp.All(e)
+		sink = exp.All(e, 0)
 	}
 }
 
@@ -769,7 +769,7 @@ func BenchmarkScaleWorld(b *testing.B) {
 				runtime.GC()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sink = exp.All(e)
+					sink = exp.All(e, 0)
 				}
 				b.ReportMetric(float64(len(e.Report.Inferences)), "inferences/op")
 			})

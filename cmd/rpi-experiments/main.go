@@ -29,7 +29,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	results := exp.AllWorkers(env, *workers)
+	results := exp.All(env, *workers)
 
 	for _, r := range results {
 		if *markdown {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"net/netip"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -86,8 +85,8 @@ func (pl *Plane) Len() int {
 // Cover extends the plane so that slot i holds the probe outcome of
 // addrs[i] for every i < len(addrs). Slots already filled are kept, so
 // addrs must extend the column an earlier call covered (an append-only
-// interning column does). The fill of new slots runs over GOMAXPROCS
-// workers; results do not depend on the worker count.
+// interning column does). The fill of new slots fans out over par's
+// default pool; results do not depend on the worker count.
 func (pl *Plane) Cover(addrs []netip.Addr) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
@@ -105,7 +104,11 @@ func (pl *Plane) Cover(addrs []netip.Addr) {
 		ids:  grow(old.ids, n*rounds),
 		vel:  grow(old.vel, n),
 	}
-	par.Do(runtime.GOMAXPROCS(0), n-n0, func(i int) { pl.fill(next, n0+i, addrs[n0+i]) })
+	par.Do(0, n-n0, 64, func(lo, hi int) {
+		for i := n0 + lo; i < n0+hi; i++ {
+			pl.fill(next, i, addrs[i])
+		}
+	})
 	pl.cols.Store(next)
 }
 

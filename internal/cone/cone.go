@@ -36,9 +36,6 @@ func Build(w *netsim.World) *Graph {
 	return g
 }
 
-// Customers returns the direct customers of an AS.
-func (g *Graph) Customers(asn netsim.ASN) []netsim.ASN { return g.customers[asn] }
-
 // ConeSize returns the size of the AS's customer cone: the number of
 // ASes reachable by walking provider-to-customer edges, including the
 // AS itself (CAIDA convention: a stub has cone size 1).

@@ -38,7 +38,7 @@ func TestConeSizes(t *testing.T) {
 				t1Max = c
 			}
 		case 3:
-			if len(g.Customers(asn)) == 0 {
+			if len(g.customers[asn]) == 0 {
 				stubCount++
 				if c != 1 {
 					t.Fatalf("childless stub %v has cone %d", asn, c)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"slices"
 	"sync"
 
@@ -122,10 +121,10 @@ func (c *Context) sortedSet(ids []ident.IfaceID) []ident.IfaceID {
 
 // multiRouters returns the clusters facing more than one IXP, built
 // lazily per alias mode over the memoized observations. Candidate ASes
-// resolve independently, so they fan out over workers (0 = GOMAXPROCS)
-// into an indexed slice assembled in ascending AS-number order, with
-// clusters in resolver output order — the list does not depend on the
-// worker count.
+// resolve independently, so they fan out over the worker pool into an
+// indexed slice assembled in ascending AS-number order, with clusters
+// in resolver output order — the list does not depend on the worker
+// count.
 func (c *Context) multiRouters(m *aliasMemo, workers int) []cachedRouter {
 	m.routerMu.Lock()
 	defer m.routerMu.Unlock()
@@ -145,38 +144,37 @@ func (c *Context) multiRouters(m *aliasMemo, workers int) []cachedRouter {
 		routers []cachedRouter
 	}
 	out := make([]result, len(cands))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	// Workers only read m.asSets; misses are stored after the fan-out.
-	par.Do(workers, len(cands), func(i int) {
-		o, r := cands[i], &out[i]
-		set := make([]ident.IfaceID, 0, len(o.nearIfaces)+len(o.mems))
-		set = append(set, o.nearIfaces...)
-		for _, pr := range o.mems {
-			set = append(set, pr.iface)
-		}
-		set = c.sortedSet(set)
-		r.res = m.asSets[o.member]
-		if !slices.Equal(r.res.set, set) {
-			r.res = asClusters{set: set, clusters: alias.Sets(set, plane.Resolve(m.mode, set))}
-			r.miss = true
-		}
-		var ixps []ident.IXPID
-		for _, cluster := range r.res.clusters {
-			ixps = ixps[:0]
-			for _, id := range cluster {
-				o.nearIXPsOf(id, func(x ident.IXPID) { ixps = append(ixps, x) })
-				if x, ok := o.memIXPOf(id); ok {
-					ixps = append(ixps, x)
+	par.Do(workers, len(cands), 64, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			o, r := cands[i], &out[i]
+			set := make([]ident.IfaceID, 0, len(o.nearIfaces)+len(o.mems))
+			set = append(set, o.nearIfaces...)
+			for _, pr := range o.mems {
+				set = append(set, pr.iface)
+			}
+			set = c.sortedSet(set)
+			r.res = m.asSets[o.member]
+			if !slices.Equal(r.res.set, set) {
+				r.res = asClusters{set: set, clusters: alias.Sets(set, plane.Resolve(m.mode, set))}
+				r.miss = true
+			}
+			var ixps []ident.IXPID
+			for _, cluster := range r.res.clusters {
+				ixps = ixps[:0]
+				for _, id := range cluster {
+					o.nearIXPsOf(id, func(x ident.IXPID) { ixps = append(ixps, x) })
+					if x, ok := o.memIXPOf(id); ok {
+						ixps = append(ixps, x)
+					}
 				}
+				slices.Sort(ixps)
+				ixps = slices.Compact(ixps)
+				if len(ixps) < 2 {
+					continue
+				}
+				r.routers = append(r.routers, cachedRouter{member: o.member, ifaces: cluster, ixps: slices.Clone(ixps)})
 			}
-			slices.Sort(ixps)
-			ixps = slices.Compact(ixps)
-			if len(ixps) < 2 {
-				continue
-			}
-			r.routers = append(r.routers, cachedRouter{member: o.member, ifaces: cluster, ixps: slices.Clone(ixps)})
 		}
 	})
 	routers := []cachedRouter{}

@@ -3,14 +3,12 @@ package core
 import (
 	"math"
 	"net/netip"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"rpeer/internal/alias"
 	"rpeer/internal/geo"
 	"rpeer/internal/ident"
 	"rpeer/internal/netsim"
+	"rpeer/internal/par"
 	"rpeer/internal/pingsim"
 	"rpeer/internal/registry"
 	"rpeer/internal/traix"
@@ -230,70 +228,27 @@ func (p *pipeline) rttFor(ip netip.Addr) (float64, bool) {
 // ---------------------------------------------------------------------------
 // Sharded per-membership execution
 
-// shardChunk is the number of entries a shard claims per grab: large
-// enough to amortise the atomic increment, small enough to keep the
-// tail balanced.
+// shardChunk is the number of entries one claim of the shard pool
+// covers: large enough to amortise the claim and its pooled scratch,
+// small enough to keep the tail balanced.
 const shardChunk = 256
 
-// parallelMinEntries is the domain size below which the fan-out
-// overhead outweighs the shard parallelism.
-const parallelMinEntries = 2 * shardChunk
-
-// workers resolves the effective shard-pool size for n entries.
-func (p *pipeline) workers(n int) int {
-	w := p.opt.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if max := (n + shardChunk - 1) / shardChunk; w > max {
-		w = max
-	}
-	return w
-}
-
 // forEachInference applies fn to every inference of the report,
-// fanning the domain out across a shard pool when both the options and
-// the domain size warrant it. fn must classify its entry from shared
-// read-only state and write only through inf (plus its private
-// scratch); because no entry reads another entry's verdict, the shard
-// schedule cannot leak into the report and the output is bit-identical
-// for every worker count — the merge is the writes themselves.
+// fanning the domain out across the shard pool in claims of
+// shardChunk entries. fn must classify its entry from shared read-only
+// state and write only through inf (plus its private scratch); because
+// no entry reads another entry's verdict, the shard schedule cannot
+// leak into the report and the output is bit-identical for every
+// worker count — the merge is the writes themselves.
 func (p *pipeline) forEachInference(rep *Report, fn func(*scratch, domEntry, *Inference)) {
 	entries := p.domEntries
-	n := len(entries)
-	workers := p.workers(n)
-	if workers <= 1 || n < parallelMinEntries {
+	par.Do(p.opt.Workers, len(entries), shardChunk, func(lo, hi int) {
 		s := p.ctx.getScratch()
-		for i := range entries {
+		for i := lo; i < hi; i++ {
 			fn(s, entries[i], p.infAt(rep, i))
 		}
 		p.ctx.putScratch(s)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := p.ctx.getScratch()
-			defer p.ctx.putScratch(s)
-			for {
-				start := int(next.Add(shardChunk)) - shardChunk
-				if start >= n {
-					return
-				}
-				end := start + shardChunk
-				if end > n {
-					end = n
-				}
-				for i := start; i < end; i++ {
-					fn(s, entries[i], p.infAt(rep, i))
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	})
 }
 
 // infAt returns the inference backing entry i of the domain. Reports

@@ -3,14 +3,12 @@ package core
 import (
 	"math"
 	"net/netip"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"rpeer/internal/geo"
 	"rpeer/internal/ident"
 	"rpeer/internal/netsim"
+	"rpeer/internal/par"
 )
 
 // ---------------------------------------------------------------------------
@@ -188,7 +186,7 @@ type cachedRouter struct {
 //
 // The sweep is sharded by member-run: the cached router list is sorted
 // by AS number, so one member's routers are contiguous, and a run —
-// all routers of one member — is the unit workers claim atomically.
+// all routers of one member — is the unit of one worker claim.
 // This is safe because every read (classOf) and write (assign) of the
 // propagation touches only domain entries of the run's own member:
 // runs are disjoint in member, so no shard can observe another shard's
@@ -238,48 +236,16 @@ func (p *pipeline) stepMultiIXP(rep *Report, seed func(netsim.ASN, string) PeerC
 	runStarts = append(runStarts, int32(len(cached)))
 	nRuns := len(runStarts) - 1
 
-	sweepRun := func(s *scratch, k int) {
-		for i := runStarts[k]; i < runStarts[k+1]; i++ {
+	// One run per claim: runs are mostly single routers, but the
+	// per-router geometry dwarfs the claim, and run-granular claiming
+	// keeps the tail balanced.
+	par.Do(p.opt.Workers, nRuns, 1, func(lo, hi int) {
+		s := c.getScratch()
+		for i := runStarts[lo]; i < runStarts[hi]; i++ {
 			p.classifyMultiRouter(s, rep, groups, &cached[i], routers[i], seed)
 		}
-	}
-
-	workers := p.opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nRuns {
-		workers = nRuns
-	}
-	if workers <= 1 {
-		s := c.getScratch()
-		for k := 0; k < nRuns; k++ {
-			sweepRun(s, k)
-		}
 		c.putScratch(s)
-		return
-	}
-	// Workers claim one run per atomic grab: runs are mostly single
-	// routers, but the per-router geometry dwarfs the atomic, and
-	// run-granular claiming keeps the tail balanced.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := c.getScratch()
-			defer c.putScratch(s)
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= nRuns {
-					return
-				}
-				sweepRun(s, k)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 }
 
 // classifyMultiRouter applies the Fig 3 rules to one cached cluster,

@@ -7,7 +7,7 @@ import (
 )
 
 // TestMeasureArtefactCosts prints a freshly measured cost table for
-// the AllWorkers schedule. Run manually with:
+// the All schedule. Run manually with:
 //
 //	RPEER_MEASURE_COSTS=1 go test ./internal/exp -run MeasureArtefactCosts -v
 func TestMeasureArtefactCosts(t *testing.T) {

@@ -7,13 +7,12 @@ package exp
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"rpeer/internal/core"
 	"rpeer/internal/netsim"
+	"rpeer/internal/par"
 	"rpeer/internal/pingsim"
 	"rpeer/internal/registry"
 	"rpeer/internal/report"
@@ -165,7 +164,7 @@ type Result struct {
 // artefact couples one constructor with its measured warm-cache serial
 // cost on the default world (rough microseconds; re-measure with
 // TestMeasureArtefactCosts, see DESIGN.md section 7). Only the
-// relative order matters: AllWorkers hands expensive artefacts out
+// relative order matters: All hands expensive artefacts out
 // first, so the straggler — Sec 6.4, even after its PR 5 distance-
 // memoization cut it 618 -> ~59 ms; Table 4 collapsed from 2.6 s to
 // ~40 ms with the PR 4/PR 5 speedups — starts immediately instead of
@@ -176,7 +175,7 @@ type artefact struct {
 }
 
 // artefacts lists every artefact in paper order (the output order of
-// All and friends, regardless of the execution schedule).
+// All, regardless of the execution schedule).
 var artefacts = []artefact{
 	{Table1, 8},
 	{Table2, 2812},
@@ -206,7 +205,7 @@ var artefacts = []artefact{
 	{Sec8Longitudinal, 326},
 }
 
-// schedule is the execution order of the worker pool: artefact indexes
+// schedule is the order All's workers claim artefacts in: artefact indexes
 // sorted by descending cost (longest-first), ties in paper order.
 var schedule = func() []int {
 	idx := make([]int, len(artefacts))
@@ -220,59 +219,17 @@ var schedule = func() []int {
 }()
 
 // All regenerates every artefact, fanning the independent constructors
-// out across one worker per CPU with a longest-first schedule. Results
-// are returned in paper order and are value-identical to the serial
-// path (see AllSerial and the determinism test).
-func All(env *Env) []Result {
-	return AllWorkers(env, 0)
-}
-
-// AllSerial regenerates every artefact on the calling goroutine, for
-// callers that need single-threaded execution (or a reference output
-// to compare the parallel path against).
-func AllSerial(env *Env) []Result {
-	return AllWorkers(env, 1)
-}
-
-// AllWorkers is All with an explicit worker count; workers <= 0 uses
-// GOMAXPROCS, and the pool never exceeds the number of artefacts (a
-// worker with no work to claim would be a leaked-goroutine hazard for
-// nothing). Each artefact is independent: constructors only read the
-// environment and share the thread-safe core.Context. Workers claim
-// artefacts in schedule order (longest-first) and write results back
-// by paper-order index, so the output is deterministic regardless of
-// completion order.
-func AllWorkers(env *Env, workers int) []Result {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(artefacts) {
-		workers = len(artefacts)
-	}
+// out over workers (<= 0 uses GOMAXPROCS). Each artefact is
+// independent: constructors only read the environment and share the
+// thread-safe core.Context. Workers claim artefacts one at a time in
+// schedule order (longest-first) and write results back by paper-order
+// index, so the output is identical for every worker count.
+func All(env *Env, workers int) []Result {
 	out := make([]Result, len(artefacts))
-	if workers <= 1 {
-		for i, a := range artefacts {
-			out[i] = a.fn(env)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				n := int(next.Add(1)) - 1
-				if n >= len(schedule) {
-					return
-				}
-				i := schedule[n]
-				out[i] = artefacts[i].fn(env)
-			}
-		}()
-	}
-	wg.Wait()
+	par.Do(workers, len(schedule), 1, func(k, _ int) {
+		i := schedule[k]
+		out[i] = artefacts[i].fn(env)
+	})
 	return out
 }
 

@@ -20,7 +20,7 @@ func env(t testing.TB) *Env {
 }
 
 func TestAllExperimentsRun(t *testing.T) {
-	results := All(env(t))
+	results := All(env(t), 0)
 	if len(results) != 26 {
 		t.Fatalf("experiments = %d, want 26", len(results))
 	}

@@ -17,8 +17,8 @@ func TestAllParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel := AllWorkers(e, 8)
-	serial := AllSerial(e)
+	parallel := All(e, 8)
+	serial := All(e, 1)
 	if len(serial) != len(parallel) {
 		t.Fatalf("result counts differ: %d vs %d", len(serial), len(parallel))
 	}
@@ -41,8 +41,8 @@ func TestAllParallelMatchesSerial(t *testing.T) {
 func TestAllWorkersMoreWorkersThanItems(t *testing.T) {
 	e := env(t)
 	before := runtime.NumGoroutine()
-	ref := AllSerial(e)
-	got := AllWorkers(e, 50*len(artefacts))
+	ref := All(e, 1)
+	got := All(e, 50*len(artefacts))
 	if len(got) != len(ref) {
 		t.Fatalf("result counts differ: %d vs %d", len(got), len(ref))
 	}
@@ -114,12 +114,12 @@ func TestParallelSuiteBeatsSerial(t *testing.T) {
 		t.Skipf("needs >= 4 CPUs for a meaningful speedup bound, have %d", runtime.NumCPU())
 	}
 	e := env(t)
-	AllSerial(e) // warm every lazy cache once
+	All(e, 1) // warm every lazy cache once
 
 	serial := time.Duration(1 << 62)
 	for r := 0; r < 2; r++ {
 		start := time.Now()
-		AllSerial(e)
+		All(e, 1)
 		if d := time.Since(start); d < serial {
 			serial = d
 		}
@@ -127,7 +127,7 @@ func TestParallelSuiteBeatsSerial(t *testing.T) {
 	par := time.Duration(1 << 62)
 	for r := 0; r < 2; r++ {
 		start := time.Now()
-		All(e)
+		All(e, 0)
 		if d := time.Since(start); d < par {
 			par = d
 		}

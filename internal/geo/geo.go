@@ -127,40 +127,6 @@ const MetroDiameterKm = 100
 // (Section 4.2: "facilities more than 50 km apart").
 const MetroSeparationKm = 50
 
-// SameMetro reports whether two points belong to the same metropolitan
-// area under the paper's 50 km separation rule.
-func SameMetro(a, b Point) bool {
-	return DistanceKm(a, b) <= MetroSeparationKm
-}
-
-// ClusterMetros greedily groups points into metropolitan areas: each
-// point joins the first existing cluster whose seed lies within
-// MetroSeparationKm, otherwise it seeds a new cluster. The return value
-// maps each input index to a cluster id in [0, n).
-//
-// Greedy seeding is order-dependent in degenerate chains of points that
-// are pairwise 50 km apart; real facility sets are strongly clumped
-// around cities, where the assignment is stable.
-func ClusterMetros(points []Point) []int {
-	ids := make([]int, len(points))
-	var seeds []Point
-	for i, p := range points {
-		assigned := -1
-		for c, s := range seeds {
-			if DistanceKm(p, s) <= MetroSeparationKm {
-				assigned = c
-				break
-			}
-		}
-		if assigned < 0 {
-			assigned = len(seeds)
-			seeds = append(seeds, p)
-		}
-		ids[i] = assigned
-	}
-	return ids
-}
-
 // MaxPairwiseKm returns the maximum geodesic distance between any two
 // of the given points, and the indices achieving it. It returns 0 and
 // (-1, -1) when fewer than two points are given. The paper uses this to

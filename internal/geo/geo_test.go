@@ -106,38 +106,6 @@ func clampTo(v, lim float64) float64 {
 	return math.Mod(v, lim)
 }
 
-func TestMetroRules(t *testing.T) {
-	// Amsterdam-Rotterdam is 57 km: the paper's 50 km rule places them
-	// in *different* metropolitan areas.
-	if SameMetro(amsterdam, rotterdam) {
-		t.Error("Amsterdam and Rotterdam are 57 km apart; want different metros under the 50 km rule")
-	}
-	near := Point{52.37, 4.95} // a few km from Amsterdam centre
-	if !SameMetro(amsterdam, near) {
-		t.Error("points a few km apart must share a metro")
-	}
-}
-
-func TestClusterMetros(t *testing.T) {
-	pts := []Point{amsterdam, {52.35, 4.92}, london, {51.52, -0.10}, frankfurt}
-	ids := ClusterMetros(pts)
-	if ids[0] != ids[1] {
-		t.Errorf("both Amsterdam points should share a cluster: %v", ids)
-	}
-	if ids[2] != ids[3] {
-		t.Errorf("both London points should share a cluster: %v", ids)
-	}
-	if ids[0] == ids[2] || ids[0] == ids[4] || ids[2] == ids[4] {
-		t.Errorf("Amsterdam, London, Frankfurt must be distinct clusters: %v", ids)
-	}
-}
-
-func TestClusterMetrosEmpty(t *testing.T) {
-	if ids := ClusterMetros(nil); len(ids) != 0 {
-		t.Errorf("ClusterMetros(nil) = %v, want empty", ids)
-	}
-}
-
 func TestMaxPairwise(t *testing.T) {
 	pts := []Point{amsterdam, london, bucharest}
 	d, i, j := MaxPairwiseKm(pts)
@@ -209,21 +177,6 @@ func TestSpeedModelRingMonotonicProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestInRing(t *testing.T) {
-	m := DefaultSpeedModel()
-	// Fig 7 scenario: 4ms RTT; London at ~357 km from Amsterdam must be
-	// feasible; Bucharest at ~1770 km must not.
-	dAmsLon := DistanceKm(amsterdam, london)
-	if !m.InRing(dAmsLon, 4) {
-		lo, hi := m.FeasibleRing(4)
-		t.Errorf("London (%.0f km) not in 4ms ring [%.0f, %.0f]", dAmsLon, lo, hi)
-	}
-	dAmsBuc := DistanceKm(amsterdam, bucharest)
-	if m.InRing(dAmsBuc, 4) {
-		t.Errorf("Bucharest (%.0f km) unexpectedly in 4ms ring", dAmsBuc)
 	}
 }
 

@@ -97,19 +97,6 @@ func (m SpeedModel) DMin(rttMs float64) float64 {
 	return d
 }
 
-// FeasibleRing returns the [DMin, DMax] distance interval (km) in which
-// a ping target can lie given the measured RTTmin (Fig 7's green ring).
-func (m SpeedModel) FeasibleRing(rttMs float64) (dMinKm, dMaxKm float64) {
-	return m.DMin(rttMs), m.DMax(rttMs)
-}
-
-// InRing reports whether distance d (km) is consistent with rtt (ms)
-// under the model.
-func (m SpeedModel) InRing(dKm, rttMs float64) bool {
-	lo, hi := m.FeasibleRing(rttMs)
-	return dKm >= lo && dKm <= hi
-}
-
 // DelaySample is one inter-facility delay observation: the geodesic
 // distance between the two facilities and the measured (Y.1731-style)
 // round-trip time.

@@ -580,12 +580,8 @@ func (h *Host) saveManifestLocked() error {
 	if err := os.MkdirAll(h.cfg.Dir, 0o755); err != nil {
 		return fmt.Errorf("host: manifest dir: %w", err)
 	}
-	tmp := h.manifestPath() + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return fmt.Errorf("host: write manifest: %w", err)
-	}
-	if err := os.Rename(tmp, h.manifestPath()); err != nil {
-		return fmt.Errorf("host: publish manifest: %w", err)
+	if err := wal.WriteFileAtomic(wal.OS(), h.manifestPath(), append(b, '\n')); err != nil {
+		return fmt.Errorf("host: manifest: %w", err)
 	}
 	return nil
 }

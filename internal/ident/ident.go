@@ -199,12 +199,6 @@ func (t *Table) AddFac(f netsim.FacilityID) FacID {
 	return id
 }
 
-// Fac resolves a netsim facility id to its dense ID.
-func (t *Table) Fac(f netsim.FacilityID) (FacID, bool) {
-	id, ok := t.facIDs[f]
-	return id, ok
-}
-
 // FacilityID returns the netsim id behind a dense facility ID.
 func (t *Table) FacilityID(id FacID) netsim.FacilityID { return t.facs[id] }
 

@@ -122,7 +122,7 @@ func TestTableRoundTripProperty(t *testing.T) {
 		f := netsim.FacilityID(rng.Intn(50))
 		id := tab.AddFac(f)
 		if tab.FacilityID(id) != f {
-			t.Fatalf("FacilityID(Fac(%v)) = %v", f, tab.FacilityID(id))
+			t.Fatalf("FacilityID(AddFac(%v)) = %v", f, tab.FacilityID(id))
 		}
 	}
 }

@@ -79,21 +79,6 @@ func (a *Allocator) AllocAddr(p netip.Prefix) (netip.Addr, error) {
 	return cur, nil
 }
 
-// Remaining reports how many host addresses are still available in p
-// (excluding the broadcast address).
-func (a *Allocator) Remaining(p netip.Prefix) int {
-	cur, ok := a.cursors[p]
-	if !ok {
-		return 0
-	}
-	n := 0
-	for p.Contains(cur) && cur != lastAddr(p) {
-		n++
-		cur = cur.Next()
-	}
-	return n
-}
-
 // alignUp rounds addr up to the next /bits block boundary.
 func alignUp(addr netip.Addr, bits int) netip.Addr {
 	u := addrToUint32(addr)

@@ -120,21 +120,6 @@ func TestAllocAddrUnknownPrefix(t *testing.T) {
 	}
 }
 
-func TestRemaining(t *testing.T) {
-	a := MustNew(mustPrefix(t, "10.0.0.0/8"))
-	p, _ := a.AllocPrefix(29) // 6 usable hosts
-	if got := a.Remaining(p); got != 6 {
-		t.Errorf("Remaining fresh /29 = %d, want 6", got)
-	}
-	_, _ = a.AllocAddr(p)
-	if got := a.Remaining(p); got != 5 {
-		t.Errorf("Remaining after one alloc = %d, want 5", got)
-	}
-	if got := a.Remaining(mustPrefix(t, "172.16.0.0/24")); got != 0 {
-		t.Errorf("Remaining of foreign prefix = %d, want 0", got)
-	}
-}
-
 func TestUniqueAddressesProperty(t *testing.T) {
 	f := func(n uint8) bool {
 		a := MustNew(netip.MustParsePrefix("10.0.0.0/8"))

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
-	"runtime"
 	"sort"
 
 	"rpeer/internal/geo"
@@ -53,9 +52,6 @@ func Generate(cfg Config) (*World, error) {
 func GenerateWorkers(cfg Config, workers int) (*World, error) {
 	if cfg.NASes <= 0 || cfg.NIXPs <= 0 {
 		return nil, fmt.Errorf("netsim: invalid config: NASes=%d NIXPs=%d", cfg.NASes, cfg.NIXPs)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	g := &gen{
 		cfg:     cfg,
@@ -114,9 +110,15 @@ func GenerateWorkers(cfg Config, workers int) (*World, error) {
 }
 
 // fanOut runs f(i) for every i in [0, n) across the generator's
-// worker pool; every f(i) writes only to slots owned by index i, so
-// scheduling cannot affect the output.
-func (g *gen) fanOut(n int, f func(i int)) { par.Do(g.workers, n, f) }
+// worker pool, 64 indexes per claim; every f(i) writes only to slots
+// owned by index i, so scheduling cannot affect the output.
+func (g *gen) fanOut(n int, f func(i int)) {
+	par.Do(g.workers, n, 64, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			f(i)
+		}
+	})
+}
 
 type routerKey struct {
 	asn ASN

@@ -1,51 +1,51 @@
-// Package par holds the one worker-pool primitive the cold-start
-// fan-out phases share: an index-parallel loop whose tasks write only
-// to slots owned by their index, so scheduling can never affect the
-// output. netsim's world generation, tracesim's corpus generation and
-// traix's hop scan / candidate settle all ride on it.
+// Package par holds the one index-parallel loop every fan-out in the
+// repository rides on: world generation, the registry snapshots, the
+// ping campaign, the traceroute corpus and its hop scan, the alias
+// plane, the pipeline's per-membership steps and the artefact suite.
+// Tasks write only to slots owned by their indexes, so scheduling can
+// never affect the output.
 package par
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// chunk is the number of consecutive indexes a worker claims per
-// cursor bump: large enough to amortize the atomic and keep writes
-// cache-friendly, small enough to balance skewed per-index costs.
-const chunk = 64
-
-// Do runs f(i) for every i in [0, n) across a pool of workers
-// (workers <= 1 runs inline). Every f(i) must touch only state owned
-// by index i; Do returns when all calls have completed.
-func Do(workers, n int, f func(i int)) {
-	if workers > n {
-		workers = n
+// Do calls f(lo, hi) over consecutive ranges that together cover
+// [0, n) exactly once. Each range is one claim of chunk >= 1 indexes
+// (the last may be shorter) and starts at a multiple of chunk, so a
+// caller that keeps per-chunk output can index it by lo/chunk. workers <= 0
+// means GOMAXPROCS; the pool never exceeds ceil(n/chunk) workers, and
+// a pool of one runs inline. The chunk is the caller's grain: it
+// should amortise whatever f sets up per call (a scratch, an RNG
+// source) against the balance of the tail. f must touch only state
+// owned by its indexes; Do returns when every call has completed.
+func Do(workers, n, chunk int, f func(lo, hi int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if claims := (n + chunk - 1) / chunk; workers > claims {
+		workers = claims
 	}
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
+		for lo := 0; lo < n; lo += chunk {
+			f(lo, min(lo+chunk, n))
 		}
 		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				lo := int(next.Add(chunk)) - chunk
+				lo := int(next.Add(int64(chunk))) - chunk
 				if lo >= n {
 					return
 				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					f(i)
-				}
+				f(lo, min(lo+chunk, n))
 			}
 		}()
 	}

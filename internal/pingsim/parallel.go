@@ -4,12 +4,11 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
-	"runtime"
 	"slices"
-	"sync"
 
 	"rpeer/internal/ip4"
 	"rpeer/internal/netsim"
+	"rpeer/internal/par"
 	"rpeer/internal/rng"
 )
 
@@ -20,18 +19,15 @@ const (
 )
 
 // RunParallel executes the campaign across a worker pool, one VP per
-// task. Every (VP, target) pair draws from its own stream keyed by
+// claim. Every (VP, target) pair draws from its own stream keyed by
 // (seed, VP id, interface), so scheduling order cannot leak into the
 // measurements: results are bit-identical for every worker count,
-// including the single-worker path Run delegates to. Workers keep one
-// generator and re-key it between pairs, and each VP's measurements
-// live in one slab, so the campaign allocates O(VPs), not O(pairs).
+// including the single-worker path Run delegates to. A claim keys one
+// generator between pairs, and each VP's measurements live in one
+// slab, so the campaign allocates O(VPs), not O(pairs).
 //
 // Use workers > 1 (or 0 = GOMAXPROCS) for large worlds.
 func RunParallel(w *netsim.World, vps []*VP, cfg CampaignConfig, workers int) *Result {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	res := &Result{
 		VPs:            vps,
 		ByVP:           make(map[int][]*Measurement, len(vps)),
@@ -39,55 +35,40 @@ func RunParallel(w *netsim.World, vps []*VP, cfg CampaignConfig, workers int) *R
 	}
 
 	type vpOut struct {
-		vp     *VP
 		rsRTT  float64
 		ms     []*Measurement
 		usable bool
 	}
-	tasks := make(chan *VP)
-	outs := make(chan vpOut, len(vps))
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			src := &rng.Source{}
-			r := rand.New(src)
-			for vp := range tasks {
-				src.SetKey(rng.Key3(cfg.Seed, streamRouteServer, uint64(vp.ID), 0))
-				rsRTT := routeServerRTT(w, vp, r)
-				usable := !vp.dead && !math.IsNaN(rsRTT) && rsRTT < 1.0
+	outs := make([]vpOut, len(vps))
+	par.Do(workers, len(vps), 1, func(k, _ int) {
+		vp := vps[k]
+		src := &rng.Source{}
+		r := rand.New(src)
+		src.SetKey(rng.Key3(cfg.Seed, streamRouteServer, uint64(vp.ID), 0))
+		rsRTT := routeServerRTT(w, vp, r)
+		usable := !vp.dead && !math.IsNaN(rsRTT) && rsRTT < 1.0
 
-				members := w.MembersOf(vp.IXP)
-				slab := make([]Measurement, len(members))
-				ms := make([]*Measurement, len(members))
-				for i, mem := range members {
-					src.SetKey(pairKey(cfg.Seed, vp.ID, mem.Iface))
-					pingTarget(&slab[i], w, vp, mem, cfg, r)
-					ms[i] = &slab[i]
-				}
-				slices.SortFunc(ms, func(a, b *Measurement) int { return a.Iface.Compare(b.Iface) })
-				outs <- vpOut{vp: vp, rsRTT: rsRTT, ms: ms, usable: usable}
-			}
-		}()
-	}
-	go func() {
-		for _, vp := range vps {
-			tasks <- vp
+		members := w.MembersOf(vp.IXP)
+		slab := make([]Measurement, len(members))
+		ms := make([]*Measurement, len(members))
+		for i, mem := range members {
+			src.SetKey(pairKey(cfg.Seed, vp.ID, mem.Iface))
+			pingTarget(&slab[i], w, vp, mem, cfg, r)
+			ms[i] = &slab[i]
 		}
-		close(tasks)
-		wg.Wait()
-		close(outs)
-	}()
+		slices.SortFunc(ms, func(a, b *Measurement) int { return a.Iface.Compare(b.Iface) })
+		outs[k] = vpOut{rsRTT: rsRTT, ms: ms, usable: usable}
+	})
 
-	for o := range outs {
-		res.ByVP[o.vp.ID] = o.ms
-		res.RouteServerRTT[o.vp.ID] = o.rsRTT
+	for k, o := range outs {
+		vp := vps[k]
+		res.ByVP[vp.ID] = o.ms
+		res.RouteServerRTT[vp.ID] = o.rsRTT
 		if o.usable {
-			res.UsableVPs = append(res.UsableVPs, o.vp)
+			res.UsableVPs = append(res.UsableVPs, vp)
 		}
 	}
-	// Deterministic order regardless of completion order.
+	// Usable VPs in ID order, whatever order the caller listed them in.
 	slices.SortFunc(res.UsableVPs, func(a, b *VP) int { return a.ID - b.ID })
 	// Fold the per-interface aggregates eagerly: the campaign is the
 	// stage that runs on the worker pool, so downstream consumers

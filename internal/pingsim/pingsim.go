@@ -251,7 +251,7 @@ type IfaceAgg struct {
 	// BestRoundsUp reports whether BestVP rounds RTTs up.
 	BestRoundsUp bool
 	// AnyRounding reports whether any usable rounding VP measured the
-	// interface at all (the VPRounding predicate).
+	// interface at all.
 	AnyRounding bool
 }
 
@@ -500,11 +500,4 @@ func (r *Result) MinRTTByIface() map[netip.Addr]float64 {
 		out[ip] = a.RTTMinMs
 	}
 	return out
-}
-
-// VPRounding reports whether any usable VP that measured iface rounds
-// RTTs up; Step 3 widens the lower distance bound for such targets.
-func (r *Result) VPRounding(iface netip.Addr) bool {
-	a := r.IfaceIndex()[iface]
-	return a != nil && a.AnyRounding
 }

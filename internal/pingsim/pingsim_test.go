@@ -214,27 +214,6 @@ func TestLGRoundingYieldsIntegers(t *testing.T) {
 	}
 }
 
-func TestVPRounding(t *testing.T) {
-	_, res := campaign(t)
-	found := false
-	for _, vp := range res.UsableVPs {
-		if vp.Kind == KindLG && vp.RoundsUp {
-			for _, m := range res.ByVP[vp.ID] {
-				if m.Usable() {
-					if !res.VPRounding(m.Iface) {
-						t.Fatalf("VPRounding false for iface measured by rounding LG")
-					}
-					found = true
-					break
-				}
-			}
-		}
-	}
-	if !found {
-		t.Skip("no rounding LG in this seed")
-	}
-}
-
 func TestCampaignDeterminism(t *testing.T) {
 	w := world(t)
 	vps1 := DeriveVPs(w, 3)

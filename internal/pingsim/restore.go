@@ -11,7 +11,7 @@ import (
 // per-interface aggregates — not the raw measurement set, which is an
 // order of magnitude larger and regenerable from the base inputs. A
 // restored Result answers every aggregate query (IfaceIndex, AggRows,
-// MinRTTByIface, VPRounding) and composes with WithOverrides exactly
+// MinRTTByIface) and composes with WithOverrides exactly
 // like a freshly run campaign; only ByVP, the raw per-VP measurement
 // view some offline experiment artefacts read, is absent.
 

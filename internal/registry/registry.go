@@ -13,11 +13,10 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"runtime"
 	"sort"
-	"sync"
 
 	"rpeer/internal/netsim"
+	"rpeer/internal/par"
 	"rpeer/internal/rng"
 )
 
@@ -360,43 +359,19 @@ func Build(w *netsim.World, n NoiseConfig, seed int64) *Dataset {
 // BuildWorkers is Build with an explicit worker count (<= 0 uses
 // GOMAXPROCS).
 func BuildWorkers(w *netsim.World, n NoiseConfig, seed int64, workers int) *Dataset {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	nIXPs := len(w.IXPs)
 	// One fragment snapshot per (source, IXP) task; assembled in
 	// (source, IXP rank) order afterwards.
 	frags := make([]*Snapshot, int(numSources)*nIXPs)
-	tasks := make(chan int)
-	var wg sync.WaitGroup
-	nw := workers
-	if nw > len(frags) {
-		nw = len(frags)
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	for i := 0; i < nw; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			src := &rng.Source{}
-			r := rand.New(src)
-			for ti := range tasks {
-				s := Source(ti / nIXPs)
-				ix := w.IXPs[ti%nIXPs]
-				src.SetKey(rng.Key3(seed, streamSnapshot, uint64(s), uint64(ix.ID)))
-				f := &Snapshot{Source: s, MinPortMbps: make(map[string]int, 1)}
-				snapshotIXP(f, w, ix, s, n, r)
-				frags[ti] = f
-			}
-		}()
-	}
-	for ti := range frags {
-		tasks <- ti
-	}
-	close(tasks)
-	wg.Wait()
+	par.Do(workers, len(frags), 1, func(ti, _ int) {
+		s := Source(ti / nIXPs)
+		ix := w.IXPs[ti%nIXPs]
+		src := &rng.Source{}
+		src.SetKey(rng.Key3(seed, streamSnapshot, uint64(s), uint64(ix.ID)))
+		f := &Snapshot{Source: s, MinPortMbps: make(map[string]int, 1)}
+		snapshotIXP(f, w, ix, s, n, rand.New(src))
+		frags[ti] = f
+	})
 
 	snaps := make([]*Snapshot, 0, numSources)
 	for s := SrcWebsite; s < numSources; s++ {

@@ -342,7 +342,6 @@ func (d *dec) u64() uint64 {
 const (
 	filePrefix = "snap-"
 	fileSuffix = ".rpisnap"
-	tmpSuffix  = ".tmp"
 )
 
 // FileName returns the published name of a snapshot at seq.
@@ -363,38 +362,12 @@ func seqOf(name string) (uint64, bool) {
 	return seq, true
 }
 
-// Write publishes a snapshot into dir atomically: tmp file, fsync,
-// rename to the seq-derived name, directory fsync. On any error the
-// tmp file is removed (best-effort) and nothing is published.
+// Write publishes a snapshot into dir under its seq-derived name
+// through wal.WriteFileAtomic: on any error nothing is published.
 func Write(fsys wal.FS, dir string, s *Snap) (string, error) {
-	name := FileName(s.Seq)
-	tmp := dir + "/" + name + tmpSuffix
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return "", fmt.Errorf("snapshot: create %s: %w", tmp, err)
-	}
-	cleanup := func() { _ = fsys.Remove(tmp) }
-	if _, err := f.Write(s.Encode()); err != nil {
-		f.Close()
-		cleanup()
-		return "", fmt.Errorf("snapshot: write %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		cleanup()
-		return "", fmt.Errorf("snapshot: sync %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		cleanup()
-		return "", fmt.Errorf("snapshot: close %s: %w", tmp, err)
-	}
-	final := dir + "/" + name
-	if err := fsys.Rename(tmp, final); err != nil {
-		cleanup()
-		return "", fmt.Errorf("snapshot: publish %s: %w", name, err)
-	}
-	if err := fsys.SyncDir(dir); err != nil {
-		return "", fmt.Errorf("snapshot: sync dir after publishing %s: %w", name, err)
+	final := dir + "/" + FileName(s.Seq)
+	if err := wal.WriteFileAtomic(fsys, final, s.Encode()); err != nil {
+		return "", fmt.Errorf("snapshot: %w", err)
 	}
 	return final, nil
 }

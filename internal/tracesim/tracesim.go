@@ -9,7 +9,6 @@ package tracesim
 import (
 	"math/rand"
 	"net/netip"
-	"runtime"
 
 	"rpeer/internal/geo"
 	"rpeer/internal/netsim"
@@ -58,20 +57,16 @@ func Generate(w *netsim.World, cfg Config) []*traix.Path {
 
 // GenerateWorkers is Generate with an explicit worker count for the
 // fan-out (workers <= 0 uses GOMAXPROCS). Crossing paths are planned
-// one IXP per task and private-link paths one link chunk per task;
+// one IXP per claim and private-link paths 512 links per claim;
 // every membership and link draws from its own stream keyed by (seed,
 // entity), so the corpus is bit-identical for every worker count. The
 // batches concatenate in (IXP rank, membership, path) then (link,
 // direction) order — the order the serial generator produced.
 func GenerateWorkers(w *netsim.World, cfg Config, workers int) []*traix.Path {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	// Crossing paths: each membership acts as the near member entering
 	// its IXP towards randomly chosen far members.
 	ixpBatches := make([][]*traix.Path, len(w.IXPs))
-	par.Do(workers, len(w.IXPs), func(rank int) {
+	par.Do(workers, len(w.IXPs), 1, func(rank, _ int) {
 		ix := w.IXPs[rank]
 		members := w.MembersOf(ix.ID)
 		if len(members) < 2 {
@@ -98,13 +93,8 @@ func GenerateWorkers(w *netsim.World, cfg Config, workers int) []*traix.Path {
 
 	// Private-interconnect paths, both directions, one stream per link.
 	const linkChunk = 512
-	nChunks := (len(w.Private) + linkChunk - 1) / linkChunk
-	privBatches := make([][]*traix.Path, nChunks)
-	par.Do(workers, nChunks, func(ci int) {
-		lo, hi := ci*linkChunk, (ci+1)*linkChunk
-		if hi > len(w.Private) {
-			hi = len(w.Private)
-		}
+	privBatches := make([][]*traix.Path, (len(w.Private)+linkChunk-1)/linkChunk)
+	par.Do(workers, len(w.Private), linkChunk, func(lo, hi int) {
 		g := &pathGen{w: w, cfg: cfg}
 		g.src = &rng.Source{}
 		g.r = rand.New(g.src)
@@ -123,7 +113,7 @@ func GenerateWorkers(w *netsim.World, cfg Config, workers int) []*traix.Path {
 				}
 			}
 		}
-		privBatches[ci] = batch
+		privBatches[lo/linkChunk] = batch
 	})
 
 	total := 0

@@ -3,7 +3,6 @@ package traix
 import (
 	"cmp"
 	"net/netip"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -197,7 +196,6 @@ func NewCorpus(paths []*Path, set *LANSet, ipmap *registry.IPMap) *Corpus {
 	c := &Corpus{paths: paths, set: set}
 
 	const chunk = 2048
-	nChunks := (len(paths) + chunk - 1) / chunk
 	type chunkOut struct {
 		candPath []int32
 		candHop  []int32
@@ -207,12 +205,8 @@ func NewCorpus(paths []*Path, set *LANSet, ipmap *registry.IPMap) *Corpus {
 		sAAS     []netsim.ASN
 		sBAS     []netsim.ASN
 	}
-	outs := make([]chunkOut, nChunks)
-	par.Do(runtime.GOMAXPROCS(0), nChunks, func(ci int) {
-		lo, hi := ci*chunk, (ci+1)*chunk
-		if hi > len(paths) {
-			hi = len(paths)
-		}
+	outs := make([]chunkOut, (len(paths)+chunk-1)/chunk)
+	par.Do(0, len(paths), chunk, func(lo, hi int) {
 		var o chunkOut
 		var onLAN []bool
 		for pi := lo; pi < hi; pi++ {
@@ -248,7 +242,7 @@ func NewCorpus(paths []*Path, set *LANSet, ipmap *registry.IPMap) *Corpus {
 				o.sBAS = append(o.sBAS, bAS)
 			}
 		}
-		outs[ci] = o
+		outs[lo/chunk] = o
 	})
 	nc, ns := 0, 0
 	for _, o := range outs {
@@ -294,13 +288,7 @@ func (c *Corpus) settleAll(d *Detector) {
 	c.nearAS = c.nearAS[:n]
 	c.farAS = c.farAS[:n]
 	c.live = c.live[:n]
-	const chunk = 4096
-	nChunks := (n + chunk - 1) / chunk
-	par.Do(runtime.GOMAXPROCS(0), nChunks, func(ci int) {
-		lo, hi := ci*chunk, (ci+1)*chunk
-		if hi > n {
-			hi = n
-		}
+	par.Do(0, n, 4096, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			c.settleOne(d, i)
 		}
@@ -479,7 +467,7 @@ func (c *Corpus) DetectDelta(d *Detector, changed map[netip.Addr]bool, tab *iden
 	if c.byLAN == nil || len(c.keyOff) == 0 {
 		// The first delta on this plane builds both indexes; they read
 		// disjoint state, so side by side.
-		par.Do(2, 2, func(k int) {
+		par.Do(2, 2, 1, func(k, _ int) {
 			if k == 0 && c.byLAN == nil {
 				c.buildByLAN()
 			} else if k == 1 && len(c.keyOff) == 0 {

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -37,6 +38,42 @@ type FS interface {
 	// SyncDir flushes the directory entries of dir: until it returns,
 	// files created in (or renamed into) dir may not survive a crash.
 	SyncDir(dir string) error
+}
+
+// WriteFileAtomic publishes data at path so that a crash at any point
+// leaves either the old content or the new behind the name, never a
+// part: tmp file, write, fsync, close, rename over path, directory
+// fsync. On an error before the rename the tmp file is removed
+// (best-effort) and path is untouched.
+func WriteFileAtomic(fsys FS, path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := fsys.Create(tmp)
+	if err != nil {
+		return fmt.Errorf("create %s: %w", tmp, err)
+	}
+	cleanup := func() { _ = fsys.Remove(tmp) }
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		cleanup()
+		return fmt.Errorf("write %s: %w", tmp, err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		cleanup()
+		return fmt.Errorf("sync %s: %w", tmp, err)
+	}
+	if err := f.Close(); err != nil {
+		cleanup()
+		return fmt.Errorf("close %s: %w", tmp, err)
+	}
+	if err := fsys.Rename(tmp, path); err != nil {
+		cleanup()
+		return fmt.Errorf("publish %s: %w", path, err)
+	}
+	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("sync dir after publishing %s: %w", path, err)
+	}
+	return nil
 }
 
 // OS returns the real-filesystem implementation of the seam.

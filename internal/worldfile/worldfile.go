@@ -35,9 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
-	"path/filepath"
 
 	"rpeer/internal/core"
 	"rpeer/internal/wal"
@@ -278,40 +276,15 @@ func splitSections(data []byte) (map[string][]byte, uint64, error) {
 	return payloads, fp, nil
 }
 
-// Write publishes the bundle to path atomically: tmp file, fsync,
-// rename, directory fsync — the internal/wal durability discipline, so
+// Write publishes the bundle to path through wal.WriteFileAtomic, so
 // a crash mid-write never leaves a half world behind the final name.
 func Write(fsys wal.FS, path string, in core.Inputs) error {
 	b, err := Encode(in)
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("worldfile: create %s: %w", tmp, err)
-	}
-	cleanup := func() { _ = fsys.Remove(tmp) }
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		cleanup()
-		return fmt.Errorf("worldfile: write %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		cleanup()
-		return fmt.Errorf("worldfile: sync %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		cleanup()
-		return fmt.Errorf("worldfile: close %s: %w", tmp, err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		cleanup()
-		return fmt.Errorf("worldfile: publish %s: %w", path, err)
-	}
-	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
-		return fmt.Errorf("worldfile: sync dir after publishing %s: %w", path, err)
+	if err := wal.WriteFileAtomic(fsys, path, b); err != nil {
+		return fmt.Errorf("worldfile: %w", err)
 	}
 	return nil
 }
@@ -332,14 +305,4 @@ func Load(path string) (core.Inputs, error) {
 		return core.Inputs{}, fmt.Errorf("worldfile: load %s: %w", path, err)
 	}
 	return in, nil
-}
-
-// LoadReader decodes a world file from a stream (io.ReadAll, then
-// Decode) — for callers that already hold an open handle.
-func LoadReader(r io.Reader) (core.Inputs, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return core.Inputs{}, fmt.Errorf("worldfile: read: %w", err)
-	}
-	return Decode(data)
 }

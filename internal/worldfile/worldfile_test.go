@@ -2,6 +2,8 @@ package worldfile_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math"
 	"net/netip"
@@ -207,6 +209,27 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 }
 
+// TestTinyWorldBytesPinned pins the generated bytes of the seed-1 tiny
+// world across commits. The worker-count identity tests compare worker
+// counts within one build, so they cannot see generator drift between
+// builds; this hash can. A deliberate generator or format change
+// re-pins it and says so.
+func TestTinyWorldBytesPinned(t *testing.T) {
+	const (
+		wantSHA   = "6a3b7ea2a07869bf14a31f14997195cec6f0f15b566dfc2fa33505279a445717"
+		wantBytes = 313625
+	)
+	in, err := rpi.InputsFromConfig(netsim.TinyConfig(), 1)
+	if err != nil {
+		t.Fatalf("build inputs: %v", err)
+	}
+	b := encode(t, in)
+	sum := sha256.Sum256(b)
+	if got := hex.EncodeToString(sum[:]); got != wantSHA || len(b) != wantBytes {
+		t.Fatalf("tiny seed-1 world = %s (%d bytes), want %s (%d bytes)", got, len(b), wantSHA, wantBytes)
+	}
+}
+
 func TestWriteLoadFile(t *testing.T) {
 	in := testInputs(t)
 	path := filepath.Join(t.TempDir(), "world.rpw")
@@ -222,14 +245,6 @@ func TestWriteLoadFile(t *testing.T) {
 	}
 	if fa, fb := core.Fingerprint(in), core.Fingerprint(got); fa != fb {
 		t.Fatalf("fingerprint changed across file round trip: %016x vs %016x", fa, fb)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if _, err := worldfile.LoadReader(f); err != nil {
-		t.Fatalf("load via reader: %v", err)
 	}
 }
 

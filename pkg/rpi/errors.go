@@ -22,10 +22,6 @@ var (
 	// engine state is unchanged, no delta was logged. Servers map it to
 	// a client-disconnect status, not a server error.
 	ErrCanceled = errors.New("rpi: request canceled")
-	// ErrOverloaded marks work refused by admission control: the
-	// serving plane is saturated and queuing longer would only grow
-	// latency for everyone. Retry after a beat; the engine is healthy.
-	ErrOverloaded = errors.New("rpi: overloaded")
 	// ErrWireVersion marks a wire payload with an unsupported schema
 	// version.
 	ErrWireVersion = errors.New("rpi: unsupported wire schema version")

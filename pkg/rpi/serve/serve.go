@@ -674,7 +674,6 @@ func (s *HostServer) writeError(w http.ResponseWriter, r *http.Request, err erro
 	case errors.Is(err, rpi.ErrBadDelta):
 		status = http.StatusUnprocessableEntity
 	case errors.Is(err, admission.ErrOverloaded),
-		errors.Is(err, rpi.ErrOverloaded),
 		errors.Is(err, supervisor.ErrQuarantined),
 		errors.Is(err, host.ErrHostClosed),
 		errors.Is(err, rpi.ErrClosed),
