@@ -121,7 +121,7 @@ func BenchmarkWorldGeneration(b *testing.B) {
 	cfg := netsim.DefaultConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w, err := netsim.Generate(cfg)
+		w, err := netsim.Generate(cfg, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func BenchmarkPingCampaign(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink = pingsim.Run(e.World, e.VPs, cfg)
+		sink = pingsim.Run(e.World, e.VPs, cfg, 1)
 	}
 }
 
@@ -145,7 +145,7 @@ func BenchmarkTracerouteCorpus(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink = tracesim.Generate(e.World, cfg)
+		sink = tracesim.Generate(e.World, cfg, 0)
 	}
 }
 
@@ -287,7 +287,7 @@ func BenchmarkAblationNoTTLFilters(b *testing.B) {
 	cfg := pingsim.DefaultCampaign()
 	cfg.Seed = 5
 	cfg.DisableTTLFilters = true
-	ping := pingsim.Run(e.World, e.VPs, cfg)
+	ping := pingsim.Run(e.World, e.VPs, cfg, 1)
 	in := e.Inputs
 	in.Ping = ping
 	ctx, err := core.NewContext(in)
@@ -359,7 +359,7 @@ func BenchmarkParallelPingCampaign(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink = pingsim.RunParallel(e.World, e.VPs, cfg, 0)
+		sink = pingsim.Run(e.World, e.VPs, cfg, 0)
 	}
 }
 
@@ -680,7 +680,10 @@ func benchWorldPath(b *testing.B, factor int) string {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		b.Fatal(err)
 	}
-	path := filepath.Join(dir, fmt.Sprintf("world-seed1-%dx.rpw", factor))
+	// The format version is part of the name: a bundle cached by a
+	// build with another world-file format is regenerated, not loaded
+	// (which would fail with worldfile.ErrVersion).
+	path := filepath.Join(dir, fmt.Sprintf("world-v%d-seed1-%dx.rpw", worldfile.FormatVersion, factor))
 	if _, err := os.Stat(path); err == nil {
 		return path
 	}

@@ -12,7 +12,7 @@ var cw *netsim.World
 func world(t testing.TB) *netsim.World {
 	t.Helper()
 	if cw == nil {
-		w, err := netsim.Generate(netsim.DefaultConfig())
+		w, err := netsim.Generate(netsim.DefaultConfig(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,7 +33,7 @@ var (
 func fuzzFixture(t testing.TB) *fuzzPool {
 	t.Helper()
 	fuzzOnce.Do(func() {
-		w, err := netsim.Generate(netsim.TinyConfig())
+		w, err := netsim.Generate(netsim.TinyConfig(), 0)
 		if err != nil {
 			fuzzErr = err
 			return

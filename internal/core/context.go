@@ -78,10 +78,11 @@ type Context struct {
 	vpMu   sync.Mutex
 	vps    []*pingsim.VP
 	vpSlot map[*pingsim.VP]int32
-	// vpByID resolves the campaign roster by VP ID (nil without a
-	// campaign). Deltas refresh RTTs, never the roster, so it is built
-	// once and read without a lock.
-	vpByID map[int]*pingsim.VP
+	// campaign is the ping campaign the context was built over (nil
+	// without one); its VP index resolves roster IDs. Deltas refresh
+	// RTTs, never the roster, so it is read without a lock while Apply
+	// replaces in.Ping.
+	campaign *pingsim.Result
 
 	// Ping-only per-interface campaign columns, indexed by IfaceID:
 	// NaN / -1 mark unmeasured interfaces.
@@ -213,17 +214,12 @@ func NewContext(in Inputs) (*Context, error) {
 func newContext(in Inputs) *Context {
 	c := &Context{
 		in:         in,
+		campaign:   in.Ping,
 		vpSlot:     make(map[*pingsim.VP]int32),
 		pseudoVPs:  make(map[string]*pingsim.VP),
 		rings:      make(map[uint64][]ringEntry),
 		probes:     alias.NewPlane(alias.NewProber(in.World, in.Seed)),
 		aliasMemos: make(map[alias.Mode]*aliasMemo),
-	}
-	if in.Ping != nil {
-		c.vpByID = make(map[int]*pingsim.VP, len(in.Ping.VPs))
-		for _, vp := range in.Ping.VPs {
-			c.vpByID[vp.ID] = vp
-		}
 	}
 
 	// ---- interning phase (serial; everything after assumes a frozen
@@ -495,10 +491,7 @@ func (c *Context) HasIXP(name string) bool {
 // VP resolves a vantage point of the campaign roster by ID, the form
 // WAL records and /v1/apply bodies carry. ok is false for an unknown
 // ID and for a context without a campaign. Safe for concurrent use.
-func (c *Context) VP(id int) (vp *pingsim.VP, ok bool) {
-	vp, ok = c.vpByID[id]
-	return vp, ok
-}
+func (c *Context) VP(id int) (*pingsim.VP, bool) { return c.campaign.VP(id) }
 
 // BestVP returns the vantage point behind an interface's current
 // campaign minimum, reflecting all applied deltas. Callers must not
@@ -530,13 +523,13 @@ func (c *Context) Run(opt Options) (*Report, error) {
 	for _, s := range opt.Steps {
 		switch s {
 		case StepPortCapacity:
-			p.stepPortCapacity(rep)
+			p.stepPortCapacity()
 		case StepRTTColo:
-			p.stepRTTColo(rep)
+			p.stepRTTColo()
 		case StepMultiIXP:
 			p.stepMultiIXP(rep, nil)
 		case StepPrivate:
-			p.stepPrivate(rep)
+			p.stepPrivate()
 		default:
 			return nil, fmt.Errorf("core: Run does not support %v", s)
 		}
@@ -554,9 +547,9 @@ func (c *Context) RunStep(opt Options, s Step) (*Report, error) {
 	overlay := p.newDomain()
 	switch s {
 	case StepPortCapacity:
-		p.stepPortCapacity(overlay)
+		p.stepPortCapacity()
 	case StepRTTColo:
-		p.stepRTTColo(overlay)
+		p.stepRTTColo()
 	case StepMultiIXP:
 		base, err := c.Run(opt)
 		if err != nil {
@@ -580,7 +573,7 @@ func (c *Context) RunStep(opt Options, s Step) (*Report, error) {
 		}
 		p.stepMultiIXP(overlay, seed)
 	case StepPrivate:
-		p.stepPrivate(overlay)
+		p.stepPrivate()
 	default:
 		return nil, fmt.Errorf("core: RunStep does not support %v", s)
 	}

@@ -22,16 +22,16 @@ var (
 func fixtures(t testing.TB) (Inputs, *Report, *Validation) {
 	t.Helper()
 	if cw == nil {
-		w, err := netsim.Generate(netsim.DefaultConfig())
+		w, err := netsim.Generate(netsim.DefaultConfig(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cw = w
-		ds := registry.Build(w, registry.DefaultNoise(), 42)
+		ds := registry.Build(w, registry.DefaultNoise(), 42, 0)
 		colo := registry.BuildColo(w, registry.DefaultColoNoise(), 42)
 		vps := pingsim.DeriveVPs(w, 11)
-		ping := pingsim.Run(w, vps, pingsim.DefaultCampaign())
-		paths := tracesim.Generate(w, tracesim.DefaultConfig())
+		ping := pingsim.Run(w, vps, pingsim.DefaultCampaign(), 1)
+		paths := tracesim.Generate(w, tracesim.DefaultConfig(), 0)
 		cin = Inputs{
 			World: w, Dataset: ds, Colo: colo, Ping: ping, Paths: paths,
 			Speed: geo.DefaultSpeedModel(), Seed: 7,

@@ -32,7 +32,7 @@ type Delta struct {
 	// Ping layers refreshed campaign aggregates over the current ping
 	// result (see pingsim.Overrides); a NaN RTTMinMs removes the
 	// interface's measurement.
-	Ping map[netip.Addr]pingsim.Override
+	Ping map[netip.Addr]pingsim.IfaceAgg
 }
 
 // Empty reports whether the delta changes nothing.

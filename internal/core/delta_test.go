@@ -160,7 +160,7 @@ func TestApplyMatchesColdRebuild(t *testing.T) {
 	// Fold in a partial re-campaign as well.
 	pcfg := pingsim.DefaultCampaign()
 	pcfg.Seed = 1234
-	refresh := pingsim.Run(in.World, in.Ping.VPs, pcfg)
+	refresh := pingsim.Run(in.World, in.Ping.VPs, pcfg, 1)
 	d.Ping = pingsim.Overrides(refresh)
 
 	if err := ctx.Apply(d); err != nil {
@@ -275,9 +275,9 @@ func TestApplyValidation(t *testing.T) {
 		{Joins: []Join{{IXP: knownIXP, Iface: foreignLAN, ASN: 4242}}},
 		{Leaves: []Key{{IXP: knownIXP, Iface: offLAN}}},
 		{Leaves: []Key{{IXP: "wrong-ixp", Iface: knownIface}}},
-		{Ping: map[netip.Addr]pingsim.Override{knownIface: {RTTMinMs: 5}}},  // no VP
-		{Ping: map[netip.Addr]pingsim.Override{knownIface: {RTTMinMs: -5}}}, // non-positive RTT
-		{Ping: map[netip.Addr]pingsim.Override{knownIface: {RTTMinMs: 0}}},
+		{Ping: map[netip.Addr]pingsim.IfaceAgg{knownIface: {RTTMinMs: 5}}},  // no VP
+		{Ping: map[netip.Addr]pingsim.IfaceAgg{knownIface: {RTTMinMs: -5}}}, // non-positive RTT
+		{Ping: map[netip.Addr]pingsim.IfaceAgg{knownIface: {RTTMinMs: 0}}},
 	}
 	for i, d := range bad {
 		if err := ctx.Apply(d); err == nil {

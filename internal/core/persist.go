@@ -3,13 +3,10 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
 	"net/netip"
 	"sort"
 
-	"rpeer/internal/netsim"
 	"rpeer/internal/pingsim"
-	"rpeer/internal/registry"
 	"rpeer/internal/snapshot"
 )
 
@@ -31,36 +28,6 @@ import (
 // DumpColumns()) produces byte-identical reports to the context that
 // was dumped — it leans on the engine's existing determinism contract
 // (post-Apply state ≡ cold rebuild over Inputs()).
-
-// Snapshot column names. The iface columns are parallel (one row per
-// live membership, in interned-ID order), as are the port and ping
-// groups.
-const (
-	colIXPName = "ixp.name" // string: local IXP name table
-
-	colIfaceAddr = "iface.addr" // addr: member interface address
-	colIfaceASN  = "iface.asn"  // u32: member ASN
-	colIfaceIXP  = "iface.ixp"  // u32: index into ixp.name
-
-	colPortIXP  = "port.ixp"  // u32: index into ixp.name
-	colPortASN  = "port.asn"  // u32: member ASN
-	colPortMbps = "port.mbps" // u64: reported capacity
-
-	colPingAddr  = "ping.addr"  // addr: overridden interface
-	colPingRTT   = "ping.rtt"   // f64: RTTmin (NaN = revoked)
-	colPingVP    = "ping.vp"    // u32: best VP id (NoPingVP = none)
-	colPingFlags = "ping.flags" // u8: rounding flags
-)
-
-// NoPingVP is the ping.vp sentinel for an override without a vantage
-// point (a measurement revocation).
-const NoPingVP = ^uint32(0)
-
-// ping.flags bits.
-const (
-	pingFlagBestRoundsUp = 1 << 0
-	pingFlagAnyRounding  = 1 << 1
-)
 
 // Fingerprint hashes the identifying characteristics of base inputs:
 // the seed, the prefix plane, the advertised minimum ports, the
@@ -116,153 +83,24 @@ func Fingerprint(in Inputs) uint64 {
 }
 
 // DumpColumns captures the delta-mutable slice of the context's state
-// as snapshot columns. The caller (the rpi persistence layer) stamps
-// Seq and Fingerprint on the returned Snap.
-//
-// Determinism: membership rows walk the intern table in ID order —
-// append order, which is fixed by the delta history — and the port and
-// ping groups are sorted by natural key, so the same engine history
-// always dumps byte-identical columns.
+// as snapshot columns, through the row codecs every persisted format
+// shares: registry membership (Dataset.AppendMembership) and the ping
+// override overlay (pingsim.AppendAggCols). The caller (the rpi
+// persistence layer) stamps Seq and Fingerprint on the returned Snap.
+// Rows are in natural-key order, so the same engine state always dumps
+// byte-identical columns.
 //
 // DumpColumns must not run concurrently with Apply; the rpi engine
 // serializes them behind its lock.
 func (c *Context) DumpColumns() *snapshot.Snap {
-	ds := c.in.Dataset
-
-	// Local IXP name table: every name the membership and port rows
-	// reference, sorted. (The interned IXP space would also work, but
-	// it can contain roster names no row references; a local table
-	// keeps snapshots self-contained and minimal.)
-	nameSet := make(map[string]struct{}, c.ids.NumIXPs())
-	for _, name := range ds.IfaceIXP {
-		nameSet[name] = struct{}{}
-	}
-	for k := range ds.Ports {
-		nameSet[k.IXP] = struct{}{}
-	}
-	names := make([]string, 0, len(nameSet))
-	for name := range nameSet {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	nameIdx := make(map[string]uint32, len(names))
-	for i, name := range names {
-		nameIdx[name] = uint32(i)
-	}
-
-	// Membership rows in interned-ID order, skipping tombstones (an
-	// address the intern table knows but the dataset no longer lists
-	// is a departed membership).
-	addrs := c.ids.Ifaces()
-	ifAddr := make([]netip.Addr, 0, len(ds.IfaceIXP))
-	ifASN := make([]uint32, 0, len(ds.IfaceIXP))
-	ifIXP := make([]uint32, 0, len(ds.IfaceIXP))
-	for _, a := range addrs {
-		ixp, ok := ds.IfaceIXP[a]
-		if !ok {
-			continue
-		}
-		ifAddr = append(ifAddr, a)
-		ifASN = append(ifASN, uint32(ds.IfaceASN[a]))
-		ifIXP = append(ifIXP, nameIdx[ixp])
-	}
-
-	// Port rows sorted by (IXP name, ASN).
-	portKeys := make([]registry.PortKey, 0, len(ds.Ports))
-	for k := range ds.Ports {
-		portKeys = append(portKeys, k)
-	}
-	sort.Slice(portKeys, func(i, j int) bool {
-		if portKeys[i].IXP != portKeys[j].IXP {
-			return portKeys[i].IXP < portKeys[j].IXP
-		}
-		return portKeys[i].ASN < portKeys[j].ASN
-	})
-	portIXP := make([]uint32, len(portKeys))
-	portASN := make([]uint32, len(portKeys))
-	portMbps := make([]uint64, len(portKeys))
-	for i, k := range portKeys {
-		portIXP[i] = nameIdx[k.IXP]
-		portASN[i] = uint32(k.ASN)
-		portMbps[i] = uint64(ds.Ports[k])
-	}
-
-	// Ping override overlay sorted by address.
-	var overlay map[netip.Addr]pingsim.Override
-	if c.in.Ping != nil {
-		overlay = c.in.Ping.Overlay()
-	}
-	pingAddrs := make([]netip.Addr, 0, len(overlay))
-	for ip := range overlay {
-		pingAddrs = append(pingAddrs, ip)
-	}
-	sort.Slice(pingAddrs, func(i, j int) bool { return pingAddrs[i].Less(pingAddrs[j]) })
-	pingRTT := make([]float64, len(pingAddrs))
-	pingVP := make([]uint32, len(pingAddrs))
-	pingFlags := make([]uint8, len(pingAddrs))
-	for i, ip := range pingAddrs {
-		ov := overlay[ip]
-		pingRTT[i] = ov.RTTMinMs
-		pingVP[i] = NoPingVP
-		if ov.BestVP != nil {
-			pingVP[i] = uint32(ov.BestVP.ID)
-		}
-		var fl uint8
-		if ov.BestRoundsUp {
-			fl |= pingFlagBestRoundsUp
-		}
-		if ov.AnyRounding {
-			fl |= pingFlagAnyRounding
-		}
-		pingFlags[i] = fl
-	}
-
 	s := &snapshot.Snap{}
-	s.Add(snapshot.Column{Name: colIXPName, Kind: snapshot.KindString, Str: names})
-	s.Add(snapshot.Column{Name: colIfaceAddr, Kind: snapshot.KindAddr, Addr: ifAddr})
-	s.Add(snapshot.Column{Name: colIfaceASN, Kind: snapshot.KindU32, U32: ifASN})
-	s.Add(snapshot.Column{Name: colIfaceIXP, Kind: snapshot.KindU32, U32: ifIXP})
-	s.Add(snapshot.Column{Name: colPortIXP, Kind: snapshot.KindU32, U32: portIXP})
-	s.Add(snapshot.Column{Name: colPortASN, Kind: snapshot.KindU32, U32: portASN})
-	s.Add(snapshot.Column{Name: colPortMbps, Kind: snapshot.KindU64, U64: portMbps})
-	s.Add(snapshot.Column{Name: colPingAddr, Kind: snapshot.KindAddr, Addr: pingAddrs})
-	s.Add(snapshot.Column{Name: colPingRTT, Kind: snapshot.KindF64, F64: pingRTT})
-	s.Add(snapshot.Column{Name: colPingVP, Kind: snapshot.KindU32, U32: pingVP})
-	s.Add(snapshot.Column{Name: colPingFlags, Kind: snapshot.KindU8, U8: pingFlags})
+	c.in.Dataset.AppendMembership(&s.Columns)
+	var overlay []pingsim.AggRow
+	if c.in.Ping != nil {
+		overlay = c.in.Ping.OverlayRows()
+	}
+	pingsim.AppendAggCols(&s.Columns, overlay)
 	return s
-}
-
-// col fetches a required snapshot column of the given kind.
-func col(s *snapshot.Snap, name string, kind snapshot.Kind) (*snapshot.Column, error) {
-	c := s.Col(name)
-	if c == nil {
-		return nil, fmt.Errorf("core: snapshot is missing column %q", name)
-	}
-	if c.Kind != kind {
-		return nil, fmt.Errorf("core: snapshot column %q has kind %d, want %d", name, c.Kind, kind)
-	}
-	return c, nil
-}
-
-// colGroup fetches a group of required columns and checks they are
-// parallel (same row count as the first).
-func colGroup(s *snapshot.Snap, specs []struct {
-	name string
-	kind snapshot.Kind
-}) ([]*snapshot.Column, error) {
-	out := make([]*snapshot.Column, len(specs))
-	for i, sp := range specs {
-		c, err := col(s, sp.name, sp.kind)
-		if err != nil {
-			return nil, err
-		}
-		if i > 0 && c.Len() != out[0].Len() {
-			return nil, fmt.Errorf("core: snapshot column %q has %d rows, %q has %d",
-				sp.name, c.Len(), specs[0].name, out[0].Len())
-		}
-		out[i] = c
-	}
-	return out, nil
 }
 
 // RestoreInputs patches the delta-mutable columns of a snapshot over
@@ -279,95 +117,23 @@ func RestoreInputs(base Inputs, s *snapshot.Snap) (Inputs, error) {
 	if base.Dataset == nil {
 		return Inputs{}, fmt.Errorf("core: restore needs base dataset")
 	}
-	nameCol, err := col(s, colIXPName, snapshot.KindString)
-	if err != nil {
-		return Inputs{}, err
-	}
-	names := nameCol.Str
-
-	ifCols, err := colGroup(s, []struct {
-		name string
-		kind snapshot.Kind
-	}{
-		{colIfaceAddr, snapshot.KindAddr},
-		{colIfaceASN, snapshot.KindU32},
-		{colIfaceIXP, snapshot.KindU32},
-	})
-	if err != nil {
-		return Inputs{}, err
-	}
-	portCols, err := colGroup(s, []struct {
-		name string
-		kind snapshot.Kind
-	}{
-		{colPortIXP, snapshot.KindU32},
-		{colPortASN, snapshot.KindU32},
-		{colPortMbps, snapshot.KindU64},
-	})
-	if err != nil {
-		return Inputs{}, err
-	}
-	pingCols, err := colGroup(s, []struct {
-		name string
-		kind snapshot.Kind
-	}{
-		{colPingAddr, snapshot.KindAddr},
-		{colPingRTT, snapshot.KindF64},
-		{colPingVP, snapshot.KindU32},
-		{colPingFlags, snapshot.KindU8},
-	})
-	if err != nil {
-		return Inputs{}, err
-	}
-
+	rd := s.Reader()
 	ds := base.Dataset.Clone()
-	ds.IfaceIXP = make(map[netip.Addr]string, len(ifCols[0].Addr))
-	ds.IfaceASN = make(map[netip.Addr]netsim.ASN, len(ifCols[0].Addr))
-	for i, a := range ifCols[0].Addr {
-		ixpIdx := ifCols[2].U32[i]
-		if int(ixpIdx) >= len(names) {
-			return Inputs{}, fmt.Errorf("core: snapshot membership row %d references IXP index %d of %d", i, ixpIdx, len(names))
-		}
-		ds.IfaceIXP[a] = names[ixpIdx]
-		ds.IfaceASN[a] = netsim.ASN(ifCols[1].U32[i])
-	}
-	ds.Ports = make(map[registry.PortKey]int, len(portCols[0].U32))
-	for i, ixpIdx := range portCols[0].U32 {
-		if int(ixpIdx) >= len(names) {
-			return Inputs{}, fmt.Errorf("core: snapshot port row %d references IXP index %d of %d", i, ixpIdx, len(names))
-		}
-		k := registry.PortKey{IXP: names[ixpIdx], ASN: netsim.ASN(portCols[1].U32[i])}
-		ds.Ports[k] = int(portCols[2].U64[i])
+	ds.ReadMembership(rd)
+	overlay := pingsim.ReadAggCols(rd, base.Ping.VP)
+	if err := rd.Err(); err != nil {
+		return Inputs{}, fmt.Errorf("core: snapshot: %w", err)
 	}
 	base.Dataset = ds
-
-	if n := len(pingCols[0].Addr); n > 0 {
+	if len(overlay) > 0 {
 		if base.Ping == nil {
-			return Inputs{}, fmt.Errorf("core: snapshot carries %d ping overrides but base has no campaign", n)
+			return Inputs{}, fmt.Errorf("core: snapshot carries %d ping overrides but base has no campaign", len(overlay))
 		}
-		byID := make(map[uint32]*pingsim.VP, len(base.Ping.VPs))
-		for _, vp := range base.Ping.VPs {
-			byID[uint32(vp.ID)] = vp
+		ov := make(map[netip.Addr]pingsim.IfaceAgg, len(overlay))
+		for _, row := range overlay {
+			ov[row.Iface] = *row.Agg
 		}
-		overlay := make(map[netip.Addr]pingsim.Override, n)
-		for i, ip := range pingCols[0].Addr {
-			ov := pingsim.Override{
-				RTTMinMs:     pingCols[1].F64[i],
-				BestRoundsUp: pingCols[3].U8[i]&pingFlagBestRoundsUp != 0,
-				AnyRounding:  pingCols[3].U8[i]&pingFlagAnyRounding != 0,
-			}
-			if id := pingCols[2].U32[i]; id != NoPingVP {
-				vp, ok := byID[id]
-				if !ok {
-					return Inputs{}, fmt.Errorf("core: snapshot ping override for %s references unknown vantage point %d", ip, id)
-				}
-				ov.BestVP = vp
-			} else if !math.IsNaN(ov.RTTMinMs) {
-				return Inputs{}, fmt.Errorf("core: snapshot ping override for %s is measured (%v ms) but has no vantage point", ip, ov.RTTMinMs)
-			}
-			overlay[ip] = ov
-		}
-		base.Ping = base.Ping.WithOverrides(overlay)
+		base.Ping = base.Ping.WithOverrides(ov)
 	}
 	return base, nil
 }

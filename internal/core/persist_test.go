@@ -25,11 +25,11 @@ func TestPersistRoundTrip(t *testing.T) {
 	d := churnDelta(t, in, 30, 30)
 	pcfg := pingsim.DefaultCampaign()
 	pcfg.Seed = 4321
-	d.Ping = pingsim.Overrides(pingsim.Run(in.World, in.Ping.VPs, pcfg))
-	// Include a measurement revocation so the NoPingVP/NaN path
+	d.Ping = pingsim.Overrides(pingsim.Run(in.World, in.Ping.VPs, pcfg, 1))
+	// Include a measurement revocation so the no-VP/NaN path
 	// round-trips too.
 	for ip := range d.Ping {
-		d.Ping[ip] = pingsim.Override{RTTMinMs: math.NaN()}
+		d.Ping[ip] = pingsim.IfaceAgg{RTTMinMs: math.NaN()}
 		break
 	}
 	if err := ctx.Apply(d); err != nil {
@@ -86,7 +86,7 @@ func TestRestoreInputsValidation(t *testing.T) {
 	}
 	// One measured override so the ping columns are populated.
 	for ip := range in.Dataset.IfaceIXP {
-		d := Delta{Ping: map[netip.Addr]pingsim.Override{
+		d := Delta{Ping: map[netip.Addr]pingsim.IfaceAgg{
 			ip: {RTTMinMs: 0.7, BestVP: in.Ping.VPs[0]},
 		}}
 		if err := ctx.Apply(d); err != nil {
@@ -125,6 +125,9 @@ func TestRestoreInputsValidation(t *testing.T) {
 				t.Fatal("no ping rows")
 			}
 			c.U32[0] = 123456789
+		},
+		"measured override without vantage point": func(s *snapshot.Snap) {
+			s.Col("ping.vp").U32[0] = ^uint32(0) // the no-VP sentinel
 		},
 	}
 	for name, f := range cases {

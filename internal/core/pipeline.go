@@ -76,7 +76,7 @@ func (p *pipeline) newDomain() *Report {
 			inf.TraceRTT = p.traceDerived.Get(uint32(e.iface))
 		}
 	})
-	p.domFor, p.domInfs, p.domEntries = rep, infs, p.ctx.domainEntries()
+	p.domInfs, p.domEntries = infs, p.ctx.domainEntries()
 	return rep
 }
 
@@ -102,10 +102,9 @@ type pipeline struct {
 	// (nil unless Options.UseTracerouteRTT).
 	traceDerived *ident.Bits
 
-	// domFor / domInfs / domEntries bind the report produced by
-	// newDomain to its backing inference array and the context's
-	// aligned entry list.
-	domFor     *Report
+	// domInfs / domEntries are the backing inference array of the
+	// report newDomain produced (the one report every step of the run
+	// classifies) and the context's aligned entry list.
 	domInfs    []Inference
 	domEntries []domEntry
 }
@@ -233,33 +232,22 @@ func (p *pipeline) rttFor(ip netip.Addr) (float64, bool) {
 // small enough to keep the tail balanced.
 const shardChunk = 256
 
-// forEachInference applies fn to every inference of the report,
+// forEachInference applies fn to every inference of the domain,
 // fanning the domain out across the shard pool in claims of
 // shardChunk entries. fn must classify its entry from shared read-only
 // state and write only through inf (plus its private scratch); because
 // no entry reads another entry's verdict, the shard schedule cannot
 // leak into the report and the output is bit-identical for every
 // worker count — the merge is the writes themselves.
-func (p *pipeline) forEachInference(rep *Report, fn func(*scratch, domEntry, *Inference)) {
+func (p *pipeline) forEachInference(fn func(*scratch, domEntry, *Inference)) {
 	entries := p.domEntries
 	par.Do(p.opt.Workers, len(entries), shardChunk, func(lo, hi int) {
 		s := p.ctx.getScratch()
 		for i := lo; i < hi; i++ {
-			fn(s, entries[i], p.infAt(rep, i))
+			fn(s, entries[i], &p.domInfs[i])
 		}
 		p.ctx.putScratch(s)
 	})
-}
-
-// infAt returns the inference backing entry i of the domain. Reports
-// built by this pipeline's newDomain hit the aligned backing array;
-// anything else (there is no such caller today) falls back to the
-// report map.
-func (p *pipeline) infAt(rep *Report, i int) *Inference {
-	if rep == p.domFor {
-		return &p.domInfs[i]
-	}
-	return rep.Inferences[p.domEntries[i].key]
 }
 
 // ---------------------------------------------------------------------------
@@ -268,8 +256,8 @@ func (p *pipeline) infAt(rep *Report, i int) *Inference {
 // stepPortCapacity flags reseller customers: a member whose reported
 // port capacity is below the IXP's minimum physical capacity can only
 // be buying a virtual port through a reseller, hence is remote.
-func (p *pipeline) stepPortCapacity(rep *Report) {
-	p.forEachInference(rep, p.classifyPortCapacity)
+func (p *pipeline) stepPortCapacity() {
+	p.forEachInference(p.classifyPortCapacity)
 }
 
 func (p *pipeline) classifyPortCapacity(_ *scratch, e domEntry, inf *Inference) {
@@ -325,8 +313,8 @@ func (p *pipeline) asRing(m ident.MemberID, facs []netsim.FacilityID, slot int32
 
 // stepRTTColo applies the Step 3 rules to every membership with a
 // usable RTT minimum.
-func (p *pipeline) stepRTTColo(rep *Report) {
-	p.forEachInference(rep, p.classifyRTTColo)
+func (p *pipeline) stepRTTColo() {
+	p.forEachInference(p.classifyRTTColo)
 }
 
 func (p *pipeline) classifyRTTColo(s *scratch, e domEntry, inf *Inference) {

@@ -242,7 +242,7 @@ func (p *pipeline) stepMultiIXP(rep *Report, seed func(netsim.ASN, string) PeerC
 	par.Do(p.opt.Workers, nRuns, 1, func(lo, hi int) {
 		s := c.getScratch()
 		for i := runStarts[lo]; i < runStarts[hi]; i++ {
-			p.classifyMultiRouter(s, rep, groups, &cached[i], routers[i], seed)
+			p.classifyMultiRouter(s, groups, &cached[i], routers[i], seed)
 		}
 		c.putScratch(s)
 	})
@@ -252,14 +252,14 @@ func (p *pipeline) stepMultiIXP(rep *Report, seed func(netsim.ASN, string) PeerC
 // writing the router's class and propagating verdicts into its
 // member's domain entries. All side effects are confined to cr.member
 // (see stepMultiIXP's sharding argument).
-func (p *pipeline) classifyMultiRouter(s *scratch, rep *Report, groups *groupIndex, cr *cachedRouter, r *MultiIXPRouter, seed func(netsim.ASN, string) PeerClass) {
+func (p *pipeline) classifyMultiRouter(s *scratch, groups *groupIndex, cr *cachedRouter, r *MultiIXPRouter, seed func(netsim.ASN, string) PeerClass) {
 	c := p.ctx
 	classOf := func(m ident.MemberID, x ident.IXPID) PeerClass {
 		if seed != nil {
 			return seed(c.ids.ASN(m), c.ids.IXPName(x))
 		}
 		for _, di := range groups.of(m, x) {
-			if inf := p.infAt(rep, int(di)); inf.Class != ClassUnknown {
+			if inf := &p.domInfs[di]; inf.Class != ClassUnknown {
 				return inf.Class
 			}
 		}
@@ -272,7 +272,7 @@ func (p *pipeline) classifyMultiRouter(s *scratch, rep *Report, groups *groupInd
 	standalone := seed != nil
 	assign := func(m ident.MemberID, x ident.IXPID, cls PeerClass) {
 		for _, di := range groups.of(m, x) {
-			inf := p.infAt(rep, int(di))
+			inf := &p.domInfs[di]
 			if inf.Class == ClassUnknown || (standalone && inf.Step == StepMultiIXP) {
 				inf.Class = cls
 				inf.Step = StepMultiIXP
@@ -480,12 +480,12 @@ func (p *pipeline) hybridRemoteCondition(s *scratch, asn netsim.ASN, ixpL, other
 
 // stepPrivate applies the Constrained-Facility-Search-style voting to
 // memberships still unknown after Steps 1-4.
-func (p *pipeline) stepPrivate(rep *Report) {
+func (p *pipeline) stepPrivate() {
 	if p.ctx.priv.Len() == 0 {
 		return
 	}
 	p.ctx.aliasPlane()
-	p.forEachInference(rep, p.classifyPrivate)
+	p.forEachInference(p.classifyPrivate)
 }
 
 func (p *pipeline) classifyPrivate(s *scratch, e domEntry, inf *Inference) {

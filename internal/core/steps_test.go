@@ -26,7 +26,7 @@ type tinyFixture struct {
 
 func newTinyFixture(t *testing.T) *tinyFixture {
 	t.Helper()
-	w, err := netsim.Generate(netsim.TinyConfig())
+	w, err := netsim.Generate(netsim.TinyConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestStep1RuleFractionalPortMeansRemote(t *testing.T) {
 	f.in.Dataset.Ports[registry.PortKey{IXP: f.ix.Name, ASN: asFull}] = 10000
 
 	p, rep := f.pipelineWithRTT(nil)
-	p.stepPortCapacity(rep)
+	p.stepPortCapacity()
 
 	if got := rep.Inferences[Key{f.ix.Name, ipFrac}]; got.Class != ClassRemote || got.Step != StepPortCapacity {
 		t.Errorf("fractional port: got %v via %v, want remote via port-capacity", got.Class, got.Step)
@@ -132,7 +132,7 @@ func TestStep1RuleNoPricingNoInference(t *testing.T) {
 	f.in.Dataset.Ports[registry.PortKey{IXP: f.ix.Name, ASN: asn}] = 100
 
 	p, rep := f.pipelineWithRTT(nil)
-	p.stepPortCapacity(rep)
+	p.stepPortCapacity()
 	if got := rep.Inferences[Key{f.ix.Name, ip}]; got.Class != ClassUnknown {
 		t.Errorf("no Cmin: got %v, want unknown", got.Class)
 	}
@@ -145,7 +145,7 @@ func TestStep3RuleLocalColocatedLowRTT(t *testing.T) {
 	f.in.Colo.ASFacilities[asn] = []netsim.FacilityID{f.ix.Facilities[0]}
 
 	p, rep := f.pipelineWithRTT(map[netip.Addr]float64{ip: 0.4})
-	p.stepRTTColo(rep)
+	p.stepRTTColo()
 	got := rep.Inferences[Key{f.ix.Name, ip}]
 	if got.Class != ClassLocal || got.Step != StepRTTColo {
 		t.Errorf("colocated sub-ms member: got %v via %v, want local via rtt+colo", got.Class, got.Step)
@@ -162,7 +162,7 @@ func TestStep3RuleRemoteNoFeasibleFacility(t *testing.T) {
 	// 80 ms from a single-metro IXP: dmin of the ring is far beyond the
 	// IXP's facilities; rule 1(i) must fire even with no colo data.
 	p, rep := f.pipelineWithRTT(map[netip.Addr]float64{ip: 80})
-	p.stepRTTColo(rep)
+	p.stepRTTColo()
 	got := rep.Inferences[Key{f.ix.Name, ip}]
 	if got.Class != ClassRemote {
 		t.Errorf("80ms member at single-metro IXP: got %v, want remote (rule 1(i))", got.Class)
@@ -215,7 +215,7 @@ func TestStep3RuleRemoteNearbyPeer(t *testing.T) {
 	d := geo.DistanceKm(f.vp.Loc, f.w.Facility(facID).Loc)
 	rtt := 2 * d / 70
 	p, rep := f.pipelineWithRTT(map[netip.Addr]float64{ip: rtt})
-	p.stepRTTColo(rep)
+	p.stepRTTColo()
 	got := rep.Inferences[Key{f.ix.Name, ip}]
 	if got.Class == ClassLocal {
 		t.Errorf("nearby remote (%.0f km, %.1f ms): inferred local", d, rtt)
@@ -229,7 +229,7 @@ func TestStep3RuleUnknownWithoutColoData(t *testing.T) {
 	// 0.5 ms: a feasible IXP facility exists, but without colocation
 	// data the rule must defer (rule 3).
 	p, rep := f.pipelineWithRTT(map[netip.Addr]float64{ip: 0.5})
-	p.stepRTTColo(rep)
+	p.stepRTTColo()
 	got := rep.Inferences[Key{f.ix.Name, ip}]
 	if got.Class != ClassUnknown {
 		t.Errorf("no colo data: got %v, want unknown (defer to steps 4/5)", got.Class)
@@ -244,7 +244,7 @@ func TestStep3RoundingLGWidensRing(t *testing.T) {
 
 	p, rep := f.pipelineWithRTT(map[netip.Addr]float64{ip: 1.0})
 	p.ctx.setPing(ip, 1.0, f.vp, true) // the LG rounded 0.2ms up to 1ms
-	p.stepRTTColo(rep)
+	p.stepRTTColo()
 	got := rep.Inferences[Key{f.ix.Name, ip}]
 	if got.Class != ClassLocal {
 		t.Errorf("rounded 1ms local: got %v, want local (dmin from RTT-1)", got.Class)

@@ -254,7 +254,7 @@ func (e *Env) controlCampaign() *pingsim.Result {
 	}
 	cfg := pingsim.DefaultCampaign()
 	cfg.Seed = e.World.Cfg.Seed + 99
-	return pingsim.Run(e.World, vps, cfg)
+	return pingsim.Run(e.World, vps, cfg, 1)
 }
 
 // sortedIXPNames returns IXP names sorted by descending ground-truth

@@ -16,7 +16,7 @@ func TestIfaceRoundTripOverGeneratedWorlds(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		cfg := netsim.TinyConfig()
 		cfg.Seed = seed
-		w, err := netsim.Generate(cfg)
+		w, err := netsim.Generate(cfg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

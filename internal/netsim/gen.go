@@ -36,20 +36,14 @@ const (
 	stagePriv
 )
 
-// Generate builds a world from the configuration. Identical configs
-// produce identical worlds, regardless of GOMAXPROCS or worker count.
-func Generate(cfg Config) (*World, error) {
-	return GenerateWorkers(cfg, 0)
-}
-
-// GenerateWorkers is Generate with an explicit worker count for the
-// fan-out phases (membership synthesis, AS synthesis, private-link
-// candidates); workers <= 0 uses GOMAXPROCS. The output is bit-
-// identical for every worker count: parallel phases only decide, into
-// pre-assigned slots keyed by entity identity; everything that
-// allocates shared resources (router IDs, addresses) runs in one
+// Generate builds a world from the configuration, fanning the
+// membership synthesis, AS synthesis and private-link candidate phases
+// out over workers (0 = GOMAXPROCS). Identical configs produce
+// bit-identical worlds for every worker count: parallel phases only
+// decide, into pre-assigned slots keyed by entity identity; everything
+// that allocates shared resources (router IDs, addresses) runs in one
 // deterministic serial pass over those decisions.
-func GenerateWorkers(cfg Config, workers int) (*World, error) {
+func Generate(cfg Config, workers int) (*World, error) {
 	if cfg.NASes <= 0 || cfg.NIXPs <= 0 {
 		return nil, fmt.Errorf("netsim: invalid config: NASes=%d NIXPs=%d", cfg.NASes, cfg.NIXPs)
 	}
@@ -146,7 +140,7 @@ type gen struct {
 	facVecs []geo.Vec3
 	asVecs  []geo.Vec3
 	// infraBits is the per-AS infrastructure prefix length (see
-	// GenerateWorkers; config-derived so scaled worlds fit the pool).
+	// Generate; config-derived so scaled worlds fit the pool).
 	infraBits int
 
 	// memberSlab backs the *Member values of the world in one

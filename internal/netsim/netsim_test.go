@@ -14,7 +14,7 @@ var defaultWorld *World
 func world(t testing.TB) *World {
 	t.Helper()
 	if defaultWorld == nil {
-		w, err := Generate(DefaultConfig())
+		w, err := Generate(DefaultConfig(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -24,7 +24,7 @@ func world(t testing.TB) *World {
 }
 
 func TestGenerateInvalidConfig(t *testing.T) {
-	if _, err := Generate(Config{}); err == nil {
+	if _, err := Generate(Config{}, 0); err == nil {
 		t.Error("want error for zero config")
 	}
 }
@@ -270,11 +270,11 @@ func TestLatencySampleNeverBelowBase(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	cfg := TinyConfig()
-	w1, err := Generate(cfg)
+	w1, err := Generate(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := Generate(cfg)
+	w2, err := Generate(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func BenchmarkGenerateDefault(b *testing.B) {
 	cfg := DefaultConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Generate(cfg); err != nil {
+		if _, err := Generate(cfg, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -377,7 +377,7 @@ func copyPtrs[T any](in []*T) []*T {
 // same entities and rebuilds the derived state a loader must not
 // carry: interface lookups, the prefix table and the latency oracle.
 func TestSaveLoadRoundTrip(t *testing.T) {
-	w1, err := Generate(TinyConfig())
+	w1, err := Generate(TinyConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 // TestLoadRejectsGarbage: parts whose members reference an IXP or a
 // router the parts do not hold are refused, not assembled.
 func TestLoadRejectsGarbage(t *testing.T) {
-	w, err := Generate(TinyConfig())
+	w, err := Generate(TinyConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,11 +455,11 @@ func TestScaledConfigGrowsTheWorld(t *testing.T) {
 
 	// Memberships (the inference domain) grow roughly linearly with
 	// the factor: 4x should at least double and at most 8x the domain.
-	small, err := Generate(d)
+	small, err := Generate(d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Generate(ScaledConfig(4))
+	big, err := Generate(ScaledConfig(4), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func TestGenerateWorkersByteIdentical(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var ref *WorldParts
 			for _, workers := range []int{1, 4, runtime.NumCPU()} {
-				w, err := GenerateWorkers(cfg, workers)
+				w, err := Generate(cfg, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -37,12 +37,12 @@ func TestGenerateWorkersByteIdentical(t *testing.T) {
 // produce different worlds.
 func TestGenerateWorkersSeedSensitivity(t *testing.T) {
 	cfg := TinyConfig()
-	w1, err := GenerateWorkers(cfg, 2)
+	w1, err := Generate(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Seed = 2
-	w2, err := GenerateWorkers(cfg, 2)
+	w2, err := Generate(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package pingsim
 import (
 	"math"
 	"net/netip"
+	"sync"
 	"testing"
 
 	"rpeer/internal/netsim"
@@ -10,12 +11,12 @@ import (
 
 func overrideFixtures(t testing.TB) (*netsim.World, []*VP, *Result) {
 	t.Helper()
-	w, err := netsim.Generate(netsim.DefaultConfig())
+	w, err := netsim.Generate(netsim.DefaultConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	vps := DeriveVPs(w, 11)
-	return w, vps, Run(w, vps, DefaultCampaign())
+	return w, vps, Run(w, vps, DefaultCampaign(), 1)
 }
 
 func TestWithOverridesReplacesAndRemoves(t *testing.T) {
@@ -35,7 +36,7 @@ func TestWithOverridesReplacesAndRemoves(t *testing.T) {
 		break
 	}
 	vp := base[replace].BestVP
-	ov := map[netip.Addr]Override{
+	ov := map[netip.Addr]IfaceAgg{
 		replace: {RTTMinMs: 123.5, BestVP: vp, BestRoundsUp: true, AnyRounding: true},
 		drop:    {RTTMinMs: math.NaN()},
 	}
@@ -55,7 +56,7 @@ func TestWithOverridesReplacesAndRemoves(t *testing.T) {
 		t.Fatal("WithOverrides mutated the receiver")
 	}
 	// Stacked overrides: the latest wins, removal is reversible.
-	view2 := view.WithOverrides(map[netip.Addr]Override{
+	view2 := view.WithOverrides(map[netip.Addr]IfaceAgg{
 		replace: {RTTMinMs: 7.25, BestVP: vp},
 		drop:    {RTTMinMs: 1.0, BestVP: vp},
 	})
@@ -72,7 +73,7 @@ func TestOverridesFromRecampaign(t *testing.T) {
 	w, vps, res := overrideFixtures(t)
 	cfg := DefaultCampaign()
 	cfg.Seed = 99
-	refresh := Run(w, vps, cfg)
+	refresh := Run(w, vps, cfg, 1)
 
 	merged := res.WithOverrides(Overrides(refresh)).IfaceIndex()
 	ridx := refresh.IfaceIndex()
@@ -95,5 +96,38 @@ func TestOverridesFromRecampaign(t *testing.T) {
 		if _, ok := merged[ip]; !ok {
 			t.Fatalf("iface %v vanished from the merged view", ip)
 		}
+	}
+}
+
+// TestVPIndexSharedAcrossViews: the VP-by-ID index is built once per
+// campaign, shared by every WithOverrides view, and safe to query from
+// several goroutines while views are being made (run under -race).
+func TestVPIndexSharedAcrossViews(t *testing.T) {
+	w, vps, _ := overrideFixtures(t)
+	res := Run(w, vps, DefaultCampaign(), 1) // fresh: index not built yet
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			view := res.WithOverrides(nil)
+			for _, vp := range vps {
+				if got, ok := view.VP(vp.ID); !ok || got != vp {
+					t.Errorf("view.VP(%d) = %v, %v", vp.ID, got, ok)
+					return
+				}
+				if got, ok := res.VP(vp.ID); !ok || got != vp {
+					t.Errorf("res.VP(%d) = %v, %v", vp.ID, got, ok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if _, ok := res.VP(-1); ok {
+		t.Fatal("unknown VP ID resolved")
+	}
+	if _, ok := (*Result)(nil).VP(vps[0].ID); ok {
+		t.Fatal("nil campaign resolved a VP")
 	}
 }

@@ -18,16 +18,17 @@ const (
 	streamPair
 )
 
-// RunParallel executes the campaign across a worker pool, one VP per
+// Run executes a ping campaign from every VP towards all member
+// peering interfaces of the VP's IXP, applying the TTL filters and the
+// route-server VP-usability filter, and aggregating minimum RTTs.
+//
+// The campaign fans out over workers (0 = GOMAXPROCS), one VP per
 // claim. Every (VP, target) pair draws from its own stream keyed by
 // (seed, VP id, interface), so scheduling order cannot leak into the
-// measurements: results are bit-identical for every worker count,
-// including the single-worker path Run delegates to. A claim keys one
-// generator between pairs, and each VP's measurements live in one
-// slab, so the campaign allocates O(VPs), not O(pairs).
-//
-// Use workers > 1 (or 0 = GOMAXPROCS) for large worlds.
-func RunParallel(w *netsim.World, vps []*VP, cfg CampaignConfig, workers int) *Result {
+// measurements: results are bit-identical for every worker count. A
+// claim keys one generator between pairs, and each VP's measurements
+// live in one slab, so the campaign allocates O(VPs), not O(pairs).
+func Run(w *netsim.World, vps []*VP, cfg CampaignConfig, workers int) *Result {
 	res := &Result{
 		VPs:            vps,
 		ByVP:           make(map[int][]*Measurement, len(vps)),

@@ -11,7 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 
 	"rpeer/internal/geo"
@@ -196,7 +196,7 @@ type Result struct {
 
 	// overrides are per-interface replacement aggregates layered over
 	// the campaign fold by WithOverrides (re-campaign refreshes).
-	overrides map[netip.Addr]Override
+	overrides map[netip.Addr]IfaceAgg
 
 	// baseAgg, when set, replaces the ByVP fold as the campaign's
 	// aggregate layer: Results restored from a world file carry folded
@@ -207,6 +207,11 @@ type Result struct {
 
 	idxOnce sync.Once
 	idx     map[netip.Addr]*IfaceAgg
+
+	// byID is the roster by VP ID (see VP), shared by every
+	// WithOverrides view of one campaign.
+	vpOnce sync.Once
+	byID   map[int]*VP
 
 	rowsOnce sync.Once
 	rows     []AggRow
@@ -231,7 +236,7 @@ func (r *Result) AggRows() []AggRow {
 		for ip, a := range idx {
 			rows = append(rows, AggRow{Iface: ip, Agg: a})
 		}
-		sort.Slice(rows, func(i, j int) bool { return rows[i].Iface.Less(rows[j].Iface) })
+		slices.SortFunc(rows, func(a, b AggRow) int { return a.Iface.Compare(b.Iface) })
 		r.rows = rows
 	})
 	return r.rows
@@ -241,9 +246,13 @@ func (r *Result) AggRows() []AggRow {
 // all usable VPs: the minimum RTT, the VP achieving it, and the
 // rounding flags Step 3 consumes. It is built once per Result (see
 // IfaceIndex) so per-interface queries stop re-scanning the full
-// measurement set.
+// measurement set. The same shape is a delta's replacement aggregate
+// (see WithOverrides) and the row every persisted format carries (see
+// AppendAggCols).
 type IfaceAgg struct {
-	// RTTMinMs is the campaign minimum across usable VPs.
+	// RTTMinMs is the campaign minimum across usable VPs. In an
+	// override, NaN removes the interface from the index (the refresh
+	// found it unmeasurable).
 	RTTMinMs float64
 	// BestVP is the usable VP that measured RTTMinMs (ties resolve to
 	// the earlier VP in UsableVPs order).
@@ -308,32 +317,16 @@ func (r *Result) applyOverrides(idx map[netip.Addr]*IfaceAgg) {
 			delete(idx, ip)
 			continue
 		}
-		idx[ip] = &IfaceAgg{
-			RTTMinMs:     o.RTTMinMs,
-			BestVP:       o.BestVP,
-			BestRoundsUp: o.BestRoundsUp,
-			AnyRounding:  o.AnyRounding,
-		}
+		idx[ip] = &o
 	}
-}
-
-// Override is a per-interface replacement campaign aggregate: the
-// refreshed measurement state a re-campaign produced for one member
-// interface. An Override with a NaN RTTMinMs removes the interface
-// from the index (the refresh found it unmeasurable).
-type Override struct {
-	RTTMinMs     float64
-	BestVP       *VP
-	BestRoundsUp bool
-	AnyRounding  bool
 }
 
 // WithOverrides returns a view of the campaign with the given
 // per-interface aggregates replacing the folded ones. The receiver is
 // not modified; the returned Result shares its measurement slices.
 // Repeated applications stack, latest override winning per interface.
-func (r *Result) WithOverrides(ov map[netip.Addr]Override) *Result {
-	merged := make(map[netip.Addr]Override, len(r.overrides)+len(ov))
+func (r *Result) WithOverrides(ov map[netip.Addr]IfaceAgg) *Result {
+	merged := make(map[netip.Addr]IfaceAgg, len(r.overrides)+len(ov))
 	for ip, o := range r.overrides {
 		merged[ip] = o
 	}
@@ -345,21 +338,23 @@ func (r *Result) WithOverrides(ov map[netip.Addr]Override) *Result {
 		RouteServerRTT: r.RouteServerRTT,
 		UsableVPs:      r.UsableVPs,
 		baseAgg:        r.baseAgg,
+		byID:           r.vpIndex(),
 		overrides:      merged,
 	}
 }
 
-// Overlay returns a copy of the cumulative per-interface overrides
-// layered over the campaign by WithOverrides — the mutable slice of a
-// campaign's state, and therefore exactly what the engine's snapshot
-// persists (the underlying measurements are regenerable from the base
-// inputs; the overrides are not).
-func (r *Result) Overlay() map[netip.Addr]Override {
-	out := make(map[netip.Addr]Override, len(r.overrides))
+// OverlayRows returns the cumulative per-interface overrides layered
+// over the campaign by WithOverrides, sorted by address — the mutable
+// slice of a campaign's state, and therefore exactly what the engine's
+// snapshot persists (the underlying measurements are regenerable from
+// the base inputs; the overrides are not).
+func (r *Result) OverlayRows() []AggRow {
+	rows := make([]AggRow, 0, len(r.overrides))
 	for ip, o := range r.overrides {
-		out[ip] = o
+		rows = append(rows, AggRow{Iface: ip, Agg: &o})
 	}
-	return out
+	slices.SortFunc(rows, func(a, b AggRow) int { return a.Iface.Compare(b.Iface) })
+	return rows
 }
 
 // Overrides folds a re-campaign result into the override form
@@ -367,30 +362,37 @@ func (r *Result) Overlay() map[netip.Addr]Override {
 // gets its refreshed aggregate (latest campaign wins). Interfaces the
 // refresh could not measure are left untouched — a re-campaign
 // narrows staleness, it does not revoke history.
-func Overrides(refresh *Result) map[netip.Addr]Override {
+func Overrides(refresh *Result) map[netip.Addr]IfaceAgg {
 	idx := refresh.IfaceIndex()
-	out := make(map[netip.Addr]Override, len(idx))
+	out := make(map[netip.Addr]IfaceAgg, len(idx))
 	for ip, a := range idx {
-		out[ip] = Override{
-			RTTMinMs:     a.RTTMinMs,
-			BestVP:       a.BestVP,
-			BestRoundsUp: a.BestRoundsUp,
-			AnyRounding:  a.AnyRounding,
-		}
+		out[ip] = *a
 	}
 	return out
 }
 
-// Run executes a ping campaign from every VP towards all member
-// peering interfaces of the VP's IXP, applying the TTL filters and the
-// route-server VP-usability filter, and aggregating minimum RTTs.
-//
-// Run is RunParallel with a single worker: every (VP, target) pair
-// derives its own RNG from a stable hash of (seed, VP id, interface),
-// so campaign results are bit-identical across all worker counts and
-// callers can switch freely between Run and RunParallel.
-func Run(w *netsim.World, vps []*VP, cfg CampaignConfig) *Result {
-	return RunParallel(w, vps, cfg, 1)
+// VP resolves a roster vantage point by ID, the form persisted rows
+// and /v1/apply bodies carry. ok is false for an unknown ID and on a
+// nil Result. Safe for concurrent use.
+func (r *Result) VP(id int) (*VP, bool) {
+	if r == nil {
+		return nil, false
+	}
+	vp, ok := r.vpIndex()[id]
+	return vp, ok
+}
+
+func (r *Result) vpIndex() map[int]*VP {
+	r.vpOnce.Do(func() {
+		if r.byID != nil {
+			return // inherited from the view's parent, or set by decode
+		}
+		r.byID = make(map[int]*VP, len(r.VPs))
+		for _, vp := range r.VPs {
+			r.byID[vp.ID] = vp
+		}
+	})
+	return r.byID
 }
 
 // routeServerRTT simulates the VP's ping to the IXP route server.

@@ -13,7 +13,7 @@ var cachedResult *Result
 func world(t testing.TB) *netsim.World {
 	t.Helper()
 	if cachedWorld == nil {
-		w, err := netsim.Generate(netsim.DefaultConfig())
+		w, err := netsim.Generate(netsim.DefaultConfig(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -27,7 +27,7 @@ func campaign(t testing.TB) (*netsim.World, *Result) {
 	w := world(t)
 	if cachedResult == nil {
 		vps := DeriveVPs(w, 11)
-		cachedResult = Run(w, vps, DefaultCampaign())
+		cachedResult = Run(w, vps, DefaultCampaign(), 1)
 	}
 	return w, cachedResult
 }
@@ -218,8 +218,8 @@ func TestCampaignDeterminism(t *testing.T) {
 	w := world(t)
 	vps1 := DeriveVPs(w, 3)
 	vps2 := DeriveVPs(w, 3)
-	r1 := Run(w, vps1, DefaultCampaign())
-	r2 := Run(w, vps2, DefaultCampaign())
+	r1 := Run(w, vps1, DefaultCampaign(), 1)
+	r2 := Run(w, vps2, DefaultCampaign(), 1)
 	m1 := r1.MinRTTByIface()
 	m2 := r2.MinRTTByIface()
 	if len(m1) != len(m2) {
@@ -239,7 +239,7 @@ func BenchmarkCampaign(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Run(w, vps, cfg)
+		Run(w, vps, cfg, 1)
 	}
 }
 
@@ -247,8 +247,8 @@ func TestRunParallelDeterministicAcrossWorkerCounts(t *testing.T) {
 	w := world(t)
 	vps := DeriveVPs(w, 11)
 	cfg := DefaultCampaign()
-	r1 := RunParallel(w, vps, cfg, 1)
-	r8 := RunParallel(w, vps, cfg, 8)
+	r1 := Run(w, vps, cfg, 1)
+	r8 := Run(w, vps, cfg, 8)
 	m1 := r1.MinRTTByIface()
 	m8 := r8.MinRTTByIface()
 	if len(m1) == 0 || len(m1) != len(m8) {
@@ -270,14 +270,14 @@ func TestRunParallelDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestRunIdenticalToRunParallel(t *testing.T) {
-	// Run delegates to the hashed-RNG path, so the sequential campaign
-	// must be bit-identical to any parallel worker count, per
+	// Every pair draws from its own hashed stream, so the one-worker
+	// campaign must be bit-identical to a GOMAXPROCS one, per
 	// measurement, not just in distribution.
 	w := world(t)
 	vps := DeriveVPs(w, 11)
 	cfg := DefaultCampaign()
-	seq := Run(w, vps, cfg)
-	par := RunParallel(w, vps, cfg, 0)
+	seq := Run(w, vps, cfg, 1)
+	par := Run(w, vps, cfg, 0)
 	if len(seq.UsableVPs) != len(par.UsableVPs) {
 		t.Fatalf("usable VPs differ: %d vs %d", len(seq.UsableVPs), len(par.UsableVPs))
 	}

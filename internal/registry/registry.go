@@ -349,16 +349,10 @@ const streamSnapshot uint64 = 0x40
 
 // Build generates all four source snapshots from the world and merges
 // them. It is the one-call entry point used by the experiments.
-// Snapshot synthesis fans out over (source, IXP) tasks, each drawing
-// from a stream keyed by (seed, source, IXP), so the dataset is
-// bit-identical for every worker count.
-func Build(w *netsim.World, n NoiseConfig, seed int64) *Dataset {
-	return BuildWorkers(w, n, seed, 0)
-}
-
-// BuildWorkers is Build with an explicit worker count (<= 0 uses
-// GOMAXPROCS).
-func BuildWorkers(w *netsim.World, n NoiseConfig, seed int64, workers int) *Dataset {
+// Snapshot synthesis fans out over (source, IXP) tasks on workers
+// (0 = GOMAXPROCS), each drawing from a stream keyed by (seed, source,
+// IXP), so the dataset is bit-identical for every worker count.
+func Build(w *netsim.World, n NoiseConfig, seed int64, workers int) *Dataset {
 	nIXPs := len(w.IXPs)
 	// One fragment snapshot per (source, IXP) task; assembled in
 	// (source, IXP rank) order afterwards.

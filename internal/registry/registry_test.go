@@ -13,7 +13,7 @@ var cachedWorld *netsim.World
 func world(t testing.TB) *netsim.World {
 	t.Helper()
 	if cachedWorld == nil {
-		w, err := netsim.Generate(netsim.DefaultConfig())
+		w, err := netsim.Generate(netsim.DefaultConfig(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestMergePreferenceOrder(t *testing.T) {
 
 func TestMergeTable1Shape(t *testing.T) {
 	w := world(t)
-	d := Build(w, DefaultNoise(), 42)
+	d := Build(w, DefaultNoise(), 42, 0)
 	if len(d.Stats) != int(numSources) {
 		t.Fatalf("stats rows = %d, want %d", len(d.Stats), numSources)
 	}
@@ -109,7 +109,7 @@ func TestMergeTable1Shape(t *testing.T) {
 
 func TestMergedMostlyAccurate(t *testing.T) {
 	w := world(t)
-	d := Build(w, DefaultNoise(), 42)
+	d := Build(w, DefaultNoise(), 42, 0)
 	wrong := 0
 	tot := 0
 	for _, m := range w.Members {
@@ -129,7 +129,7 @@ func TestMergedMostlyAccurate(t *testing.T) {
 
 func TestIXPOf(t *testing.T) {
 	w := world(t)
-	d := Build(w, DefaultNoise(), 42)
+	d := Build(w, DefaultNoise(), 42, 0)
 	ix := w.IXPs[0]
 	m := w.MembersOf(ix.ID)[0]
 	name, ok := d.IXPOf(m.Iface)
@@ -146,7 +146,7 @@ func TestIXPOf(t *testing.T) {
 
 func TestMembersOfSortedAndComplete(t *testing.T) {
 	w := world(t)
-	d := Build(w, DefaultNoise(), 42)
+	d := Build(w, DefaultNoise(), 42, 0)
 	ix := w.LargestIXPs(1)[0]
 	recs := d.MembersOf(ix.Name)
 	if len(recs) < len(w.MembersOf(ix.ID))*9/10 {

@@ -10,9 +10,9 @@ import (
 // count.
 func TestBuildWorkersIdentical(t *testing.T) {
 	w := world(t)
-	ref := BuildWorkers(w, DefaultNoise(), 42, 1)
+	ref := Build(w, DefaultNoise(), 42, 1)
 	for _, workers := range []int{4, runtime.NumCPU()} {
-		got := BuildWorkers(w, DefaultNoise(), 42, workers)
+		got := Build(w, DefaultNoise(), 42, workers)
 		if len(got.IfaceASN) != len(ref.IfaceASN) || len(got.PrefixIXP) != len(ref.PrefixIXP) {
 			t.Fatalf("workers=%d: dataset sizes differ", workers)
 		}

@@ -14,7 +14,7 @@ var (
 func analysis(t testing.TB) (*netsim.World, *Analysis) {
 	t.Helper()
 	if cw == nil {
-		w, err := netsim.Generate(netsim.DefaultConfig())
+		w, err := netsim.Generate(netsim.DefaultConfig(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,6 +19,11 @@
 // checksum over the whole file before trusting anything, so a torn or
 // bit-rotted snapshot is skipped (recovery falls back to the previous
 // one plus a longer log replay), never half-loaded.
+//
+// The package also holds the column plumbing every persisted format
+// shares: Cols builds a column group, Reader reads one by name with
+// kind and row-count checks, and ByteReader is the bounds-checked
+// byte reader under snapshot files, column groups and WAL records.
 package snapshot
 
 import (
@@ -105,11 +110,14 @@ type Snap struct {
 	// Fingerprint identifies the base inputs the columns patch; Open
 	// refuses to marry a snapshot to a different world.
 	Fingerprint uint64
-	Columns     []Column
+	Columns     Cols
 }
 
 // Add appends a column.
 func (s *Snap) Add(c Column) { s.Columns = append(s.Columns, c) }
+
+// Reader returns a named reader over the snapshot's columns.
+func (s *Snap) Reader() *Reader { return newReader(s.Columns) }
 
 // Col returns the named column, or nil.
 func (s *Snap) Col(name string) *Column {
@@ -128,16 +136,22 @@ func (s *Snap) Encode() []byte {
 	b = binary.LittleEndian.AppendUint32(b, FormatVersion)
 	b = binary.LittleEndian.AppendUint64(b, s.Seq)
 	b = binary.LittleEndian.AppendUint64(b, s.Fingerprint)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Columns)))
-	for i := range s.Columns {
-		b = appendColumn(b, &s.Columns[i])
-	}
+	b = appendColumns(b, s.Columns)
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
 }
 
+// appendColumns appends a column group: a u32 column count, then the
+// columns.
+func appendColumns(b []byte, cols []Column) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(cols)))
+	for i := range cols {
+		b = appendColumn(b, &cols[i])
+	}
+	return b
+}
+
 func appendColumn(b []byte, c *Column) []byte {
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(c.Name)))
-	b = append(b, c.Name...)
+	b = AppendStr(b, c.Name)
 	b = append(b, byte(c.Kind))
 	b = binary.LittleEndian.AppendUint32(b, uint32(c.Len()))
 	switch c.Kind {
@@ -157,17 +171,28 @@ func appendColumn(b []byte, c *Column) []byte {
 		b = append(b, c.U8...)
 	case KindAddr:
 		for _, a := range c.Addr {
-			raw := a.AsSlice()
-			b = append(b, byte(len(raw)))
-			b = append(b, raw...)
+			b = AppendAddr(b, a)
 		}
 	case KindString:
 		for _, v := range c.Str {
-			b = binary.LittleEndian.AppendUint16(b, uint16(len(v)))
-			b = append(b, v...)
+			b = AppendStr(b, v)
 		}
 	}
 	return b
+}
+
+// AppendAddr appends an address as a u8 length (4 or 16; 0 for the
+// zero Addr) and its raw bytes.
+func AppendAddr(b []byte, a netip.Addr) []byte {
+	raw := a.AsSlice()
+	b = append(b, byte(len(raw)))
+	return append(b, raw...)
+}
+
+// AppendStr appends a string as a u16 length and its bytes.
+func AppendStr(b []byte, s string) []byte {
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
+	return append(b, s...)
 }
 
 // EncodeColumns serializes a bare column group — u32 column count
@@ -176,20 +201,28 @@ func appendColumn(b []byte, c *Column) []byte {
 // checksum their own sections (internal/worldfile) embed column groups
 // this way.
 func EncodeColumns(cols []Column) []byte {
-	b := make([]byte, 0, 1024)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(cols)))
-	for i := range cols {
-		b = appendColumn(b, &cols[i])
-	}
-	return b
+	return appendColumns(make([]byte, 0, 1024), cols)
 }
 
-// DecodeColumns parses a column group written by EncodeColumns. The
-// whole payload must be consumed; trailing garbage is an error.
-func DecodeColumns(data []byte) ([]Column, error) {
-	d := &dec{b: data}
-	nCols := int(d.u32())
-	cols := make([]Column, 0, nCols)
+// ReadColumns decodes a column group written by EncodeColumns and
+// returns a reader over it. The whole payload must be consumed;
+// trailing garbage is an error.
+func ReadColumns(data []byte) (*Reader, error) {
+	d := NewByteReader(data)
+	cols, err := readColumns(d)
+	if err != nil {
+		return nil, err
+	}
+	if d.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after column group", ErrInvalid, d.Len())
+	}
+	return newReader(cols), nil
+}
+
+// readColumns reads a column group off d.
+func readColumns(d *ByteReader) ([]Column, error) {
+	nCols := int(d.U32())
+	cols := make([]Column, 0, min(nCols, d.Len()))
 	for i := 0; i < nCols && d.err == nil; i++ {
 		c, err := decodeColumn(d)
 		if err != nil {
@@ -200,56 +233,54 @@ func DecodeColumns(data []byte) ([]Column, error) {
 	if d.err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalid, d.err)
 	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after column group", ErrInvalid, len(d.b))
-	}
 	return cols, nil
 }
 
 // decodeColumn parses one column off the reader. Kind errors are
-// returned directly; length errors surface through d.err.
-func decodeColumn(d *dec) (Column, error) {
+// returned directly; length errors surface through d.Err.
+func decodeColumn(d *ByteReader) (Column, error) {
 	c := Column{}
-	c.Name = string(d.take(int(d.u16())))
-	c.Kind = Kind(d.u8())
-	n := int(d.u32())
+	c.Name = d.Str()
+	c.Kind = Kind(d.U8())
+	n := int(d.U32())
+	if n > d.Len() && d.err == nil {
+		// Every value takes at least one byte: a count past the end is
+		// truncation, caught before it sizes an allocation.
+		d.err = io.ErrUnexpectedEOF
+	}
+	if d.err != nil {
+		return c, nil
+	}
 	switch c.Kind {
 	case KindU32:
 		c.U32 = make([]uint32, n)
 		for j := range c.U32 {
-			c.U32[j] = d.u32()
+			c.U32[j] = d.U32()
 		}
 	case KindU64:
 		c.U64 = make([]uint64, n)
 		for j := range c.U64 {
-			c.U64[j] = d.u64()
+			c.U64[j] = d.U64()
 		}
 	case KindF64:
 		c.F64 = make([]float64, n)
 		for j := range c.F64 {
-			c.F64[j] = math.Float64frombits(d.u64())
+			c.F64[j] = math.Float64frombits(d.U64())
 		}
 	case KindU8:
-		c.U8 = append([]uint8(nil), d.take(n)...)
+		c.U8 = append([]uint8(nil), d.Take(n)...)
 	case KindAddr:
 		c.Addr = make([]netip.Addr, n)
 		for j := range c.Addr {
-			raw := d.take(int(d.u8()))
-			a, ok := netip.AddrFromSlice(raw)
-			if !ok && d.err == nil {
-				d.err = fmt.Errorf("bad address of %d bytes", len(raw))
-			}
-			c.Addr[j] = a
+			c.Addr[j] = d.Addr()
 		}
 	case KindString:
 		c.Str = make([]string, n)
 		for j := range c.Str {
-			c.Str[j] = string(d.take(int(d.u16())))
+			c.Str[j] = d.Str()
 		}
 	default:
-		if d.err == nil {
-			return c, fmt.Errorf("%w: unknown column kind %d", ErrInvalid, c.Kind)
-		}
+		return c, fmt.Errorf("%w: unknown column kind %d", ErrInvalid, c.Kind)
 	}
 	return c, nil
 }
@@ -266,33 +297,41 @@ func Decode(data []byte) (*Snap, error) {
 	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(tail) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrInvalid)
 	}
-	d := &dec{b: body[len(Magic):]}
-	ver := d.u32()
+	d := &ByteReader{b: body[len(Magic):]}
+	ver := d.U32()
 	if ver > FormatVersion {
 		return nil, fmt.Errorf("%w: format v%d newer than supported v%d", ErrInvalid, ver, FormatVersion)
 	}
-	s := &Snap{Seq: d.u64(), Fingerprint: d.u64()}
-	nCols := int(d.u32())
-	for i := 0; i < nCols && d.err == nil; i++ {
-		c, err := decodeColumn(d)
-		if err != nil {
-			return nil, err
-		}
-		s.Columns = append(s.Columns, c)
+	s := &Snap{Seq: d.U64(), Fingerprint: d.U64()}
+	cols, err := readColumns(d)
+	if err != nil {
+		return nil, err
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalid, d.err)
-	}
+	s.Columns = cols
 	return s, nil
 }
 
-// dec is a bounds-checked little-endian reader.
-type dec struct {
+// ByteReader is a bounds-checked little-endian reader over one
+// encoded image (a snapshot, a column group, a WAL record). Errors are
+// sticky: the first short read or malformed address is kept in Err
+// and every later read returns a zero value.
+type ByteReader struct {
 	b   []byte
 	err error
 }
 
-func (d *dec) take(n int) []byte {
+// NewByteReader reads b from its start.
+func NewByteReader(b []byte) *ByteReader { return &ByteReader{b: b} }
+
+// Err returns the first read error, nil if every read so far fit.
+func (d *ByteReader) Err() error { return d.err }
+
+// Len returns the number of unread bytes.
+func (d *ByteReader) Len() int { return len(d.b) }
+
+// Take returns the next n bytes (aliasing the image), or nil when
+// fewer remain.
+func (d *ByteReader) Take(n int) []byte {
 	if d.err != nil || n < 0 || n > len(d.b) {
 		if d.err == nil {
 			d.err = io.ErrUnexpectedEOF
@@ -304,37 +343,54 @@ func (d *dec) take(n int) []byte {
 	return out
 }
 
-func (d *dec) u8() uint8 {
-	b := d.take(1)
+// U8 reads one byte.
+func (d *ByteReader) U8() uint8 {
+	b := d.Take(1)
 	if b == nil {
 		return 0
 	}
 	return b[0]
 }
 
-func (d *dec) u16() uint16 {
-	b := d.take(2)
+func (d *ByteReader) u16() uint16 {
+	b := d.Take(2)
 	if b == nil {
 		return 0
 	}
 	return binary.LittleEndian.Uint16(b)
 }
 
-func (d *dec) u32() uint32 {
-	b := d.take(4)
+// U32 reads a little-endian uint32.
+func (d *ByteReader) U32() uint32 {
+	b := d.Take(4)
 	if b == nil {
 		return 0
 	}
 	return binary.LittleEndian.Uint32(b)
 }
 
-func (d *dec) u64() uint64 {
-	b := d.take(8)
+// U64 reads a little-endian uint64.
+func (d *ByteReader) U64() uint64 {
+	b := d.Take(8)
 	if b == nil {
 		return 0
 	}
 	return binary.LittleEndian.Uint64(b)
 }
+
+// Addr reads an address written by AppendAddr; the zero Addr is an
+// error (only 4- and 16-byte addresses are valid here).
+func (d *ByteReader) Addr() netip.Addr {
+	raw := d.Take(int(d.U8()))
+	a, ok := netip.AddrFromSlice(raw)
+	if !ok && d.err == nil {
+		d.err = fmt.Errorf("bad address of %d bytes", len(raw))
+	}
+	return a
+}
+
+// Str reads a string written by AppendStr.
+func (d *ByteReader) Str() string { return string(d.Take(int(d.u16()))) }
 
 // ---------------------------------------------------------------------------
 // Directory layout

@@ -49,20 +49,15 @@ const (
 	streamPrivate
 )
 
-// Generate builds the corpus. The output is deterministic for a given
-// world and config, regardless of worker count.
-func Generate(w *netsim.World, cfg Config) []*traix.Path {
-	return GenerateWorkers(w, cfg, 0)
-}
-
-// GenerateWorkers is Generate with an explicit worker count for the
-// fan-out (workers <= 0 uses GOMAXPROCS). Crossing paths are planned
+// Generate builds the corpus, fanning out over workers (0 =
+// GOMAXPROCS). The output is deterministic for a given world and
+// config, regardless of worker count. Crossing paths are planned
 // one IXP per claim and private-link paths 512 links per claim;
 // every membership and link draws from its own stream keyed by (seed,
 // entity), so the corpus is bit-identical for every worker count. The
 // batches concatenate in (IXP rank, membership, path) then (link,
 // direction) order — the order the serial generator produced.
-func GenerateWorkers(w *netsim.World, cfg Config, workers int) []*traix.Path {
+func Generate(w *netsim.World, cfg Config, workers int) []*traix.Path {
 	// Crossing paths: each membership acts as the near member entering
 	// its IXP towards randomly chosen far members.
 	ixpBatches := make([][]*traix.Path, len(w.IXPs))

@@ -17,13 +17,13 @@ var (
 func fixtures(t testing.TB) (*netsim.World, []*traix.Path, *traix.Detector) {
 	t.Helper()
 	if cw == nil {
-		w, err := netsim.Generate(netsim.DefaultConfig())
+		w, err := netsim.Generate(netsim.DefaultConfig(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cw = w
-		paths = Generate(w, DefaultConfig())
-		ds := registry.Build(w, registry.DefaultNoise(), 42)
+		paths = Generate(w, DefaultConfig(), 0)
+		ds := registry.Build(w, registry.DefaultNoise(), 42, 0)
 		det = traix.NewDetector(ds, registry.BuildIPMap(w))
 	}
 	return cw, paths, det
@@ -104,8 +104,8 @@ func TestPrivateHopsDetectable(t *testing.T) {
 
 func TestGenerateDeterministic(t *testing.T) {
 	w, _, _ := fixtures(t)
-	a := Generate(w, DefaultConfig())
-	b := Generate(w, DefaultConfig())
+	a := Generate(w, DefaultConfig(), 0)
+	b := Generate(w, DefaultConfig(), 0)
 	if len(a) != len(b) {
 		t.Fatalf("path counts differ: %d vs %d", len(a), len(b))
 	}
@@ -141,6 +141,6 @@ func BenchmarkGenerateCorpus(b *testing.B) {
 	cfg := DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Generate(w, cfg)
+		Generate(w, cfg, 0)
 	}
 }

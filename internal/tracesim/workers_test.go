@@ -11,17 +11,17 @@ import (
 // and per-link streams make the path list identical for every worker
 // count, in the same order.
 func TestGenerateWorkersIdentical(t *testing.T) {
-	w, err := netsim.Generate(netsim.TinyConfig())
+	w, err := netsim.Generate(netsim.TinyConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	ref := GenerateWorkers(w, cfg, 1)
+	ref := Generate(w, cfg, 1)
 	if len(ref) == 0 {
 		t.Fatal("empty corpus")
 	}
 	for _, workers := range []int{4, runtime.NumCPU()} {
-		got := GenerateWorkers(w, cfg, workers)
+		got := Generate(w, cfg, workers)
 		if len(got) != len(ref) {
 			t.Fatalf("workers=%d: %d paths, want %d", workers, len(got), len(ref))
 		}

@@ -23,14 +23,14 @@ var (
 func corpusFixtures(t testing.TB) (*netsim.World, *registry.Dataset, *registry.IPMap, []*traix.Path) {
 	t.Helper()
 	if fw == nil {
-		w, err := netsim.Generate(netsim.DefaultConfig())
+		w, err := netsim.Generate(netsim.DefaultConfig(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fw = w
-		fds = registry.Build(w, registry.DefaultNoise(), 42)
+		fds = registry.Build(w, registry.DefaultNoise(), 42, 0)
 		fim = registry.BuildIPMap(w)
-		fps = tracesim.Generate(w, tracesim.DefaultConfig())
+		fps = tracesim.Generate(w, tracesim.DefaultConfig(), 0)
 	}
 	return fw, fds, fim, fps
 }

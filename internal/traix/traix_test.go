@@ -17,12 +17,12 @@ var (
 func fixtures(t testing.TB) (*netsim.World, *registry.Dataset, *registry.IPMap) {
 	t.Helper()
 	if cw == nil {
-		w, err := netsim.Generate(netsim.DefaultConfig())
+		w, err := netsim.Generate(netsim.DefaultConfig(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cw = w
-		cds = registry.Build(w, registry.DefaultNoise(), 42)
+		cds = registry.Build(w, registry.DefaultNoise(), 42, 0)
 		cim = registry.BuildIPMap(w)
 	}
 	return cw, cds, cim

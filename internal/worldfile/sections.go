@@ -1,7 +1,6 @@
 package worldfile
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/netip"
@@ -10,252 +9,38 @@ import (
 	"rpeer/internal/core"
 	"rpeer/internal/geo"
 	"rpeer/internal/netsim"
-	"rpeer/internal/pingsim"
 	"rpeer/internal/registry"
 	"rpeer/internal/snapshot"
 	"rpeer/internal/traix"
 )
 
-// This file maps each input bundle component to and from its section's
-// column group. Encoding is deterministic: map-backed data is emitted
-// in sorted natural-key order, slice-backed data in slice order (which
+// This file maps the world, dataset, colo, paths and meta components
+// of an input bundle to and from their sections' column groups; the
+// ping section is pingsim's campaign codec, and the dataset section's
+// membership rows are the registry codec engine snapshots share.
+// Encoding is deterministic: map-backed data is emitted in sorted
+// natural-key order, slice-backed data in slice order (which
 // generation fixes), so the same bundle always encodes byte-identical.
-// Decoding validates every cross-column length and reference and
-// reports failures through ErrInvalid — the checksum layer has already
-// run, so anything caught here is a malformed writer, not bit rot.
-
-// Variable-length list convention: a list-valued field of an entity
-// table is stored as a parallel "<name>.n" u32 count column plus a flat
-// "<name>" value column whose length is the sum of counts.
-
-// ---------------------------------------------------------------------------
-// Column-group plumbing
-
-// colset accumulates a section's columns in encode order.
-type colset struct{ cols []snapshot.Column }
-
-func (c *colset) u32(name string, v []uint32) {
-	c.cols = append(c.cols, snapshot.Column{Name: name, Kind: snapshot.KindU32, U32: v})
-}
-func (c *colset) u64(name string, v []uint64) {
-	c.cols = append(c.cols, snapshot.Column{Name: name, Kind: snapshot.KindU64, U64: v})
-}
-func (c *colset) f64(name string, v []float64) {
-	c.cols = append(c.cols, snapshot.Column{Name: name, Kind: snapshot.KindF64, F64: v})
-}
-func (c *colset) u8(name string, v []uint8) {
-	c.cols = append(c.cols, snapshot.Column{Name: name, Kind: snapshot.KindU8, U8: v})
-}
-func (c *colset) addr(name string, v []netip.Addr) {
-	c.cols = append(c.cols, snapshot.Column{Name: name, Kind: snapshot.KindAddr, Addr: v})
-}
-func (c *colset) str(name string, v []string) {
-	c.cols = append(c.cols, snapshot.Column{Name: name, Kind: snapshot.KindString, Str: v})
-}
-func (c *colset) encode() []byte { return snapshot.EncodeColumns(c.cols) }
-
-// secdec is the section decoder: name-indexed columns with sticky
-// error accumulation, so decode code reads top-to-bottom and checks
-// err once per logical block.
-type secdec struct {
-	cols map[string]*snapshot.Column
-	err  error
-}
-
-func newSecdec(payload []byte) (*secdec, error) {
-	cols, err := snapshot.DecodeColumns(payload)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	d := &secdec{cols: make(map[string]*snapshot.Column, len(cols))}
-	for i := range cols {
-		d.cols[cols[i].Name] = &cols[i]
-	}
-	return d, nil
-}
-
-func (d *secdec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s", ErrInvalid, fmt.Sprintf(format, args...))
-	}
-}
-
-func (d *secdec) col(name string, kind snapshot.Kind) *snapshot.Column {
-	c := d.cols[name]
-	if c == nil {
-		d.fail("missing column %q", name)
-		return nil
-	}
-	if c.Kind != kind {
-		d.fail("column %q has kind %d, want %d", name, c.Kind, kind)
-		return nil
-	}
-	return c
-}
-
-func (d *secdec) u32(name string) []uint32 {
-	if c := d.col(name, snapshot.KindU32); c != nil {
-		return c.U32
-	}
-	return nil
-}
-func (d *secdec) u64(name string) []uint64 {
-	if c := d.col(name, snapshot.KindU64); c != nil {
-		return c.U64
-	}
-	return nil
-}
-func (d *secdec) f64(name string) []float64 {
-	if c := d.col(name, snapshot.KindF64); c != nil {
-		return c.F64
-	}
-	return nil
-}
-func (d *secdec) u8(name string) []uint8 {
-	if c := d.col(name, snapshot.KindU8); c != nil {
-		return c.U8
-	}
-	return nil
-}
-func (d *secdec) addrs(name string) []netip.Addr {
-	if c := d.col(name, snapshot.KindAddr); c != nil {
-		return c.Addr
-	}
-	return nil
-}
-func (d *secdec) strs(name string) []string {
-	if c := d.col(name, snapshot.KindString); c != nil {
-		return c.Str
-	}
-	return nil
-}
-
-// rows checks that the named columns are parallel and returns the
-// shared row count.
-func (d *secdec) rows(names ...string) int {
-	if d.err != nil {
-		return 0
-	}
-	n := -1
-	for _, name := range names {
-		c := d.cols[name]
-		if c == nil {
-			d.fail("missing column %q", name)
-			return 0
-		}
-		if n == -1 {
-			n = c.Len()
-		} else if c.Len() != n {
-			d.fail("column %q has %d rows, %q has %d", name, c.Len(), names[0], n)
-			return 0
-		}
-	}
-	return n
-}
-
-// flatLen checks a flat list column's length against the sum of its
-// count column.
-func (d *secdec) flatLen(counts []uint32, flat string) {
-	if d.err != nil {
-		return
-	}
-	sum := 0
-	for _, n := range counts {
-		sum += int(n)
-	}
-	if c := d.cols[flat]; c == nil {
-		d.fail("missing column %q", flat)
-	} else if c.Len() != sum {
-		d.fail("column %q has %d values, counts sum to %d", flat, c.Len(), sum)
-	}
-}
-
-// packAddrs encodes addresses as u8-length-prefixed raw bytes inside a
-// KindU8 column — length zero meaning the zero netip.Addr, which
-// KindAddr cannot represent (non-responding traceroute hops, VPs whose
-// management address assignment failed).
-func packAddrs(addrs []netip.Addr) []uint8 {
-	b := make([]uint8, 0, len(addrs)*5)
-	for _, a := range addrs {
-		raw := a.AsSlice()
-		b = append(b, uint8(len(raw)))
-		b = append(b, raw...)
-	}
-	return b
-}
-
-func unpackAddrs(b []uint8, n int) ([]netip.Addr, error) {
-	out := make([]netip.Addr, 0, n)
-	for i := 0; i < n; i++ {
-		if len(b) < 1 {
-			return nil, fmt.Errorf("%w: packed address column exhausted at row %d of %d", ErrInvalid, i, n)
-		}
-		l := int(b[0])
-		b = b[1:]
-		if l > len(b) {
-			return nil, fmt.Errorf("%w: packed address row %d claims %d bytes, %d remain", ErrInvalid, i, l, len(b))
-		}
-		if l == 0 {
-			out = append(out, netip.Addr{})
-			continue
-		}
-		a, ok := netip.AddrFromSlice(b[:l])
-		if !ok {
-			return nil, fmt.Errorf("%w: packed address row %d has bad length %d", ErrInvalid, i, l)
-		}
-		out = append(out, a)
-		b = b[l:]
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in packed address column", ErrInvalid, len(b))
-	}
-	return out, nil
-}
-
-// ---------------------------------------------------------------------------
-// config
-
-func encodeConfig(cfg netsim.Config) ([]byte, error) {
-	b, err := json.Marshal(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("worldfile: encode config: %w", err)
-	}
-	return b, nil
-}
-
-func decodeConfig(payload []byte) (netsim.Config, error) {
-	var cfg netsim.Config
-	if err := json.Unmarshal(payload, &cfg); err != nil {
-		return netsim.Config{}, fmt.Errorf("%w: config: %v", ErrInvalid, err)
-	}
-	return cfg, nil
-}
+// Decoding validates every cross-column length and reference through
+// the snapshot.Reader; Decode reports every failure as ErrInvalid —
+// the checksum layer has already run, so anything caught here is a
+// malformed writer, not bit rot.
 
 // ---------------------------------------------------------------------------
 // world
 
-// ixp.flags / as.flags / vp.flags bits.
+// ixp.flags / as.flags bits.
 const (
 	ixpFlagResellers = 1 << 0
 	ixpFlagLG        = 1 << 1
 	ixpFlagWideArea  = 1 << 2
 
 	asFlagReseller = 1 << 0
-
-	vpFlagRoundsUp = 1 << 0
-	vpFlagMgmtLAN  = 1 << 1
-	vpFlagDead     = 1 << 2
-
-	aggFlagBestRoundsUp = 1 << 0
-	aggFlagAnyRounding  = 1 << 1
 )
 
-// noVP is the agg.vp / rs sentinel for "no vantage point".
-const noVP = ^uint32(0)
-
-func encodeWorld(w *netsim.World) ([]byte, error) {
+func encodeWorld(w *netsim.World) []byte {
 	p := w.Parts()
-	var c colset
+	var c snapshot.Cols
 
 	// Cities.
 	n := len(p.Cities)
@@ -268,11 +53,11 @@ func encodeWorld(w *netsim.World) ([]byte, error) {
 		cityName[i], cityCountry[i] = ct.Name, ct.Country
 		cityLat[i], cityLon[i], cityWeight[i] = ct.Loc.Lat, ct.Loc.Lon, ct.Weight
 	}
-	c.str("city.name", cityName)
-	c.str("city.country", cityCountry)
-	c.f64("city.lat", cityLat)
-	c.f64("city.lon", cityLon)
-	c.f64("city.weight", cityWeight)
+	c.Str("city.name", cityName)
+	c.Str("city.country", cityCountry)
+	c.F64("city.lat", cityLat)
+	c.F64("city.lon", cityLon)
+	c.F64("city.weight", cityWeight)
 
 	// Facilities.
 	n = len(p.Facilities)
@@ -287,12 +72,12 @@ func encodeWorld(w *netsim.World) ([]byte, error) {
 		facName[i], facCity[i], facCountry[i] = f.Name, f.City, f.Country
 		facLat[i], facLon[i] = f.Loc.Lat, f.Loc.Lon
 	}
-	c.u32("fac.id", facID)
-	c.str("fac.name", facName)
-	c.str("fac.city", facCity)
-	c.str("fac.country", facCountry)
-	c.f64("fac.lat", facLat)
-	c.f64("fac.lon", facLon)
+	c.U32("fac.id", facID)
+	c.Str("fac.name", facName)
+	c.Str("fac.city", facCity)
+	c.Str("fac.country", facCountry)
+	c.F64("fac.lat", facLat)
+	c.F64("fac.lon", facLon)
 
 	// IXPs.
 	n = len(p.IXPs)
@@ -338,19 +123,19 @@ func encodeWorld(w *netsim.World) ([]byte, error) {
 			ixpPort = append(ixpPort, uint32(mbps))
 		}
 	}
-	c.u32("ixp.id", ixpID)
-	c.str("ixp.name", ixpName)
-	c.str("ixp.lan", ixpLAN)
-	c.str("ixp.mgmt", ixpMgmt)
-	c.addr("ixp.rs", ixpRS)
-	c.u32("ixp.minport", ixpMinPort)
-	c.u32("ixp.fed", ixpFed)
-	c.u32("ixp.atlas", ixpAtlas)
-	c.u8("ixp.flags", ixpFlags)
-	c.u32("ixp.facs.n", ixpFacN)
-	c.u32("ixp.facs", ixpFac)
-	c.u32("ixp.portopts.n", ixpPortN)
-	c.u32("ixp.portopts", ixpPort)
+	c.U32("ixp.id", ixpID)
+	c.Str("ixp.name", ixpName)
+	c.Str("ixp.lan", ixpLAN)
+	c.Str("ixp.mgmt", ixpMgmt)
+	c.Addr("ixp.rs", ixpRS)
+	c.U32("ixp.minport", ixpMinPort)
+	c.U32("ixp.fed", ixpFed)
+	c.U32("ixp.atlas", ixpAtlas)
+	c.U8("ixp.flags", ixpFlags)
+	c.U32("ixp.facs.n", ixpFacN)
+	c.U32("ixp.facs", ixpFac)
+	c.U32("ixp.portopts.n", ixpPortN)
+	c.U32("ixp.portopts", ixpPort)
 
 	// ASes (sorted ASN order via Parts).
 	n = len(p.ASes)
@@ -391,21 +176,21 @@ func encodeWorld(w *netsim.World) ([]byte, error) {
 			asPop = append(asPop, uint32(f))
 		}
 	}
-	c.u32("as.asn", asASN)
-	c.str("as.name", asName)
-	c.str("as.country", asCountry)
-	c.str("as.homecity", asHomeCity)
-	c.f64("as.homelat", asHomeLat)
-	c.f64("as.homelon", asHomeLon)
-	c.f64("as.traffic", asTraffic)
-	c.u8("as.tier", asTier)
-	c.u8("as.flags", asFlags)
-	c.u32("as.facs.n", asFacN)
-	c.u32("as.facs", asFac)
-	c.u32("as.providers.n", asProvN)
-	c.u32("as.providers", asProv)
-	c.u32("as.pops.n", asPopN)
-	c.u32("as.pops", asPop)
+	c.U32("as.asn", asASN)
+	c.Str("as.name", asName)
+	c.Str("as.country", asCountry)
+	c.Str("as.homecity", asHomeCity)
+	c.F64("as.homelat", asHomeLat)
+	c.F64("as.homelon", asHomeLon)
+	c.F64("as.traffic", asTraffic)
+	c.U8("as.tier", asTier)
+	c.U8("as.flags", asFlags)
+	c.U32("as.facs.n", asFacN)
+	c.U32("as.facs", asFac)
+	c.U32("as.providers.n", asProvN)
+	c.U32("as.providers", asProv)
+	c.U32("as.pops.n", asPopN)
+	c.U32("as.pops", asPop)
 
 	// Routers (sorted ID order via Parts).
 	n = len(p.Routers)
@@ -434,17 +219,17 @@ func encodeWorld(w *netsim.World) ([]byte, error) {
 			rtrIXP = append(rtrIXP, uint32(x))
 		}
 	}
-	c.u32("rtr.id", rtrID)
-	c.u32("rtr.owner", rtrOwner)
-	c.u32("rtr.fac", rtrFac)
-	c.f64("rtr.lat", rtrLat)
-	c.f64("rtr.lon", rtrLon)
-	c.u32("rtr.ipidinit", rtrIPIDInit)
-	c.f64("rtr.ipidrate", rtrIPIDRate)
-	c.u32("rtr.ifaces.n", rtrIfaceN)
-	c.addr("rtr.ifaces", rtrIface)
-	c.u32("rtr.ixps.n", rtrIXPN)
-	c.u32("rtr.ixps", rtrIXP)
+	c.U32("rtr.id", rtrID)
+	c.U32("rtr.owner", rtrOwner)
+	c.U32("rtr.fac", rtrFac)
+	c.F64("rtr.lat", rtrLat)
+	c.F64("rtr.lon", rtrLon)
+	c.U32("rtr.ipidinit", rtrIPIDInit)
+	c.F64("rtr.ipidrate", rtrIPIDRate)
+	c.U32("rtr.ifaces.n", rtrIfaceN)
+	c.Addr("rtr.ifaces", rtrIface)
+	c.U32("rtr.ixps.n", rtrIXPN)
+	c.U32("rtr.ixps", rtrIXP)
 
 	// Members.
 	n = len(p.Members)
@@ -466,14 +251,14 @@ func encodeWorld(w *netsim.World) ([]byte, error) {
 		memReseller[i] = uint32(m.Reseller)
 		memViaFed[i] = uint32(int32(m.ViaFed))
 	}
-	c.u32("mem.asn", memASN)
-	c.u32("mem.ixp", memIXP)
-	c.addr("mem.iface", memIface)
-	c.u32("mem.router", memRouter)
-	c.u32("mem.port", memPort)
-	c.u8("mem.kind", memKind)
-	c.u32("mem.reseller", memReseller)
-	c.u32("mem.viafed", memViaFed)
+	c.U32("mem.asn", memASN)
+	c.U32("mem.ixp", memIXP)
+	c.Addr("mem.iface", memIface)
+	c.U32("mem.router", memRouter)
+	c.U32("mem.port", memPort)
+	c.U8("mem.kind", memKind)
+	c.U32("mem.reseller", memReseller)
+	c.U32("mem.viafed", memViaFed)
 
 	// Private links.
 	n = len(p.Private)
@@ -489,18 +274,18 @@ func encodeWorld(w *netsim.World) ([]byte, error) {
 		privBIface[i] = pl.BIface
 		privFac[i] = uint32(int32(pl.Facility))
 	}
-	c.u32("priv.a", privA)
-	c.u32("priv.b", privB)
-	c.addr("priv.aiface", privAIface)
-	c.addr("priv.biface", privBIface)
-	c.u32("priv.fac", privFac)
+	c.U32("priv.a", privA)
+	c.U32("priv.b", privB)
+	c.Addr("priv.aiface", privAIface)
+	c.Addr("priv.biface", privBIface)
+	c.U32("priv.fac", privFac)
 
 	// Resellers.
 	resellers := make([]uint32, len(p.Resellers))
 	for i, asn := range p.Resellers {
 		resellers[i] = uint32(asn)
 	}
-	c.u32("reseller.asn", resellers)
+	c.U32("reseller.asn", resellers)
 
 	// Infrastructure prefixes, in sorted-ASN order (Parts order).
 	var pfxASN []uint32
@@ -511,23 +296,19 @@ func encodeWorld(w *netsim.World) ([]byte, error) {
 			pfxStr = append(pfxStr, pfx.String())
 		}
 	}
-	c.u32("pfx.asn", pfxASN)
-	c.str("pfx.prefix", pfxStr)
+	c.U32("pfx.asn", pfxASN)
+	c.Str("pfx.prefix", pfxStr)
 
-	return c.encode(), nil
+	return snapshot.EncodeColumns(c)
 }
 
-func decodeWorld(cfg netsim.Config, payload []byte) (*netsim.World, error) {
-	d, err := newSecdec(payload)
-	if err != nil {
-		return nil, err
-	}
+func decodeWorld(cfg netsim.Config, d *snapshot.Reader) (*netsim.World, error) {
 	parts := netsim.WorldParts{Cfg: cfg, Prefixes: make(map[netsim.ASN][]netip.Prefix)}
 
-	n := d.rows("city.name", "city.country", "city.lat", "city.lon", "city.weight")
-	cityName, cityCountry := d.strs("city.name"), d.strs("city.country")
-	cityLat, cityLon, cityWeight := d.f64("city.lat"), d.f64("city.lon"), d.f64("city.weight")
-	if d.err == nil {
+	n := d.Rows("city.name", "city.country", "city.lat", "city.lon", "city.weight")
+	cityName, cityCountry := d.Str("city.name"), d.Str("city.country")
+	cityLat, cityLon, cityWeight := d.F64("city.lat"), d.F64("city.lon"), d.F64("city.weight")
+	if d.Err() == nil {
 		parts.Cities = make([]netsim.City, n)
 		for i := range parts.Cities {
 			parts.Cities[i] = netsim.City{
@@ -538,10 +319,10 @@ func decodeWorld(cfg netsim.Config, payload []byte) (*netsim.World, error) {
 		}
 	}
 
-	n = d.rows("fac.id", "fac.name", "fac.city", "fac.country", "fac.lat", "fac.lon")
-	facID, facName, facCity := d.u32("fac.id"), d.strs("fac.name"), d.strs("fac.city")
-	facCountry, facLat, facLon := d.strs("fac.country"), d.f64("fac.lat"), d.f64("fac.lon")
-	if d.err == nil {
+	n = d.Rows("fac.id", "fac.name", "fac.city", "fac.country", "fac.lat", "fac.lon")
+	facID, facName, facCity := d.U32("fac.id"), d.Str("fac.name"), d.Str("fac.city")
+	facCountry, facLat, facLon := d.Str("fac.country"), d.F64("fac.lat"), d.F64("fac.lon")
+	if d.Err() == nil {
 		parts.Facilities = make([]*netsim.Facility, n)
 		for i := range parts.Facilities {
 			parts.Facilities[i] = &netsim.Facility{
@@ -552,27 +333,27 @@ func decodeWorld(cfg netsim.Config, payload []byte) (*netsim.World, error) {
 		}
 	}
 
-	n = d.rows("ixp.id", "ixp.name", "ixp.lan", "ixp.mgmt", "ixp.rs", "ixp.minport",
+	n = d.Rows("ixp.id", "ixp.name", "ixp.lan", "ixp.mgmt", "ixp.rs", "ixp.minport",
 		"ixp.fed", "ixp.atlas", "ixp.flags", "ixp.facs.n", "ixp.portopts.n")
-	d.flatLen(d.u32("ixp.facs.n"), "ixp.facs")
-	d.flatLen(d.u32("ixp.portopts.n"), "ixp.portopts")
-	if d.err == nil {
-		ixpID, ixpName := d.u32("ixp.id"), d.strs("ixp.name")
-		ixpLAN, ixpMgmt, ixpRS := d.strs("ixp.lan"), d.strs("ixp.mgmt"), d.addrs("ixp.rs")
-		ixpMinPort, ixpFed, ixpAtlas := d.u32("ixp.minport"), d.u32("ixp.fed"), d.u32("ixp.atlas")
-		ixpFlags := d.u8("ixp.flags")
-		facN, fac := d.u32("ixp.facs.n"), d.u32("ixp.facs")
-		portN, port := d.u32("ixp.portopts.n"), d.u32("ixp.portopts")
+	d.FlatLen(d.U32("ixp.facs.n"), "ixp.facs")
+	d.FlatLen(d.U32("ixp.portopts.n"), "ixp.portopts")
+	if d.Err() == nil {
+		ixpID, ixpName := d.U32("ixp.id"), d.Str("ixp.name")
+		ixpLAN, ixpMgmt, ixpRS := d.Str("ixp.lan"), d.Str("ixp.mgmt"), d.Addr("ixp.rs")
+		ixpMinPort, ixpFed, ixpAtlas := d.U32("ixp.minport"), d.U32("ixp.fed"), d.U32("ixp.atlas")
+		ixpFlags := d.U8("ixp.flags")
+		facN, fac := d.U32("ixp.facs.n"), d.U32("ixp.facs")
+		portN, port := d.U32("ixp.portopts.n"), d.U32("ixp.portopts")
 		facOff, portOff := 0, 0
 		parts.IXPs = make([]*netsim.IXP, n)
 		for i := range parts.IXPs {
 			lan, err := netip.ParsePrefix(ixpLAN[i])
 			if err != nil {
-				return nil, fmt.Errorf("%w: IXP %q peering LAN %q: %v", ErrInvalid, ixpName[i], ixpLAN[i], err)
+				return nil, fmt.Errorf("IXP %q peering LAN %q: %v", ixpName[i], ixpLAN[i], err)
 			}
 			mgmt, err := netip.ParsePrefix(ixpMgmt[i])
 			if err != nil {
-				return nil, fmt.Errorf("%w: IXP %q mgmt LAN %q: %v", ErrInvalid, ixpName[i], ixpMgmt[i], err)
+				return nil, fmt.Errorf("IXP %q mgmt LAN %q: %v", ixpName[i], ixpMgmt[i], err)
 			}
 			ix := &netsim.IXP{
 				ID: netsim.IXPID(int32(ixpID[i])), Name: ixpName[i],
@@ -596,19 +377,19 @@ func decodeWorld(cfg netsim.Config, payload []byte) (*netsim.World, error) {
 		}
 	}
 
-	n = d.rows("as.asn", "as.name", "as.country", "as.homecity", "as.homelat",
+	n = d.Rows("as.asn", "as.name", "as.country", "as.homecity", "as.homelat",
 		"as.homelon", "as.traffic", "as.tier", "as.flags", "as.facs.n",
 		"as.providers.n", "as.pops.n")
-	d.flatLen(d.u32("as.facs.n"), "as.facs")
-	d.flatLen(d.u32("as.providers.n"), "as.providers")
-	d.flatLen(d.u32("as.pops.n"), "as.pops")
-	if d.err == nil {
-		asASN, asName, asCountry := d.u32("as.asn"), d.strs("as.name"), d.strs("as.country")
-		asHomeCity, asHomeLat, asHomeLon := d.strs("as.homecity"), d.f64("as.homelat"), d.f64("as.homelon")
-		asTraffic, asTier, asFlags := d.f64("as.traffic"), d.u8("as.tier"), d.u8("as.flags")
-		facN, fac := d.u32("as.facs.n"), d.u32("as.facs")
-		provN, prov := d.u32("as.providers.n"), d.u32("as.providers")
-		popN, pop := d.u32("as.pops.n"), d.u32("as.pops")
+	d.FlatLen(d.U32("as.facs.n"), "as.facs")
+	d.FlatLen(d.U32("as.providers.n"), "as.providers")
+	d.FlatLen(d.U32("as.pops.n"), "as.pops")
+	if d.Err() == nil {
+		asASN, asName, asCountry := d.U32("as.asn"), d.Str("as.name"), d.Str("as.country")
+		asHomeCity, asHomeLat, asHomeLon := d.Str("as.homecity"), d.F64("as.homelat"), d.F64("as.homelon")
+		asTraffic, asTier, asFlags := d.F64("as.traffic"), d.U8("as.tier"), d.U8("as.flags")
+		facN, fac := d.U32("as.facs.n"), d.U32("as.facs")
+		provN, prov := d.U32("as.providers.n"), d.U32("as.providers")
+		popN, pop := d.U32("as.pops.n"), d.U32("as.pops")
 		facOff, provOff, popOff := 0, 0, 0
 		parts.ASes = make([]*netsim.AS, n)
 		for i := range parts.ASes {
@@ -636,16 +417,16 @@ func decodeWorld(cfg netsim.Config, payload []byte) (*netsim.World, error) {
 		}
 	}
 
-	n = d.rows("rtr.id", "rtr.owner", "rtr.fac", "rtr.lat", "rtr.lon",
+	n = d.Rows("rtr.id", "rtr.owner", "rtr.fac", "rtr.lat", "rtr.lon",
 		"rtr.ipidinit", "rtr.ipidrate", "rtr.ifaces.n", "rtr.ixps.n")
-	d.flatLen(d.u32("rtr.ifaces.n"), "rtr.ifaces")
-	d.flatLen(d.u32("rtr.ixps.n"), "rtr.ixps")
-	if d.err == nil {
-		rtrID, rtrOwner, rtrFac := d.u32("rtr.id"), d.u32("rtr.owner"), d.u32("rtr.fac")
-		rtrLat, rtrLon := d.f64("rtr.lat"), d.f64("rtr.lon")
-		rtrInit, rtrRate := d.u32("rtr.ipidinit"), d.f64("rtr.ipidrate")
-		ifaceN, iface := d.u32("rtr.ifaces.n"), d.addrs("rtr.ifaces")
-		ixpN, ixp := d.u32("rtr.ixps.n"), d.u32("rtr.ixps")
+	d.FlatLen(d.U32("rtr.ifaces.n"), "rtr.ifaces")
+	d.FlatLen(d.U32("rtr.ixps.n"), "rtr.ixps")
+	if d.Err() == nil {
+		rtrID, rtrOwner, rtrFac := d.U32("rtr.id"), d.U32("rtr.owner"), d.U32("rtr.fac")
+		rtrLat, rtrLon := d.F64("rtr.lat"), d.F64("rtr.lon")
+		rtrInit, rtrRate := d.U32("rtr.ipidinit"), d.F64("rtr.ipidrate")
+		ifaceN, iface := d.U32("rtr.ifaces.n"), d.Addr("rtr.ifaces")
+		ixpN, ixp := d.U32("rtr.ixps.n"), d.U32("rtr.ixps")
 		ifaceOff, ixpOff := 0, 0
 		parts.Routers = make([]*netsim.Router, n)
 		for i := range parts.Routers {
@@ -665,12 +446,12 @@ func decodeWorld(cfg netsim.Config, payload []byte) (*netsim.World, error) {
 		}
 	}
 
-	n = d.rows("mem.asn", "mem.ixp", "mem.iface", "mem.router", "mem.port",
+	n = d.Rows("mem.asn", "mem.ixp", "mem.iface", "mem.router", "mem.port",
 		"mem.kind", "mem.reseller", "mem.viafed")
-	if d.err == nil {
-		memASN, memIXP, memIface := d.u32("mem.asn"), d.u32("mem.ixp"), d.addrs("mem.iface")
-		memRouter, memPort, memKind := d.u32("mem.router"), d.u32("mem.port"), d.u8("mem.kind")
-		memReseller, memViaFed := d.u32("mem.reseller"), d.u32("mem.viafed")
+	if d.Err() == nil {
+		memASN, memIXP, memIface := d.U32("mem.asn"), d.U32("mem.ixp"), d.Addr("mem.iface")
+		memRouter, memPort, memKind := d.U32("mem.router"), d.U32("mem.port"), d.U8("mem.kind")
+		memReseller, memViaFed := d.U32("mem.reseller"), d.U32("mem.viafed")
 		parts.Members = make([]*netsim.Member, n)
 		for i := range parts.Members {
 			parts.Members[i] = &netsim.Member{
@@ -683,10 +464,10 @@ func decodeWorld(cfg netsim.Config, payload []byte) (*netsim.World, error) {
 		}
 	}
 
-	n = d.rows("priv.a", "priv.b", "priv.aiface", "priv.biface", "priv.fac")
-	if d.err == nil {
-		privA, privB := d.u32("priv.a"), d.u32("priv.b")
-		privAI, privBI, privFac := d.addrs("priv.aiface"), d.addrs("priv.biface"), d.u32("priv.fac")
+	n = d.Rows("priv.a", "priv.b", "priv.aiface", "priv.biface", "priv.fac")
+	if d.Err() == nil {
+		privA, privB := d.U32("priv.a"), d.U32("priv.b")
+		privAI, privBI, privFac := d.Addr("priv.aiface"), d.Addr("priv.biface"), d.U32("priv.fac")
 		parts.Private = make([]netsim.PrivateLink, n)
 		for i := range parts.Private {
 			parts.Private[i] = netsim.PrivateLink{
@@ -697,253 +478,123 @@ func decodeWorld(cfg netsim.Config, payload []byte) (*netsim.World, error) {
 		}
 	}
 
-	for _, asn := range d.u32("reseller.asn") {
+	for _, asn := range d.U32("reseller.asn") {
 		parts.Resellers = append(parts.Resellers, netsim.ASN(asn))
 	}
 
-	n = d.rows("pfx.asn", "pfx.prefix")
-	if d.err == nil {
-		pfxASN, pfxStr := d.u32("pfx.asn"), d.strs("pfx.prefix")
+	n = d.Rows("pfx.asn", "pfx.prefix")
+	if d.Err() == nil {
+		pfxASN, pfxStr := d.U32("pfx.asn"), d.Str("pfx.prefix")
 		for i := 0; i < n; i++ {
 			pfx, err := netip.ParsePrefix(pfxStr[i])
 			if err != nil {
-				return nil, fmt.Errorf("%w: AS%d prefix %q: %v", ErrInvalid, pfxASN[i], pfxStr[i], err)
+				return nil, fmt.Errorf("AS%d prefix %q: %v", pfxASN[i], pfxStr[i], err)
 			}
 			asn := netsim.ASN(pfxASN[i])
 			parts.Prefixes[asn] = append(parts.Prefixes[asn], pfx)
 		}
 	}
 
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
-	w, err := netsim.FromParts(parts)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	return w, nil
+	return netsim.FromParts(parts)
 }
 
 // ---------------------------------------------------------------------------
 // dataset
 
+// The dataset section is the registry membership (the iface and port
+// rows engine snapshots carry, through the same codec) plus the rest
+// of the merged dataset: the prefix plane (sorted by prefix string)
+// and the advertised minimum ports (sorted by IXP name), both naming
+// their IXP directly, and the per-source stats in stored (preference)
+// order.
 func encodeDataset(ds *registry.Dataset) []byte {
-	// Shared IXP name table: every name any row references, sorted.
-	nameSet := make(map[string]struct{})
-	for _, name := range ds.PrefixIXP {
-		nameSet[name] = struct{}{}
-	}
-	for _, name := range ds.IfaceIXP {
-		nameSet[name] = struct{}{}
-	}
-	for k := range ds.Ports {
-		nameSet[k.IXP] = struct{}{}
-	}
-	for name := range ds.MinPort {
-		nameSet[name] = struct{}{}
-	}
-	names := make([]string, 0, len(nameSet))
-	for name := range nameSet {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	nameIdx := make(map[string]uint32, len(names))
-	for i, name := range names {
-		nameIdx[name] = uint32(i)
-	}
+	var c snapshot.Cols
+	ds.AppendMembership(&c)
 
-	var c colset
-	c.str("ds.name", names)
-
-	// Prefix plane, sorted by prefix string.
 	pfxs := make([]netip.Prefix, 0, len(ds.PrefixIXP))
 	for p := range ds.PrefixIXP {
 		pfxs = append(pfxs, p)
 	}
 	sort.Slice(pfxs, func(i, j int) bool { return pfxs[i].String() < pfxs[j].String() })
 	pfxStr := make([]string, len(pfxs))
-	pfxIXP := make([]uint32, len(pfxs))
+	pfxIXP := make([]string, len(pfxs))
 	for i, p := range pfxs {
-		pfxStr[i] = p.String()
-		pfxIXP[i] = nameIdx[ds.PrefixIXP[p]]
+		pfxStr[i], pfxIXP[i] = p.String(), ds.PrefixIXP[p]
 	}
-	c.str("ds.pfx.prefix", pfxStr)
-	c.u32("ds.pfx.ixp", pfxIXP)
+	c.Str("ds.pfx.prefix", pfxStr)
+	c.Str("ds.pfx.ixp", pfxIXP)
 
-	// Interface records, sorted by address.
-	addrs := make([]netip.Addr, 0, len(ds.IfaceIXP))
-	for a := range ds.IfaceIXP {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
-	ifASN := make([]uint32, len(addrs))
-	ifIXP := make([]uint32, len(addrs))
-	for i, a := range addrs {
-		ifASN[i] = uint32(ds.IfaceASN[a])
-		ifIXP[i] = nameIdx[ds.IfaceIXP[a]]
-	}
-	c.addr("ds.if.addr", addrs)
-	c.u32("ds.if.asn", ifASN)
-	c.u32("ds.if.ixp", ifIXP)
-
-	// Port records, sorted by (IXP name, ASN).
-	portKeys := make([]registry.PortKey, 0, len(ds.Ports))
-	for k := range ds.Ports {
-		portKeys = append(portKeys, k)
-	}
-	sort.Slice(portKeys, func(i, j int) bool {
-		if portKeys[i].IXP != portKeys[j].IXP {
-			return portKeys[i].IXP < portKeys[j].IXP
-		}
-		return portKeys[i].ASN < portKeys[j].ASN
-	})
-	portIXP := make([]uint32, len(portKeys))
-	portASN := make([]uint32, len(portKeys))
-	portMbps := make([]uint64, len(portKeys))
-	for i, k := range portKeys {
-		portIXP[i] = nameIdx[k.IXP]
-		portASN[i] = uint32(k.ASN)
-		portMbps[i] = uint64(ds.Ports[k])
-	}
-	c.u32("ds.port.ixp", portIXP)
-	c.u32("ds.port.asn", portASN)
-	c.u64("ds.port.mbps", portMbps)
-
-	// Advertised minimum ports, sorted by IXP name.
-	minNames := make([]string, 0, len(ds.MinPort))
+	minIXP := make([]string, 0, len(ds.MinPort))
 	for name := range ds.MinPort {
-		minNames = append(minNames, name)
+		minIXP = append(minIXP, name)
 	}
-	sort.Strings(minNames)
-	minIXP := make([]uint32, len(minNames))
-	minMbps := make([]uint64, len(minNames))
-	for i, name := range minNames {
-		minIXP[i] = nameIdx[name]
+	sort.Strings(minIXP)
+	minMbps := make([]uint64, len(minIXP))
+	for i, name := range minIXP {
 		minMbps[i] = uint64(ds.MinPort[name])
 	}
-	c.u32("ds.minport.ixp", minIXP)
-	c.u64("ds.minport.mbps", minMbps)
+	c.Str("ds.minport.ixp", minIXP)
+	c.U64("ds.minport.mbps", minMbps)
 
-	// Per-source stats, in stored (preference) order.
-	stSrc := make([]uint8, len(ds.Stats))
-	stPfx := make([]uint32, len(ds.Stats))
-	stUPfx := make([]uint32, len(ds.Stats))
-	stCPfx := make([]uint32, len(ds.Stats))
-	stIf := make([]uint32, len(ds.Stats))
-	stUIf := make([]uint32, len(ds.Stats))
-	stCIf := make([]uint32, len(ds.Stats))
+	n := len(ds.Stats)
+	stSrc := make([]uint8, n)
+	stPfx, stUPfx, stCPfx := make([]uint32, n), make([]uint32, n), make([]uint32, n)
+	stIf, stUIf, stCIf := make([]uint32, n), make([]uint32, n), make([]uint32, n)
 	for i, st := range ds.Stats {
 		stSrc[i] = uint8(st.Source)
-		stPfx[i] = uint32(st.Prefixes)
-		stUPfx[i] = uint32(st.UniquePrefixes)
-		stCPfx[i] = uint32(st.ConflictPrefixes)
-		stIf[i] = uint32(st.Interfaces)
-		stUIf[i] = uint32(st.UniqueInterfaces)
-		stCIf[i] = uint32(st.ConflictInterfaces)
+		stPfx[i], stUPfx[i], stCPfx[i] = uint32(st.Prefixes), uint32(st.UniquePrefixes), uint32(st.ConflictPrefixes)
+		stIf[i], stUIf[i], stCIf[i] = uint32(st.Interfaces), uint32(st.UniqueInterfaces), uint32(st.ConflictInterfaces)
 	}
-	c.u8("ds.stats.src", stSrc)
-	c.u32("ds.stats.pfx", stPfx)
-	c.u32("ds.stats.upfx", stUPfx)
-	c.u32("ds.stats.cpfx", stCPfx)
-	c.u32("ds.stats.if", stIf)
-	c.u32("ds.stats.uif", stUIf)
-	c.u32("ds.stats.cif", stCIf)
+	c.U8("ds.stats.src", stSrc)
+	c.U32("ds.stats.pfx", stPfx)
+	c.U32("ds.stats.upfx", stUPfx)
+	c.U32("ds.stats.cpfx", stCPfx)
+	c.U32("ds.stats.if", stIf)
+	c.U32("ds.stats.uif", stUIf)
+	c.U32("ds.stats.cif", stCIf)
 
-	return c.encode()
+	return snapshot.EncodeColumns(c)
 }
 
-func decodeDataset(payload []byte) (*registry.Dataset, error) {
-	d, err := newSecdec(payload)
-	if err != nil {
-		return nil, err
-	}
-	names := d.strs("ds.name")
-	name := func(idx uint32, what string, row int) (string, bool) {
-		if int(idx) >= len(names) {
-			d.fail("%s row %d references IXP name %d of %d", what, row, idx, len(names))
-			return "", false
-		}
-		return names[idx], true
-	}
+func decodeDataset(d *snapshot.Reader) (*registry.Dataset, error) {
 	ds := &registry.Dataset{
 		PrefixIXP: make(map[netip.Prefix]string),
-		IfaceASN:  make(map[netip.Addr]netsim.ASN),
-		IfaceIXP:  make(map[netip.Addr]string),
-		Ports:     make(map[registry.PortKey]int),
 		MinPort:   make(map[string]int),
 	}
+	ds.ReadMembership(d)
 
-	n := d.rows("ds.pfx.prefix", "ds.pfx.ixp")
-	if d.err == nil {
-		pfxStr, pfxIXP := d.strs("ds.pfx.prefix"), d.u32("ds.pfx.ixp")
-		for i := 0; i < n; i++ {
-			p, err := netip.ParsePrefix(pfxStr[i])
-			if err != nil {
-				return nil, fmt.Errorf("%w: dataset prefix %q: %v", ErrInvalid, pfxStr[i], err)
-			}
-			nm, ok := name(pfxIXP[i], "prefix", i)
-			if !ok {
-				break
-			}
-			ds.PrefixIXP[p] = nm
-		}
-	}
-
-	n = d.rows("ds.if.addr", "ds.if.asn", "ds.if.ixp")
-	if d.err == nil {
-		addrs, asns, ixps := d.addrs("ds.if.addr"), d.u32("ds.if.asn"), d.u32("ds.if.ixp")
-		for i := 0; i < n; i++ {
-			nm, ok := name(ixps[i], "interface", i)
-			if !ok {
-				break
-			}
-			ds.IfaceASN[addrs[i]] = netsim.ASN(asns[i])
-			ds.IfaceIXP[addrs[i]] = nm
-		}
-	}
-
-	n = d.rows("ds.port.ixp", "ds.port.asn", "ds.port.mbps")
-	if d.err == nil {
-		ixps, asns, mbps := d.u32("ds.port.ixp"), d.u32("ds.port.asn"), d.u64("ds.port.mbps")
-		for i := 0; i < n; i++ {
-			nm, ok := name(ixps[i], "port", i)
-			if !ok {
-				break
-			}
-			ds.Ports[registry.PortKey{IXP: nm, ASN: netsim.ASN(asns[i])}] = int(mbps[i])
-		}
-	}
-
-	n = d.rows("ds.minport.ixp", "ds.minport.mbps")
-	if d.err == nil {
-		ixps, mbps := d.u32("ds.minport.ixp"), d.u64("ds.minport.mbps")
-		for i := 0; i < n; i++ {
-			nm, ok := name(ixps[i], "min-port", i)
-			if !ok {
-				break
-			}
-			ds.MinPort[nm] = int(mbps[i])
-		}
-	}
-
-	n = d.rows("ds.stats.src", "ds.stats.pfx", "ds.stats.upfx", "ds.stats.cpfx",
+	n := d.Rows("ds.pfx.prefix", "ds.pfx.ixp")
+	pfxStr, pfxIXP := d.Str("ds.pfx.prefix"), d.Str("ds.pfx.ixp")
+	nMin := d.Rows("ds.minport.ixp", "ds.minport.mbps")
+	minIXP, minMbps := d.Str("ds.minport.ixp"), d.U64("ds.minport.mbps")
+	nStats := d.Rows("ds.stats.src", "ds.stats.pfx", "ds.stats.upfx", "ds.stats.cpfx",
 		"ds.stats.if", "ds.stats.uif", "ds.stats.cif")
-	if d.err == nil {
-		src := d.u8("ds.stats.src")
-		pfx, upfx, cpfx := d.u32("ds.stats.pfx"), d.u32("ds.stats.upfx"), d.u32("ds.stats.cpfx")
-		ifs, uif, cif := d.u32("ds.stats.if"), d.u32("ds.stats.uif"), d.u32("ds.stats.cif")
-		ds.Stats = make([]registry.SourceStats, n)
-		for i := 0; i < n; i++ {
-			ds.Stats[i] = registry.SourceStats{
-				Source:   registry.Source(src[i]),
-				Prefixes: int(pfx[i]), UniquePrefixes: int(upfx[i]), ConflictPrefixes: int(cpfx[i]),
-				Interfaces: int(ifs[i]), UniqueInterfaces: int(uif[i]), ConflictInterfaces: int(cif[i]),
-			}
-		}
+	src := d.U8("ds.stats.src")
+	pfx, upfx, cpfx := d.U32("ds.stats.pfx"), d.U32("ds.stats.upfx"), d.U32("ds.stats.cpfx")
+	ifs, uif, cif := d.U32("ds.stats.if"), d.U32("ds.stats.uif"), d.U32("ds.stats.cif")
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
-
-	if d.err != nil {
-		return nil, d.err
+	for i := 0; i < n; i++ {
+		p, err := netip.ParsePrefix(pfxStr[i])
+		if err != nil {
+			return nil, fmt.Errorf("dataset prefix %q: %v", pfxStr[i], err)
+		}
+		ds.PrefixIXP[p] = pfxIXP[i]
+	}
+	for i := 0; i < nMin; i++ {
+		ds.MinPort[minIXP[i]] = int(minMbps[i])
+	}
+	ds.Stats = make([]registry.SourceStats, nStats)
+	for i := range ds.Stats {
+		ds.Stats[i] = registry.SourceStats{
+			Source:   registry.Source(src[i]),
+			Prefixes: int(pfx[i]), UniquePrefixes: int(upfx[i]), ConflictPrefixes: int(cpfx[i]),
+			Interfaces: int(ifs[i]), UniqueInterfaces: int(uif[i]), ConflictInterfaces: int(cif[i]),
+		}
 	}
 	return ds, nil
 }
@@ -952,7 +603,7 @@ func decodeDataset(payload []byte) (*registry.Dataset, error) {
 // colo
 
 func encodeColo(colo *registry.ColoDB) []byte {
-	var c colset
+	var c snapshot.Cols
 
 	asns := make([]netsim.ASN, 0, len(colo.ASFacilities))
 	for asn := range colo.ASFacilities {
@@ -970,9 +621,9 @@ func encodeColo(colo *registry.ColoDB) []byte {
 			asFac = append(asFac, uint32(f))
 		}
 	}
-	c.u32("colo.as.asn", asASN)
-	c.u32("colo.as.n", asN)
-	c.u32("colo.as.fac", asFac)
+	c.U32("colo.as.asn", asASN)
+	c.U32("colo.as.n", asN)
+	c.U32("colo.as.fac", asFac)
 
 	ixps := make([]string, 0, len(colo.IXPFacilities))
 	for name := range colo.IXPFacilities {
@@ -988,27 +639,23 @@ func encodeColo(colo *registry.ColoDB) []byte {
 			ixpFac = append(ixpFac, uint32(f))
 		}
 	}
-	c.str("colo.ixp.name", ixps)
-	c.u32("colo.ixp.n", ixpN)
-	c.u32("colo.ixp.fac", ixpFac)
+	c.Str("colo.ixp.name", ixps)
+	c.U32("colo.ixp.n", ixpN)
+	c.U32("colo.ixp.fac", ixpFac)
 
-	return c.encode()
+	return snapshot.EncodeColumns(c)
 }
 
-func decodeColo(payload []byte) (*registry.ColoDB, error) {
-	d, err := newSecdec(payload)
-	if err != nil {
-		return nil, err
-	}
+func decodeColo(d *snapshot.Reader) (*registry.ColoDB, error) {
 	colo := &registry.ColoDB{
 		ASFacilities:  make(map[netsim.ASN][]netsim.FacilityID),
 		IXPFacilities: make(map[string][]netsim.FacilityID),
 	}
 
-	n := d.rows("colo.as.asn", "colo.as.n")
-	d.flatLen(d.u32("colo.as.n"), "colo.as.fac")
-	if d.err == nil {
-		asns, counts, fac := d.u32("colo.as.asn"), d.u32("colo.as.n"), d.u32("colo.as.fac")
+	n := d.Rows("colo.as.asn", "colo.as.n")
+	d.FlatLen(d.U32("colo.as.n"), "colo.as.fac")
+	if d.Err() == nil {
+		asns, counts, fac := d.U32("colo.as.asn"), d.U32("colo.as.n"), d.U32("colo.as.fac")
 		off := 0
 		for i := 0; i < n; i++ {
 			// Present-with-no-facilities stays a nil slice, matching
@@ -1025,10 +672,10 @@ func decodeColo(payload []byte) (*registry.ColoDB, error) {
 		}
 	}
 
-	n = d.rows("colo.ixp.name", "colo.ixp.n")
-	d.flatLen(d.u32("colo.ixp.n"), "colo.ixp.fac")
-	if d.err == nil {
-		names, counts, fac := d.strs("colo.ixp.name"), d.u32("colo.ixp.n"), d.u32("colo.ixp.fac")
+	n = d.Rows("colo.ixp.name", "colo.ixp.n")
+	d.FlatLen(d.U32("colo.ixp.n"), "colo.ixp.fac")
+	if d.Err() == nil {
+		names, counts, fac := d.Str("colo.ixp.name"), d.U32("colo.ixp.n"), d.U32("colo.ixp.fac")
 		off := 0
 		for i := 0; i < n; i++ {
 			var facs []netsim.FacilityID
@@ -1043,206 +690,17 @@ func decodeColo(payload []byte) (*registry.ColoDB, error) {
 		}
 	}
 
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	return colo, nil
-}
-
-// ---------------------------------------------------------------------------
-// ping
-
-func encodePing(r *pingsim.Result) ([]byte, error) {
-	var c colset
-
-	// VP roster, in roster order, hidden ground-truth attributes
-	// included (restored rosters must still drive re-campaigns).
-	n := len(r.VPs)
-	vpID := make([]uint32, n)
-	vpIXP := make([]uint32, n)
-	vpKind := make([]uint8, n)
-	vpFac := make([]uint32, n)
-	vpLat := make([]float64, n)
-	vpLon := make([]float64, n)
-	vpSrc := make([]netip.Addr, n)
-	vpFlags := make([]uint8, n)
-	vpExtra := make([]float64, n)
-	for i, vp := range r.VPs {
-		vpID[i] = uint32(vp.ID)
-		vpIXP[i] = uint32(vp.IXP)
-		vpKind[i] = uint8(vp.Kind)
-		vpFac[i] = uint32(int32(vp.Facility))
-		vpLat[i], vpLon[i] = vp.Loc.Lat, vp.Loc.Lon
-		vpSrc[i] = vp.SrcIP
-		h := vp.Hidden()
-		var fl uint8
-		if vp.RoundsUp {
-			fl |= vpFlagRoundsUp
-		}
-		if h.MgmtLAN {
-			fl |= vpFlagMgmtLAN
-		}
-		if h.Dead {
-			fl |= vpFlagDead
-		}
-		vpFlags[i] = fl
-		vpExtra[i] = h.MgmtExtraMs
-	}
-	c.u32("vp.id", vpID)
-	c.u32("vp.ixp", vpIXP)
-	c.u8("vp.kind", vpKind)
-	c.u32("vp.fac", vpFac)
-	c.f64("vp.lat", vpLat)
-	c.f64("vp.lon", vpLon)
-	c.u8("vp.src", packAddrs(vpSrc))
-	c.u32("vp.src.n", []uint32{uint32(n)})
-	c.u8("vp.flags", vpFlags)
-	c.f64("vp.mgmtextra", vpExtra)
-
-	// Usable selection, in UsableVPs order.
-	usable := make([]uint32, len(r.UsableVPs))
-	for i, vp := range r.UsableVPs {
-		usable[i] = uint32(vp.ID)
-	}
-	c.u32("vp.usable", usable)
-
-	// Route-server RTTs, sorted by VP id.
-	rsIDs := make([]int, 0, len(r.RouteServerRTT))
-	for id := range r.RouteServerRTT {
-		rsIDs = append(rsIDs, id)
-	}
-	sort.Ints(rsIDs)
-	rsVP := make([]uint32, len(rsIDs))
-	rsRTT := make([]float64, len(rsIDs))
-	for i, id := range rsIDs {
-		rsVP[i] = uint32(id)
-		rsRTT[i] = r.RouteServerRTT[id]
-	}
-	c.u32("rs.vp", rsVP)
-	c.f64("rs.rtt", rsRTT)
-
-	// Folded per-interface aggregates, in address order (AggRows). Any
-	// override overlay is already folded in by the index — a decoded
-	// campaign starts with a clean overlay over these aggregates.
-	rows := r.AggRows()
-	aggIface := make([]netip.Addr, len(rows))
-	aggRTT := make([]float64, len(rows))
-	aggVP := make([]uint32, len(rows))
-	aggFlags := make([]uint8, len(rows))
-	for i, row := range rows {
-		aggIface[i] = row.Iface
-		aggRTT[i] = row.Agg.RTTMinMs
-		aggVP[i] = noVP
-		if row.Agg.BestVP != nil {
-			aggVP[i] = uint32(row.Agg.BestVP.ID)
-		}
-		var fl uint8
-		if row.Agg.BestRoundsUp {
-			fl |= aggFlagBestRoundsUp
-		}
-		if row.Agg.AnyRounding {
-			fl |= aggFlagAnyRounding
-		}
-		aggFlags[i] = fl
-	}
-	c.addr("agg.iface", aggIface)
-	c.f64("agg.rtt", aggRTT)
-	c.u32("agg.vp", aggVP)
-	c.u8("agg.flags", aggFlags)
-
-	return c.encode(), nil
-}
-
-func decodePing(payload []byte) (*pingsim.Result, error) {
-	d, err := newSecdec(payload)
-	if err != nil {
-		return nil, err
-	}
-	n := d.rows("vp.id", "vp.ixp", "vp.kind", "vp.fac", "vp.lat", "vp.lon",
-		"vp.flags", "vp.mgmtextra")
-	if cnt := d.u32("vp.src.n"); d.err == nil && (len(cnt) != 1 || int(cnt[0]) != n) {
-		d.fail("vp.src.n disagrees with the roster size")
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	srcs, err := unpackAddrs(d.u8("vp.src"), n)
-	if err != nil {
-		return nil, err
-	}
-	vpID, vpIXP, vpKind := d.u32("vp.id"), d.u32("vp.ixp"), d.u8("vp.kind")
-	vpFac, vpLat, vpLon := d.u32("vp.fac"), d.f64("vp.lat"), d.f64("vp.lon")
-	vpFlags, vpExtra := d.u8("vp.flags"), d.f64("vp.mgmtextra")
-	vps := make([]*pingsim.VP, n)
-	byID := make(map[uint32]*pingsim.VP, n)
-	for i := range vps {
-		vp := &pingsim.VP{
-			ID: int(vpID[i]), IXP: netsim.IXPID(int32(vpIXP[i])),
-			Kind:     pingsim.VPKind(vpKind[i]),
-			Facility: netsim.FacilityID(int32(vpFac[i])),
-			Loc:      geo.Point{Lat: vpLat[i], Lon: vpLon[i]},
-			SrcIP:    srcs[i],
-			RoundsUp: vpFlags[i]&vpFlagRoundsUp != 0,
-		}
-		vp.SetHidden(pingsim.VPHidden{
-			MgmtLAN:     vpFlags[i]&vpFlagMgmtLAN != 0,
-			MgmtExtraMs: vpExtra[i],
-			Dead:        vpFlags[i]&vpFlagDead != 0,
-		})
-		vps[i] = vp
-		byID[vpID[i]] = vp
-	}
-
-	usableIDs := make([]int, 0)
-	for _, id := range d.u32("vp.usable") {
-		usableIDs = append(usableIDs, int(id))
-	}
-
-	nRS := d.rows("rs.vp", "rs.rtt")
-	rsRTT := make(map[int]float64, nRS)
-	if d.err == nil {
-		rsVP, rtts := d.u32("rs.vp"), d.f64("rs.rtt")
-		for i := 0; i < nRS; i++ {
-			rsRTT[int(rsVP[i])] = rtts[i]
-		}
-	}
-
-	nAgg := d.rows("agg.iface", "agg.rtt", "agg.vp", "agg.flags")
-	aggs := make(map[netip.Addr]*pingsim.IfaceAgg, nAgg)
-	if d.err == nil {
-		iface, rtt, best, flags := d.addrs("agg.iface"), d.f64("agg.rtt"), d.u32("agg.vp"), d.u8("agg.flags")
-		for i := 0; i < nAgg; i++ {
-			a := &pingsim.IfaceAgg{
-				RTTMinMs:     rtt[i],
-				BestRoundsUp: flags[i]&aggFlagBestRoundsUp != 0,
-				AnyRounding:  flags[i]&aggFlagAnyRounding != 0,
-			}
-			if best[i] != noVP {
-				vp := byID[best[i]]
-				if vp == nil {
-					return nil, fmt.Errorf("%w: aggregate for %s references unknown VP %d", ErrInvalid, iface[i], best[i])
-				}
-				a.BestVP = vp
-			}
-			aggs[iface[i]] = a
-		}
-	}
-
-	if d.err != nil {
-		return nil, d.err
-	}
-	r, err := pingsim.RestoredResult(vps, usableIDs, rsRTT, aggs)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	return r, nil
 }
 
 // ---------------------------------------------------------------------------
 // paths
 
 func encodePaths(paths []*traix.Path) []byte {
-	var c colset
+	var c snapshot.Cols
 	n := len(paths)
 	src := make([]uint32, n)
 	dst := make([]netip.Addr, n)
@@ -1262,45 +720,24 @@ func encodePaths(paths []*traix.Path) []byte {
 			hopRTT = append(hopRTT, h.RTTMs)
 		}
 	}
-	c.u32("path.src", src)
-	c.u8("path.dst", packAddrs(dst))
-	c.u32("path.hops.n", hopN)
-	c.u8("hop.ip", packAddrs(hopIP))
-	c.f64("hop.rtt", hopRTT)
-	return c.encode()
+	c.U32("path.src", src)
+	c.PackedAddrs("path.dst", dst)
+	c.U32("path.hops.n", hopN)
+	c.PackedAddrs("hop.ip", hopIP)
+	c.F64("hop.rtt", hopRTT)
+	return snapshot.EncodeColumns(c)
 }
 
-func decodePaths(payload []byte) ([]*traix.Path, error) {
-	d, err := newSecdec(payload)
-	if err != nil {
-		return nil, err
-	}
-	n := d.rows("path.src", "path.hops.n")
-	if d.err != nil {
-		return nil, d.err
-	}
-	src, hopN := d.u32("path.src"), d.u32("path.hops.n")
-	dsts, err := unpackAddrs(d.u8("path.dst"), n)
-	if err != nil {
-		return nil, err
-	}
-	totalHops := 0
-	for _, h := range hopN {
-		totalHops += int(h)
-	}
-	hopRTT := d.f64("hop.rtt")
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(hopRTT) != totalHops {
-		return nil, fmt.Errorf("%w: hop.rtt has %d values, counts sum to %d", ErrInvalid, len(hopRTT), totalHops)
-	}
-	hopIPs, err := unpackAddrs(d.u8("hop.ip"), totalHops)
-	if err != nil {
-		return nil, err
-	}
-	if d.err != nil {
-		return nil, d.err
+func decodePaths(d *snapshot.Reader) ([]*traix.Path, error) {
+	n := d.Rows("path.src", "path.hops.n")
+	src, hopN := d.U32("path.src"), d.U32("path.hops.n")
+	d.FlatLen(hopN, "hop.rtt")
+	hopRTT := d.F64("hop.rtt")
+	totalHops := len(hopRTT)
+	dsts := d.PackedAddrs("path.dst", n)
+	hopIPs := d.PackedAddrs("hop.ip", totalHops)
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	paths := make([]*traix.Path, n)
 	// One contiguous hop slab for the whole corpus: 1024x carries tens
@@ -1326,30 +763,26 @@ func decodePaths(payload []byte) ([]*traix.Path, error) {
 // meta
 
 func encodeMeta(in core.Inputs) []byte {
-	var c colset
-	c.u64("seed", []uint64{uint64(in.Seed)})
-	c.f64("speed", []float64{in.Speed.VMaxKmPerMs, in.Speed.A, in.Speed.B})
-	return c.encode()
+	var c snapshot.Cols
+	c.U64("seed", []uint64{uint64(in.Seed)})
+	c.F64("speed", []float64{in.Speed.VMaxKmPerMs, in.Speed.A, in.Speed.B})
+	return snapshot.EncodeColumns(c)
 }
 
-func decodeMeta(payload []byte, in *core.Inputs) error {
-	d, err := newSecdec(payload)
-	if err != nil {
-		return err
-	}
-	seed := d.u64("seed")
-	speed := d.f64("speed")
-	if d.err != nil {
-		return d.err
+func decodeMeta(d *snapshot.Reader, in *core.Inputs) error {
+	seed := d.U64("seed")
+	speed := d.F64("speed")
+	if d.Err() != nil {
+		return d.Err()
 	}
 	if len(seed) != 1 || len(speed) != 3 {
-		return fmt.Errorf("%w: meta section has %d seed and %d speed values", ErrInvalid, len(seed), len(speed))
+		return fmt.Errorf("meta section has %d seed and %d speed values", len(seed), len(speed))
 	}
 	in.Seed = int64(seed[0])
 	in.Speed = geo.SpeedModel{VMaxKmPerMs: speed[0], A: speed[1], B: speed[2]}
 	for _, v := range speed {
 		if math.IsNaN(v) {
-			return fmt.Errorf("%w: NaN speed-model parameter", ErrInvalid)
+			return fmt.Errorf("NaN speed-model parameter")
 		}
 	}
 	return nil

@@ -18,7 +18,11 @@
 // — the same Castagnoli checksum discipline as internal/wal frames and
 // internal/snapshot files. Section payloads are column groups in the
 // internal/snapshot wire encoding (except "config", which is a small
-// JSON document). The header fingerprint is core.Fingerprint of the
+// JSON document). Rows that other formats persist too go through the
+// one codec each: the dataset section's membership rows are
+// registry.Dataset.AppendMembership, and the ping section is
+// pingsim.EncodeCampaign, whose aggregate rows are the ones engine
+// snapshots write for the override overlay. The header fingerprint is core.Fingerprint of the
 // decoded bundle, recomputed and compared at load time, so a file
 // cannot silently impersonate a different (seed, scale) world — and a
 // loaded bundle is pinned byte-identical to in-process generation by
@@ -32,20 +36,28 @@ package worldfile
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 
 	"rpeer/internal/core"
+	"rpeer/internal/netsim"
+	"rpeer/internal/pingsim"
+	"rpeer/internal/snapshot"
 	"rpeer/internal/wal"
 )
 
 // Magic identifies a world file.
 const Magic = "RPWFILE1"
 
-// FormatVersion is the current world file format.
-const FormatVersion = 1
+// FormatVersion is the world file format this build reads and writes.
+// World files are regenerable, so there is no reader for older
+// versions: any other version fails with ErrVersion. Version 2 moved
+// the dataset membership and the ping aggregates onto the row codecs
+// engine snapshots share.
+const FormatVersion = 2
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -57,7 +69,7 @@ var (
 	// section checksum mismatch, a malformed column, or a dangling
 	// cross-column reference.
 	ErrInvalid = errors.New("worldfile: invalid world file")
-	// ErrVersion marks a file written by a newer format version.
+	// ErrVersion marks a file written by another format version.
 	ErrVersion = errors.New("worldfile: unsupported format version")
 	// ErrFingerprint marks a structurally valid file whose content does
 	// not hash to the fingerprint stamped in its header — a tampered
@@ -80,35 +92,27 @@ const (
 // Encode serialises a complete input bundle into the .rpw wire form.
 // The bundle's ping campaign is folded: per-interface aggregates (with
 // any override overlay already applied) are written, raw per-VP
-// measurements are not — see internal/pingsim.RestoredResult for what
-// a decoded campaign answers.
+// measurements are not — see pingsim.EncodeCampaign for what a decoded
+// campaign answers.
 func Encode(in core.Inputs) ([]byte, error) {
 	if in.World == nil || in.Dataset == nil || in.Colo == nil || in.Ping == nil {
 		return nil, fmt.Errorf("worldfile: encode needs a complete input bundle (world, dataset, colo, ping)")
 	}
-	sections := make([]section, 0, 7)
-	add := func(name string, payload []byte) {
-		sections = append(sections, section{name: name, payload: payload})
-	}
-	cfg, err := encodeConfig(in.World.Cfg)
+	cfg, err := json.Marshal(in.World.Cfg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("worldfile: encode config: %w", err)
 	}
-	add(secConfig, cfg)
-	world, err := encodeWorld(in.World)
-	if err != nil {
-		return nil, err
+	var ping snapshot.Cols
+	pingsim.EncodeCampaign(&ping, in.Ping)
+	sections := []section{
+		{secConfig, cfg},
+		{secWorld, encodeWorld(in.World)},
+		{secDataset, encodeDataset(in.Dataset)},
+		{secColo, encodeColo(in.Colo)},
+		{secPing, snapshot.EncodeColumns(ping)},
+		{secPaths, encodePaths(in.Paths)},
+		{secMeta, encodeMeta(in)},
 	}
-	add(secWorld, world)
-	add(secDataset, encodeDataset(in.Dataset))
-	add(secColo, encodeColo(in.Colo))
-	ping, err := encodePing(in.Ping)
-	if err != nil {
-		return nil, err
-	}
-	add(secPing, ping)
-	add(secPaths, encodePaths(in.Paths))
-	add(secMeta, encodeMeta(in))
 
 	size := len(Magic) + 4 + 8 + 4
 	for _, s := range sections {
@@ -120,8 +124,7 @@ func Encode(in core.Inputs) ([]byte, error) {
 	b = binary.LittleEndian.AppendUint64(b, core.Fingerprint(in))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(sections)))
 	for _, s := range sections {
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(s.name)))
-		b = append(b, s.name...)
+		b = snapshot.AppendStr(b, s.name)
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(s.payload)))
 		b = append(b, s.payload...)
 		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(s.payload, castagnoli))
@@ -142,75 +145,53 @@ func Decode(data []byte) (core.Inputs, error) {
 	if err != nil {
 		return core.Inputs{}, err
 	}
-	need := func(name string) ([]byte, error) {
-		p, ok := payloads[name]
-		if !ok {
-			return nil, fmt.Errorf("%w: missing section %q", ErrInvalid, name)
-		}
-		return p, nil
+	// The world section decodes against the config section (a small
+	// JSON document; every other section is a column group).
+	var cfg netsim.Config
+	raw, ok := payloads[secConfig]
+	if !ok {
+		return core.Inputs{}, fmt.Errorf("%w: missing section %q", ErrInvalid, secConfig)
+	}
+	if err := json.Unmarshal(raw, &cfg); err != nil {
+		return core.Inputs{}, fmt.Errorf("%w: section %q: %v", ErrInvalid, secConfig, err)
 	}
 	var in core.Inputs
 	for _, step := range []struct {
 		name string
-		dec  func([]byte) error
+		dec  func(*snapshot.Reader) error
 	}{
-		{secConfig, func(p []byte) error { return nil }}, // consumed by secWorld below
-		{secWorld, func(p []byte) error {
-			cfgRaw, err := need(secConfig)
-			if err != nil {
-				return err
-			}
-			cfg, err := decodeConfig(cfgRaw)
-			if err != nil {
-				return err
-			}
-			w, err := decodeWorld(cfg, p)
-			if err != nil {
-				return err
-			}
-			in.World = w
-			return nil
+		{secWorld, func(rd *snapshot.Reader) (err error) {
+			in.World, err = decodeWorld(cfg, rd)
+			return err
 		}},
-		{secDataset, func(p []byte) error {
-			ds, err := decodeDataset(p)
-			if err != nil {
-				return err
-			}
-			in.Dataset = ds
-			return nil
+		{secDataset, func(rd *snapshot.Reader) (err error) {
+			in.Dataset, err = decodeDataset(rd)
+			return err
 		}},
-		{secColo, func(p []byte) error {
-			colo, err := decodeColo(p)
-			if err != nil {
-				return err
-			}
-			in.Colo = colo
-			return nil
+		{secColo, func(rd *snapshot.Reader) (err error) {
+			in.Colo, err = decodeColo(rd)
+			return err
 		}},
-		{secPing, func(p []byte) error {
-			ping, err := decodePing(p)
-			if err != nil {
-				return err
-			}
-			in.Ping = ping
-			return nil
+		{secPing, func(rd *snapshot.Reader) error {
+			in.Ping = pingsim.DecodeCampaign(rd)
+			return rd.Err()
 		}},
-		{secPaths, func(p []byte) error {
-			paths, err := decodePaths(p)
-			if err != nil {
-				return err
-			}
-			in.Paths = paths
-			return nil
+		{secPaths, func(rd *snapshot.Reader) (err error) {
+			in.Paths, err = decodePaths(rd)
+			return err
 		}},
-		{secMeta, func(p []byte) error { return decodeMeta(p, &in) }},
+		{secMeta, func(rd *snapshot.Reader) error { return decodeMeta(rd, &in) }},
 	} {
-		p, err := need(step.name)
-		if err != nil {
-			return core.Inputs{}, err
+		p, ok := payloads[step.name]
+		if !ok {
+			return core.Inputs{}, fmt.Errorf("%w: missing section %q", ErrInvalid, step.name)
 		}
-		if err := step.dec(p); err != nil {
-			return core.Inputs{}, fmt.Errorf("section %q: %w", step.name, err)
+		rd, err := snapshot.ReadColumns(p)
+		if err == nil {
+			err = step.dec(rd)
+		}
+		if err != nil {
+			return core.Inputs{}, fmt.Errorf("%w: section %q: %v", ErrInvalid, step.name, err)
 		}
 	}
 	if got := core.Fingerprint(in); got != fp {
@@ -233,8 +214,8 @@ func splitSections(data []byte) (map[string][]byte, uint64, error) {
 	off := len(Magic)
 	ver := binary.LittleEndian.Uint32(data[off:])
 	off += 4
-	if ver > FormatVersion {
-		return nil, 0, fmt.Errorf("%w: file is v%d, newest supported is v%d", ErrVersion, ver, FormatVersion)
+	if ver != FormatVersion {
+		return nil, 0, fmt.Errorf("%w: file is v%d, this build reads v%d (regenerate it with rpi-gen)", ErrVersion, ver, FormatVersion)
 	}
 	fp := binary.LittleEndian.Uint64(data[off:])
 	off += 8

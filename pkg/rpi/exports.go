@@ -88,11 +88,6 @@ func Evaluate(rep *Report, v *Validation) Metrics {
 	return core.Evaluate(rep, v)
 }
 
-// StepInferences filters a report down to one step's verdicts.
-func StepInferences(rep *Report, s Step) *Report {
-	return core.StepInferences(rep, s)
-}
-
 // SyntheticInputs generates a complete synthetic input world at the
 // given scale factor (1 = the paper-sized default world; see
 // netsim.ScaledConfig): the seeded world, the merged registry dataset,
@@ -116,7 +111,7 @@ func SyntheticInputs(seed int64, scale int) (Inputs, error) {
 // rely on.
 func InputsFromConfig(cfg netsim.Config, seed int64) (Inputs, error) {
 	cfg.Seed = seed
-	w, err := netsim.Generate(cfg)
+	w, err := netsim.Generate(cfg, 0)
 	if err != nil {
 		return Inputs{}, fmt.Errorf("rpi: generate world: %w", err)
 	}
@@ -130,7 +125,7 @@ func InputsFromConfig(cfg netsim.Config, seed int64) (Inputs, error) {
 	wg.Add(4)
 	go func() {
 		defer wg.Done()
-		ds = registry.Build(w, registry.DefaultNoise(), seed+1)
+		ds = registry.Build(w, registry.DefaultNoise(), seed+1, 0)
 	}()
 	go func() {
 		defer wg.Done()
@@ -141,13 +136,13 @@ func InputsFromConfig(cfg netsim.Config, seed int64) (Inputs, error) {
 		vps := pingsim.DeriveVPs(w, seed+3)
 		pcfg := pingsim.DefaultCampaign()
 		pcfg.Seed = seed + 4
-		ping = pingsim.RunParallel(w, vps, pcfg, 0)
+		ping = pingsim.Run(w, vps, pcfg, 0)
 	}()
 	go func() {
 		defer wg.Done()
 		tcfg := tracesim.DefaultConfig()
 		tcfg.Seed = seed + 5
-		paths = tracesim.Generate(w, tcfg)
+		paths = tracesim.Generate(w, tcfg, 0)
 	}()
 	wg.Wait()
 	return Inputs{

@@ -122,17 +122,17 @@ func rejoinDelta(in Inputs, departed []Key, size int, seed int64) Delta {
 // overrides picks size+1 current member interfaces (sorted, strided by
 // seed) and either revokes their measurement or sets a fresh one from
 // a campaign vantage point.
-func overrides(in Inputs, size int, seed int64, revoke bool) map[netip.Addr]pingsim.Override {
+func overrides(in Inputs, size int, seed int64, revoke bool) map[netip.Addr]pingsim.IfaceAgg {
 	ifaces := sortedIfaces(in)
-	out := make(map[netip.Addr]pingsim.Override)
+	out := make(map[netip.Addr]pingsim.IfaceAgg)
 	vps := in.Ping.VPs
 	for k := 0; k <= size%16 && len(ifaces) > 0; k++ {
 		ip := ifaces[(int(seed)*31+k*97)%len(ifaces)]
 		if revoke {
-			out[ip] = pingsim.Override{RTTMinMs: math.NaN()}
+			out[ip] = pingsim.IfaceAgg{RTTMinMs: math.NaN()}
 			continue
 		}
-		out[ip] = pingsim.Override{
+		out[ip] = pingsim.IfaceAgg{
 			RTTMinMs:     0.3 + float64((int(seed)+k*13)%400)/4,
 			BestVP:       vps[(int(seed)+k)%len(vps)],
 			BestRoundsUp: k%3 == 0,
@@ -161,7 +161,7 @@ func invalidDelta(in Inputs, size int, seed int64) Delta {
 	case 5: // join off every peering LAN
 		d.Joins = append(d.Joins, Join{IXP: ixp, Iface: netip.MustParseAddr("192.0.2.1"), ASN: 64512})
 	case 6: // a non-positive measured RTT
-		d.Ping = map[netip.Addr]pingsim.Override{known: {RTTMinMs: -1, BestVP: in.Ping.VPs[0]}}
+		d.Ping = map[netip.Addr]pingsim.IfaceAgg{known: {RTTMinMs: -1, BestVP: in.Ping.VPs[0]}}
 	case 7: // the same leave twice
 		d = Delta{Leaves: []Key{{IXP: ixp, Iface: known}, {IXP: ixp, Iface: known}}}
 	}

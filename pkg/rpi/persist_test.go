@@ -77,7 +77,7 @@ func tinyHistory(t testing.TB) *history {
 					// their vantage-point references) cross the log too.
 					pcfg := pingsim.DefaultCampaign()
 					pcfg.Seed = int64(500 + k)
-					d.Ping = pingsim.Overrides(pingsim.Run(in.World, in.Ping.VPs, pcfg))
+					d.Ping = pingsim.Overrides(pingsim.Run(in.World, in.Ping.VPs, pcfg, 1))
 				}
 				if _, err := eng.Apply(context.Background(), d); err != nil {
 					return err

@@ -314,7 +314,7 @@ func (e *Engine) resolveVPs(d Delta) (Delta, error) {
 	if !needs {
 		return d, nil
 	}
-	resolved := make(map[netip.Addr]pingsim.Override, len(d.Ping))
+	resolved := make(map[netip.Addr]pingsim.IfaceAgg, len(d.Ping))
 	for ip, ov := range d.Ping {
 		if ov.BestVP == nil && !math.IsNaN(ov.RTTMinMs) {
 			// The context's per-interface index already reflects every

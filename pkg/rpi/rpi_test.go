@@ -136,7 +136,7 @@ func TestApplyEvolveAndRecampaign(t *testing.T) {
 
 	pcfg := pingsim.DefaultCampaign()
 	pcfg.Seed = 777
-	refresh := pingsim.Run(in.World, in.Ping.VPs, pcfg)
+	refresh := pingsim.Run(in.World, in.Ping.VPs, pcfg, 1)
 	if _, err := eng.Apply(context.Background(), RecampaignDelta(refresh)); err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestApplyRejectsBadDelta(t *testing.T) {
 	if !unmeasured.Iface.IsValid() {
 		t.Fatal("fixture has no unmeasured interface")
 	}
-	noVP := Delta{Ping: map[netip.Addr]pingsim.Override{unmeasured.Iface: {RTTMinMs: 5}}}
+	noVP := Delta{Ping: map[netip.Addr]pingsim.IfaceAgg{unmeasured.Iface: {RTTMinMs: 5}}}
 	if _, err := eng.Apply(context.Background(), noVP); !errors.Is(err, ErrBadDelta) {
 		t.Fatalf("err = %v, want ErrBadDelta for unmeasured iface without VP", err)
 	}
@@ -263,7 +263,7 @@ func TestApplyRejectsBadDelta(t *testing.T) {
 			break
 		}
 	}
-	inherit := Delta{Ping: map[netip.Addr]pingsim.Override{measured.Iface: {RTTMinMs: 5}}}
+	inherit := Delta{Ping: map[netip.Addr]pingsim.IfaceAgg{measured.Iface: {RTTMinMs: 5}}}
 	if _, err := eng.Apply(context.Background(), inherit); err != nil {
 		t.Fatalf("VP inheritance failed for measured iface: %v", err)
 	}

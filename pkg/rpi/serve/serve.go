@@ -513,14 +513,14 @@ func toDelta(eng *rpi.Engine, wd WireDelta) (rpi.Delta, error) {
 	if eng.Inputs().Ping == nil {
 		return d, fmt.Errorf("rtt: engine has no ping campaign")
 	}
-	d.Ping = make(map[netip.Addr]pingsim.Override, len(wd.RTT))
+	d.Ping = make(map[netip.Addr]pingsim.IfaceAgg, len(wd.RTT))
 	for _, u := range wd.RTT {
 		ip, err := netip.ParseAddr(u.Iface)
 		if err != nil {
 			return d, fmt.Errorf("rtt: bad interface %q", u.Iface)
 		}
 		if u.Drop {
-			d.Ping[ip] = pingsim.Override{RTTMinMs: math.NaN()}
+			d.Ping[ip] = pingsim.IfaceAgg{RTTMinMs: math.NaN()}
 			continue
 		}
 		if u.RTTMinMs <= 0 || math.IsInf(u.RTTMinMs, 0) || math.IsNaN(u.RTTMinMs) {
@@ -536,7 +536,7 @@ func toDelta(eng *rpi.Engine, wd WireDelta) (rpi.Delta, error) {
 				return d, fmt.Errorf("rtt: unknown vp_id %d", *u.VPID)
 			}
 		}
-		d.Ping[ip] = pingsim.Override{
+		d.Ping[ip] = pingsim.IfaceAgg{
 			RTTMinMs: u.RTTMinMs, BestVP: vp,
 			BestRoundsUp: u.RoundsUp, AnyRounding: u.RoundsUp,
 		}
