@@ -509,9 +509,10 @@ func serveDefaultTenant(b *testing.B, in rpi.Inputs, cfg serve.Config) (*httptes
 }
 
 // BenchmarkServeHTTP drives the rpi-serve handler through a real HTTP
-// stack (httptest): snapshot serving, per-IXP reports, and applies
-// (each journaled to the tenant's in-memory WAL), all through the
-// default tenant's short /v1 routes.
+// stack (httptest): snapshot serving, per-IXP reports, the first full
+// read after an apply (the report plane's build), and applies (each
+// journaled to the tenant's in-memory WAL), all through the default
+// tenant's short /v1 routes.
 func BenchmarkServeHTTP(b *testing.B) {
 	e := benchEnv(b)
 	srv, eng := serveDefaultTenant(b, e.Inputs, serve.Config{})
@@ -546,6 +547,31 @@ func BenchmarkServeHTTP(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			n = get(b, srv.URL+"/v1/report/"+ixp)
+		}
+		b.SetBytes(int64(n))
+	})
+	b.Run("infer-after-apply", func(b *testing.B) {
+		// Every read follows an apply, so each one is a plane miss: the
+		// price of the first read of a publication. The apply is untimed.
+		fwd := rpi.ChurnDelta(eng.Inputs(), 0.01, 59)
+		rev := rpi.InvertDelta(eng.Inputs(), fwd)
+		bodies := [2][]byte{wireDeltaBody(b, fwd), wireDeltaBody(b, rev)}
+		b.ReportAllocs()
+		n := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			resp, err := client.Post(srv.URL+"/v1/apply", "application/json", bytes.NewReader(bodies[i%2]))
+			if err != nil {
+				b.Fatal(err)
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				b.Fatalf("apply: %d", resp.StatusCode)
+			}
+			b.StartTimer()
+			n = get(b, srv.URL+"/v1/infer")
 		}
 		b.SetBytes(int64(n))
 	})

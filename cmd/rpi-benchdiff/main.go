@@ -25,7 +25,9 @@
 // snapshots whatever -headline selects: the ACC%, COV%, FPR% and FNR%
 // metrics the ablation benchmarks report are deterministic outputs of
 // the methodology, so any difference is either a bug or a deliberate
-// re-pin of the baseline snapshot, never noise.
+// re-pin of the baseline snapshot, never noise. Two snapshots that
+// share no headline benchmark (ablation rows only, the quick accuracy
+// check) are judged on accuracy alone; sharing nothing at all fails.
 package main
 
 import (
@@ -106,22 +108,37 @@ func main() {
 	}
 
 	res := diff(os.Stdout, baseRec, newRec, re, *threshold)
-	if res.compared == 0 {
-		log.Fatal("no headline benchmarks in common; nothing compared")
+	code, msgs := res.verdict(*threshold, *base)
+	for _, m := range msgs {
+		if code != 0 {
+			log.Print(m)
+		} else {
+			fmt.Println(m)
+		}
 	}
-	failed := false
+	os.Exit(code)
+}
+
+// verdict turns a diff result into the exit status and the lines that
+// explain it. Any headline regression or accuracy drift fails, and so
+// does a comparison that judged nothing at all. Snapshots that share
+// no headline benchmark but do share accuracy rows (the ablation-only
+// check) pass when every one of those rows is exact.
+func (res result) verdict(threshold float64, base string) (int, []string) {
+	if res.compared == 0 && res.accuracy == 0 {
+		return 1, []string{"no benchmarks in common; nothing compared"}
+	}
+	var msgs []string
 	if res.regressions > 0 {
-		log.Printf("%d of %d headline metrics regressed beyond %.0f%%", res.regressions, res.compared, *threshold*100)
-		failed = true
+		msgs = append(msgs, fmt.Sprintf("%d of %d headline metrics regressed beyond %.0f%%", res.regressions, res.compared, threshold*100))
 	}
 	if res.drifts > 0 {
-		log.Printf("%d of %d accuracy metrics differ from %s", res.drifts, res.accuracy, *base)
-		failed = true
+		msgs = append(msgs, fmt.Sprintf("%d of %d accuracy metrics differ from %s", res.drifts, res.accuracy, base))
 	}
-	if failed {
-		os.Exit(1)
+	if msgs != nil {
+		return 1, msgs
 	}
-	fmt.Printf("ok: %d headline metrics within %.0f%%, %d accuracy metrics equal to %s\n", res.compared, *threshold*100, res.accuracy, *base)
+	return 0, []string{fmt.Sprintf("ok: %d headline metrics within %.0f%%, %d accuracy metrics equal to %s", res.compared, threshold*100, res.accuracy, base)}
 }
 
 // accuracyMetrics are the methodology outputs judged exactly.

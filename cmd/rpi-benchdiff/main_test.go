@@ -65,3 +65,36 @@ func TestDiffJudgesAccuracyExactlyOnEveryRow(t *testing.T) {
 		})
 	}
 }
+
+func TestVerdictExitStatus(t *testing.T) {
+	re := regexp.MustCompile(defaultHeadline)
+	abl := func(acc float64) map[string]Record {
+		return map[string]Record{
+			"BenchmarkAblationNoVmin":    {NsPerOp: 100, Metrics: map[string]float64{"ACC%": acc, "COV%": 80}},
+			"BenchmarkAblationStepOrder": {NsPerOp: 100, Metrics: map[string]float64{"ACC%": 92.93, "FNR%": 10.99}},
+		}
+	}
+	cases := []struct {
+		name        string
+		base, fresh map[string]Record
+		code        int
+	}{
+		{name: "ablation-only, exact", base: abl(91.5), fresh: abl(91.5), code: 0},
+		{name: "ablation-only, drift", base: abl(91.5), fresh: abl(91.4), code: 1},
+		{name: "nothing in common", base: abl(91.5), fresh: map[string]Record{"BenchmarkOther": {NsPerOp: 1}}, code: 1},
+		{
+			name:  "headline regression",
+			base:  map[string]Record{"BenchmarkFullPipeline": {NsPerOp: 100}},
+			fresh: map[string]Record{"BenchmarkFullPipeline": {NsPerOp: 200}},
+			code:  1,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			code, msgs := diff(io.Discard, tc.base, tc.fresh, re, 0.2).verdict(0.2, "base.json")
+			if code != tc.code || len(msgs) == 0 {
+				t.Fatalf("verdict = %d %q, want exit %d with a reason", code, msgs, tc.code)
+			}
+		})
+	}
+}

@@ -96,8 +96,9 @@ type Config struct {
 }
 
 // DefaultConfig scales the limits to the machine: cheap reads fan out
-// wide (they share the engine's read lock), full-report reads are
-// bounded tighter (each one marshals the world), applies keep a short
+// wide (each writes byte ranges of the report plane), full-report reads
+// are bounded tighter (each writes the whole report, and the first of a
+// publication encodes it), applies keep a short
 // queue (they serialize anyway — queue depth is pure latency), and
 // streams get a generous but finite population.
 func DefaultConfig() Config {

@@ -491,7 +491,7 @@ func (l *Load) stalledStreamer(ctx context.Context, tenant string) {
 }
 
 // deadlineStorm sends full-report reads that give up after 1 ms: each
-// one exercises the admission queue exit or the marshal checkpoint
+// one exercises the admission queue exit or the plane build checkpoint
 // without costing the engine anything. Its outcomes are not counted,
 // but an answer that does arrive must still obey the protocol.
 func (l *Load) deadlineStorm(ctx context.Context, tenant string) {

@@ -488,6 +488,10 @@ func (c *Context) HasIXP(name string) bool {
 	return ok && c.roster.Get(uint32(id))
 }
 
+// IXPs returns the inference-domain roster, the IXPs HasIXP knows,
+// sorted by name. It is fixed at construction and shared: read-only.
+func (c *Context) IXPs() []string { return c.ixps }
+
 // VP resolves a vantage point of the campaign roster by ID, the form
 // WAL records and /v1/apply bodies carry. ok is false for an unknown
 // ID and for a context without a campaign. Safe for concurrent use.

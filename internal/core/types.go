@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"sort"
 	"strings"
 
 	"rpeer/internal/netsim"
@@ -171,6 +172,24 @@ type Report struct {
 	// built; nil for hand-built and decoded ones. The map and the array
 	// share their Inference values.
 	aligned []Inference
+}
+
+// Rows returns the report's inferences in domain order: IXP name, then
+// interface address. For a report a Context built it is the shared
+// backing array and must be treated as read-only; for a hand-built or
+// decoded one it is a sorted copy of the map.
+func (r *Report) Rows() []Inference {
+	if r.aligned != nil {
+		return r.aligned
+	}
+	rows := make([]Inference, 0, len(r.Inferences))
+	for k, inf := range r.Inferences {
+		row := *inf
+		row.IXP, row.Iface = k.IXP, k.Iface
+		rows = append(rows, row)
+	}
+	sort.Slice(rows, func(i, j int) bool { return compareMembership(&rows[i], &rows[j]) < 0 })
+	return rows
 }
 
 // DiffVerdicts calls fn for every membership whose verdict (class or

@@ -64,13 +64,13 @@ type Options struct {
 }
 
 // published is the read state captured from a healthy engine: the
-// report plus the IXP name set (fixed at construction — membership
-// deltas never touch the prefix plane) for 404 semantics while the
-// engine itself cannot be trusted.
+// report plus the engine's IXP roster (fixed at construction:
+// membership deltas never touch the prefix plane), so reads keep their
+// 404 semantics while the engine itself cannot be trusted.
 type published struct {
 	rep  *rpi.Report
 	seq  uint64
-	ixps map[string]bool
+	ixps []string
 }
 
 // Guard supervises one replaceable engine.
@@ -121,15 +121,8 @@ func (g *Guard) Publish(eng *rpi.Engine) {
 }
 
 func (g *Guard) publishLocked(eng *rpi.Engine) {
-	ixps := make(map[string]bool)
-	in := eng.Inputs()
-	if in.Dataset != nil {
-		for _, name := range in.Dataset.PrefixIXP {
-			ixps[name] = true
-		}
-	}
 	rep, seq := eng.SnapshotSeq()
-	g.lastGood.Store(&published{rep: rep, seq: seq, ixps: ixps})
+	g.lastGood.Store(&published{rep: rep, seq: seq, ixps: eng.IXPs()})
 	g.acked.Store(seq)
 	g.eng.Store(eng)
 	g.gen.Add(1)
@@ -186,9 +179,9 @@ func (g *Guard) Snapshot() (*rpi.Report, error) {
 // Published returns the current report together with the publication
 // generation and the delta seq the report reflects, all coherent with
 // one another: the (generation, seq) pair uniquely keys the report's
-// bytes, which is what the serving plane's pre-marshaled report cache
-// rides on. While quarantined it returns the last good publication
-// (whose seq stopped moving when the engine did).
+// bytes, which is what the serving plane's report byte plane rides
+// on. While quarantined it returns the last good publication (whose
+// seq stopped moving when the engine did).
 func (g *Guard) Published() (*rpi.Report, uint64, uint64, error) {
 	for {
 		eng := g.eng.Load()
@@ -213,20 +206,9 @@ func (g *Guard) Published() (*rpi.Report, uint64, uint64, error) {
 	}
 }
 
-// ReportFor returns one IXP's report. While quarantined it is computed
-// from the last good snapshot without touching the sick engine's
-// substrate (whose indexes may be half-mutated).
-func (g *Guard) ReportFor(ctx context.Context, ixp string) (*rpi.Report, error) {
-	eng := g.eng.Load()
-	if !g.sick.Load() {
-		return eng.ReportFor(ctx, ixp)
-	}
-	last := g.lastGood.Load()
-	if !last.ixps[ixp] {
-		return nil, fmt.Errorf("%w: %q", rpi.ErrUnknownIXP, ixp)
-	}
-	return rpi.FilterIXP(ctx, last.rep, ixp)
-}
+// IXPs returns the IXP roster of the engine last published, sorted by
+// name: the IXPs a per-IXP read answers for, healthy or quarantined.
+func (g *Guard) IXPs() []string { return g.lastGood.Load().ixps }
 
 // Apply forwards a delta to the current engine with the quarantine
 // net underneath: a panic escaping the engine, or the engine declaring

@@ -80,15 +80,6 @@ func (h *harness) waitReady() {
 	}
 }
 
-// anyIXP picks one IXP name present in the inputs.
-func (h *harness) anyIXP() string {
-	for _, name := range h.in.Dataset.PrefixIXP {
-		return name
-	}
-	h.t.Fatal("no IXPs in inputs")
-	return ""
-}
-
 func TestPanicQuarantineAndRecovery(t *testing.T) {
 	h := newHarness(t)
 	ctx := context.Background()
@@ -134,18 +125,6 @@ func TestPanicQuarantineAndRecovery(t *testing.T) {
 	rep, err := h.g.Snapshot()
 	if err != nil || rep != goodRep {
 		t.Fatalf("quarantined snapshot: rep=%p want %p, err=%v", rep, goodRep, err)
-	}
-	if _, err := h.g.ReportFor(ctx, h.anyIXP()); err != nil {
-		t.Fatalf("quarantined ReportFor: %v", err)
-	}
-	if _, err := h.g.ReportFor(ctx, "no-such-ixp"); !errors.Is(err, rpi.ErrUnknownIXP) {
-		t.Fatalf("quarantined ReportFor unknown: err = %v, want ErrUnknownIXP", err)
-	}
-	// A caller that has already gone gets no walk of the last good map.
-	gone, cancelGone := context.WithCancel(ctx)
-	cancelGone()
-	if _, err := h.g.ReportFor(gone, h.anyIXP()); !errors.Is(err, rpi.ErrCanceled) {
-		t.Fatalf("quarantined ReportFor canceled: err = %v, want ErrCanceled", err)
 	}
 
 	// Background recovery re-Opens from the WAL and swaps the engine in.

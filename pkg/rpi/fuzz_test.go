@@ -19,7 +19,8 @@ import (
 // leaves, re-joins of departed interfaces (some under another AS), RTT
 // overrides, measurement revocations and invalid deltas — through one
 // engine over the tiny world. After every valid delta the engine's wire
-// bytes must equal a cold New over its Inputs(), and the Update's
+// bytes must equal a cold New over its Inputs(), the report plane's
+// full and per-IXP bytes must equal MarshalReport's, and the Update's
 // change list must equal the map-based diff oracle below. An invalid
 // delta must fail with ErrBadDelta and leave the bytes and sequence
 // number untouched.
@@ -86,6 +87,7 @@ func FuzzApplySequence(f *testing.F) {
 			if !bytes.Equal(wireBytes(t, after), coldBytes) {
 				t.Fatalf("op %d (kind %d): incremental report diverged from cold rebuild", op, kind%5)
 			}
+			checkPlane(t, after, eng.IXPs())
 		}
 	})
 }

@@ -177,14 +177,13 @@ func Open(dir string, base Inputs, opts ...Option) (*Engine, *RecoveryInfo, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	e, err := buildEngine(ctx, cfg)
+	e, err := buildEngine(ctx, cfg, info.Seq)
 	if err != nil {
 		return nil, nil, err
 	}
-	e.seq = info.Seq
 	fp := core.Fingerprint(base)
-	w, err := wal.Create(fsys, dir, wal.SegmentName(e.seq),
-		wal.Header{Fingerprint: fp, FirstSeq: e.seq}, cfg.sync)
+	w, err := wal.Create(fsys, dir, wal.SegmentName(info.Seq),
+		wal.Header{Fingerprint: fp, FirstSeq: info.Seq}, cfg.sync)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: open log segment: %v", ErrPersistence, err)
 	}
@@ -215,11 +214,10 @@ func Replay(dir string, base Inputs, upTo uint64, opts ...Option) (*Engine, *Rec
 	if err != nil {
 		return nil, nil, err
 	}
-	e, err := buildEngine(ctx, cfg)
+	e, err := buildEngine(ctx, cfg, info.Seq)
 	if err != nil {
 		return nil, nil, err
 	}
-	e.seq = info.Seq
 	return e, info, nil
 }
 
@@ -366,7 +364,7 @@ func replaySegments(fsys wal.FS, dir string, segs []string, ctx *core.Context, f
 func (e *Engine) Checkpoint() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.pers == nil || e.pers.lastSnap == e.seq {
+	if e.pers == nil || e.pers.lastSnap == e.Seq() {
 		return nil
 	}
 	if e.pers.broken != nil {
@@ -379,20 +377,20 @@ func (e *Engine) Checkpoint() error {
 // rotate is set, starts a fresh log segment (records at or below the
 // snapshot seq are then never replayed). Caller holds the write lock.
 func (e *Engine) snapshotLocked(rotate bool) error {
-	p := e.pers
+	p, seq := e.pers, e.Seq()
 	s := e.ctx.DumpColumns()
-	s.Seq, s.Fingerprint = e.seq, p.fp
+	s.Seq, s.Fingerprint = seq, p.fp
 	if _, err := snapshot.Write(p.fsys, p.dir, s); err != nil {
 		return fmt.Errorf("%w: %v", ErrPersistence, err)
 	}
-	p.lastSnap = e.seq
+	p.lastSnap = seq
 	if rotate {
 		if err := p.w.Close(); err != nil {
 			p.broken = err
 			return fmt.Errorf("%w: close log segment: %v", ErrPersistence, err)
 		}
-		w, err := wal.Create(p.fsys, p.dir, wal.SegmentName(e.seq),
-			wal.Header{Fingerprint: p.fp, FirstSeq: e.seq}, p.pol)
+		w, err := wal.Create(p.fsys, p.dir, wal.SegmentName(seq),
+			wal.Header{Fingerprint: p.fp, FirstSeq: seq}, p.pol)
 		if err != nil {
 			p.broken = err
 			return fmt.Errorf("%w: rotate log segment: %v", ErrPersistence, err)
@@ -480,11 +478,11 @@ func (e *Engine) logDelta(d Delta) error {
 // returned: a missed snapshot only lengthens the next recovery's
 // replay, and the log append that matters has already succeeded.
 func (e *Engine) maybeSnapshot() {
-	p := e.pers
-	if p == nil || p.broken != nil || p.snapEvery == 0 || e.seq-p.lastSnap < p.snapEvery {
+	p, seq := e.pers, e.Seq()
+	if p == nil || p.broken != nil || p.snapEvery == 0 || seq-p.lastSnap < p.snapEvery {
 		return
 	}
 	if err := e.snapshotLocked(true); err != nil {
-		p.logger.Printf("rpi: automatic snapshot at seq %d failed: %v", e.seq, err)
+		p.logger.Printf("rpi: automatic snapshot at seq %d failed: %v", seq, err)
 	}
 }

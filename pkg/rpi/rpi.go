@@ -32,20 +32,25 @@ import (
 	"net/netip"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"rpeer/internal/core"
 	"rpeer/internal/pingsim"
 )
 
 // Engine is a long-lived inference instance over one evolving input
-// world. All methods are safe for concurrent use: queries share a read
-// lock, Apply takes the write lock.
+// world. All methods are safe for concurrent use: Apply takes the write
+// lock, queries over the substrate share the read lock, and reads of
+// the current report take no lock at all.
 type Engine struct {
-	mu     sync.RWMutex
-	ctx    *core.Context
-	cfg    config
-	report *core.Report
-	seq    uint64
+	mu  sync.RWMutex
+	ctx *core.Context
+	cfg config
+	// pub is the current publication. Apply stores a new one once its
+	// report is complete, before fan-out; Snapshot and SnapshotSeq load
+	// it without taking mu, so a read that arrives during an apply
+	// serves the previous publication instead of waiting.
+	pub atomic.Pointer[publication]
 	// pers is the durable half of a persistent engine (Open); nil for
 	// the in-memory engines New and Replay build.
 	pers *persister
@@ -57,6 +62,12 @@ type Engine struct {
 	// dropped counts updates shed from slow subscribers (see
 	// Subscribe); guarded by subMu.
 	dropped uint64
+}
+
+// publication is one report together with the delta seq it reflects.
+type publication struct {
+	rep *core.Report
+	seq uint64
 }
 
 // New validates the inputs, builds the shared inference substrate and
@@ -76,44 +87,48 @@ func New(in Inputs, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrMissingInput, err)
 	}
-	return buildEngine(ctx, cfg)
+	return buildEngine(ctx, cfg, 0)
 }
 
 // buildEngine finishes engine construction over a ready (possibly
-// recovered) context: the initial pipeline run.
-func buildEngine(ctx *core.Context, cfg config) (*Engine, error) {
+// recovered) context at delta sequence seq: the initial pipeline run.
+func buildEngine(ctx *core.Context, cfg config, seq uint64) (*Engine, error) {
 	rep, err := ctx.Run(cfg.opt)
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{ctx: ctx, cfg: cfg, report: rep, subs: make(map[int]chan Update)}, nil
+	e := &Engine{ctx: ctx, cfg: cfg, subs: make(map[int]chan Update)}
+	e.pub.Store(&publication{rep: rep, seq: seq})
+	return e, nil
 }
 
 // Snapshot returns the current report. The report is shared and must
 // be treated as read-only; it stays internally consistent forever (an
 // Apply swaps in a fresh report rather than mutating the old one).
+// It takes no lock: during an Apply it returns the previous report.
 func (e *Engine) Snapshot() *Report {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.report
+	return e.pub.Load().rep
 }
 
 // SnapshotSeq returns the current report together with the delta
-// sequence it reflects, read under one lock acquisition: the pair is
-// coherent even while concurrent Applies land. Serving-plane caches
-// key pre-marshaled report bytes on this seq.
+// sequence it reflects, read from one atomic publication: the pair is
+// coherent even while concurrent Applies land, and the read never
+// waits on one (until an Apply has published, it returns the previous
+// pair). Serving-plane caches key report bytes on this seq.
 func (e *Engine) SnapshotSeq() (*Report, uint64) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.report, e.seq
+	p := e.pub.Load()
+	return p.rep, p.seq
 }
 
-// Seq returns the number of deltas applied so far.
+// Seq returns the number of deltas applied so far, as published: like
+// SnapshotSeq it takes no lock.
 func (e *Engine) Seq() uint64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.seq
+	return e.pub.Load().seq
 }
+
+// IXPs returns the IXP roster, sorted by name: the IXPs ReportFor
+// answers for. It is fixed at construction and shared: read-only.
+func (e *Engine) IXPs() []string { return e.ctx.IXPs() }
 
 // Inputs returns the engine's current view of the inputs: the dataset
 // clone with all applied membership churn, and the campaign with all
@@ -167,15 +182,13 @@ func (e *Engine) RunStep(s Step) (*Report, error) {
 // as read-only. The walk over a large snapshot honors ctx: a canceled
 // caller gets ErrCanceled instead of the rest of the scan.
 func (e *Engine) ReportFor(ctx context.Context, ixp string) (*Report, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
 	if !e.ctx.HasIXP(ixp) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownIXP, ixp)
 	}
-	return FilterIXP(ctx, e.report, ixp)
+	return FilterIXP(ctx, e.Snapshot(), ixp)
 }
 
 // FilterIXP returns the verdicts of one IXP in rep: its inferences and
@@ -249,9 +262,10 @@ func (e *Engine) Apply(ctx context.Context, d Delta) (*Update, error) {
 	if e.isClosed() {
 		return nil, ErrClosed
 	}
+	cur := e.pub.Load()
 	if d.Empty() {
 		// Nothing to absorb: skip the re-run, keep the sequence.
-		return &Update{Seq: e.seq}, nil
+		return &Update{Seq: cur.seq}, nil
 	}
 	d, err := e.resolveVPs(d)
 	if err != nil {
@@ -273,13 +287,13 @@ func (e *Engine) Apply(ctx context.Context, d Delta) (*Update, error) {
 		// point of the lifecycle — delta journaled, memory not yet
 		// mutated — so a hook-raised panic models an engine bug whose
 		// delta is already durable.
-		e.cfg.applyHook(e.seq+1, d)
+		e.cfg.applyHook(cur.seq+1, d)
 	}
 	if err := e.ctx.Apply(core.Delta(d)); err != nil {
 		if e.pers != nil {
 			// Validated, logged, yet failed to apply: a bug, but the
 			// log now disagrees with memory — freeze the durable state.
-			e.pers.broken = fmt.Errorf("delta %d logged but failed to apply: %v", e.seq+1, err)
+			e.pers.broken = fmt.Errorf("delta %d logged but failed to apply: %v", cur.seq+1, err)
 		}
 		return nil, fmt.Errorf("%w: %v", ErrBadDelta, err)
 	}
@@ -287,11 +301,10 @@ func (e *Engine) Apply(ctx context.Context, d Delta) (*Update, error) {
 	if err != nil {
 		return nil, err
 	}
-	old := e.report
-	e.report = rep
-	e.seq++
+	next := &publication{rep: rep, seq: cur.seq + 1}
+	e.pub.Store(next)
 	e.maybeSnapshot()
-	up := diffReports(e.seq, old, rep)
+	up := diffReports(next.seq, cur.rep, rep)
 	up.Joined, up.Left, up.RTTRefreshed = len(d.Joins), len(d.Leaves), len(d.Ping)
 	e.publish(*up)
 	return up, nil
@@ -391,7 +404,7 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	var err error
-	if e.pers.broken == nil && e.pers.lastSnap != e.seq {
+	if e.pers.broken == nil && e.pers.lastSnap != e.Seq() {
 		err = e.snapshotLocked(false)
 	}
 	if cerr := e.pers.w.Close(); cerr != nil && err == nil {

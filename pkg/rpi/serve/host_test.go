@@ -74,8 +74,8 @@ func postJSON(t *testing.T, url string, v any, wantStatus int) []byte {
 	return b
 }
 
-// TestInferReportCache: repeated full-report reads at one publication
-// are served from the pre-marshaled byte cache (same buffer, identical
+// TestInferReportCache: repeated reads at one publication, full and
+// per-IXP, are served from one report plane (same plane, identical
 // bytes); an apply (seq bump) or an engine swap (generation bump)
 // invalidates it and the served bytes track the live report exactly.
 func TestInferReportCache(t *testing.T) {
@@ -83,12 +83,12 @@ func TestInferReportCache(t *testing.T) {
 	g := defaultGuard(t, h)
 	eng := g.Engine()
 	s, srv := serveHost(t, h, Config{})
-	cached := func() *cachedReport {
+	cached := func() *publication {
 		v, ok := s.bes.Load(defTenant)
 		if !ok {
 			t.Fatal("no backend for the default tenant")
 		}
-		return v.(*backend).rep.Load()
+		return v.(*backend).plane.Load()
 	}
 
 	b1 := get(t, srv.URL+"/v1/infer", http.StatusOK)
@@ -100,8 +100,20 @@ func TestInferReportCache(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("repeated reads at one publication differ")
 	}
+	ixp := eng.IXPs()[0]
+	sub, err := eng.ReportFor(context.Background(), ixp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSub, err := rpi.MarshalReport(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := get(t, srv.URL+"/v1/report/"+ixp, http.StatusOK); !bytes.Equal(got, wantSub) {
+		t.Fatal("per-IXP read differs from MarshalReport of the IXP's report")
+	}
 	if cached() != c1 {
-		t.Fatal("second read re-marshaled instead of hitting the cache")
+		t.Fatal("repeated reads rebuilt the plane instead of hitting it")
 	}
 
 	// Seq bump: the cache must follow the applied delta.

@@ -50,10 +50,14 @@
 //
 // Requests hold a host lease for their lifetime — a stream pins its
 // tenant's engine against idle eviction for exactly as long as the
-// subscriber is attached. Full-report reads are served from a
-// per-publication byte cache: the wire report is marshaled once per
-// (guard generation, delta seq) and every further read at that
-// publication is a buffer write, not a re-marshal.
+// subscriber is attached. Reads are served from a per-publication
+// report byte plane (rpi.Plane): the first read of a (guard
+// generation, delta seq) encodes the wire report once, and every read
+// at that publication writes bytes of it. A full read writes the whole
+// slab; a per-IXP read writes a small header and byte ranges of the
+// slab. A quarantined tenant serves its last good publication's plane.
+// Reads never wait on an apply: the engine publishes each report
+// atomically, and a read during an apply serves the previous one.
 package serve
 
 import (
@@ -92,7 +96,7 @@ type Config struct {
 	// tenant's share of each class.
 	Admission admission.Config
 	// RequestTimeout caps the end-to-end time of non-streaming requests
-	// (queue wait + engine work + marshal). Zero means no cap.
+	// (queue wait + engine work + report encoding). Zero means no cap.
 	RequestTimeout time.Duration
 	// StreamWriteTimeout bounds one SSE write: a consumer that cannot
 	// drain an event batch within it is disconnected (it can resubscribe
@@ -126,27 +130,26 @@ func (c Config) withDefaults() Config {
 }
 
 // backend is one tenant's supervised engine as the handlers see it:
-// the guard plus the per-publication caches that make repeated reads
-// cheap. It is replaced when the tenant's guard is (idle eviction and
-// reopen, delete and recreate).
+// the guard plus the current publication's report plane. It is
+// replaced when the tenant's guard is (idle eviction and reopen,
+// delete and recreate).
 type backend struct {
 	g *supervisor.Guard
 
-	// rep caches the marshaled full wire report of the current
-	// publication, keyed on (generation, seq): under read load
-	// GET /v1/infer is a buffer write, not a re-marshal.
-	rep atomic.Pointer[cachedReport]
+	// plane is the wire bytes of the latest publication a read has
+	// seen, keyed on (generation, seq).
+	plane atomic.Pointer[publication]
 }
 
-// cachedReport is one publication's pre-marshaled /v1 wire bytes.
-type cachedReport struct {
+// publication is one (generation, seq) publication's report plane.
+type publication struct {
 	gen, seq uint64
-	body     []byte
+	*rpi.Plane
 }
 
-// HostServer is the HTTP facade over a tenant host. Queries run under
-// an engine's read lock and scale across connections; applies
-// serialize behind its write lock; all of it is bounded by admission
+// HostServer is the HTTP facade over a tenant host. Reads take no
+// engine lock and scale across connections; applies serialize behind
+// the engine's write lock; all of it is bounded by admission
 // control and survives engine faults via each tenant's supervisor.
 type HostServer struct {
 	adm *admission.Controller
@@ -299,7 +302,7 @@ func (s *HostServer) forTenant(cl admission.Class, name func(*http.Request) stri
 	})
 }
 
-// backendFor returns the tenant's backend — guard plus report cache —
+// backendFor returns the tenant's backend — guard plus report plane —
 // creating or replacing it when the guard changed (the tenant was
 // evicted and reopened, or deleted and recreated). Matching on the
 // guard pointer is what keeps cached bytes from ever crossing engine
@@ -398,38 +401,53 @@ func (s *HostServer) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// infer serves the full wire report, from the backend's byte cache
-// when the publication has not moved since the last marshal.
-func (s *HostServer) infer(w http.ResponseWriter, r *http.Request, be *backend) {
+// plane returns the report plane of the tenant's current publication
+// (the last good one while quarantined), building it on the first read
+// of that publication. Concurrent misses encode the same publication to
+// identical bytes; the last store wins, and all are correct.
+func (s *HostServer) plane(r *http.Request, be *backend) (*rpi.Plane, error) {
 	rep, gen, seq, err := be.g.Published()
 	if err != nil {
-		s.writeError(w, r, err)
-		return
+		return nil, err
 	}
-	if c := be.rep.Load(); c != nil && c.gen == gen && c.seq == seq {
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(c.body)
-		return
+	if p := be.plane.Load(); p != nil && p.gen == gen && p.seq == seq {
+		return p.Plane, nil
 	}
-	b, err := rpi.MarshalReportCtx(r.Context(), rep)
+	p, err := rpi.BuildPlane(r.Context(), rep, be.g.IXPs())
 	if err != nil {
-		s.writeError(w, r, err)
-		return
+		return nil, err
 	}
-	// Concurrent misses marshal the same publication to identical
-	// bytes; last store wins, all are correct.
-	be.rep.Store(&cachedReport{gen: gen, seq: seq, body: b})
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(b)
+	be.plane.Store(&publication{gen: gen, seq: seq, Plane: p})
+	return p, nil
 }
 
-func (s *HostServer) report(w http.ResponseWriter, r *http.Request, be *backend, ixp string) {
-	rep, err := be.g.ReportFor(r.Context(), ixp)
+// infer serves the full wire report: the plane's slab.
+func (s *HostServer) infer(w http.ResponseWriter, r *http.Request, be *backend) {
+	p, err := s.plane(r, be)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
-	s.writeReport(w, r, rep)
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(p.Full())
+}
+
+// report serves one IXP's wire report: a small header, the IXP's row
+// range and router rows of the plane, and the closing bytes. An IXP
+// off the roster is a 404.
+func (s *HostServer) report(w http.ResponseWriter, r *http.Request, be *backend, ixp string) {
+	p, err := s.plane(r, be)
+	if err != nil {
+		s.writeError(w, r, err)
+		return
+	}
+	rep, ok := p.IXP(ixp)
+	if !ok {
+		s.writeError(w, r, fmt.Errorf("%w: %q", rpi.ErrUnknownIXP, ixp))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = rep.WriteTo(w)
 }
 
 // WireDelta is the JSON body of POST /v1/apply.
@@ -630,16 +648,6 @@ func (s *HostServer) sseWrite(rc *http.ResponseController, w http.ResponseWriter
 		return err
 	}
 	return rc.Flush()
-}
-
-func (s *HostServer) writeReport(w http.ResponseWriter, r *http.Request, rep *rpi.Report) {
-	b, err := rpi.MarshalReportCtx(r.Context(), rep)
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(b)
 }
 
 func (s *HostServer) writeJSON(w http.ResponseWriter, status int, v any) {

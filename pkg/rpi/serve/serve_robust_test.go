@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"rpeer/internal/admission"
+	"rpeer/internal/host"
 	"rpeer/internal/netsim"
 	"rpeer/internal/supervisor"
 	"rpeer/internal/wal"
@@ -25,6 +26,24 @@ import (
 )
 
 var quiet = log.New(io.Discard, "", 0)
+
+// lockedBuffer is a log sink a test reads while handlers write it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
 
 var (
 	tinyOnce sync.Once
@@ -49,27 +68,34 @@ func tinyInputs(t testing.TB) rpi.Inputs {
 // injectable persistent engine: the full production wiring, in-process.
 type supervisedServer struct {
 	fsys  *wal.MemFS
+	host  *host.Host
 	g     *supervisor.Guard
 	s     *HostServer
 	srv   *httptest.Server
 	armed atomic.Bool
+	// hold makes the armed fault crash the disk too, so every re-Open
+	// fails and the tenant stays quarantined until fsys.PowerFail.
+	hold atomic.Bool
 }
 
 func newSupervisedServer(t *testing.T, cfg Config) *supervisedServer {
 	t.Helper()
 	h := &supervisedServer{fsys: wal.NewMemFS()}
-	hst := newTenantHost(t, tinyInputs(t),
+	h.host = newTenantHost(t, tinyInputs(t),
 		rpi.WithWALFS(h.fsys),
 		rpi.WithSnapshotEvery(0),
 		rpi.WithLogger(quiet),
 		rpi.WithApplyHook(func(uint64, rpi.Delta) {
 			if h.armed.CompareAndSwap(true, false) {
+				if h.hold.Load() {
+					h.fsys.InjectAt(1, wal.Fault{Mode: wal.FaultCrash})
+				}
 				panic("serve_test: injected engine fault")
 			}
 		}),
 	)
-	h.g = defaultGuard(t, hst)
-	h.s, h.srv = serveHost(t, hst, cfg)
+	h.g = defaultGuard(t, h.host)
+	h.s, h.srv = serveHost(t, h.host, cfg)
 	return h
 }
 
@@ -129,11 +155,13 @@ func TestApplyBodyLimits(t *testing.T) {
 
 // TestQuarantineOverHTTP drives the full fault lifecycle through the
 // HTTP surface: a poisoned apply 503s and quarantines the engine,
-// reads keep answering from the last good snapshot, concurrent applies
-// racing the quarantine and the re-publication get clean 503s (never a
-// 500 or a hung connection), and once the supervisor re-Opens from the
-// WAL the plane is writable again and /v1/infer serves exactly the
-// recovered engine's report.
+// reads keep answering from the last good publication's plane (full
+// and per-IXP, with 404 for an unknown IXP and 499 for a caller gone
+// before the plane build), concurrent applies racing the quarantine
+// and the re-publication get clean 503s (never a 500 or a hung
+// connection), and once the supervisor re-Opens from the WAL the plane
+// is writable again and /v1/infer serves exactly the recovered
+// engine's report.
 func TestQuarantineOverHTTP(t *testing.T) {
 	h := newSupervisedServer(t, Config{})
 	eng := h.g.Engine()
@@ -144,9 +172,13 @@ func TestQuarantineOverHTTP(t *testing.T) {
 		resp.Body.Close()
 	}
 	goodInfer := get(t, h.srv.URL+"/v1/infer", http.StatusOK)
+	goodRep := eng.Snapshot()
 
 	// Poison the next apply: it journals, panics inside the engine, and
-	// must come back as a clean 503 with the guard quarantined.
+	// must come back as a clean 503 with the guard quarantined. The
+	// fault also crashes the disk, so recovery cannot win the race with
+	// the quarantined reads below.
+	h.hold.Store(true)
 	h.armed.Store(true)
 	resp := h.applyHTTP(t, rpi.ChurnDelta(h.g.Engine().Inputs(), 0.05, 2))
 	io.Copy(io.Discard, resp.Body)
@@ -154,6 +186,48 @@ func TestQuarantineOverHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("poisoned apply: status %d, want 503", resp.StatusCode)
 	}
+	if !h.g.Quarantined() {
+		t.Fatal("guard not quarantined after the poisoned apply")
+	}
+
+	// Quarantined reads: the last good publication, full and per IXP.
+	resp, err := http.Get(h.srv.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("quarantined readyz: status %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if got := get(t, h.srv.URL+"/v1/infer", http.StatusOK); !bytes.Equal(got, goodInfer) {
+		t.Fatal("quarantined infer differs from the last good bytes")
+	}
+	ixp := eng.IXPs()[0]
+	sub, err := rpi.FilterIXP(context.Background(), goodRep, ixp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := rpi.MarshalReport(sub)
+	if got := get(t, h.srv.URL+"/v1/report/"+ixp, http.StatusOK); !bytes.Equal(got, want) {
+		t.Fatalf("quarantined report of %q differs from the last good bytes", ixp)
+	}
+	get(t, h.srv.URL+"/v1/report/no-such-ixp", http.StatusNotFound)
+	// A caller already gone before the plane build (a fresh front end
+	// has none cached) is logged and answered 499.
+	var logged lockedBuffer
+	_, late := serveHost(t, h.host, Config{RequestTimeout: time.Nanosecond, Logger: log.New(&logged, "", 0)})
+	resp, err = http.Get(late.URL + "/v1/report/" + ixp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != StatusClientClosedRequest || !strings.Contains(logged.String(), "abandoned") {
+		t.Fatalf("quarantined report for a gone caller: status %d, log %q; want %d and an abandoned line",
+			resp.StatusCode, logged.String(), StatusClientClosedRequest)
+	}
+	h.fsys.PowerFail(0) // let the next re-Open succeed
 
 	// Race applies against the quarantine and the re-publication: every
 	// response must be a clean status (never a 500, never a hang).
@@ -179,24 +253,6 @@ func TestQuarantineOverHTTP(t *testing.T) {
 		}
 	}
 
-	// While still quarantined (recovery may already have won the race),
-	// reads keep serving the last good state and readyz says "not yet".
-	if h.g.Quarantined() {
-		resp, err := http.Get(h.srv.URL + "/readyz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
-			t.Fatalf("quarantined readyz: status %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
-		}
-		if b := get(t, h.srv.URL+"/v1/infer", http.StatusOK); len(b) == 0 {
-			t.Fatal("quarantined infer served nothing")
-		}
-		_ = goodInfer // reads during quarantine include at least the pre-fault state
-	}
-
 	// Recovery: the guard re-Opens in the background; the plane must be
 	// writable again within the bound.
 	deadline := time.Now().Add(10 * time.Second)
@@ -215,7 +271,7 @@ func TestQuarantineOverHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-recovery apply: %d", resp.StatusCode)
 	}
-	want, _ := rpi.MarshalReport(h.g.Engine().Snapshot())
+	want, _ = rpi.MarshalReport(h.g.Engine().Snapshot())
 	if got := get(t, h.srv.URL+"/v1/infer", http.StatusOK); !bytes.Equal(got, want) {
 		t.Fatal("post-recovery /v1/infer differs from engine snapshot")
 	}
@@ -388,5 +444,93 @@ func TestStreamSheds503(t *testing.T) {
 	}
 	if s.Admission().TotalShed() == 0 {
 		t.Fatal("shed counter did not move")
+	}
+}
+
+// TestReadsDoNotWaitForApply holds an Apply inside the engine's write
+// lock (the apply hook blocks) and reads meanwhile: SnapshotSeq,
+// GET /v1/infer and GET /v1/report/{ixp} must all return the previous
+// publication without waiting. Once the apply is released, a
+// subscriber that has received its update reads a seq at least as high.
+func TestReadsDoNotWaitForApply(t *testing.T) {
+	var hold atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock()
+	h := newTenantHost(t, tinyInputs(t), rpi.WithApplyHook(func(uint64, rpi.Delta) {
+		if hold.CompareAndSwap(true, false) {
+			close(entered)
+			<-release
+		}
+	}))
+	g := defaultGuard(t, h)
+	_, srv := serveHost(t, h, Config{})
+	eng := g.Engine()
+	prev, prevSeq := eng.SnapshotSeq()
+	ixp := eng.IXPs()[0]
+	wantFull, _ := rpi.MarshalReport(prev)
+	sub, err := rpi.FilterIXP(context.Background(), prev, ixp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantIXP, _ := rpi.MarshalReport(sub)
+	updates, cancel := eng.Subscribe(4)
+	defer cancel()
+
+	hold.Store(true)
+	applied := make(chan error, 1)
+	go func() {
+		_, err := g.Apply(context.Background(), rpi.ChurnDelta(eng.Inputs(), 0.05, 3))
+		applied <- err
+	}()
+	<-entered
+
+	reads := make(chan error, 1)
+	go func() {
+		reads <- func() error {
+			if rep, seq := eng.SnapshotSeq(); rep != prev || seq != prevSeq {
+				return fmt.Errorf("SnapshotSeq during apply = seq %d, want the previous publication (seq %d)", seq, prevSeq)
+			}
+			for _, c := range []struct {
+				path string
+				want []byte
+			}{{"/v1/infer", wantFull}, {"/v1/report/" + ixp, wantIXP}} {
+				resp, err := http.Get(srv.URL + c.path)
+				if err != nil {
+					return err
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					return err
+				}
+				if resp.StatusCode != http.StatusOK || !bytes.Equal(body, c.want) {
+					return fmt.Errorf("GET %s during apply: status %d, not the previous publication's bytes", c.path, resp.StatusCode)
+				}
+			}
+			return nil
+		}()
+	}()
+	select {
+	case err := <-reads:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("reads waited on the held apply")
+	}
+
+	unblock()
+	if err := <-applied; err != nil {
+		t.Fatal(err)
+	}
+	up := <-updates
+	if _, seq := eng.SnapshotSeq(); seq < up.Seq {
+		t.Fatalf("subscriber got update %d, then read seq %d", up.Seq, seq)
+	}
+	want, _ := rpi.MarshalReport(eng.Snapshot())
+	if got := get(t, srv.URL+"/v1/infer", http.StatusOK); !bytes.Equal(got, want) || up.Seq != prevSeq+1 {
+		t.Fatalf("after the apply (update seq %d): /v1/infer is not the new publication", up.Seq)
 	}
 }
