@@ -29,10 +29,11 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Churn soak: 1000 randomized join/leave/re-join deltas through one
-# persistent engine under the race detector, with the incremental
-# report checked byte-for-byte against a cold rebuild every 100
-# deltas. Env-gated so the tier-1 suite stays fast.
+# Churn soak: 1000 randomized deltas (join/leave/re-join churn, every
+# fourth an RTT refresh or revocation) through one persistent engine
+# under the race detector, with the incremental report checked
+# byte-for-byte against a cold rebuild every 50 deltas. Env-gated so
+# the tier-1 suite stays fast.
 soak:
 	RPEER_SOAK=1 $(GO) test -race -run 'TestChurnSoak' ./pkg/rpi -count=1 -v
 

@@ -16,8 +16,11 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -453,6 +456,28 @@ func BenchmarkEngineApply(b *testing.B) {
 				b.ReportMetric(float64(len(eng.Snapshot().Inferences)), "inferences/op")
 				b.ReportMetric(float64(len(fwd.Joins)+len(fwd.Leaves)), "churn/op")
 			})
+			b.Run("rtt", func(b *testing.B) {
+				eng, err := rpi.New(e.Inputs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				fwd, rev := rttRefreshPair(eng.Inputs(), 0.01, 97)
+				b.ReportAllocs()
+				runtime.GC()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					d := fwd
+					if i%2 == 1 {
+						d = rev
+					}
+					up, err := eng.Apply(context.Background(), d)
+					if err != nil {
+						b.Fatal(err)
+					}
+					sink = up
+				}
+				b.ReportMetric(float64(len(fwd.Ping)), "refreshed/op")
+			})
 			b.Run("rebuild", func(b *testing.B) {
 				eng, err := rpi.New(e.Inputs)
 				if err != nil {
@@ -476,6 +501,37 @@ func BenchmarkEngineApply(b *testing.B) {
 			})
 		})
 	}
+}
+
+// rttRefreshPair builds a forward/reverse pair of RTT refreshes over
+// frac of the measured membership interfaces, sampled deterministically
+// in seed: the forward delta moves each sampled minimum (every fifth
+// one to a revocation), and the reverse restores the aggregate each
+// had.
+func rttRefreshPair(in rpi.Inputs, frac float64, seed int64) (fwd, rev rpi.Delta) {
+	idx := in.Ping.IfaceIndex()
+	measured := make([]netip.Addr, 0, len(idx))
+	for ip, a := range idx {
+		if _, ok := in.Dataset.IfaceIXP[ip]; ok && a.BestVP != nil {
+			measured = append(measured, ip)
+		}
+	}
+	sort.Slice(measured, func(i, j int) bool { return measured[i].Less(measured[j]) })
+	n := max(1, int(frac*float64(len(measured))))
+	fwd.Ping = make(map[netip.Addr]pingsim.IfaceAgg, n)
+	rev.Ping = make(map[netip.Addr]pingsim.IfaceAgg, n)
+	for k, i := range rand.New(rand.NewSource(seed)).Perm(len(measured))[:n] {
+		ip := measured[i]
+		a := *idx[ip]
+		rev.Ping[ip] = a
+		if k%5 == 4 {
+			fwd.Ping[ip] = pingsim.IfaceAgg{RTTMinMs: math.NaN()}
+			continue
+		}
+		a.RTTMinMs = a.RTTMinMs*1.5 + 1
+		fwd.Ping[ip] = a
+	}
+	return fwd, rev
 }
 
 // serveDefaultTenant is the rpi-serve wiring in-process: an in-memory

@@ -14,11 +14,13 @@ import (
 // TestReportsBitIdenticalUnderInterning pins the columnar substrate's
 // determinism contract: the report a worker-W engine produces over a
 // scaled world must be byte-identical on the /v1 wire for every worker
-// count, and identical again after a membership delta round-trips
-// through Apply. Combined with the committed wire golden
-// (pkg/rpi/testdata, re-pinned once in PR 5 with the hashed-stream
-// RNG), this pins "the substrate changes no verdict" at 1x and
-// extends the worker-invariance pin to the 4x world.
+// count — cold, after a churn delta and after an RTT delta, each of
+// which the engine absorbs through the incremental run — and equal to
+// a cold engine over the same inputs, and identical again after each
+// delta round-trips through Apply. Combined with the committed wire
+// golden (pkg/rpi/testdata, re-pinned once in PR 5 with the
+// hashed-stream RNG), this pins "the substrate changes no verdict" at
+// 1x and extends the worker-invariance pin to the 4x world.
 func TestReportsBitIdenticalUnderInterning(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 4x world")
@@ -32,15 +34,13 @@ func TestReportsBitIdenticalUnderInterning(t *testing.T) {
 				t.Fatal(err)
 			}
 			var ref []byte
+			refs := map[string][]byte{}
 			for _, w := range workerSet {
 				eng, err := rpi.New(in, rpi.WithWorkers(w))
 				if err != nil {
 					t.Fatal(err)
 				}
-				wire, err := rpi.MarshalReport(eng.Snapshot())
-				if err != nil {
-					t.Fatal(err)
-				}
+				wire := wireOf(t, eng.Snapshot())
 				if ref == nil {
 					ref = wire
 				} else if !bytes.Equal(ref, wire) {
@@ -48,28 +48,57 @@ func TestReportsBitIdenticalUnderInterning(t *testing.T) {
 						w, workerSet[0], len(wire), len(ref))
 				}
 
-				// A delta absorbed incrementally and then reverted must
-				// land back on the identical wire bytes: the interned ID
-				// space grew (joins append, leaves tombstone) but no
-				// verdict may move.
-				fwd := rpi.ChurnDelta(eng.Inputs(), 0.02, 1234)
-				rev := rpi.InvertDelta(eng.Inputs(), fwd)
-				if _, err := eng.Apply(context.Background(), fwd); err != nil {
-					t.Fatal(err)
+				// Each delta absorbed incrementally must equal the serial
+				// engine and a cold one over the post-delta inputs; then,
+				// reverted, it must land back on the identical wire bytes:
+				// the interned ID space grew (joins append, leaves
+				// tombstone) but no verdict may move.
+				churnFwd := rpi.ChurnDelta(eng.Inputs(), 0.02, 1234)
+				churnRev := rpi.InvertDelta(eng.Inputs(), churnFwd)
+				rttFwd, rttRev := rttRefreshPair(eng.Inputs(), 0.01, 77)
+				for _, pair := range []struct {
+					name     string
+					fwd, rev rpi.Delta
+				}{{"churn", churnFwd, churnRev}, {"rtt", rttFwd, rttRev}} {
+					inc0, _ := eng.Context().IncrementalRuns()
+					if _, err := eng.Apply(context.Background(), pair.fwd); err != nil {
+						t.Fatal(err)
+					}
+					if inc, _ := eng.Context().IncrementalRuns(); inc != inc0+1 {
+						t.Fatalf("workers=%d: the %s delta did not take the incremental run", w, pair.name)
+					}
+					got := wireOf(t, eng.Snapshot())
+					if refs[pair.name] == nil {
+						cold, err := rpi.New(eng.Inputs())
+						if err != nil {
+							t.Fatal(err)
+						}
+						refs[pair.name] = wireOf(t, cold.Snapshot())
+						cold.Close()
+					}
+					if !bytes.Equal(refs[pair.name], got) {
+						t.Fatalf("workers=%d: wire bytes after the %s delta diverge from the serial and cold engines", w, pair.name)
+					}
+					if _, err := eng.Apply(context.Background(), pair.rev); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(ref, wireOf(t, eng.Snapshot())) {
+						t.Fatalf("workers=%d: wire bytes changed after the %s delta's round-trip", w, pair.name)
+					}
 				}
-				if _, err := eng.Apply(context.Background(), rev); err != nil {
-					t.Fatal(err)
-				}
-				wire2, err := rpi.MarshalReport(eng.Snapshot())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(ref, wire2) {
-					t.Fatalf("workers=%d: wire bytes changed after delta round-trip", w)
-				}
+				eng.Close()
 			}
 		})
 	}
+}
+
+func wireOf(t *testing.T, rep *rpi.Report) []byte {
+	t.Helper()
+	wire, err := rpi.MarshalReport(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
 }
 
 // TestScaledConfig64x pins the 64x preset the new benchmark rung runs

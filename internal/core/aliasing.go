@@ -13,22 +13,24 @@ import (
 // Alias resolution over the probe plane. Steps 4 and 5 resolve
 // interface-ID sets on the context's one alias.Plane and memoize the
 // outcomes per alias mode. Probe series are pure per interface and the
-// private-link plane is static, so no memo entry ever goes stale: Apply
-// only drops the assembled Step 4 router list, whose inputs (the
-// crossing observations) move with membership.
+// private-link plane is static, so no memo entry ever goes stale: after
+// a delta only the assembled Step 4 router list is patched, for the
+// members whose crossing observations moved.
 
 // aliasMemo holds one alias mode's resolution memos.
 type aliasMemo struct {
 	mode alias.Mode
 
-	// Step 4: the multi-IXP router list, and per candidate AS the
-	// interface set it was last resolved over with the resulting
-	// clusters — a rebuild after a delta re-resolves only the ASes
-	// whose set changed.
-	routerMu  sync.Mutex
-	routersOK bool
-	routers   []cachedRouter
-	asSets    map[ident.MemberID]asClusters
+	// Step 4: the multi-IXP router list as of delta generation
+	// routersGen, and per candidate AS the interface set it was last
+	// resolved over with the resulting clusters — a patch after a delta
+	// re-derives only the dirty members' routers, and re-resolves only
+	// those whose set changed.
+	routerMu   sync.Mutex
+	routersOK  bool
+	routersGen uint64
+	routers    []cachedRouter
+	asSets     map[ident.MemberID]asClusters
 
 	// Step 5: per member AS, its private-link interface set resolved
 	// once (privAS); per membership, keyed by (member, interface), the
@@ -72,18 +74,6 @@ func (c *Context) aliasMemoFor(mode alias.Mode) *aliasMemo {
 	return m
 }
 
-// dropRouterLists invalidates every mode's Step 4 router list (Apply,
-// after membership churn moved the crossing observations).
-func (c *Context) dropRouterLists() {
-	c.aliasMu.Lock()
-	defer c.aliasMu.Unlock()
-	for _, m := range c.aliasMemos {
-		m.routerMu.Lock()
-		m.routersOK, m.routers = false, nil
-		m.routerMu.Unlock()
-	}
-}
-
 // aliasPlane returns the probe plane covering the current interface ID
 // space. The first call probes every interface; later calls probe only
 // the interfaces interned since.
@@ -124,16 +114,28 @@ func (c *Context) sortedSet(ids []ident.IfaceID) []ident.IfaceID {
 // resolve independently, so they fan out over the worker pool into an
 // indexed slice assembled in ascending AS-number order, with clusters
 // in resolver output order — the list does not depend on the worker
-// count.
+// count. After a delta only the members dirtied since are re-derived;
+// every other member keeps its routers from the previous list.
 func (c *Context) multiRouters(m *aliasMemo, workers int) []cachedRouter {
 	m.routerMu.Lock()
 	defer m.routerMu.Unlock()
-	if m.routersOK {
+	if m.routersOK && m.routersGen == c.gen {
 		return m.routers
 	}
+	var stale ident.Bits
+	all := !m.routersOK
+	if !all {
+		var dirty []ident.MemberID
+		dirty, all = c.dirtySince(m.routersGen)
+		for _, mem := range dirty {
+			stale.Set(uint32(mem))
+		}
+	}
+	isStale := func(mem ident.MemberID) bool { return all || stale.Get(uint32(mem)) }
+	obs := c.obsIndex()
 	var cands []*asObs
-	for _, o := range c.obsIndex() {
-		if o.nixps >= 2 { // candidate: the AS appears to peer at more than one IXP
+	for _, o := range obs {
+		if o.nixps >= 2 && isStale(o.member) { // candidate: the AS appears to peer at more than one IXP
 			cands = append(cands, o)
 		}
 	}
@@ -177,14 +179,33 @@ func (c *Context) multiRouters(m *aliasMemo, workers int) []cachedRouter {
 			}
 		}
 	})
-	routers := []cachedRouter{}
 	for i := range out {
-		routers = append(routers, out[i].routers...)
 		if out[i].miss {
 			m.asSets[cands[i].member] = out[i].res
 		}
 	}
-	m.routers, m.routersOK = routers, true
+	// Assemble in observation (AS-number) order: the fresh routers of
+	// stale candidates, the previous list's run of every other one.
+	routers := make([]cachedRouter, 0, len(m.routers))
+	prev, j, k := m.routers, 0, 0
+	for _, o := range obs {
+		if o.nixps < 2 {
+			continue
+		}
+		if isStale(o.member) {
+			routers = append(routers, out[k].routers...)
+			k++
+			continue
+		}
+		asn := c.ids.ASN(o.member)
+		for j < len(prev) && c.ids.ASN(prev[j].member) < asn {
+			j++
+		}
+		for ; j < len(prev) && prev[j].member == o.member; j++ {
+			routers = append(routers, prev[j])
+		}
+	}
+	m.routers, m.routersOK, m.routersGen = routers, true, c.gen
 	return routers
 }
 

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"rpeer/internal/alias"
 	"rpeer/internal/geo"
@@ -120,11 +121,31 @@ type Context struct {
 	groups    groupIndex
 	leaveMark ident.Bits
 
-	// obs memoizes Step 4's crossing observations; it depends only on
-	// the substrate, so Apply is the only invalidator.
+	// obs memoizes Step 4's crossing observations, as of delta
+	// generation obsGen; the next obsIndex call after a delta rebuilds
+	// only the entries of the members dirtied since.
 	obsMu    sync.Mutex
 	obsBuilt bool
+	obsGen   uint64
 	obs      []*asObs
+	obsSlot  []int32
+
+	// Dirty-member tracking (see Apply and Run). gen counts applied
+	// deltas; dirtyAt[m] (MemberID-indexed) is the generation that last
+	// dirtied member m, and allDirtyAt the last one that dirtied every
+	// member. Only Apply writes them. base is the last report Run built,
+	// with the options it ran: the next Run with the same options
+	// copies its clean members' rows and routers. incrementalRuns counts
+	// the runs that did, fallbackRuns those that had a base but
+	// dropped it.
+	gen             uint64
+	dirtyAt         []uint64
+	allDirtyAt      uint64
+	baseMu          sync.Mutex
+	base            *Report
+	baseOpt         Options
+	incrementalRuns atomic.Uint64
+	fallbackRuns    atomic.Uint64
 
 	// probes is the alias probe plane over the interface ID space
 	// (slot = IfaceID): filled on the first resolution, extended by
@@ -521,9 +542,23 @@ func (c *Context) Inputs() Inputs { return c.in }
 // substrate: repeated runs amortise all input-dependent precomputation,
 // and their reports are identical to a fresh context's. A step that is
 // not part of the pipeline (StepNone, StepBaseline) fails the run.
+//
+// Run is incremental across deltas. The context keeps the last report
+// it built as a base, and a run with the same options (Workers aside)
+// re-classifies only the members the deltas applied since have dirtied
+// (see Apply); every clean member's rows and multi-IXP routers are
+// copied from the base. A run classifies every row when there is no
+// such base, when the base's options differ, when the options ask for
+// traceroute-derived RTTs (that view is rebuilt from the whole crossing
+// plane by any delta), or when the dirty members hold more than
+// 1/incrementalCutoff of the domain.
+//
+// Because later reports share router values with earlier ones, a
+// returned report, its inferences and its routers are read-only.
 func (c *Context) Run(opt Options) (*Report, error) {
 	p := c.newPipeline(opt)
-	rep := p.newDomain()
+	base := c.baseFor(opt)
+	rep := p.newDomain(base)
 	for _, s := range opt.Steps {
 		switch s {
 		case StepPortCapacity:
@@ -538,7 +573,43 @@ func (c *Context) Run(opt Options) (*Report, error) {
 			return nil, fmt.Errorf("core: Run does not support %v", s)
 		}
 	}
+	switch {
+	case p.base != nil:
+		c.incrementalRuns.Add(1)
+	case base != nil:
+		c.fallbackRuns.Add(1)
+	}
+	if !opt.UseTracerouteRTT {
+		c.baseMu.Lock()
+		c.base, c.baseOpt = rep, opt
+		c.baseMu.Unlock()
+	}
 	return rep, nil
+}
+
+// IncrementalRuns returns how many runs of this context took the
+// incremental path, copying clean members from a base report, and how
+// many had a base but classified every row because the deltas since
+// dirtied every member or more than the cutoff's share of the rows. It
+// is a diagnostic for tests that must know which path a run took.
+func (c *Context) IncrementalRuns() (incremental, fallback uint64) {
+	return c.incrementalRuns.Load(), c.fallbackRuns.Load()
+}
+
+// baseFor returns the report a run with opt may copy clean members
+// from, or nil.
+func (c *Context) baseFor(opt Options) *Report {
+	if opt.UseTracerouteRTT {
+		return nil
+	}
+	c.baseMu.Lock()
+	defer c.baseMu.Unlock()
+	b := c.baseOpt
+	if c.base == nil || !slices.Equal(b.Steps, opt.Steps) || b.DisableVminBound != opt.DisableVminBound ||
+		b.AliasMode != opt.AliasMode {
+		return nil
+	}
+	return c.base
 }
 
 // RunStep evaluates one step of the methodology in isolation: the full
@@ -548,7 +619,7 @@ func (c *Context) Run(opt Options) (*Report, error) {
 // per-step rows of Table 4, whose coverages overlap across steps).
 func (c *Context) RunStep(opt Options, s Step) (*Report, error) {
 	p := c.newPipeline(opt)
-	overlay := p.newDomain()
+	overlay := p.newDomain(nil)
 	switch s {
 	case StepPortCapacity:
 		p.stepPortCapacity()
@@ -588,41 +659,45 @@ func (c *Context) RunStep(opt Options, s Step) (*Report, error) {
 // shared substrate. Only memberships with a usable campaign minimum
 // receive a verdict.
 func (c *Context) Baseline(thresholdMs float64) (*Report, error) {
-	rep, _ := c.domainReport(c.rtt, func(inf *Inference, rtt float64, _ domEntry) {
-		inf.Step = StepBaseline
-		if rtt > thresholdMs {
-			inf.Class = ClassRemote
-		} else {
-			inf.Class = ClassLocal
-		}
-	})
-	return rep, nil
-}
-
-// domainReport materializes the all-unknown inference domain in one
-// allocation, fills in RTT minimums from the given column view, and
-// lets measured finish each entry that has one. It backs both
-// newDomain and Baseline so domain construction has a single
-// definition. The returned slice is the report's backing inference
-// array, aligned with domainEntries order.
-func (c *Context) domainReport(rtt []float64, measured func(inf *Inference, rtt float64, e domEntry)) (*Report, []Inference) {
 	entries := c.domainEntries()
 	infs := make([]Inference, len(entries))
-	rep := &Report{Inferences: make(map[Key]*Inference, len(entries)), aligned: infs}
 	for i, e := range entries {
-		inf := &infs[i]
-		*inf = Inference{
-			IXP: e.key.IXP, Iface: e.key.Iface, ASN: e.asn,
-			RTTMinMs:              math.NaN(),
-			FeasibleIXPFacilities: -1,
-		}
-		if v := rtt[e.iface]; !math.IsNaN(v) {
-			inf.RTTMinMs = v
-			measured(inf, v, e)
-		}
-		rep.Inferences[e.key] = inf
+		resetRow(&infs[i], e, c.rtt, func(inf *Inference, rtt float64, _ domEntry) {
+			inf.Step = StepBaseline
+			if rtt > thresholdMs {
+				inf.Class = ClassRemote
+			} else {
+				inf.Class = ClassLocal
+			}
+		})
 	}
-	return rep, infs
+	return reportOver(entries, infs), nil
+}
+
+// resetRow writes membership e's all-unknown row — the one definition
+// of a domain row, shared by Run and Baseline — with its RTT minimum
+// from the given column view, and lets measured finish it when it has
+// one.
+func resetRow(inf *Inference, e domEntry, rtt []float64, measured func(inf *Inference, rtt float64, e domEntry)) {
+	*inf = Inference{
+		IXP: e.key.IXP, Iface: e.key.Iface, ASN: e.asn,
+		RTTMinMs:              math.NaN(),
+		FeasibleIXPFacilities: -1,
+	}
+	if v := rtt[e.iface]; !math.IsNaN(v) {
+		inf.RTTMinMs = v
+		measured(inf, v, e)
+	}
+}
+
+// reportOver wraps a domain-aligned inference array as a report,
+// indexing it by key.
+func reportOver(entries []domEntry, infs []Inference) *Report {
+	rep := &Report{Inferences: make(map[Key]*Inference, len(entries)), aligned: infs}
+	for i := range entries {
+		rep.Inferences[entries[i].key] = &infs[i]
+	}
+	return rep
 }
 
 // domainEntries returns the inference domain — one entry per interface
@@ -637,23 +712,24 @@ func (c *Context) domainEntries() []domEntry {
 }
 
 // memberships returns every interface record at an interned IXP as
-// interned (iface, member, IXP) triples — the domain plus the
-// off-roster records — building the domain as needed. Step 4's
-// observation index reads them instead of re-hashing the dataset.
-func (c *Context) memberships() (domain, offRoster []domEntry) {
+// interned (iface, member, IXP) triples — the domain, indexed per
+// member, plus the off-roster records — building the domain as
+// needed. Step 4's observation index reads them instead of re-hashing
+// the dataset.
+func (c *Context) memberships() (groups *groupIndex, offRoster []domEntry) {
 	c.domMu.Lock()
 	defer c.domMu.Unlock()
 	c.buildDomainLocked()
-	return c.domain, c.offRoster
+	return &c.groups, c.offRoster
 }
 
-// memberGroups returns the per-member domain index Step 4's
-// propagation reads, building the domain as needed.
-func (c *Context) memberGroups() *groupIndex {
+// domainGroups returns the domain with its per-member index, building
+// both as needed.
+func (c *Context) domainGroups() ([]domEntry, *groupIndex) {
 	c.domMu.Lock()
 	defer c.domMu.Unlock()
 	c.buildDomainLocked()
-	return &c.groups
+	return c.domain, &c.groups
 }
 
 // groupIndex indexes the domain by member: member m's domain indexes
@@ -666,12 +742,17 @@ type groupIndex struct {
 	domain   []domEntry
 }
 
-// of returns the domain indexes of one (member, IXP) group.
-func (g *groupIndex) of(m ident.MemberID, x ident.IXPID) []int32 {
+// rowsOf returns member m's domain indexes, ascending.
+func (g *groupIndex) rowsOf(m ident.MemberID) []int32 {
 	if int(m)+1 >= len(g.off) {
 		return nil
 	}
-	run := g.idx[g.off[m]:g.off[m+1]]
+	return g.idx[g.off[m]:g.off[m+1]]
+}
+
+// of returns the domain indexes of one (member, IXP) group.
+func (g *groupIndex) of(m ident.MemberID, x ident.IXPID) []int32 {
+	run := g.rowsOf(m)
 	lo := sort.Search(len(run), func(i int) bool { return g.domain[run[i]].ixp >= x })
 	hi := lo
 	for hi < len(run) && g.domain[run[hi]].ixp == x {

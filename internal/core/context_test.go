@@ -196,34 +196,47 @@ func TestSharedContextBaselineMatchesCold(t *testing.T) {
 
 // TestSharedContextConcurrentRuns exercises the context's concurrency
 // contract: parallel runs over one context (as exp.All does) must each
-// match the cold report.
+// match the cold report — first runs racing to become the base, and
+// then incremental runs sharing one base after a delta.
 func TestSharedContextConcurrentRuns(t *testing.T) {
-	in, _, _ := fixtures(t)
+	in := deltaInputs(t)
 	ctx, err := NewContext(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := coldContext(t, in).Run(DefaultOptions())
-	if err != nil {
+	concurrent := func(label string) {
+		t.Helper()
+		cold, err := coldContext(t, ctx.Inputs()).Run(DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		const workers = 4
+		reports := make([]*Report, workers)
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				reports[i], errs[i] = ctx.Run(DefaultOptions())
+			}(i)
+		}
+		wg.Wait()
+		for i := 0; i < workers; i++ {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			reportsEqual(t, label, cold, reports[i])
+		}
+	}
+	concurrent("concurrent")
+	if err := ctx.Apply(churnDelta(t, ctx.Inputs(), 12, 12)); err != nil {
 		t.Fatal(err)
 	}
-	const workers = 4
-	reports := make([]*Report, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			reports[i], errs[i] = ctx.Run(DefaultOptions())
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < workers; i++ {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		reportsEqual(t, "concurrent", cold, reports[i])
+	inc, _ := ctx.IncrementalRuns()
+	concurrent("concurrent after a delta")
+	if now, _ := ctx.IncrementalRuns(); now < inc+4 {
+		t.Fatalf("%d of 4 concurrent runs after a delta were incremental", now-inc)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"sort"
 
+	"rpeer/internal/ident"
 	"rpeer/internal/netsim"
 	"rpeer/internal/pingsim"
 	"rpeer/internal/registry"
@@ -56,15 +57,37 @@ func (d *Delta) Empty() bool {
 //     record and re-evaluates only the crossing-plane candidates the
 //     delta can move (those reading a changed address, and those whose
 //     member set gained or lost one of their ASes), then refills the
-//     crossing columns from the plane; the domain is patched in order
-//     and the Step 4 observations rebuild from interned columns. The
-//     hop-by-hop corpus scan, the IP-to-AS map and the static private
-//     hops are never revisited;
+//     crossing columns from the plane; the domain is patched in order.
+//     The hop-by-hop corpus scan, the IP-to-AS map and the static
+//     private hops are never revisited;
 //   - the facility geometry, ring memos, alias probe plane and alias
 //     memos survive: they are keyed by VP slot, facility set,
 //     interface ID and member AS, none of which a delta invalidates.
-//     The plane only grows to probe newly interned interfaces, and
-//     Step 4's router list is re-assembled from its per-AS memo.
+//     The plane only grows to probe newly interned interfaces.
+//
+// Apply also marks the members the delta dirtied (markDirty): a
+// member's verdicts, and its Step 4 observations and routers, can move
+// only when it is dirty. The next Run re-classifies just those members,
+// and the next obsIndex / multiRouters call rebuilds just their
+// entries; both accumulate over several Applies. A member is dirty when
+//
+//   - it has an interface the delta joined or left (a re-join under a
+//     foreign AS dirties the old and the new member);
+//   - one of its interfaces carries a Ping override or revocation;
+//   - its port at an IXP changed;
+//   - it is the near member, before or after, of a crossing row the
+//     delta changed (traix.Corpus.DetectDelta reports them).
+//
+// Nothing else a delta touches is read across members: Steps 1, 2+3
+// and 5 read the row's own interface and member plus static colocation
+// and private-link state, and Step 4 reads one member's observations
+// and rows. The alias memos are member-local too: a Step 4 cluster
+// memo entry is keyed by its member and holds that member's interface
+// set, and Step 5's private-neighbour memo is keyed by (member,
+// interface) over the static private plane and pure probe series, so
+// no delta changes what an entry answers. A path that rebuilds instead
+// of patching — the crossing plane's Settle + Compact fallback — dirties
+// every member.
 //
 // The traceroute-RTT augmentation is dropped and rebuilt lazily into
 // its existing column capacity.
@@ -88,15 +111,18 @@ func (c *Context) Apply(d Delta) error {
 	if err != nil {
 		return err
 	}
+	c.gen++
 
 	// ---- registry dataset + intern table ----
 	// The detector's member-set refcounts adjust in step with the
 	// dataset records (O(churn); the old path rebuilt the detector over
 	// the whole dataset per delta).
 	for _, k := range d.Leaves {
+		asn := ds.IfaceASN[k.Iface]
 		if c.det != nil {
-			c.det.NoteLeave(k.IXP, ds.IfaceASN[k.Iface])
+			c.det.NoteLeave(k.IXP, asn)
 		}
+		c.markDirtyAS(asn)
 		delete(ds.IfaceASN, k.Iface)
 		delete(ds.IfaceIXP, k.Iface)
 		if id, ok := c.ids.Iface(k.Iface); ok {
@@ -110,12 +136,13 @@ func (c *Context) Apply(d Delta) error {
 		ds.IfaceASN[j.Iface] = j.ASN
 		ds.IfaceIXP[j.Iface] = j.IXP
 		c.ids.AddIface(j.Iface) // appends or revives the tombstoned ID
-		c.ids.AddMember(j.ASN)
+		m := c.ids.AddMember(j.ASN)
+		c.markDirty(m)
 		if j.PortMbps > 0 {
 			ds.Ports[registry.PortKey{IXP: j.IXP, ASN: j.ASN}] = j.PortMbps
 			ixp, _ := c.ids.IXP(j.IXP)
-			m, _ := c.ids.Member(j.ASN)
 			c.colo.SetPort(ixp, m, j.PortMbps)
+			c.markDirty(m)
 		}
 	}
 	c.growColumns()
@@ -126,6 +153,11 @@ func (c *Context) Apply(d Delta) error {
 	if len(d.Ping) > 0 {
 		c.in.Ping = c.in.Ping.WithOverrides(d.Ping)
 		for ip, ov := range d.Ping {
+			// Only membership rows read an interface's RTT (outside the
+			// traceroute-RTT view, which never keeps a base).
+			if asn, ok := ds.IfaceASN[ip]; ok {
+				c.markDirtyAS(asn)
+			}
 			if math.IsNaN(ov.RTTMinMs) {
 				c.clearPing(ip)
 				continue
@@ -150,22 +182,18 @@ func (c *Context) Apply(d Delta) error {
 			for _, j := range d.Joins {
 				changed[j.Iface] = true
 			}
-			c.corpus.DetectDelta(c.det, changed, c.ids, &c.cross)
+			moved, all := c.corpus.DetectDelta(c.det, changed, c.ids, &c.cross)
+			for _, m := range moved {
+				c.markDirty(m)
+			}
+			if all {
+				c.allDirtyAt = c.gen
+			}
 		}
 		c.growColumns()
 		c.colo.Grow(c.ids)
 		c.growByASPriv()
 		c.patchDomain(d)
-
-		// Step 4's observations and the router lists assembled from
-		// them fold crossings and member interfaces; both are
-		// membership state. The per-AS alias clusters behind the lists
-		// are pure in their interface sets and survive.
-		c.obsMu.Lock()
-		c.obsBuilt = false
-		c.obs = nil
-		c.obsMu.Unlock()
-		c.dropRouterLists()
 	}
 
 	// ---- lazily rebuilt views: drop the built flag, keep capacity ----
@@ -174,6 +202,67 @@ func (c *Context) Apply(d Delta) error {
 	c.traceMu.Unlock()
 
 	return nil
+}
+
+// incrementalCutoff bounds the incremental run: a Run whose dirty
+// members hold more than 1/incrementalCutoff of the domain's rows
+// classifies every row instead. A churn-size sweep of
+// BenchmarkEngineApply at 4x put the break-even between 55% and 66% of
+// the rows dirty (CHANGES.md).
+const incrementalCutoff = 2
+
+// markDirty records that the current delta dirtied member m.
+func (c *Context) markDirty(m ident.MemberID) {
+	if n := c.ids.NumMembers(); len(c.dirtyAt) < n {
+		c.dirtyAt = append(c.dirtyAt, make([]uint64, n-len(c.dirtyAt))...)
+	}
+	c.dirtyAt[m] = c.gen
+}
+
+// markDirtyAS is markDirty by AS number.
+func (c *Context) markDirtyAS(asn netsim.ASN) {
+	if m, ok := c.ids.Member(asn); ok {
+		c.markDirty(m)
+	}
+}
+
+// dirtySince lists, ascending, the members dirtied by a delta applied
+// after generation gen, or returns all = true when such a delta
+// dirtied every member.
+func (c *Context) dirtySince(gen uint64) (dirty []ident.MemberID, all bool) {
+	if c.allDirtyAt > gen {
+		return nil, true
+	}
+	for m, at := range c.dirtyAt {
+		if at > gen {
+			dirty = append(dirty, ident.MemberID(m))
+		}
+	}
+	return dirty, false
+}
+
+// dirtyRows returns the domain indexes of the rows of every member
+// dirtied since generation gen, member by member, and marks those
+// members in marks. ok is false when every member is dirty or the
+// dirty rows pass the cutoff: the run then classifies every row.
+func (c *Context) dirtyRows(gen uint64, g *groupIndex, marks *ident.Bits) (rows []int32, ok bool) {
+	dirty, all := c.dirtySince(gen)
+	if all {
+		return nil, false
+	}
+	n := 0
+	for _, m := range dirty {
+		n += len(g.rowsOf(m))
+	}
+	if n > len(g.idx)/incrementalCutoff {
+		return nil, false
+	}
+	rows = make([]int32, 0, n)
+	for _, m := range dirty {
+		marks.Set(uint32(m))
+		rows = append(rows, g.rowsOf(m)...)
+	}
+	return rows, true
 }
 
 // ValidateDelta runs Apply's validation phase without mutating

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math"
 	"net/netip"
 	"sort"
 	"testing"
 
+	"rpeer/internal/ident"
 	"rpeer/internal/netsim"
 	"rpeer/internal/pingsim"
 )
@@ -289,4 +291,186 @@ func TestApplyValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	reportsEqual(t, "rejected deltas must not mutate", before, after)
+}
+
+// rttDelta refreshes the campaign minimum of n membership interfaces,
+// sampled in address order with a stride, and revokes every third
+// one's measurement — a partial re-campaign.
+func rttDelta(t testing.TB, in Inputs, n, seed int) Delta {
+	t.Helper()
+	known := make([]netip.Addr, 0, len(in.Dataset.IfaceIXP))
+	for ip := range in.Dataset.IfaceIXP {
+		known = append(known, ip)
+	}
+	sort.Slice(known, func(i, j int) bool { return known[i].Less(known[j]) })
+	vps := in.Ping.VPs
+	d := Delta{Ping: make(map[netip.Addr]pingsim.IfaceAgg, n)}
+	for k := 0; k < n; k++ {
+		ip := known[(seed*31+k*97)%len(known)]
+		if k%3 == 2 {
+			d.Ping[ip] = pingsim.IfaceAgg{RTTMinMs: math.NaN()}
+			continue
+		}
+		d.Ping[ip] = pingsim.IfaceAgg{
+			RTTMinMs:     0.3 + float64((seed+k*13)%400)/4,
+			BestVP:       vps[(seed+k)%len(vps)],
+			BestRoundsUp: k%4 == 0,
+		}
+	}
+	return d
+}
+
+// runPath runs opt on ctx and reports which path it took: "incremental"
+// (clean members copied from the base), "fallback" (a base existed but
+// every row was classified) or "full" (no usable base).
+func runPath(t *testing.T, ctx *Context, opt Options) (*Report, string) {
+	t.Helper()
+	inc0, fb0 := ctx.IncrementalRuns()
+	rep, err := ctx.Run(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, fb := ctx.IncrementalRuns()
+	switch {
+	case inc == inc0+1 && fb == fb0:
+		return rep, "incremental"
+	case fb == fb0+1 && inc == inc0:
+		return rep, "fallback"
+	case inc == inc0 && fb == fb0:
+		return rep, "full"
+	}
+	t.Fatalf("run moved the path counters by %d and %d", inc-inc0, fb-fb0)
+	return nil, ""
+}
+
+// TestIncrementalRunMatchesColdRebuild holds the incremental run to the
+// cold rebuild on its own path, not on its fallback: for every option
+// variant, a context whose last run was that variant absorbs a churn
+// delta, an RTT delta (refreshes and revocations), and two stacked
+// deltas between runs (as log replay applies them). Each following run
+// must re-classify only the dirty members — except traceroute-RTT runs,
+// which always classify every row — and equal a cold context over the
+// post-delta inputs.
+func TestIncrementalRunMatchesColdRebuild(t *testing.T) {
+	for name, opt := range optionVariants() {
+		t.Run(name, func(t *testing.T) {
+			in := deltaInputs(t)
+			ctx := coldContext(t, in)
+			if _, path := runPath(t, ctx, opt); path != "full" {
+				t.Fatalf("first run took the %s path", path)
+			}
+			want := "incremental"
+			if opt.UseTracerouteRTT {
+				want = "full"
+			}
+			// Each delta is drawn from the inputs as the previous ones
+			// left them.
+			churn := func(n int) func() Delta {
+				return func() Delta { return churnDelta(t, ctx.Inputs(), n, n) }
+			}
+			rtt := func(n, seed int) func() Delta {
+				return func() Delta { return rttDelta(t, ctx.Inputs(), n, seed) }
+			}
+			steps := []struct {
+				label  string
+				deltas []func() Delta
+			}{
+				{"churn", []func() Delta{churn(12)}},
+				{"rtt", []func() Delta{rtt(30, 5)}},
+				{"stacked", []func() Delta{churn(6), rtt(12, 9)}},
+			}
+			for _, st := range steps {
+				for _, d := range st.deltas {
+					if err := ctx.Apply(d()); err != nil {
+						t.Fatalf("%s: %v", st.label, err)
+					}
+				}
+				got, path := runPath(t, ctx, opt)
+				if path != want {
+					t.Fatalf("%s: run took the %s path, want %s", st.label, path, want)
+				}
+				cold, err := coldContext(t, ctx.Inputs()).Run(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reportsEqual(t, st.label, cold, got)
+			}
+		})
+	}
+}
+
+// TestIncrementalRunFallsBack pins the full-run fallbacks of a context
+// that has a base: a delta whose dirty members pass the cutoff (a full
+// re-campaign refreshes every measured interface), and a crossing plane
+// that had to be settled and compacted from scratch, which may move
+// any member's crossings. Both runs must still equal a cold rebuild.
+func TestIncrementalRunFallsBack(t *testing.T) {
+	in := deltaInputs(t)
+	ctx := coldContext(t, in)
+	opt := DefaultOptions()
+	if _, err := ctx.Run(opt); err != nil {
+		t.Fatal(err)
+	}
+	pcfg := pingsim.DefaultCampaign()
+	pcfg.Seed = 99
+	refresh := pingsim.Run(in.World, in.Ping.VPs, pcfg, 1)
+	if err := ctx.Apply(Delta{Ping: pingsim.Overrides(refresh)}); err != nil {
+		t.Fatal(err)
+	}
+	got, path := runPath(t, ctx, opt)
+	if path != "fallback" {
+		t.Fatalf("re-campaign run took the %s path, want fallback", path)
+	}
+	cold, err := coldContext(t, ctx.Inputs()).Run(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reportsEqual(t, "re-campaign", cold, got)
+
+	// Settle drops the live plane, so the next delta rebuilds it.
+	ctx.corpus.Settle(ctx.det)
+	if err := ctx.Apply(churnDelta(t, ctx.Inputs(), 3, 3)); err != nil {
+		t.Fatal(err)
+	}
+	got, path = runPath(t, ctx, opt)
+	if path != "fallback" {
+		t.Fatalf("run after a plane rebuild took the %s path, want fallback", path)
+	}
+	cold, err = coldContext(t, ctx.Inputs()).Run(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reportsEqual(t, "plane rebuild", cold, got)
+}
+
+// TestIncrementalCutoff pins the cutoff arithmetic: a run re-classifies
+// incrementally exactly when the dirty members' rows are at most
+// 1/incrementalCutoff of the domain.
+func TestIncrementalCutoff(t *testing.T) {
+	in := deltaInputs(t)
+	ctx := coldContext(t, in)
+	base, err := ctx.Run(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{5, 200, 600, 1500} {
+		if err := ctx.Apply(rttDelta(t, ctx.Inputs(), n, n)); err != nil {
+			t.Fatal(err)
+		}
+		_, groups := ctx.domainGroups()
+		var marks ident.Bits
+		rows, ok := ctx.dirtyRows(base.gen, groups, &marks)
+		dirty, _ := ctx.dirtySince(base.gen)
+		want := 0
+		for _, m := range dirty {
+			want += len(groups.rowsOf(m))
+		}
+		if wantOK := want*incrementalCutoff <= len(groups.idx); ok != wantOK {
+			t.Fatalf("%d overrides: %d of %d rows dirty, incremental = %v", n, want, len(groups.idx), ok)
+		}
+		if ok && len(rows) != want {
+			t.Fatalf("%d overrides: %d rows listed, %d dirty", n, len(rows), want)
+		}
+		t.Logf("%d overrides: %d of %d rows dirty, incremental = %v", n, want, len(groups.idx), ok)
+	}
 }

@@ -64,20 +64,59 @@ func DefaultOptions() Options {
 	}
 }
 
-// newDomain instantiates the inference domain: one unknown-classified
-// entry per interface record of the merged dataset. The entry list is
-// precomputed on the shared context; the per-run cost is one Inference
-// array and its index map. The backing array is kept on the pipeline,
-// aligned with the context's domain entries, so the sharded steps
-// index straight into it instead of snapshotting the report map.
-func (p *pipeline) newDomain() *Report {
-	rep, infs := p.ctx.domainReport(p.rtt, func(inf *Inference, _ float64, e domEntry) {
+// newDomain instantiates the run's inference domain: one row per
+// interface record of the merged dataset, aligned with the context's
+// domain entries, so the sharded steps index straight into it. Without
+// a base every row starts all-unknown and the run classifies them all.
+// With one, the rows are copied from the base (a merge of two arrays in
+// domain order; every clean row exists in both) and only the dirty
+// members' rows are reset and listed in p.rows for the steps. A base
+// whose dirty members hold more than 1/incrementalCutoff of the domain
+// is dropped.
+func (p *pipeline) newDomain(base *Report) *Report {
+	c := p.ctx
+	entries, groups := c.domainGroups()
+	gen := c.gen
+	if base != nil {
+		var ok bool
+		if p.rows, ok = c.dirtyRows(base.gen, groups, &p.dirty); !ok {
+			base = nil
+		}
+	}
+	infs := make([]Inference, len(entries))
+	p.domInfs, p.domEntries, p.groups, p.base = infs, entries, groups, base
+	if base != nil {
+		copyRows(infs, entries, base.aligned)
+	}
+	measured := func(inf *Inference, _ float64, e domEntry) {
 		if p.traceDerived != nil {
 			inf.TraceRTT = p.traceDerived.Get(uint32(e.iface))
 		}
-	})
-	p.domInfs, p.domEntries = infs, p.ctx.domainEntries()
+	}
+	for k := range p.numRows() {
+		i := p.row(k)
+		resetRow(&infs[i], entries[i], p.rtt, measured)
+	}
+	rep := reportOver(entries, infs)
+	rep.gen = gen
 	return rep
+}
+
+// copyRows copies into dst, aligned with entries, every row of old (a
+// base report's domain-ordered array) whose membership is still in the
+// domain. Both sides are in (IXP name, interface address) order.
+func copyRows(dst []Inference, entries []domEntry, old []Inference) {
+	j := 0
+	for i := range entries {
+		k := &entries[i].key
+		for j < len(old) && (old[j].IXP < k.IXP || old[j].IXP == k.IXP && old[j].Iface.Less(k.Iface)) {
+			j++
+		}
+		if j < len(old) && old[j].Iface == k.Iface && old[j].IXP == k.IXP {
+			dst[i] = old[j]
+			j++
+		}
+	}
 }
 
 // pipeline is one run's view over the shared Context: the RTT columns
@@ -104,9 +143,19 @@ type pipeline struct {
 
 	// domInfs / domEntries are the backing inference array of the
 	// report newDomain produced (the one report every step of the run
-	// classifies) and the context's aligned entry list.
+	// classifies) and the context's aligned entry list; groups indexes
+	// the entries per member.
 	domInfs    []Inference
 	domEntries []domEntry
+	groups     *groupIndex
+
+	// base is the report the run copies clean members from (nil: every
+	// member is dirty). rows lists the dirty members' domain indexes,
+	// the rows the steps classify, and dirty marks those members by
+	// MemberID; both are unset without a base.
+	base  *Report
+	rows  []int32
+	dirty ident.Bits
 }
 
 // scratch holds the per-shard reusable state of the classification hot
@@ -232,22 +281,44 @@ func (p *pipeline) rttFor(ip netip.Addr) (float64, bool) {
 // small enough to keep the tail balanced.
 const shardChunk = 256
 
-// forEachInference applies fn to every inference of the domain,
-// fanning the domain out across the shard pool in claims of
-// shardChunk entries. fn must classify its entry from shared read-only
-// state and write only through inf (plus its private scratch); because
-// no entry reads another entry's verdict, the shard schedule cannot
-// leak into the report and the output is bit-identical for every
-// worker count — the merge is the writes themselves.
+// forEachInference applies fn to every row the run classifies — the
+// dirty members' rows, or the whole domain without a base — fanning
+// them out across the shard pool in claims of shardChunk rows. fn must
+// classify its entry from shared read-only state and write only
+// through inf (plus its private scratch); because no entry reads
+// another entry's verdict, the shard schedule cannot leak into the
+// report and the output is bit-identical for every worker count — the
+// merge is the writes themselves.
 func (p *pipeline) forEachInference(fn func(*scratch, domEntry, *Inference)) {
-	entries := p.domEntries
-	par.Do(p.opt.Workers, len(entries), shardChunk, func(lo, hi int) {
+	par.Do(p.opt.Workers, p.numRows(), shardChunk, func(lo, hi int) {
 		s := p.ctx.getScratch()
-		for i := lo; i < hi; i++ {
-			fn(s, entries[i], &p.domInfs[i])
+		for k := lo; k < hi; k++ {
+			i := p.row(k)
+			fn(s, p.domEntries[i], &p.domInfs[i])
 		}
 		p.ctx.putScratch(s)
 	})
+}
+
+// numRows returns how many rows the run classifies, and row(k) the
+// domain index of the k-th.
+func (p *pipeline) numRows() int {
+	if p.base != nil {
+		return len(p.rows)
+	}
+	return len(p.domEntries)
+}
+
+func (p *pipeline) row(k int) int {
+	if p.base != nil {
+		return int(p.rows[k])
+	}
+	return k
+}
+
+// isDirty reports whether the run re-classifies member m.
+func (p *pipeline) isDirty(m ident.MemberID) bool {
+	return p.base == nil || p.dirty.Get(uint32(m))
 }
 
 // ---------------------------------------------------------------------------

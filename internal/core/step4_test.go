@@ -239,6 +239,7 @@ func TestStep4ShardDeterminism(t *testing.T) {
 		}
 		reportsEqual(t, fmt.Sprintf("step4 standalone workers=%d", workers), refStep, gotStep)
 	}
+	t.Run("after-delta", step4ShardIncremental)
 }
 
 // TestObsIndexMatchesDatasetWalk pins Step 4's observation index to its
@@ -304,4 +305,61 @@ func TestObsIndexMatchesDatasetWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after delta")
+}
+
+// step4ShardIncremental extends the bit-identity contract to the
+// incremental run: after a churn delta and after an RTT delta, the
+// sharded re-run of the dirty members' router runs must equal the
+// serial incremental run and a cold context, for every worker count —
+// and must be incremental, over at least two dirty member-runs.
+func step4ShardIncremental(t *testing.T) {
+	deltas := map[string]func(Inputs) Delta{
+		"churn": func(in Inputs) Delta { return churnDelta(t, in, 30, 30) },
+		"rtt":   func(in Inputs) Delta { return rttDelta(t, in, 150, 3) },
+	}
+	for name, delta := range deltas {
+		var ref *Report
+		for _, workers := range []int{1, 4, runtime.NumCPU()} {
+			ctx := coldContext(t, deltaInputs(t))
+			opt := DefaultOptions()
+			opt.Workers = 1
+			base, err := ctx.Run(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ctx.Apply(delta(ctx.Inputs())); err != nil {
+				t.Fatal(err)
+			}
+			dirty, _ := ctx.dirtySince(base.gen)
+			var marks ident.Bits
+			for _, m := range dirty {
+				marks.Set(uint32(m))
+			}
+			runs := 0
+			cached := ctx.multiRouters(ctx.aliasMemoFor(opt.AliasMode), 0)
+			for i := range cached {
+				if (i == 0 || cached[i].member != cached[i-1].member) && marks.Get(uint32(cached[i].member)) {
+					runs++
+				}
+			}
+			if runs < 2 {
+				t.Fatalf("%s: %d dirty member-runs; need >= 2 to exercise sharding", name, runs)
+			}
+			opt.Workers = workers
+			got, path := runPath(t, ctx, opt)
+			if path != "incremental" {
+				t.Fatalf("%s workers=%d: run took the %s path", name, workers, path)
+			}
+			label := fmt.Sprintf("%s workers=%d", name, workers)
+			if ref == nil {
+				ref = got
+			}
+			reportsEqual(t, label+" vs serial", ref, got)
+			cold, err := coldContext(t, ctx.Inputs()).Run(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reportsEqual(t, label+" vs cold", cold, got)
+		}
+	}
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"rpeer/internal/geo"
@@ -59,31 +61,70 @@ func (o *asObs) memIXPOf(iface ident.IfaceID) (ident.IXPID, bool) {
 // obsIndex returns the per-AS crossing/membership observations,
 // building them lazily. The index depends only on the substrate
 // (crossings and the dataset's interface records), so it survives
-// every run and is invalidated only by Apply. Entries are sorted by
-// AS number — the deterministic candidate order of the Step 4 rules.
+// every run; after a delta, the next call rebuilds only the entries of
+// the members dirtied since (an entry folds one member's crossings and
+// interface records, and Apply dirties every member whose either side
+// moved) and splices them into the list. Entries are sorted by AS
+// number — the deterministic candidate order of the Step 4 rules.
 func (c *Context) obsIndex() []*asObs {
 	c.obsMu.Lock()
 	defer c.obsMu.Unlock()
-	if c.obsBuilt {
+	if c.obsBuilt && c.obsGen == c.gen {
 		return c.obs
 	}
+	// The members to fold: every member on a first build or after a
+	// delta that dirtied them all, else the ones dirtied since.
+	var dirty []ident.MemberID
+	all := !c.obsBuilt
+	if !all {
+		dirty, all = c.dirtySince(c.obsGen)
+	}
+	nm := c.ids.NumMembers()
+	if all {
+		dirty = make([]ident.MemberID, nm)
+		for m := range dirty {
+			dirty[m] = ident.MemberID(m)
+		}
+	}
+	// slot maps a folded member to its offset-column slot + 1 (0: not
+	// folded). The column is retained across calls and cleared on the
+	// way out.
+	if len(c.obsSlot) < nm {
+		c.obsSlot = make([]int32, nm+nm/8)
+	}
+	slot := c.obsSlot
+	for k, m := range dirty {
+		slot[m] = int32(k) + 1
+	}
+	defer func() {
+		for _, m := range dirty {
+			slot[m] = 0
+		}
+	}()
+	nm = len(dirty)
+
 	// Member IDs are dense, so the per-member grouping runs on flat
 	// count/offset columns and two contiguous pair slabs — no map of
 	// individually-growing slices. The membership side comes from the
-	// context's interned record triples (domain plus off-roster), so
-	// nothing here hashes an address or a name; every pair lands in
-	// its member's slab region and the regions are sorted below, so
-	// the index is independent of record order.
-	nm := c.ids.NumMembers()
+	// context's interned record triples (the domain's member groups
+	// plus the off-roster records), so nothing here hashes an address
+	// or a name; every pair lands in its member's slab region and the
+	// regions are sorted below, so the index is independent of record
+	// order.
 	nearOff := make([]int32, nm+1)
 	memOff := make([]int32, nm+1)
 	for i := 0; i < c.cross.Len(); i++ {
-		nearOff[c.cross.NearAS[i]+1]++
+		if k := slot[c.cross.NearAS[i]]; k > 0 {
+			nearOff[k]++
+		}
 	}
-	domain, offRoster := c.memberships()
-	for _, recs := range [2][]domEntry{domain, offRoster} {
-		for _, e := range recs {
-			memOff[e.member+1]++
+	groups, offRoster := c.memberships()
+	for k, m := range dirty {
+		memOff[k+1] = int32(len(groups.rowsOf(m)))
+	}
+	for _, e := range offRoster {
+		if k := slot[e.member]; k > 0 {
+			memOff[k]++
 		}
 	}
 	populated := 0
@@ -99,14 +140,22 @@ func (c *Context) obsIndex() []*asObs {
 	nearCur := append([]int32(nil), nearOff[:nm]...)
 	memCur := append([]int32(nil), memOff[:nm]...)
 	for i := 0; i < c.cross.Len(); i++ {
-		m := c.cross.NearAS[i]
-		nearSlab[nearCur[m]] = obsPair{c.cross.Near[i], c.cross.IXP[i]}
-		nearCur[m]++
+		if k := slot[c.cross.NearAS[i]] - 1; k >= 0 {
+			nearSlab[nearCur[k]] = obsPair{c.cross.Near[i], c.cross.IXP[i]}
+			nearCur[k]++
+		}
 	}
-	for _, recs := range [2][]domEntry{domain, offRoster} {
-		for _, e := range recs {
-			memSlab[memCur[e.member]] = obsPair{e.iface, e.ixp}
-			memCur[e.member]++
+	for k, m := range dirty {
+		for _, di := range groups.rowsOf(m) {
+			e := &groups.domain[di]
+			memSlab[memCur[k]] = obsPair{e.iface, e.ixp}
+			memCur[k]++
+		}
+	}
+	for _, e := range offRoster {
+		if k := slot[e.member] - 1; k >= 0 {
+			memSlab[memCur[k]] = obsPair{e.iface, e.ixp}
+			memCur[k]++
 		}
 	}
 
@@ -117,7 +166,7 @@ func (c *Context) obsIndex() []*asObs {
 	ixpMark := make([]uint32, c.ids.NumIXPs())
 	epoch := uint32(0)
 	arena := make([]asObs, 0, populated)
-	obs := make([]*asObs, 0, populated)
+	fresh := make([]*asObs, 0, populated)
 	ifaceSlab := make([]ident.IfaceID, 0, len(nearSlab))
 	for m := 0; m < nm; m++ {
 		nears := nearSlab[nearOff[m]:nearOff[m+1]]
@@ -125,11 +174,8 @@ func (c *Context) obsIndex() []*asObs {
 		if len(nears) == 0 && len(mems) == 0 {
 			continue
 		}
-		sort.Slice(nears, func(i, j int) bool {
-			if nears[i].iface != nears[j].iface {
-				return nears[i].iface < nears[j].iface
-			}
-			return nears[i].ixp < nears[j].ixp
+		slices.SortFunc(nears, func(a, b obsPair) int {
+			return cmp.Or(cmp.Compare(a.iface, b.iface), cmp.Compare(a.ixp, b.ixp))
 		})
 		dedup := nears[:0]
 		for i, pr := range nears {
@@ -137,8 +183,8 @@ func (c *Context) obsIndex() []*asObs {
 				dedup = append(dedup, pr)
 			}
 		}
-		sort.Slice(mems, func(i, j int) bool { return mems[i].iface < mems[j].iface })
-		arena = append(arena, asObs{member: ident.MemberID(m), nears: dedup, mems: mems})
+		slices.SortFunc(mems, func(a, b obsPair) int { return cmp.Compare(a.iface, b.iface) })
+		arena = append(arena, asObs{member: dirty[m], nears: dedup, mems: mems})
 		o := &arena[len(arena)-1]
 		start := len(ifaceSlab)
 		for i, pr := range o.nears {
@@ -160,11 +206,30 @@ func (c *Context) obsIndex() []*asObs {
 				o.nixps++
 			}
 		}
-		obs = append(obs, o)
+		fresh = append(fresh, o)
 	}
-	sort.Slice(obs, func(i, j int) bool { return c.ids.ASN(obs[i].member) < c.ids.ASN(obs[j].member) })
-	c.obs = obs
-	c.obsBuilt = true
+	byASN := func(a, b *asObs) int { return cmp.Compare(c.ids.ASN(a.member), c.ids.ASN(b.member)) }
+	slices.SortFunc(fresh, byASN)
+	obs := fresh
+	if !all {
+		// Splice: the previous entries of clean members, merged with the
+		// fresh ones by AS number. Entries are never mutated, so a
+		// concurrent reader of the previous list is unaffected.
+		obs = make([]*asObs, 0, len(c.obs)+len(fresh))
+		k := 0
+		for _, o := range c.obs {
+			if slot[o.member] > 0 {
+				continue
+			}
+			for k < len(fresh) && byASN(fresh[k], o) < 0 {
+				obs = append(obs, fresh[k])
+				k++
+			}
+			obs = append(obs, o)
+		}
+		obs = append(obs, fresh[k:]...)
+	}
+	c.obs, c.obsBuilt, c.obsGen = obs, true, c.gen
 	return obs
 }
 
@@ -202,50 +267,73 @@ func (p *pipeline) stepMultiIXP(rep *Report, seed func(netsim.ASN, string) PeerC
 	c := p.ctx
 	cached := c.multiRouters(p.alias, p.opt.Workers)
 
-	// Materialize the public router list fresh per run: Class is a
-	// per-run verdict and the Report owns its slices (the cached
-	// clusters are shared across runs and must stay immutable).
+	// Materialize the public router list fresh per run for the members
+	// the run classifies: Class is a per-run verdict and the Report owns
+	// its slices (the cached clusters are shared across runs and must
+	// stay immutable). A clean member's routers are the base report's
+	// values, which are never written after their run, in the same
+	// cached order. runs lists the [start, end) router ranges of the
+	// dirty member-runs.
 	routers := make([]*MultiIXPRouter, len(cached))
-	for i := range cached {
-		cr := &cached[i]
-		ifaces := make([]netip.Addr, len(cr.ifaces))
-		for j, id := range cr.ifaces {
-			ifaces[j] = c.ids.Addr(id)
+	var prev []*MultiIXPRouter
+	if p.base != nil {
+		prev = p.base.MultiRouters
+	}
+	var runs [][2]int32
+	for i, j := 0, 0; i < len(cached); {
+		m := cached[i].member
+		end := i + 1
+		for end < len(cached) && cached[end].member == m {
+			end++
 		}
-		names := make([]string, len(cr.ixps))
-		for j, x := range cr.ixps {
-			names[j] = c.ids.IXPName(x)
+		if p.isDirty(m) {
+			for k := i; k < end; k++ {
+				routers[k] = p.newRouter(&cached[k])
+			}
+			runs = append(runs, [2]int32{int32(i), int32(end)})
+		} else {
+			asn := c.ids.ASN(m)
+			for j < len(prev) && prev[j].ASN < asn {
+				j++
+			}
+			j += copy(routers[i:end], prev[j:])
 		}
-		routers[i] = &MultiIXPRouter{ASN: c.ids.ASN(cr.member), Ifaces: ifaces, IXPs: names}
+		i = end
 	}
 	rep.MultiRouters = routers
 
 	// Memberships by (member, IXP) come pre-grouped from the context
 	// (domain indexes, ascending by interface within each group — the
 	// order classOf's first-decided rule requires).
-	groups := c.memberGroups()
-
-	// Partition into contiguous same-member runs: runStarts[k] is the
-	// first router of run k, with a closing sentinel.
-	runStarts := make([]int32, 0, len(cached)+1)
-	for i := range cached {
-		if i == 0 || cached[i].member != cached[i-1].member {
-			runStarts = append(runStarts, int32(i))
-		}
-	}
-	runStarts = append(runStarts, int32(len(cached)))
-	nRuns := len(runStarts) - 1
+	groups := p.groups
 
 	// One run per claim: runs are mostly single routers, but the
 	// per-router geometry dwarfs the claim, and run-granular claiming
 	// keeps the tail balanced.
-	par.Do(p.opt.Workers, nRuns, 1, func(lo, hi int) {
+	par.Do(p.opt.Workers, len(runs), 1, func(lo, hi int) {
 		s := c.getScratch()
-		for i := runStarts[lo]; i < runStarts[hi]; i++ {
-			p.classifyMultiRouter(s, groups, &cached[i], routers[i], seed)
+		for _, run := range runs[lo:hi] {
+			for i := run[0]; i < run[1]; i++ {
+				p.classifyMultiRouter(s, groups, &cached[i], routers[i], seed)
+			}
 		}
 		c.putScratch(s)
 	})
+}
+
+// newRouter materializes a cached cluster as an unclassified public
+// router.
+func (p *pipeline) newRouter(cr *cachedRouter) *MultiIXPRouter {
+	ids := p.ctx.ids
+	ifaces := make([]netip.Addr, len(cr.ifaces))
+	for j, id := range cr.ifaces {
+		ifaces[j] = ids.Addr(id)
+	}
+	names := make([]string, len(cr.ixps))
+	for j, x := range cr.ixps {
+		names[j] = ids.IXPName(x)
+	}
+	return &MultiIXPRouter{ASN: ids.ASN(cr.member), Ifaces: ifaces, IXPs: names}
 }
 
 // classifyMultiRouter applies the Fig 3 rules to one cached cluster,

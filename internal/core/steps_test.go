@@ -93,7 +93,7 @@ func (f *tinyFixture) pipelineWithRTT(rtts map[netip.Addr]float64) (*pipeline, *
 	for ip, rtt := range rtts {
 		p.ctx.setPing(ip, rtt, f.vp, false)
 	}
-	return p, p.newDomain()
+	return p, p.newDomain(nil)
 }
 
 func TestStep1RuleFractionalPortMeansRemote(t *testing.T) {

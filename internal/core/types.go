@@ -13,10 +13,13 @@
 // The one entry point is NewContext followed by the Context's Run /
 // RunStep / Baseline methods. The context precomputes
 // and memoizes everything that depends only on the inputs (RTT
-// indexes, traceroute detections, facility geometry, alias clusters),
-// is safe for concurrent use, and a context reused across many runs
-// produces reports identical to a fresh one's (see DESIGN.md section 4
-// and the determinism tests in context_test.go).
+// indexes, traceroute detections, facility geometry, alias clusters)
+// and is safe for concurrent use. A context reused across many runs,
+// and across the deltas Apply absorbs — where Run re-classifies only
+// the members a delta dirtied and copies the rest from its last
+// report — produces reports identical to a fresh context's over the
+// same inputs (see DESIGN.md sections 4 and 8.2, and the determinism
+// tests in context_test.go and delta_test.go).
 package core
 
 import (
@@ -172,6 +175,9 @@ type Report struct {
 	// built; nil for hand-built and decoded ones. The map and the array
 	// share their Inference values.
 	aligned []Inference
+	// gen is the context's delta generation the report reflects (see
+	// Context.Run).
+	gen uint64
 }
 
 // Rows returns the report's inferences in domain order: IXP name, then

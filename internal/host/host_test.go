@@ -94,8 +94,8 @@ func TestLifecycleBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep, err := lease.Guard().Snapshot(); err != nil || len(rep.Inferences) == 0 {
-		t.Fatalf("snapshot under lease: %v (%d inferences)", err, len(rep.Inferences))
+	if rep, _, _ := lease.Guard().Published(); len(rep.Inferences) == 0 {
+		t.Fatal("snapshot under lease has no inferences")
 	}
 	if st := h.Tenants()[0]; st.State != "serving" || st.Leases != 1 || st.Opens != 1 {
 		t.Fatalf("leased tenant status: %+v", st)
@@ -221,8 +221,8 @@ func TestDeleteDrainsActiveLeases(t *testing.T) {
 		t.Fatalf("lease after delete: %v", err)
 	}
 	// The holder's engine still serves — reads and writes both.
-	if _, err := lease.Guard().Snapshot(); err != nil {
-		t.Fatalf("read under draining delete: %v", err)
+	if rep, _, _ := lease.Guard().Published(); rep == nil {
+		t.Fatal("read under draining delete: no report")
 	}
 	if _, err := lease.Guard().Apply(context.Background(), churn(t, h, lease)); err != nil {
 		t.Fatalf("write under draining delete: %v", err)
@@ -273,8 +273,8 @@ func TestEvictionRacesLease(t *testing.T) {
 					t.Errorf("lease: %v", err)
 					return
 				}
-				if _, _, _, err := l.Guard().Published(); err != nil {
-					t.Errorf("published under lease: %v", err)
+				if rep, _, _ := l.Guard().Published(); rep == nil {
+					t.Error("published under lease: no report")
 				}
 				l.Release()
 			}
@@ -289,8 +289,8 @@ func TestEvictionRacesLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Release()
-	if _, err := l.Guard().Snapshot(); err != nil {
-		t.Fatal(err)
+	if rep, _, _ := l.Guard().Published(); rep == nil {
+		t.Fatal("no report after the lease storm")
 	}
 }
 
@@ -323,8 +323,8 @@ func TestCreateDeleteRacingTraffic(t *testing.T) {
 					t.Errorf("lease %s: %v", name, err)
 					return
 				}
-				if _, err := l.Guard().Snapshot(); err != nil {
-					t.Errorf("snapshot %s: %v", name, err)
+				if rep, _, _ := l.Guard().Published(); rep == nil {
+					t.Errorf("snapshot %s: no report", name)
 				}
 				l.Release()
 			}

@@ -169,27 +169,16 @@ func (g *Guard) Stats() Stats {
 	return s
 }
 
-// Snapshot returns the current report: the live engine's when healthy,
-// the last good one while quarantined.
-func (g *Guard) Snapshot() (*rpi.Report, error) {
-	rep, _, _, err := g.Published()
-	return rep, err
-}
-
 // Published returns the current report together with the publication
 // generation and the delta seq the report reflects, all coherent with
 // one another: the (generation, seq) pair uniquely keys the report's
 // bytes, which is what the serving plane's report byte plane rides
 // on. While quarantined it returns the last good publication (whose
 // seq stopped moving when the engine did).
-func (g *Guard) Published() (*rpi.Report, uint64, uint64, error) {
+func (g *Guard) Published() (rep *rpi.Report, gen, seq uint64) {
 	for {
 		eng := g.eng.Load()
-		gen := g.gen.Load()
-		var (
-			rep *rpi.Report
-			seq uint64
-		)
+		gen = g.gen.Load()
 		if g.sick.Load() {
 			last := g.lastGood.Load()
 			rep, seq = last.rep, last.seq
@@ -201,7 +190,7 @@ func (g *Guard) Published() (*rpi.Report, uint64, uint64, error) {
 		// versa); re-read until the generation was stable around the
 		// whole capture. Swaps are rare, so this loops ~never.
 		if g.gen.Load() == gen {
-			return rep, gen, seq, nil
+			return rep, gen, seq
 		}
 	}
 }

@@ -89,16 +89,13 @@ func TestPanicQuarantineAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	ackedBefore := h.g.Stats().AckedSeq
-	goodRep, err := h.g.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	goodRep, _, _ := h.g.Published()
 	sub, cancel := h.g.Engine().Subscribe(4)
 	defer cancel()
 
 	// Inject the engine bug: the delta journals, then Apply panics.
 	h.panic.Store(true)
-	_, err = h.g.Apply(ctx, h.delta(2))
+	_, err := h.g.Apply(ctx, h.delta(2))
 	if !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("faulting apply: err = %v, want ErrQuarantined", err)
 	}
@@ -122,9 +119,8 @@ func TestPanicQuarantineAndRecovery(t *testing.T) {
 
 	// Reads keep serving the last good report; writes are refused even
 	// if they race in before recovery finishes.
-	rep, err := h.g.Snapshot()
-	if err != nil || rep != goodRep {
-		t.Fatalf("quarantined snapshot: rep=%p want %p, err=%v", rep, goodRep, err)
+	if rep, _, _ := h.g.Published(); rep != goodRep {
+		t.Fatalf("quarantined snapshot: rep=%p want %p", rep, goodRep)
 	}
 
 	// Background recovery re-Opens from the WAL and swaps the engine in.

@@ -423,17 +423,12 @@ func (c *Corpus) fill(t *CrossingTab) {
 	t.IXP = t.IXP[:0]
 	t.Near = t.Near[:0]
 	t.NearAS = t.NearAS[:0]
-	for i, ok := range c.live {
-		if !ok {
-			continue
+	for i := range c.live {
+		if r := c.tabRowOf(int32(i)); r.in {
+			t.IXP = append(t.IXP, ident.IXPID(r.ixp))
+			t.Near = append(t.Near, r.near)
+			t.NearAS = append(t.NearAS, r.mem)
 		}
-		x := c.setIXP[c.setIdx[i]]
-		if x < 0 {
-			continue
-		}
-		t.IXP = append(t.IXP, ident.IXPID(x))
-		t.Near = append(t.Near, c.nearID[i])
-		t.NearAS = append(t.NearAS, c.nearMem[i])
 	}
 }
 
@@ -456,13 +451,18 @@ func (c *Corpus) Crossings() []Crossing {
 // and those whose (exchange, AS) member-set count crossed zero (found
 // through the sorted rule-3 index: rule 3 re-runs). Both are visited in
 // candidate order, so entities first seen in this delta intern in the
-// order a full re-detection would meet them. A corpus without a plane
-// for d settles and compacts from scratch.
-func (c *Corpus) DetectDelta(d *Detector, changed map[netip.Addr]bool, tab *ident.Table, t *CrossingTab) {
+// order a full re-detection would meet them.
+//
+// It returns the near members of the tab rows the delta changed: for
+// every visited candidate whose row appeared, vanished or moved, its
+// near member before and after (with repeats). A corpus without a plane
+// for d settles and compacts from scratch and returns all = true
+// instead, since any row may have moved.
+func (c *Corpus) DetectDelta(d *Detector, changed map[netip.Addr]bool, tab *ident.Table, t *CrossingTab) (moved []ident.MemberID, all bool) {
 	if !c.plane || c.settledWith != d {
 		c.Settle(d)
 		c.Compact(tab, t)
-		return
+		return nil, true
 	}
 	if c.byLAN == nil || len(c.keyOff) == 0 {
 		// The first delta on this plane builds both indexes; they read
@@ -500,6 +500,11 @@ func (c *Corpus) DetectDelta(d *Detector, changed map[netip.Addr]bool, tab *iden
 		visit = c.visitFlip(key, visit)
 	}
 	d.flips = d.flips[:0]
+	slices.Sort(visit)
+	before := make([]tabRow, len(visit))
+	for k, i := range visit {
+		before[k] = c.tabRowOf(i)
+	}
 
 	for _, i := range resettled {
 		was, wasOK := c.keyOf(i)
@@ -513,8 +518,7 @@ func (c *Corpus) DetectDelta(d *Detector, changed map[netip.Addr]bool, tab *iden
 	} else {
 		slices.SortFunc(c.keyAdds, func(a, b keyCand) int { return cmp.Compare(a.key, b.key) })
 	}
-	slices.Sort(visit)
-	for _, i := range visit {
+	for k, i := range visit {
 		// A re-checked candidate that stays live keeps its near side.
 		intern := c.mark[i] == markResettled
 		if c.mark[i] == markRecheck {
@@ -526,8 +530,38 @@ func (c *Corpus) DetectDelta(d *Detector, changed map[netip.Addr]bool, tab *iden
 		if intern && c.live[i] {
 			c.intern(d, tab, int(i))
 		}
+		if was, now := before[k], c.tabRowOf(i); was != now {
+			if was.in {
+				moved = append(moved, was.mem)
+			}
+			if now.in {
+				moved = append(moved, now.mem)
+			}
+		}
 	}
 	c.fill(t)
+	return moved, false
+}
+
+// tabRow is one candidate's contribution to the CrossingTab: whether it
+// has a row, and the row's columns.
+type tabRow struct {
+	in   bool
+	ixp  int32
+	near ident.IfaceID
+	mem  ident.MemberID
+}
+
+// tabRowOf returns candidate i's row of the tab.
+func (c *Corpus) tabRowOf(i int32) tabRow {
+	if !c.live[i] {
+		return tabRow{}
+	}
+	x := c.setIXP[c.setIdx[i]]
+	if x < 0 {
+		return tabRow{}
+	}
+	return tabRow{in: true, ixp: x, near: c.nearID[i], mem: c.nearMem[i]}
 }
 
 // lookupRun returns the run of sorted hi<<32|lo words whose high word

@@ -1,8 +1,10 @@
 package traix_test
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"testing"
 
@@ -129,8 +131,9 @@ func TestLANSetContains(t *testing.T) {
 // TestCrossingPlaneTracksDeltas is the crossing plane's identity
 // contract: after any sequence of membership deltas absorbed through
 // DetectDelta, the live rows equal a fresh corpus's full detection
-// over the post-delta detector, and the interned CrossingTab equals
-// those rows in ID space.
+// over the post-delta detector, the interned CrossingTab equals those
+// rows in ID space, and every member whose tab rows changed is among
+// the moved members DetectDelta reports.
 func TestCrossingPlaneTracksDeltas(t *testing.T) {
 	w, ds0, im, paths := corpusFixtures(t)
 	ds := ds0.Clone()
@@ -241,7 +244,33 @@ func TestCrossingPlaneTracksDeltas(t *testing.T) {
 	for step, delta := range deltas {
 		changed := map[netip.Addr]bool{}
 		delta(changed)
-		corpus.DetectDelta(d, changed, tab, &ct)
+		was := rowsByMember(&ct)
+		moved, all := corpus.DetectDelta(d, changed, tab, &ct)
+		if all {
+			t.Fatalf("delta %d: DetectDelta rebuilt the plane", step)
+		}
+		reported := map[ident.MemberID]bool{}
+		for _, m := range moved {
+			reported[m] = true
+		}
+		now := rowsByMember(&ct)
+		for m := range now {
+			if _, ok := was[m]; !ok {
+				was[m] = nil // compare every member present on either side
+			}
+		}
+		movedRows := 0
+		for m, rows := range was {
+			if !slices.Equal(rows, now[m]) {
+				movedRows++
+				if !reported[m] {
+					t.Fatalf("delta %d: member %d's crossing rows changed but DetectDelta did not report it", step, m)
+				}
+			}
+		}
+		if movedRows == 0 {
+			t.Fatalf("delta %d moved no member's crossing rows; the report check is vacuous", step)
+		}
 
 		want := traix.NewCorpus(paths, lans, im).DetectCrossings(d)
 		label := fmt.Sprintf("delta %d", step)
@@ -270,4 +299,19 @@ func TestCrossingPlaneTracksDeltas(t *testing.T) {
 	if final := len(corpus.Crossings()); final == initial {
 		t.Fatalf("deltas left the crossing count at %d; test is vacuous", initial)
 	}
+}
+
+// rowsByMember groups a CrossingTab's rows by near member, each
+// member's (IXP, near interface) pairs sorted.
+func rowsByMember(t *traix.CrossingTab) map[ident.MemberID][][2]uint32 {
+	out := map[ident.MemberID][][2]uint32{}
+	for i := 0; i < t.Len(); i++ {
+		out[t.NearAS[i]] = append(out[t.NearAS[i]], [2]uint32{uint32(t.IXP[i]), uint32(t.Near[i])})
+	}
+	for _, rows := range out {
+		slices.SortFunc(rows, func(a, b [2]uint32) int {
+			return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+		})
+	}
+	return out
 }

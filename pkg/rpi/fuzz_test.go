@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"rpeer/internal/core"
+	"rpeer/internal/netsim"
 	"rpeer/internal/pingsim"
 )
 
@@ -21,9 +22,10 @@ import (
 // engine over the tiny world. After every valid delta the engine's wire
 // bytes must equal a cold New over its Inputs(), the report plane's
 // full and per-IXP bytes must equal MarshalReport's, and the Update's
-// change list must equal the map-based diff oracle below. An invalid
-// delta must fail with ErrBadDelta and leave the bytes and sequence
-// number untouched.
+// change list must equal the map-based diff oracle below. The re-run
+// must have started from the previous report (checkRunPath). An
+// invalid delta must fail with ErrBadDelta and leave the bytes and
+// sequence number untouched.
 //
 // Each op consumes three input bytes: the op kind, a size and a seed.
 func FuzzApplySequence(f *testing.F) {
@@ -60,6 +62,7 @@ func FuzzApplySequence(f *testing.F) {
 			before, seqBefore := eng.Snapshot(), eng.Seq()
 			wantBytes := wireBytes(t, before)
 			leaves := append([]Key(nil), d.Leaves...)
+			inc, fb := eng.ctx.IncrementalRuns()
 			up, err := eng.Apply(context.Background(), d)
 			if !valid {
 				if !errors.Is(err, ErrBadDelta) {
@@ -75,6 +78,7 @@ func FuzzApplySequence(f *testing.F) {
 			}
 			departed = append(departed, leaves...)
 			after := eng.Snapshot()
+			checkRunPath(t, eng, d, before, inc, fb)
 			if want := mapDiffOracle(up.Seq, before, after); !reflect.DeepEqual(up.Changes, want.Changes) {
 				t.Fatalf("op %d: merge diff has %d changes, map diff %d", op, len(up.Changes), len(want.Changes))
 			}
@@ -90,6 +94,40 @@ func FuzzApplySequence(f *testing.F) {
 			checkPlane(t, after, eng.IXPs())
 		}
 	})
+}
+
+// checkRunPath asserts that the re-run after a valid delta started from
+// the previous report: it either re-classified only the dirty members,
+// or it classified every row because they passed the cutoff. An
+// RTT-only delta dirties exactly the members of its interfaces; when
+// their rows are at most a tenth of the domain — well inside the
+// cutoff — the run must have been incremental. inc and fb are the
+// context's path counters before the apply.
+func checkRunPath(t *testing.T, eng *Engine, d Delta, before *Report, inc, fb uint64) {
+	t.Helper()
+	inc2, fb2 := eng.ctx.IncrementalRuns()
+	if inc2+fb2 != inc+fb+1 {
+		t.Fatalf("the run after a valid delta had no base (incremental %d→%d, fallback %d→%d)", inc, inc2, fb, fb2)
+	}
+	if len(d.Joins)+len(d.Leaves) > 0 {
+		return
+	}
+	asns := map[netsim.ASN]bool{}
+	for ip := range d.Ping {
+		if asn, ok := eng.Inputs().Dataset.IfaceASN[ip]; ok {
+			asns[asn] = true
+		}
+	}
+	rows := before.Rows()
+	dirty := 0
+	for i := range rows {
+		if asns[rows[i].ASN] {
+			dirty++
+		}
+	}
+	if dirty*10 <= len(rows) && inc2 != inc+1 {
+		t.Fatalf("an RTT delta dirtying %d of %d rows did not take the incremental run", dirty, len(rows))
+	}
 }
 
 func wireBytes(t *testing.T, rep *Report) []byte {

@@ -406,10 +406,7 @@ func (s *HostServer) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // of that publication. Concurrent misses encode the same publication to
 // identical bytes; the last store wins, and all are correct.
 func (s *HostServer) plane(r *http.Request, be *backend) (*rpi.Plane, error) {
-	rep, gen, seq, err := be.g.Published()
-	if err != nil {
-		return nil, err
-	}
+	rep, gen, seq := be.g.Published()
 	if p := be.plane.Load(); p != nil && p.gen == gen && p.seq == seq {
 		return p.Plane, nil
 	}

@@ -11,19 +11,21 @@ import (
 )
 
 // TestChurnSoak is the long-haul regression: a thousand randomized
-// join/leave/re-join deltas (every leave makes its interface a
-// re-join candidate for a later delta) driven through one persistent
-// engine, with the incremental-update contract re-proven every 100
-// deltas — the live report must be byte-identical to a cold engine
-// built over the churned Inputs(). Gated behind RPEER_SOAK=1 (make
-// soak runs it under the race detector); the tier-1 suite skips it.
+// deltas driven through one persistent engine — join/leave/re-join
+// churn (every leave makes its interface a re-join candidate for a
+// later delta), and on every fourth delta an RTT refresh or revocation
+// instead — with the incremental-update contract re-proven every 50
+// deltas: the live report must be byte-identical to a cold engine
+// built over the churned Inputs(). Every re-run must start from the
+// previous report (checkRunPath). Gated behind RPEER_SOAK=1 (make soak
+// runs it under the race detector); the tier-1 suite skips it.
 func TestChurnSoak(t *testing.T) {
 	if os.Getenv("RPEER_SOAK") == "" {
 		t.Skip("soak test: set RPEER_SOAK=1 (or run `make soak`)")
 	}
 	const (
 		deltas     = 1000
-		checkEvery = 100
+		checkEvery = 50
 	)
 	in := tinyInputs(t)
 	fsys := wal.NewMemFS()
@@ -42,11 +44,24 @@ func TestChurnSoak(t *testing.T) {
 	defer cancel()
 
 	r := rng.New(rng.Key(0x50a7, 7))
+	incremental := 0
 	for i := 1; i <= deltas; i++ {
-		frac := 0.01 + 0.03*r.Float64()
-		d := ChurnDelta(eng.Inputs(), frac, int64(r.Uint64()>>1))
+		var d Delta
+		if i%4 == 0 {
+			draw := r.Uint64()
+			d = Delta{Ping: overrides(eng.Inputs(), int(draw%16), int64(draw>>8&0xffff), draw>>4&1 == 1)}
+		} else {
+			frac := 0.01 + 0.03*r.Float64()
+			d = ChurnDelta(eng.Inputs(), frac, int64(r.Uint64()>>1))
+		}
+		before := eng.Snapshot()
+		inc, fb := eng.ctx.IncrementalRuns()
 		if _, err := eng.Apply(context.Background(), d); err != nil {
 			t.Fatalf("delta %d: %v", i, err)
+		}
+		checkRunPath(t, eng, d, before, inc, fb)
+		if now, _ := eng.ctx.IncrementalRuns(); now > inc {
+			incremental++
 		}
 		for len(updates) > 32 {
 			<-updates
@@ -72,6 +87,8 @@ func TestChurnSoak(t *testing.T) {
 		}
 		t.Logf("delta %d: %d memberships, report identical to cold rebuild", i, len(eng.Snapshot().Inferences))
 	}
+
+	t.Logf("%d of %d re-runs took the incremental run", incremental, deltas)
 
 	// The soaked log must also recover: close (final snapshot) and
 	// reopen, expecting the exact end state.
