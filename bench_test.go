@@ -453,7 +453,7 @@ func BenchmarkEngineApply(b *testing.B) {
 					}
 					sink = up
 				}
-				b.ReportMetric(float64(len(eng.Snapshot().Inferences)), "inferences/op")
+				b.ReportMetric(float64(eng.Snapshot().Len()), "inferences/op")
 				b.ReportMetric(float64(len(fwd.Joins)+len(fwd.Leaves)), "churn/op")
 			})
 			b.Run("rtt", func(b *testing.B) {
@@ -497,7 +497,7 @@ func BenchmarkEngineApply(b *testing.B) {
 					}
 					sink = cold.Snapshot()
 				}
-				b.ReportMetric(float64(len(eng.Snapshot().Inferences)), "inferences/op")
+				b.ReportMetric(float64(eng.Snapshot().Len()), "inferences/op")
 			})
 		})
 	}
@@ -810,7 +810,7 @@ func BenchmarkScaleWorld(b *testing.B) {
 				// Domain size comes from the env built in the loop: a
 				// benchScaledEnv call here would run inside the timed
 				// window and double the recorded cost at -benchtime=1x.
-				b.ReportMetric(float64(len(last.Report.Inferences)), "inferences/op")
+				b.ReportMetric(float64(last.Report.Len()), "inferences/op")
 				// Seed the cache so the sibling sub-benchmarks reuse
 				// this env instead of rebuilding the same world.
 				scaleMu.Lock()
@@ -831,7 +831,7 @@ func BenchmarkScaleWorld(b *testing.B) {
 					}
 					sink = c
 				}
-				b.ReportMetric(float64(len(e.Report.Inferences)), "inferences/op")
+				b.ReportMetric(float64(e.Report.Len()), "inferences/op")
 			})
 			b.Run("pipeline", func(b *testing.B) {
 				e := benchScaledEnv(b, factor)
@@ -846,7 +846,7 @@ func BenchmarkScaleWorld(b *testing.B) {
 					}
 					sink = rep
 				}
-				b.ReportMetric(float64(len(e.Report.Inferences)), "inferences/op")
+				b.ReportMetric(float64(e.Report.Len()), "inferences/op")
 			})
 			b.Run("suite", func(b *testing.B) {
 				e := benchScaledEnv(b, factor)
@@ -856,7 +856,7 @@ func BenchmarkScaleWorld(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					sink = exp.All(e, 0)
 				}
-				b.ReportMetric(float64(len(e.Report.Inferences)), "inferences/op")
+				b.ReportMetric(float64(e.Report.Len()), "inferences/op")
 			})
 		})
 	}
@@ -904,7 +904,7 @@ func BenchmarkScaleWorld(b *testing.B) {
 					sink = eng
 				}
 				b.StopTimer()
-				b.ReportMetric(float64(len(eng.Snapshot().Inferences)), "inferences/op")
+				b.ReportMetric(float64(eng.Snapshot().Len()), "inferences/op")
 			})
 			b.Run("pipeline", func(b *testing.B) {
 				in, err := worldfile.Load(path)
@@ -935,7 +935,7 @@ func BenchmarkScaleWorld(b *testing.B) {
 					sink = rep
 				}
 				b.StopTimer()
-				b.ReportMetric(float64(len(rep.Inferences)), "inferences/op")
+				b.ReportMetric(float64(rep.Len()), "inferences/op")
 			})
 		})
 	}

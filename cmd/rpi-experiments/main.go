@@ -1,11 +1,16 @@
-// Command rpi-experiments regenerates every table and figure of the
+// Command rpi-experiments regenerates the tables and figures of the
 // paper's evaluation and prints each next to the paper's reported
-// claim, in paper order. Use -markdown to emit the EXPERIMENTS.md
-// body.
+// claim, in paper order: all of them, or the ones -only names. Use
+// -markdown to emit them as Markdown sections.
 //
 // Usage:
 //
-//	rpi-experiments [-seed N] [-markdown]
+//	rpi-experiments [-seed N] [-markdown] [-only "Table 4,Fig 8"] [-threshold ms] [-workers N]
+//
+// -only "Table 4,Fig 8" prints the validation against ground truth:
+// Table 4's per-step metrics, the RTT-threshold baseline's among them,
+// and Fig 8's per-IXP breakdown. -threshold sets the baseline's
+// remoteness threshold for every artefact that reads the baseline.
 package main
 
 import (
@@ -13,23 +18,39 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"rpeer/internal/exp"
+	"rpeer/pkg/rpi"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rpi-experiments: ")
 	seed := flag.Int64("seed", 1, "world generation seed")
-	markdown := flag.Bool("markdown", false, "emit Markdown (EXPERIMENTS.md body)")
+	markdown := flag.Bool("markdown", false, "emit Markdown sections")
+	only := flag.String("only", "", `comma-separated artefact IDs to regenerate, e.g. "Table 4,Fig 8" (default all)`)
+	threshold := flag.Float64("threshold", rpi.DefaultBaselineThresholdMs,
+		"baseline remoteness RTT threshold in ms")
 	workers := flag.Int("workers", 0, "artefact workers (0 = one per CPU, 1 = serial)")
 	flag.Parse()
 
-	env, err := exp.NewEnv(*seed)
+	env, err := exp.NewEnv(*seed, rpi.WithThreshold(*threshold))
 	if err != nil {
 		log.Fatal(err)
 	}
-	results := exp.All(env, *workers)
+	var results []exp.Result
+	if *only == "" {
+		results = exp.All(env, *workers)
+	} else {
+		ids := strings.Split(*only, ",")
+		for i := range ids {
+			ids[i] = strings.TrimSpace(ids[i])
+		}
+		if results, err = exp.Select(env, *workers, ids); err != nil {
+			log.Fatal(err)
+		}
+	}
 
 	for _, r := range results {
 		if *markdown {

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sort"
 
 	"rpeer/internal/exp"
 	"rpeer/internal/report"
@@ -41,11 +40,9 @@ func main() {
 	var totLocal, totRemote, totUnknown int
 	for _, ix := range env.StudiedIXPs(*top) {
 		var local, remote, unknown int
-		for _, inf := range env.Report.Inferences {
-			if inf.IXP != ix.Name {
-				continue
-			}
-			switch inf.Class {
+		lo, hi := env.Report.IXPRange(ix.Name)
+		for i := lo; i < hi; i++ {
+			switch env.Report.At(i).Class {
 			case rpi.ClassLocal:
 				local++
 			case rpi.ClassRemote:
@@ -76,14 +73,9 @@ func main() {
 	if *verbose {
 		ix := env.StudiedIXPs(1)[0]
 		fmt.Printf("\nPer-interface verdicts at %s:\n", ix.Name)
-		var infs []*rpi.Inference
-		for _, inf := range env.Report.Inferences {
-			if inf.IXP == ix.Name {
-				infs = append(infs, inf)
-			}
-		}
-		sort.Slice(infs, func(i, j int) bool { return infs[i].Iface.Less(infs[j].Iface) })
-		for _, inf := range infs {
+		lo, hi := env.Report.IXPRange(ix.Name)
+		for i := lo; i < hi; i++ {
+			inf := env.Report.At(i)
 			rtt := "-"
 			if inf.HasRTT() {
 				rtt = fmt.Sprintf("%.2fms", inf.RTTMinMs)

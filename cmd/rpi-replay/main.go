@@ -66,7 +66,7 @@ func main() {
 	rep := eng.Snapshot()
 	if *summary {
 		var local, remote int
-		for _, inf := range rep.Inferences {
+		for _, inf := range rep.All() {
 			switch inf.Class {
 			case rpi.ClassLocal:
 				local++
@@ -75,7 +75,7 @@ func main() {
 			}
 		}
 		fmt.Printf("seq %d: %d memberships, %d local, %d remote, %d multi-IXP routers\n",
-			info.Seq, len(rep.Inferences), local, remote, len(rep.MultiRouters))
+			info.Seq, rep.Len(), local, remote, len(rep.MultiRouters))
 		return
 	}
 	b, err := rpi.MarshalReport(rep)

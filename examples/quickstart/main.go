@@ -33,7 +33,7 @@ func main() {
 
 	// 3. Headline numbers.
 	var local, remote, unknown int
-	for _, inf := range rep.Inferences {
+	for _, inf := range rep.All() {
 		switch inf.Class {
 		case rpi.ClassLocal:
 			local++

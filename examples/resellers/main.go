@@ -41,13 +41,13 @@ func main() {
 	for _, m := range world.Members {
 		truth[m.Iface.String()] = m
 	}
-	for k, inf := range rep.Inferences {
+	for _, inf := range rep.All() {
 		if inf.Class != rpi.ClassRemote {
 			continue
 		}
 		flagged++
-		byIXP[k.IXP]++
-		if m := truth[k.Iface.String()]; m != nil {
+		byIXP[inf.IXP]++
+		if m := truth[inf.Iface.String()]; m != nil {
 			if m.Remote() {
 				trueRemote++
 			}

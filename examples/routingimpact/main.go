@@ -31,7 +31,7 @@ func main() {
 	// The remote members our methodology inferred at the flagship.
 	var remotes []netsim.ASN
 	seen := make(map[netsim.ASN]bool)
-	for _, inf := range env.Report.Inferences {
+	for _, inf := range env.Report.All() {
 		if inf.IXP == flagship.Name && inf.Class == rpi.ClassRemote && !seen[inf.ASN] {
 			seen[inf.ASN] = true
 			remotes = append(remotes, inf.ASN)

@@ -74,7 +74,7 @@ func main() {
 			naiveWrong++
 		}
 		k := rpi.Key{IXP: wide.Name, Iface: m.Iface}
-		if inf, ok := env.Report.Inferences[k]; ok && inf.Class == rpi.ClassRemote {
+		if inf, ok := env.Report.Lookup(k); ok && inf.Class == rpi.ClassRemote {
 			methodWrong++
 		}
 	}

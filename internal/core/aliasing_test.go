@@ -29,7 +29,8 @@ func TestPrivClusterMatchesFullResolution(t *testing.T) {
 	for _, mode := range aliasModes {
 		m := ctx.aliasMemoFor(mode)
 		checked, joined := 0, 0
-		for _, e := range ctx.domainEntries() {
+		dom, _ := ctx.domainGroups()
+		for _, e := range dom.rows {
 			ns := ctx.byASPriv[e.member]
 			if len(ns) == 0 {
 				continue
@@ -53,7 +54,7 @@ func TestPrivClusterMatchesFullResolution(t *testing.T) {
 				want := comp[j] == comp[at]
 				if got := s.ifaceMark[id] == mark; got != want {
 					t.Fatalf("%v: membership %v: interface %v in derived set = %v, full resolution says %v",
-						mode, e.key, ctx.ids.Addr(id), got, want)
+						mode, ctx.ids.Addr(e.iface), ctx.ids.Addr(id), got, want)
 				}
 				if want {
 					size++

@@ -80,9 +80,10 @@ func DeriveTracerouteRTT(crossings []traix.Crossing) []TraceRTTEstimate {
 // TraceDerived reports how many interfaces of the last Run were
 // classified using traceroute-derived rather than ping RTTs.
 func (r *Report) TraceDerived() int {
+	v := r.cols()
 	n := 0
-	for _, inf := range r.Inferences {
-		if inf.TraceRTT {
+	for i := range v.class {
+		if v.trace.Get(uint32(i)) {
 			n++
 		}
 	}

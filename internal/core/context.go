@@ -38,9 +38,10 @@ import (
 //   - the per-interface RTT / best-VP / rounding columns folded from
 //     the ping campaign (one pass, shared by every run);
 //   - the registry IP-to-AS map, the traIXroute detector, the
-//     traceroute corpus with its live crossing plane, the crossing and
-//     private-hop ID columns the classification loops read, and the
-//     ID-indexed colocation / port-capacity view;
+//     traceroute corpus with its live crossing plane (read per near
+//     member in ID space), the private-hop ID columns the
+//     classification loops read, and the ID-indexed colocation /
+//     port-capacity view;
 //   - the lazily-built traceroute-RTT augmentation ("Beyond Pings"),
 //     shared by every run with Options.UseTracerouteRTT;
 //   - the geo fast path: facility coordinates converted once to unit
@@ -95,7 +96,6 @@ type Context struct {
 	det    *traix.Detector
 	corpus *traix.Corpus
 	lans   *traix.LANSet
-	cross  traix.CrossingTab
 	priv   traix.PrivateTab
 
 	// colo is the ID-indexed colocation and port-capacity view the
@@ -106,17 +106,18 @@ type Context struct {
 	// input), indexed by MemberID.
 	byASPriv [][]privNeighbour
 
-	// domain is built lazily under domMu and patched in place by Apply
-	// (a sync.Once would survive deltas it must not survive). groups
-	// indexes the domain per member for Step 4's propagation.
-	// offRoster holds the interface records at interned IXPs outside
-	// the roster (their prefix record was lost to source noise): not
-	// inference targets, but Step 4 still observes them. leaveMark is
-	// patchDomain's scratch mark of departing interface IDs.
+	// dom is the current version of the inference domain, built lazily
+	// under domMu (a sync.Once would survive deltas it must not
+	// survive). Reports hold the version they were built over, so a
+	// version is never written: Apply's membership patch builds the
+	// next one. groups indexes the current version per member for Step
+	// 4's propagation and the dirty-row lists. offRoster holds the
+	// interface records at interned IXPs outside the roster (their
+	// prefix record was lost to source noise): not inference targets,
+	// but Step 4 still observes them. leaveMark is patchDomain's
+	// scratch mark of departing interface IDs.
 	domMu     sync.Mutex
-	domBuilt  bool
-	domain    []domEntry
-	domSpare  []domEntry
+	dom       *domView
 	offRoster []domEntry
 	groups    groupIndex
 	leaveMark ident.Bits
@@ -186,11 +187,10 @@ type Context struct {
 	scratchPool sync.Pool
 }
 
-// domEntry is one membership of the inference domain, carrying both
-// the public key (report edge) and the interned IDs (hot path).
+// domEntry is one membership of the inference domain by interned ID:
+// its interface, its member AS and its IXP. A domView resolves the IDs
+// to the address, AS number and name reports carry.
 type domEntry struct {
-	key    Key
-	asn    netsim.ASN
 	iface  ident.IfaceID
 	member ident.MemberID
 	ixp    ident.IXPID
@@ -358,7 +358,7 @@ func newContext(in Inputs) *Context {
 	// (interning crossing participants), project the colocation and
 	// port tables, and index the private neighbours. ----
 	if c.corpus != nil {
-		c.corpus.Compact(c.ids, &c.cross)
+		c.corpus.Compact(c.ids)
 		c.corpus.CompactStaticInto(&c.priv, c.ids)
 	}
 	c.growColumns()
@@ -553,8 +553,9 @@ func (c *Context) Inputs() Inputs { return c.in }
 // plane by any delta), or when the dirty members hold more than
 // 1/incrementalCutoff of the domain.
 //
-// Because later reports share router values with earlier ones, a
-// returned report, its inferences and its routers are read-only.
+// A returned report is immutable (see Report): later runs copy its
+// rows and share its routers, and Apply never writes the domain
+// version it was built over.
 func (c *Context) Run(opt Options) (*Report, error) {
 	p := c.newPipeline(opt)
 	base := c.baseFor(opt)
@@ -617,6 +618,10 @@ func (c *Context) baseFor(opt Options) *Report {
 // and the requested step is then re-applied over a fresh, all-unknown
 // domain so that its own reach and error rates are visible (the
 // per-step rows of Table 4, whose coverages overlap across steps).
+//
+// The multi-IXP rules seed each (member, IXP) group with classOf's
+// rule over the full run's Step 1 and Step 2+3 verdicts: the class of
+// the group's first such decided row, in ascending interface order.
 func (c *Context) RunStep(opt Options, s Step) (*Report, error) {
 	p := c.newPipeline(opt)
 	overlay := p.newDomain(nil)
@@ -630,21 +635,19 @@ func (c *Context) RunStep(opt Options, s Step) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		type memKey struct {
-			asn netsim.ASN
-			ixp string
+		// Runs and Apply never overlap, so the full run saw the
+		// overlay's domain version and its rows align with p.groups.
+		bv := base.v
+		if bv.dom != p.out.dom {
+			return nil, fmt.Errorf("core: the domain changed during RunStep")
 		}
-		seedIdx := make(map[memKey]PeerClass)
-		for k, inf := range base.Inferences {
-			if (inf.Step == StepPortCapacity || inf.Step == StepRTTColo) && inf.Class != ClassUnknown {
-				mk := memKey{inf.ASN, k.IXP}
-				if _, ok := seedIdx[mk]; !ok {
-					seedIdx[mk] = inf.Class
+		seed := func(m ident.MemberID, x ident.IXPID) PeerClass {
+			for _, di := range p.groups.of(m, x) {
+				if st := bv.step[di]; (st == StepPortCapacity || st == StepRTTColo) && bv.class[di] != ClassUnknown {
+					return bv.class[di]
 				}
 			}
-		}
-		seed := func(asn netsim.ASN, ixp string) PeerClass {
-			return seedIdx[memKey{asn, ixp}]
+			return ClassUnknown
 		}
 		p.stepMultiIXP(overlay, seed)
 	case StepPrivate:
@@ -659,56 +662,20 @@ func (c *Context) RunStep(opt Options, s Step) (*Report, error) {
 // shared substrate. Only memberships with a usable campaign minimum
 // receive a verdict.
 func (c *Context) Baseline(thresholdMs float64) (*Report, error) {
-	entries := c.domainEntries()
-	infs := make([]Inference, len(entries))
-	for i, e := range entries {
-		resetRow(&infs[i], e, c.rtt, func(inf *Inference, rtt float64, _ domEntry) {
-			inf.Step = StepBaseline
-			if rtt > thresholdMs {
-				inf.Class = ClassRemote
-			} else {
-				inf.Class = ClassLocal
-			}
-		})
+	dom, _ := c.domainGroups()
+	v := newVerdicts(dom)
+	for i, e := range dom.rows {
+		rtt := c.rtt[e.iface]
+		v.reset(i, rtt)
+		switch {
+		case math.IsNaN(rtt):
+		case rtt > thresholdMs:
+			v.decide(i, ClassRemote, StepBaseline)
+		default:
+			v.decide(i, ClassLocal, StepBaseline)
+		}
 	}
-	return reportOver(entries, infs), nil
-}
-
-// resetRow writes membership e's all-unknown row — the one definition
-// of a domain row, shared by Run and Baseline — with its RTT minimum
-// from the given column view, and lets measured finish it when it has
-// one.
-func resetRow(inf *Inference, e domEntry, rtt []float64, measured func(inf *Inference, rtt float64, e domEntry)) {
-	*inf = Inference{
-		IXP: e.key.IXP, Iface: e.key.Iface, ASN: e.asn,
-		RTTMinMs:              math.NaN(),
-		FeasibleIXPFacilities: -1,
-	}
-	if v := rtt[e.iface]; !math.IsNaN(v) {
-		inf.RTTMinMs = v
-		measured(inf, v, e)
-	}
-}
-
-// reportOver wraps a domain-aligned inference array as a report,
-// indexing it by key.
-func reportOver(entries []domEntry, infs []Inference) *Report {
-	rep := &Report{Inferences: make(map[Key]*Inference, len(entries)), aligned: infs}
-	for i := range entries {
-		rep.Inferences[entries[i].key] = &infs[i]
-	}
-	return rep
-}
-
-// domainEntries returns the inference domain — one entry per interface
-// record of the merged dataset, deduplicated, in deterministic order
-// (IXPs sorted by name, interfaces ascending within each) — building
-// it on first use.
-func (c *Context) domainEntries() []domEntry {
-	c.domMu.Lock()
-	defer c.domMu.Unlock()
-	c.buildDomainLocked()
-	return c.domain
+	return &Report{v: v, gen: c.gen}, nil
 }
 
 // memberships returns every interface record at an interned IXP as
@@ -723,13 +690,15 @@ func (c *Context) memberships() (groups *groupIndex, offRoster []domEntry) {
 	return &c.groups, c.offRoster
 }
 
-// domainGroups returns the domain with its per-member index, building
-// both as needed.
-func (c *Context) domainGroups() ([]domEntry, *groupIndex) {
+// domainGroups returns the current version of the inference domain —
+// one entry per interface record of the merged dataset, deduplicated,
+// in deterministic order (IXPs sorted by name, interfaces ascending
+// within each) — with its per-member index, building both as needed.
+func (c *Context) domainGroups() (*domView, *groupIndex) {
 	c.domMu.Lock()
 	defer c.domMu.Unlock()
 	c.buildDomainLocked()
-	return c.domain, &c.groups
+	return c.dom, &c.groups
 }
 
 // groupIndex indexes the domain by member: member m's domain indexes
@@ -768,44 +737,59 @@ func (g *groupIndex) of(m ident.MemberID, x ident.IXPID) []int32 {
 // the per-IXP buckets then sort by address and emit in roster-name
 // order, which is interned-IXPID order.
 func (c *Context) buildDomainLocked() {
-	if c.domBuilt {
+	if c.dom != nil {
 		return
 	}
 	buckets := make([][]domEntry, c.ids.NumIXPs())
 	c.offRoster = c.offRoster[:0]
 	for ip, name := range c.in.Dataset.IfaceIXP {
-		id, ok := c.ids.IXP(name)
+		e, ok := c.newDomEntry(ip, name, c.in.Dataset.IfaceASN[ip])
 		if !ok {
 			continue
 		}
-		e := c.newDomEntry(Key{IXP: name, Iface: ip}, c.in.Dataset.IfaceASN[ip])
-		if !c.roster.Get(uint32(id)) {
+		if !c.roster.Get(uint32(e.ixp)) {
 			c.offRoster = append(c.offRoster, e)
 			continue
 		}
-		buckets[id] = append(buckets[id], e)
+		buckets[e.ixp] = append(buckets[e.ixp], e)
 	}
 	n := 0
 	for _, b := range buckets {
 		n += len(b)
 	}
-	c.domain = make([]domEntry, 0, n)
+	rows := make([]domEntry, 0, n)
 	for _, b := range buckets {
-		slices.SortFunc(b, func(x, y domEntry) int { return x.key.Iface.Compare(y.key.Iface) })
-		c.domain = append(c.domain, b...)
+		slices.SortFunc(b, c.compareIface)
+		rows = append(rows, b...)
 	}
-	c.rebuildGroupsLocked()
-	c.domBuilt = true
+	c.setDomainLocked(rows)
 }
 
-// newDomEntry resolves one membership's interned IDs. Every entity is
-// interned at construction or during Apply, so the lookups always hit;
+// setDomainLocked publishes rows as the current domain version and
+// reindexes the member groups; the caller holds domMu.
+func (c *Context) setDomainLocked(rows []domEntry) {
+	c.dom = newDomView(rows, c.ids)
+	c.rebuildGroupsLocked()
+}
+
+// compareIface orders two entries of one IXP by interface address.
+func (c *Context) compareIface(x, y domEntry) int {
+	return c.ids.Addr(x.iface).Compare(c.ids.Addr(y.iface))
+}
+
+// newDomEntry resolves one membership's interned IDs; ok is false for
+// an IXP outside the interned space. Every entity is interned at
+// construction or during Apply, so the lookups always hit;
 // AddIface/AddMember keep the failure mode graceful if that invariant
 // is ever broken by a caller mutating Inputs behind the context.
-func (c *Context) newDomEntry(k Key, asn netsim.ASN) domEntry {
-	iface, ok := c.ids.Iface(k.Iface)
+func (c *Context) newDomEntry(ip netip.Addr, ixpName string, asn netsim.ASN) (e domEntry, ok bool) {
+	ixp, ok := c.ids.IXP(ixpName)
 	if !ok {
-		iface = c.ids.AddIface(k.Iface)
+		return domEntry{}, false
+	}
+	iface, ok := c.ids.Iface(ip)
+	if !ok {
+		iface = c.ids.AddIface(ip)
 		c.growColumns()
 	}
 	member, ok := c.ids.Member(asn)
@@ -814,8 +798,7 @@ func (c *Context) newDomEntry(k Key, asn netsim.ASN) domEntry {
 		c.colo.Grow(c.ids)
 		c.growByASPriv()
 	}
-	ixp, _ := c.ids.IXP(k.IXP)
-	return domEntry{key: k, asn: asn, iface: iface, member: member, ixp: ixp}
+	return domEntry{iface: iface, member: member, ixp: ixp}, true
 }
 
 // rebuildGroupsLocked reindexes the member groups from the current
@@ -824,11 +807,12 @@ func (c *Context) newDomEntry(k Key, asn netsim.ASN) domEntry {
 func (c *Context) rebuildGroupsLocked() {
 	g := &c.groups
 	nm := c.ids.NumMembers()
+	rows := c.dom.rows
 	g.off = slices.Grow(g.off[:0], nm+1)[:nm+1]
 	clear(g.off)
-	g.idx = slices.Grow(g.idx[:0], len(c.domain))[:len(c.domain)]
-	g.domain = c.domain
-	for _, e := range c.domain {
+	g.idx = slices.Grow(g.idx[:0], len(rows))[:len(rows)]
+	g.domain = rows
+	for _, e := range rows {
 		g.off[e.member+1]++
 	}
 	for m := 1; m <= nm; m++ {
@@ -836,7 +820,7 @@ func (c *Context) rebuildGroupsLocked() {
 	}
 	// Fill with off[m] as member m's cursor, then shift the advanced
 	// cursors (now each member's end) back into start offsets.
-	for i, e := range c.domain {
+	for i, e := range rows {
 		g.idx[g.off[e.member]] = int32(i)
 		g.off[e.member]++
 	}

@@ -23,13 +23,14 @@ func coldContext(t testing.TB, in Inputs) *Context {
 // reportsEqual compares two reports field by field (NaN-aware on RTT).
 func reportsEqual(t *testing.T, label string, a, b *Report) {
 	t.Helper()
-	if len(a.Inferences) != len(b.Inferences) {
-		t.Fatalf("%s: inference counts differ: %d vs %d", label, len(a.Inferences), len(b.Inferences))
+	if a.Len() != b.Len() {
+		t.Fatalf("%s: inference counts differ: %d vs %d", label, a.Len(), b.Len())
 	}
-	for k, ia := range a.Inferences {
-		ib, ok := b.Inferences[k]
-		if !ok {
-			t.Fatalf("%s: %v missing from second report", label, k)
+	for i, ia := range a.All() {
+		ib := b.At(i)
+		k := Key{IXP: ia.IXP, Iface: ia.Iface}
+		if ib.IXP != k.IXP || ib.Iface != k.Iface {
+			t.Fatalf("%s: row %d is %v in the first report, %s/%s in the second", label, i, k, ib.IXP, ib.Iface)
 		}
 		if ia.Class != ib.Class || ia.Step != ib.Step || ia.ASN != ib.ASN ||
 			ia.FeasibleIXPFacilities != ib.FeasibleIXPFacilities || ia.TraceRTT != ib.TraceRTT {
@@ -168,9 +169,9 @@ func TestRunRejectsNonPipelineSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, inf := range rep.Inferences {
+	for _, inf := range rep.All() {
 		if inf.Class != ClassUnknown || inf.Step != StepNone {
-			t.Fatalf("%v: nil Steps decided %v by %v", k, inf.Class, inf.Step)
+			t.Fatalf("%s/%s: nil Steps decided %v by %v", inf.IXP, inf.Iface, inf.Class, inf.Step)
 		}
 	}
 }

@@ -66,12 +66,12 @@ func TestRunRequiresInputs(t *testing.T) {
 
 func TestPipelineCoversDataset(t *testing.T) {
 	in, rep, _ := fixtures(t)
-	if len(rep.Inferences) == 0 {
+	if rep.Len() == 0 {
 		t.Fatal("no inferences")
 	}
 	// Every dataset interface must be in the domain.
-	if len(rep.Inferences) < len(in.Dataset.IfaceASN)*95/100 {
-		t.Errorf("domain = %d of %d dataset interfaces", len(rep.Inferences), len(in.Dataset.IfaceASN))
+	if rep.Len() < len(in.Dataset.IfaceASN)*95/100 {
+		t.Errorf("domain = %d of %d dataset interfaces", rep.Len(), len(in.Dataset.IfaceASN))
 	}
 }
 
@@ -150,7 +150,7 @@ func TestStepRTTColoQuality(t *testing.T) {
 func TestStepsFillCoverage(t *testing.T) {
 	_, rep, _ := fixtures(t)
 	counts := make(map[Step]int)
-	for _, inf := range rep.Inferences {
+	for _, inf := range rep.All() {
 		if inf.Class != ClassUnknown {
 			counts[inf.Step]++
 		}
@@ -187,7 +187,7 @@ func TestMultiIXPRoutersReported(t *testing.T) {
 func TestRemoteShareInTheWild(t *testing.T) {
 	_, rep, _ := fixtures(t)
 	var remote, decided int
-	for _, inf := range rep.Inferences {
+	for _, inf := range rep.All() {
 		switch inf.Class {
 		case ClassRemote:
 			remote++
@@ -197,12 +197,12 @@ func TestRemoteShareInTheWild(t *testing.T) {
 		}
 	}
 	share := float64(remote) / float64(decided)
-	t.Logf("wild remote share = %.3f (decided %d of %d)", share, decided, len(rep.Inferences))
+	t.Logf("wild remote share = %.3f (decided %d of %d)", share, decided, rep.Len())
 	// Paper: 28% of inferred interfaces are remote.
 	if share < 0.18 || share > 0.40 {
 		t.Errorf("remote share = %.3f, want ~0.28", share)
 	}
-	if frac := float64(decided) / float64(len(rep.Inferences)); frac < 0.75 {
+	if frac := float64(decided) / float64(rep.Len()); frac < 0.75 {
 		t.Errorf("decided fraction = %.3f, want >= 0.75", frac)
 	}
 }
@@ -247,7 +247,7 @@ func TestBaselineOnlyMeasured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, inf := range base.Inferences {
+	for _, inf := range base.All() {
 		if inf.Class != ClassUnknown && !inf.HasRTT() {
 			t.Fatal("baseline inferred an unmeasured interface")
 		}
@@ -277,11 +277,11 @@ func TestBeyondPingsIncreasesCoverage(t *testing.T) {
 		t.Fatal("no traceroute-derived RTTs used")
 	}
 	baseMeasured, extMeasured := 0, 0
-	for k, inf := range rep.Inferences {
+	for _, inf := range rep.All() {
 		if inf.HasRTT() {
 			baseMeasured++
 		}
-		if ext.Inferences[k] != nil && ext.Inferences[k].HasRTT() {
+		if e, ok := ext.Lookup(Key{IXP: inf.IXP, Iface: inf.Iface}); ok && e.HasRTT() {
 			extMeasured++
 		}
 	}

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"net/netip"
-	"sort"
+	"slices"
 
 	"rpeer/internal/ident"
 	"rpeer/internal/netsim"
@@ -56,8 +57,9 @@ func (d *Delta) Empty() bool {
 //   - membership churn adjusts the detector's member-set refcounts per
 //     record and re-evaluates only the crossing-plane candidates the
 //     delta can move (those reading a changed address, and those whose
-//     member set gained or lost one of their ASes), then refills the
-//     crossing columns from the plane; the domain is patched in order.
+//     member set gained or lost one of their ASes), moving each
+//     changed crossing row between its near members' lists; the domain
+//     gets a new version, patched in order.
 //     The hop-by-hop corpus scan, the IP-to-AS map and the static
 //     private hops are never revisited;
 //   - the facility geometry, ring memos, alias probe plane and alias
@@ -182,7 +184,7 @@ func (c *Context) Apply(d Delta) error {
 			for _, j := range d.Joins {
 				changed[j.Iface] = true
 			}
-			moved, all := c.corpus.DetectDelta(c.det, changed, c.ids, &c.cross)
+			moved, all := c.corpus.DetectDelta(c.det, changed, c.ids)
 			for _, m := range moved {
 				c.markDirty(m)
 			}
@@ -341,37 +343,37 @@ func (c *Context) validateDelta(d Delta) (leaving map[netip.Addr]bool, err error
 
 // patchDomain applies membership churn to the built domain, keeping
 // the deterministic (IXP name, interface) order a cold build would
-// produce and swapping between two retained buffers so repeated deltas
-// stop reallocating the table. The surviving domain is already in
-// order, so the patch is a drop-filter merged with the (small) sorted
-// join batch — O(domain + churn log churn), not a full re-sort. An
-// unbuilt domain needs no patching — it will be built from the
-// post-delta dataset on first use.
+// produce. The current version is already in order, so the patch is a
+// drop-filter merged with the (small) sorted join batch — O(domain +
+// churn log churn), not a full re-sort. The result is a new version:
+// reports hold the old one, which is never written again. An unbuilt
+// domain needs no patching — it will be built from the post-delta
+// dataset on first use.
 func (c *Context) patchDomain(d Delta) {
 	c.domMu.Lock()
 	defer c.domMu.Unlock()
-	if !c.domBuilt {
+	if c.dom == nil {
 		return
 	}
 	joins := make([]domEntry, 0, len(d.Joins))
 	for _, j := range d.Joins {
-		joins = append(joins, c.newDomEntry(Key{IXP: j.IXP, Iface: j.Iface}, j.ASN))
+		if e, ok := c.newDomEntry(j.Iface, j.IXP, j.ASN); ok {
+			joins = append(joins, e)
+		}
 	}
 	// Interned IXPID order equals name order (the IXP space is fixed
-	// and was interned sorted), so the rank compare of the pre-
-	// interning code is one integer compare.
-	less := func(a, b domEntry) bool {
+	// and was interned sorted), so the IXP compare is one integer
+	// compare.
+	compare := func(a, b domEntry) int {
 		if a.ixp != b.ixp {
-			return a.ixp < b.ixp
+			return cmp.Compare(a.ixp, b.ixp)
 		}
-		return a.key.Iface.Less(b.key.Iface)
+		return c.compareIface(a, b)
 	}
-	sort.Slice(joins, func(i, k int) bool { return less(joins[i], joins[k]) })
+	slices.SortFunc(joins, compare)
 
-	out := c.domSpare[:0]
-	if need := len(c.domain) + len(joins); cap(out) < need {
-		out = make([]domEntry, 0, need+need/4)
-	}
+	old := c.dom.rows
+	out := make([]domEntry, 0, len(old)+len(joins))
 	// Departures are marked by interface ID, so the walk below reads a
 	// bit per entry instead of hashing its address.
 	for _, k := range d.Leaves {
@@ -380,20 +382,18 @@ func (c *Context) patchDomain(d Delta) {
 		}
 	}
 	ji := 0
-	for _, e := range c.domain {
+	for _, e := range old {
 		if c.leaveMark.Get(uint32(e.iface)) {
 			continue
 		}
-		for ji < len(joins) && less(joins[ji], e) {
+		for ji < len(joins) && compare(joins[ji], e) < 0 {
 			out = append(out, joins[ji])
 			ji++
 		}
 		out = append(out, e)
 	}
 	out = append(out, joins[ji:]...)
-	c.domSpare = c.domain
-	c.domain = out
-	c.rebuildGroupsLocked()
+	c.setDomainLocked(out)
 	// Joins only land on roster IXPs; a leave may drop an off-roster
 	// record.
 	if len(d.Leaves) > 0 {

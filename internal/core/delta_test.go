@@ -226,17 +226,17 @@ func TestApplyChangesDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(after.Inferences) != len(before.Inferences)+len(d.Joins)-len(d.Leaves) {
-		t.Fatalf("domain size %d, want %d", len(after.Inferences),
-			len(before.Inferences)+len(d.Joins)-len(d.Leaves))
+	if after.Len() != before.Len()+len(d.Joins)-len(d.Leaves) {
+		t.Fatalf("domain size %d, want %d", after.Len(),
+			before.Len()+len(d.Joins)-len(d.Leaves))
 	}
 	for _, j := range d.Joins {
-		if _, ok := after.Inferences[Key{IXP: j.IXP, Iface: j.Iface}]; !ok {
+		if _, ok := after.Lookup(Key{IXP: j.IXP, Iface: j.Iface}); !ok {
 			t.Fatalf("joined membership %s/%s missing from report", j.IXP, j.Iface)
 		}
 	}
 	for _, k := range d.Leaves {
-		if _, ok := after.Inferences[k]; ok {
+		if _, ok := after.Lookup(k); ok {
 			t.Fatalf("departed membership %v still in report", k)
 		}
 	}

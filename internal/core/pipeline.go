@@ -64,18 +64,18 @@ func DefaultOptions() Options {
 	}
 }
 
-// newDomain instantiates the run's inference domain: one row per
-// interface record of the merged dataset, aligned with the context's
-// domain entries, so the sharded steps index straight into it. Without
-// a base every row starts all-unknown and the run classifies them all.
-// With one, the rows are copied from the base (a merge of two arrays in
-// domain order; every clean row exists in both) and only the dirty
-// members' rows are reset and listed in p.rows for the steps. A base
-// whose dirty members hold more than 1/incrementalCutoff of the domain
-// is dropped.
+// newDomain instantiates the run's report: verdict columns aligned
+// with the context's current domain version, so the sharded steps
+// index straight into them. Without a base every row starts
+// all-unknown and the run classifies them all. With one, the rows are
+// copied from the base (a straight copy when the domain version is
+// unchanged, else a merge of two versions in domain order; every clean
+// row exists in both) and only the dirty members' rows are reset and
+// listed in p.rows for the steps. A base whose dirty members hold more
+// than 1/incrementalCutoff of the domain is dropped.
 func (p *pipeline) newDomain(base *Report) *Report {
 	c := p.ctx
-	entries, groups := c.domainGroups()
+	dom, groups := c.domainGroups()
 	gen := c.gen
 	if base != nil {
 		var ok bool
@@ -83,37 +83,47 @@ func (p *pipeline) newDomain(base *Report) *Report {
 			base = nil
 		}
 	}
-	infs := make([]Inference, len(entries))
-	p.domInfs, p.domEntries, p.groups, p.base = infs, entries, groups, base
+	v := newVerdicts(dom)
+	p.out, p.groups, p.base = v, groups, base
 	if base != nil {
-		copyRows(infs, entries, base.aligned)
-	}
-	measured := func(inf *Inference, _ float64, e domEntry) {
-		if p.traceDerived != nil {
-			inf.TraceRTT = p.traceDerived.Get(uint32(e.iface))
-		}
+		copyRows(v, base.v)
 	}
 	for k := range p.numRows() {
 		i := p.row(k)
-		resetRow(&infs[i], entries[i], p.rtt, measured)
+		id := dom.rows[i].iface
+		rtt := p.rtt[id]
+		v.reset(i, rtt)
+		if p.traceDerived != nil && !math.IsNaN(rtt) && p.traceDerived.Get(uint32(id)) {
+			v.trace.Set(uint32(i))
+		}
 	}
-	rep := reportOver(entries, infs)
-	rep.gen = gen
-	return rep
+	return &Report{v: v, gen: gen}
 }
 
-// copyRows copies into dst, aligned with entries, every row of old (a
-// base report's domain-ordered array) whose membership is still in the
-// domain. Both sides are in (IXP name, interface address) order.
-func copyRows(dst []Inference, entries []domEntry, old []Inference) {
+// copyRows copies into dst every row of old (a base report's columns)
+// whose membership is still in dst's domain version. Over an unchanged
+// version that is a copy of each column; otherwise both versions are
+// in domain order and one merge pairs their rows.
+func copyRows(dst, old *verdicts) {
+	if dst.dom == old.dom {
+		copy(dst.class, old.class)
+		copy(dst.step, old.step)
+		copy(dst.feas, old.feas)
+		copy(dst.rtt, old.rtt)
+		dst.trace.CopyFrom(&old.trace)
+		return
+	}
 	j := 0
-	for i := range entries {
-		k := &entries[i].key
-		for j < len(old) && (old[j].IXP < k.IXP || old[j].IXP == k.IXP && old[j].Iface.Less(k.Iface)) {
+	for i := range dst.class {
+		c := -1
+		for j < len(old.class) {
+			if c = compareRows(old.dom, j, dst.dom, i); c >= 0 {
+				break
+			}
 			j++
 		}
-		if j < len(old) && old[j].Iface == k.Iface && old[j].IXP == k.IXP {
-			dst[i] = old[j]
+		if c == 0 {
+			dst.copyRow(i, old, j)
 			j++
 		}
 	}
@@ -141,13 +151,11 @@ type pipeline struct {
 	// (nil unless Options.UseTracerouteRTT).
 	traceDerived *ident.Bits
 
-	// domInfs / domEntries are the backing inference array of the
-	// report newDomain produced (the one report every step of the run
-	// classifies) and the context's aligned entry list; groups indexes
-	// the entries per member.
-	domInfs    []Inference
-	domEntries []domEntry
-	groups     *groupIndex
+	// out holds the columns of the report newDomain produced (the one
+	// report every step of the run classifies), aligned with the
+	// domain version out.dom; groups indexes that version per member.
+	out    *verdicts
+	groups *groupIndex
 
 	// base is the report the run copies clean members from (nil: every
 	// member is dirty). rows lists the dirty members' domain indexes,
@@ -284,17 +292,18 @@ const shardChunk = 256
 // forEachInference applies fn to every row the run classifies — the
 // dirty members' rows, or the whole domain without a base — fanning
 // them out across the shard pool in claims of shardChunk rows. fn must
-// classify its entry from shared read-only state and write only
-// through inf (plus its private scratch); because no entry reads
-// another entry's verdict, the shard schedule cannot leak into the
-// report and the output is bit-identical for every worker count — the
-// merge is the writes themselves.
-func (p *pipeline) forEachInference(fn func(*scratch, domEntry, *Inference)) {
+// classify its entry from shared read-only state and write only row i
+// of p.out (plus its private scratch); because no entry reads another
+// entry's verdict, the shard schedule cannot leak into the report and
+// the output is bit-identical for every worker count — the merge is
+// the writes themselves.
+func (p *pipeline) forEachInference(fn func(s *scratch, e domEntry, i int)) {
+	rows := p.out.dom.rows
 	par.Do(p.opt.Workers, p.numRows(), shardChunk, func(lo, hi int) {
 		s := p.ctx.getScratch()
 		for k := lo; k < hi; k++ {
 			i := p.row(k)
-			fn(s, p.domEntries[i], &p.domInfs[i])
+			fn(s, rows[i], i)
 		}
 		p.ctx.putScratch(s)
 	})
@@ -306,7 +315,7 @@ func (p *pipeline) numRows() int {
 	if p.base != nil {
 		return len(p.rows)
 	}
-	return len(p.domEntries)
+	return len(p.out.class)
 }
 
 func (p *pipeline) row(k int) int {
@@ -331,8 +340,8 @@ func (p *pipeline) stepPortCapacity() {
 	p.forEachInference(p.classifyPortCapacity)
 }
 
-func (p *pipeline) classifyPortCapacity(_ *scratch, e domEntry, inf *Inference) {
-	if inf.Class != ClassUnknown {
+func (p *pipeline) classifyPortCapacity(_ *scratch, e domEntry, i int) {
+	if p.out.class[i] != ClassUnknown {
 		return
 	}
 	cmin, ok := p.ctx.colo.MinPort(e.ixp)
@@ -344,8 +353,7 @@ func (p *pipeline) classifyPortCapacity(_ *scratch, e domEntry, inf *Inference) 
 		return
 	}
 	if port < cmin {
-		inf.Class = ClassRemote
-		inf.Step = StepPortCapacity
+		p.out.decide(i, ClassRemote, StepPortCapacity)
 	}
 }
 
@@ -388,8 +396,8 @@ func (p *pipeline) stepRTTColo() {
 	p.forEachInference(p.classifyRTTColo)
 }
 
-func (p *pipeline) classifyRTTColo(s *scratch, e domEntry, inf *Inference) {
-	if inf.Class != ClassUnknown {
+func (p *pipeline) classifyRTTColo(s *scratch, e domEntry, i int) {
+	if p.out.class[i] != ClassUnknown {
 		return
 	}
 	rtt := p.rtt[e.iface]
@@ -401,7 +409,7 @@ func (p *pipeline) classifyRTTColo(s *scratch, e domEntry, inf *Inference) {
 
 	feasIXP := p.ixpRing(e.ixp, slot, dMin, dMax, s.ringA)
 	s.ringA = feasIXP[:0]
-	inf.FeasibleIXPFacilities = len(feasIXP)
+	p.out.feas[i] = int32(len(feasIXP))
 
 	asFacs, hasData := p.ctx.colo.Facilities(e.member)
 	feasAS := p.asRing(e.member, asFacs, slot, dMin, dMax, s.ringB)
@@ -410,17 +418,14 @@ func (p *pipeline) classifyRTTColo(s *scratch, e domEntry, inf *Inference) {
 	switch {
 	case len(feasIXP) == 0:
 		// Rule 1(i): no IXP facility can explain the RTT.
-		inf.Class = ClassRemote
-		inf.Step = StepRTTColo
+		p.out.decide(i, ClassRemote, StepRTTColo)
 	case hasData && intersects(feasAS, feasIXP):
 		// Rule 2: member colocated in a feasible IXP facility.
-		inf.Class = ClassLocal
-		inf.Step = StepRTTColo
+		p.out.decide(i, ClassLocal, StepRTTColo)
 	case hasData && len(feasAS) > 0:
 		// Rule 1(ii): member sits in a feasible facility where the
 		// IXP has no presence.
-		inf.Class = ClassRemote
-		inf.Step = StepRTTColo
+		p.out.decide(i, ClassRemote, StepRTTColo)
 	default:
 		// Rule 3: colocation data likely incomplete; defer to the
 		// following steps.

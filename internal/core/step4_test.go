@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"net/netip"
 	"runtime"
 	"slices"
@@ -11,6 +12,7 @@ import (
 	"rpeer/internal/geo"
 	"rpeer/internal/ident"
 	"rpeer/internal/netsim"
+	"rpeer/internal/pingsim"
 	"rpeer/internal/registry"
 	"rpeer/internal/traix"
 )
@@ -157,8 +159,8 @@ func TestStep4RemotePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if2 := s.iface(s.ix2)
-	inf := rep.Inferences[Key{s.ix2.Name, if2}]
-	if inf == nil {
+	inf, ok := rep.Lookup(Key{s.ix2.Name, if2})
+	if !ok {
 		t.Fatal("no inference for second IXP membership")
 	}
 	// Whether 2(b) fires depends on the world geometry; when it does,
@@ -361,5 +363,139 @@ func step4ShardIncremental(t *testing.T) {
 			}
 			reportsEqual(t, label+" vs cold", cold, got)
 		}
+	}
+}
+
+// TestRunStepMultiIXPSeedFollowsClassOf pins the standalone Step 4
+// seed to classOf's rule on a (member, IXP) group whose Steps 1-3
+// verdicts conflict: the member's real interface at ix1 is local by
+// Step 3 and a second interface above it in address order is remote,
+// so the group seeds local — the class of its first decided row, in
+// ascending interface order — on every run.
+func TestRunStepMultiIXPSeedFollowsClassOf(t *testing.T) {
+	s := newStep4Fixture(t)
+	real := s.iface(s.ix) // before crossingPaths registers other members
+	s.in.Paths = s.crossingPaths(t)
+	owner := s.router.Owner
+	fac := s.w.Facility(s.ix.Facilities[0])
+	s.in.Colo.ASFacilities[owner] = []netsim.FacilityID{fac.ID}
+	second := lastLANAddr(s.ix.PeeringLAN)
+	s.in.Dataset.IfaceASN[second] = owner
+	s.in.Dataset.IfaceIXP[second] = s.ix.Name
+	if !real.Less(second) {
+		t.Fatalf("the real interface %s must sort before %s", real, second)
+	}
+
+	ctx := newContext(s.in)
+	vp := &pingsim.VP{ID: 9998, IXP: s.ix.ID, Kind: pingsim.KindLG, Facility: fac.ID, Loc: fac.Loc}
+	ctx.setPing(real, 0.4, vp, false)
+	ctx.setPing(second, 250, vp, false)
+	full, err := ctx.Run(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := full.Lookup(Key{s.ix.Name, real})
+	b, _ := full.Lookup(Key{s.ix.Name, second})
+	if a.Class != ClassLocal || a.Step != StepRTTColo || b.Class != ClassRemote || b.Step != StepRTTColo {
+		t.Fatalf("the group does not conflict: %s is %v by %v, %s is %v by %v", real, a.Class, a.Step, second, b.Class, b.Step)
+	}
+
+	var first *Report
+	for i := 0; i < 20; i++ {
+		rep, err := ctx.RunStep(DefaultOptions(), StepMultiIXP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ip := range []netip.Addr{real, second} {
+			if got, _ := rep.Lookup(Key{s.ix.Name, ip}); got.Class != ClassLocal || got.Step != StepMultiIXP {
+				t.Fatalf("run %d: %s is %v by %v, want local by multi-ixp (seeded by the first decided row)", i, ip, got.Class, got.Step)
+			}
+		}
+		if first == nil {
+			first = rep
+		}
+		reportsEqual(t, fmt.Sprintf("run %d", i), first, rep)
+	}
+}
+
+// TestMemberCrossingsMatchPlaneScan holds the corpus's per-member
+// crossing lists, which obsIndex reads instead of scanning the crossing
+// plane, to a full scan of the plane's live crossings in ID space:
+// member m's list must name exactly its near crossings, in candidate
+// order. It checks after the cold build and after each of a random
+// sequence of churn and RTT deltas, one of which meets a crossing plane
+// that was re-settled behind its back and takes DetectDelta's Settle +
+// Compact fallback.
+func TestMemberCrossingsMatchPlaneScan(t *testing.T) {
+	ctx := newContext(deltaInputs(t))
+	check := func(label string) {
+		t.Helper()
+		scan := map[ident.MemberID][][2]uint32{}
+		rows := 0
+		for _, cr := range ctx.corpus.Crossings() {
+			x, ok := ctx.ids.IXP(cr.IXP)
+			if !ok {
+				continue
+			}
+			near, okN := ctx.ids.Iface(cr.NearIP)
+			m, okM := ctx.ids.Member(cr.NearAS)
+			if !okN || !okM {
+				t.Fatalf("%s: crossing %+v not interned", label, cr)
+			}
+			scan[m] = append(scan[m], [2]uint32{uint32(x), uint32(near)})
+			rows++
+		}
+		listed := 0
+		for m := 0; m < ctx.ids.NumMembers(); m++ {
+			var got [][2]uint32
+			for _, i := range ctx.corpus.MemberCrossings(ident.MemberID(m)) {
+				x, near := ctx.corpus.CrossingRow(i)
+				got = append(got, [2]uint32{uint32(x), uint32(near)})
+			}
+			if want := scan[ident.MemberID(m)]; !slices.Equal(got, want) {
+				t.Fatalf("%s: member %d lists %v, the plane scan %v", label, m, got, want)
+			}
+			listed += len(got)
+		}
+		if listed != rows || listed == 0 {
+			t.Fatalf("%s: the lists hold %d rows, the plane %d", label, listed, rows)
+		}
+	}
+	check("cold")
+
+	rng := rand.New(rand.NewSource(23))
+	settled := false
+	for step := 0; step < 10; step++ {
+		in := ctx.Inputs()
+		var d Delta
+		label := fmt.Sprintf("step %d", step)
+		switch {
+		case step == 5:
+			// Re-settle the plane without compacting it: the next
+			// membership delta must rebuild it from scratch.
+			ctx.corpus.Settle(ctx.det)
+			d = churnDelta(t, in, 10+rng.Intn(30), 10+rng.Intn(30))
+			label += " (settle fallback)"
+			settled = true
+		case rng.Intn(3) == 0:
+			d = rttDelta(t, in, 20+rng.Intn(100), rng.Intn(1000))
+			label += " (rtt)"
+		default:
+			d = churnDelta(t, in, 5+rng.Intn(40), 5+rng.Intn(40))
+			label += " (churn)"
+		}
+		if err := ctx.Apply(d); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if settled {
+			if ctx.allDirtyAt != ctx.gen {
+				t.Fatalf("%s: the delta after Settle did not take the fallback", label)
+			}
+			settled = false
+		}
+		if _, err := ctx.Run(DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+		check(label)
 	}
 }

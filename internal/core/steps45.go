@@ -105,21 +105,24 @@ func (c *Context) obsIndex() []*asObs {
 
 	// Member IDs are dense, so the per-member grouping runs on flat
 	// count/offset columns and two contiguous pair slabs — no map of
-	// individually-growing slices. The membership side comes from the
-	// context's interned record triples (the domain's member groups
-	// plus the off-roster records), so nothing here hashes an address
-	// or a name; every pair lands in its member's slab region and the
-	// regions are sorted below, so the index is independent of record
-	// order.
+	// individually-growing slices. The crossing side comes from the
+	// corpus's per-member crossing lists and the membership side from
+	// the context's interned record triples (the domain's member groups
+	// plus the off-roster records), so only the folded members' rows
+	// are read and nothing here hashes an address or a name; every pair
+	// lands in its member's slab region and the regions are sorted
+	// below, so the index is independent of record order.
+	crossings := func(m ident.MemberID) []int32 {
+		if c.corpus == nil {
+			return nil
+		}
+		return c.corpus.MemberCrossings(m)
+	}
 	nearOff := make([]int32, nm+1)
 	memOff := make([]int32, nm+1)
-	for i := 0; i < c.cross.Len(); i++ {
-		if k := slot[c.cross.NearAS[i]]; k > 0 {
-			nearOff[k]++
-		}
-	}
 	groups, offRoster := c.memberships()
 	for k, m := range dirty {
+		nearOff[k+1] = int32(len(crossings(m)))
 		memOff[k+1] = int32(len(groups.rowsOf(m)))
 	}
 	for _, e := range offRoster {
@@ -139,13 +142,12 @@ func (c *Context) obsIndex() []*asObs {
 	memSlab := make([]obsPair, memOff[nm])
 	nearCur := append([]int32(nil), nearOff[:nm]...)
 	memCur := append([]int32(nil), memOff[:nm]...)
-	for i := 0; i < c.cross.Len(); i++ {
-		if k := slot[c.cross.NearAS[i]] - 1; k >= 0 {
-			nearSlab[nearCur[k]] = obsPair{c.cross.Near[i], c.cross.IXP[i]}
+	for k, m := range dirty {
+		for _, i := range crossings(m) {
+			x, near := c.corpus.CrossingRow(i)
+			nearSlab[nearCur[k]] = obsPair{near, x}
 			nearCur[k]++
 		}
-	}
-	for k, m := range dirty {
 		for _, di := range groups.rowsOf(m) {
 			e := &groups.domain[di]
 			memSlab[memCur[k]] = obsPair{e.iface, e.ixp}
@@ -246,8 +248,9 @@ type cachedRouter struct {
 // stepMultiIXP classifies multi-IXP routers (Fig 3 taxonomy) and
 // propagates local/remote verdicts to memberships the earlier steps
 // left unknown. When seed is nil, prior classes are read from rep
-// itself (the normal pipeline flow); a non-nil seed supplies them from
-// elsewhere (the standalone per-step evaluation).
+// itself (the normal pipeline flow); a non-nil seed supplies each
+// (member, IXP) group's class from elsewhere (the standalone per-step
+// evaluation).
 //
 // The sweep is sharded by member-run: the cached router list is sorted
 // by AS number, so one member's routers are contiguous, and a run —
@@ -263,7 +266,7 @@ type cachedRouter struct {
 // leans on (facDist, ringQuery) are mutex-guarded and
 // value-deterministic, so the report is bit-identical for every worker
 // count — pinned by TestStep4ShardDeterminism.
-func (p *pipeline) stepMultiIXP(rep *Report, seed func(netsim.ASN, string) PeerClass) {
+func (p *pipeline) stepMultiIXP(rep *Report, seed func(ident.MemberID, ident.IXPID) PeerClass) {
 	c := p.ctx
 	cached := c.multiRouters(p.alias, p.opt.Workers)
 
@@ -340,15 +343,16 @@ func (p *pipeline) newRouter(cr *cachedRouter) *MultiIXPRouter {
 // writing the router's class and propagating verdicts into its
 // member's domain entries. All side effects are confined to cr.member
 // (see stepMultiIXP's sharding argument).
-func (p *pipeline) classifyMultiRouter(s *scratch, groups *groupIndex, cr *cachedRouter, r *MultiIXPRouter, seed func(netsim.ASN, string) PeerClass) {
+func (p *pipeline) classifyMultiRouter(s *scratch, groups *groupIndex, cr *cachedRouter, r *MultiIXPRouter, seed func(ident.MemberID, ident.IXPID) PeerClass) {
 	c := p.ctx
+	v := p.out
 	classOf := func(m ident.MemberID, x ident.IXPID) PeerClass {
 		if seed != nil {
-			return seed(c.ids.ASN(m), c.ids.IXPName(x))
+			return seed(m, x)
 		}
 		for _, di := range groups.of(m, x) {
-			if inf := &p.domInfs[di]; inf.Class != ClassUnknown {
-				return inf.Class
+			if cls := v.class[di]; cls != ClassUnknown {
+				return cls
 			}
 		}
 		return ClassUnknown
@@ -360,10 +364,8 @@ func (p *pipeline) classifyMultiRouter(s *scratch, groups *groupIndex, cr *cache
 	standalone := seed != nil
 	assign := func(m ident.MemberID, x ident.IXPID, cls PeerClass) {
 		for _, di := range groups.of(m, x) {
-			inf := &p.domInfs[di]
-			if inf.Class == ClassUnknown || (standalone && inf.Step == StepMultiIXP) {
-				inf.Class = cls
-				inf.Step = StepMultiIXP
+			if v.class[di] == ClassUnknown || (standalone && v.step[di] == StepMultiIXP) {
+				v.decide(int(di), cls, StepMultiIXP)
 			}
 		}
 	}
@@ -505,7 +507,7 @@ func (p *pipeline) allShareFacility(s *scratch, ixps []string) bool {
 func (p *pipeline) anchorRingDMin(group []int32) float64 {
 	best := 0.0
 	for _, di := range group {
-		e := p.domEntries[di]
+		e := p.out.dom.rows[di]
 		rtt := p.rtt[e.iface]
 		if math.IsNaN(rtt) {
 			continue
@@ -576,8 +578,8 @@ func (p *pipeline) stepPrivate() {
 	p.forEachInference(p.classifyPrivate)
 }
 
-func (p *pipeline) classifyPrivate(s *scratch, e domEntry, inf *Inference) {
-	if inf.Class != ClassUnknown {
+func (p *pipeline) classifyPrivate(s *scratch, e domEntry, i int) {
+	if p.out.class[i] != ClassUnknown {
 		return
 	}
 	c := p.ctx
@@ -666,9 +668,8 @@ func (p *pipeline) classifyPrivate(s *scratch, e domEntry, inf *Inference) {
 		}
 	}
 	if common == 1 || (common > 1 && common == len(s.fCommon)) {
-		inf.Class = ClassLocal
+		p.out.decide(i, ClassLocal, StepPrivate)
 	} else {
-		inf.Class = ClassRemote
+		p.out.decide(i, ClassRemote, StepPrivate)
 	}
-	inf.Step = StepPrivate
 }

@@ -112,13 +112,13 @@ func TestStep1RuleFractionalPortMeansRemote(t *testing.T) {
 	p, rep := f.pipelineWithRTT(nil)
 	p.stepPortCapacity()
 
-	if got := rep.Inferences[Key{f.ix.Name, ipFrac}]; got.Class != ClassRemote || got.Step != StepPortCapacity {
+	if got, _ := rep.Lookup(Key{f.ix.Name, ipFrac}); got.Class != ClassRemote || got.Step != StepPortCapacity {
 		t.Errorf("fractional port: got %v via %v, want remote via port-capacity", got.Class, got.Step)
 	}
-	if got := rep.Inferences[Key{f.ix.Name, ipFull}]; got.Class != ClassUnknown {
+	if got, _ := rep.Lookup(Key{f.ix.Name, ipFull}); got.Class != ClassUnknown {
 		t.Errorf("full port: got %v, want unknown", got.Class)
 	}
-	if got := rep.Inferences[Key{f.ix.Name, ipNo}]; got.Class != ClassUnknown {
+	if got, _ := rep.Lookup(Key{f.ix.Name, ipNo}); got.Class != ClassUnknown {
 		t.Errorf("no port data: got %v, want unknown", got.Class)
 	}
 }
@@ -133,7 +133,7 @@ func TestStep1RuleNoPricingNoInference(t *testing.T) {
 
 	p, rep := f.pipelineWithRTT(nil)
 	p.stepPortCapacity()
-	if got := rep.Inferences[Key{f.ix.Name, ip}]; got.Class != ClassUnknown {
+	if got, _ := rep.Lookup(Key{f.ix.Name, ip}); got.Class != ClassUnknown {
 		t.Errorf("no Cmin: got %v, want unknown", got.Class)
 	}
 }
@@ -146,7 +146,7 @@ func TestStep3RuleLocalColocatedLowRTT(t *testing.T) {
 
 	p, rep := f.pipelineWithRTT(map[netip.Addr]float64{ip: 0.4})
 	p.stepRTTColo()
-	got := rep.Inferences[Key{f.ix.Name, ip}]
+	got, _ := rep.Lookup(Key{f.ix.Name, ip})
 	if got.Class != ClassLocal || got.Step != StepRTTColo {
 		t.Errorf("colocated sub-ms member: got %v via %v, want local via rtt+colo", got.Class, got.Step)
 	}
@@ -163,7 +163,7 @@ func TestStep3RuleRemoteNoFeasibleFacility(t *testing.T) {
 	// IXP's facilities; rule 1(i) must fire even with no colo data.
 	p, rep := f.pipelineWithRTT(map[netip.Addr]float64{ip: 80})
 	p.stepRTTColo()
-	got := rep.Inferences[Key{f.ix.Name, ip}]
+	got, _ := rep.Lookup(Key{f.ix.Name, ip})
 	if got.Class != ClassRemote {
 		t.Errorf("80ms member at single-metro IXP: got %v, want remote (rule 1(i))", got.Class)
 	}
@@ -216,7 +216,7 @@ func TestStep3RuleRemoteNearbyPeer(t *testing.T) {
 	rtt := 2 * d / 70
 	p, rep := f.pipelineWithRTT(map[netip.Addr]float64{ip: rtt})
 	p.stepRTTColo()
-	got := rep.Inferences[Key{f.ix.Name, ip}]
+	got, _ := rep.Lookup(Key{f.ix.Name, ip})
 	if got.Class == ClassLocal {
 		t.Errorf("nearby remote (%.0f km, %.1f ms): inferred local", d, rtt)
 	}
@@ -230,7 +230,7 @@ func TestStep3RuleUnknownWithoutColoData(t *testing.T) {
 	// data the rule must defer (rule 3).
 	p, rep := f.pipelineWithRTT(map[netip.Addr]float64{ip: 0.5})
 	p.stepRTTColo()
-	got := rep.Inferences[Key{f.ix.Name, ip}]
+	got, _ := rep.Lookup(Key{f.ix.Name, ip})
 	if got.Class != ClassUnknown {
 		t.Errorf("no colo data: got %v, want unknown (defer to steps 4/5)", got.Class)
 	}
@@ -245,7 +245,7 @@ func TestStep3RoundingLGWidensRing(t *testing.T) {
 	p, rep := f.pipelineWithRTT(map[netip.Addr]float64{ip: 1.0})
 	p.ctx.setPing(ip, 1.0, f.vp, true) // the LG rounded 0.2ms up to 1ms
 	p.stepRTTColo()
-	got := rep.Inferences[Key{f.ix.Name, ip}]
+	got, _ := rep.Lookup(Key{f.ix.Name, ip})
 	if got.Class != ClassLocal {
 		t.Errorf("rounded 1ms local: got %v, want local (dmin from RTT-1)", got.Class)
 	}

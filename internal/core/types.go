@@ -26,8 +26,6 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
-	"sort"
-	"strings"
 
 	"rpeer/internal/netsim"
 )
@@ -153,7 +151,7 @@ type MultiIXPRouter struct {
 	Class RouterClass
 }
 
-// Key identifies one membership in inference maps.
+// Key identifies one membership: an interface address at an IXP.
 type Key struct {
 	IXP   string
 	Iface netip.Addr
@@ -161,133 +159,3 @@ type Key struct {
 
 // String implements fmt.Stringer.
 func (k Key) String() string { return fmt.Sprintf("%s/%s", k.IXP, k.Iface) }
-
-// Report is the pipeline output.
-type Report struct {
-	// Inferences maps each known membership to its verdict (always
-	// populated, possibly with ClassUnknown).
-	Inferences map[Key]*Inference
-	// MultiRouters lists the classified multi-IXP routers (Fig 9d).
-	MultiRouters []*MultiIXPRouter
-
-	// aligned is the array backing Inferences in domain order — IXP
-	// name, then interface address, ascending — for reports a Context
-	// built; nil for hand-built and decoded ones. The map and the array
-	// share their Inference values.
-	aligned []Inference
-	// gen is the context's delta generation the report reflects (see
-	// Context.Run).
-	gen uint64
-}
-
-// Rows returns the report's inferences in domain order: IXP name, then
-// interface address. For a report a Context built it is the shared
-// backing array and must be treated as read-only; for a hand-built or
-// decoded one it is a sorted copy of the map.
-func (r *Report) Rows() []Inference {
-	if r.aligned != nil {
-		return r.aligned
-	}
-	rows := make([]Inference, 0, len(r.Inferences))
-	for k, inf := range r.Inferences {
-		row := *inf
-		row.IXP, row.Iface = k.IXP, k.Iface
-		rows = append(rows, row)
-	}
-	sort.Slice(rows, func(i, j int) bool { return compareMembership(&rows[i], &rows[j]) < 0 })
-	return rows
-}
-
-// DiffVerdicts calls fn for every membership whose verdict (class or
-// step) differs between old and new: o is nil for a membership only
-// new has, n nil for one only old has. When both reports come from a
-// Context the diff is one merge over their domain-ordered arrays, and
-// fn sees the changes in (IXP, interface address) order; otherwise it
-// walks the maps, in no particular order.
-func DiffVerdicts(old, new *Report, fn func(k Key, o, n *Inference)) {
-	if old.aligned == nil || new.aligned == nil {
-		diffVerdictMaps(old, new, fn)
-		return
-	}
-	a, b := old.aligned, new.aligned
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		c := 0
-		switch {
-		case i == len(a):
-			c = 1
-		case j == len(b):
-			c = -1
-		default:
-			c = compareMembership(&a[i], &b[j])
-		}
-		switch {
-		case c < 0:
-			fn(Key{IXP: a[i].IXP, Iface: a[i].Iface}, &a[i], nil)
-			i++
-		case c > 0:
-			fn(Key{IXP: b[j].IXP, Iface: b[j].Iface}, nil, &b[j])
-			j++
-		default:
-			if a[i].Class != b[j].Class || a[i].Step != b[j].Step {
-				fn(Key{IXP: b[j].IXP, Iface: b[j].Iface}, &a[i], &b[j])
-			}
-			i++
-			j++
-		}
-	}
-}
-
-// compareMembership orders two inferences by (IXP name, interface
-// address), the domain order.
-func compareMembership(x, y *Inference) int {
-	if x.IXP != y.IXP {
-		return strings.Compare(x.IXP, y.IXP)
-	}
-	return x.Iface.Compare(y.Iface)
-}
-
-// diffVerdictMaps is DiffVerdicts over the report maps.
-func diffVerdictMaps(old, new *Report, fn func(k Key, o, n *Inference)) {
-	for k, o := range old.Inferences {
-		n, ok := new.Inferences[k]
-		if !ok {
-			fn(k, o, nil)
-		} else if o.Class != n.Class || o.Step != n.Step {
-			fn(k, o, n)
-		}
-	}
-	for k, n := range new.Inferences {
-		if _, ok := old.Inferences[k]; !ok {
-			fn(k, nil, n)
-		}
-	}
-}
-
-// StepShare returns, per IXP, the fraction of decided inferences made
-// by each step (Fig 10a).
-func (r *Report) StepShare() map[string]map[Step]float64 {
-	counts := make(map[string]map[Step]int)
-	totals := make(map[string]int)
-	for _, inf := range r.Inferences {
-		if inf.Class == ClassUnknown {
-			continue
-		}
-		m := counts[inf.IXP]
-		if m == nil {
-			m = make(map[Step]int)
-			counts[inf.IXP] = m
-		}
-		m[inf.Step]++
-		totals[inf.IXP]++
-	}
-	out := make(map[string]map[Step]float64, len(counts))
-	for ixp, m := range counts {
-		fr := make(map[Step]float64, len(m))
-		for s, n := range m {
-			fr[s] = float64(n) / float64(totals[ixp])
-		}
-		out[ixp] = fr
-	}
-	return out
-}

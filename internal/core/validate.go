@@ -172,20 +172,21 @@ type Metrics struct {
 func Evaluate(rep *Report, v *Validation) Metrics {
 	var m Metrics
 	m.Validated = v.Size()
+	cols := rep.cols()
 	for k, truthRemote := range flatten(v) {
-		inf, ok := rep.Inferences[k]
-		if !ok || inf.Class == ClassUnknown {
+		i, ok := cols.dom.find(k)
+		if !ok || cols.class[i] == ClassUnknown {
 			continue
 		}
 		m.Inferred++
-		switch {
-		case inf.Class == ClassRemote && truthRemote:
+		switch class := cols.class[i]; {
+		case class == ClassRemote && truthRemote:
 			m.TruePosR++
-		case inf.Class == ClassLocal && !truthRemote:
+		case class == ClassLocal && !truthRemote:
 			m.TruePosL++
-		case inf.Class == ClassRemote && !truthRemote:
+		case class == ClassRemote && !truthRemote:
 			m.FalsePos++
-		case inf.Class == ClassLocal && truthRemote:
+		case class == ClassLocal && truthRemote:
 			m.FalseNeg++
 		}
 	}
@@ -239,11 +240,5 @@ func EvaluatePerIXP(rep *Report, v *Validation) map[string]Metrics {
 // StepInferences returns the inferences attributed to one step,
 // as a report (for the per-step rows of Table 4).
 func StepInferences(rep *Report, s Step) *Report {
-	out := &Report{Inferences: make(map[Key]*Inference)}
-	for k, inf := range rep.Inferences {
-		if inf.Step == s && inf.Class != ClassUnknown {
-			out.Inferences[k] = inf
-		}
-	}
-	return out
+	return rep.subset(0, rep.Len(), func(v *verdicts, i int) bool { return v.step[i] == s && v.class[i] != ClassUnknown })
 }

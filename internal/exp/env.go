@@ -7,6 +7,8 @@ package exp
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -170,6 +172,7 @@ type Result struct {
 // ~40 ms with the PR 4/PR 5 speedups — starts immediately instead of
 // gating the suite from the tail of the queue.
 type artefact struct {
+	id     string // Result.ID of fn's result
 	fn     func(*Env) Result
 	costUs int
 }
@@ -177,32 +180,32 @@ type artefact struct {
 // artefacts lists every artefact in paper order (the output order of
 // All, regardless of the execution schedule).
 var artefacts = []artefact{
-	{Table1, 8},
-	{Table2, 2812},
-	{Fig1a, 163},
-	{Fig1b, 6406},
-	{Fig2a, 107},
-	{Fig2b, 208},
-	{Fig4, 2125},
-	{Fig5, 1195},
-	{Fig6, 401},
-	{Table4, 41293},
-	{Fig8, 642},
-	{Table5, 2251},
-	{Fig9a, 32},
-	{Fig9b, 794},
-	{Fig9c, 220},
-	{Fig9d, 4},
-	{Fig10a, 377},
-	{Fig10b, 3028},
-	{Fig11a, 2159},
-	{Fig11b, 958},
-	{Fig12a, 136},
-	{Fig12b, 878},
-	{Sec64, 58610},
-	{Sec7, 5009},
-	{Sec8, 7834},
-	{Sec8Longitudinal, 326},
+	{"Table 1", Table1, 8},
+	{"Table 2", Table2, 2812},
+	{"Fig 1a", Fig1a, 163},
+	{"Fig 1b", Fig1b, 6406},
+	{"Fig 2a", Fig2a, 107},
+	{"Fig 2b", Fig2b, 208},
+	{"Fig 4", Fig4, 2125},
+	{"Fig 5", Fig5, 1195},
+	{"Fig 6", Fig6, 401},
+	{"Table 4", Table4, 41293},
+	{"Fig 8", Fig8, 642},
+	{"Table 5", Table5, 2251},
+	{"Fig 9a", Fig9a, 32},
+	{"Fig 9b", Fig9b, 794},
+	{"Fig 9c", Fig9c, 220},
+	{"Fig 9d", Fig9d, 4},
+	{"Fig 10a", Fig10a, 377},
+	{"Fig 10b", Fig10b, 3028},
+	{"Fig 11a", Fig11a, 2159},
+	{"Fig 11b", Fig11b, 958},
+	{"Fig 12a", Fig12a, 136},
+	{"Fig 12b", Fig12b, 878},
+	{"Sec 6.4", Sec64, 58610},
+	{"Sec 7", Sec7, 5009},
+	{"Sec 8", Sec8, 7834},
+	{"Sec 8b", Sec8Longitudinal, 326},
 }
 
 // schedule is the order All's workers claim artefacts in: artefact indexes
@@ -225,12 +228,51 @@ var schedule = func() []int {
 // schedule order (longest-first) and write results back by paper-order
 // index, so the output is identical for every worker count.
 func All(env *Env, workers int) []Result {
+	return regenerate(env, workers, schedule)
+}
+
+// Select is All restricted to the artefacts with the given IDs ("Table
+// 4", "Fig 8", ...), still in paper order. An ID no artefact carries is
+// an error.
+func Select(env *Env, workers int, ids []string) ([]Result, error) {
+	want := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		want[id] = true
+	}
+	var sched []int
+	for _, i := range schedule {
+		if want[artefacts[i].id] {
+			sched = append(sched, i)
+			delete(want, artefacts[i].id)
+		}
+	}
+	if len(want) > 0 {
+		known := make([]string, len(artefacts))
+		for i, a := range artefacts {
+			known[i] = a.id
+		}
+		return nil, fmt.Errorf("exp: unknown artefact IDs %q (known: %q)", slices.Sorted(maps.Keys(want)), known)
+	}
+	return regenerate(env, workers, sched), nil
+}
+
+// regenerate runs the artefacts of sched, a subsequence of schedule,
+// and returns their results in paper order.
+func regenerate(env *Env, workers int, sched []int) []Result {
 	out := make([]Result, len(artefacts))
-	par.Do(workers, len(schedule), 1, func(k, _ int) {
-		i := schedule[k]
+	par.Do(workers, len(sched), 1, func(k, _ int) {
+		i := sched[k]
 		out[i] = artefacts[i].fn(env)
 	})
-	return out
+	if len(sched) == len(artefacts) {
+		return out
+	}
+	picked := slices.Sorted(slices.Values(sched))
+	res := make([]Result, len(picked))
+	for k, i := range picked {
+		res[k] = out[i]
+	}
+	return res
 }
 
 // controlCampaign runs the "one-time access" LG-style measurements the

@@ -25,7 +25,10 @@ func TestAllExperimentsRun(t *testing.T) {
 		t.Fatalf("experiments = %d, want 26", len(results))
 	}
 	seen := make(map[string]bool)
-	for _, r := range results {
+	for i, r := range results {
+		if r.ID != artefacts[i].id {
+			t.Errorf("artefact %d is listed as %q but reports %q", i, artefacts[i].id, r.ID)
+		}
 		if r.ID == "" || r.Title == "" || r.PaperClaim == "" {
 			t.Errorf("experiment %q incomplete metadata", r.ID)
 		}
@@ -40,6 +43,26 @@ func TestAllExperimentsRun(t *testing.T) {
 		if !strings.Contains(out, "|") {
 			t.Errorf("experiment %q renders nothing", r.ID)
 		}
+	}
+}
+
+// TestSelectKeepsPaperOrder: Select regenerates only the listed
+// artefacts, in paper order whatever the order asked, and refuses an
+// ID no artefact carries.
+func TestSelectKeepsPaperOrder(t *testing.T) {
+	got, err := Select(env(t), 0, []string{"Fig 8", "Table 4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].ID != "Table 4" || got[1].ID != "Fig 8" {
+		ids := make([]string, len(got))
+		for i, r := range got {
+			ids[i] = r.ID
+		}
+		t.Fatalf("Select gave %q, want [Table 4 Fig 8]", ids)
+	}
+	if _, err := Select(env(t), 0, []string{"Table 4", "Fig 99"}); err == nil {
+		t.Fatal("Select accepted an unknown artefact ID")
 	}
 }
 
@@ -108,10 +131,10 @@ func TestEnvDeterministic(t *testing.T) {
 
 func core0(e *Env) [2]int {
 	remote := 0
-	for _, inf := range e.Report.Inferences {
+	for _, inf := range e.Report.All() {
 		if inf.Class.String() == "remote" {
 			remote++
 		}
 	}
-	return [2]int{len(e.Report.Inferences), remote}
+	return [2]int{e.Report.Len(), remote}
 }

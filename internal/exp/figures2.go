@@ -120,7 +120,7 @@ func Fig9c(env *Env) Result {
 		core.ClassRemote:  {},
 		core.ClassUnknown: {},
 	}
-	for _, inf := range env.Report.Inferences {
+	for _, inf := range env.Report.All() {
 		if inf.Step != core.StepRTTColo && !(inf.Step == core.StepNone && inf.FeasibleIXPFacilities >= 0) {
 			continue
 		}
@@ -227,8 +227,10 @@ func Fig10b(env *Env) Result {
 	var totDecided, totRemote, over10 int
 	for i, ix := range studied {
 		var dec, rem int
-		for _, inf := range env.Report.Inferences {
-			if inf.IXP != ix.Name || inf.Class == core.ClassUnknown {
+		lo, hi := env.Report.IXPRange(ix.Name)
+		for i := lo; i < hi; i++ {
+			inf := env.Report.At(i)
+			if inf.Class == core.ClassUnknown {
 				continue
 			}
 			dec++
@@ -264,7 +266,7 @@ func Fig10b(env *Env) Result {
 // memberships.
 func memberClasses(env *Env) map[netsim.ASN]cone.MemberClass {
 	perAS := make(map[netsim.ASN][]bool)
-	for _, inf := range env.Report.Inferences {
+	for _, inf := range env.Report.All() {
 		if inf.Class == core.ClassUnknown {
 			continue
 		}
@@ -402,7 +404,7 @@ func Sec64(env *Env) Result {
 	flagship := env.StudiedIXPs(1)[0]
 	var remotes []netsim.ASN
 	seen := make(map[netsim.ASN]bool)
-	for _, inf := range env.Report.Inferences {
+	for _, inf := range env.Report.All() {
 		if inf.IXP == flagship.Name && inf.Class == core.ClassRemote && !seen[inf.ASN] {
 			seen[inf.ASN] = true
 			remotes = append(remotes, inf.ASN)

@@ -94,7 +94,7 @@ func TestLifecycleBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep, _, _ := lease.Guard().Published(); len(rep.Inferences) == 0 {
+	if rep, _, _ := lease.Guard().Published(); rep.Len() == 0 {
 		t.Fatal("snapshot under lease has no inferences")
 	}
 	if st := h.Tenants()[0]; st.State != "serving" || st.Leases != 1 || st.Opens != 1 {

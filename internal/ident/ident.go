@@ -156,7 +156,9 @@ func (t *Table) IfaceRetired(id IfaceID) bool { return t.dead.Get(uint32(id)) }
 // to persist membership state in a deterministic order without
 // sorting: ID order is append order, which is fixed by the delta
 // history. The slice is the table's live backing array and must be
-// treated as read-only.
+// treated as read-only. Interning only appends past its length, so the
+// returned slice is also an immutable view of the IDs interned so far:
+// it may be read while the table keeps growing.
 func (t *Table) Ifaces() []netip.Addr { return t.addrs }
 
 // ---------------------------------------------------------------------------
@@ -184,6 +186,11 @@ func (t *Table) ASN(id MemberID) netsim.ASN { return t.asns[id] }
 
 // NumMembers returns the member ID space size.
 func (t *Table) NumMembers() int { return len(t.asns) }
+
+// ASNs returns the member column (MemberID -> AS number), the table's
+// live backing array: read-only, and like Ifaces an immutable view of
+// the members interned so far.
+func (t *Table) ASNs() []netsim.ASN { return t.asns }
 
 // ---------------------------------------------------------------------------
 // Facilities
@@ -223,6 +230,10 @@ func (t *Table) IXP(name string) (IXPID, bool) {
 
 // IXPName returns the name behind an IXP ID.
 func (t *Table) IXPName(id IXPID) string { return t.ixpNames[id] }
+
+// IXPNames returns the IXP column (IXPID -> name), fixed by SetIXPs:
+// read-only.
+func (t *Table) IXPNames() []string { return t.ixpNames }
 
 // NumIXPs returns the IXP ID space size.
 func (t *Table) NumIXPs() int { return len(t.ixpNames) }

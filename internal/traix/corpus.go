@@ -35,8 +35,9 @@ import (
 //
 // The candidates that pass all three rules form the live crossing
 // plane (Settle, Compact, DetectDelta): per candidate a live bit and
-// the interned near interface and member, from which the CrossingTab
-// is refilled without hashing.
+// the interned near interface and member, and per near member the list
+// of its live candidates (MemberCrossings), which the multi-IXP
+// observation index reads without hashing or scanning the plane.
 //
 // Private-hop detection is *fully static*: a consecutive-hop pair with
 // a peering-LAN address can never classify as a private interconnect
@@ -92,6 +93,12 @@ type Corpus struct {
 	nearID  []ident.IfaceID
 	nearMem []ident.MemberID
 	setIXP  []int32
+
+	// byMem lists, per near member (MemberID-indexed), the candidates
+	// whose crossing row has that near member, ascending: one member's
+	// crossing rows without a scan of the plane. Compact rebuilds it;
+	// DetectDelta moves each candidate whose row it changed.
+	byMem [][]int32
 
 	// byLAN indexes the candidates by the peering-LAN addresses their
 	// rules 1+2 read (the anchor, plus LAN-resident neighbours, whose AS
@@ -373,8 +380,9 @@ func (c *Corpus) Settle(d *Detector) {
 
 // Compact interns the entities of every live crossing — near
 // interface, near member and IXP interface, in candidate order, and
-// only at IXPs the table knows — and refills t from the plane.
-func (c *Corpus) Compact(tab *ident.Table, t *CrossingTab) {
+// only at IXPs the table knows — and lists each crossing row under its
+// near member.
+func (c *Corpus) Compact(tab *ident.Table) {
 	d := c.settledWith
 	if cap(c.nearID) < len(c.live) {
 		c.nearID = make([]ident.IfaceID, len(c.live))
@@ -388,7 +396,65 @@ func (c *Corpus) Compact(tab *ident.Table, t *CrossingTab) {
 		}
 	}
 	c.plane = true
-	c.fill(t)
+
+	// The lists are counted out of one slab, each capped at its length,
+	// so a later insert moves that list out instead of overrunning the
+	// next one.
+	nm := tab.NumMembers()
+	off := make([]int32, nm+1)
+	for i := range c.live {
+		if r := c.rowOf(int32(i)); r.in {
+			off[r.mem+1]++
+		}
+	}
+	for m := 1; m <= nm; m++ {
+		off[m] += off[m-1]
+	}
+	slab := make([]int32, off[nm])
+	cur := slices.Clone(off[:nm])
+	for i := range c.live {
+		if r := c.rowOf(int32(i)); r.in {
+			slab[cur[r.mem]] = int32(i)
+			cur[r.mem]++
+		}
+	}
+	c.byMem = slices.Grow(c.byMem[:0], nm)[:nm]
+	for m := range c.byMem {
+		c.byMem[m] = slab[off[m]:off[m+1]:off[m+1]]
+	}
+}
+
+// addMemberRow lists candidate i under near member m.
+func (c *Corpus) addMemberRow(m ident.MemberID, i int32) {
+	for int(m) >= len(c.byMem) {
+		c.byMem = append(c.byMem, nil)
+	}
+	k, _ := slices.BinarySearch(c.byMem[m], i)
+	c.byMem[m] = slices.Insert(c.byMem[m], k, i)
+}
+
+// dropMemberRow removes candidate i from near member m's list.
+func (c *Corpus) dropMemberRow(m ident.MemberID, i int32) {
+	if k, ok := slices.BinarySearch(c.byMem[m], i); ok {
+		c.byMem[m] = slices.Delete(c.byMem[m], k, k+1)
+	}
+}
+
+// MemberCrossings returns the candidates whose crossing row has near
+// member m, ascending (candidate order); CrossingRow reads each row. The slice is the corpus's own: read-only,
+// and valid until the next DetectDelta or Compact.
+func (c *Corpus) MemberCrossings(m ident.MemberID) []int32 {
+	if int(m) >= len(c.byMem) {
+		return nil
+	}
+	return c.byMem[m]
+}
+
+// CrossingRow returns the IXP and near interface of candidate i's
+// crossing row (i from MemberCrossings).
+func (c *Corpus) CrossingRow(i int32) (ident.IXPID, ident.IfaceID) {
+	r := c.rowOf(i)
+	return ident.IXPID(r.ixp), r.near
 }
 
 // intern records live candidate i's interned near side (interning any
@@ -417,21 +483,6 @@ func (c *Corpus) ixpOf(d *Detector, tab *ident.Table, set int32) int32 {
 	return c.setIXP[set]
 }
 
-// fill rebuilds t from the live plane in candidate order, reusing the
-// columns' capacity; it reads only integer columns.
-func (c *Corpus) fill(t *CrossingTab) {
-	t.IXP = t.IXP[:0]
-	t.Near = t.Near[:0]
-	t.NearAS = t.NearAS[:0]
-	for i := range c.live {
-		if r := c.tabRowOf(int32(i)); r.in {
-			t.IXP = append(t.IXP, ident.IXPID(r.ixp))
-			t.Near = append(t.Near, r.near)
-			t.NearAS = append(t.NearAS, r.mem)
-		}
-	}
-}
-
 // Crossings materializes the live plane as rows in path-then-hop order:
 // the crossings DetectCrossings would return over the detector the
 // plane follows, without re-evaluating anything.
@@ -446,22 +497,23 @@ func (c *Corpus) Crossings() []Crossing {
 }
 
 // DetectDelta brings the crossing plane up to date after a membership
-// delta and refills t. Only two kinds of candidate can change verdict:
+// delta. Only two kinds of candidate can change verdict:
 // those reading an address in changed (re-settled: rules 1-3 re-run),
 // and those whose (exchange, AS) member-set count crossed zero (found
 // through the sorted rule-3 index: rule 3 re-runs). Both are visited in
 // candidate order, so entities first seen in this delta intern in the
 // order a full re-detection would meet them.
 //
-// It returns the near members of the tab rows the delta changed: for
+// It returns the near members of the crossing rows the delta changed: for
 // every visited candidate whose row appeared, vanished or moved, its
-// near member before and after (with repeats). A corpus without a plane
+// near member before and after (with repeats), and moves the candidate
+// between those members' MemberCrossings lists. A corpus without a plane
 // for d settles and compacts from scratch and returns all = true
 // instead, since any row may have moved.
-func (c *Corpus) DetectDelta(d *Detector, changed map[netip.Addr]bool, tab *ident.Table, t *CrossingTab) (moved []ident.MemberID, all bool) {
+func (c *Corpus) DetectDelta(d *Detector, changed map[netip.Addr]bool, tab *ident.Table) (moved []ident.MemberID, all bool) {
 	if !c.plane || c.settledWith != d {
 		c.Settle(d)
-		c.Compact(tab, t)
+		c.Compact(tab)
 		return nil, true
 	}
 	if c.byLAN == nil || len(c.keyOff) == 0 {
@@ -501,9 +553,9 @@ func (c *Corpus) DetectDelta(d *Detector, changed map[netip.Addr]bool, tab *iden
 	}
 	d.flips = d.flips[:0]
 	slices.Sort(visit)
-	before := make([]tabRow, len(visit))
+	before := make([]crossRow, len(visit))
 	for k, i := range visit {
-		before[k] = c.tabRowOf(i)
+		before[k] = c.rowOf(i)
 	}
 
 	for _, i := range resettled {
@@ -530,38 +582,39 @@ func (c *Corpus) DetectDelta(d *Detector, changed map[netip.Addr]bool, tab *iden
 		if intern && c.live[i] {
 			c.intern(d, tab, int(i))
 		}
-		if was, now := before[k], c.tabRowOf(i); was != now {
+		if was, now := before[k], c.rowOf(i); was != now {
 			if was.in {
 				moved = append(moved, was.mem)
+				c.dropMemberRow(was.mem, i)
 			}
 			if now.in {
 				moved = append(moved, now.mem)
+				c.addMemberRow(now.mem, i)
 			}
 		}
 	}
-	c.fill(t)
 	return moved, false
 }
 
-// tabRow is one candidate's contribution to the CrossingTab: whether it
-// has a row, and the row's columns.
-type tabRow struct {
+// crossRow is one candidate's crossing row in ID space: whether it has
+// one (it is live at an interned IXP), and the row's columns.
+type crossRow struct {
 	in   bool
 	ixp  int32
 	near ident.IfaceID
 	mem  ident.MemberID
 }
 
-// tabRowOf returns candidate i's row of the tab.
-func (c *Corpus) tabRowOf(i int32) tabRow {
+// rowOf returns candidate i's crossing row.
+func (c *Corpus) rowOf(i int32) crossRow {
 	if !c.live[i] {
-		return tabRow{}
+		return crossRow{}
 	}
 	x := c.setIXP[c.setIdx[i]]
 	if x < 0 {
-		return tabRow{}
+		return crossRow{}
 	}
-	return tabRow{in: true, ixp: x, near: c.nearID[i], mem: c.nearMem[i]}
+	return crossRow{in: true, ixp: x, near: c.nearID[i], mem: c.nearMem[i]}
 }
 
 // lookupRun returns the run of sorted hi<<32|lo words whose high word

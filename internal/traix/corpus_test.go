@@ -131,9 +131,9 @@ func TestLANSetContains(t *testing.T) {
 // TestCrossingPlaneTracksDeltas is the crossing plane's identity
 // contract: after any sequence of membership deltas absorbed through
 // DetectDelta, the live rows equal a fresh corpus's full detection
-// over the post-delta detector, the interned CrossingTab equals those
-// rows in ID space, and every member whose tab rows changed is among
-// the moved members DetectDelta reports.
+// over the post-delta detector, the per-member crossing lists equal
+// those rows in ID space, and every member whose crossing rows changed
+// is among the moved members DetectDelta reports.
 func TestCrossingPlaneTracksDeltas(t *testing.T) {
 	w, ds0, im, paths := corpusFixtures(t)
 	ds := ds0.Clone()
@@ -155,9 +155,8 @@ func TestCrossingPlaneTracksDeltas(t *testing.T) {
 	sort.Strings(sorted)
 	tab := ident.NewTable(0, 0, 0)
 	tab.SetIXPs(sorted)
-	var ct traix.CrossingTab
 	corpus.Settle(d)
-	corpus.Compact(tab, &ct)
+	corpus.Compact(tab)
 	initial := len(corpus.Crossings())
 
 	known := make([]netip.Addr, 0, len(ds.IfaceIXP))
@@ -244,8 +243,8 @@ func TestCrossingPlaneTracksDeltas(t *testing.T) {
 	for step, delta := range deltas {
 		changed := map[netip.Addr]bool{}
 		delta(changed)
-		was := rowsByMember(&ct)
-		moved, all := corpus.DetectDelta(d, changed, tab, &ct)
+		was := rowsByMember(corpus, tab)
+		moved, all := corpus.DetectDelta(d, changed, tab)
 		if all {
 			t.Fatalf("delta %d: DetectDelta rebuilt the plane", step)
 		}
@@ -253,7 +252,7 @@ func TestCrossingPlaneTracksDeltas(t *testing.T) {
 		for _, m := range moved {
 			reported[m] = true
 		}
-		now := rowsByMember(&ct)
+		now := rowsByMember(corpus, tab)
 		for m := range now {
 			if _, ok := was[m]; !ok {
 				was[m] = nil // compare every member present on either side
@@ -275,7 +274,7 @@ func TestCrossingPlaneTracksDeltas(t *testing.T) {
 		want := traix.NewCorpus(paths, lans, im).DetectCrossings(d)
 		label := fmt.Sprintf("delta %d", step)
 		sameCrossings(t, label, corpus.Crossings(), want)
-		k := 0
+		scan := map[ident.MemberID][][2]uint32{}
 		for _, c := range want {
 			x, ok := tab.IXP(c.IXP)
 			if !ok {
@@ -287,13 +286,21 @@ func TestCrossingPlaneTracksDeltas(t *testing.T) {
 			if !okN || !okM || !okX {
 				t.Fatalf("%s: crossing %+v not interned", label, c)
 			}
-			if k >= ct.Len() || ct.IXP[k] != x || ct.Near[k] != near || ct.NearAS[k] != m {
-				t.Fatalf("%s: tab row %d disagrees with crossing %+v", label, k, c)
-			}
-			k++
+			scan[m] = append(scan[m], [2]uint32{uint32(x), uint32(near)})
 		}
-		if k != ct.Len() {
-			t.Fatalf("%s: tab has %d rows, want %d", label, ct.Len(), k)
+		for m := 0; m < tab.NumMembers(); m++ {
+			var got [][2]uint32
+			for _, i := range corpus.MemberCrossings(ident.MemberID(m)) {
+				x, near := corpus.CrossingRow(i)
+				got = append(got, [2]uint32{uint32(x), uint32(near)})
+			}
+			if !slices.Equal(got, scan[ident.MemberID(m)]) {
+				t.Fatalf("%s: member %d lists crossing rows %v, detection %v", label, m, got, scan[ident.MemberID(m)])
+			}
+			delete(scan, ident.MemberID(m))
+		}
+		if len(scan) != 0 {
+			t.Fatalf("%s: %d members with crossings are outside the member space", label, len(scan))
 		}
 	}
 	if final := len(corpus.Crossings()); final == initial {
@@ -301,12 +308,15 @@ func TestCrossingPlaneTracksDeltas(t *testing.T) {
 	}
 }
 
-// rowsByMember groups a CrossingTab's rows by near member, each
+// rowsByMember groups the corpus's crossing rows by near member, each
 // member's (IXP, near interface) pairs sorted.
-func rowsByMember(t *traix.CrossingTab) map[ident.MemberID][][2]uint32 {
+func rowsByMember(c *traix.Corpus, tab *ident.Table) map[ident.MemberID][][2]uint32 {
 	out := map[ident.MemberID][][2]uint32{}
-	for i := 0; i < t.Len(); i++ {
-		out[t.NearAS[i]] = append(out[t.NearAS[i]], [2]uint32{uint32(t.IXP[i]), uint32(t.Near[i])})
+	for m := 0; m < tab.NumMembers(); m++ {
+		for _, i := range c.MemberCrossings(ident.MemberID(m)) {
+			x, near := c.CrossingRow(i)
+			out[ident.MemberID(m)] = append(out[ident.MemberID(m)], [2]uint32{uint32(x), uint32(near)})
+		}
 	}
 	for _, rows := range out {
 		slices.SortFunc(rows, func(a, b [2]uint32) int {

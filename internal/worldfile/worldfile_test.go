@@ -161,15 +161,16 @@ func TestWorldFileRoundTrip(t *testing.T) {
 	// The pipeline over the decoded bundle must produce the same report.
 	wantRep := run(t, in)
 	haveRep := run(t, got)
-	if len(wantRep.Inferences) != len(haveRep.Inferences) {
-		t.Fatalf("report size %d vs %d", len(wantRep.Inferences), len(haveRep.Inferences))
+	if wantRep.Len() != haveRep.Len() {
+		t.Fatalf("report size %d vs %d", wantRep.Len(), haveRep.Len())
 	}
-	for k, wi := range wantRep.Inferences {
-		hi := haveRep.Inferences[k]
-		if hi == nil {
+	for _, wi := range wantRep.All() {
+		k := core.Key{IXP: wi.IXP, Iface: wi.Iface}
+		hi, ok := haveRep.Lookup(k)
+		if !ok {
 			t.Fatalf("inference for %s missing from decoded-world report", k)
 		}
-		wc, hc := *wi, *hi
+		wc, hc := wi, hi
 		if !feq(wc.RTTMinMs, hc.RTTMinMs) {
 			t.Fatalf("inference %s RTT %v vs %v", k, wc.RTTMinMs, hc.RTTMinMs)
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"maps"
 	"math"
 	"net/netip"
 	"reflect"
@@ -118,15 +117,14 @@ func checkRunPath(t *testing.T, eng *Engine, d Delta, before *Report, inc, fb ui
 			asns[asn] = true
 		}
 	}
-	rows := before.Rows()
 	dirty := 0
-	for i := range rows {
-		if asns[rows[i].ASN] {
+	for _, inf := range before.All() {
+		if asns[inf.ASN] {
 			dirty++
 		}
 	}
-	if dirty*10 <= len(rows) && inc2 != inc+1 {
-		t.Fatalf("an RTT delta dirtying %d of %d rows did not take the incremental run", dirty, len(rows))
+	if dirty*10 <= before.Len() && inc2 != inc+1 {
+		t.Fatalf("an RTT delta dirtying %d of %d rows did not take the incremental run", dirty, before.Len())
 	}
 }
 
@@ -217,13 +215,24 @@ func sortedIfaces(in Inputs) []netip.Addr {
 	return out
 }
 
+// asMap copies a report's rows into the literal form: a map from
+// membership to verdict.
+func asMap(rep *Report) map[Key]*Inference {
+	m := make(map[Key]*Inference, rep.Len())
+	for _, inf := range rep.All() {
+		m[Key{IXP: inf.IXP, Iface: inf.Iface}] = &inf
+	}
+	return m
+}
+
 // mapDiffOracle is the verdict diff as the engine computed it before the
-// merge-join: a walk of both report maps, then a sort of the changes by
-// (IXP, interface string).
-func mapDiffOracle(seq uint64, old, new *core.Report) *Update {
+// merge-join: a walk of both reports as maps, then a sort of the
+// changes by (IXP, interface string).
+func mapDiffOracle(seq uint64, oldRep, newRep *core.Report) *Update {
 	up := &Update{Seq: seq}
-	for k, o := range old.Inferences {
-		n, ok := new.Inferences[k]
+	old, new := asMap(oldRep), asMap(newRep)
+	for k, o := range old {
+		n, ok := new[k]
 		if !ok {
 			up.Changes = append(up.Changes, VerdictChange{
 				IXP: k.IXP, Iface: k.Iface.String(),
@@ -240,8 +249,8 @@ func mapDiffOracle(seq uint64, old, new *core.Report) *Update {
 			})
 		}
 	}
-	for k, n := range new.Inferences {
-		if _, ok := old.Inferences[k]; !ok {
+	for k, n := range new {
+		if _, ok := old[k]; !ok {
 			up.Changes = append(up.Changes, VerdictChange{
 				IXP: k.IXP, Iface: k.Iface.String(),
 				From: core.ClassUnknown.String(),
@@ -259,9 +268,9 @@ func mapDiffOracle(seq uint64, old, new *core.Report) *Update {
 	return up
 }
 
-// TestDiffFallsBackForHandBuiltReports pins the map fallback: reports
-// assembled by hand (no domain-ordered array) diff exactly like
-// engine-built ones.
+// TestDiffFallsBackForHandBuiltReports pins the diff over literal
+// reports: reports assembled by hand (a map, normalized into columns
+// over IDs of their own) diff exactly like engine-built ones.
 func TestDiffFallsBackForHandBuiltReports(t *testing.T) {
 	eng, err := New(tinyInputs(t))
 	if err != nil {
@@ -274,7 +283,7 @@ func TestDiffFallsBackForHandBuiltReports(t *testing.T) {
 	}
 	after := eng.Snapshot()
 	handBuilt := func(rep *Report) *Report {
-		return &Report{Inferences: maps.Clone(rep.Inferences), MultiRouters: rep.MultiRouters}
+		return &Report{Inferences: asMap(rep), MultiRouters: rep.MultiRouters}
 	}
 	want := mapDiffOracle(1, before, after)
 	if len(want.Changes) == 0 {

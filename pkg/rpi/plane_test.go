@@ -2,10 +2,14 @@ package rpi
 
 import (
 	"bytes"
+	"cmp"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand"
 	"net/netip"
+	"strings"
 	"testing"
 
 	"rpeer/internal/netsim"
@@ -130,21 +134,72 @@ func TestPlaneHonorsCancel(t *testing.T) {
 	}
 }
 
-// TestPlaneReadsAlignedRows: Report.Rows, which the plane reads, hands
-// back a context-built report's domain-ordered array, not a copy.
+// TestPlaneReadsAlignedRows: the accessors the plane reads agree on a
+// context-built report's rows. At walks them in domain order (IXP name,
+// then interface address), each IXP's rows are the one range IXPRange
+// names, and Lookup finds every row. A context never fills the literal
+// Inferences map.
 func TestPlaneReadsAlignedRows(t *testing.T) {
 	eng, err := New(testInputs(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := eng.Snapshot()
-	rows := rep.Rows()
-	if len(rows) != len(rep.Inferences) {
-		t.Fatalf("Rows has %d rows, the map %d", len(rows), len(rep.Inferences))
+	if rep.Len() == 0 || len(rep.Inferences) != 0 {
+		t.Fatalf("report has %d rows and a literal map of %d", rep.Len(), len(rep.Inferences))
 	}
-	for i := range rows {
-		if rep.Inferences[Key{IXP: rows[i].IXP, Iface: rows[i].Iface}] != &rows[i] {
-			t.Fatalf("row %d is not the map's inference", i)
+	var prev Inference
+	for i, inf := range rep.All() {
+		if i > 0 && (inf.IXP < prev.IXP || inf.IXP == prev.IXP && !prev.Iface.Less(inf.Iface)) {
+			t.Fatalf("row %d (%s/%s) is not after row %d (%s/%s)", i, inf.IXP, inf.Iface, i-1, prev.IXP, prev.Iface)
 		}
+		if lo, hi := rep.IXPRange(inf.IXP); i < lo || i >= hi {
+			t.Fatalf("row %d outside its IXP's range [%d, %d)", i, lo, hi)
+		}
+		got, ok := rep.Lookup(Key{IXP: inf.IXP, Iface: inf.Iface})
+		if !ok || !sameInference(got, inf) {
+			t.Fatalf("Lookup of row %d: %+v, %v; want %+v", i, got, ok, inf)
+		}
+		prev = inf
+	}
+	if _, ok := rep.Lookup(Key{IXP: prev.IXP, Iface: netip.MustParseAddr("192.0.2.1")}); ok {
+		t.Fatal("Lookup found a membership the report does not hold")
+	}
+}
+
+// sameInference compares two verdicts, NaN RTTs equal.
+func sameInference(a, b Inference) bool {
+	if math.IsNaN(a.RTTMinMs) && math.IsNaN(b.RTTMinMs) {
+		a.RTTMinMs, b.RTTMinMs = 0, 0
+	}
+	return a == b
+}
+
+// TestWireRankOrdersAsStrings: wireRank4 orders IPv4 addresses exactly
+// as their dotted strings compare, over every pair of octet values in
+// each position and a random sample of whole addresses.
+func TestWireRankOrdersAsStrings(t *testing.T) {
+	check := func(a, b netip.Addr) {
+		t.Helper()
+		want := strings.Compare(a.String(), b.String())
+		if got := cmp.Compare(wireRank4(a), wireRank4(b)); got != want {
+			t.Fatalf("%s vs %s: rank order %d, string order %d", a, b, got, want)
+		}
+	}
+	for pos := 0; pos < 4; pos++ {
+		for x := 0; x < 256; x++ {
+			for y := 0; y < 256; y++ {
+				a, b := [4]byte{10, 20, 30, 40}, [4]byte{10, 20, 30, 40}
+				a[pos], b[pos] = byte(x), byte(y)
+				check(netip.AddrFrom4(a), netip.AddrFrom4(b))
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		var a, b [4]byte
+		binary.BigEndian.PutUint32(a[:], rng.Uint32())
+		binary.BigEndian.PutUint32(b[:], rng.Uint32())
+		check(netip.AddrFrom4(a), netip.AddrFrom4(b))
 	}
 }

@@ -177,10 +177,7 @@ func (e *Engine) RunStep(s Step) (*Report, error) {
 	return rep, nil
 }
 
-// ReportFor returns the current verdicts of one IXP. The returned
-// report shares inference values with the snapshot and must be treated
-// as read-only. The walk over a large snapshot honors ctx: a canceled
-// caller gets ErrCanceled instead of the rest of the scan.
+// ReportFor returns the current verdicts of one IXP (see FilterIXP).
 func (e *Engine) ReportFor(ctx context.Context, ixp string) (*Report, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -192,34 +189,15 @@ func (e *Engine) ReportFor(ctx context.Context, ixp string) (*Report, error) {
 }
 
 // FilterIXP returns the verdicts of one IXP in rep: its inferences and
-// the multi-IXP routers present there. The result shares inference
-// values with rep and must be treated as read-only. The walk checks
-// ctx before the first row and every 16k rows after it, so a canceled
-// caller gets ErrCanceled instead of the rest of the scan. It does not
-// check that rep knows ixp; callers hold their own IXP index.
+// the multi-IXP routers present there. The inferences are rep's row
+// range for the IXP (Report.ForIXP), so it costs no walk over the
+// other rows. A caller that is already gone gets ErrCanceled. It does
+// not check that rep knows ixp; callers hold their own IXP index.
 func FilterIXP(ctx context.Context, rep *Report, ixp string) (*Report, error) {
-	out := &Report{Inferences: make(map[Key]*Inference)}
-	scanned := 0
-	for k, inf := range rep.Inferences {
-		if scanned&0x3fff == 0 {
-			if err := ctxErr(ctx); err != nil {
-				return nil, err
-			}
-		}
-		scanned++
-		if k.IXP == ixp {
-			out.Inferences[k] = inf
-		}
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
 	}
-	for _, r := range rep.MultiRouters {
-		for _, name := range r.IXPs {
-			if name == ixp {
-				out.MultiRouters = append(out.MultiRouters, r)
-				break
-			}
-		}
-	}
-	return out, nil
+	return rep.ForIXP(ixp), nil
 }
 
 // ctxErr converts a context cancellation into the SDK's typed error.
@@ -509,8 +487,8 @@ type Update struct {
 }
 
 // diffReports lists the verdict changes between two snapshots: one
-// merge over the reports' domain-ordered inference arrays (see
-// core.DiffVerdicts), then a sort of the change list alone into the
+// merge over the reports' domain-ordered rows (see core.DiffVerdicts),
+// then a sort of the change list alone into the
 // wire order, (IXP, interface string).
 func diffReports(seq uint64, old, new *core.Report) *Update {
 	up := &Update{Seq: seq}

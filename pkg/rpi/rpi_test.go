@@ -43,15 +43,15 @@ func TestEngineSnapshotShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := eng.Snapshot()
-	if len(rep.Inferences) == 0 || len(rep.MultiRouters) == 0 {
+	if rep.Len() == 0 || len(rep.MultiRouters) == 0 {
 		t.Fatalf("degenerate snapshot: %d inferences, %d routers",
-			len(rep.Inferences), len(rep.MultiRouters))
+			rep.Len(), len(rep.MultiRouters))
 	}
 	base, err := eng.Baseline()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(base.Inferences) != len(rep.Inferences) {
+	if base.Len() != rep.Len() {
 		t.Fatal("baseline domain differs from pipeline domain")
 	}
 	if _, err := eng.ReportFor(context.Background(), "no-such-ixp"); !errors.Is(err, ErrUnknownIXP) {
@@ -223,12 +223,8 @@ func TestApplyRejectsBadDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var k Key
-	for key := range eng.Snapshot().Inferences {
-		k = key
-		break
-	}
-	bad := Delta{Joins: []Join{{IXP: k.IXP, Iface: k.Iface, ASN: 99}}}
+	first := eng.Snapshot().At(0)
+	bad := Delta{Joins: []Join{{IXP: first.IXP, Iface: first.Iface, ASN: 99}}}
 	if _, err := eng.Apply(context.Background(), bad); !errors.Is(err, ErrBadDelta) {
 		t.Fatalf("err = %v, want ErrBadDelta", err)
 	}
@@ -243,9 +239,9 @@ func TestApplyRejectsBadDelta(t *testing.T) {
 	// A measured override without a vantage point resolves to the
 	// interface's current best VP — and fails cleanly when it has none.
 	var unmeasured Key
-	for key, inf := range eng.Snapshot().Inferences {
+	for _, inf := range eng.Snapshot().All() {
 		if !inf.HasRTT() {
-			unmeasured = key
+			unmeasured = Key{IXP: inf.IXP, Iface: inf.Iface}
 			break
 		}
 	}
@@ -257,9 +253,9 @@ func TestApplyRejectsBadDelta(t *testing.T) {
 		t.Fatalf("err = %v, want ErrBadDelta for unmeasured iface without VP", err)
 	}
 	var measured Key
-	for key, inf := range eng.Snapshot().Inferences {
+	for _, inf := range eng.Snapshot().All() {
 		if inf.HasRTT() && !inf.TraceRTT {
-			measured = key
+			measured = Key{IXP: inf.IXP, Iface: inf.Iface}
 			break
 		}
 	}
@@ -304,6 +300,99 @@ func TestWithThresholdBaseline(t *testing.T) {
 		}
 		if bytes.Equal(got, want) != tc.same {
 			t.Fatalf("WithThreshold(5) baseline vs cold Baseline(%v): equal = %v, want %v", tc.ms, !tc.same, tc.same)
+		}
+	}
+}
+
+// TestPublishedReportIsImmutable holds published reports to their
+// immutability contract. Every publication's rows and plane bytes are
+// kept while churn deltas (each a new domain version) and RTT deltas
+// (the context's RTT column written in place, the domain version
+// shared with the previous report) land, three times over, and a reader
+// walks the first report. Afterwards every At and Lookup of every kept
+// report, and a plane built from it, must be unchanged. Run under
+// -race, the reader also shows that no write of the applies reaches
+// memory a published report reads.
+func TestPublishedReportIsImmutable(t *testing.T) {
+	eng, err := New(testInputs(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	type kept struct {
+		rep  *Report
+		rows []Inference
+		full []byte
+	}
+	var pubs []kept
+	keep := func() {
+		rep := eng.Snapshot()
+		k := kept{rep: rep}
+		for _, inf := range rep.All() {
+			k.rows = append(k.rows, inf)
+		}
+		plane, err := BuildPlane(context.Background(), rep, eng.IXPs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.full = bytes.Clone(plane.Full())
+		pubs = append(pubs, k)
+	}
+	keep()
+
+	first := pubs[0].rep
+	done := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			for i := 0; i < first.Len(); i += 17 {
+				inf := first.At(i)
+				first.Lookup(Key{IXP: inf.IXP, Iface: inf.Iface})
+			}
+		}
+	}()
+	for round := int64(0); round < 3; round++ {
+		for _, d := range []Delta{
+			ChurnDelta(eng.Inputs(), 0.05, 11+round),
+			{Ping: overrides(eng.Inputs(), 40, 5+round, false)},
+		} {
+			if _, err := eng.Apply(context.Background(), d); err != nil {
+				t.Fatal(err)
+			}
+			keep()
+		}
+	}
+	close(done)
+	reader.Wait()
+
+	for seq, k := range pubs {
+		if seq > 0 && bytes.Equal(k.full, pubs[seq-1].full) {
+			t.Fatalf("seq %d: the delta moved nothing; the test is vacuous", seq)
+		}
+		if k.rep.Len() != len(k.rows) {
+			t.Fatalf("seq %d: the report has %d rows, had %d", seq, k.rep.Len(), len(k.rows))
+		}
+		for i, want := range k.rows {
+			if got := k.rep.At(i); !sameInference(got, want) {
+				t.Fatalf("seq %d: At(%d) = %+v, was %+v", seq, i, got, want)
+			}
+			if got, ok := k.rep.Lookup(Key{IXP: want.IXP, Iface: want.Iface}); !ok || !sameInference(got, want) {
+				t.Fatalf("seq %d: Lookup of row %d = %+v, %v; was %+v", seq, i, got, ok, want)
+			}
+		}
+		again, err := BuildPlane(context.Background(), k.rep, eng.IXPs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Full(), k.full) {
+			t.Fatalf("seq %d: the plane built from the kept report changed", seq)
 		}
 	}
 }

@@ -175,8 +175,8 @@ func TestInferServesWireReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Summary.Total != len(eng.Snapshot().Inferences) {
-		t.Fatalf("served %d memberships, engine has %d", w.Summary.Total, len(eng.Snapshot().Inferences))
+	if w.Summary.Total != eng.Snapshot().Len() {
+		t.Fatalf("served %d memberships, engine has %d", w.Summary.Total, eng.Snapshot().Len())
 	}
 	want, _ := rpi.MarshalReport(eng.Snapshot())
 	if !bytes.Equal(b, want) {
@@ -287,11 +287,7 @@ func TestReportIXPMembers(t *testing.T) {
 // exactly, not by case.
 func TestReportUnknownIXP(t *testing.T) {
 	eng, srv := testServer(t)
-	var known string
-	for k := range eng.Snapshot().Inferences {
-		known = k.IXP
-		break
-	}
+	known := eng.Snapshot().At(0).IXP
 	paths := []string{"/v1/report/Nowhere-IX", "/v1/t/" + defTenant + "/report/Nowhere-IX"}
 	if other := strings.ToLower(known); other != known {
 		paths = append(paths, "/v1/report/"+other)
@@ -330,11 +326,7 @@ func TestInferMethodNotAllowed(t *testing.T) {
 
 func TestReportPerIXP(t *testing.T) {
 	eng, srv := testServer(t)
-	var ixp string
-	for k := range eng.Snapshot().Inferences {
-		ixp = k.IXP
-		break
-	}
+	ixp := eng.Snapshot().At(0).IXP
 	b := get(t, srv.URL+"/v1/report/"+ixp, http.StatusOK)
 	w, err := rpi.UnmarshalReport(b)
 	if err != nil {
@@ -434,11 +426,7 @@ func TestConcurrentInferAndApply(t *testing.T) {
 	fwd := rpi.ChurnDelta(eng.Inputs(), 0.005, 11)
 	rev := rpi.InvertDelta(eng.Inputs(), fwd)
 
-	var ixp string
-	for k := range eng.Snapshot().Inferences {
-		ixp = k.IXP
-		break
-	}
+	ixp := eng.Snapshot().At(0).IXP
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for r := 0; r < 3; r++ {

@@ -85,7 +85,7 @@ func TestChurnSoak(t *testing.T) {
 		if !bytes.Equal(warm, coldRep) {
 			t.Fatalf("delta %d: incremental report diverged from cold rebuild", i)
 		}
-		t.Logf("delta %d: %d memberships, report identical to cold rebuild", i, len(eng.Snapshot().Inferences))
+		t.Logf("delta %d: %d memberships, report identical to cold rebuild", i, eng.Snapshot().Len())
 	}
 
 	t.Logf("%d of %d re-runs took the incremental run", incremental, deltas)

@@ -2,6 +2,7 @@ package rpi
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"rpeer/internal/core"
 )
@@ -66,11 +68,11 @@ type WireRouter struct {
 // ToWire converts a report to its wire form.
 func ToWire(rep *Report) *WireReport {
 	w := &WireReport{Version: WireVersion}
-	w.Inferences = make([]WireInference, 0, len(rep.Inferences))
-	for k, inf := range rep.Inferences {
+	w.Inferences = make([]WireInference, 0, rep.Len())
+	for _, inf := range rep.All() {
 		wi := WireInference{
-			IXP:   k.IXP,
-			Iface: k.Iface.String(),
+			IXP:   inf.IXP,
+			Iface: inf.Iface.String(),
 			ASN:   uint32(inf.ASN),
 			Class: inf.Class.String(),
 			Step:  stepName(inf.Step),
@@ -181,24 +183,30 @@ func BuildPlane(ctx context.Context, rep *Report, roster []string) (*Plane, erro
 		return nil, err
 	}
 	enc := planeEncoder{quoted: make(map[string][]byte)}
-	rows := rep.Rows()
+	n := rep.Len()
 	p := &Plane{ixps: make(map[string]*planeIXP, len(roster))}
 	for _, name := range roster {
 		p.ixps[name] = &planeIXP{}
 	}
+	// The domain order keeps each IXP's rows one range; the encoder
+	// holds the rows of one range at a time.
 	var all WireSummary
-	for i := range rows {
-		all.count(rows[i].Class)
+	widest := 0
+	for lo := 0; lo < n; {
+		_, hi := rep.IXPRange(rep.At(lo).IXP)
+		widest = max(widest, hi-lo)
+		for ; lo < hi; lo++ {
+			all.count(rep.Class(lo))
+		}
 	}
+	enc.rows = make([]Inference, 0, widest)
 
 	// An indented row takes ~170 bytes, a router row ~200.
-	b := make([]byte, 0, 512+len(rows)*176+len(rep.MultiRouters)*224)
+	b := make([]byte, 0, 512+n*176+len(rep.MultiRouters)*224)
 	b = appendHead(b, all)
-	for lo := 0; lo < len(rows); {
-		hi := lo + 1
-		for hi < len(rows) && rows[hi].IXP == rows[lo].IXP {
-			hi++
-		}
+	for lo := 0; lo < n; {
+		name := rep.At(lo).IXP
+		_, hi := rep.IXPRange(name)
 		if lo > 0 {
 			b = append(b, rowSep...)
 			if err := ctxErr(ctx); err != nil {
@@ -207,19 +215,19 @@ func BuildPlane(ctx context.Context, rep *Report, roster []string) (*Plane, erro
 		}
 		start := len(b)
 		var err error
-		if b, err = enc.appendRows(b, rows[lo:hi]); err != nil {
+		if b, err = enc.appendRows(b, rep, lo, hi); err != nil {
 			return nil, err
 		}
-		if ix := p.ixps[rows[lo].IXP]; ix != nil {
+		if ix := p.ixps[name]; ix != nil {
 			var sum WireSummary
-			for i := lo; i < hi; i++ {
-				sum.count(rows[i].Class)
+			for _, inf := range enc.rows {
+				sum.count(inf.Class)
 			}
 			ix.head, ix.rows = appendHead(nil, sum), span{start, len(b)}
 		}
 		lo = hi
 	}
-	if len(rows) > 0 {
+	if n > 0 {
 		b = append(b, rowsClose...)
 	}
 
@@ -340,12 +348,43 @@ type planeEncoder struct {
 	// index the class and step names by value.
 	quoted      map[string][]byte
 	class, step [256][]byte
-	keys        []byte   // one IXP's interface strings, unquoted, back to back
-	order       []rowKey // one IXP's rows in wire order
+	rows        []Inference // one IXP's rows in domain order
+	keys        []byte      // their interface strings, unquoted, back to back
+	order       []rowKey    // the rows in wire order
 }
 
 // rowKey is one row of an IXP and its interface string, keys[lo:hi].
-type rowKey struct{ lo, hi, row int32 }
+// For IPv4 rows, rank is the address's wire rank (wireRank4).
+type rowKey struct {
+	lo, hi, row int32
+	rank        uint32
+}
+
+// octetRank[o] is octet o's rank among the decimal strings of 0..255
+// in byte order.
+var octetRank = func() (rank [256]uint8) {
+	order := make([]int, 256)
+	for o := range order {
+		order[o] = o
+	}
+	slices.SortFunc(order, func(x, y int) int { return strings.Compare(strconv.Itoa(x), strconv.Itoa(y)) })
+	for r, o := range order {
+		rank[o] = uint8(r)
+	}
+	return rank
+}()
+
+// wireRank4 maps an IPv4 address to a key that orders as its dotted
+// string does. Two dotted strings compare octet by octet: a differing
+// digit decides, and an octet string that is a prefix of the other's
+// sorts first, because the '.' or the end of the string that follows
+// it sorts below every digit. That is the byte order of the octets'
+// own strings, so the octet ranks, most significant first, order the
+// addresses.
+func wireRank4(ip netip.Addr) uint32 {
+	a := ip.As4()
+	return uint32(octetRank[a[0]])<<24 | uint32(octetRank[a[1]])<<16 | uint32(octetRank[a[2]])<<8 | uint32(octetRank[a[3]])
+}
 
 // quote returns s as a JSON string, escaped exactly as MarshalIndent
 // escapes it.
@@ -384,19 +423,35 @@ func (enc *planeEncoder) appendAddr(b []byte, ip netip.Addr) []byte {
 	return append(b, '"')
 }
 
-// appendRows appends one IXP's rows, joined by ",\n". The domain
-// orders them by address, the wire by interface string, so they are
-// re-sorted by that string first.
-func (enc *planeEncoder) appendRows(b []byte, rows []Inference) ([]byte, error) {
-	enc.keys, enc.order = enc.keys[:0], enc.order[:0]
+// appendRows appends one IXP's rows, rep's rows [lo, hi), joined by
+// ",\n", and leaves them in enc.rows. The domain orders them by
+// address, the wire by interface string, so they are re-sorted by that
+// string first.
+func (enc *planeEncoder) appendRows(b []byte, rep *Report, lo, hi int) ([]byte, error) {
+	enc.rows, enc.keys, enc.order = enc.rows[:0], enc.keys[:0], enc.order[:0]
+	for i := lo; i < hi; i++ {
+		enc.rows = append(enc.rows, rep.At(i))
+	}
+	rows := enc.rows
+	v4 := true
 	for i := range rows {
 		lo := len(enc.keys)
-		enc.keys = rows[i].Iface.AppendTo(enc.keys)
-		enc.order = append(enc.order, rowKey{int32(lo), int32(len(enc.keys)), int32(i)})
+		ip := rows[i].Iface
+		enc.keys = ip.AppendTo(enc.keys)
+		k := rowKey{lo: int32(lo), hi: int32(len(enc.keys)), row: int32(i)}
+		if v4 = v4 && ip.Is4(); v4 {
+			k.rank = wireRank4(ip)
+		}
+		enc.order = append(enc.order, k)
 	}
-	slices.SortFunc(enc.order, func(x, y rowKey) int {
-		return bytes.Compare(enc.keys[x.lo:x.hi], enc.keys[y.lo:y.hi])
-	})
+	if v4 {
+		// One IXP's addresses are distinct, so no two ranks tie.
+		slices.SortFunc(enc.order, func(x, y rowKey) int { return cmp.Compare(x.rank, y.rank) })
+	} else {
+		slices.SortFunc(enc.order, func(x, y rowKey) int {
+			return bytes.Compare(enc.keys[x.lo:x.hi], enc.keys[y.lo:y.hi])
+		})
+	}
 	ixp := enc.quote(rows[0].IXP)
 	for n, k := range enc.order {
 		if n > 0 {

@@ -16,8 +16,8 @@ var updateGolden = flag.Bool("update", false, "rewrite the wire-schema golden fi
 // name) — a small, deterministic slice of the seed world.
 func goldenIXP(rep *Report) string {
 	counts := make(map[string]int)
-	for k := range rep.Inferences {
-		counts[k.IXP]++
+	for _, inf := range rep.All() {
+		counts[inf.IXP]++
 	}
 	best, bestN := "", -1
 	for name, n := range counts {
@@ -80,7 +80,7 @@ func TestWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Version != WireVersion || w.Summary.Total != len(eng.Snapshot().Inferences) {
+	if w.Version != WireVersion || w.Summary.Total != eng.Snapshot().Len() {
 		t.Fatalf("round trip lost data: %+v", w.Summary)
 	}
 	if w.Summary.Local+w.Summary.Remote+w.Summary.Unknown != w.Summary.Total {
