@@ -58,8 +58,9 @@ func (d *Delta) Empty() bool {
 //     record and re-evaluates only the crossing-plane candidates the
 //     delta can move (those reading a changed address, and those whose
 //     member set gained or lost one of their ASes), moving each
-//     changed crossing row between its near members' lists; the domain
-//     gets a new version, patched in order.
+//     changed crossing row's count between its near members' (near
+//     interface, IXP) pairs; the domain gets a new version, patched in
+//     order.
 //     The hop-by-hop corpus scan, the IP-to-AS map and the static
 //     private hops are never revisited;
 //   - the facility geometry, ring memos, alias probe plane and alias
@@ -77,8 +78,12 @@ func (d *Delta) Empty() bool {
 //     foreign AS dirties the old and the new member);
 //   - one of its interfaces carries a Ping override or revocation;
 //   - its port at an IXP changed;
-//   - it is the near member, before or after, of a crossing row the
-//     delta changed (traix.Corpus.DetectDelta reports them).
+//   - its set of (near interface, IXP) crossing pairs changed: a pair
+//     gained its first row or lost its last (traix.Corpus.DetectDelta
+//     reports these members). A member whose crossing rows only moved
+//     between pairs it keeps is not dirtied by them: the pair set is
+//     all a run that keeps a base reads of the crossing plane (the
+//     traceroute-RTT view reads rows, but keeps no base).
 //
 // Nothing else a delta touches is read across members: Steps 1, 2+3
 // and 5 read the row's own interface and member plus static colocation
@@ -184,8 +189,8 @@ func (c *Context) Apply(d Delta) error {
 			for _, j := range d.Joins {
 				changed[j.Iface] = true
 			}
-			moved, all := c.corpus.DetectDelta(c.det, changed, c.ids)
-			for _, m := range moved {
+			dirty, all := c.corpus.DetectDelta(c.det, changed, c.ids)
+			for _, m := range dirty {
 				c.markDirty(m)
 			}
 			if all {

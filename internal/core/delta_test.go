@@ -1,14 +1,18 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"net/netip"
+	"slices"
 	"sort"
 	"testing"
 
 	"rpeer/internal/ident"
 	"rpeer/internal/netsim"
 	"rpeer/internal/pingsim"
+	"rpeer/internal/traix"
 )
 
 // deltaInputs returns the shared fixture inputs with a private dataset
@@ -318,6 +322,146 @@ func rttDelta(t testing.TB, in Inputs, n, seed int) Delta {
 		}
 	}
 	return d
+}
+
+// TestApplyDirtySetIsExact pins the dirty set Apply stamps to its
+// definition over a seeded sequence of churn, re-join and RTT deltas:
+// it must equal the members the direct sources mark (an interface
+// joined or left, a ping override, a port) plus the members whose set
+// of (near interface, IXP) crossing pairs changed, with the pair sets
+// taken from a scan of the whole crossing plane before and after each
+// delta. Members whose crossing rows only moved between pairs they
+// keep must stay clean. After each delta's run, the patched Step 4
+// observation index must equal that scan too.
+func TestApplyDirtySetIsExact(t *testing.T) {
+	ctx := newContext(deltaInputs(t))
+	if _, err := ctx.Run(DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	samePairs := func(a, b []traix.NearPair) bool {
+		return slices.EqualFunc(a, b, func(x, y traix.NearPair) bool { return x.Near == y.Near && x.IXP == y.IXP })
+	}
+	rng := rand.New(rand.NewSource(24))
+	var departed []Join
+	byEvidence, movedOnly := 0, 0
+	for step := 0; step < 12; step++ {
+		in := ctx.Inputs()
+		ds := in.Dataset
+		var d Delta
+		label := fmt.Sprintf("step %d", step)
+		switch {
+		case step%4 == 3:
+			d = rttDelta(t, in, 20+rng.Intn(80), rng.Intn(1000))
+			label += " (rtt)"
+		case step%4 == 2 && len(departed) > 0:
+			// Re-join what the last churn delta removed, every other
+			// interface under a foreign AS.
+			for i, j := range departed {
+				if _, back := ds.IfaceIXP[j.Iface]; back {
+					continue // a churn delta re-joined it as a hidden member
+				}
+				if i%2 == 1 {
+					j.ASN = in.World.Members[rng.Intn(len(in.World.Members))].ASN
+				}
+				d.Joins = append(d.Joins, j)
+			}
+			departed = nil
+			label += " (re-join)"
+		default:
+			d = churnDelta(t, in, 5+rng.Intn(30), 5+rng.Intn(30))
+			label += " (churn)"
+		}
+
+		direct := map[ident.MemberID]bool{}
+		markASN := func(asn netsim.ASN) {
+			if m, ok := ctx.ids.Member(asn); ok {
+				direct[m] = true
+			}
+		}
+		for _, k := range d.Leaves {
+			markASN(ds.IfaceASN[k.Iface])
+			departed = append(departed, Join{IXP: k.IXP, Iface: k.Iface, ASN: ds.IfaceASN[k.Iface]})
+		}
+		was, _ := planePairs(t, label+" before", ctx)
+		gen := ctx.gen
+		if err := ctx.Apply(d); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		for _, j := range d.Joins {
+			markASN(j.ASN)
+		}
+		for ip := range d.Ping {
+			if asn, ok := ds.IfaceASN[ip]; ok {
+				markASN(asn)
+			}
+		}
+		now, _ := planePairs(t, label+" after", ctx)
+
+		want := map[ident.MemberID]bool{}
+		for m := range direct {
+			want[m] = true
+		}
+		seen := map[ident.MemberID]bool{}
+		for _, side := range []map[ident.MemberID][]traix.NearPair{was, now} {
+			for m := range side {
+				if seen[m] {
+					continue
+				}
+				seen[m] = true
+				switch {
+				case !samePairs(was[m], now[m]):
+					if !direct[m] {
+						byEvidence++
+					}
+					want[m] = true
+				case !direct[m] && !slices.Equal(was[m], now[m]):
+					movedOnly++
+				}
+			}
+		}
+		got, all := ctx.dirtySince(gen)
+		if all {
+			t.Fatalf("%s: the delta dirtied every member", label)
+		}
+		for _, m := range got {
+			if !want[m] {
+				t.Fatalf("%s: member %d is dirty, but no direct source marks it and its crossing pairs did not change", label, m)
+			}
+			delete(want, m)
+		}
+		for m := range want {
+			t.Fatalf("%s: member %d is clean, but a direct source marks it or its crossing pairs changed", label, m)
+		}
+
+		if _, err := ctx.Run(DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+		observed := 0
+		for _, o := range ctx.obsIndex() {
+			if len(o.nears) == 0 {
+				continue
+			}
+			observed++
+			w := now[o.member]
+			if len(o.nears) != len(w) {
+				t.Fatalf("%s: member %d observes %v, the plane scan %v", label, o.member, o.nears, w)
+			}
+			for i, p := range o.nears {
+				if p.iface != w[i].Near || p.ixp != w[i].IXP {
+					t.Fatalf("%s: member %d observes %v, the plane scan %v", label, o.member, o.nears, w)
+				}
+			}
+		}
+		if observed != len(now) {
+			t.Fatalf("%s: %d members observe crossings, the plane scan has %d", label, observed, len(now))
+		}
+	}
+	// Each half of the rule needs a case, or a mutation that drops the
+	// crossing source or marks every moved member would pass.
+	if byEvidence == 0 || movedOnly == 0 {
+		t.Fatalf("%d members dirtied by crossing evidence alone, %d with rows moved between kept pairs; both must be > 0", byEvidence, movedOnly)
+	}
+	t.Logf("%d members dirtied by crossing evidence alone, %d kept clean with moved rows", byEvidence, movedOnly)
 }
 
 // runPath runs opt on ctx and reports which path it took: "incremental"

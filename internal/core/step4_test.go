@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -93,11 +94,11 @@ func newStep4Fixture(t *testing.T) *step4Fixture {
 	return nil
 }
 
-// iface returns the member's interface at the given IXP.
+// iface returns the fixture router's own interface at the given IXP.
 func (s *step4Fixture) iface(ix *netsim.IXP) netip.Addr {
-	for ip, name := range s.in.Dataset.IfaceIXP {
-		if name == ix.Name {
-			return ip
+	for _, m := range s.w.MembershipsOf(s.router.Owner) {
+		if m.Router == s.router.ID && m.IXP == ix.ID {
+			return m.Iface
 		}
 	}
 	return netip.Addr{}
@@ -374,7 +375,7 @@ func step4ShardIncremental(t *testing.T) {
 // ascending interface order — on every run.
 func TestRunStepMultiIXPSeedFollowsClassOf(t *testing.T) {
 	s := newStep4Fixture(t)
-	real := s.iface(s.ix) // before crossingPaths registers other members
+	real := s.iface(s.ix)
 	s.in.Paths = s.crossingPaths(t)
 	owner := s.router.Owner
 	fac := s.w.Facility(s.ix.Facilities[0])
@@ -418,47 +419,31 @@ func TestRunStepMultiIXPSeedFollowsClassOf(t *testing.T) {
 	}
 }
 
-// TestMemberCrossingsMatchPlaneScan holds the corpus's per-member
-// crossing lists, which obsIndex reads instead of scanning the crossing
-// plane, to a full scan of the plane's live crossings in ID space:
-// member m's list must name exactly its near crossings, in candidate
-// order. It checks after the cold build and after each of a random
-// sequence of churn and RTT deltas, one of which meets a crossing plane
-// that was re-settled behind its back and takes DetectDelta's Settle +
-// Compact fallback.
+// TestMemberCrossingsMatchPlaneScan holds the corpus's per-member pair
+// lists, which obsIndex copies instead of scanning the crossing plane,
+// to a full scan of the plane's live crossings in ID space: member m's
+// list must hold exactly the distinct (near interface, IXP) pairs of
+// its near crossings, sorted, each with its row count. It checks after
+// the cold build and after each of a random sequence of churn and RTT
+// deltas, one of which meets a crossing plane that was re-settled
+// behind its back and takes DetectDelta's Settle + Compact fallback.
 func TestMemberCrossingsMatchPlaneScan(t *testing.T) {
 	ctx := newContext(deltaInputs(t))
 	check := func(label string) {
 		t.Helper()
-		scan := map[ident.MemberID][][2]uint32{}
-		rows := 0
-		for _, cr := range ctx.corpus.Crossings() {
-			x, ok := ctx.ids.IXP(cr.IXP)
-			if !ok {
-				continue
-			}
-			near, okN := ctx.ids.Iface(cr.NearIP)
-			m, okM := ctx.ids.Member(cr.NearAS)
-			if !okN || !okM {
-				t.Fatalf("%s: crossing %+v not interned", label, cr)
-			}
-			scan[m] = append(scan[m], [2]uint32{uint32(x), uint32(near)})
-			rows++
-		}
+		scan, rows := planePairs(t, label, ctx)
 		listed := 0
 		for m := 0; m < ctx.ids.NumMembers(); m++ {
-			var got [][2]uint32
-			for _, i := range ctx.corpus.MemberCrossings(ident.MemberID(m)) {
-				x, near := ctx.corpus.CrossingRow(i)
-				got = append(got, [2]uint32{uint32(x), uint32(near)})
-			}
+			got := ctx.corpus.MemberPairs(ident.MemberID(m))
 			if want := scan[ident.MemberID(m)]; !slices.Equal(got, want) {
 				t.Fatalf("%s: member %d lists %v, the plane scan %v", label, m, got, want)
 			}
-			listed += len(got)
+			for _, p := range got {
+				listed += int(p.Rows)
+			}
 		}
 		if listed != rows || listed == 0 {
-			t.Fatalf("%s: the lists hold %d rows, the plane %d", label, listed, rows)
+			t.Fatalf("%s: the lists count %d rows, the plane %d", label, listed, rows)
 		}
 	}
 	check("cold")
@@ -498,4 +483,41 @@ func TestMemberCrossingsMatchPlaneScan(t *testing.T) {
 		}
 		check(label)
 	}
+}
+
+// planePairs scans the crossing plane's live rows into each near
+// member's counted (near interface, IXP) pairs, sorted by (near, IXP),
+// and returns them with the number of rows at interned IXPs.
+func planePairs(t *testing.T, label string, ctx *Context) (map[ident.MemberID][]traix.NearPair, int) {
+	t.Helper()
+	scan := map[ident.MemberID][]traix.NearPair{}
+	rows := 0
+	for _, cr := range ctx.corpus.Crossings() {
+		x, ok := ctx.ids.IXP(cr.IXP)
+		if !ok {
+			continue
+		}
+		near, okN := ctx.ids.Iface(cr.NearIP)
+		m, okM := ctx.ids.Member(cr.NearAS)
+		if !okN || !okM {
+			t.Fatalf("%s: crossing %+v not interned", label, cr)
+		}
+		scan[m] = append(scan[m], traix.NearPair{Near: near, IXP: x, Rows: 1})
+		rows++
+	}
+	for m, pairs := range scan {
+		slices.SortFunc(pairs, func(a, b traix.NearPair) int {
+			return cmp.Or(cmp.Compare(a.Near, b.Near), cmp.Compare(a.IXP, b.IXP))
+		})
+		folded := pairs[:0]
+		for _, p := range pairs {
+			if n := len(folded); n > 0 && folded[n-1].Near == p.Near && folded[n-1].IXP == p.IXP {
+				folded[n-1].Rows++
+				continue
+			}
+			folded = append(folded, p)
+		}
+		scan[m] = folded
+	}
+	return scan, rows
 }

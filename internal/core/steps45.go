@@ -11,6 +11,7 @@ import (
 	"rpeer/internal/ident"
 	"rpeer/internal/netsim"
 	"rpeer/internal/par"
+	"rpeer/internal/traix"
 )
 
 // ---------------------------------------------------------------------------
@@ -62,10 +63,11 @@ func (o *asObs) memIXPOf(iface ident.IfaceID) (ident.IXPID, bool) {
 // building them lazily. The index depends only on the substrate
 // (crossings and the dataset's interface records), so it survives
 // every run; after a delta, the next call rebuilds only the entries of
-// the members dirtied since (an entry folds one member's crossings and
-// interface records, and Apply dirties every member whose either side
-// moved) and splices them into the list. Entries are sorted by AS
-// number — the deterministic candidate order of the Step 4 rules.
+// the members dirtied since (an entry folds one member's crossing pairs
+// and interface records, and Apply dirties every member whose pair set
+// or records changed) and splices them into the list. Entries are
+// sorted by AS number — the deterministic candidate order of the Step
+// 4 rules.
 func (c *Context) obsIndex() []*asObs {
 	c.obsMu.Lock()
 	defer c.obsMu.Unlock()
@@ -105,18 +107,19 @@ func (c *Context) obsIndex() []*asObs {
 
 	// Member IDs are dense, so the per-member grouping runs on flat
 	// count/offset columns and two contiguous pair slabs — no map of
-	// individually-growing slices. The crossing side comes from the
-	// corpus's per-member crossing lists and the membership side from
-	// the context's interned record triples (the domain's member groups
-	// plus the off-roster records), so only the folded members' rows
-	// are read and nothing here hashes an address or a name; every pair
-	// lands in its member's slab region and the regions are sorted
-	// below, so the index is independent of record order.
-	crossings := func(m ident.MemberID) []int32 {
+	// individually-growing slices. The crossing side is a copy of the
+	// corpus's per-member pair lists (already distinct and sorted) and
+	// the membership side comes from the context's interned record
+	// triples (the domain's member groups plus the off-roster records),
+	// so only the folded members' rows are read and nothing here hashes
+	// an address or a name; every membership pair lands in its member's
+	// slab region and the regions are sorted below, so the index is
+	// independent of record order.
+	crossings := func(m ident.MemberID) []traix.NearPair {
 		if c.corpus == nil {
 			return nil
 		}
-		return c.corpus.MemberCrossings(m)
+		return c.corpus.MemberPairs(m)
 	}
 	nearOff := make([]int32, nm+1)
 	memOff := make([]int32, nm+1)
@@ -143,9 +146,8 @@ func (c *Context) obsIndex() []*asObs {
 	nearCur := append([]int32(nil), nearOff[:nm]...)
 	memCur := append([]int32(nil), memOff[:nm]...)
 	for k, m := range dirty {
-		for _, i := range crossings(m) {
-			x, near := c.corpus.CrossingRow(i)
-			nearSlab[nearCur[k]] = obsPair{near, x}
+		for _, pr := range crossings(m) {
+			nearSlab[nearCur[k]] = obsPair{pr.Near, pr.IXP}
 			nearCur[k]++
 		}
 		for _, di := range groups.rowsOf(m) {
@@ -176,17 +178,8 @@ func (c *Context) obsIndex() []*asObs {
 		if len(nears) == 0 && len(mems) == 0 {
 			continue
 		}
-		slices.SortFunc(nears, func(a, b obsPair) int {
-			return cmp.Or(cmp.Compare(a.iface, b.iface), cmp.Compare(a.ixp, b.ixp))
-		})
-		dedup := nears[:0]
-		for i, pr := range nears {
-			if i == 0 || pr != nears[i-1] {
-				dedup = append(dedup, pr)
-			}
-		}
 		slices.SortFunc(mems, func(a, b obsPair) int { return cmp.Compare(a.iface, b.iface) })
-		arena = append(arena, asObs{member: dirty[m], nears: dedup, mems: mems})
+		arena = append(arena, asObs{member: dirty[m], nears: nears, mems: mems})
 		o := &arena[len(arena)-1]
 		start := len(ifaceSlab)
 		for i, pr := range o.nears {

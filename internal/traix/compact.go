@@ -11,7 +11,8 @@ import (
 // repeatedly is kept in ID space, so the hot loops above never hash an
 // address or an IXP name again: private hops for the facility voting
 // as the struct-of-arrays below, and crossings for the multi-IXP rules
-// as the corpus's per-member lists (Corpus.MemberCrossings).
+// as the corpus's per-member (near interface, IXP) pair lists
+// (Corpus.MemberPairs).
 
 // PrivateTab is the columnar form of the corpus's static private hops
 // (Corpus.CompactStaticInto).

@@ -35,9 +35,10 @@ import (
 //
 // The candidates that pass all three rules form the live crossing
 // plane (Settle, Compact, DetectDelta): per candidate a live bit and
-// the interned near interface and member, and per near member the list
-// of its live candidates (MemberCrossings), which the multi-IXP
-// observation index reads without hashing or scanning the plane.
+// the interned near interface and member, and per near member the
+// distinct (near interface, IXP) pairs of its crossing rows with their
+// row counts (MemberPairs), which the multi-IXP observation index
+// copies without hashing, scanning the plane or sorting.
 //
 // Private-hop detection is *fully static*: a consecutive-hop pair with
 // a peering-LAN address can never classify as a private interconnect
@@ -94,11 +95,11 @@ type Corpus struct {
 	nearMem []ident.MemberID
 	setIXP  []int32
 
-	// byMem lists, per near member (MemberID-indexed), the candidates
-	// whose crossing row has that near member, ascending: one member's
-	// crossing rows without a scan of the plane. Compact rebuilds it;
-	// DetectDelta moves each candidate whose row it changed.
-	byMem [][]int32
+	// pairs lists, per near member (MemberID-indexed), the distinct
+	// (near interface, IXP) pairs of the member's crossing rows, sorted
+	// by (near, IXP), each with the number of rows carrying it. Compact
+	// rebuilds it; DetectDelta moves the counts of the rows it changed.
+	pairs [][]NearPair
 
 	// byLAN indexes the candidates by the peering-LAN addresses their
 	// rules 1+2 read (the anchor, plus LAN-resident neighbours, whose AS
@@ -380,8 +381,8 @@ func (c *Corpus) Settle(d *Detector) {
 
 // Compact interns the entities of every live crossing — near
 // interface, near member and IXP interface, in candidate order, and
-// only at IXPs the table knows — and lists each crossing row under its
-// near member.
+// only at IXPs the table knows — and collects each near member's
+// (near interface, IXP) pairs.
 func (c *Corpus) Compact(tab *ident.Table) {
 	d := c.settledWith
 	if cap(c.nearID) < len(c.live) {
@@ -397,9 +398,11 @@ func (c *Corpus) Compact(tab *ident.Table) {
 	}
 	c.plane = true
 
-	// The lists are counted out of one slab, each capped at its length,
-	// so a later insert moves that list out instead of overrunning the
-	// next one.
+	// Each member's rows are gathered as pair keys into its region of
+	// a counted scratch slab, sorted and folded into counted pairs; the
+	// lists are cut out of one slab sized to the pairs, each capped at
+	// its length, so a later insert moves that list out instead of
+	// overrunning the next one.
 	nm := tab.NumMembers()
 	off := make([]int32, nm+1)
 	for i := range c.live {
@@ -410,51 +413,92 @@ func (c *Corpus) Compact(tab *ident.Table) {
 	for m := 1; m <= nm; m++ {
 		off[m] += off[m-1]
 	}
-	slab := make([]int32, off[nm])
+	keys := make([]uint64, off[nm])
 	cur := slices.Clone(off[:nm])
 	for i := range c.live {
 		if r := c.rowOf(int32(i)); r.in {
-			slab[cur[r.mem]] = int32(i)
+			keys[cur[r.mem]] = r.pair().key()
 			cur[r.mem]++
 		}
 	}
-	c.byMem = slices.Grow(c.byMem[:0], nm)[:nm]
-	for m := range c.byMem {
-		c.byMem[m] = slab[off[m]:off[m+1]:off[m+1]]
+	npairs := 0
+	for m := 0; m < nm; m++ {
+		run := keys[off[m]:off[m+1]]
+		slices.Sort(run)
+		for k := range run {
+			if k == 0 || run[k] != run[k-1] {
+				npairs++
+			}
+		}
+	}
+	slab := make([]NearPair, 0, npairs)
+	c.pairs = slices.Grow(c.pairs[:0], nm)[:nm]
+	for m := 0; m < nm; m++ {
+		start := len(slab)
+		for _, k := range keys[off[m]:off[m+1]] {
+			if n := len(slab); n > start && slab[n-1].key() == k {
+				slab[n-1].Rows++
+				continue
+			}
+			slab = append(slab, NearPair{Near: ident.IfaceID(k >> 32), IXP: ident.IXPID(uint32(k)), Rows: 1})
+		}
+		c.pairs[m] = slab[start:len(slab):len(slab)]
 	}
 }
 
-// addMemberRow lists candidate i under near member m.
-func (c *Corpus) addMemberRow(m ident.MemberID, i int32) {
-	for int(m) >= len(c.byMem) {
-		c.byMem = append(c.byMem, nil)
-	}
-	k, _ := slices.BinarySearch(c.byMem[m], i)
-	c.byMem[m] = slices.Insert(c.byMem[m], k, i)
+// NearPair is one distinct (near interface, IXP) pair of a member's
+// crossing rows, with the number of live rows carrying it.
+type NearPair struct {
+	Near ident.IfaceID
+	IXP  ident.IXPID
+	Rows int32
 }
 
-// dropMemberRow removes candidate i from near member m's list.
-func (c *Corpus) dropMemberRow(m ident.MemberID, i int32) {
-	if k, ok := slices.BinarySearch(c.byMem[m], i); ok {
-		c.byMem[m] = slices.Delete(c.byMem[m], k, k+1)
+// key orders pairs by (near interface, IXP).
+func (p NearPair) key() uint64 { return uint64(p.Near)<<32 | uint64(p.IXP) }
+
+// addPair counts one more row of near member m's pair p and reports
+// whether the pair is new to the member.
+func (c *Corpus) addPair(m ident.MemberID, p NearPair) bool {
+	for int(m) >= len(c.pairs) {
+		c.pairs = append(c.pairs, nil)
 	}
+	k, ok := slices.BinarySearchFunc(c.pairs[m], p.key(), cmpPairKey)
+	if ok {
+		c.pairs[m][k].Rows++
+		return false
+	}
+	p.Rows = 1
+	c.pairs[m] = slices.Insert(c.pairs[m], k, p)
+	return true
 }
 
-// MemberCrossings returns the candidates whose crossing row has near
-// member m, ascending (candidate order); CrossingRow reads each row. The slice is the corpus's own: read-only,
-// and valid until the next DetectDelta or Compact.
-func (c *Corpus) MemberCrossings(m ident.MemberID) []int32 {
-	if int(m) >= len(c.byMem) {
+// dropPair counts one row fewer of near member m's pair p and reports
+// whether that was the pair's last row.
+func (c *Corpus) dropPair(m ident.MemberID, p NearPair) bool {
+	k, ok := slices.BinarySearchFunc(c.pairs[m], p.key(), cmpPairKey)
+	if !ok {
+		return false
+	}
+	if c.pairs[m][k].Rows--; c.pairs[m][k].Rows > 0 {
+		return false
+	}
+	c.pairs[m] = slices.Delete(c.pairs[m], k, k+1)
+	return true
+}
+
+func cmpPairKey(p NearPair, key uint64) int { return cmp.Compare(p.key(), key) }
+
+// MemberPairs returns the distinct (near interface, IXP) pairs of near
+// member m's crossing rows, sorted by (near, IXP), each with its row
+// count: the whole crossing evidence Step 4 reads for the member. The
+// slice is the corpus's own: read-only, and valid until the next
+// DetectDelta or Compact.
+func (c *Corpus) MemberPairs(m ident.MemberID) []NearPair {
+	if int(m) >= len(c.pairs) {
 		return nil
 	}
-	return c.byMem[m]
-}
-
-// CrossingRow returns the IXP and near interface of candidate i's
-// crossing row (i from MemberCrossings).
-func (c *Corpus) CrossingRow(i int32) (ident.IXPID, ident.IfaceID) {
-	r := c.rowOf(i)
-	return ident.IXPID(r.ixp), r.near
+	return c.pairs[m]
 }
 
 // intern records live candidate i's interned near side (interning any
@@ -504,13 +548,14 @@ func (c *Corpus) Crossings() []Crossing {
 // candidate order, so entities first seen in this delta intern in the
 // order a full re-detection would meet them.
 //
-// It returns the near members of the crossing rows the delta changed: for
-// every visited candidate whose row appeared, vanished or moved, its
-// near member before and after (with repeats), and moves the candidate
-// between those members' MemberCrossings lists. A corpus without a plane
-// for d settles and compacts from scratch and returns all = true
-// instead, since any row may have moved.
-func (c *Corpus) DetectDelta(d *Detector, changed map[netip.Addr]bool, tab *ident.Table) (moved []ident.MemberID, all bool) {
+// It moves the pair counts of every crossing row the delta changed and
+// returns the near members whose set of (near interface, IXP) pairs
+// changed (MemberPairs), with repeats: a member only some of whose rows
+// moved between pairs it keeps is not returned, since Step 4 reads
+// nothing else of its crossings. A corpus without a plane for d
+// settles and compacts from scratch and returns all = true instead,
+// since any pair may have moved.
+func (c *Corpus) DetectDelta(d *Detector, changed map[netip.Addr]bool, tab *ident.Table) (dirty []ident.MemberID, all bool) {
 	if !c.plane || c.settledWith != d {
 		c.Settle(d)
 		c.Compact(tab)
@@ -558,6 +603,7 @@ func (c *Corpus) DetectDelta(d *Detector, changed map[netip.Addr]bool, tab *iden
 		before[k] = c.rowOf(i)
 	}
 
+	sorted := len(c.keyAdds)
 	for _, i := range resettled {
 		was, wasOK := c.keyOf(i)
 		c.settleOne(d, int(i))
@@ -568,9 +614,9 @@ func (c *Corpus) DetectDelta(d *Detector, changed map[netip.Addr]bool, tab *iden
 	if len(c.keyAdds) > len(c.keyEnts)/8 {
 		c.buildByKey(d)
 	} else {
-		slices.SortFunc(c.keyAdds, func(a, b keyCand) int { return cmp.Compare(a.key, b.key) })
+		mergeTail(c.keyAdds, sorted)
 	}
-	for k, i := range visit {
+	for _, i := range visit {
 		// A re-checked candidate that stays live keeps its near side.
 		intern := c.mark[i] == markResettled
 		if c.mark[i] == markRecheck {
@@ -582,18 +628,44 @@ func (c *Corpus) DetectDelta(d *Detector, changed map[netip.Addr]bool, tab *iden
 		if intern && c.live[i] {
 			c.intern(d, tab, int(i))
 		}
-		if was, now := before[k], c.rowOf(i); was != now {
-			if was.in {
-				moved = append(moved, was.mem)
-				c.dropMemberRow(was.mem, i)
-			}
-			if now.in {
-				moved = append(moved, now.mem)
-				c.addMemberRow(now.mem, i)
-			}
+	}
+	// Every gain is counted before any loss: a pair that gains and
+	// loses rows in one delta then never passes through zero on the
+	// way (its losses are rows it held before), so a member is returned
+	// exactly when a pair of its set appeared or vanished.
+	for k, i := range visit {
+		if now := c.rowOf(i); now.in && now != before[k] && c.addPair(now.mem, now.pair()) {
+			dirty = append(dirty, now.mem)
 		}
 	}
-	return moved, false
+	for k, i := range visit {
+		if was := before[k]; was.in && was != c.rowOf(i) && c.dropPair(was.mem, was.pair()) {
+			dirty = append(dirty, was.mem)
+		}
+	}
+	return dirty, false
+}
+
+// mergeTail sorts s[sorted:] by (key, candidate) and merges it into the
+// sorted prefix s[:sorted], from the back, with the tail as the only
+// scratch: O(len(s)) for a short tail instead of a sort of all of s.
+func mergeTail(s []keyCand, sorted int) {
+	tail := slices.Clone(s[sorted:])
+	slices.SortFunc(tail, cmpKeyCand)
+	i, j := sorted-1, len(tail)-1
+	for w := len(s) - 1; j >= 0; w-- {
+		if i >= 0 && cmpKeyCand(s[i], tail[j]) > 0 {
+			s[w] = s[i]
+			i--
+		} else {
+			s[w] = tail[j]
+			j--
+		}
+	}
+}
+
+func cmpKeyCand(a, b keyCand) int {
+	return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.cand, b.cand))
 }
 
 // crossRow is one candidate's crossing row in ID space: whether it has
@@ -616,6 +688,9 @@ func (c *Corpus) rowOf(i int32) crossRow {
 	}
 	return crossRow{in: true, ixp: x, near: c.nearID[i], mem: c.nearMem[i]}
 }
+
+// pair returns the row's (near interface, IXP) pair.
+func (r crossRow) pair() NearPair { return NearPair{Near: r.near, IXP: ident.IXPID(r.ixp)} }
 
 // lookupRun returns the run of sorted hi<<32|lo words whose high word
 // is hi.

@@ -3,6 +3,7 @@ package traix_test
 import (
 	"cmp"
 	"fmt"
+	"math/rand"
 	"net/netip"
 	"slices"
 	"sort"
@@ -131,30 +132,17 @@ func TestLANSetContains(t *testing.T) {
 // TestCrossingPlaneTracksDeltas is the crossing plane's identity
 // contract: after any sequence of membership deltas absorbed through
 // DetectDelta, the live rows equal a fresh corpus's full detection
-// over the post-delta detector, the per-member crossing lists equal
-// those rows in ID space, and every member whose crossing rows changed
-// is among the moved members DetectDelta reports.
+// over the post-delta detector, the per-member pair lists equal those
+// rows folded into counted (near interface, IXP) pairs in ID space,
+// and the members DetectDelta reports are exactly those whose pair set
+// changed — not those whose rows only moved between pairs they keep.
 func TestCrossingPlaneTracksDeltas(t *testing.T) {
 	w, ds0, im, paths := corpusFixtures(t)
 	ds := ds0.Clone()
 	lans := traix.NewLANSet(traix.LANPrefixes(w))
 	d := traix.NewDetector(ds, im)
 	corpus := traix.NewCorpus(paths, lans, im)
-
-	names := map[string]bool{}
-	for _, name := range ds.PrefixIXP {
-		names[name] = true
-	}
-	for _, name := range ds.IfaceIXP {
-		names[name] = true
-	}
-	sorted := make([]string, 0, len(names))
-	for name := range names {
-		sorted = append(sorted, name)
-	}
-	sort.Strings(sorted)
-	tab := ident.NewTable(0, 0, 0)
-	tab.SetIXPs(sorted)
+	tab, names := ixpTable(ds)
 	corpus.Settle(d)
 	corpus.Compact(tab)
 	initial := len(corpus.Crossings())
@@ -191,6 +179,7 @@ func TestCrossingPlaneTracksDeltas(t *testing.T) {
 	}
 
 	left := map[netip.Addr]rec{}
+	movedOnly := 0
 	deltas := []func(changed map[netip.Addr]bool){
 		// Leaves: every 7th known interface.
 		func(changed map[netip.Addr]bool) {
@@ -243,85 +232,209 @@ func TestCrossingPlaneTracksDeltas(t *testing.T) {
 	for step, delta := range deltas {
 		changed := map[netip.Addr]bool{}
 		delta(changed)
-		was := rowsByMember(corpus, tab)
-		moved, all := corpus.DetectDelta(d, changed, tab)
+		label := fmt.Sprintf("delta %d", step)
+		was := pairsByMember(t, label, corpus.Crossings(), tab)
+		dirty, all := corpus.DetectDelta(d, changed, tab)
 		if all {
-			t.Fatalf("delta %d: DetectDelta rebuilt the plane", step)
+			t.Fatalf("%s: DetectDelta rebuilt the plane", label)
 		}
 		reported := map[ident.MemberID]bool{}
-		for _, m := range moved {
+		for _, m := range dirty {
 			reported[m] = true
 		}
-		now := rowsByMember(corpus, tab)
+
+		want := traix.NewCorpus(paths, lans, im).DetectCrossings(d)
+		sameCrossings(t, label, corpus.Crossings(), want)
+		now := pairsByMember(t, label, want, tab)
+		for m := 0; m < tab.NumMembers(); m++ {
+			got := corpus.MemberPairs(ident.MemberID(m))
+			if !slices.Equal(got, now[ident.MemberID(m)]) {
+				t.Fatalf("%s: member %d lists pairs %v, detection %v", label, m, got, now[ident.MemberID(m)])
+			}
+		}
 		for m := range now {
+			if int(m) >= tab.NumMembers() {
+				t.Fatalf("%s: member %d with crossings is outside the member space", label, m)
+			}
 			if _, ok := was[m]; !ok {
 				was[m] = nil // compare every member present on either side
 			}
 		}
-		movedRows := 0
-		for m, rows := range was {
-			if !slices.Equal(rows, now[m]) {
-				movedRows++
+		setChanged, countOnly := 0, 0
+		for m, pairs := range was {
+			switch {
+			case !slices.EqualFunc(pairs, now[m], samePair):
+				setChanged++
 				if !reported[m] {
-					t.Fatalf("delta %d: member %d's crossing rows changed but DetectDelta did not report it", step, m)
+					t.Fatalf("%s: member %d's pair set changed but DetectDelta did not report it", label, m)
 				}
+			case reported[m]:
+				t.Fatalf("%s: DetectDelta reported member %d, whose pair set did not change", label, m)
+			case !slices.Equal(pairs, now[m]):
+				countOnly++
 			}
 		}
-		if movedRows == 0 {
-			t.Fatalf("delta %d moved no member's crossing rows; the report check is vacuous", step)
-		}
-
-		want := traix.NewCorpus(paths, lans, im).DetectCrossings(d)
-		label := fmt.Sprintf("delta %d", step)
-		sameCrossings(t, label, corpus.Crossings(), want)
-		scan := map[ident.MemberID][][2]uint32{}
-		for _, c := range want {
-			x, ok := tab.IXP(c.IXP)
-			if !ok {
-				continue
+		for m := range reported {
+			if _, ok := was[m]; !ok {
+				t.Fatalf("%s: DetectDelta reported member %d, which has no crossings", label, m)
 			}
-			near, okN := tab.Iface(c.NearIP)
-			m, okM := tab.Member(c.NearAS)
-			_, okX := tab.Iface(c.IXPIP)
-			if !okN || !okM || !okX {
-				t.Fatalf("%s: crossing %+v not interned", label, c)
-			}
-			scan[m] = append(scan[m], [2]uint32{uint32(x), uint32(near)})
 		}
-		for m := 0; m < tab.NumMembers(); m++ {
-			var got [][2]uint32
-			for _, i := range corpus.MemberCrossings(ident.MemberID(m)) {
-				x, near := corpus.CrossingRow(i)
-				got = append(got, [2]uint32{uint32(x), uint32(near)})
-			}
-			if !slices.Equal(got, scan[ident.MemberID(m)]) {
-				t.Fatalf("%s: member %d lists crossing rows %v, detection %v", label, m, got, scan[ident.MemberID(m)])
-			}
-			delete(scan, ident.MemberID(m))
+		if setChanged == 0 {
+			t.Fatalf("%s changed no member's pair set; the report check is vacuous", label)
 		}
-		if len(scan) != 0 {
-			t.Fatalf("%s: %d members with crossings are outside the member space", label, len(scan))
-		}
+		movedOnly += countOnly
+	}
+	if movedOnly == 0 {
+		t.Fatal("no delta moved rows between pairs a member keeps; the exactness check is vacuous")
 	}
 	if final := len(corpus.Crossings()); final == initial {
 		t.Fatalf("deltas left the crossing count at %d; test is vacuous", initial)
 	}
 }
 
-// rowsByMember groups the corpus's crossing rows by near member, each
-// member's (IXP, near interface) pairs sorted.
-func rowsByMember(c *traix.Corpus, tab *ident.Table) map[ident.MemberID][][2]uint32 {
-	out := map[ident.MemberID][][2]uint32{}
-	for m := 0; m < tab.NumMembers(); m++ {
-		for _, i := range c.MemberCrossings(ident.MemberID(m)) {
-			x, near := c.CrossingRow(i)
-			out[ident.MemberID(m)] = append(out[ident.MemberID(m)], [2]uint32{uint32(x), uint32(near)})
+// TestKeyAddsMergeMatchesFullSort holds DetectDelta's merge of newly
+// re-settled rule-3 keys into the sorted pending list to a full sort:
+// after every delta of a random sequence the list must equal its own
+// sorted copy and still hold every entry it held before, unless the
+// delta rebuilt the index.
+func TestKeyAddsMergeMatchesFullSort(t *testing.T) {
+	w, ds0, im, paths := corpusFixtures(t)
+	ds := ds0.Clone()
+	d := traix.NewDetector(ds, im)
+	corpus := traix.NewCorpus(paths, traix.NewLANSet(traix.LANPrefixes(w)), im)
+	tab, _ := ixpTable(ds)
+	corpus.Settle(d)
+	corpus.Compact(tab)
+
+	// Churn only crossing anchors, a few dozen of them, so that most
+	// deltas re-settle candidates and departed anchors soon re-join.
+	var known []netip.Addr
+	seen := map[netip.Addr]bool{}
+	for _, c := range corpus.Crossings() {
+		if !seen[c.IXPIP] {
+			seen[c.IXPIP] = true
+			known = append(known, c.IXPIP)
 		}
 	}
-	for _, rows := range out {
-		slices.SortFunc(rows, func(a, b [2]uint32) int {
-			return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	sort.Slice(known, func(i, j int) bool { return known[i].Less(known[j]) })
+	known = known[:min(len(known), 40)]
+	type rec struct {
+		ixp string
+		asn netsim.ASN
+	}
+	left := map[netip.Addr]rec{}
+	rng := rand.New(rand.NewSource(24))
+	merged := 0
+	for step := 0; step < 60; step++ {
+		changed := map[netip.Addr]bool{}
+		for n := 1 + rng.Intn(6); n > 0; n-- {
+			ip := known[rng.Intn(len(known))]
+			if r, gone := left[ip]; gone {
+				// Re-join, half the time under a foreign AS, which
+				// moves the rule-3 keys of candidates reading it.
+				if rng.Intn(2) == 0 {
+					r.asn = w.Members[rng.Intn(len(w.Members))].ASN
+				}
+				d.NoteJoin(r.ixp, r.asn)
+				ds.IfaceIXP[ip], ds.IfaceASN[ip] = r.ixp, r.asn
+				delete(left, ip)
+			} else {
+				r := rec{ds.IfaceIXP[ip], ds.IfaceASN[ip]}
+				d.NoteLeave(r.ixp, r.asn)
+				delete(ds.IfaceIXP, ip)
+				delete(ds.IfaceASN, ip)
+				left[ip] = r
+			}
+			changed[ip] = true
+		}
+		prev := corpus.KeyAdds()
+		if _, all := corpus.DetectDelta(d, changed, tab); all {
+			t.Fatalf("step %d: DetectDelta rebuilt the plane", step)
+		}
+		got := corpus.KeyAdds()
+		want := slices.Clone(got)
+		slices.SortFunc(want, func(a, b [2]uint64) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: pending keys %v, full sort %v", step, got, want)
+		}
+		if len(got) < len(prev) {
+			continue // the index was rebuilt and the list emptied
+		}
+		// Both lists are sorted, so prev is contained in got exactly
+		// when a merge walk finds each of its entries.
+		j := 0
+		for _, e := range got {
+			if j < len(prev) && e == prev[j] {
+				j++
+			}
+		}
+		if j != len(prev) {
+			t.Fatalf("step %d: the merge lost %d of %d earlier entries", step, len(prev)-j, len(prev))
+		}
+		if len(prev) > 0 && len(got) > len(prev) {
+			merged++
+		}
+	}
+	if merged < 5 {
+		t.Fatalf("only %d deltas merged new keys into a non-empty list; the check is vacuous", merged)
+	}
+}
+
+// ixpTable returns an intern table over the IXP names the dataset's
+// prefix and interface records use, interned in name order, and the
+// set of those names.
+func ixpTable(ds *registry.Dataset) (*ident.Table, map[string]bool) {
+	names := map[string]bool{}
+	for _, name := range ds.PrefixIXP {
+		names[name] = true
+	}
+	for _, name := range ds.IfaceIXP {
+		names[name] = true
+	}
+	sorted := make([]string, 0, len(names))
+	for name := range names {
+		sorted = append(sorted, name)
+	}
+	sort.Strings(sorted)
+	tab := ident.NewTable(0, 0, 0)
+	tab.SetIXPs(sorted)
+	return tab, names
+}
+
+func samePair(a, b traix.NearPair) bool { return a.Near == b.Near && a.IXP == b.IXP }
+
+// pairsByMember folds crossings into each near member's counted (near
+// interface, IXP) pairs in ID space, sorted by (near, IXP): what the
+// corpus's MemberPairs lists must hold.
+func pairsByMember(t *testing.T, label string, rows []traix.Crossing, tab *ident.Table) map[ident.MemberID][]traix.NearPair {
+	t.Helper()
+	out := map[ident.MemberID][]traix.NearPair{}
+	for _, c := range rows {
+		x, ok := tab.IXP(c.IXP)
+		if !ok {
+			continue
+		}
+		near, okN := tab.Iface(c.NearIP)
+		m, okM := tab.Member(c.NearAS)
+		_, okX := tab.Iface(c.IXPIP)
+		if !okN || !okM || !okX {
+			t.Fatalf("%s: crossing %+v not interned", label, c)
+		}
+		out[m] = append(out[m], traix.NearPair{Near: near, IXP: x, Rows: 1})
+	}
+	for m, pairs := range out {
+		slices.SortFunc(pairs, func(a, b traix.NearPair) int {
+			return cmp.Or(cmp.Compare(a.Near, b.Near), cmp.Compare(a.IXP, b.IXP))
 		})
+		folded := pairs[:0]
+		for _, p := range pairs {
+			if n := len(folded); n > 0 && samePair(folded[n-1], p) {
+				folded[n-1].Rows++
+				continue
+			}
+			folded = append(folded, p)
+		}
+		out[m] = folded
 	}
 	return out
 }
