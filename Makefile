@@ -10,7 +10,7 @@ PR ?= 10
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build vet test test-race soak chaos bot-smoke serve-smoke crash-matrix bench bench-smoke bench-worldfile bench-snapshot bench-compare examples-smoke
+.PHONY: all build vet test loc test-race soak chaos bot-smoke serve-smoke crash-matrix bench bench-smoke bench-worldfile bench-snapshot bench-compare examples-smoke
 
 all: vet build test
 
@@ -22,6 +22,13 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Go line counts outside bench/ (its own module): non-test code, the
+# figure a change's line delta is measured on, and test code.
+GOFILES = find . \( -path ./bench -o -path ./.git \) -prune -o -name '*.go'
+loc:
+	@echo "non-test Go lines outside bench/: $$($(GOFILES) ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "test Go lines outside bench/: $$($(GOFILES) -name '*_test.go' -print | xargs cat | wc -l)"
 
 # Race-detector pass over the concurrency-heavy packages (the sharded
 # pipeline, parallel substrate build and artefact fan-out all have

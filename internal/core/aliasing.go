@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 
@@ -8,6 +9,7 @@ import (
 	"rpeer/internal/ident"
 	"rpeer/internal/ip4"
 	"rpeer/internal/par"
+	"rpeer/internal/traix"
 )
 
 // Alias resolution over the probe plane. Steps 4 and 5 resolve
@@ -15,7 +17,7 @@ import (
 // outcomes per alias mode. Probe series are pure per interface and the
 // private-link plane is static, so no memo entry ever goes stale: after
 // a delta only the assembled Step 4 router list is patched, for the
-// members whose crossing observations moved.
+// members the delta dirtied.
 
 // aliasMemo holds one alias mode's resolution memos.
 type aliasMemo struct {
@@ -110,64 +112,82 @@ func (c *Context) sortedSet(ids []ident.IfaceID) []ident.IfaceID {
 }
 
 // multiRouters returns the clusters facing more than one IXP, built
-// lazily per alias mode over the memoized observations. Candidate ASes
-// resolve independently, so they fan out over the worker pool into an
-// indexed slice assembled in ascending AS-number order, with clusters
-// in resolver output order — the list does not depend on the worker
-// count. After a delta only the members dirtied since are re-derived;
-// every other member keeps its routers from the previous list.
+// lazily per alias mode. It derives the stale members — every member on
+// the first build, else those dirtied since — reading each one's
+// evidence in place (step4Evidence). A member whose evidence spans two
+// IXPs or more is a candidate: its interface set is alias-resolved and
+// each cluster facing two IXPs or more is one of its routers. Members
+// resolve independently, so they fan out over the worker pool into a
+// slice indexed in ascending AS-number order, with clusters in resolver
+// output order; one merge by AS number then replaces the stale members'
+// runs of the previous list with the fresh ones. The list does not
+// depend on the worker count.
 func (c *Context) multiRouters(m *aliasMemo, workers int) []cachedRouter {
 	m.routerMu.Lock()
 	defer m.routerMu.Unlock()
 	if m.routersOK && m.routersGen == c.gen {
 		return m.routers
 	}
-	var stale ident.Bits
-	all := !m.routersOK
-	if !all {
-		var dirty []ident.MemberID
-		dirty, all = c.dirtySince(m.routersGen)
-		for _, mem := range dirty {
-			stale.Set(uint32(mem))
+	groups, offRoster := c.memberships()
+	var stale []ident.MemberID
+	if m.routersOK {
+		stale = c.dirtySince(m.routersGen)
+	} else {
+		stale = make([]ident.MemberID, c.ids.NumMembers())
+		for i := range stale {
+			stale[i] = ident.MemberID(i)
 		}
 	}
-	isStale := func(mem ident.MemberID) bool { return all || stale.Get(uint32(mem)) }
-	obs := c.obsIndex()
-	var cands []*asObs
-	for _, o := range obs {
-		if o.nixps >= 2 && isStale(o.member) { // candidate: the AS appears to peer at more than one IXP
-			cands = append(cands, o)
-		}
-	}
+	byASN := func(a, b ident.MemberID) int { return cmp.Compare(c.ids.ASN(a), c.ids.ASN(b)) }
+	slices.SortFunc(stale, byASN)
 	plane := c.aliasPlane()
 	type result struct {
 		res     asClusters
 		miss    bool
 		routers []cachedRouter
 	}
-	out := make([]result, len(cands))
+	out := make([]result, len(stale))
 	// Workers only read m.asSets; misses are stored after the fan-out.
-	par.Do(workers, len(cands), 64, func(lo, hi int) {
+	par.Do(workers, len(stale), 64, func(lo, hi int) {
+		var mems []obsPair
+		var ixps []ident.IXPID
 		for i := lo; i < hi; i++ {
-			o, r := cands[i], &out[i]
-			set := make([]ident.IfaceID, 0, len(o.nearIfaces)+len(o.mems))
-			set = append(set, o.nearIfaces...)
-			for _, pr := range o.mems {
-				set = append(set, pr.iface)
+			mem, r := stale[i], &out[i]
+			var nears []traix.NearPair
+			nears, mems = c.step4Evidence(groups, offRoster, mem, mems)
+			ixps = ixps[:0]
+			for _, p := range nears {
+				ixps = append(ixps, p.IXP)
+			}
+			for _, p := range mems {
+				ixps = append(ixps, p.ixp)
+			}
+			slices.Sort(ixps)
+			if len(slices.Compact(ixps)) < 2 {
+				continue // not a candidate: the AS appears to peer at one IXP
+			}
+			set := make([]ident.IfaceID, 0, len(nears)+len(mems))
+			for _, p := range nears {
+				set = append(set, p.Near)
+			}
+			for _, p := range mems {
+				set = append(set, p.iface)
 			}
 			set = c.sortedSet(set)
-			r.res = m.asSets[o.member]
+			r.res = m.asSets[mem]
 			if !slices.Equal(r.res.set, set) {
 				r.res = asClusters{set: set, clusters: alias.Sets(set, plane.Resolve(m.mode, set))}
 				r.miss = true
 			}
-			var ixps []ident.IXPID
 			for _, cluster := range r.res.clusters {
 				ixps = ixps[:0]
 				for _, id := range cluster {
-					o.nearIXPsOf(id, func(x ident.IXPID) { ixps = append(ixps, x) })
-					if x, ok := o.memIXPOf(id); ok {
-						ixps = append(ixps, x)
+					k, _ := slices.BinarySearchFunc(nears, id, func(p traix.NearPair, id ident.IfaceID) int { return cmp.Compare(p.Near, id) })
+					for ; k < len(nears) && nears[k].Near == id; k++ {
+						ixps = append(ixps, nears[k].IXP)
+					}
+					if k, ok := slices.BinarySearchFunc(mems, id, func(p obsPair, id ident.IfaceID) int { return cmp.Compare(p.iface, id) }); ok {
+						ixps = append(ixps, mems[k].ixp)
 					}
 				}
 				slices.Sort(ixps)
@@ -175,35 +195,32 @@ func (c *Context) multiRouters(m *aliasMemo, workers int) []cachedRouter {
 				if len(ixps) < 2 {
 					continue
 				}
-				r.routers = append(r.routers, cachedRouter{member: o.member, ifaces: cluster, ixps: slices.Clone(ixps)})
+				r.routers = append(r.routers, cachedRouter{member: mem, ifaces: cluster, ixps: slices.Clone(ixps)})
 			}
 		}
 	})
-	for i := range out {
+	var isStale ident.Bits
+	for i, mem := range stale {
+		isStale.Set(uint32(mem))
 		if out[i].miss {
-			m.asSets[cands[i].member] = out[i].res
+			m.asSets[mem] = out[i].res
 		}
 	}
-	// Assemble in observation (AS-number) order: the fresh routers of
-	// stale candidates, the previous list's run of every other one.
+	// Merge by AS number: the previous list's runs of the kept members
+	// and the fresh runs of the stale ones.
 	routers := make([]cachedRouter, 0, len(m.routers))
-	prev, j, k := m.routers, 0, 0
-	for _, o := range obs {
-		if o.nixps < 2 {
+	k := 0
+	for _, r := range m.routers {
+		if isStale.Get(uint32(r.member)) {
 			continue
 		}
-		if isStale(o.member) {
+		for ; k < len(stale) && byASN(stale[k], r.member) < 0; k++ {
 			routers = append(routers, out[k].routers...)
-			k++
-			continue
 		}
-		asn := c.ids.ASN(o.member)
-		for j < len(prev) && c.ids.ASN(prev[j].member) < asn {
-			j++
-		}
-		for ; j < len(prev) && prev[j].member == o.member; j++ {
-			routers = append(routers, prev[j])
-		}
+		routers = append(routers, r)
+	}
+	for ; k < len(stale); k++ {
+		routers = append(routers, out[k].routers...)
 	}
 	m.routers, m.routersOK, m.routersGen = routers, true, c.gen
 	return routers

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"net/netip"
@@ -56,8 +57,6 @@ import (
 //     Step 5's per-AS private-link components and per-membership
 //     router neighbours. All are sound to keep because probing is a
 //     pure function of seed, interface and probe time;
-//   - the memoized per-AS crossing observations Step 4 re-reads on
-//     every run;
 //   - a pool of per-shard scratch columns (epoch-stamped mark arrays)
 //     so the per-entry classification of Steps 1-3 and 5 allocates
 //     nothing in steady state.
@@ -111,37 +110,26 @@ type Context struct {
 	// survive). Reports hold the version they were built over, so a
 	// version is never written: Apply's membership patch builds the
 	// next one. groups indexes the current version per member for Step
-	// 4's propagation and the dirty-row lists. offRoster holds the
-	// interface records at interned IXPs outside the roster (their
-	// prefix record was lost to source noise): not inference targets,
-	// but Step 4 still observes them. leaveMark is patchDomain's
-	// scratch mark of departing interface IDs.
+	// 4's propagation and evidence and the dirty-row lists. offRoster
+	// holds the interface records at interned IXPs outside the roster
+	// (their prefix record was lost to source noise), sorted by member:
+	// not inference targets, but Step 4 still observes them. leaveMark
+	// is patchDomain's scratch mark of departing interface IDs.
 	domMu     sync.Mutex
 	dom       *domView
 	offRoster []domEntry
 	groups    groupIndex
 	leaveMark ident.Bits
 
-	// obs memoizes Step 4's crossing observations, as of delta
-	// generation obsGen; the next obsIndex call after a delta rebuilds
-	// only the entries of the members dirtied since.
-	obsMu    sync.Mutex
-	obsBuilt bool
-	obsGen   uint64
-	obs      []*asObs
-	obsSlot  []int32
-
 	// Dirty-member tracking (see Apply and Run). gen counts applied
 	// deltas; dirtyAt[m] (MemberID-indexed) is the generation that last
-	// dirtied member m, and allDirtyAt the last one that dirtied every
-	// member. Only Apply writes them. base is the last report Run built,
-	// with the options it ran: the next Run with the same options
-	// copies its clean members' rows and routers. incrementalRuns counts
-	// the runs that did, fallbackRuns those that had a base but
-	// dropped it.
+	// dirtied member m. Only Apply writes them. base is the last report
+	// Run built, with the options it ran: the next Run with the same
+	// options copies its clean members' rows and routers.
+	// incrementalRuns counts the runs that did, fallbackRuns those that
+	// had a base but dropped it.
 	gen             uint64
 	dirtyAt         []uint64
-	allDirtyAt      uint64
 	baseMu          sync.Mutex
 	base            *Report
 	baseOpt         Options
@@ -590,8 +578,8 @@ func (c *Context) Run(opt Options) (*Report, error) {
 
 // IncrementalRuns returns how many runs of this context took the
 // incremental path, copying clean members from a base report, and how
-// many had a base but classified every row because the deltas since
-// dirtied every member or more than the cutoff's share of the rows. It
+// many had a base but classified every row because the members the
+// deltas since dirtied hold more than the cutoff's share of the rows. It
 // is a diagnostic for tests that must know which path a run took.
 func (c *Context) IncrementalRuns() (incremental, fallback uint64) {
 	return c.incrementalRuns.Load(), c.fallbackRuns.Load()
@@ -680,8 +668,8 @@ func (c *Context) Baseline(thresholdMs float64) (*Report, error) {
 
 // memberships returns every interface record at an interned IXP as
 // interned (iface, member, IXP) triples — the domain, indexed per
-// member, plus the off-roster records — building the domain as
-// needed. Step 4's observation index reads them instead of re-hashing
+// member, plus the off-roster records, sorted by member — building the
+// domain as needed. Step 4's evidence reads them instead of re-hashing
 // the dataset.
 func (c *Context) memberships() (groups *groupIndex, offRoster []domEntry) {
 	c.domMu.Lock()
@@ -753,6 +741,9 @@ func (c *Context) buildDomainLocked() {
 		}
 		buckets[e.ixp] = append(buckets[e.ixp], e)
 	}
+	slices.SortFunc(c.offRoster, func(x, y domEntry) int {
+		return cmp.Or(cmp.Compare(x.member, y.member), cmp.Compare(x.iface, y.iface))
+	})
 	n := 0
 	for _, b := range buckets {
 		n += len(b)

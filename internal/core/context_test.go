@@ -197,19 +197,23 @@ func TestSharedContextBaselineMatchesCold(t *testing.T) {
 
 // TestSharedContextConcurrentRuns exercises the context's concurrency
 // contract: parallel runs over one context (as exp.All does) must each
-// match the cold report — first runs racing to become the base, and
-// then incremental runs sharing one base after a delta.
+// match the cold report — first runs racing to become the base, then
+// incremental runs sharing one base after a delta, then both alias
+// modes at once, whose router lists read the same per-member Step 4
+// evidence.
 func TestSharedContextConcurrentRuns(t *testing.T) {
 	in := deltaInputs(t)
 	ctx, err := NewContext(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	concurrent := func(label string) {
+	concurrent := func(label string, opts ...Options) {
 		t.Helper()
-		cold, err := coldContext(t, ctx.Inputs()).Run(DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
+		cold := make([]*Report, len(opts))
+		for i, opt := range opts {
+			if cold[i], err = coldContext(t, ctx.Inputs()).Run(opt); err != nil {
+				t.Fatal(err)
+			}
 		}
 		const workers = 4
 		reports := make([]*Report, workers)
@@ -219,7 +223,7 @@ func TestSharedContextConcurrentRuns(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				reports[i], errs[i] = ctx.Run(DefaultOptions())
+				reports[i], errs[i] = ctx.Run(opts[i%len(opts)])
 			}(i)
 		}
 		wg.Wait()
@@ -227,18 +231,24 @@ func TestSharedContextConcurrentRuns(t *testing.T) {
 			if errs[i] != nil {
 				t.Fatal(errs[i])
 			}
-			reportsEqual(t, label, cold, reports[i])
+			reportsEqual(t, label, cold[i%len(opts)], reports[i])
 		}
 	}
-	concurrent("concurrent")
+	concurrent("concurrent", DefaultOptions())
 	if err := ctx.Apply(churnDelta(t, ctx.Inputs(), 12, 12)); err != nil {
 		t.Fatal(err)
 	}
 	inc, _ := ctx.IncrementalRuns()
-	concurrent("concurrent after a delta")
+	concurrent("concurrent after a delta", DefaultOptions())
 	if now, _ := ctx.IncrementalRuns(); now < inc+4 {
 		t.Fatalf("%d of 4 concurrent runs after a delta were incremental", now-inc)
 	}
+	coverage := DefaultOptions()
+	coverage.AliasMode = alias.ModeCoverage
+	if err := ctx.Apply(churnDelta(t, ctx.Inputs(), 12, 12)); err != nil {
+		t.Fatal(err)
+	}
+	concurrent("both alias modes after a delta", DefaultOptions(), coverage)
 }
 
 func TestNewContextRequiresInputs(t *testing.T) {

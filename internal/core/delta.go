@@ -69,10 +69,10 @@ func (d *Delta) Empty() bool {
 //     The plane only grows to probe newly interned interfaces.
 //
 // Apply also marks the members the delta dirtied (markDirty): a
-// member's verdicts, and its Step 4 observations and routers, can move
+// member's verdicts, and its Step 4 evidence and routers, can move
 // only when it is dirty. The next Run re-classifies just those members,
-// and the next obsIndex / multiRouters call rebuilds just their
-// entries; both accumulate over several Applies. A member is dirty when
+// and the next multiRouters call re-derives just their routers; both
+// accumulate over several Applies. A member is dirty when
 //
 //   - it has an interface the delta joined or left (a re-join under a
 //     foreign AS dirties the old and the new member);
@@ -87,14 +87,12 @@ func (d *Delta) Empty() bool {
 //
 // Nothing else a delta touches is read across members: Steps 1, 2+3
 // and 5 read the row's own interface and member plus static colocation
-// and private-link state, and Step 4 reads one member's observations
+// and private-link state, and Step 4 reads one member's crossing pairs
 // and rows. The alias memos are member-local too: a Step 4 cluster
 // memo entry is keyed by its member and holds that member's interface
 // set, and Step 5's private-neighbour memo is keyed by (member,
 // interface) over the static private plane and pure probe series, so
-// no delta changes what an entry answers. A path that rebuilds instead
-// of patching — the crossing plane's Settle + Compact fallback — dirties
-// every member.
+// no delta changes what an entry answers.
 //
 // The traceroute-RTT augmentation is dropped and rebuilt lazily into
 // its existing column capacity.
@@ -189,12 +187,8 @@ func (c *Context) Apply(d Delta) error {
 			for _, j := range d.Joins {
 				changed[j.Iface] = true
 			}
-			dirty, all := c.corpus.DetectDelta(c.det, changed, c.ids)
-			for _, m := range dirty {
+			for _, m := range c.corpus.DetectDelta(c.det, changed, c.ids) {
 				c.markDirty(m)
-			}
-			if all {
-				c.allDirtyAt = c.gen
 			}
 		}
 		c.growColumns()
@@ -234,29 +228,22 @@ func (c *Context) markDirtyAS(asn netsim.ASN) {
 }
 
 // dirtySince lists, ascending, the members dirtied by a delta applied
-// after generation gen, or returns all = true when such a delta
-// dirtied every member.
-func (c *Context) dirtySince(gen uint64) (dirty []ident.MemberID, all bool) {
-	if c.allDirtyAt > gen {
-		return nil, true
-	}
+// after generation gen.
+func (c *Context) dirtySince(gen uint64) (dirty []ident.MemberID) {
 	for m, at := range c.dirtyAt {
 		if at > gen {
 			dirty = append(dirty, ident.MemberID(m))
 		}
 	}
-	return dirty, false
+	return dirty
 }
 
 // dirtyRows returns the domain indexes of the rows of every member
 // dirtied since generation gen, member by member, and marks those
-// members in marks. ok is false when every member is dirty or the
-// dirty rows pass the cutoff: the run then classifies every row.
+// members in marks. ok is false when the dirty rows pass the cutoff:
+// the run then classifies every row.
 func (c *Context) dirtyRows(gen uint64, g *groupIndex, marks *ident.Bits) (rows []int32, ok bool) {
-	dirty, all := c.dirtySince(gen)
-	if all {
-		return nil, false
-	}
+	dirty := c.dirtySince(gen)
 	n := 0
 	for _, m := range dirty {
 		n += len(g.rowsOf(m))

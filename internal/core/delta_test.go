@@ -331,8 +331,9 @@ func rttDelta(t testing.TB, in Inputs, n, seed int) Delta {
 // of (near interface, IXP) crossing pairs changed, with the pair sets
 // taken from a scan of the whole crossing plane before and after each
 // delta. Members whose crossing rows only moved between pairs they
-// keep must stay clean. After each delta's run, the patched Step 4
-// observation index must equal that scan too.
+// keep must stay clean. After each delta's run, the near side Step 4
+// reads per member (step4Evidence) must equal that scan too, counts
+// included.
 func TestApplyDirtySetIsExact(t *testing.T) {
 	ctx := newContext(deltaInputs(t))
 	if _, err := ctx.Run(DefaultOptions()); err != nil {
@@ -419,11 +420,7 @@ func TestApplyDirtySetIsExact(t *testing.T) {
 				}
 			}
 		}
-		got, all := ctx.dirtySince(gen)
-		if all {
-			t.Fatalf("%s: the delta dirtied every member", label)
-		}
-		for _, m := range got {
+		for _, m := range ctx.dirtySince(gen) {
 			if !want[m] {
 				t.Fatalf("%s: member %d is dirty, but no direct source marks it and its crossing pairs did not change", label, m)
 			}
@@ -437,19 +434,15 @@ func TestApplyDirtySetIsExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		observed := 0
-		for _, o := range ctx.obsIndex() {
-			if len(o.nears) == 0 {
+		groups, offRoster := ctx.memberships()
+		for m := 0; m < ctx.ids.NumMembers(); m++ {
+			nears, _ := ctx.step4Evidence(groups, offRoster, ident.MemberID(m), nil)
+			if len(nears) == 0 {
 				continue
 			}
 			observed++
-			w := now[o.member]
-			if len(o.nears) != len(w) {
-				t.Fatalf("%s: member %d observes %v, the plane scan %v", label, o.member, o.nears, w)
-			}
-			for i, p := range o.nears {
-				if p.iface != w[i].Near || p.ixp != w[i].IXP {
-					t.Fatalf("%s: member %d observes %v, the plane scan %v", label, o.member, o.nears, w)
-				}
+			if w := now[ident.MemberID(m)]; !slices.Equal(nears, w) {
+				t.Fatalf("%s: member %d observes %v, the plane scan %v", label, m, nears, w)
 			}
 		}
 		if observed != len(now) {
@@ -543,11 +536,10 @@ func TestIncrementalRunMatchesColdRebuild(t *testing.T) {
 	}
 }
 
-// TestIncrementalRunFallsBack pins the full-run fallbacks of a context
+// TestIncrementalRunFallsBack pins the full-run fallback of a context
 // that has a base: a delta whose dirty members pass the cutoff (a full
-// re-campaign refreshes every measured interface), and a crossing plane
-// that had to be settled and compacted from scratch, which may move
-// any member's crossings. Both runs must still equal a cold rebuild.
+// re-campaign refreshes every measured interface). The run must still
+// equal a cold rebuild.
 func TestIncrementalRunFallsBack(t *testing.T) {
 	in := deltaInputs(t)
 	ctx := coldContext(t, in)
@@ -570,21 +562,6 @@ func TestIncrementalRunFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	reportsEqual(t, "re-campaign", cold, got)
-
-	// Settle drops the live plane, so the next delta rebuilds it.
-	ctx.corpus.Settle(ctx.det)
-	if err := ctx.Apply(churnDelta(t, ctx.Inputs(), 3, 3)); err != nil {
-		t.Fatal(err)
-	}
-	got, path = runPath(t, ctx, opt)
-	if path != "fallback" {
-		t.Fatalf("run after a plane rebuild took the %s path, want fallback", path)
-	}
-	cold, err = coldContext(t, ctx.Inputs()).Run(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportsEqual(t, "plane rebuild", cold, got)
 }
 
 // TestIncrementalCutoff pins the cutoff arithmetic: a run re-classifies
@@ -604,9 +581,8 @@ func TestIncrementalCutoff(t *testing.T) {
 		_, groups := ctx.domainGroups()
 		var marks ident.Bits
 		rows, ok := ctx.dirtyRows(base.gen, groups, &marks)
-		dirty, _ := ctx.dirtySince(base.gen)
 		want := 0
-		for _, m := range dirty {
+		for _, m := range ctx.dirtySince(base.gen) {
 			want += len(groups.rowsOf(m))
 		}
 		if wantOK := want*incrementalCutoff <= len(groups.idx); ok != wantOK {

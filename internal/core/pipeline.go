@@ -208,15 +208,27 @@ func (s *scratch) sizeTo(ifaces, members, facs int) {
 	}
 }
 
-// growFacs widens the facility stamp columns to cover id: colo rows
-// may name facilities beyond the geometry table, and stamping must
-// never index out of range. Fresh segments are zeroed, so they can
-// never collide with a live epoch.
-func (s *scratch) growFacs(id netsim.FacilityID) {
+// growFacs widens the facility stamp columns to cover id and reports
+// whether id can be stamped: colo rows may name facilities beyond the
+// geometry table, or (from an unchecked world file) a negative ID, and
+// stamping must never index out of range. A negative ID is never
+// stamped. Fresh segments are zeroed, so they can never collide with a
+// live epoch.
+func (s *scratch) growFacs(id netsim.FacilityID) bool {
+	if id < 0 {
+		return false
+	}
 	if n := int(id) + 1; n > len(s.facStamp) {
 		s.facStamp = append(s.facStamp, make([]uint32, n-len(s.facStamp))...)
 		s.facCount = append(s.facCount, make([]int32, n-len(s.facCount))...)
 	}
+	return true
+}
+
+// stamped reports whether facility id carries epoch e. An ID outside
+// the columns, negative or beyond them, was never stamped.
+func (s *scratch) stamped(id netsim.FacilityID, e uint32) bool {
+	return id >= 0 && int(id) < len(s.facStamp) && s.facStamp[id] == e
 }
 
 // nextEpoch returns a fresh, never-live epoch value.

@@ -245,12 +245,12 @@ func TestStep4ShardDeterminism(t *testing.T) {
 	t.Run("after-delta", step4ShardIncremental)
 }
 
-// TestObsIndexMatchesDatasetWalk pins Step 4's observation index to its
-// definition: each member's membership side equals a walk of the
-// dataset's interface records at interned IXPs — roster or not — both
-// after a cold build and after a delta that also drops an off-roster
-// record.
-func TestObsIndexMatchesDatasetWalk(t *testing.T) {
+// TestStep4EvidenceMatchesDatasetWalk pins the peering side of Step
+// 4's per-member evidence read to its definition: each member's own
+// interfaces equal a walk of the dataset's interface records at
+// interned IXPs — roster or not — both after a cold build and after a
+// delta that also drops an off-roster record.
+func TestStep4EvidenceMatchesDatasetWalk(t *testing.T) {
 	in := deltaInputs(t)
 	// Move two records onto an exchange the prefix plane does not know,
 	// as source noise does when it loses a prefix record.
@@ -275,15 +275,17 @@ func TestObsIndexMatchesDatasetWalk(t *testing.T) {
 			}
 		}
 		n := 0
-		for _, o := range ctx.obsIndex() {
-			if len(o.mems) == 0 {
+		groups, offRoster := ctx.memberships()
+		for m := 0; m < ctx.ids.NumMembers(); m++ {
+			_, mems := ctx.step4Evidence(groups, offRoster, ident.MemberID(m), nil)
+			if len(mems) == 0 {
 				continue
 			}
 			n++
-			w := want[o.member]
+			w := want[ident.MemberID(m)]
 			sort.Slice(w, func(i, j int) bool { return w[i].iface < w[j].iface })
-			if !slices.Equal(o.mems, w) {
-				t.Fatalf("%s: member %d observes %v, dataset walk %v", label, o.member, o.mems, w)
+			if !slices.Equal(mems, w) {
+				t.Fatalf("%s: member %d observes %v, dataset walk %v", label, m, mems, w)
 			}
 		}
 		if n != len(want) {
@@ -333,9 +335,8 @@ func step4ShardIncremental(t *testing.T) {
 			if err := ctx.Apply(delta(ctx.Inputs())); err != nil {
 				t.Fatal(err)
 			}
-			dirty, _ := ctx.dirtySince(base.gen)
 			var marks ident.Bits
-			for _, m := range dirty {
+			for _, m := range ctx.dirtySince(base.gen) {
 				marks.Set(uint32(m))
 			}
 			runs := 0
@@ -420,13 +421,12 @@ func TestRunStepMultiIXPSeedFollowsClassOf(t *testing.T) {
 }
 
 // TestMemberCrossingsMatchPlaneScan holds the corpus's per-member pair
-// lists, which obsIndex copies instead of scanning the crossing plane,
-// to a full scan of the plane's live crossings in ID space: member m's
+// lists, which Step 4 reads instead of scanning the crossing plane, to
+// a full scan of the plane's live crossings in ID space: member m's
 // list must hold exactly the distinct (near interface, IXP) pairs of
 // its near crossings, sorted, each with its row count. It checks after
 // the cold build and after each of a random sequence of churn and RTT
-// deltas, one of which meets a crossing plane that was re-settled
-// behind its back and takes DetectDelta's Settle + Compact fallback.
+// deltas.
 func TestMemberCrossingsMatchPlaneScan(t *testing.T) {
 	ctx := newContext(deltaInputs(t))
 	check := func(label string) {
@@ -449,19 +449,11 @@ func TestMemberCrossingsMatchPlaneScan(t *testing.T) {
 	check("cold")
 
 	rng := rand.New(rand.NewSource(23))
-	settled := false
 	for step := 0; step < 10; step++ {
 		in := ctx.Inputs()
 		var d Delta
 		label := fmt.Sprintf("step %d", step)
 		switch {
-		case step == 5:
-			// Re-settle the plane without compacting it: the next
-			// membership delta must rebuild it from scratch.
-			ctx.corpus.Settle(ctx.det)
-			d = churnDelta(t, in, 10+rng.Intn(30), 10+rng.Intn(30))
-			label += " (settle fallback)"
-			settled = true
 		case rng.Intn(3) == 0:
 			d = rttDelta(t, in, 20+rng.Intn(100), rng.Intn(1000))
 			label += " (rtt)"
@@ -471,12 +463,6 @@ func TestMemberCrossingsMatchPlaneScan(t *testing.T) {
 		}
 		if err := ctx.Apply(d); err != nil {
 			t.Fatalf("%s: %v", label, err)
-		}
-		if settled {
-			if ctx.allDirtyAt != ctx.gen {
-				t.Fatalf("%s: the delta after Settle did not take the fallback", label)
-			}
-			settled = false
 		}
 		if _, err := ctx.Run(DefaultOptions()); err != nil {
 			t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"math"
 	"net/netip"
 	"slices"
-	"sort"
 
 	"rpeer/internal/geo"
 	"rpeer/internal/ident"
@@ -23,209 +22,28 @@ type obsPair struct {
 	ixp   ident.IXPID
 }
 
-// asObs gathers, per member AS, the near-side interfaces observed in
-// IXP crossings together with the crossed IXP, plus the AS's own
-// peering interfaces from the dataset — the inputs of the multi-IXP
-// candidate search. Everything is deduplicated and sorted so cluster
-// IXP lookups are binary searches.
-type asObs struct {
-	member ident.MemberID
-	// nears holds the deduplicated near (interface, IXP) pairs, sorted
-	// by (iface, ixp); nearIfaces the distinct near interfaces.
-	nears      []obsPair
-	nearIfaces []ident.IfaceID
-	// mems holds the AS's peering-LAN interfaces with their IXP,
-	// sorted by iface (one entry per interface: the dataset maps each
-	// interface to exactly one IXP).
-	mems []obsPair
-	// nixps is the number of distinct IXPs across nears and mems.
-	nixps int
-}
-
-// nearIXPsOf iterates the IXPs observed behind one near interface.
-func (o *asObs) nearIXPsOf(iface ident.IfaceID, fn func(ident.IXPID)) {
-	i := sort.Search(len(o.nears), func(i int) bool { return o.nears[i].iface >= iface })
-	for ; i < len(o.nears) && o.nears[i].iface == iface; i++ {
-		fn(o.nears[i].ixp)
+// step4Evidence reads member m's Step 4 evidence where it lives. The
+// near side is the corpus's list of the member's (near interface, IXP)
+// crossing pairs, sorted by (near, IXP): the corpus's own slice,
+// read-only. The peering side is the member's own interfaces with their
+// IXP, written into buf (reused) sorted by interface: its rows of the
+// domain g indexes, plus its run of offRoster, which is sorted by
+// member.
+func (c *Context) step4Evidence(g *groupIndex, offRoster []domEntry, m ident.MemberID, buf []obsPair) (nears []traix.NearPair, mems []obsPair) {
+	if c.corpus != nil {
+		nears = c.corpus.MemberPairs(m)
 	}
-}
-
-// memIXPOf returns the IXP of one of the AS's peering interfaces.
-func (o *asObs) memIXPOf(iface ident.IfaceID) (ident.IXPID, bool) {
-	i := sort.Search(len(o.mems), func(i int) bool { return o.mems[i].iface >= iface })
-	if i < len(o.mems) && o.mems[i].iface == iface {
-		return o.mems[i].ixp, true
+	mems = buf[:0]
+	for _, di := range g.rowsOf(m) {
+		e := &g.domain[di]
+		mems = append(mems, obsPair{e.iface, e.ixp})
 	}
-	return 0, false
-}
-
-// obsIndex returns the per-AS crossing/membership observations,
-// building them lazily. The index depends only on the substrate
-// (crossings and the dataset's interface records), so it survives
-// every run; after a delta, the next call rebuilds only the entries of
-// the members dirtied since (an entry folds one member's crossing pairs
-// and interface records, and Apply dirties every member whose pair set
-// or records changed) and splices them into the list. Entries are
-// sorted by AS number — the deterministic candidate order of the Step
-// 4 rules.
-func (c *Context) obsIndex() []*asObs {
-	c.obsMu.Lock()
-	defer c.obsMu.Unlock()
-	if c.obsBuilt && c.obsGen == c.gen {
-		return c.obs
+	i, _ := slices.BinarySearchFunc(offRoster, m, func(e domEntry, m ident.MemberID) int { return cmp.Compare(e.member, m) })
+	for ; i < len(offRoster) && offRoster[i].member == m; i++ {
+		mems = append(mems, obsPair{offRoster[i].iface, offRoster[i].ixp})
 	}
-	// The members to fold: every member on a first build or after a
-	// delta that dirtied them all, else the ones dirtied since.
-	var dirty []ident.MemberID
-	all := !c.obsBuilt
-	if !all {
-		dirty, all = c.dirtySince(c.obsGen)
-	}
-	nm := c.ids.NumMembers()
-	if all {
-		dirty = make([]ident.MemberID, nm)
-		for m := range dirty {
-			dirty[m] = ident.MemberID(m)
-		}
-	}
-	// slot maps a folded member to its offset-column slot + 1 (0: not
-	// folded). The column is retained across calls and cleared on the
-	// way out.
-	if len(c.obsSlot) < nm {
-		c.obsSlot = make([]int32, nm+nm/8)
-	}
-	slot := c.obsSlot
-	for k, m := range dirty {
-		slot[m] = int32(k) + 1
-	}
-	defer func() {
-		for _, m := range dirty {
-			slot[m] = 0
-		}
-	}()
-	nm = len(dirty)
-
-	// Member IDs are dense, so the per-member grouping runs on flat
-	// count/offset columns and two contiguous pair slabs — no map of
-	// individually-growing slices. The crossing side is a copy of the
-	// corpus's per-member pair lists (already distinct and sorted) and
-	// the membership side comes from the context's interned record
-	// triples (the domain's member groups plus the off-roster records),
-	// so only the folded members' rows are read and nothing here hashes
-	// an address or a name; every membership pair lands in its member's
-	// slab region and the regions are sorted below, so the index is
-	// independent of record order.
-	crossings := func(m ident.MemberID) []traix.NearPair {
-		if c.corpus == nil {
-			return nil
-		}
-		return c.corpus.MemberPairs(m)
-	}
-	nearOff := make([]int32, nm+1)
-	memOff := make([]int32, nm+1)
-	groups, offRoster := c.memberships()
-	for k, m := range dirty {
-		nearOff[k+1] = int32(len(crossings(m)))
-		memOff[k+1] = int32(len(groups.rowsOf(m)))
-	}
-	for _, e := range offRoster {
-		if k := slot[e.member]; k > 0 {
-			memOff[k]++
-		}
-	}
-	populated := 0
-	for m := 0; m < nm; m++ {
-		if nearOff[m+1] != 0 || memOff[m+1] != 0 {
-			populated++
-		}
-		nearOff[m+1] += nearOff[m]
-		memOff[m+1] += memOff[m]
-	}
-	nearSlab := make([]obsPair, nearOff[nm])
-	memSlab := make([]obsPair, memOff[nm])
-	nearCur := append([]int32(nil), nearOff[:nm]...)
-	memCur := append([]int32(nil), memOff[:nm]...)
-	for k, m := range dirty {
-		for _, pr := range crossings(m) {
-			nearSlab[nearCur[k]] = obsPair{pr.Near, pr.IXP}
-			nearCur[k]++
-		}
-		for _, di := range groups.rowsOf(m) {
-			e := &groups.domain[di]
-			memSlab[memCur[k]] = obsPair{e.iface, e.ixp}
-			memCur[k]++
-		}
-	}
-	for _, e := range offRoster {
-		if k := slot[e.member] - 1; k >= 0 {
-			memSlab[memCur[k]] = obsPair{e.iface, e.ixp}
-			memCur[k]++
-		}
-	}
-
-	// Assembly: the asObs structs live in one arena and the distinct
-	// near-interface lists in one shared slab; both are pre-sized so
-	// the appends below can never reallocate out from under the
-	// pointers already handed out.
-	ixpMark := make([]uint32, c.ids.NumIXPs())
-	epoch := uint32(0)
-	arena := make([]asObs, 0, populated)
-	fresh := make([]*asObs, 0, populated)
-	ifaceSlab := make([]ident.IfaceID, 0, len(nearSlab))
-	for m := 0; m < nm; m++ {
-		nears := nearSlab[nearOff[m]:nearOff[m+1]]
-		mems := memSlab[memOff[m]:memOff[m+1]]
-		if len(nears) == 0 && len(mems) == 0 {
-			continue
-		}
-		slices.SortFunc(mems, func(a, b obsPair) int { return cmp.Compare(a.iface, b.iface) })
-		arena = append(arena, asObs{member: dirty[m], nears: nears, mems: mems})
-		o := &arena[len(arena)-1]
-		start := len(ifaceSlab)
-		for i, pr := range o.nears {
-			if i == 0 || pr.iface != o.nears[i-1].iface {
-				ifaceSlab = append(ifaceSlab, pr.iface)
-			}
-		}
-		o.nearIfaces = ifaceSlab[start:len(ifaceSlab):len(ifaceSlab)]
-		epoch++
-		for _, pr := range o.nears {
-			if ixpMark[pr.ixp] != epoch {
-				ixpMark[pr.ixp] = epoch
-				o.nixps++
-			}
-		}
-		for _, pr := range o.mems {
-			if ixpMark[pr.ixp] != epoch {
-				ixpMark[pr.ixp] = epoch
-				o.nixps++
-			}
-		}
-		fresh = append(fresh, o)
-	}
-	byASN := func(a, b *asObs) int { return cmp.Compare(c.ids.ASN(a.member), c.ids.ASN(b.member)) }
-	slices.SortFunc(fresh, byASN)
-	obs := fresh
-	if !all {
-		// Splice: the previous entries of clean members, merged with the
-		// fresh ones by AS number. Entries are never mutated, so a
-		// concurrent reader of the previous list is unaffected.
-		obs = make([]*asObs, 0, len(c.obs)+len(fresh))
-		k := 0
-		for _, o := range c.obs {
-			if slot[o.member] > 0 {
-				continue
-			}
-			for k < len(fresh) && byASN(fresh[k], o) < 0 {
-				obs = append(obs, fresh[k])
-				k++
-			}
-			obs = append(obs, o)
-		}
-		obs = append(obs, fresh[k:]...)
-	}
-	c.obs, c.obsBuilt, c.obsGen = obs, true, c.gen
-	return obs
+	slices.SortFunc(mems, func(a, b obsPair) int { return cmp.Compare(a.iface, b.iface) })
+	return nears, mems
 }
 
 // cachedRouter is one alias-resolved multi-IXP cluster in ID space,
@@ -468,7 +286,9 @@ func (p *pipeline) allShareFacility(s *scratch, ixps []string) bool {
 	e := s.nextEpoch()
 	alive := 0
 	for _, f := range p.in.Colo.IXPFacilities[ixps[0]] {
-		s.growFacs(f)
+		if !s.growFacs(f) {
+			continue
+		}
 		if s.facStamp[f] != e {
 			s.facStamp[f] = e
 			s.facCount[f] = 1
@@ -481,9 +301,7 @@ func (p *pipeline) allShareFacility(s *scratch, ixps []string) bool {
 		}
 		alive = 0
 		for _, f := range p.in.Colo.IXPFacilities[ixps[round-1]] {
-			// An out-of-range facility was never stamped, so it cannot
-			// be a survivor.
-			if int(f) < len(s.facStamp) && s.facStamp[f] == e && s.facCount[f] == round-1 {
+			if s.stamped(f, e) && s.facCount[f] == round-1 {
 				s.facCount[f] = round
 				alive++
 			}
@@ -524,12 +342,13 @@ func (p *pipeline) hybridRemoteCondition(s *scratch, asn netsim.ASN, ixpL, other
 	oFacs := p.in.Colo.IXPFacilities[other]
 	e := s.nextEpoch()
 	for _, f := range lFacs {
-		s.growFacs(f)
-		s.facStamp[f] = e
+		if s.growFacs(f) {
+			s.facStamp[f] = e
+		}
 	}
 	shared := false
 	for _, f := range oFacs {
-		if int(f) < len(s.facStamp) && s.facStamp[f] == e {
+		if s.stamped(f, e) {
 			shared = true
 			break
 		}
@@ -543,7 +362,7 @@ func (p *pipeline) hybridRemoteCondition(s *scratch, asn netsim.ASN, ixpL, other
 	}
 	common := s.facs[:0]
 	for _, f := range asFacs {
-		if int(f) < len(s.facStamp) && s.facStamp[f] == e {
+		if s.stamped(f, e) {
 			common = append(common, f)
 		}
 	}
@@ -602,6 +421,9 @@ func (p *pipeline) classifyPrivate(s *scratch, e domEntry, i int) {
 		}
 		voters++
 		for _, f := range facs {
+			if !s.growFacs(f) {
+				continue
+			}
 			if s.facStamp[f] != vote {
 				s.facStamp[f] = vote
 				s.facCount[f] = 1

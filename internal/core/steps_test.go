@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"rpeer/internal/geo"
@@ -280,5 +282,54 @@ func TestFacDist(t *testing.T) {
 	}
 	if _, _, ok := p.facDist(nil, []netsim.FacilityID{f0}); ok {
 		t.Error("empty set must yield ok=false")
+	}
+}
+
+// TestColoFacilityIDsOutsideTheTable runs the pipeline over colocation
+// records that name a facility beyond the geometry table and a negative
+// facility ID, as an unchecked world file can carry. Neither may panic
+// a shard worker. A negative ID is never stamped, voted or located, so
+// appending one to every AS record leaves the report unchanged. An ID
+// beyond the table still counts in Step 5's vote, so the report may
+// move, but it must not depend on the worker count.
+func TestColoFacilityIDsOutsideTheTable(t *testing.T) {
+	in, ref, _ := fixtures(t)
+	maxID := netsim.FacilityID(-1)
+	for _, f := range in.World.Facilities {
+		if f != nil && f.ID > maxID {
+			maxID = f.ID
+		}
+	}
+	with := func(extra ...netsim.FacilityID) Inputs {
+		colo := &registry.ColoDB{
+			ASFacilities:  make(map[netsim.ASN][]netsim.FacilityID, len(in.Colo.ASFacilities)),
+			IXPFacilities: in.Colo.IXPFacilities,
+		}
+		for asn, facs := range in.Colo.ASFacilities {
+			colo.ASFacilities[asn] = append(slices.Clone(facs), extra...)
+		}
+		out := in
+		out.Colo = colo
+		return out
+	}
+	opt := DefaultOptions()
+	neg, err := coldContext(t, with(-1)).Run(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reportsEqual(t, "negative facility ID", ref, neg)
+
+	beyond := with(maxID+3, -1)
+	var first *Report
+	for _, workers := range []int{1, 4} {
+		opt.Workers = workers
+		rep, err := coldContext(t, beyond).Run(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = rep
+		}
+		reportsEqual(t, fmt.Sprintf("facility beyond the table, workers=%d", workers), first, rep)
 	}
 }

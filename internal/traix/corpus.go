@@ -5,7 +5,6 @@ import (
 	"net/netip"
 	"slices"
 	"sort"
-	"sync"
 
 	"rpeer/internal/ident"
 	"rpeer/internal/ip4"
@@ -26,9 +25,9 @@ import (
 //   - the address assignments of the dataset (which churn only at
 //     join/leave addresses): rules 1 and 2 of the traIXroute triplet —
 //     the IXP owning the anchor address, the far AS holding it, the
-//     near/far neighbour ASes. Settled once per candidate (Settle / the
-//     first Detect) and re-resolved per delta only for candidates
-//     touching a changed address (DetectDelta).
+//     near/far neighbour ASes. Settled once per candidate (Settle) and
+//     re-resolved per delta only for candidates touching a changed
+//     address (DetectDelta).
 //   - the per-IXP member AS sets (which churn with every delta): rule 3.
 //     Two set probes per settled candidate. A delta re-checks it only
 //     for candidates whose (exchange, AS) refcount crossed zero.
@@ -37,8 +36,8 @@ import (
 // plane (Settle, Compact, DetectDelta): per candidate a live bit and
 // the interned near interface and member, and per near member the
 // distinct (near interface, IXP) pairs of its crossing rows with their
-// row counts (MemberPairs), which the multi-IXP observation index
-// copies without hashing, scanning the plane or sorting.
+// row counts (MemberPairs), which the multi-IXP candidate search reads
+// in place, without hashing, scanning the plane or sorting.
 //
 // Private-hop detection is *fully static*: a consecutive-hop pair with
 // a peering-LAN address can never classify as a private interconnect
@@ -47,7 +46,8 @@ import (
 // nor the infrastructure prefix-to-AS map, so the pair's ASes cannot
 // both be established), and a pair without one cannot be affected by
 // membership state. The static verdicts are computed once in NewCorpus
-// from the prefix-to-AS map alone and shared by every Detect call.
+// from the prefix-to-AS map alone; CompactStaticInto hands them over as
+// ID columns.
 type Corpus struct {
 	paths []*Path
 	set   *LANSet
@@ -63,11 +63,6 @@ type Corpus struct {
 	sA, sB      []uint32
 	sAAS, sBAS  []netsim.ASN
 
-	// staticOnce materializes the []PrivateHop view on demand (the
-	// compatibility surface of Detect; core consumes the columns).
-	staticOnce sync.Once
-	staticRows []PrivateHop
-
 	// Crossing candidates in path-then-hop order (columnar).
 	candPath []int32
 	candHop  []int32
@@ -76,7 +71,6 @@ type Corpus struct {
 	// assignment-dependent): whether the triplet resolves, and to
 	// whom. setIdx is the detector's dense name index — the rule-3
 	// probes are integer-keyed, no string hashing.
-	settled     bool
 	settledWith *Detector
 	ok12        []bool
 	setIdx      []int32
@@ -278,37 +272,6 @@ func NewCorpus(paths []*Path, set *LANSet, ipmap *registry.IPMap) *Corpus {
 	return c
 }
 
-// settleAll resolves every candidate against the detector's current
-// state — rules 1+2 from the address assignments, rule 3 from the
-// member sets — fanning out over candidate chunks. It interns nothing
-// and invalidates the crossing plane until the next Compact.
-func (c *Corpus) settleAll(d *Detector) {
-	n := len(c.candPath)
-	if cap(c.ok12) < n {
-		c.ok12 = make([]bool, n)
-		c.setIdx = make([]int32, n)
-		c.nearAS = make([]netsim.ASN, n)
-		c.farAS = make([]netsim.ASN, n)
-		c.live = make([]bool, n)
-	}
-	c.ok12 = c.ok12[:n]
-	c.setIdx = c.setIdx[:n]
-	c.nearAS = c.nearAS[:n]
-	c.farAS = c.farAS[:n]
-	c.live = c.live[:n]
-	par.Do(0, n, 4096, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c.settleOne(d, i)
-		}
-	})
-	c.settled = true
-	c.settledWith = d
-	c.plane = false
-	c.setIXP = c.setIXP[:0]
-	c.keyOff = c.keyOff[:0]
-	c.keyAdds = c.keyAdds[:0]
-}
-
 // settleOne resolves one candidate's rules 1-3.
 func (c *Corpus) settleOne(d *Detector, i int) {
 	p := c.paths[c.candPath[i]]
@@ -328,35 +291,6 @@ func (c *Corpus) rule3(d *Detector, i int) bool {
 	return set[c.nearAS[i]] != 0 && set[c.farAS[i]] != 0
 }
 
-// Detect evaluates the corpus against the detector's current dataset
-// state. The returned crossing slice is freshly allocated and ordered
-// exactly as DetectAll over the same paths would order it: by path,
-// then by hop index. The private-hop slice is the corpus's static
-// verdict list (identical to DetectPrivateAll; shared, read-only).
-//
-// The first Detect settles the per-candidate stage-1 state against d;
-// later calls with the same detector only re-evaluate rule 3. A call
-// with a *different* detector re-settles everything (a corpus follows
-// one detector's dataset; core contexts pair them one-to-one).
-func (c *Corpus) Detect(d *Detector) ([]Crossing, []PrivateHop) {
-	return c.DetectCrossings(d), c.StaticPrivate()
-}
-
-// DetectCrossings is Detect without materializing the static private
-// rows.
-func (c *Corpus) DetectCrossings(d *Detector) []Crossing {
-	if !c.settled || c.settledWith != d {
-		c.settleAll(d)
-	}
-	out := make([]Crossing, 0, len(c.candPath)/2)
-	for i := range c.candPath {
-		if c.ok12[i] && c.rule3(d, i) {
-			out = append(out, c.row(d, i))
-		}
-	}
-	return out
-}
-
 // row materializes settled candidate i as a crossing.
 func (c *Corpus) row(d *Detector, i int) Crossing {
 	p := c.paths[c.candPath[i]]
@@ -368,13 +302,29 @@ func (c *Corpus) row(d *Detector, i int) Crossing {
 	}
 }
 
-// Settle evaluates every candidate against d and starts the crossing
-// plane: from here on the detector records the member-set zero
-// crossings DetectDelta consumes. Settle interns nothing, so it may run
-// beside other interning work; Compact must follow before the plane is
-// read.
+// Settle resolves every candidate against d's current state — rules
+// 1+2 from the address assignments, rule 3 from the member sets —
+// fanning out over candidate chunks, and starts the crossing plane:
+// from here on the detector records the member-set zero crossings
+// DetectDelta consumes. Settle interns nothing, so it may run beside
+// other interning work; Compact must follow before the plane is read.
 func (c *Corpus) Settle(d *Detector) {
-	c.settleAll(d)
+	n := len(c.candPath)
+	c.ok12 = make([]bool, n)
+	c.setIdx = make([]int32, n)
+	c.nearAS = make([]netsim.ASN, n)
+	c.farAS = make([]netsim.ASN, n)
+	c.live = make([]bool, n)
+	par.Do(0, n, 4096, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			c.settleOne(d, i)
+		}
+	})
+	c.settledWith = d
+	c.plane = false
+	c.setIXP = c.setIXP[:0]
+	c.keyOff = c.keyOff[:0]
+	c.keyAdds = c.keyAdds[:0]
 	d.trackFlips = true
 	d.flips = d.flips[:0]
 }
@@ -528,8 +478,8 @@ func (c *Corpus) ixpOf(d *Detector, tab *ident.Table, set int32) int32 {
 }
 
 // Crossings materializes the live plane as rows in path-then-hop order:
-// the crossings DetectCrossings would return over the detector the
-// plane follows, without re-evaluating anything.
+// the crossings Detector.DetectAll would return over the corpus paths
+// for the detector the plane follows, without re-evaluating anything.
 func (c *Corpus) Crossings() []Crossing {
 	var out []Crossing
 	for i, ok := range c.live {
@@ -552,14 +502,13 @@ func (c *Corpus) Crossings() []Crossing {
 // returns the near members whose set of (near interface, IXP) pairs
 // changed (MemberPairs), with repeats: a member only some of whose rows
 // moved between pairs it keeps is not returned, since Step 4 reads
-// nothing else of its crossings. A corpus without a plane for d
-// settles and compacts from scratch and returns all = true instead,
-// since any pair may have moved.
-func (c *Corpus) DetectDelta(d *Detector, changed map[netip.Addr]bool, tab *ident.Table) (dirty []ident.MemberID, all bool) {
+// nothing else of its crossings.
+//
+// The plane must follow d: Settle(d), then Compact, must have run, and
+// DetectDelta panics otherwise.
+func (c *Corpus) DetectDelta(d *Detector, changed map[netip.Addr]bool, tab *ident.Table) (dirty []ident.MemberID) {
 	if !c.plane || c.settledWith != d {
-		c.Settle(d)
-		c.Compact(tab)
-		return nil, true
+		panic("traix: DetectDelta needs a plane settled with its detector and compacted (Settle, then Compact)")
 	}
 	if c.byLAN == nil || len(c.keyOff) == 0 {
 		// The first delta on this plane builds both indexes; they read
@@ -643,7 +592,7 @@ func (c *Corpus) DetectDelta(d *Detector, changed map[netip.Addr]bool, tab *iden
 			dirty = append(dirty, was.mem)
 		}
 	}
-	return dirty, false
+	return dirty
 }
 
 // mergeTail sorts s[sorted:] by (key, candidate) and merges it into the
@@ -796,29 +745,9 @@ func (c *Corpus) buildByLAN() {
 	c.byLAN = words
 }
 
-// StaticPrivate materializes the static private hops as rows
-// (identical to DetectPrivateAll over the corpus paths). The rows are
-// built once and shared; callers must treat them as read-only. Bulk
-// consumers should prefer CompactStaticInto, which feeds the columnar
-// form straight into an intern table without materializing rows.
-func (c *Corpus) StaticPrivate() []PrivateHop {
-	c.staticOnce.Do(func() {
-		rows := make([]PrivateHop, len(c.sPath))
-		for i := range c.sPath {
-			rows[i] = PrivateHop{
-				Path: c.paths[c.sPath[i]], Index: int(c.sHop[i]),
-				AIP: ip4.Addr(c.sA[i]), BIP: ip4.Addr(c.sB[i]),
-				AAS: c.sAAS[i], BAS: c.sBAS[i],
-			}
-		}
-		c.staticRows = rows
-	})
-	return c.staticRows
-}
-
-// CompactStaticInto fills a PrivateTab from the static columns,
-// interning endpoints as it goes — the cold-build path that never
-// materializes a []PrivateHop.
+// CompactStaticInto fills a PrivateTab from the static columns — the
+// private hops DetectPrivateAll finds over the corpus paths, in the
+// same order — interning endpoints as it goes.
 func (c *Corpus) CompactStaticInto(t *PrivateTab, tab *ident.Table) {
 	n := len(c.sPath)
 	if cap(t.A) < n {

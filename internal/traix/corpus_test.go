@@ -7,6 +7,7 @@ import (
 	"net/netip"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"rpeer/internal/ident"
@@ -50,38 +51,52 @@ func sameCrossings(t *testing.T, label string, a, b []traix.Crossing) {
 	}
 }
 
-func samePrivate(t *testing.T, label string, a, b []traix.PrivateHop) {
+// samePrivateColumns holds the columns CompactStaticInto fills, read
+// back through their intern table, to want's endpoints and ASes, in
+// order.
+func samePrivateColumns(t *testing.T, label string, corpus *traix.Corpus, want []traix.PrivateHop) {
 	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("%s: %d private hops vs %d", label, len(a), len(b))
+	tab := ident.NewTable(0, 0, 0)
+	var pt traix.PrivateTab
+	corpus.CompactStaticInto(&pt, tab)
+	if pt.Len() != len(want) {
+		t.Fatalf("%s: %d private hops vs %d", label, pt.Len(), len(want))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("%s: private hop %d differs: %+v vs %+v", label, i, a[i], b[i])
+	for i, h := range want {
+		got := traix.PrivateHop{
+			Path: h.Path, Index: h.Index,
+			AIP: tab.Addr(pt.A[i]), BIP: tab.Addr(pt.B[i]),
+			AAS: tab.ASN(pt.AAS[i]), BAS: tab.ASN(pt.BAS[i]),
+		}
+		if got != h {
+			t.Fatalf("%s: private hop %d differs: %+v vs %+v", label, i, got, h)
 		}
 	}
 }
 
-// TestCorpusMatchesColdDetection pins the corpus contract: Detect must
+// TestCorpusMatchesColdDetection pins the corpus contract: a settled
+// corpus's live crossings and its static private columns must
 // reproduce the full DetectAll / DetectPrivateAll passes exactly, in
 // content and order.
 func TestCorpusMatchesColdDetection(t *testing.T) {
 	w, ds, im, paths := corpusFixtures(t)
 	d := traix.NewDetector(ds, im)
 	corpus := traix.NewCorpus(paths, traix.NewLANSet(traix.LANPrefixes(w)), im)
+	corpus.Settle(d)
 
-	gotC, gotP := corpus.Detect(d)
+	gotC, wantP := corpus.Crossings(), d.DetectPrivateAll(paths)
 	sameCrossings(t, "cold", gotC, d.DetectAll(paths))
-	samePrivate(t, "cold", gotP, d.DetectPrivateAll(paths))
+	samePrivateColumns(t, "cold", corpus, wantP)
 
-	if len(gotC) == 0 || len(gotP) == 0 {
-		t.Fatalf("degenerate corpus: %d crossings, %d private hops", len(gotC), len(gotP))
+	if len(gotC) == 0 || len(wantP) == 0 {
+		t.Fatalf("degenerate corpus: %d crossings, %d private hops", len(gotC), len(wantP))
 	}
 }
 
-// TestCorpusTracksMembershipChurn is the incremental-update contract:
-// after membership joins and leaves, re-evaluating only the dynamic
-// candidates must match a full scan against the mutated dataset.
+// TestCorpusTracksMembershipChurn is the membership-split contract:
+// settled against a mutated dataset (joins and leaves), the dynamic
+// candidates must match a full scan against it, and the static private
+// hops, computed once from the prefix-to-AS map, must still match.
 func TestCorpusTracksMembershipChurn(t *testing.T) {
 	w, ds, im, paths := corpusFixtures(t)
 	corpus := traix.NewCorpus(paths, traix.NewLANSet(traix.LANPrefixes(w)), im)
@@ -111,9 +126,9 @@ func TestCorpusTracksMembershipChurn(t *testing.T) {
 	}
 
 	d := traix.NewDetector(mut, im)
-	gotC, gotP := corpus.Detect(d)
-	sameCrossings(t, "churned", gotC, d.DetectAll(paths))
-	samePrivate(t, "churned", gotP, d.DetectPrivateAll(paths))
+	corpus.Settle(d)
+	sameCrossings(t, "churned", corpus.Crossings(), d.DetectAll(paths))
+	samePrivateColumns(t, "churned", corpus, d.DetectPrivateAll(paths))
 }
 
 func TestLANSetContains(t *testing.T) {
@@ -131,8 +146,8 @@ func TestLANSetContains(t *testing.T) {
 
 // TestCrossingPlaneTracksDeltas is the crossing plane's identity
 // contract: after any sequence of membership deltas absorbed through
-// DetectDelta, the live rows equal a fresh corpus's full detection
-// over the post-delta detector, the per-member pair lists equal those
+// DetectDelta, the live rows equal a full detection over the post-delta
+// detector, the per-member pair lists equal those
 // rows folded into counted (near interface, IXP) pairs in ID space,
 // and the members DetectDelta reports are exactly those whose pair set
 // changed — not those whose rows only moved between pairs they keep.
@@ -234,16 +249,12 @@ func TestCrossingPlaneTracksDeltas(t *testing.T) {
 		delta(changed)
 		label := fmt.Sprintf("delta %d", step)
 		was := pairsByMember(t, label, corpus.Crossings(), tab)
-		dirty, all := corpus.DetectDelta(d, changed, tab)
-		if all {
-			t.Fatalf("%s: DetectDelta rebuilt the plane", label)
-		}
 		reported := map[ident.MemberID]bool{}
-		for _, m := range dirty {
+		for _, m := range corpus.DetectDelta(d, changed, tab) {
 			reported[m] = true
 		}
 
-		want := traix.NewCorpus(paths, lans, im).DetectCrossings(d)
+		want := d.DetectAll(paths)
 		sameCrossings(t, label, corpus.Crossings(), want)
 		now := pairsByMember(t, label, want, tab)
 		for m := 0; m < tab.NumMembers(); m++ {
@@ -289,6 +300,35 @@ func TestCrossingPlaneTracksDeltas(t *testing.T) {
 	}
 	if final := len(corpus.Crossings()); final == initial {
 		t.Fatalf("deltas left the crossing count at %d; test is vacuous", initial)
+	}
+}
+
+// TestDetectDeltaNeedsPlane pins DetectDelta's precondition: on a
+// corpus that was never settled and compacted, or that follows another
+// detector, it panics with a message naming Settle and Compact instead
+// of rebuilding anything.
+func TestDetectDeltaNeedsPlane(t *testing.T) {
+	w, ds, im, paths := corpusFixtures(t)
+	d := traix.NewDetector(ds, im)
+	corpus := traix.NewCorpus(paths, traix.NewLANSet(traix.LANPrefixes(w)), im)
+	tab, _ := ixpTable(ds)
+	mustPanic := func(label string, d *traix.Detector) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			if msg, _ := recover().(string); !strings.Contains(msg, "Settle, then Compact") {
+				t.Fatalf("%s: DetectDelta recovered %q, want the Settle/Compact precondition", label, msg)
+			}
+		}()
+		corpus.DetectDelta(d, nil, tab)
+	}
+	mustPanic("unsettled", d)
+	corpus.Settle(d)
+	mustPanic("settled, not compacted", d)
+	corpus.Compact(tab)
+	mustPanic("another detector", traix.NewDetector(ds, im))
+	if dirty := corpus.DetectDelta(d, nil, tab); len(dirty) != 0 {
+		t.Fatalf("an empty delta dirtied %d members", len(dirty))
 	}
 }
 
@@ -348,9 +388,7 @@ func TestKeyAddsMergeMatchesFullSort(t *testing.T) {
 			changed[ip] = true
 		}
 		prev := corpus.KeyAdds()
-		if _, all := corpus.DetectDelta(d, changed, tab); all {
-			t.Fatalf("step %d: DetectDelta rebuilt the plane", step)
-		}
+		corpus.DetectDelta(d, changed, tab)
 		got := corpus.KeyAdds()
 		want := slices.Clone(got)
 		slices.SortFunc(want, func(a, b [2]uint64) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
