@@ -68,6 +68,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr,
 		"rpi-gen: world bundle %s: %d memberships, %d paths, %.1f MB (generate %s, write %s)\n",
-		*out, len(in.World.Members), len(in.Paths), float64(st.Size())/(1<<20),
+		*out, len(in.World.Members), in.Paths.Len(), float64(st.Size())/(1<<20),
 		genDone.Sub(start).Round(time.Millisecond), time.Since(genDone).Round(time.Millisecond))
 }

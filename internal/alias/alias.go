@@ -181,7 +181,7 @@ func (r *Resolver) Resolve(ifaces []netip.Addr) [][]netip.Addr {
 	slices.SortFunc(dedup, netip.Addr.Compare)
 	dedup = slices.Compact(dedup)
 	pl := NewPlane(r.Prober)
-	pl.Cover(dedup)
+	pl.Cover(ident.AddrsOf(dedup))
 	slots := make([]ident.IfaceID, len(dedup))
 	for i := range slots {
 		slots[i] = ident.IfaceID(i)

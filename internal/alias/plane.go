@@ -83,18 +83,18 @@ func (pl *Plane) Len() int {
 }
 
 // Cover extends the plane so that slot i holds the probe outcome of
-// addrs[i] for every i < len(addrs). Slots already filled are kept, so
-// addrs must extend the column an earlier call covered (an append-only
-// interning column does). The fill of new slots fans out over par's
+// addrs.At(i) for every i < addrs.Len(). Slots already filled are kept,
+// so addrs must extend the column an earlier call covered (an
+// append-only interning column does). The fill of new slots fans out over par's
 // default pool; results do not depend on the worker count.
-func (pl *Plane) Cover(addrs []netip.Addr) {
+func (pl *Plane) Cover(addrs ident.Addrs) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	old := pl.cols.Load()
 	if old == nil {
 		old = &planeCols{}
 	}
-	n0, n := len(old.vel), len(addrs)
+	n0, n := len(old.vel), addrs.Len()
 	if n <= n0 {
 		return
 	}
@@ -106,7 +106,7 @@ func (pl *Plane) Cover(addrs []netip.Addr) {
 	}
 	par.Do(0, n-n0, 64, func(lo, hi int) {
 		for i := n0 + lo; i < n0+hi; i++ {
-			pl.fill(next, i, addrs[i])
+			pl.fill(next, i, addrs.At(ident.IfaceID(i)))
 		}
 	})
 	pl.cols.Store(next)

@@ -64,8 +64,8 @@ func fuzzFixture(t testing.TB) *fuzzPool {
 			fx.slotOf[k] = ident.IfaceID(slot)
 		}
 		fx.plane = NewPlane(fx.prober)
-		fx.plane.Cover(col[:n/2])
-		fx.plane.Cover(col)
+		fx.plane.Cover(ident.AddrsOf(col[:n/2]))
+		fx.plane.Cover(ident.AddrsOf(col))
 		fuzzFix = fx
 	})
 	if fuzzErr != nil {

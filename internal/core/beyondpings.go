@@ -34,10 +34,11 @@ type TraceRTTEstimate struct {
 }
 
 // DeriveTracerouteRTT extracts per-interface delay estimates from the
-// IXP crossings of a traceroute corpus. Negative or zero differences
+// IXP crossings of a traceroute corpus, reading the crossing hops'
+// RTTs from the corpus columns. Negative or zero differences
 // (reverse-path artefacts) are discarded; the per-interface minimum
 // over the remaining samples plays the role of RTTmin.
-func DeriveTracerouteRTT(crossings []traix.Crossing) []TraceRTTEstimate {
+func DeriveTracerouteRTT(paths *traix.Paths, crossings []traix.Crossing) []TraceRTTEstimate {
 	type acc struct {
 		min     float64
 		ixp     string
@@ -45,11 +46,11 @@ func DeriveTracerouteRTT(crossings []traix.Crossing) []TraceRTTEstimate {
 	}
 	accs := make(map[netip.Addr]*acc)
 	for _, c := range crossings {
-		hops := c.Path.Hops
-		if c.Index == 0 || c.Index >= len(hops) {
+		lo, hi := paths.Hops(c.Path)
+		if c.Index == 0 || c.Index >= hi-lo {
 			continue
 		}
-		delta := hops[c.Index].RTTMs - hops[c.Index-1].RTTMs
+		delta := paths.RTT[lo+c.Index] - paths.RTT[lo+c.Index-1]
 		if delta <= 0 || math.IsNaN(delta) {
 			continue
 		}

@@ -312,13 +312,13 @@ func newContext(in Inputs) *Context {
 		c.ipmap = registry.BuildIPMap(in.World)
 		c.det = traix.NewDetector(in.Dataset, c.ipmap)
 		c.lans = traix.NewLANSet(traix.LANPrefixes(in.World))
-		if len(in.Paths) > 0 {
+		if in.Paths.Len() > 0 {
 			// The corpus splits the paths into membership-independent
 			// detections (settled here, once) and peering-LAN candidates
 			// whose crossing verdicts form the live crossing plane,
 			// settled now and kept current by every membership delta
 			// (see Apply). Settling interns nothing; Compact below does.
-			c.corpus = traix.NewCorpus(in.Paths, c.lans, c.ipmap)
+			c.corpus = traix.NewCorpus(&in.Paths, c.lans, c.ipmap)
 			c.corpus.Settle(c.det)
 		}
 	}()
@@ -874,7 +874,7 @@ func (c *Context) traceAugmented() (rtt []float64, bestVP []int32, rounds, deriv
 		if c.corpus != nil {
 			crossings = c.corpus.Crossings()
 		}
-		for _, e := range DeriveTracerouteRTT(crossings) {
+		for _, e := range DeriveTracerouteRTT(&c.in.Paths, crossings) {
 			id, ok := c.ids.Iface(e.Iface)
 			if !ok || int(id) >= n {
 				continue

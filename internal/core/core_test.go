@@ -302,7 +302,7 @@ func TestBeyondPingsIncreasesCoverage(t *testing.T) {
 
 func TestDeriveTracerouteRTTPositive(t *testing.T) {
 	in, _, _ := fixtures(t)
-	ests := DeriveTracerouteRTT(newContext(in).corpus.Crossings())
+	ests := DeriveTracerouteRTT(&in.Paths, newContext(in).corpus.Crossings())
 	if len(ests) < 1000 {
 		t.Fatalf("only %d traceroute RTT estimates", len(ests))
 	}
@@ -324,7 +324,7 @@ func TestTracerouteRTTAgreesWithPing(t *testing.T) {
 	ctx := newContext(in)
 	p := ctx.newPipeline(DefaultOptions())
 	var pings, traces []float64
-	for _, e := range DeriveTracerouteRTT(ctx.corpus.Crossings()) {
+	for _, e := range DeriveTracerouteRTT(&in.Paths, ctx.corpus.Crossings()) {
 		if ping, ok := p.rttFor(e.Iface); ok {
 			pings = append(pings, ping)
 			traces = append(traces, e.RTTMs)

@@ -105,17 +105,28 @@ func (d *Delta) Empty() bool {
 // Apply must not run concurrently with pipeline runs or other Apply
 // calls; the rpi engine serializes them behind its lock.
 func (c *Context) Apply(d Delta) error {
-	ds := c.in.Dataset
-
 	// Validation completes before any mutation: a delta that fails
 	// leaves the context untouched, and a delta that passes cannot
-	// make the mutation phase below fail — the property the write-
-	// ahead log relies on (a validated delta is safe to mutate with
-	// after its log record is durable).
-	leaving, err := c.validateDelta(d)
+	// make the mutation phase fail — the property the write-ahead log
+	// relies on (a validated delta is safe to mutate with after its log
+	// record is durable).
+	v, err := c.ValidateDelta(d)
 	if err != nil {
 		return err
 	}
+	return c.ApplyValidated(v)
+}
+
+// ApplyValidated applies a delta ValidateDelta passed, without
+// validating it again. The context must still be in the state it was
+// validated against: a token from another context, or one validated
+// before another delta was applied, fails with nothing mutated.
+func (c *Context) ApplyValidated(v Validated) error {
+	if v.c != c || v.gen != c.gen {
+		return fmt.Errorf("core: delta was validated against another context state")
+	}
+	d, leaving := v.d, v.leaving
+	ds := c.in.Dataset
 	c.gen++
 
 	// ---- registry dataset + intern table ----
@@ -259,16 +270,28 @@ func (c *Context) dirtyRows(gen uint64, g *groupIndex, marks *ident.Bits) (rows 
 	return rows, true
 }
 
+// Validated is a delta ValidateDelta passed, bound to the context
+// state it was checked against.
+type Validated struct {
+	c       *Context
+	gen     uint64
+	d       Delta
+	leaving map[netip.Addr]bool
+}
+
 // ValidateDelta runs Apply's validation phase without mutating
 // anything: joins must introduce new peering-LAN interfaces on IXPs
 // the dataset knows, leaves must name existing memberships, and
 // measured overrides must carry a vantage point. A delta that passes
-// is guaranteed to Apply cleanly against the current context state —
-// the contract the persistence layer needs to log a delta before
-// mutating with it.
-func (c *Context) ValidateDelta(d Delta) error {
-	_, err := c.validateDelta(d)
-	return err
+// is guaranteed to apply cleanly, through ApplyValidated, against the
+// current context state — the contract the persistence layer needs to
+// log a delta before mutating with it.
+func (c *Context) ValidateDelta(d Delta) (Validated, error) {
+	leaving, err := c.validateDelta(d)
+	if err != nil {
+		return Validated{}, err
+	}
+	return Validated{c: c, gen: c.gen, d: d, leaving: leaving}, nil
 }
 
 // validateDelta checks the whole delta against the current dataset and

@@ -295,6 +295,26 @@ func TestApplyValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	reportsEqual(t, "rejected deltas must not mutate", before, after)
+
+	// A validated delta applies once, against the state it was checked
+	// on: replaying its token after that state moved fails untouched.
+	v, err := ctx.ValidateDelta(Delta{Leaves: []Key{{IXP: knownIXP, Iface: knownIface}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctx.ApplyValidated(v); err != nil {
+		t.Fatal(err)
+	}
+	if before, err = ctx.Run(DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctx.ApplyValidated(v); err == nil {
+		t.Fatal("a stale validated delta applied")
+	}
+	if after, err = ctx.Run(DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	reportsEqual(t, "a refused stale delta must not mutate", before, after)
 }
 
 // rttDelta refreshes the campaign minimum of n membership interfaces,

@@ -78,7 +78,7 @@ func Fingerprint(in Inputs) uint64 {
 			str(vp.SrcIP.String())
 		}
 	}
-	u64(uint64(len(in.Paths)))
+	u64(uint64(in.Paths.Len()))
 	return h.Sum64()
 }
 

@@ -24,7 +24,7 @@ type Inputs struct {
 	Dataset *registry.Dataset
 	Colo    *registry.ColoDB
 	Ping    *pingsim.Result
-	Paths   []*traix.Path
+	Paths   traix.Paths
 	// Speed is the RTT-to-distance model of Step 3.
 	Speed geo.SpeedModel
 	// Seed drives alias-probing randomness.

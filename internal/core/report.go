@@ -93,7 +93,7 @@ func (v *verdicts) at(i int) Inference {
 	d := v.dom
 	e := d.rows[i]
 	return Inference{
-		IXP: d.names[e.ixp], Iface: d.addrs[e.iface], ASN: d.asns[e.member],
+		IXP: d.names[e.ixp], Iface: d.addrs.At(e.iface), ASN: d.asns[e.member],
 		Class: v.class[i], Step: v.step[i], RTTMinMs: v.rtt[i],
 		FeasibleIXPFacilities: int(v.feas[i]), TraceRTT: v.trace.Get(uint32(i)),
 	}
@@ -118,7 +118,7 @@ type domView struct {
 	rows []domEntry
 	// ixpOff[x]:ixpOff[x+1] are the rows of IXP x.
 	ixpOff []int32
-	addrs  []netip.Addr // IfaceID -> address
+	addrs  ident.Addrs  // IfaceID -> address
 	asns   []netsim.ASN // MemberID -> AS number
 	names  []string     // IXPID -> name, ascending
 	// space identifies the ID space the rows index, so rows of two
@@ -159,8 +159,8 @@ func (d *domView) ixpRange(name string) (lo, hi int) {
 // find returns the row of membership k.
 func (d *domView) find(k Key) (int, bool) {
 	lo, hi := d.ixpRange(k.IXP)
-	i := lo + sort.Search(hi-lo, func(j int) bool { return d.addrs[d.rows[lo+j].iface].Compare(k.Iface) >= 0 })
-	return i, i < hi && d.addrs[d.rows[i].iface] == k.Iface
+	i := lo + sort.Search(hi-lo, func(j int) bool { return d.addrs.At(d.rows[lo+j].iface).Compare(k.Iface) >= 0 })
+	return i, i < hi && d.addrs.At(d.rows[i].iface) == k.Iface
 }
 
 // compareRows orders row i of a against row j of b in domain order.
@@ -179,7 +179,7 @@ func compareRows(a *domView, i int, b *domView, j int) int {
 	} else if c := strings.Compare(a.names[x.ixp], b.names[y.ixp]); c != 0 {
 		return c
 	}
-	return a.addrs[x.iface].Compare(b.addrs[y.iface])
+	return a.addrs.At(x.iface).Compare(b.addrs.At(y.iface))
 }
 
 // literalVerdicts normalizes a hand-built report's map into columns
@@ -193,14 +193,16 @@ func literalVerdicts(m map[Key]*Inference) *verdicts {
 	slices.SortFunc(keys, func(a, b Key) int {
 		return cmp.Or(strings.Compare(a.IXP, b.IXP), a.Iface.Compare(b.Iface))
 	})
-	d := &domView{rows: make([]domEntry, len(keys)), addrs: make([]netip.Addr, len(keys)), asns: make([]netsim.ASN, len(keys))}
+	d := &domView{rows: make([]domEntry, len(keys)), asns: make([]netsim.ASN, len(keys))}
+	addrs := make([]netip.Addr, len(keys))
 	for i, k := range keys {
 		if len(d.names) == 0 || d.names[len(d.names)-1] != k.IXP {
 			d.names = append(d.names, k.IXP)
 		}
 		d.rows[i] = domEntry{iface: ident.IfaceID(i), member: ident.MemberID(i), ixp: ident.IXPID(len(d.names) - 1)}
-		d.addrs[i], d.asns[i] = k.Iface, m[k].ASN
+		addrs[i], d.asns[i] = k.Iface, m[k].ASN
 	}
+	d.addrs = ident.AddrsOf(addrs)
 	d.ixpOff = ixpOffsets(d.rows, len(d.names))
 	v := newVerdicts(d)
 	for i, k := range keys {

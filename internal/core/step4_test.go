@@ -108,9 +108,9 @@ func (s *step4Fixture) iface(ix *netsim.IXP) netip.Addr {
 // near AS (its infra interface preceding another member's IXP LAN IP).
 // The far member interface is fabricated and registered to a second
 // AS.
-func (s *step4Fixture) crossingPaths(t *testing.T) []*traix.Path {
+func (s *step4Fixture) crossingPaths(t *testing.T) traix.Paths {
 	t.Helper()
-	var paths []*traix.Path
+	var paths traix.Paths
 	for _, ix := range []*netsim.IXP{s.ix, s.ix2} {
 		// The far side of each crossing is a real member of this IXP in
 		// a different AS, so the interior hop resolves via its prefix.
@@ -127,11 +127,10 @@ func (s *step4Fixture) crossingPaths(t *testing.T) []*traix.Path {
 		s.in.Dataset.IfaceASN[far.Iface] = far.ASN
 		s.in.Dataset.IfaceIXP[far.Iface] = ix.Name
 		interior := s.w.ASPrefixes(far.ASN)[0].Addr().Next()
-		paths = append(paths, &traix.Path{Hops: []traix.Hop{
-			{IP: s.router.Ifaces[0], RTTMs: 5},
-			{IP: far.Iface, RTTMs: 6},
-			{IP: interior, RTTMs: 6.5},
-		}})
+		paths.Add(0, netip.Addr{})
+		paths.AddHop(s.router.Ifaces[0], 5)
+		paths.AddHop(far.Iface, 6)
+		paths.AddHop(interior, 6.5)
 	}
 	return paths
 }

@@ -18,7 +18,6 @@ import (
 	"rpeer/internal/pingsim"
 	"rpeer/internal/registry"
 	"rpeer/internal/report"
-	"rpeer/internal/traix"
 	"rpeer/pkg/rpi"
 )
 
@@ -44,7 +43,6 @@ type Env struct {
 	Colo       *registry.ColoDB
 	VPs        []*pingsim.VP
 	Ping       *pingsim.Result
-	Paths      []*traix.Path
 	Inputs     core.Inputs
 	Engine     *rpi.Engine
 	Ctx        *core.Context
@@ -107,7 +105,7 @@ func NewEnvFromInputs(in core.Inputs, opts ...rpi.Option) (*Env, error) {
 	engIn := eng.Inputs()
 	env := &Env{
 		World: in.World, Dataset: engIn.Dataset, Colo: in.Colo,
-		VPs: in.Ping.VPs, Ping: in.Ping, Paths: in.Paths,
+		VPs: in.Ping.VPs, Ping: in.Ping,
 		Inputs: engIn, Engine: eng, Ctx: eng.Context(),
 		Report: eng.Snapshot(), BaseReport: base,
 		Validation: val,

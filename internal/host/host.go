@@ -88,7 +88,10 @@ type Config struct {
 	// churn (an rpi.WithWALFS or rpi.WithSnapshotRetention in Options
 	// still wins).
 	Dir string
-	// Inputs builds a tenant's base world from its spec. Required.
+	// Inputs builds a tenant's base world from its spec. Required. It
+	// is called on every open of a tenant, including a supervisor's
+	// reopen from its own goroutine, so it must be safe for concurrent
+	// use and return the same world for the same spec each time.
 	Inputs func(TenantSpec) (rpi.Inputs, error)
 	// Options is passed through to every rpi.Open (WAL filesystem,
 	// snapshot cadence, ...).
@@ -294,13 +297,18 @@ func (h *Host) Lease(ctx context.Context, name string) (*Lease, error) {
 // held: concurrent first leases build the world exactly once, and an
 // open can never interleave with an eviction's close on the same
 // directory.
+//
+// The guard's reopen builds the inputs again through Config.Inputs
+// rather than holding the first build's: the engine keeps the one copy
+// it needs, and a reopen (after a quarantining panic, from the
+// supervisor's goroutine) starts from freshly built base inputs.
 func (h *Host) openLocked(t *tenant) error {
-	in, err := h.cfg.Inputs(t.spec)
-	if err != nil {
-		return fmt.Errorf("host: tenant %q inputs: %w", t.spec.Name, err)
-	}
-	dir, opts, logger := t.dir, h.cfg.Options, h.cfg.Logger
+	spec, inputs, dir, opts, logger := t.spec, h.cfg.Inputs, t.dir, h.cfg.Options, h.cfg.Logger
 	reopen := func() (*rpi.Engine, *rpi.RecoveryInfo, error) {
+		in, err := inputs(spec)
+		if err != nil {
+			return nil, nil, fmt.Errorf("inputs: %w", err)
+		}
 		return rpi.Open(dir, in, opts...)
 	}
 	start := time.Now()

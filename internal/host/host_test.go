@@ -350,9 +350,17 @@ func TestCreateDeleteRacingTraffic(t *testing.T) {
 
 // TestQuarantineIsolation: a fault in one tenant quarantines and heals
 // that tenant alone; its sibling keeps serving and writing throughout.
+// The heal rebuilds the faulting tenant's inputs through Config.Inputs,
+// from the supervisor's goroutine.
 func TestQuarantineIsolation(t *testing.T) {
 	var bomb atomic.Bool
+	var builds [2]atomic.Int32 // Config.Inputs calls for a and b
+	factory := tinyFactory()
 	h := newHost(t, Config{
+		Inputs: func(sp TenantSpec) (rpi.Inputs, error) {
+			builds[sp.Seed-1].Add(1)
+			return factory(sp)
+		},
 		Options: []rpi.Option{rpi.WithApplyHook(func(uint64, rpi.Delta) {
 			if bomb.CompareAndSwap(true, false) {
 				panic("host_test: injected engine fault")
@@ -400,6 +408,9 @@ func TestQuarantineIsolation(t *testing.T) {
 	}
 	if st := h.Tenants(); st[0].Recoveries != 1 || st[1].Faults != 0 {
 		t.Fatalf("isolation accounting: %+v", st)
+	}
+	if a, b := builds[0].Load(), builds[1].Load(); a != 2 || b != 1 {
+		t.Fatalf("Config.Inputs built a %d and b %d times, want 2 (open, reopen) and 1", a, b)
 	}
 }
 

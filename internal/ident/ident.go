@@ -29,7 +29,9 @@
 package ident
 
 import (
+	"cmp"
 	"net/netip"
+	"slices"
 
 	"rpeer/internal/ip4"
 	"rpeer/internal/netsim"
@@ -57,14 +59,16 @@ const NoMember = MemberID(^uint32(0))
 // mutation; the owning core.Context serializes Apply against runs, and
 // lookups during runs are read-only.
 //
-// The interface index is split by address family: IPv4 addresses — the
-// overwhelming majority in every input this system ingests — key a
-// map[uint32]IfaceID (one integer hash per lookup instead of hashing a
-// 24-byte netip.Addr), and everything else spills into a netip.Addr
-// map. The hot loops of context construction and corpus compaction
-// run entirely on the uint32 path.
+// The interface index and address column are split by address family:
+// IPv4 addresses — the overwhelming majority in every input this
+// system ingests — key a map[uint32]IfaceID (one integer hash per
+// lookup instead of hashing a 24-byte netip.Addr) and fill a column of
+// IPv4 words (4 bytes per ID, no pointer for the garbage collector to
+// scan), and everything else spills into a netip.Addr map and the
+// column's spill list. The hot loops of context construction and
+// corpus compaction run entirely on the uint32 path.
 type Table struct {
-	addrs    []netip.Addr // column: IfaceID -> address
+	addrs    Addrs // column: IfaceID -> address
 	iface4   map[uint32]IfaceID
 	ifaceGen map[netip.Addr]IfaceID // non-IPv4 spill
 	dead     Bits                   // tombstones (departed memberships)
@@ -83,7 +87,7 @@ type Table struct {
 // append-able spaces.
 func NewTable(ifaceCap, memberCap, facCap int) *Table {
 	return &Table{
-		addrs:     make([]netip.Addr, 0, ifaceCap),
+		addrs:     Addrs{words: make([]uint32, 0, ifaceCap)},
 		iface4:    make(map[uint32]IfaceID, ifaceCap),
 		asns:      make([]netsim.ASN, 0, memberCap),
 		memberIDs: make(map[netsim.ASN]MemberID, memberCap),
@@ -105,8 +109,7 @@ func (t *Table) AddIface(a netip.Addr) IfaceID {
 			t.dead.Clear(uint32(id))
 			return id
 		}
-		id := IfaceID(len(t.addrs))
-		t.addrs = append(t.addrs, a)
+		id := t.addrs.push(a)
 		t.iface4[k] = id
 		return id
 	}
@@ -117,8 +120,7 @@ func (t *Table) AddIface(a netip.Addr) IfaceID {
 	if t.ifaceGen == nil {
 		t.ifaceGen = make(map[netip.Addr]IfaceID)
 	}
-	id := IfaceID(len(t.addrs))
-	t.addrs = append(t.addrs, a)
+	id := t.addrs.push(a)
 	t.ifaceGen[a] = id
 	return id
 }
@@ -135,10 +137,10 @@ func (t *Table) Iface(a netip.Addr) (IfaceID, bool) {
 }
 
 // Addr returns the address behind an interface ID.
-func (t *Table) Addr(id IfaceID) netip.Addr { return t.addrs[id] }
+func (t *Table) Addr(id IfaceID) netip.Addr { return t.addrs.At(id) }
 
 // NumIfaces returns the interface ID space size (tombstones included).
-func (t *Table) NumIfaces() int { return len(t.addrs) }
+func (t *Table) NumIfaces() int { return t.addrs.Len() }
 
 // RetireIface tombstones an interface ID. The ID stays resolvable and
 // its column slots stay valid — entries are never deleted or
@@ -152,14 +154,60 @@ func (t *Table) RetireIface(id IfaceID) { t.dead.Set(uint32(id)) }
 func (t *Table) IfaceRetired(id IfaceID) bool { return t.dead.Get(uint32(id)) }
 
 // Ifaces returns the interface address column (IfaceID -> address,
-// tombstones included) — the column-dump hook the snapshot layer walks
-// to persist membership state in a deterministic order without
-// sorting: ID order is append order, which is fixed by the delta
-// history. The slice is the table's live backing array and must be
-// treated as read-only. Interning only appends past its length, so the
-// returned slice is also an immutable view of the IDs interned so far:
-// it may be read while the table keeps growing.
-func (t *Table) Ifaces() []netip.Addr { return t.addrs }
+// tombstones included) as a view of the IDs interned so far. Interning
+// only appends past the view's length, so the view is immutable: it
+// may be read while the table keeps growing.
+func (t *Table) Ifaces() Addrs { return t.addrs }
+
+// Addrs is an interface address column, IfaceID -> address: one IPv4
+// word per ID, and the IDs of other address families (0 in the word
+// column) listed aside in ascending ID order. A value is a view: its
+// owner only appends past its lengths, so a copy never changes.
+type Addrs struct {
+	words []uint32
+	spill []spilled
+}
+
+// spilled is one non-IPv4 entry of an address column.
+type spilled struct {
+	id IfaceID
+	a  netip.Addr
+}
+
+// AddrsOf builds a column over addrs, ID i naming addrs[i].
+func AddrsOf(addrs []netip.Addr) Addrs {
+	c := Addrs{words: make([]uint32, 0, len(addrs))}
+	for _, a := range addrs {
+		c.push(a)
+	}
+	return c
+}
+
+// push appends an address under the next ID and returns that ID.
+func (c *Addrs) push(a netip.Addr) IfaceID {
+	id := IfaceID(len(c.words))
+	if a.Is4() {
+		c.words = append(c.words, ip4.U32(a))
+		return id
+	}
+	c.words = append(c.words, 0)
+	c.spill = append(c.spill, spilled{id, a})
+	return id
+}
+
+// Len returns the number of IDs the column names.
+func (c Addrs) Len() int { return len(c.words) }
+
+// At returns the address behind an ID.
+func (c Addrs) At(id IfaceID) netip.Addr {
+	w := c.words[id]
+	if w == 0 && len(c.spill) > 0 {
+		if k, ok := slices.BinarySearchFunc(c.spill, id, func(s spilled, id IfaceID) int { return cmp.Compare(s.id, id) }); ok {
+			return c.spill[k].a
+		}
+	}
+	return ip4.Addr(w)
+}
 
 // ---------------------------------------------------------------------------
 // Members

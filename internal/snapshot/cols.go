@@ -52,6 +52,20 @@ func (c *Cols) PackedAddrs(name string, v []netip.Addr) {
 	c.U8(name, b)
 }
 
+// PackedIPv4 appends IPv4 words (0 for the zero Addr) in the wire form
+// of PackedAddrs, without building an address per element.
+func (c *Cols) PackedIPv4(name string, v []uint32) {
+	b := make([]uint8, 0, len(v)*5)
+	for _, w := range v {
+		if w == 0 {
+			b = append(b, 0)
+			continue
+		}
+		b = append(b, 4, byte(w>>24), byte(w>>16), byte(w>>8), byte(w))
+	}
+	c.U8(name, b)
+}
+
 // Reader reads a decoded column group by name. Errors are sticky: the
 // first missing column, kind mismatch, ragged row group or failed
 // check is kept in Err and every later read returns nil, so decoders
@@ -213,6 +227,47 @@ func (r *Reader) PackedAddrs(name string, n int) []netip.Addr {
 		}
 		out[i] = a
 		b = b[l:]
+	}
+	if len(b) != 0 {
+		r.Failf("column %q has %d trailing bytes after %d addresses", name, len(b), n)
+		return nil
+	}
+	return out
+}
+
+// PackedIPv4 returns the n addresses of a column written by
+// Cols.PackedAddrs or Cols.PackedIPv4 as IPv4 words, 0 for the zero
+// Addr, in one allocation. An address of any other family fails the
+// read: callers use it for columns that hold IPv4 alone.
+func (r *Reader) PackedIPv4(name string, n int) []uint32 {
+	b := r.U8(name)
+	if r.err != nil {
+		return nil
+	}
+	out := make([]uint32, n)
+	for i := range out {
+		if len(b) == 0 {
+			r.Failf("column %q exhausted at address %d of %d", name, i, n)
+			return nil
+		}
+		switch l := int(b[0]); {
+		case l == 0:
+			b = b[1:] // the zero Addr
+		case l != 4:
+			r.Failf("column %q address %d has length %d, want an IPv4 address", name, i, l)
+			return nil
+		case len(b) < 5:
+			r.Failf("column %q address %d claims 4 bytes, %d remain", name, i, len(b)-1)
+			return nil
+		default:
+			w := uint32(b[1])<<24 | uint32(b[2])<<16 | uint32(b[3])<<8 | uint32(b[4])
+			if w == 0 {
+				r.Failf("column %q address %d is 0.0.0.0, which the word form cannot carry", name, i)
+				return nil
+			}
+			out[i] = w
+			b = b[5:]
+		}
 	}
 	if len(b) != 0 {
 		r.Failf("column %q has %d trailing bytes after %d addresses", name, len(b), n)

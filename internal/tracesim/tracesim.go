@@ -57,20 +57,19 @@ const (
 // entity), so the corpus is bit-identical for every worker count. The
 // batches concatenate in (IXP rank, membership, path) then (link,
 // direction) order — the order the serial generator produced.
-func Generate(w *netsim.World, cfg Config, workers int) []*traix.Path {
+func Generate(w *netsim.World, cfg Config, workers int) traix.Paths {
 	// Crossing paths: each membership acts as the near member entering
 	// its IXP towards randomly chosen far members.
-	ixpBatches := make([][]*traix.Path, len(w.IXPs))
+	ixpBatches := make([]traix.Paths, len(w.IXPs))
 	par.Do(workers, len(w.IXPs), 1, func(rank, _ int) {
 		ix := w.IXPs[rank]
 		members := w.MembersOf(ix.ID)
 		if len(members) < 2 {
 			return
 		}
-		g := &pathGen{w: w, cfg: cfg}
+		g := &pathGen{w: w, cfg: cfg, out: &ixpBatches[rank]}
 		g.src = &rng.Source{}
 		g.r = rand.New(g.src)
-		batch := make([]*traix.Path, 0, len(members)*cfg.PathsPerMembership)
 		for mi, near := range members {
 			g.src.SetKey(rng.Key3(cfg.Seed, streamCrossing, uint64(rank), uint64(mi)))
 			for k := 0; k < cfg.PathsPerMembership; k++ {
@@ -78,61 +77,53 @@ func Generate(w *netsim.World, cfg Config, workers int) []*traix.Path {
 				if far == near {
 					continue
 				}
-				if p := g.crossingPath(near, far); p != nil {
-					batch = append(batch, p)
-				}
+				g.crossingPath(near, far)
 			}
 		}
-		ixpBatches[rank] = batch
 	})
 
 	// Private-interconnect paths, both directions, one stream per link.
 	const linkChunk = 512
-	privBatches := make([][]*traix.Path, (len(w.Private)+linkChunk-1)/linkChunk)
+	privBatches := make([]traix.Paths, (len(w.Private)+linkChunk-1)/linkChunk)
 	par.Do(workers, len(w.Private), linkChunk, func(lo, hi int) {
-		g := &pathGen{w: w, cfg: cfg}
+		g := &pathGen{w: w, cfg: cfg, out: &privBatches[lo/linkChunk]}
 		g.src = &rng.Source{}
 		g.r = rand.New(g.src)
-		var batch []*traix.Path
 		for i := lo; i < hi; i++ {
 			pl := &w.Private[i]
 			g.src.SetKey(rng.Key2(cfg.Seed, streamPrivate, uint64(i)))
 			if g.r.Float64() < cfg.PrivatePathProb {
-				if p := g.privatePath(pl, false); p != nil {
-					batch = append(batch, p)
-				}
+				g.privatePath(pl, false)
 			}
 			if g.r.Float64() < cfg.PrivatePathProb {
-				if p := g.privatePath(pl, true); p != nil {
-					batch = append(batch, p)
-				}
+				g.privatePath(pl, true)
 			}
 		}
-		privBatches[lo/linkChunk] = batch
 	})
 
-	total := 0
-	for _, b := range ixpBatches {
-		total += len(b)
+	batches := append(ixpBatches, privBatches...)
+	np, nh := 0, 0
+	for i := range batches {
+		np += batches[i].Len()
+		nh += len(batches[i].Hop)
 	}
-	for _, b := range privBatches {
-		total += len(b)
+	paths := traix.Paths{
+		Src: make([]netsim.ASN, 0, np), Dst: make([]uint32, 0, np), Off: make([]int32, 0, np+1),
+		Hop: make([]uint32, 0, nh), RTT: make([]float64, 0, nh),
 	}
-	paths := make([]*traix.Path, 0, total)
-	for _, b := range ixpBatches {
-		paths = append(paths, b...)
-	}
-	for _, b := range privBatches {
-		paths = append(paths, b...)
+	for i := range batches {
+		paths.Append(&batches[i])
 	}
 	return paths
 }
 
+// pathGen draws paths into out.
 type pathGen struct {
 	w   *netsim.World
 	cfg Config
 	src *rng.Source
 	r   *rand.Rand
+	out *traix.Paths
 }
 
 // probeLoc picks a random probe location (anywhere in the world).
@@ -176,48 +167,48 @@ func (g *pathGen) nextHopRTT(prevRTT float64, prev, cur *netsim.Router) float64 
 	return prevRTT + g.w.Latency().Sample(g.r, seg) + g.r.ExpFloat64()*0.4
 }
 
-func (g *pathGen) star(h traix.Hop) traix.Hop {
+// starHop appends a hop that fails to reply ("*") with probability
+// StarProb.
+func (g *pathGen) starHop(ip netip.Addr, rttMs float64) {
 	if g.r.Float64() < g.cfg.StarProb {
-		return traix.Hop{}
+		ip, rttMs = netip.Addr{}, 0
 	}
-	return h
+	g.out.AddHop(ip, rttMs)
 }
 
-// crossingPath builds probe -> [transit] -> near router -> far member
+// crossingPath draws probe -> [transit] -> near router -> far member
 // IXP interface -> far AS interior.
-func (g *pathGen) crossingPath(near, far *netsim.Member) *traix.Path {
+func (g *pathGen) crossingPath(near, far *netsim.Member) {
 	w := g.w
 	nearR := w.Router(near.Router)
 	farR := w.Router(far.Router)
 	if nearR == nil || farR == nil {
-		return nil
+		return
 	}
 	dst, ok := g.synthIP(far.ASN)
 	if !ok {
-		return nil
+		return
 	}
 	src := g.probeLoc()
 	srcKey := uint64(g.r.Int63()) | 1<<58
 
-	hops := make([]traix.Hop, 0, 4)
+	g.out.Add(0, dst)
 	if g.r.Float64() < g.cfg.LeadInProb {
 		if tip, ok := g.leadInHop(near.ASN); ok {
-			hops = append(hops, g.star(traix.Hop{IP: tip, RTTMs: g.r.Float64() * 20}))
+			g.starHop(tip, g.r.Float64()*20)
 		}
 	}
 	// Near member's router: replies with its infrastructure interface.
 	nearRTT := g.hopRTT(src, srcKey, nearR)
-	hops = append(hops, traix.Hop{IP: nearR.Ifaces[0], RTTMs: nearRTT})
+	g.out.AddHop(nearR.Ifaces[0], nearRTT)
 	// The far member's peering-LAN interface: this hop must stay
 	// responsive for the crossing to be detectable; traIXroute-style
 	// pipelines simply never see the paths where it is not. Its RTT
 	// accumulates the near->far segment on top of the near hop.
 	farRTT := g.nextHopRTT(nearRTT, nearR, farR)
-	hops = append(hops, traix.Hop{IP: far.Iface, RTTMs: farRTT})
+	g.out.AddHop(far.Iface, farRTT)
 	// Interior of the far AS.
-	hops = append(hops, g.star(traix.Hop{IP: dst, RTTMs: farRTT + 0.3}))
-
-	return &traix.Path{SrcASN: 0, Dst: dst, Hops: hops}
+	g.starHop(dst, farRTT+0.3)
 }
 
 // leadInHop fabricates a transit hop owned by one of the member's
@@ -231,9 +222,9 @@ func (g *pathGen) leadInHop(asn netsim.ASN) (netip.Addr, bool) {
 	return g.synthIP(p)
 }
 
-// privatePath builds probe -> A router -> B router over a private
+// privatePath draws probe -> A router -> B router over a private
 // cross-connect (or B -> A when reversed).
-func (g *pathGen) privatePath(pl *netsim.PrivateLink, reverse bool) *traix.Path {
+func (g *pathGen) privatePath(pl *netsim.PrivateLink, reverse bool) {
 	w := g.w
 	ra, rb := w.Router(pl.A), w.Router(pl.B)
 	aIface, bIface := pl.AIface, pl.BIface
@@ -242,24 +233,22 @@ func (g *pathGen) privatePath(pl *netsim.PrivateLink, reverse bool) *traix.Path 
 		aIface, bIface = bIface, aIface
 	}
 	if ra == nil || rb == nil {
-		return nil
+		return
 	}
 	dst, ok := g.synthIP(rb.Owner)
 	if !ok {
-		return nil
+		return
 	}
 	src := g.probeLoc()
 	srcKey := uint64(g.r.Int63()) | 1<<57
 
 	aRTT := g.hopRTT(src, srcKey, ra)
 	bRTT := g.nextHopRTT(aRTT, ra, rb)
-	hops := make([]traix.Hop, 0, 3)
 	// The near router replies with its side of the cross-connect.
-	hops = append(hops,
-		traix.Hop{IP: aIface, RTTMs: aRTT},
-		traix.Hop{IP: bIface, RTTMs: bRTT})
-	hops = append(hops, g.star(traix.Hop{IP: dst, RTTMs: bRTT + 0.2}))
-	return &traix.Path{Dst: dst, Hops: hops}
+	g.out.Add(0, dst)
+	g.out.AddHop(aIface, aRTT)
+	g.out.AddHop(bIface, bRTT)
+	g.starHop(dst, bRTT+0.2)
 }
 
 // FromVP generates traceroute-style RTT observations from a fixed

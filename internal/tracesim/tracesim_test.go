@@ -10,11 +10,11 @@ import (
 
 var (
 	cw    *netsim.World
-	paths []*traix.Path
+	paths traix.Paths
 	det   *traix.Detector
 )
 
-func fixtures(t testing.TB) (*netsim.World, []*traix.Path, *traix.Detector) {
+func fixtures(t testing.TB) (*netsim.World, *traix.Paths, *traix.Detector) {
 	t.Helper()
 	if cw == nil {
 		w, err := netsim.Generate(netsim.DefaultConfig(), 0)
@@ -26,17 +26,17 @@ func fixtures(t testing.TB) (*netsim.World, []*traix.Path, *traix.Detector) {
 		ds := registry.Build(w, registry.DefaultNoise(), 42, 0)
 		det = traix.NewDetector(ds, registry.BuildIPMap(w))
 	}
-	return cw, paths, det
+	return cw, &paths, det
 }
 
 func TestGenerateProducesCorpus(t *testing.T) {
 	w, ps, _ := fixtures(t)
-	if len(ps) < len(w.Members)*2 {
-		t.Fatalf("corpus = %d paths, want >= %d", len(ps), len(w.Members)*2)
+	if ps.Len() < len(w.Members)*2 {
+		t.Fatalf("corpus = %d paths, want >= %d", ps.Len(), len(w.Members)*2)
 	}
-	for _, p := range ps[:100] {
-		if len(p.Hops) < 2 {
-			t.Fatalf("path with %d hops", len(p.Hops))
+	for i := 0; i < 100; i++ {
+		if lo, hi := ps.Hops(i); hi-lo < 2 {
+			t.Fatalf("path with %d hops", hi-lo)
 		}
 	}
 }
@@ -106,15 +106,17 @@ func TestGenerateDeterministic(t *testing.T) {
 	w, _, _ := fixtures(t)
 	a := Generate(w, DefaultConfig(), 0)
 	b := Generate(w, DefaultConfig(), 0)
-	if len(a) != len(b) {
-		t.Fatalf("path counts differ: %d vs %d", len(a), len(b))
+	if a.Len() != b.Len() {
+		t.Fatalf("path counts differ: %d vs %d", a.Len(), b.Len())
 	}
-	for i := range a {
-		if len(a[i].Hops) != len(b[i].Hops) || a[i].Dst != b[i].Dst {
+	for i := 0; i < a.Len(); i++ {
+		alo, ahi := a.Hops(i)
+		blo, bhi := b.Hops(i)
+		if ahi-alo != bhi-blo || a.Dst[i] != b.Dst[i] {
 			t.Fatalf("path %d differs", i)
 		}
-		for j := range a[i].Hops {
-			if a[i].Hops[j].IP != b[i].Hops[j].IP {
+		for j := 0; j < ahi-alo; j++ {
+			if a.Hop[alo+j] != b.Hop[blo+j] {
 				t.Fatalf("path %d hop %d differs", i, j)
 			}
 		}

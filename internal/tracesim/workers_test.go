@@ -17,20 +17,22 @@ func TestGenerateWorkersIdentical(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	ref := Generate(w, cfg, 1)
-	if len(ref) == 0 {
+	if ref.Len() == 0 {
 		t.Fatal("empty corpus")
 	}
 	for _, workers := range []int{4, runtime.NumCPU()} {
 		got := Generate(w, cfg, workers)
-		if len(got) != len(ref) {
-			t.Fatalf("workers=%d: %d paths, want %d", workers, len(got), len(ref))
+		if got.Len() != ref.Len() {
+			t.Fatalf("workers=%d: %d paths, want %d", workers, got.Len(), ref.Len())
 		}
-		for i := range ref {
-			if ref[i].Dst != got[i].Dst || len(ref[i].Hops) != len(got[i].Hops) {
+		for i := 0; i < ref.Len(); i++ {
+			rlo, rhi := ref.Hops(i)
+			glo, ghi := got.Hops(i)
+			if ref.Src[i] != got.Src[i] || ref.Dst[i] != got.Dst[i] || rhi-rlo != ghi-glo {
 				t.Fatalf("workers=%d: path %d differs", workers, i)
 			}
-			for h := range ref[i].Hops {
-				if ref[i].Hops[h] != got[i].Hops[h] {
+			for h := 0; h < rhi-rlo; h++ {
+				if ref.Hop[rlo+h] != got.Hop[glo+h] || ref.RTT[rlo+h] != got.RTT[glo+h] {
 					t.Fatalf("workers=%d: path %d hop %d differs", workers, i, h)
 				}
 			}

@@ -49,7 +49,7 @@ import (
 // from the prefix-to-AS map alone; CompactStaticInto hands them over as
 // ID columns.
 type Corpus struct {
-	paths []*Path
+	paths Paths
 	set   *LANSet
 
 	// The static private-hop verdicts in path-then-hop order, columnar
@@ -172,10 +172,11 @@ func NewLANSet(lans []netip.Prefix) *LANSet {
 
 // Contains reports whether ip lies on any indexed prefix.
 func (s *LANSet) Contains(ip netip.Addr) bool {
-	if !ip.Is4() {
-		return false
-	}
-	u := ip4.U32(ip)
+	return ip.Is4() && s.contains(ip4.U32(ip))
+}
+
+// contains reports whether the IPv4 word u lies on any indexed prefix.
+func (s *LANSet) contains(u uint32) bool {
 	lo, hi := 0, len(s.base)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -194,8 +195,8 @@ func (s *LANSet) Contains(ip netip.Addr) bool {
 // LANPrefixes), and ipmap is the membership-independent prefix-to-AS
 // map used to settle the static private pairs. The hop scan fans out
 // over path chunks; the result is independent of worker count.
-func NewCorpus(paths []*Path, set *LANSet, ipmap *registry.IPMap) *Corpus {
-	c := &Corpus{paths: paths, set: set}
+func NewCorpus(paths *Paths, set *LANSet, ipmap *registry.IPMap) *Corpus {
+	c := &Corpus{paths: *paths, set: set}
 
 	const chunk = 2048
 	type chunkOut struct {
@@ -207,23 +208,22 @@ func NewCorpus(paths []*Path, set *LANSet, ipmap *registry.IPMap) *Corpus {
 		sAAS     []netsim.ASN
 		sBAS     []netsim.ASN
 	}
-	outs := make([]chunkOut, (len(paths)+chunk-1)/chunk)
-	par.Do(0, len(paths), chunk, func(lo, hi int) {
+	outs := make([]chunkOut, (paths.Len()+chunk-1)/chunk)
+	par.Do(0, paths.Len(), chunk, func(lo, hi int) {
 		var o chunkOut
 		var onLAN []bool
 		for pi := lo; pi < hi; pi++ {
-			p := paths[pi]
+			hops := c.hops(pi)
 			onLAN = onLAN[:0]
-			for _, h := range p.Hops {
-				onLAN = append(onLAN, h.IP.IsValid() && set.Contains(h.IP))
+			for _, h := range hops {
+				onLAN = append(onLAN, h != 0 && set.contains(h))
 			}
-			for i := 1; i < len(p.Hops); i++ {
+			for i := 1; i < len(hops); i++ {
 				if onLAN[i] {
 					o.candPath = append(o.candPath, int32(pi))
 					o.candHop = append(o.candHop, int32(i))
 				}
-				a, b := p.Hops[i-1].IP, p.Hops[i].IP
-				if !a.IsValid() || !b.IsValid() {
+				if hops[i-1] == 0 || hops[i] == 0 {
 					continue
 				}
 				if onLAN[i-1] || onLAN[i] {
@@ -231,15 +231,15 @@ func NewCorpus(paths []*Path, set *LANSet, ipmap *registry.IPMap) *Corpus {
 				}
 				// Static pair: no peering-LAN address involved, so the
 				// dataset's exclusion and AS maps can never apply.
-				aAS, okA := ipmap.ASOf(a)
-				bAS, okB := ipmap.ASOf(b)
+				aAS, okA := ipmap.ASOf(ip4.Addr(hops[i-1]))
+				bAS, okB := ipmap.ASOf(ip4.Addr(hops[i]))
 				if !okA || !okB || aAS == bAS {
 					continue
 				}
 				o.sPath = append(o.sPath, int32(pi))
 				o.sHop = append(o.sHop, int32(i))
-				o.sA = append(o.sA, ip4.U32(a))
-				o.sB = append(o.sB, ip4.U32(b))
+				o.sA = append(o.sA, hops[i-1])
+				o.sB = append(o.sB, hops[i])
 				o.sAAS = append(o.sAAS, aAS)
 				o.sBAS = append(o.sBAS, bAS)
 			}
@@ -272,11 +272,15 @@ func NewCorpus(paths []*Path, set *LANSet, ipmap *registry.IPMap) *Corpus {
 	return c
 }
 
+// hops returns path pi's hop words.
+func (c *Corpus) hops(pi int) []uint32 {
+	lo, hi := c.paths.Hops(pi)
+	return c.paths.Hop[lo:hi]
+}
+
 // settleOne resolves one candidate's rules 1-3.
 func (c *Corpus) settleOne(d *Detector, i int) {
-	p := c.paths[c.candPath[i]]
-	hop := int(c.candHop[i])
-	idx, nearAS, farAS, ok := d.resolveTriplet(p, hop)
+	idx, nearAS, farAS, ok := d.resolveTriplet(c.hops(int(c.candPath[i])), int(c.candHop[i]))
 	c.ok12[i] = ok
 	c.setIdx[i] = idx
 	c.nearAS[i] = nearAS
@@ -293,12 +297,12 @@ func (c *Corpus) rule3(d *Detector, i int) bool {
 
 // row materializes settled candidate i as a crossing.
 func (c *Corpus) row(d *Detector, i int) Crossing {
-	p := c.paths[c.candPath[i]]
-	hop := int(c.candHop[i])
+	pi, hop := int(c.candPath[i]), int(c.candHop[i])
+	hops := c.hops(pi)
 	return Crossing{
-		Path: p, Index: hop, IXP: d.names[c.setIdx[i]],
-		NearIP: p.Hops[hop-1].IP, NearAS: c.nearAS[i],
-		IXPIP: p.Hops[hop].IP, FarAS: c.farAS[i],
+		Path: pi, Index: hop, IXP: d.names[c.setIdx[i]],
+		NearIP: ip4.Addr(hops[hop-1]), NearAS: c.nearAS[i],
+		IXPIP: ip4.Addr(hops[hop]), FarAS: c.farAS[i],
 	}
 }
 
@@ -457,11 +461,10 @@ func (c *Corpus) intern(d *Detector, tab *ident.Table, i int) {
 	if c.ixpOf(d, tab, c.setIdx[i]) < 0 {
 		return // crossing at an IXP outside the interned roster
 	}
-	p := c.paths[c.candPath[i]]
-	hop := int(c.candHop[i])
-	c.nearID[i] = tab.AddIface(p.Hops[hop-1].IP)
+	hops, hop := c.hops(int(c.candPath[i])), int(c.candHop[i])
+	c.nearID[i] = tab.AddIface(ip4.Addr(hops[hop-1]))
 	c.nearMem[i] = tab.AddMember(c.nearAS[i])
-	tab.AddIface(p.Hops[hop].IP)
+	tab.AddIface(ip4.Addr(hops[hop]))
 }
 
 // ixpOf returns the interned IXP of a member-set index (-1 when the
@@ -728,17 +731,16 @@ func (c *Corpus) buildByKey(d *Detector) {
 func (c *Corpus) buildByLAN() {
 	words := make([]uint64, 0, 2*len(c.candPath))
 	for i := range c.candPath {
-		p := c.paths[c.candPath[i]]
-		hop := int(c.candHop[i])
-		add := func(ip netip.Addr) {
-			if ip.IsValid() && c.set.Contains(ip) {
-				words = append(words, uint64(ip4.U32(ip))<<32|uint64(i))
+		hops, hop := c.hops(int(c.candPath[i])), int(c.candHop[i])
+		add := func(ip uint32) {
+			if ip != 0 && c.set.contains(ip) {
+				words = append(words, uint64(ip)<<32|uint64(i))
 			}
 		}
-		add(p.Hops[hop].IP)
-		add(p.Hops[hop-1].IP)
-		if hop+1 < len(p.Hops) {
-			add(p.Hops[hop+1].IP)
+		add(hops[hop])
+		add(hops[hop-1])
+		if hop+1 < len(hops) {
+			add(hops[hop+1])
 		}
 	}
 	slices.Sort(words)

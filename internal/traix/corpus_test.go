@@ -21,10 +21,10 @@ var (
 	fw  *netsim.World
 	fds *registry.Dataset
 	fim *registry.IPMap
-	fps []*traix.Path
+	fps traix.Paths
 )
 
-func corpusFixtures(t testing.TB) (*netsim.World, *registry.Dataset, *registry.IPMap, []*traix.Path) {
+func corpusFixtures(t testing.TB) (*netsim.World, *registry.Dataset, *registry.IPMap, *traix.Paths) {
 	t.Helper()
 	if fw == nil {
 		w, err := netsim.Generate(netsim.DefaultConfig(), 0)
@@ -36,7 +36,7 @@ func corpusFixtures(t testing.TB) (*netsim.World, *registry.Dataset, *registry.I
 		fim = registry.BuildIPMap(w)
 		fps = tracesim.Generate(w, tracesim.DefaultConfig(), 0)
 	}
-	return fw, fds, fim, fps
+	return fw, fds, fim, &fps
 }
 
 func sameCrossings(t *testing.T, label string, a, b []traix.Crossing) {

@@ -13,31 +13,16 @@ package traix
 import (
 	"net/netip"
 
+	"rpeer/internal/ip4"
 	"rpeer/internal/netsim"
 	"rpeer/internal/registry"
 )
 
-// Hop is one traceroute hop. A zero IP marks a non-responding hop
-// ("*" in traceroute output).
-type Hop struct {
-	IP netip.Addr
-	// RTTMs is the RTT from the traceroute source to this hop.
-	RTTMs float64
-}
-
-// Path is one traceroute measurement.
-type Path struct {
-	// SrcASN is the AS hosting the probe (0 when unknown).
-	SrcASN netsim.ASN
-	Dst    netip.Addr
-	Hops   []Hop
-}
-
 // Crossing is one detected IXP crossing.
 type Crossing struct {
-	Path *Path
-	// Index of the IXP interface hop within Path.Hops.
-	Index int
+	// Path is the crossing path's index in its corpus, and Index the
+	// IXP interface hop's position within the path.
+	Path, Index int
 	// IXP is the merged-dataset name of the exchange.
 	IXP string
 	// NearIP precedes the IXP interface; it belongs to NearAS, the
@@ -133,15 +118,16 @@ func (d *Detector) NoteLeave(ixp string, asn netsim.ASN) {
 }
 
 // resolveTriplet applies rules 1 and 2 to the triplet centred on hop i
-// of p: the anchor must be a known IXP interface whose AS matches the
-// next hop's and differs from the previous hop's. It returns the IXP's
-// dense name index and the two ASes; rule 3 (both ASes members of the
-// exchange) is the caller's to apply against current membership state.
-func (d *Detector) resolveTriplet(p *Path, i int) (ixp int32, nearAS, farAS netsim.ASN, ok bool) {
-	ixpIP := p.Hops[i].IP
-	if !ixpIP.IsValid() {
+// of a path's hop words: the anchor must be a known IXP interface whose
+// AS matches the next hop's and differs from the previous hop's. It
+// returns the IXP's dense name index and the two ASes; rule 3 (both
+// ASes members of the exchange) is the caller's to apply against
+// current membership state.
+func (d *Detector) resolveTriplet(hops []uint32, i int) (ixp int32, nearAS, farAS netsim.ASN, ok bool) {
+	if hops[i] == 0 {
 		return -1, 0, 0, false
 	}
+	ixpIP := ip4.Addr(hops[i])
 	ixpName, known := d.ds.IfaceIXP[ixpIP]
 	if !known {
 		return -1, 0, 0, false // not a known IXP interface
@@ -152,19 +138,18 @@ func (d *Detector) resolveTriplet(p *Path, i int) (ixp int32, nearAS, farAS nets
 	}
 	// Rule 1 second half: the hop after the IXP IP must belong to
 	// the same AS, when present and responsive.
-	if i+1 >= len(p.Hops) || !p.Hops[i+1].IP.IsValid() {
+	if i+1 >= len(hops) || hops[i+1] == 0 {
 		// IXP IP as last hop, or unresponsive far hop: cannot confirm.
 		return -1, 0, 0, false
 	}
-	if asn, known := d.asOf(p.Hops[i+1].IP); !known || asn != far {
+	if asn, known := d.asOf(ip4.Addr(hops[i+1])); !known || asn != far {
 		return -1, 0, 0, false
 	}
 	// Rule 2: the preceding hop belongs to a different AS.
-	nearIP := p.Hops[i-1].IP
-	if !nearIP.IsValid() {
+	if hops[i-1] == 0 {
 		return -1, 0, 0, false
 	}
-	near, known := d.asOf(nearIP)
+	near, known := d.asOf(ip4.Addr(hops[i-1]))
 	if !known || near == far {
 		return -1, 0, 0, false
 	}
@@ -188,41 +173,34 @@ func (d *Detector) asOf(ip netip.Addr) (netsim.ASN, bool) {
 	return d.ipmap.ASOf(ip)
 }
 
-// Detect scans one path and returns its IXP crossings.
-func (d *Detector) Detect(p *Path) []Crossing {
+// Detect scans path pi of a corpus and returns its IXP crossings.
+func (d *Detector) Detect(paths *Paths, pi int) []Crossing {
 	var out []Crossing
-	for i := 1; i < len(p.Hops); i++ {
-		if c, ok := d.crossingAt(p, i); ok {
-			out = append(out, c)
+	lo, hi := paths.Hops(pi)
+	hops := paths.Hop[lo:hi]
+	for i := 1; i < len(hops); i++ {
+		idx, nearAS, farAS, ok := d.resolveTriplet(hops, i)
+		if !ok {
+			continue
 		}
+		// Rule 3: both ASes are members of the exchange.
+		if set := d.sets[idx]; set[nearAS] == 0 || set[farAS] == 0 {
+			continue
+		}
+		out = append(out, Crossing{
+			Path: pi, Index: i, IXP: d.names[idx],
+			NearIP: ip4.Addr(hops[i-1]), NearAS: nearAS,
+			IXPIP: ip4.Addr(hops[i]), FarAS: farAS,
+		})
 	}
 	return out
 }
 
-// crossingAt applies the crossing rules to the triplet centred on hop
-// i (which must be >= 1).
-func (d *Detector) crossingAt(p *Path, i int) (Crossing, bool) {
-	idx, nearAS, farAS, ok := d.resolveTriplet(p, i)
-	if !ok {
-		return Crossing{}, false
-	}
-	// Rule 3: both ASes are members of the exchange.
-	set := d.sets[idx]
-	if set[nearAS] == 0 || set[farAS] == 0 {
-		return Crossing{}, false
-	}
-	return Crossing{
-		Path: p, Index: i, IXP: d.names[idx],
-		NearIP: p.Hops[i-1].IP, NearAS: nearAS,
-		IXPIP: p.Hops[i].IP, FarAS: farAS,
-	}, true
-}
-
 // DetectAll scans a corpus of paths.
-func (d *Detector) DetectAll(paths []*Path) []Crossing {
+func (d *Detector) DetectAll(paths *Paths) []Crossing {
 	var out []Crossing
-	for _, p := range paths {
-		out = append(out, d.Detect(p)...)
+	for pi := 0; pi < paths.Len(); pi++ {
+		out = append(out, d.Detect(paths, pi)...)
 	}
 	return out
 }
@@ -230,51 +208,45 @@ func (d *Detector) DetectAll(paths []*Path) []Crossing {
 // PrivateHop is a consecutive-hop pair traversing a private (non-IXP)
 // interconnection between two different ASes (Step 5 input).
 type PrivateHop struct {
-	Path     *Path
+	Path     int // index of the path in its corpus
 	Index    int // index of the second hop
 	AIP, BIP netip.Addr
 	AAS, BAS netsim.ASN
 }
 
-// DetectPrivate extracts private AS-level interconnections: pairs of
-// consecutive responsive hops in different ASes where neither address
-// is on an IXP peering LAN.
-func (d *Detector) DetectPrivate(p *Path) []PrivateHop {
+// DetectPrivate extracts the private AS-level interconnections of path
+// pi of a corpus: pairs of consecutive responsive hops in different
+// ASes where neither address is on an IXP peering LAN.
+func (d *Detector) DetectPrivate(paths *Paths, pi int) []PrivateHop {
 	var out []PrivateHop
-	for i := 1; i < len(p.Hops); i++ {
-		if ph, ok := d.privateAt(p, i); ok {
-			out = append(out, ph)
+	lo, hi := paths.Hops(pi)
+	hops := paths.Hop[lo:hi]
+	for i := 1; i < len(hops); i++ {
+		if hops[i-1] == 0 || hops[i] == 0 {
+			continue
 		}
+		a, b := ip4.Addr(hops[i-1]), ip4.Addr(hops[i])
+		if _, onIXP := d.ds.IfaceIXP[a]; onIXP {
+			continue
+		}
+		if _, onIXP := d.ds.IfaceIXP[b]; onIXP {
+			continue
+		}
+		aAS, okA := d.asOf(a)
+		bAS, okB := d.asOf(b)
+		if !okA || !okB || aAS == bAS {
+			continue
+		}
+		out = append(out, PrivateHop{Path: pi, Index: i, AIP: a, BIP: b, AAS: aAS, BAS: bAS})
 	}
 	return out
 }
 
-// privateAt applies the private-interconnection rules to the pair
-// ending at hop i (which must be >= 1).
-func (d *Detector) privateAt(p *Path, i int) (PrivateHop, bool) {
-	a, b := p.Hops[i-1].IP, p.Hops[i].IP
-	if !a.IsValid() || !b.IsValid() {
-		return PrivateHop{}, false
-	}
-	if _, onIXP := d.ds.IfaceIXP[a]; onIXP {
-		return PrivateHop{}, false
-	}
-	if _, onIXP := d.ds.IfaceIXP[b]; onIXP {
-		return PrivateHop{}, false
-	}
-	aAS, okA := d.asOf(a)
-	bAS, okB := d.asOf(b)
-	if !okA || !okB || aAS == bAS {
-		return PrivateHop{}, false
-	}
-	return PrivateHop{Path: p, Index: i, AIP: a, BIP: b, AAS: aAS, BAS: bAS}, true
-}
-
 // DetectPrivateAll extracts private interconnections from a corpus.
-func (d *Detector) DetectPrivateAll(paths []*Path) []PrivateHop {
+func (d *Detector) DetectPrivateAll(paths *Paths) []PrivateHop {
 	var out []PrivateHop
-	for _, p := range paths {
-		out = append(out, d.DetectPrivate(p)...)
+	for pi := 0; pi < paths.Len(); pi++ {
+		out = append(out, d.DetectPrivate(paths, pi)...)
 	}
 	return out
 }

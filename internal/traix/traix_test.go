@@ -28,6 +28,21 @@ func fixtures(t testing.TB) (*netsim.World, *registry.Dataset, *registry.IPMap) 
 	return cw, cds, cim
 }
 
+// onePath returns a corpus of one path over hops, with the given hop
+// RTTs (0 for the hops past them).
+func onePath(hops []netip.Addr, rtts ...float64) *Paths {
+	p := &Paths{}
+	p.Add(0, netip.Addr{})
+	for i, h := range hops {
+		rtt := 0.0
+		if i < len(rtts) {
+			rtt = rtts[i]
+		}
+		p.AddHop(h, rtt)
+	}
+	return p
+}
+
 // member returns the i-th ground-truth member of the IXP that is known
 // to the merged dataset.
 func knownMember(t *testing.T, w *netsim.World, ds *registry.Dataset, ix *netsim.IXP, skip int) *netsim.Member {
@@ -52,13 +67,9 @@ func TestDetectCrossing(t *testing.T) {
 	nearR := w.Router(near.Router)
 	farInterior := w.ASPrefixes(far.ASN)[0].Addr().Next()
 
-	p := &Path{Hops: []Hop{
-		{IP: nearR.Ifaces[0], RTTMs: 10},
-		{IP: far.Iface, RTTMs: 11},
-		{IP: farInterior, RTTMs: 11.5},
-	}}
+	p := onePath([]netip.Addr{nearR.Ifaces[0], far.Iface, farInterior}, 10, 11, 11.5)
 	d := NewDetector(ds, im)
-	got := d.Detect(p)
+	got := d.Detect(p, 0)
 	if len(got) != 1 {
 		t.Fatalf("crossings = %d, want 1", len(got))
 	}
@@ -79,13 +90,9 @@ func TestDetectRejectsWrongFarAS(t *testing.T) {
 	other := knownMember(t, w, ds, ix, 2)
 	nearR := w.Router(near.Router)
 	// Hop after the IXP IP belongs to a third AS: rule 1 fails.
-	p := &Path{Hops: []Hop{
-		{IP: nearR.Ifaces[0]},
-		{IP: far.Iface},
-		{IP: w.ASPrefixes(other.ASN)[0].Addr().Next()},
-	}}
+	p := onePath([]netip.Addr{nearR.Ifaces[0], far.Iface, w.ASPrefixes(other.ASN)[0].Addr().Next()})
 	d := NewDetector(ds, im)
-	if got := d.Detect(p); len(got) != 0 {
+	if got := d.Detect(p, 0); len(got) != 0 {
 		t.Errorf("crossings = %d, want 0 (far-AS mismatch)", len(got))
 	}
 }
@@ -96,13 +103,9 @@ func TestDetectRejectsSameNearAS(t *testing.T) {
 	far := knownMember(t, w, ds, ix, 1)
 	interior := w.ASPrefixes(far.ASN)[0].Addr().Next()
 	// Near hop in the same AS as the IXP interface: rule 2 fails.
-	p := &Path{Hops: []Hop{
-		{IP: interior},
-		{IP: far.Iface},
-		{IP: interior.Next()},
-	}}
+	p := onePath([]netip.Addr{interior, far.Iface, interior.Next()})
 	d := NewDetector(ds, im)
-	if got := d.Detect(p); got != nil {
+	if got := d.Detect(p, 0); got != nil {
 		t.Errorf("crossings = %v, want none (near AS == far AS)", got)
 	}
 }
@@ -112,12 +115,9 @@ func TestDetectRejectsTrailingIXPHop(t *testing.T) {
 	ix := w.LargestIXPs(1)[0]
 	near := knownMember(t, w, ds, ix, 0)
 	far := knownMember(t, w, ds, ix, 1)
-	p := &Path{Hops: []Hop{
-		{IP: w.Router(near.Router).Ifaces[0]},
-		{IP: far.Iface},
-	}}
+	p := onePath([]netip.Addr{w.Router(near.Router).Ifaces[0], far.Iface})
 	d := NewDetector(ds, im)
-	if got := d.Detect(p); len(got) != 0 {
+	if got := d.Detect(p, 0); len(got) != 0 {
 		t.Error("crossing accepted without far-side confirmation")
 	}
 }
@@ -128,12 +128,9 @@ func TestDetectPrivate(t *testing.T) {
 		t.Fatal("no private links in world")
 	}
 	pl := w.Private[0]
-	p := &Path{Hops: []Hop{
-		{IP: pl.AIface},
-		{IP: pl.BIface},
-	}}
+	p := onePath([]netip.Addr{pl.AIface, pl.BIface})
 	d := NewDetector(ds, im)
-	got := d.DetectPrivate(p)
+	got := d.DetectPrivate(p, 0)
 	if len(got) != 1 {
 		t.Fatalf("private hops = %d, want 1", len(got))
 	}
@@ -149,12 +146,12 @@ func TestDetectPrivateSkipsIXPLAN(t *testing.T) {
 	ix := w.LargestIXPs(1)[0]
 	near := knownMember(t, w, ds, ix, 0)
 	far := knownMember(t, w, ds, ix, 1)
-	p := &Path{Hops: []Hop{
-		{IP: w.Router(near.Router).Ifaces[0]},
-		{IP: far.Iface}, // peering LAN: not private
-	}}
+	p := onePath([]netip.Addr{
+		w.Router(near.Router).Ifaces[0],
+		far.Iface, // peering LAN: not private
+	})
 	d := NewDetector(ds, im)
-	if got := d.DetectPrivate(p); len(got) != 0 {
+	if got := d.DetectPrivate(p, 0); len(got) != 0 {
 		t.Error("IXP LAN hop misclassified as private interconnection")
 	}
 }

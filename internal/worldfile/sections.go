@@ -646,6 +646,15 @@ func encodeColo(colo *registry.ColoDB) []byte {
 	return snapshot.EncodeColumns(c)
 }
 
+// facilityID converts a colo column value to a facility ID, failing
+// the read for one no int32 ID can hold (it would turn negative).
+func facilityID(d *snapshot.Reader, v uint32) netsim.FacilityID {
+	if v > math.MaxInt32 {
+		d.Failf("colo facility ID %d out of range", v)
+	}
+	return netsim.FacilityID(int32(v))
+}
+
 func decodeColo(d *snapshot.Reader) (*registry.ColoDB, error) {
 	colo := &registry.ColoDB{
 		ASFacilities:  make(map[netsim.ASN][]netsim.FacilityID),
@@ -664,7 +673,7 @@ func decodeColo(d *snapshot.Reader) (*registry.ColoDB, error) {
 			if counts[i] > 0 {
 				facs = make([]netsim.FacilityID, int(counts[i]))
 				for j := range facs {
-					facs[j] = netsim.FacilityID(int32(fac[off+j]))
+					facs[j] = facilityID(d, fac[off+j])
 				}
 			}
 			off += int(counts[i])
@@ -682,7 +691,7 @@ func decodeColo(d *snapshot.Reader) (*registry.ColoDB, error) {
 			if counts[i] > 0 {
 				facs = make([]netsim.FacilityID, int(counts[i]))
 				for j := range facs {
-					facs[j] = netsim.FacilityID(int32(fac[off+j]))
+					facs[j] = facilityID(d, fac[off+j])
 				}
 			}
 			off += int(counts[i])
@@ -699,64 +708,49 @@ func decodeColo(d *snapshot.Reader) (*registry.ColoDB, error) {
 // ---------------------------------------------------------------------------
 // paths
 
-func encodePaths(paths []*traix.Path) []byte {
+func encodePaths(paths traix.Paths) []byte {
 	var c snapshot.Cols
-	n := len(paths)
+	n := paths.Len()
 	src := make([]uint32, n)
-	dst := make([]netip.Addr, n)
 	hopN := make([]uint32, n)
-	totalHops := 0
-	for _, p := range paths {
-		totalHops += len(p.Hops)
-	}
-	hopIP := make([]netip.Addr, 0, totalHops)
-	hopRTT := make([]float64, 0, totalHops)
-	for i, p := range paths {
-		src[i] = uint32(p.SrcASN)
-		dst[i] = p.Dst
-		hopN[i] = uint32(len(p.Hops))
-		for _, h := range p.Hops {
-			hopIP = append(hopIP, h.IP)
-			hopRTT = append(hopRTT, h.RTTMs)
-		}
+	for i := 0; i < n; i++ {
+		src[i] = uint32(paths.Src[i])
+		lo, hi := paths.Hops(i)
+		hopN[i] = uint32(hi - lo)
 	}
 	c.U32("path.src", src)
-	c.PackedAddrs("path.dst", dst)
+	c.PackedIPv4("path.dst", paths.Dst)
 	c.U32("path.hops.n", hopN)
-	c.PackedAddrs("hop.ip", hopIP)
-	c.F64("hop.rtt", hopRTT)
+	c.PackedIPv4("hop.ip", paths.Hop)
+	c.F64("hop.rtt", paths.RTT)
 	return snapshot.EncodeColumns(c)
 }
 
-func decodePaths(d *snapshot.Reader) ([]*traix.Path, error) {
+// decodePaths decodes the corpus straight into its columns: one
+// allocation per column, whatever the path count. The corpus is IPv4:
+// an address of another family fails the section.
+func decodePaths(d *snapshot.Reader) (traix.Paths, error) {
 	n := d.Rows("path.src", "path.hops.n")
 	src, hopN := d.U32("path.src"), d.U32("path.hops.n")
 	d.FlatLen(hopN, "hop.rtt")
-	hopRTT := d.F64("hop.rtt")
-	totalHops := len(hopRTT)
-	dsts := d.PackedAddrs("path.dst", n)
-	hopIPs := d.PackedAddrs("hop.ip", totalHops)
+	rtt := d.F64("hop.rtt")
+	if len(rtt) > math.MaxInt32 {
+		d.Failf("%d hops overflow the int32 hop offsets", len(rtt))
+	}
+	dst := d.PackedIPv4("path.dst", n)
+	hop := d.PackedIPv4("hop.ip", len(rtt))
 	if d.Err() != nil {
-		return nil, d.Err()
+		return traix.Paths{}, d.Err()
 	}
-	paths := make([]*traix.Path, n)
-	// One contiguous hop slab for the whole corpus: 1024x carries tens
-	// of millions of hops, and per-path slices would fragment the heap.
-	hops := make([]traix.Hop, totalHops)
-	for i := range hops {
-		hops[i] = traix.Hop{IP: hopIPs[i], RTTMs: hopRTT[i]}
+	p := traix.Paths{Src: make([]netsim.ASN, n), Dst: dst, Hop: hop, RTT: rtt}
+	if n > 0 {
+		p.Off = make([]int32, n+1)
 	}
-	off := 0
-	for i := range paths {
-		cnt := int(hopN[i])
-		paths[i] = &traix.Path{
-			SrcASN: netsim.ASN(src[i]),
-			Dst:    dsts[i],
-			Hops:   hops[off : off+cnt : off+cnt],
-		}
-		off += cnt
+	for i := 0; i < n; i++ {
+		p.Src[i] = netsim.ASN(src[i])
+		p.Off[i+1] = p.Off[i] + int32(hopN[i])
 	}
-	return paths, nil
+	return p, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ import (
 
 	"rpeer/internal/core"
 	"rpeer/internal/netsim"
+	"rpeer/internal/par"
 	"rpeer/internal/pingsim"
 	"rpeer/internal/snapshot"
 	"rpeer/internal/wal"
@@ -155,8 +156,11 @@ func Decode(data []byte) (core.Inputs, error) {
 	if err := json.Unmarshal(raw, &cfg); err != nil {
 		return core.Inputs{}, fmt.Errorf("%w: section %q: %v", ErrInvalid, secConfig, err)
 	}
+	// The sections decode concurrently: each step writes only its own
+	// fields of in. Errors report as a serial decode would: the first
+	// failing section in section order.
 	var in core.Inputs
-	for _, step := range []struct {
+	steps := []struct {
 		name string
 		dec  func(*snapshot.Reader) error
 	}{
@@ -181,17 +185,26 @@ func Decode(data []byte) (core.Inputs, error) {
 			return err
 		}},
 		{secMeta, func(rd *snapshot.Reader) error { return decodeMeta(rd, &in) }},
-	} {
+	}
+	errs := make([]error, len(steps))
+	par.Do(0, len(steps), 1, func(i, _ int) {
+		step := steps[i]
 		p, ok := payloads[step.name]
 		if !ok {
-			return core.Inputs{}, fmt.Errorf("%w: missing section %q", ErrInvalid, step.name)
+			errs[i] = fmt.Errorf("%w: missing section %q", ErrInvalid, step.name)
+			return
 		}
 		rd, err := snapshot.ReadColumns(p)
 		if err == nil {
 			err = step.dec(rd)
 		}
 		if err != nil {
-			return core.Inputs{}, fmt.Errorf("%w: section %q: %v", ErrInvalid, step.name, err)
+			errs[i] = fmt.Errorf("%w: section %q: %v", ErrInvalid, step.name, err)
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return core.Inputs{}, err
 		}
 	}
 	if got := core.Fingerprint(in); got != fp {

@@ -224,6 +224,33 @@ func TestTinyWorldBytesPinned(t *testing.T) {
 	}
 }
 
+// TestFingerprintPinned pins core.Fingerprint of generated worlds
+// across commits: every data directory's snapshots and log segments
+// carry the fingerprint of their base world, so a drift would refuse
+// to reopen them.
+func TestFingerprintPinned(t *testing.T) {
+	tiny, err := rpi.InputsFromConfig(netsim.TinyConfig(), 1)
+	if err != nil {
+		t.Fatalf("build inputs: %v", err)
+	}
+	paper, err := rpi.SyntheticInputs(1, 1)
+	if err != nil {
+		t.Fatalf("build inputs: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		in   core.Inputs
+		want uint64
+	}{
+		{"tiny seed 1", tiny, 0x6c4fcf4b82c4275e},
+		{"paper seed 1", paper, 0xac08243b77bd7a89},
+	} {
+		if got := core.Fingerprint(c.in); got != c.want {
+			t.Errorf("%s: fingerprint %016x, want %016x", c.name, got, c.want)
+		}
+	}
+}
+
 func TestWriteLoadFile(t *testing.T) {
 	in := testInputs(t)
 	path := filepath.Join(t.TempDir(), "world.rpw")

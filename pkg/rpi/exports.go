@@ -120,7 +120,7 @@ func InputsFromConfig(cfg netsim.Config, seed int64) (Inputs, error) {
 		ds    *registry.Dataset
 		colo  *registry.ColoDB
 		ping  *pingsim.Result
-		paths []*traix.Path
+		paths traix.Paths
 	)
 	wg.Add(4)
 	go func() {

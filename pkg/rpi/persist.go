@@ -456,21 +456,23 @@ func (p *persister) prune() {
 	}
 }
 
-// logDelta journals a validated, resolved delta before it mutates the
-// engine. Caller holds the write lock.
-func (e *Engine) logDelta(d Delta) error {
+// logDelta validates a resolved delta and journals it before it
+// mutates the engine, returning the token that applies it. Caller
+// holds the write lock.
+func (e *Engine) logDelta(d Delta) (core.Validated, error) {
 	p := e.pers
 	if p.broken != nil {
-		return fmt.Errorf("%w: %v", ErrPersistence, p.broken)
+		return core.Validated{}, fmt.Errorf("%w: %v", ErrPersistence, p.broken)
 	}
-	if err := e.ctx.ValidateDelta(core.Delta(d)); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadDelta, err)
+	v, err := e.validate(d)
+	if err != nil {
+		return core.Validated{}, err
 	}
 	if err := p.w.Append(encodeDelta(d)); err != nil {
 		p.broken = err
-		return fmt.Errorf("%w: append delta record: %v", ErrPersistence, err)
+		return core.Validated{}, fmt.Errorf("%w: append delta record: %v", ErrPersistence, err)
 	}
-	return nil
+	return v, nil
 }
 
 // maybeSnapshot publishes an automatic snapshot when enough deltas

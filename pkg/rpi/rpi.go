@@ -249,16 +249,20 @@ func (e *Engine) Apply(ctx context.Context, d Delta) (*Update, error) {
 	if err != nil {
 		return nil, err
 	}
+	var v core.Validated
 	if e.pers != nil {
-		// Validate → log → mutate: logDelta re-validates the resolved
+		// Validate → log → mutate: logDelta validates the resolved
 		// delta (so the record it journals is guaranteed to apply on
 		// replay) and appends it under the configured fsync policy. If
 		// the append fails, nothing was mutated and persistence is
 		// declared broken — the durable state stays the acknowledged
 		// prefix.
-		if err := e.logDelta(d); err != nil {
-			return nil, err
-		}
+		v, err = e.logDelta(d)
+	} else {
+		v, err = e.validate(d)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if e.cfg.applyHook != nil {
 		// Fault-injection seam (WithApplyHook): runs at the riskiest
@@ -267,7 +271,7 @@ func (e *Engine) Apply(ctx context.Context, d Delta) (*Update, error) {
 		// delta is already durable.
 		e.cfg.applyHook(cur.seq+1, d)
 	}
-	if err := e.ctx.Apply(core.Delta(d)); err != nil {
+	if err := e.ctx.ApplyValidated(v); err != nil {
 		if e.pers != nil {
 			// Validated, logged, yet failed to apply: a bug, but the
 			// log now disagrees with memory — freeze the durable state.
@@ -286,6 +290,16 @@ func (e *Engine) Apply(ctx context.Context, d Delta) (*Update, error) {
 	up.Joined, up.Left, up.RTTRefreshed = len(d.Joins), len(d.Leaves), len(d.Ping)
 	e.publish(*up)
 	return up, nil
+}
+
+// validate checks a resolved delta against the engine's context; the
+// token it returns applies the delta without checking it again.
+func (e *Engine) validate(d Delta) (core.Validated, error) {
+	v, err := e.ctx.ValidateDelta(core.Delta(d))
+	if err != nil {
+		return core.Validated{}, fmt.Errorf("%w: %v", ErrBadDelta, err)
+	}
+	return v, nil
 }
 
 // resolveVPs fills measured RTT overrides that carry no vantage point
