@@ -51,8 +51,8 @@ func TestReportsBitIdenticalUnderInterning(t *testing.T) {
 				// Each delta absorbed incrementally must equal the serial
 				// engine and a cold one over the post-delta inputs; then,
 				// reverted, it must land back on the identical wire bytes:
-				// the interned ID space grew (joins append, leaves
-				// tombstone) but no verdict may move.
+				// the interned ID space grew (joins append, leaves keep
+				// their IDs) but no verdict may move.
 				churnFwd := rpi.ChurnDelta(eng.Inputs(), 0.02, 1234)
 				churnRev := rpi.InvertDelta(eng.Inputs(), churnFwd)
 				rttFwd, rttRev := rttRefreshPair(eng.Inputs(), 0.01, 77)

@@ -73,8 +73,8 @@ func TestPrivClusterMatchesFullResolution(t *testing.T) {
 
 // TestAliasPlaneAcrossApply takes a context whose probe plane and
 // alias memos are warm, applies joins that intern new interfaces and
-// then a delta re-joining the departed interfaces (reviving their
-// tombstoned IDs), and requires every run to equal a cold rebuild in
+// then a delta re-joining the departed interfaces (which get their old
+// IDs back), and requires every run to equal a cold rebuild in
 // both alias modes, with the plane covering every interned ID.
 func TestAliasPlaneAcrossApply(t *testing.T) {
 	in := deltaInputs(t)
@@ -126,7 +126,7 @@ func TestAliasPlaneAcrossApply(t *testing.T) {
 	}
 
 	// Re-join the departed interfaces, every other one under a
-	// different AS: the revived ID then belongs to another member.
+	// different AS: the re-joined ID then belongs to another member.
 	var d2 Delta
 	for i, k := range d1.Leaves {
 		asn := owner[k.Iface]
@@ -142,8 +142,8 @@ func TestAliasPlaneAcrossApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ip, id := range left {
-		if got, _ := ctx.ids.Iface(ip); got != id || ctx.ids.IfaceRetired(id) {
-			t.Fatalf("re-join of %v did not revive ID %d (got %d)", ip, id, got)
+		if got, _ := ctx.ids.Iface(ip); got != id {
+			t.Fatalf("re-join of %v did not keep ID %d (got %d)", ip, id, got)
 		}
 	}
 	runBoth("rejoin")

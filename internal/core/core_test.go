@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -117,10 +118,24 @@ func TestBaselineWorseThanCombined(t *testing.T) {
 	}
 }
 
+// stepVerdicts is rep with every verdict another step decided turned
+// unknown: Evaluate then scores the one step's inferences (the
+// per-step rows of Table 4).
+func stepVerdicts(rep *Report, s Step) *Report {
+	v := *rep.cols()
+	v.class = slices.Clone(v.class)
+	for i, st := range v.step {
+		if st != s {
+			v.class[i] = ClassUnknown
+		}
+	}
+	return &Report{v: &v}
+}
+
 func TestStepPortCapacityPrecision(t *testing.T) {
 	_, rep, val := fixtures(t)
 	test := val.InIXPs(val.TestIXPs)
-	m := Evaluate(StepInferences(rep, StepPortCapacity), test)
+	m := Evaluate(stepVerdicts(rep, StepPortCapacity), test)
 	t.Logf("step1: PRE=%.3f COV=%.3f inferred=%d", m.PRE, m.COV, m.Inferred)
 	// Table 4: 96% precision, ~11% coverage; it infers only remotes.
 	if m.Inferred == 0 {
@@ -137,7 +152,7 @@ func TestStepPortCapacityPrecision(t *testing.T) {
 func TestStepRTTColoQuality(t *testing.T) {
 	_, rep, val := fixtures(t)
 	test := val.InIXPs(val.TestIXPs)
-	m := Evaluate(StepInferences(rep, StepRTTColo), test)
+	m := Evaluate(stepVerdicts(rep, StepRTTColo), test)
 	t.Logf("step2+3: ACC=%.3f PRE=%.3f COV=%.3f FPR=%.3f FNR=%.3f", m.ACC, m.PRE, m.COV, m.FPR, m.FNR)
 	if m.Inferred == 0 {
 		t.Fatal("steps 2+3 made no inferences")
@@ -325,8 +340,8 @@ func TestTracerouteRTTAgreesWithPing(t *testing.T) {
 	p := ctx.newPipeline(DefaultOptions())
 	var pings, traces []float64
 	for _, e := range DeriveTracerouteRTT(&in.Paths, ctx.corpus.Crossings()) {
-		if ping, ok := p.rttFor(e.Iface); ok {
-			pings = append(pings, ping)
+		if id, ok := ctx.ids.Iface(e.Iface); ok && int(id) < len(p.rtt) && !math.IsNaN(p.rtt[id]) {
+			pings = append(pings, p.rtt[id])
 			traces = append(traces, e.RTTMs)
 		}
 	}

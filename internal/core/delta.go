@@ -49,9 +49,9 @@ func (d *Delta) Empty() bool {
 // update costs a fraction of a rebuild:
 //
 //   - new entities append to the intern table (an interface that
-//     re-joins revives its tombstoned ID) and the ID-indexed columns
-//     grow in place; departing interfaces are tombstoned, never
-//     compacted, so every column and memo stays valid;
+//     re-joins gets its old ID back) and the ID-indexed columns grow
+//     in place; a departing interface keeps its ID and its column
+//     slots, never compacted, so every column and memo stays valid;
 //   - the RTT columns are patched per overridden interface; the full
 //     campaign fold is not repeated;
 //   - membership churn adjusts the detector's member-set refcounts per
@@ -141,9 +141,6 @@ func (c *Context) ApplyValidated(v Validated) error {
 		c.markDirtyAS(asn)
 		delete(ds.IfaceASN, k.Iface)
 		delete(ds.IfaceIXP, k.Iface)
-		if id, ok := c.ids.Iface(k.Iface); ok {
-			c.ids.RetireIface(id)
-		}
 	}
 	for _, j := range d.Joins {
 		if c.det != nil {
@@ -151,7 +148,7 @@ func (c *Context) ApplyValidated(v Validated) error {
 		}
 		ds.IfaceASN[j.Iface] = j.ASN
 		ds.IfaceIXP[j.Iface] = j.IXP
-		c.ids.AddIface(j.Iface) // appends or revives the tombstoned ID
+		c.ids.AddIface(j.Iface) // appends, or returns a re-join's old ID
 		m := c.ids.AddMember(j.ASN)
 		c.markDirty(m)
 		if j.PortMbps > 0 {

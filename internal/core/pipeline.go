@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"net/netip"
 
 	"rpeer/internal/alias"
 	"rpeer/internal/geo"
@@ -277,20 +276,6 @@ func (p *pipeline) bind() {
 	} else {
 		p.rtt, p.bestVP, p.rounds, p.traceDerived = c.rtt, c.bestVP, &c.rounds, nil
 	}
-}
-
-// rttFor reports an interface's bound RTT minimum at the address edge
-// (tests and diagnostics; the hot paths read the column by ID).
-func (p *pipeline) rttFor(ip netip.Addr) (float64, bool) {
-	id, ok := p.ctx.ids.Iface(ip)
-	if !ok || int(id) >= len(p.rtt) {
-		return 0, false
-	}
-	v := p.rtt[id]
-	if math.IsNaN(v) {
-		return 0, false
-	}
-	return v, true
 }
 
 // ---------------------------------------------------------------------------

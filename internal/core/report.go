@@ -268,7 +268,7 @@ func (r *Report) All() iter.Seq2[int, Inference] {
 // the multi-IXP routers present there.
 func (r *Report) ForIXP(name string) *Report {
 	lo, hi := r.IXPRange(name)
-	out := r.subset(lo, hi, nil)
+	out := r.subset(lo, hi)
 	for _, rt := range r.MultiRouters {
 		if slices.Contains(rt.IXPs, name) {
 			out.MultiRouters = append(out.MultiRouters, rt)
@@ -277,17 +277,13 @@ func (r *Report) ForIXP(name string) *Report {
 	return out
 }
 
-// subset returns a report (without routers) over the rows of [lo, hi)
-// that keep accepts, all of them when keep is nil.
-func (r *Report) subset(lo, hi int, keep func(v *verdicts, i int) bool) *Report {
+// subset returns a report (without routers) over the rows [lo, hi).
+func (r *Report) subset(lo, hi int) *Report {
 	v := r.cols()
 	d := v.dom
 	sub := &domView{addrs: d.addrs, asns: d.asns, names: d.names, space: d.space}
 	out := &verdicts{dom: sub}
 	for i := lo; i < hi; i++ {
-		if keep != nil && !keep(v, i) {
-			continue
-		}
 		sub.rows = append(sub.rows, d.rows[i])
 		out.class = append(out.class, v.class[i])
 		out.step = append(out.step, v.step[i])

@@ -236,9 +236,3 @@ func EvaluatePerIXP(rep *Report, v *Validation) map[string]Metrics {
 	}
 	return out
 }
-
-// StepInferences returns the inferences attributed to one step,
-// as a report (for the per-step rows of Table 4).
-func StepInferences(rep *Report, s Step) *Report {
-	return rep.subset(0, rep.Len(), func(v *verdicts, i int) bool { return v.step[i] == s && v.class[i] != ClassUnknown })
-}

@@ -118,10 +118,6 @@ func DistanceKm(p1, p2 Point) float64 {
 	return HaversineKm(p1, p2)
 }
 
-// MetroDiameterKm is the diameter of a metropolitan area as defined in
-// the paper (Section 2, footnote 2: "a disk with diameter 100 km").
-const MetroDiameterKm = 100
-
 // MetroSeparationKm is the inter-facility distance above which two
 // facilities are considered to belong to different metropolitan areas
 // (Section 4.2: "facilities more than 50 km apart").

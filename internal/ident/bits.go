@@ -2,7 +2,7 @@ package ident
 
 // Bits is a growable bitset, the columnar replacement for the
 // map[netip.Addr]bool flag maps the substrate used to keep (rounding
-// interfaces, traceroute-derived interfaces, tombstones). The zero
+// interfaces, traceroute-derived interfaces). The zero
 // value is ready to use; Set grows on demand.
 type Bits struct {
 	words []uint64

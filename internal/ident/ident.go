@@ -14,11 +14,11 @@
 //
 // A Table is built once over frozen inputs and then patched by world
 // deltas: new entities append (IDs are stable — an ID once assigned
-// never changes meaning), and departed interfaces are tombstoned
-// rather than removed, so a later re-join of the same address revives
-// the same ID and every ID-indexed column stays valid. The IXP space
-// is fixed at construction: membership deltas never touch the prefix
-// plane.
+// never changes meaning), and a departed interface keeps its ID, so a
+// later re-join of the same address gets the same ID back and every
+// ID-indexed column stays valid. Which interfaces are members is the
+// registry dataset's to say, not the table's. The IXP space is fixed
+// at construction: membership deltas never touch the prefix plane.
 //
 // Interning orders are chosen so that, over the frozen inputs, ID
 // order is isomorphic to the natural sort order of the underlying
@@ -49,12 +49,6 @@ type FacID uint32
 // IXPID densely identifies an interned IXP (by merged-dataset name).
 type IXPID uint32
 
-// NoIface is the sentinel for "no interface".
-const NoIface = IfaceID(^uint32(0))
-
-// NoMember is the sentinel for "no member".
-const NoMember = MemberID(^uint32(0))
-
 // Table is the interning table. It is not safe for concurrent
 // mutation; the owning core.Context serializes Apply against runs, and
 // lookups during runs are read-only.
@@ -71,7 +65,6 @@ type Table struct {
 	addrs    Addrs // column: IfaceID -> address
 	iface4   map[uint32]IfaceID
 	ifaceGen map[netip.Addr]IfaceID // non-IPv4 spill
-	dead     Bits                   // tombstones (departed memberships)
 
 	asns      []netsim.ASN // column: MemberID -> ASN
 	memberIDs map[netsim.ASN]MemberID
@@ -101,12 +94,11 @@ func NewTable(ifaceCap, memberCap, facCap int) *Table {
 // Interfaces
 
 // AddIface interns an address, returning its stable ID. Re-adding a
-// known address revives its tombstoned ID (and returns it unchanged).
+// known address returns the ID it already has.
 func (t *Table) AddIface(a netip.Addr) IfaceID {
 	if a.Is4() {
 		k := ip4.U32(a)
 		if id, ok := t.iface4[k]; ok {
-			t.dead.Clear(uint32(id))
 			return id
 		}
 		id := t.addrs.push(a)
@@ -114,7 +106,6 @@ func (t *Table) AddIface(a netip.Addr) IfaceID {
 		return id
 	}
 	if id, ok := t.ifaceGen[a]; ok {
-		t.dead.Clear(uint32(id))
 		return id
 	}
 	if t.ifaceGen == nil {
@@ -125,8 +116,8 @@ func (t *Table) AddIface(a netip.Addr) IfaceID {
 	return id
 }
 
-// Iface resolves an address to its ID (tombstoned IDs still resolve:
-// a departed interface keeps its identity).
+// Iface resolves an address to its ID (a departed interface keeps its
+// identity, so its address still resolves).
 func (t *Table) Iface(a netip.Addr) (IfaceID, bool) {
 	if a.Is4() {
 		id, ok := t.iface4[ip4.U32(a)]
@@ -139,24 +130,14 @@ func (t *Table) Iface(a netip.Addr) (IfaceID, bool) {
 // Addr returns the address behind an interface ID.
 func (t *Table) Addr(id IfaceID) netip.Addr { return t.addrs.At(id) }
 
-// NumIfaces returns the interface ID space size (tombstones included).
+// NumIfaces returns the interface ID space size (departed interfaces
+// included).
 func (t *Table) NumIfaces() int { return t.addrs.Len() }
 
-// RetireIface tombstones an interface ID. The ID stays resolvable and
-// its column slots stay valid — entries are never deleted or
-// compacted, which is the property every ID-indexed cache relies on.
-// The tombstone itself is bookkeeping: it records that the entity
-// departed (introspection, the round-trip tests); domain membership
-// is driven by the registry dataset, not by this bit.
-func (t *Table) RetireIface(id IfaceID) { t.dead.Set(uint32(id)) }
-
-// IfaceRetired reports whether the ID is tombstoned.
-func (t *Table) IfaceRetired(id IfaceID) bool { return t.dead.Get(uint32(id)) }
-
 // Ifaces returns the interface address column (IfaceID -> address,
-// tombstones included) as a view of the IDs interned so far. Interning
-// only appends past the view's length, so the view is immutable: it
-// may be read while the table keeps growing.
+// departed interfaces included) as a view of the IDs interned so far.
+// Interning only appends past the view's length, so the view is
+// immutable: it may be read while the table keeps growing.
 func (t *Table) Ifaces() Addrs { return t.addrs }
 
 // Addrs is an interface address column, IfaceID -> address: one IPv4

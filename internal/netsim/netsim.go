@@ -275,16 +275,6 @@ func (w *World) NumIfaces() int { return len(w.ifaceRouter4) + len(w.ifaceRouter
 // MembershipsOf returns all IXP memberships of an AS.
 func (w *World) MembershipsOf(asn ASN) []*Member { return w.asMembers[asn] }
 
-// OwnerOf returns the AS owning an interface address and whether the
-// address is known.
-func (w *World) OwnerOf(ip netip.Addr) (ASN, bool) {
-	r, ok := w.RouterOf(ip)
-	if !ok {
-		return 0, false
-	}
-	return w.Router(r).Owner, true
-}
-
 // RouterOf returns the router an interface address belongs to and
 // whether the address is known.
 func (w *World) RouterOf(ip netip.Addr) (RouterID, bool) {

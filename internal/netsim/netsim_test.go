@@ -65,9 +65,6 @@ func TestMembershipConsistency(t *testing.T) {
 		if r.Owner != m.ASN {
 			t.Errorf("member AS%d rides router owned by AS%d", m.ASN, r.Owner)
 		}
-		if owner, ok := w.OwnerOf(m.Iface); !ok || owner != m.ASN {
-			t.Errorf("iface owner index broken for %v", m.Iface)
-		}
 		if rid, ok := w.RouterOf(m.Iface); !ok || rid != m.Router {
 			t.Errorf("iface router index broken for %v", m.Iface)
 		}
@@ -390,8 +387,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Indices rebuilt: interface lookups must work.
 	m := w1.Members[0]
-	if asn, ok := w2.OwnerOf(m.Iface); !ok || asn != m.ASN {
-		t.Fatal("OwnerOf broken after load")
+	if r, ok := w2.RouterOf(m.Iface); !ok || w2.Router(r).Owner != m.ASN {
+		t.Fatal("interface owner lost after load")
 	}
 	if rid, ok := w2.RouterOf(m.Iface); !ok || rid != m.Router {
 		t.Fatal("RouterOf broken after load")

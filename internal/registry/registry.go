@@ -128,17 +128,6 @@ func DefaultNoise() NoiseConfig {
 	}
 }
 
-// BuildSnapshot projects the world into one source's snapshot.
-// Randomness is drawn from rng, so snapshots are reproducible given a
-// seeded generator.
-func BuildSnapshot(w *netsim.World, src Source, n NoiseConfig, rng *rand.Rand) *Snapshot {
-	s := &Snapshot{Source: src, MinPortMbps: make(map[string]int)}
-	for _, ix := range w.IXPs {
-		snapshotIXP(s, w, ix, src, n, rng)
-	}
-	return s
-}
-
 // snapshotIXP projects one IXP into a source snapshot, drawing from
 // rng. The per-IXP record order is the ground-truth membership order.
 func snapshotIXP(s *Snapshot, w *netsim.World, ix *netsim.IXP, src Source, n NoiseConfig, rng *rand.Rand) {

@@ -22,11 +22,21 @@ func world(t testing.TB) *netsim.World {
 	return cachedWorld
 }
 
+// buildSnapshot projects every IXP of the world into one source's
+// snapshot, drawing from rng.
+func buildSnapshot(w *netsim.World, src Source, rng *rand.Rand) *Snapshot {
+	s := &Snapshot{Source: src, MinPortMbps: make(map[string]int)}
+	for _, ix := range w.IXPs {
+		snapshotIXP(s, w, ix, src, DefaultNoise(), rng)
+	}
+	return s
+}
+
 func TestBuildSnapshotCoverage(t *testing.T) {
 	w := world(t)
 	rng := rand.New(rand.NewSource(42))
-	he := BuildSnapshot(w, SrcHE, DefaultNoise(), rng)
-	pch := BuildSnapshot(w, SrcPCH, DefaultNoise(), rng)
+	he := buildSnapshot(w, SrcHE, rng)
+	pch := buildSnapshot(w, SrcPCH, rng)
 	if len(he.Interfaces) <= len(pch.Interfaces) {
 		t.Errorf("HE (%d ifaces) should cover far more than PCH (%d)", len(he.Interfaces), len(pch.Interfaces))
 	}
@@ -42,7 +52,7 @@ func TestBuildSnapshotCoverage(t *testing.T) {
 func TestWebsiteHasMinPort(t *testing.T) {
 	w := world(t)
 	rng := rand.New(rand.NewSource(42))
-	web := BuildSnapshot(w, SrcWebsite, DefaultNoise(), rng)
+	web := buildSnapshot(w, SrcWebsite, rng)
 	if len(web.MinPortMbps) == 0 {
 		t.Fatal("website snapshot has no pricing data")
 	}
@@ -51,7 +61,7 @@ func TestWebsiteHasMinPort(t *testing.T) {
 			t.Errorf("IXP %s advertises min port %d", name, min)
 		}
 	}
-	he := BuildSnapshot(w, SrcHE, DefaultNoise(), rng)
+	he := buildSnapshot(w, SrcHE, rng)
 	if len(he.MinPortMbps) != 0 {
 		t.Error("only websites provide pricing data")
 	}

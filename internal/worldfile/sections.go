@@ -302,6 +302,10 @@ func encodeWorld(w *netsim.World) []byte {
 	return snapshot.EncodeColumns(c)
 }
 
+// decodeWorld rebuilds the world from its section. A location that is
+// not a coordinate (NaN, infinite, or off the WGS-84 domain) fails the
+// decode: every distance from it would be NaN, and the feasibility
+// rings would drop memberships without an error.
 func decodeWorld(cfg netsim.Config, d *snapshot.Reader) (*netsim.World, error) {
 	parts := netsim.WorldParts{Cfg: cfg, Prefixes: make(map[netsim.ASN][]netip.Prefix)}
 
@@ -316,6 +320,9 @@ func decodeWorld(cfg netsim.Config, d *snapshot.Reader) (*netsim.World, error) {
 				Loc:    geo.Point{Lat: cityLat[i], Lon: cityLon[i]},
 				Weight: cityWeight[i],
 			}
+			if c := &parts.Cities[i]; !c.Loc.Valid() {
+				return nil, fmt.Errorf("city %q location %v is not a coordinate", c.Name, c.Loc)
+			}
 		}
 	}
 
@@ -329,6 +336,9 @@ func decodeWorld(cfg netsim.Config, d *snapshot.Reader) (*netsim.World, error) {
 				ID: netsim.FacilityID(int32(facID[i])), Name: facName[i],
 				City: facCity[i], Country: facCountry[i],
 				Loc: geo.Point{Lat: facLat[i], Lon: facLon[i]},
+			}
+			if f := parts.Facilities[i]; !f.Loc.Valid() {
+				return nil, fmt.Errorf("facility %q location %v is not a coordinate", f.Name, f.Loc)
 			}
 		}
 	}
@@ -401,6 +411,9 @@ func decodeWorld(cfg netsim.Config, d *snapshot.Reader) (*netsim.World, error) {
 				Tier:        int(asTier[i]),
 				IsReseller:  asFlags[i]&asFlagReseller != 0,
 			}
+			if !as.HomeLoc.Valid() {
+				return nil, fmt.Errorf("AS%d home location %v is not a coordinate", as.ASN, as.HomeLoc)
+			}
 			for j := 0; j < int(facN[i]); j++ {
 				as.Facilities = append(as.Facilities, netsim.FacilityID(int32(fac[facOff+j])))
 			}
@@ -435,6 +448,9 @@ func decodeWorld(cfg netsim.Config, d *snapshot.Reader) (*netsim.World, error) {
 				Facility: netsim.FacilityID(int32(rtrFac[i])),
 				Loc:      geo.Point{Lat: rtrLat[i], Lon: rtrLon[i]},
 				IPIDInit: rtrInit[i], IPIDRate: rtrRate[i],
+			}
+			if !r.Loc.Valid() {
+				return nil, fmt.Errorf("router %d location %v is not a coordinate", r.ID, r.Loc)
 			}
 			r.Ifaces = append(r.Ifaces, iface[ifaceOff:ifaceOff+int(ifaceN[i])]...)
 			ifaceOff += int(ifaceN[i])

@@ -4,11 +4,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"net/netip"
 	"runtime/debug"
 	"strings"
 	"testing"
 
+	"rpeer/internal/geo"
 	"rpeer/internal/netsim"
 	"rpeer/internal/snapshot"
 	"rpeer/internal/traix"
@@ -98,27 +100,32 @@ func spliceSection(t *testing.T, b []byte, name string, payload []byte) []byte {
 	return out
 }
 
-// tinyFile encodes the seed-1 tiny world.
-func tinyFile(t *testing.T) []byte {
-	t.Helper()
+// TestDecodeRejectsMalformedColumns feeds checksum-valid files whose
+// world, colo or paths section holds values no writer of this format
+// emits: each must fail with ErrInvalid, naming its section, instead
+// of decoding into a location that is not a coordinate, a negative
+// facility ID or an address the IPv4 corpus columns cannot hold.
+func TestDecodeRejectsMalformedColumns(t *testing.T) {
 	in, err := rpi.InputsFromConfig(netsim.TinyConfig(), 1)
 	if err != nil {
-		t.Fatalf("build inputs: %v", err)
+		t.Fatal(err)
 	}
 	b, err := Encode(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
-}
-
-// TestDecodeRejectsMalformedColumns feeds checksum-valid files whose
-// colo or paths section holds values no writer of this format emits:
-// each must fail with ErrInvalid, naming its section, instead of
-// decoding into a negative facility ID or an address the IPv4 corpus
-// columns cannot hold.
-func TestDecodeRejectsMalformedColumns(t *testing.T) {
-	b := tinyFile(t)
+	// world re-encodes the tiny world with the location at loc set to
+	// (lat, lon).
+	world := func(loc func(w *netsim.World) *geo.Point, lat, lon float64) []byte {
+		p := loc(in.World)
+		saved := *p
+		defer func() { *p = saved }()
+		*p = geo.Point{Lat: lat, Lon: lon}
+		return encodeWorld(in.World)
+	}
+	city := func(w *netsim.World) *geo.Point { return &w.Cities[0].Loc }
+	fac := func(w *netsim.World) *geo.Point { return &w.Facilities[0].Loc }
+	home := func(w *netsim.World) *geo.Point { return &w.ASes[w.ASNs[0]].HomeLoc }
 	colo := func(fac uint32) []byte {
 		var c snapshot.Cols
 		c.U32("colo.as.asn", []uint32{64500})
@@ -142,6 +149,10 @@ func TestDecodeRejectsMalformedColumns(t *testing.T) {
 		label, section string
 		payload        []byte
 	}{
+		{"NaN city latitude", secWorld, world(city, math.NaN(), 0)},
+		{"+Inf facility longitude", secWorld, world(fac, 0, math.Inf(1))},
+		{"AS home latitude 91", secWorld, world(home, 91, 0)},
+		{"city longitude -181", secWorld, world(city, 0, -181)},
 		{"facility ID 2^31", secColo, colo(1 << 31)},
 		{"facility ID 2^32-1", secColo, colo(^uint32(0))},
 		{"IPv6 hop", secPaths, paths(netip.MustParseAddr("2001:db8::1"))},
@@ -152,10 +163,14 @@ func TestDecodeRejectsMalformedColumns(t *testing.T) {
 			t.Errorf("%s: got %v, want ErrInvalid in section %q", c.label, err, c.section)
 		}
 	}
-	// The splice itself is sound: the largest valid facility ID
-	// decodes (the fingerprint does not cover colocation), and a
-	// well-formed one-path corpus fails only the fingerprint check.
-	in, err := Decode(spliceSection(t, b, secColo, colo(1<<31-1)))
+	// The splice itself is sound: a location on the edge of the
+	// coordinate domain and the largest valid facility ID decode
+	// (the fingerprint covers neither), and a well-formed one-path
+	// corpus fails only the fingerprint check.
+	if _, err := Decode(spliceSection(t, b, secWorld, world(city, 90, -180))); err != nil {
+		t.Fatalf("valid world section: %v", err)
+	}
+	in, err = Decode(spliceSection(t, b, secColo, colo(1<<31-1)))
 	if err != nil {
 		t.Fatalf("valid colo section: %v", err)
 	}

@@ -78,8 +78,8 @@ func TestWorldFileRoundTrip(t *testing.T) {
 	// Derived state the decoder rebuilds: lookup indices and the
 	// latency oracle.
 	for _, m := range in.World.Members {
-		if asn, ok := got.World.OwnerOf(m.Iface); !ok || asn != m.ASN {
-			t.Fatalf("OwnerOf(%s) = %v, %v after round trip; want %v", m.Iface, asn, ok, m.ASN)
+		if r, ok := got.World.RouterOf(m.Iface); !ok || got.World.Router(r).Owner != m.ASN {
+			t.Fatalf("owner of %s lost in the round trip; want %v", m.Iface, m.ASN)
 		}
 		if rid, ok := got.World.RouterOf(m.Iface); !ok || rid != m.Router {
 			t.Fatalf("RouterOf(%s) = %v, %v after round trip; want %v", m.Iface, rid, ok, m.Router)

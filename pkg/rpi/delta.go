@@ -6,9 +6,7 @@ import (
 	"sort"
 
 	"rpeer/internal/core"
-	"rpeer/internal/evolve"
 	"rpeer/internal/netsim"
-	"rpeer/internal/pingsim"
 )
 
 // Delta is one batch of world changes for Engine.Apply: membership
@@ -17,24 +15,6 @@ type Delta = core.Delta
 
 // Join is one membership appearing in the registry dataset.
 type Join = core.Join
-
-// RecampaignDelta wraps a refreshed ping campaign as a delta: every
-// interface the re-campaign measured usably gets its new aggregate
-// (latest campaign wins), everything else keeps the old measurement.
-func RecampaignDelta(refresh *PingResult) Delta {
-	return Delta{Ping: pingsim.Overrides(refresh)}
-}
-
-// DeltaFromChurn turns one month of simulated membership evolution
-// (evolve.Simulate) into a concrete delta against the current inputs:
-// joins for the month's new members, leaves for its departures,
-// sampled deterministically from seed. Departures come from the
-// current dataset; joiners are ground-truth members the registry had
-// not yet surfaced, topped up with newly minted members on free
-// peering-LAN addresses once those run out.
-func DeltaFromChurn(in Inputs, month evolve.MonthStats, seed int64) Delta {
-	return sampleDelta(in, month.NewLocal+month.NewRemote, month.GoneLocal+month.GoneRemote, seed)
-}
 
 // ChurnDelta samples a membership-churn delta touching roughly frac of
 // the current memberships (half leaves, half joins), deterministically

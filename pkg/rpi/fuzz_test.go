@@ -20,9 +20,9 @@ import (
 // overrides, measurement revocations and invalid deltas — through one
 // engine over the tiny world. After every valid delta the engine's wire
 // bytes must equal a cold New over its Inputs(), the report plane's
-// full and per-IXP bytes must equal MarshalReport's, and the Update's
-// change list must equal the map-based diff oracle below. The re-run
-// must have started from the previous report (checkRunPath). An
+// full and per-IXP bytes must equal the oracle encoder's, and the
+// Update's change list must equal the map-based diff oracle below. The
+// re-run must have started from the previous report (checkRunPath). An
 // invalid delta must fail with ErrBadDelta and leave the bytes and
 // sequence number untouched.
 //
@@ -37,6 +37,9 @@ func FuzzApplySequence(f *testing.F) {
 		}
 		defer eng.Close()
 		var departed []Key // leaves a later op may re-join
+		// The engine's bytes before each op: the previous op already
+		// checked them as its after bytes, so they are carried over.
+		wantBytes := wireBytes(t, eng.Snapshot())
 		for op := 0; op < maxOps && len(prog) >= 3; op++ {
 			kind, size, seed := prog[0], int(prog[1]), int64(prog[2])
 			prog = prog[3:]
@@ -59,7 +62,6 @@ func FuzzApplySequence(f *testing.F) {
 				d, valid = invalidDelta(cur, size, seed), false
 			}
 			before, seqBefore := eng.Snapshot(), eng.Seq()
-			wantBytes := wireBytes(t, before)
 			leaves := append([]Key(nil), d.Leaves...)
 			inc, fb := eng.ctx.IncrementalRuns()
 			up, err := eng.Apply(context.Background(), d)
@@ -87,7 +89,7 @@ func FuzzApplySequence(f *testing.F) {
 			}
 			coldBytes := wireBytes(t, cold.Snapshot())
 			cold.Close()
-			if !bytes.Equal(wireBytes(t, after), coldBytes) {
+			if wantBytes = wireBytes(t, after); !bytes.Equal(wantBytes, coldBytes) {
 				t.Fatalf("op %d (kind %d): incremental report diverged from cold rebuild", op, kind%5)
 			}
 			checkPlane(t, after, eng.IXPs())
@@ -128,9 +130,10 @@ func checkRunPath(t *testing.T, eng *Engine, d Delta, before *Report, inc, fb ui
 	}
 }
 
+// wireBytes is the oracle's wire bytes for rep (oracleBytes).
 func wireBytes(t *testing.T, rep *Report) []byte {
 	t.Helper()
-	b, err := MarshalReport(rep)
+	b, err := oracleBytes(rep)
 	if err != nil {
 		t.Fatal(err)
 	}

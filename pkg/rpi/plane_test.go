@@ -12,13 +12,14 @@ import (
 	"strings"
 	"testing"
 
+	"rpeer/internal/core"
 	"rpeer/internal/netsim"
 )
 
 // checkPlane builds rep's plane under roster and holds it to the
-// MarshalReport oracle: the full slab, and every roster IXP's pieces
-// against MarshalReport of FilterIXP. An IXP off the roster has no
-// entry.
+// oracle encoder (toWire): the full slab, and every roster IXP's
+// pieces against the oracle's bytes for FilterIXP. An IXP off the
+// roster has no entry.
 func checkPlane(t *testing.T, rep *Report, roster []string) {
 	t.Helper()
 	p, err := BuildPlane(context.Background(), rep, roster)
@@ -26,7 +27,7 @@ func checkPlane(t *testing.T, rep *Report, roster []string) {
 		t.Fatal(err)
 	}
 	if want := wireBytes(t, rep); !bytes.Equal(p.Full(), want) {
-		t.Fatalf("plane full report differs from MarshalReport:\n%s\nwant\n%s", p.Full(), want)
+		t.Fatalf("plane full report differs from the oracle:\n%s\nwant\n%s", p.Full(), want)
 	}
 	for _, ixp := range roster {
 		r, ok := p.IXP(ixp)
@@ -42,7 +43,7 @@ func checkPlane(t *testing.T, rep *Report, roster []string) {
 			t.Fatal(err)
 		}
 		if want := wireBytes(t, sub); !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("plane report of %q differs from MarshalReport:\n%s\nwant\n%s", ixp, got.Bytes(), want)
+			t.Fatalf("plane report of %q differs from the oracle:\n%s\nwant\n%s", ixp, got.Bytes(), want)
 		}
 	}
 	if _, ok := p.IXP("no-such-ixp"); ok {
@@ -56,6 +57,24 @@ func TestPlaneMatchesMarshal(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPlane(t, eng.Snapshot(), eng.IXPs())
+	// The SDK never turns traceroute RTTs on; a context run with them
+	// fills the trace_rtt rows the engine's reports leave out.
+	opt := core.DefaultOptions()
+	opt.UseTracerouteRTT = true
+	rep, err := eng.ctx.Run(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced := 0
+	for _, inf := range rep.All() {
+		if inf.TraceRTT {
+			traced++
+		}
+	}
+	if traced == 0 {
+		t.Fatal("a traceroute-RTT run derived no RTT")
+	}
+	checkPlane(t, rep, eng.IXPs())
 }
 
 // TestPlaneEdgeRows holds the encoder to the oracle on the rows a
@@ -119,6 +138,20 @@ func TestPlaneEdgeRows(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			checkPlane(t, tc.rep, tc.roster)
 		})
+	}
+	// JSON has no infinity: every encoder refuses an infinite RTT
+	// rather than write a number a client cannot parse.
+	for _, rtt := range []float64{math.Inf(1), math.Inf(-1)} {
+		rep := report([]*Inference{row("A", "10.0.0.1", ClassRemote, rtt)})
+		if _, err := MarshalReport(rep); err == nil {
+			t.Errorf("MarshalReport accepted RTT %v", rtt)
+		}
+		if _, err := BuildPlane(context.Background(), rep, []string{"A"}); err == nil {
+			t.Errorf("BuildPlane accepted RTT %v", rtt)
+		}
+		if _, err := oracleBytes(rep); err == nil {
+			t.Errorf("the oracle accepted RTT %v", rtt)
+		}
 	}
 }
 

@@ -115,9 +115,10 @@ func TestApplyMatchesColdEngine(t *testing.T) {
 	}
 }
 
-// TestApplyEvolveAndRecampaign wires the delta constructors end to
-// end: a simulated churn month and a refreshed ping campaign, applied
-// incrementally, must still match a cold rebuild.
+// TestApplyEvolveAndRecampaign: a simulated churn month (its joins
+// and departures sampled against the current inputs) and a refreshed
+// ping campaign (every usable re-measurement overriding the old one),
+// applied incrementally, must still match a cold rebuild.
 func TestApplyEvolveAndRecampaign(t *testing.T) {
 	in := testInputs(t)
 	eng, err := New(in)
@@ -130,14 +131,15 @@ func TestApplyEvolveAndRecampaign(t *testing.T) {
 	}
 	series := evolve.Simulate(in.World, ixps, evolve.DefaultConfig())
 	month := series.Months[0]
-	if _, err := eng.Apply(context.Background(), DeltaFromChurn(eng.Inputs(), month, 5)); err != nil {
+	churn := sampleDelta(eng.Inputs(), month.NewLocal+month.NewRemote, month.GoneLocal+month.GoneRemote, 5)
+	if _, err := eng.Apply(context.Background(), churn); err != nil {
 		t.Fatal(err)
 	}
 
 	pcfg := pingsim.DefaultCampaign()
 	pcfg.Seed = 777
 	refresh := pingsim.Run(in.World, in.Ping.VPs, pcfg, 1)
-	if _, err := eng.Apply(context.Background(), RecampaignDelta(refresh)); err != nil {
+	if _, err := eng.Apply(context.Background(), Delta{Ping: pingsim.Overrides(refresh)}); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Seq() != 2 {

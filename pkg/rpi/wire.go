@@ -65,66 +65,16 @@ type WireRouter struct {
 	Class  string   `json:"class"`
 }
 
-// ToWire converts a report to its wire form.
-func ToWire(rep *Report) *WireReport {
-	w := &WireReport{Version: WireVersion}
-	w.Inferences = make([]WireInference, 0, rep.Len())
-	for _, inf := range rep.All() {
-		wi := WireInference{
-			IXP:   inf.IXP,
-			Iface: inf.Iface.String(),
-			ASN:   uint32(inf.ASN),
-			Class: inf.Class.String(),
-			Step:  stepName(inf.Step),
-		}
-		if !math.IsNaN(inf.RTTMinMs) {
-			v := inf.RTTMinMs
-			wi.RTTMinMs = &v
-		}
-		if inf.FeasibleIXPFacilities >= 0 {
-			v := inf.FeasibleIXPFacilities
-			wi.FeasibleIXPFacilities = &v
-		}
-		wi.TraceRTT = inf.TraceRTT
-		w.Inferences = append(w.Inferences, wi)
-		switch inf.Class {
-		case core.ClassLocal:
-			w.Summary.Local++
-		case core.ClassRemote:
-			w.Summary.Remote++
-		default:
-			w.Summary.Unknown++
-		}
-	}
-	w.Summary.Total = len(w.Inferences)
-	sort.Slice(w.Inferences, func(i, j int) bool {
-		if w.Inferences[i].IXP != w.Inferences[j].IXP {
-			return w.Inferences[i].IXP < w.Inferences[j].IXP
-		}
-		return w.Inferences[i].Iface < w.Inferences[j].Iface
-	})
-	for _, r := range rep.MultiRouters {
-		wr := WireRouter{ASN: uint32(r.ASN), Class: r.Class.String()}
-		for _, ip := range r.Ifaces {
-			wr.Ifaces = append(wr.Ifaces, ip.String())
-		}
-		wr.IXPs = append(wr.IXPs, r.IXPs...)
-		w.Routers = append(w.Routers, wr)
-	}
-	sort.Slice(w.Routers, func(i, j int) bool {
-		if w.Routers[i].ASN != w.Routers[j].ASN {
-			return w.Routers[i].ASN < w.Routers[j].ASN
-		}
-		return w.Routers[i].Ifaces[0] < w.Routers[j].Ifaces[0]
-	})
-	return w
-}
-
-// MarshalReport serializes a report to the versioned JSON wire form.
-// The output is deterministic: equal reports marshal to equal bytes
-// (the rpi-serve API contract, pinned by the golden test).
+// MarshalReport serializes a report to the versioned JSON wire form:
+// the full slab of its plane (BuildPlane). The output is deterministic:
+// equal reports marshal to equal bytes (the rpi-serve API contract,
+// pinned by the golden test).
 func MarshalReport(rep *Report) ([]byte, error) {
-	return json.MarshalIndent(ToWire(rep), "", " ")
+	p, err := BuildPlane(context.Background(), rep, nil)
+	if err != nil {
+		return nil, err
+	}
+	return p.Full(), nil
 }
 
 // UnmarshalReport parses a wire report, rejecting unknown schema
@@ -141,7 +91,7 @@ func UnmarshalReport(b []byte) (*WireReport, error) {
 }
 
 // Plane is one report's /v1 wire bytes, encoded once. The full report
-// is one slab, byte-identical to MarshalReport. Every roster IXP has
+// is one slab, the bytes MarshalReport returns. Every roster IXP has
 // its verdict counts, the byte range of its inference rows inside the
 // slab, and the indexes of its multi-IXP router rows, so its report is
 // a small header plus ranges of the slab, byte-identical to
@@ -259,9 +209,8 @@ func BuildPlane(ctx context.Context, rep *Report, roster []string) (*Plane, erro
 	return p, nil
 }
 
-// Full returns the full report's bytes, byte-identical to
-// MarshalReport of the report the plane was built from. The slice is
-// shared: read-only.
+// Full returns the full report's bytes: MarshalReport of the report
+// the plane was built from. The slice is shared: read-only.
 func (p *Plane) Full() []byte { return p.full }
 
 // IXP returns one roster IXP's report; ok is false for an IXP off the
@@ -309,7 +258,7 @@ func (r IXPReport) WriteTo(w io.Writer) (n int64, err error) {
 	return n, err
 }
 
-// count adds one verdict to the summary, as ToWire counts it.
+// count adds one verdict to the summary.
 func (s *WireSummary) count(c PeerClass) {
 	s.Total++
 	switch c {

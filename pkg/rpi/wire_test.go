@@ -3,14 +3,83 @@ package rpi
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
+
+	"rpeer/internal/core"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the wire-schema golden file")
+
+// toWire is the reference encoder the report plane is held to: it
+// builds the wire form field by field from the report's rows, and
+// oracleBytes leaves the layout to encoding/json. It shares no code
+// with BuildPlane, so the golden test, checkPlane and
+// FuzzApplySequence compare the plane with an independent encoder.
+func toWire(rep *Report) *WireReport {
+	w := &WireReport{Version: WireVersion}
+	w.Inferences = make([]WireInference, 0, rep.Len())
+	for _, inf := range rep.All() {
+		wi := WireInference{
+			IXP:   inf.IXP,
+			Iface: inf.Iface.String(),
+			ASN:   uint32(inf.ASN),
+			Class: inf.Class.String(),
+			Step:  stepName(inf.Step),
+		}
+		if !math.IsNaN(inf.RTTMinMs) {
+			v := inf.RTTMinMs
+			wi.RTTMinMs = &v
+		}
+		if inf.FeasibleIXPFacilities >= 0 {
+			v := inf.FeasibleIXPFacilities
+			wi.FeasibleIXPFacilities = &v
+		}
+		wi.TraceRTT = inf.TraceRTT
+		w.Inferences = append(w.Inferences, wi)
+		switch inf.Class {
+		case core.ClassLocal:
+			w.Summary.Local++
+		case core.ClassRemote:
+			w.Summary.Remote++
+		default:
+			w.Summary.Unknown++
+		}
+	}
+	w.Summary.Total = len(w.Inferences)
+	sort.Slice(w.Inferences, func(i, j int) bool {
+		if w.Inferences[i].IXP != w.Inferences[j].IXP {
+			return w.Inferences[i].IXP < w.Inferences[j].IXP
+		}
+		return w.Inferences[i].Iface < w.Inferences[j].Iface
+	})
+	for _, r := range rep.MultiRouters {
+		wr := WireRouter{ASN: uint32(r.ASN), Class: r.Class.String()}
+		for _, ip := range r.Ifaces {
+			wr.Ifaces = append(wr.Ifaces, ip.String())
+		}
+		wr.IXPs = append(wr.IXPs, r.IXPs...)
+		w.Routers = append(w.Routers, wr)
+	}
+	sort.Slice(w.Routers, func(i, j int) bool {
+		if w.Routers[i].ASN != w.Routers[j].ASN {
+			return w.Routers[i].ASN < w.Routers[j].ASN
+		}
+		return w.Routers[i].Ifaces[0] < w.Routers[j].Ifaces[0]
+	})
+	return w
+}
+
+// oracleBytes is the oracle's wire bytes for rep.
+func oracleBytes(rep *Report) ([]byte, error) {
+	return json.MarshalIndent(toWire(rep), "", " ")
+}
 
 // goldenIXP picks the IXP with the fewest memberships (ties broken by
 // name) — a small, deterministic slice of the seed world.
@@ -29,7 +98,8 @@ func goldenIXP(rep *Report) string {
 }
 
 // TestWireSchemaGolden pins the /v1 wire schema: marshalling a
-// seed-world report must reproduce the committed golden byte for byte.
+// seed-world report, through MarshalReport and through the oracle,
+// must reproduce the committed golden byte for byte.
 // Schema drift therefore fails CI until the golden is regenerated on
 // purpose (go test ./pkg/rpi -run Golden -update) and the diff is
 // reviewed — the API contract test for rpi-serve clients.
@@ -45,6 +115,9 @@ func TestWireSchemaGolden(t *testing.T) {
 	got, err := MarshalReport(sub)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(got, wireBytes(t, sub)) {
+		t.Fatal("MarshalReport differs from the oracle encoder")
 	}
 	path := filepath.Join("testdata", "report_v1.golden.json")
 	if *updateGolden {
