@@ -153,8 +153,8 @@ func (p *Prober) Probe(iface netip.Addr, t float64) (uint16, bool) {
 		return 0, false
 	}
 	// Shared counter: base progression plus cross-traffic increments.
-	v := float64(r.IPIDInit) + r.IPIDRate*t + p.noise(iface, t, 0x33)*3
-	return uint16(uint64(v) % 65536), true
+	v := ipidBase(counter{float64(r.IPIDInit), r.IPIDRate}, t) + float64(p.noise(iface, t, 0x33)*3)
+	return uint16(uint64(v)), true
 }
 
 // Resolver clusters an ad-hoc address set into routers. It is the

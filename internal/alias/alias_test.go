@@ -4,6 +4,7 @@ import (
 	"net/netip"
 	"testing"
 
+	"rpeer/internal/ip4"
 	"rpeer/internal/netsim"
 )
 
@@ -19,6 +20,15 @@ func world(t testing.TB) *netsim.World {
 		cw = w
 	}
 	return cw
+}
+
+// addrs returns interface words as addresses.
+func addrs(ws []uint32) []netip.Addr {
+	out := make([]netip.Addr, len(ws))
+	for i, w := range ws {
+		out[i] = ip4.Addr(w)
+	}
+	return out
 }
 
 // multiIfaceRouter finds a router with >= n interfaces and a usable
@@ -42,8 +52,8 @@ func TestProbeSharedCounter(t *testing.T) {
 	w := world(t)
 	p := NewProber(w, 9)
 	r := multiIfaceRouter(t, w, p, 2, 0)
-	id1, ok1 := p.Probe(r.Ifaces[0], 0)
-	id2, ok2 := p.Probe(r.Ifaces[1], 1)
+	id1, ok1 := p.Probe(ip4.Addr(r.Ifaces[0]), 0)
+	id2, ok2 := p.Probe(ip4.Addr(r.Ifaces[1]), 1)
 	if !ok1 || !ok2 {
 		t.Skip("probe loss")
 	}
@@ -71,7 +81,7 @@ func TestResolveGroupsSameRouter(t *testing.T) {
 	p := NewProber(w, 9)
 	r := multiIfaceRouter(t, w, p, 3, 0)
 	res := NewResolver(p, ModePrecision)
-	clusters := res.Resolve(r.Ifaces[:3])
+	clusters := res.Resolve(addrs(r.Ifaces[:3]))
 	if len(clusters) != 1 {
 		t.Fatalf("clusters = %d, want 1 (all interfaces share the router)", len(clusters))
 	}
@@ -86,7 +96,7 @@ func TestResolveSeparatesDifferentRouters(t *testing.T) {
 	r1 := multiIfaceRouter(t, w, p, 2, 0)
 	r2 := multiIfaceRouter(t, w, p, 2, 1)
 	res := NewResolver(p, ModePrecision)
-	in := []netip.Addr{r1.Ifaces[0], r1.Ifaces[1], r2.Ifaces[0], r2.Ifaces[1]}
+	in := addrs([]uint32{r1.Ifaces[0], r1.Ifaces[1], r2.Ifaces[0], r2.Ifaces[1]})
 	clusters := res.Resolve(in)
 
 	// The two routers must never be merged in precision mode.
@@ -96,7 +106,7 @@ func TestResolveSeparatesDifferentRouters(t *testing.T) {
 			idx[ip] = ci
 		}
 	}
-	if idx[r1.Ifaces[0]] == idx[r2.Ifaces[0]] {
+	if idx[ip4.Addr(r1.Ifaces[0])] == idx[ip4.Addr(r2.Ifaces[0])] {
 		t.Errorf("precision mode merged two distinct routers (rates %.1f vs %.1f)", r1.IPIDRate, r2.IPIDRate)
 	}
 }
@@ -116,7 +126,7 @@ func TestResolvePrecisionAccuracyAtScale(t *testing.T) {
 		if len(r.Ifaces) < 2 {
 			continue
 		}
-		for _, ip := range r.Ifaces[:2] {
+		for _, ip := range addrs(r.Ifaces[:2]) {
 			ifaces = append(ifaces, ip)
 			truth[ip] = id
 		}
@@ -154,7 +164,7 @@ func TestCoverageModeResolvesMore(t *testing.T) {
 	for _, id := range w.RouterIDs {
 		r := w.Router(id)
 		if len(r.Ifaces) >= 2 {
-			ifaces = append(ifaces, r.Ifaces[0], r.Ifaces[1])
+			ifaces = append(ifaces, addrs(r.Ifaces[:2])...)
 			count++
 		}
 		if count >= 30 {
@@ -181,7 +191,7 @@ func TestResolveDeterministic(t *testing.T) {
 	w := world(t)
 	var ifaces []netip.Addr
 	for _, id := range w.RouterIDs[:20] {
-		ifaces = append(ifaces, w.Router(id).Ifaces...)
+		ifaces = append(ifaces, addrs(w.Router(id).Ifaces)...)
 	}
 	a := NewResolver(NewProber(w, 9), ModePrecision).Resolve(ifaces)
 	b := NewResolver(NewProber(w, 9), ModePrecision).Resolve(ifaces)
@@ -206,7 +216,7 @@ func TestTransitivityProperty(t *testing.T) {
 	w := world(t)
 	var ifaces []netip.Addr
 	for _, id := range w.RouterIDs[:30] {
-		ifaces = append(ifaces, w.Router(id).Ifaces...)
+		ifaces = append(ifaces, addrs(w.Router(id).Ifaces)...)
 	}
 	clusters := NewResolver(NewProber(w, 9), ModeCoverage).Resolve(ifaces)
 	seen := make(map[netip.Addr]int)

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"rpeer/internal/ident"
+	"rpeer/internal/netsim"
 	"rpeer/internal/par"
 	"rpeer/internal/rng"
 )
@@ -48,11 +49,17 @@ var probeTimes = func() (ts [scheduleOffsets][rounds]float64) {
 //   - the schedule-offset index (which row of probeTimes applies);
 //   - the replying rounds as a bitmask (bit i: round i replied with a
 //     usable IP-ID);
-//   - the IP-ID samples of every round, in one uint16 slab at
-//     slot*rounds (entries of non-replying rounds are zero and never
-//     read);
+//   - the interface's router, and the jitter of every round as two bits
+//     of one word, from which the IP-ID samples are rebuilt (see
+//     sample);
 //   - the fitted counter velocity, NaN when the series cannot be used
 //     (no router, randomized IP-IDs, or fewer than five replies).
+//
+// A sample is the counter value floor(base + 3·jitter) mod 2^16, with
+// base = IPIDInit + IPIDRate·t the router's counter at the probe time
+// and jitter in [0, 1), so it exceeds floor(base) by 0 to 3: those two
+// bits per round are all a slot stores, and the per-router counter
+// parameters live once in the plane (ctr), not once per sample.
 //
 // Cover extends the plane; Resolve and Aliased read it. Readers load
 // an immutable column view, and Cover only appends slots past every
@@ -65,10 +72,36 @@ type Plane struct {
 }
 
 type planeCols struct {
+	ctr  []counter // by router ID, shared by every view
 	off  []uint8
 	mask []uint32
-	ids  []uint16
+	rid  []netsim.RouterID
+	jit  []uint64 // bits 2i..2i+1: round i's floor(sample) - floor(base)
 	vel  []float64
+}
+
+// counter is one router's IP-ID counter parameters (netsim.Router).
+type counter struct{ init, rate float64 }
+
+// ipidBase returns the counter value of a router with parameters k at
+// probe time t, before cross-traffic jitter. Probe, fill and sample all
+// read it here; the explicit conversion keeps the product rounded, so
+// no fused multiply-add can make them disagree.
+func ipidBase(k counter, t float64) float64 { return k.init + float64(k.rate*t) }
+
+// counters returns the counter parameters of the world's routers,
+// indexed by router ID.
+func (p *Prober) counters() []counter {
+	n := 0
+	if k := len(p.w.RouterIDs); k > 0 {
+		n = int(p.w.RouterIDs[k-1]) + 1
+	}
+	ctr := make([]counter, n)
+	for _, id := range p.w.RouterIDs {
+		r := p.w.Router(id)
+		ctr[id] = counter{float64(r.IPIDInit), r.IPIDRate}
+	}
+	return ctr
 }
 
 // NewPlane returns an empty plane probing through p.
@@ -92,16 +125,18 @@ func (pl *Plane) Cover(addrs ident.Addrs) {
 	defer pl.mu.Unlock()
 	old := pl.cols.Load()
 	if old == nil {
-		old = &planeCols{}
+		old = &planeCols{ctr: pl.prober.counters()}
 	}
 	n0, n := len(old.vel), addrs.Len()
 	if n <= n0 {
 		return
 	}
 	next := &planeCols{
+		ctr:  old.ctr,
 		off:  grow(old.off, n),
 		mask: grow(old.mask, n),
-		ids:  grow(old.ids, n*rounds),
+		rid:  grow(old.rid, n),
+		jit:  grow(old.jit, n),
 		vel:  grow(old.vel, n),
 	}
 	par.Do(0, n-n0, 64, func(lo, hi int) {
@@ -136,30 +171,42 @@ func (pl *Plane) fill(c *planeCols, slot int, addr netip.Addr) {
 	if !p.usableCounter(r) {
 		return // every probe replies without signal
 	}
-	base := rng.Key2(p.seed, lo, hi)
+	key := rng.Key2(p.seed, lo, hi)
 	ts := &probeTimes[k]
-	row := c.ids[slot*rounds : (slot+1)*rounds]
+	ctr := c.ctr[rid]
+	var row [rounds]uint16
 	var mask uint32
+	var jit uint64
 	for i, t := range ts {
-		ht := rng.Mix(base, math.Float64bits(t))
+		ht := rng.Mix(key, math.Float64bits(t))
 		if float64(rng.Mix(ht, 0x5A)>>11)/(1<<53) < p.NoReplyProb {
 			continue
 		}
 		jitter := float64(rng.Mix(ht, 0x33)>>11) / (1 << 53)
-		v := float64(r.IPIDInit) + r.IPIDRate*t + jitter*3
-		row[i] = uint16(uint64(v) % 65536)
+		base := ipidBase(ctr, t)
+		v := uint64(base + float64(jitter*3))
+		// base >= 0 and jitter*3 < 3 rounds to below floor(base)+4, so
+		// the difference fits two bits.
+		jit |= (v - uint64(base)) << (2 * i)
+		row[i] = uint16(v)
 		mask |= 1 << i
 	}
-	c.mask[slot] = mask
-	if rate, ok := velocity(row, mask, ts); ok {
+	c.rid[slot], c.jit[slot], c.mask[slot] = rid, jit, mask
+	if rate, ok := velocity(&row, mask, ts); ok {
 		c.vel[slot] = rate
 	}
+}
+
+// sample rebuilds slot s's IP-ID sample of round i, probed at time t:
+// the value fill measured.
+func (c *planeCols) sample(s ident.IfaceID, i int, t float64) uint16 {
+	return uint16(uint64(ipidBase(c.ctr[c.rid[s]], t)) + c.jit[s]>>(2*i)&3)
 }
 
 // velocity estimates the counter rate (IDs per second) of one series
 // by unwrapping 16-bit wraparounds, returning ok=false for series of
 // fewer than five replies.
-func velocity(row []uint16, mask uint32, ts *[rounds]float64) (rate float64, ok bool) {
+func velocity(row *[rounds]uint16, mask uint32, ts *[rounds]float64) (rate float64, ok bool) {
 	if bits.OnesCount32(mask) < 5 {
 		return 0, false
 	}
@@ -232,8 +279,6 @@ func (c *planeCols) mbt(a, b ident.IfaceID, va, vb float64) bool {
 		a, b = b, a
 	}
 	ta, tb := &probeTimes[c.off[a]], &probeTimes[c.off[b]]
-	ra := c.ids[int(a)*rounds : int(a+1)*rounds]
-	rb := c.ids[int(b)*rounds : int(b+1)*rounds]
 	ma, mb := c.mask[a], c.mask[b]
 	seen := false
 	var prevT float64
@@ -241,16 +286,18 @@ func (c *planeCols) mbt(a, b ident.IfaceID, va, vb float64) bool {
 	for m := ma | mb; m != 0; m &= m - 1 {
 		r := bits.TrailingZeros32(m)
 		if ma>>r&1 != 0 {
-			if seen && !advances(rate, ta[r]-prevT, prevID, ra[r]) {
+			id := c.sample(a, r, ta[r])
+			if seen && !advances(rate, ta[r]-prevT, prevID, id) {
 				return false
 			}
-			seen, prevT, prevID = true, ta[r], ra[r]
+			seen, prevT, prevID = true, ta[r], id
 		}
 		if mb>>r&1 != 0 {
-			if seen && !advances(rate, tb[r]-prevT, prevID, rb[r]) {
+			id := c.sample(b, r, tb[r])
+			if seen && !advances(rate, tb[r]-prevT, prevID, id) {
 				return false
 			}
-			seen, prevT, prevID = true, tb[r], rb[r]
+			seen, prevT, prevID = true, tb[r], id
 		}
 	}
 	return true

@@ -41,7 +41,7 @@ func fuzzFixture(t testing.TB) *fuzzPool {
 		fx := &fuzzPool{prober: NewProber(w, 9)}
 		for _, id := range w.RouterIDs {
 			if r := w.Router(id); len(r.Ifaces) >= 2 {
-				fx.pool = append(fx.pool, r.Ifaces...)
+				fx.pool = append(fx.pool, addrs(r.Ifaces)...)
 			}
 			if len(fx.pool) >= 400 {
 				break
@@ -155,7 +155,7 @@ func TestPlaneMatchesOracleAtScale(t *testing.T) {
 	p := NewProber(w, 9)
 	var ifaces []netip.Addr
 	for _, id := range w.RouterIDs[:300] {
-		ifaces = append(ifaces, w.Router(id).Ifaces...)
+		ifaces = append(ifaces, addrs(w.Router(id).Ifaces)...)
 	}
 	for _, mode := range []Mode{ModePrecision, ModeCoverage} {
 		want := oracleResolve(p, mode, ifaces)
@@ -165,5 +165,45 @@ func TestPlaneMatchesOracleAtScale(t *testing.T) {
 		if len(want) >= len(ifaces)-1 {
 			t.Fatalf("%v: %d clusters over %d interfaces; the comparison needs aliases", mode, len(want), len(ifaces))
 		}
+	}
+}
+
+// TestPlaneSamplesMatchProbe holds the plane's two-bit sample storage
+// to the per-sample oracle: over every router interface of the default
+// world, every replying round rebuilds to the IP-ID Prober.Probe
+// returns for it, and every other round is one Probe finds no usable
+// reply in.
+func TestPlaneSamplesMatchProbe(t *testing.T) {
+	w := world(t)
+	p := NewProber(w, 9)
+	var ifaces []netip.Addr
+	for _, id := range w.RouterIDs {
+		ifaces = append(ifaces, addrs(w.Router(id).Ifaces)...)
+	}
+	pl := NewPlane(p)
+	pl.Cover(ident.AddrsOf(ifaces))
+	c := pl.cols.Load()
+	replies := 0
+	for slot, addr := range ifaces {
+		s := ident.IfaceID(slot)
+		for i, at := range probeTimes[c.off[s]] {
+			want, ok := p.Probe(addr, at)
+			if c.mask[s]>>i&1 == 0 {
+				if ok {
+					t.Fatalf("%v round %d: Probe replied, the plane has no reply", addr, i)
+				}
+				continue
+			}
+			if !ok {
+				t.Fatalf("%v round %d: the plane has a reply, Probe has none", addr, i)
+			}
+			if got := c.sample(s, i, at); got != want {
+				t.Fatalf("%v round %d: plane rebuilds IP-ID %d, Probe returns %d", addr, i, got, want)
+			}
+			replies++
+		}
+	}
+	if replies < 100*len(ifaces)/10 {
+		t.Fatalf("only %d replying rounds over %d interfaces", replies, len(ifaces))
 	}
 }

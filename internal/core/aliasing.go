@@ -34,11 +34,9 @@ type aliasMemo struct {
 	routers    []cachedRouter
 	asSets     map[ident.MemberID]asClusters
 
-	// Step 5: per member AS, its private-link interface set resolved
-	// once (privAS); per membership, keyed by (member, interface), the
-	// private AS neighbours of the router facing the IXP (privNbrs).
+	// Step 5: per membership, keyed by (member, interface), the private
+	// AS neighbours of the router facing the IXP.
 	privMu   sync.RWMutex
-	privAS   map[ident.MemberID]*privComps
 	privNbrs map[uint64][]ident.MemberID
 }
 
@@ -47,15 +45,6 @@ type aliasMemo struct {
 type asClusters struct {
 	set      []ident.IfaceID
 	clusters [][]ident.IfaceID
-}
-
-// privComps is one member AS's private-link interface set P, ascending
-// by address, with its alias components under one mode: comp[i]
-// indexes the first member of set[i]'s component (alias.Plane.Resolve).
-type privComps struct {
-	once sync.Once
-	set  []ident.IfaceID
-	comp []int32
 }
 
 // aliasMemoFor returns the memos of one alias mode, creating them on
@@ -68,7 +57,6 @@ func (c *Context) aliasMemoFor(mode alias.Mode) *aliasMemo {
 		m = &aliasMemo{
 			mode:     mode,
 			asSets:   make(map[ident.MemberID]asClusters),
-			privAS:   make(map[ident.MemberID]*privComps),
 			privNbrs: make(map[uint64][]ident.MemberID),
 		}
 		c.aliasMemos[mode] = m
@@ -233,7 +221,7 @@ func (c *Context) multiRouters(m *aliasMemo, workers int) []cachedRouter {
 // P ∪ {e.iface}, where P is the member's private-link interface set.
 // The result is memoized per membership and must be treated as
 // read-only.
-func (p *pipeline) privRouterNeighbours(s *scratch, e domEntry, ns []privNeighbour) []ident.MemberID {
+func (p *pipeline) privRouterNeighbours(s *scratch, e domEntry, ns []traix.PrivNeighbour) []ident.MemberID {
 	c, m := p.ctx, p.alias
 	key := uint64(e.member)<<32 | uint64(e.iface)
 	m.privMu.RLock()
@@ -242,11 +230,11 @@ func (p *pipeline) privRouterNeighbours(s *scratch, e domEntry, ns []privNeighbo
 	if ok {
 		return nbrs
 	}
-	mark := c.markPrivCluster(s, m.mode, m.privSet(c, e.member, ns), e.iface)
+	mark := c.markPrivCluster(s, m.mode, ns, e.iface)
 	for _, n := range ns {
-		if s.ifaceMark[n.iface] == mark && s.memMark[n.other] != mark {
-			s.memMark[n.other] = mark
-			nbrs = append(nbrs, n.other)
+		if s.ifaceMark[n.Iface] == mark && s.memMark[n.Other] != mark {
+			s.memMark[n.Other] = mark
+			nbrs = append(nbrs, n.Other)
 		}
 	}
 	m.privMu.Lock()
@@ -255,72 +243,36 @@ func (p *pipeline) privRouterNeighbours(s *scratch, e domEntry, ns []privNeighbo
 	return nbrs
 }
 
-// privSet returns a member's private-link interface set resolved under
-// the memo's mode, resolving it on first use (exactly once, even when
-// shards ask concurrently).
-func (m *aliasMemo) privSet(c *Context, member ident.MemberID, ns []privNeighbour) *privComps {
-	m.privMu.RLock()
-	pc := m.privAS[member]
-	m.privMu.RUnlock()
-	if pc == nil {
-		m.privMu.Lock()
-		if pc = m.privAS[member]; pc == nil {
-			pc = &privComps{}
-			m.privAS[member] = pc
-		}
-		m.privMu.Unlock()
-	}
-	pc.once.Do(func() {
-		set := make([]ident.IfaceID, len(ns))
-		for i, n := range ns {
-			set[i] = n.iface
-		}
-		pc.set = c.sortedSet(set)
-		pc.comp = c.probes.Resolve(m.mode, pc.set)
-	})
-	return pc
-}
-
 // markPrivCluster stamps s.ifaceMark, under a fresh epoch it returns,
 // on the alias set holding iface when P ∪ {iface} is resolved, P being
-// pc's set. Resolution yields the connected components of a pure
-// predicate on interface pairs (evaluated in address order), so that
-// set is iface plus every component of P holding an interface that
-// aliases iface — or, when iface is in P, iface's own component. No
-// pair inside P is tested again, and the result equals a full
-// resolution of P ∪ {iface}.
-func (c *Context) markPrivCluster(s *scratch, mode alias.Mode, pc *privComps, iface ident.IfaceID) uint32 {
+// the interfaces of ns. Resolution yields the connected components of
+// a pure predicate on interface pairs (evaluated in address order), so
+// that set is iface's component: a search from iface that tests each
+// stamped interface against the unstamped interfaces of P finds it,
+// and no other component of P is resolved. Nothing is kept per member;
+// the neighbours each membership derives are memoized instead
+// (privNbrs).
+func (c *Context) markPrivCluster(s *scratch, mode alias.Mode, ns []traix.PrivNeighbour, iface ident.IfaceID) uint32 {
 	mark := s.nextEpoch()
 	s.ifaceMark[iface] = mark
-	set, comp := pc.set, pc.comp
-	at, inP := slices.BinarySearchFunc(set, iface, c.addrCmp)
-	if inP {
-		for j, r := range comp {
-			if r == comp[at] {
-				s.ifaceMark[set[j]] = mark
+	queue := append(s.queue[:0], iface)
+	for k := 0; k < len(queue); k++ {
+		x := queue[k]
+		for _, n := range ns {
+			y := n.Iface
+			if s.ifaceMark[y] == mark {
+				continue
+			}
+			a, b := x, y
+			if c.addrCmp(a, b) > 0 {
+				a, b = b, a
+			}
+			if c.probes.Aliased(mode, a, b) {
+				s.ifaceMark[y] = mark
+				queue = append(queue, y)
 			}
 		}
-		return mark
 	}
-	// Stamp the root of every component iface aliases into, testing
-	// each component only until one member links; set[j] precedes iface
-	// in address order exactly when j < at.
-	for j, r := range comp {
-		if s.ifaceMark[set[r]] == mark {
-			continue
-		}
-		a, b := set[j], iface
-		if j >= at {
-			a, b = iface, set[j]
-		}
-		if c.probes.Aliased(mode, a, b) {
-			s.ifaceMark[set[r]] = mark
-		}
-	}
-	for j, r := range comp {
-		if s.ifaceMark[set[r]] == mark {
-			s.ifaceMark[set[j]] = mark
-		}
-	}
+	s.queue = queue
 	return mark
 }

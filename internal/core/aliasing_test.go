@@ -13,10 +13,10 @@ import (
 var aliasModes = []alias.Mode{alias.ModePrecision, alias.ModeCoverage}
 
 // TestPrivClusterMatchesFullResolution pins Step 5's closure argument:
-// for every membership whose AS has private links, the alias set
-// derived from the AS's once-resolved private-link components equals
-// the set a full resolution of P ∪ {iface} puts the member interface
-// in, in both alias modes.
+// for every membership whose AS has private links, the alias set the
+// search from the member interface over the AS's private-link
+// interfaces stamps equals the set a full resolution of P ∪ {iface}
+// puts the member interface in, in both alias modes.
 func TestPrivClusterMatchesFullResolution(t *testing.T) {
 	in, _, _ := fixtures(t)
 	ctx, err := NewContext(in)
@@ -27,19 +27,18 @@ func TestPrivClusterMatchesFullResolution(t *testing.T) {
 	s := ctx.getScratch()
 	defer ctx.putScratch(s)
 	for _, mode := range aliasModes {
-		m := ctx.aliasMemoFor(mode)
 		checked, joined := 0, 0
 		dom, _ := ctx.domainGroups()
 		for _, e := range dom.rows {
-			ns := ctx.byASPriv[e.member]
+			ns := ctx.priv.Of(e.member)
 			if len(ns) == 0 {
 				continue
 			}
-			mark := ctx.markPrivCluster(s, mode, m.privSet(ctx, e.member, ns), e.iface)
+			mark := ctx.markPrivCluster(s, mode, ns, e.iface)
 
 			set := []ident.IfaceID{e.iface}
 			for _, n := range ns {
-				set = append(set, n.iface)
+				set = append(set, n.Iface)
 			}
 			set = ctx.sortedSet(set)
 			comp := plane.Resolve(mode, set)

@@ -40,8 +40,8 @@ import (
 //     the ping campaign (one pass, shared by every run);
 //   - the registry IP-to-AS map, the traIXroute detector, the
 //     traceroute corpus with its live crossing plane (read per near
-//     member in ID space), the private-hop ID columns the
-//     classification loops read, and the ID-indexed colocation /
+//     member in ID space), the per-member private-hop neighbour
+//     index Step 5 reads, and the ID-indexed colocation /
 //     port-capacity view;
 //   - the lazily-built traceroute-RTT augmentation ("Beyond Pings"),
 //     shared by every run with Options.UseTracerouteRTT;
@@ -95,15 +95,13 @@ type Context struct {
 	det    *traix.Detector
 	corpus *traix.Corpus
 	lans   *traix.LANSet
-	priv   traix.PrivateTab
+	// priv is the private-hop neighbours per member, Step 5's input:
+	// static, built once from the corpus.
+	priv traix.PrivNeighbours
 
 	// colo is the ID-indexed colocation and port-capacity view the
 	// per-entry classification reads.
 	colo *registry.ColoIndex
-
-	// byASPriv indexes private-hop neighbours per member (Step 5
-	// input), indexed by MemberID.
-	byASPriv [][]privNeighbour
 
 	// dom is the current version of the inference domain, built lazily
 	// under domMu (a sync.Once would survive deltas it must not
@@ -182,12 +180,6 @@ type domEntry struct {
 	iface  ident.IfaceID
 	member ident.MemberID
 	ixp    ident.IXPID
-}
-
-// privNeighbour is one private-interconnection neighbour observation.
-type privNeighbour struct {
-	iface ident.IfaceID
-	other ident.MemberID
 }
 
 // ringEntry is one facility at its precomputed distance from the key's
@@ -343,15 +335,14 @@ func newContext(in Inputs) *Context {
 	wg.Wait()
 
 	// ---- back to serial: compact the detections into ID columns
-	// (interning crossing participants), project the colocation and
-	// port tables, and index the private neighbours. ----
+	// (interning crossing participants and private-hop endpoints) and
+	// project the colocation and port tables. ----
 	if c.corpus != nil {
 		c.corpus.Compact(c.ids)
-		c.corpus.CompactStaticInto(&c.priv, c.ids)
+		c.priv = c.corpus.CompactStatic(c.ids)
 	}
 	c.growColumns()
 	c.colo = registry.NewColoIndex(in.Colo, in.Dataset, c.ids)
-	c.rebuildByASPriv()
 
 	return c
 }
@@ -787,7 +778,6 @@ func (c *Context) newDomEntry(ip netip.Addr, ixpName string, asn netsim.ASN) (e 
 	if !ok {
 		member = c.ids.AddMember(asn)
 		c.colo.Grow(c.ids)
-		c.growByASPriv()
 	}
 	return domEntry{iface: iface, member: member, ixp: ixp}, true
 }
@@ -817,34 +807,6 @@ func (c *Context) rebuildGroupsLocked() {
 	}
 	copy(g.off[1:], g.off[:nm])
 	g.off[0] = 0
-}
-
-// rebuildByASPriv reindexes the private-hop neighbours per member,
-// reusing the per-member slice capacity across Apply calls.
-func (c *Context) rebuildByASPriv() {
-	n := c.ids.NumMembers()
-	if cap(c.byASPriv) < n {
-		next := make([][]privNeighbour, n)
-		copy(next, c.byASPriv)
-		c.byASPriv = next
-	}
-	c.byASPriv = c.byASPriv[:n]
-	for i := range c.byASPriv {
-		c.byASPriv[i] = c.byASPriv[i][:0]
-	}
-	for i := 0; i < c.priv.Len(); i++ {
-		a, b := c.priv.AAS[i], c.priv.BAS[i]
-		c.byASPriv[a] = append(c.byASPriv[a], privNeighbour{c.priv.A[i], b})
-		c.byASPriv[b] = append(c.byASPriv[b], privNeighbour{c.priv.B[i], a})
-	}
-}
-
-// growByASPriv extends the per-member neighbour index to the current
-// member space.
-func (c *Context) growByASPriv() {
-	for len(c.byASPriv) < c.ids.NumMembers() {
-		c.byASPriv = append(c.byASPriv, nil)
-	}
 }
 
 // traceAugmented returns the RTT columns extended with traceroute-

@@ -160,7 +160,6 @@ func (c *Context) ApplyValidated(v Validated) error {
 	}
 	c.growColumns()
 	c.colo.Grow(c.ids)
-	c.growByASPriv()
 
 	// ---- ping campaign ----
 	if len(d.Ping) > 0 {
@@ -201,7 +200,6 @@ func (c *Context) ApplyValidated(v Validated) error {
 		}
 		c.growColumns()
 		c.colo.Grow(c.ids)
-		c.growByASPriv()
 		c.patchDomain(d)
 	}
 

@@ -189,6 +189,9 @@ type scratch struct {
 	// ixpLocal/ixpRemote/ixpUnknown hold Step 4's per-router partition
 	// of involved IXPs by prior verdict.
 	ixpLocal, ixpRemote, ixpUnknown []ident.IXPID
+
+	// queue is Step 5's alias-set search frontier (markPrivCluster).
+	queue []ident.IfaceID
 }
 
 // sizeTo grows the mark columns to the current ID spaces. Fresh

@@ -12,6 +12,7 @@ import (
 
 	"rpeer/internal/geo"
 	"rpeer/internal/ident"
+	"rpeer/internal/ip4"
 	"rpeer/internal/netsim"
 	"rpeer/internal/pingsim"
 	"rpeer/internal/registry"
@@ -128,7 +129,7 @@ func (s *step4Fixture) crossingPaths(t *testing.T) traix.Paths {
 		s.in.Dataset.IfaceIXP[far.Iface] = ix.Name
 		interior := s.w.ASPrefixes(far.ASN)[0].Addr().Next()
 		paths.Add(0, netip.Addr{})
-		paths.AddHop(s.router.Ifaces[0], 5)
+		paths.AddHop(ip4.Addr(s.router.Ifaces[0]), 5)
 		paths.AddHop(far.Iface, 6)
 		paths.AddHop(interior, 6.5)
 	}

@@ -396,7 +396,7 @@ func (p *pipeline) classifyPrivate(s *scratch, e domEntry, i int) {
 	}
 	c := p.ctx
 	// Private neighbours per member come precomputed from the context.
-	ns := c.byASPriv[e.member]
+	ns := c.priv.Of(e.member)
 	if len(ns) == 0 {
 		return
 	}

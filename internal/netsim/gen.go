@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"rpeer/internal/geo"
+	"rpeer/internal/ip4"
 	"rpeer/internal/ipam"
 	"rpeer/internal/par"
 	"rpeer/internal/rng"
@@ -766,7 +767,7 @@ func (g *gen) realizeMemberships(intents [][]memberIntent) error {
 			if err != nil {
 				return fmt.Errorf("netsim: %s peering LAN exhausted: %w", ix.Name, err)
 			}
-			r.Ifaces = append(r.Ifaces, ip)
+			r.Ifaces = append(r.Ifaces, ip4.U32(ip))
 			r.IXPs = appendIXP(r.IXPs, ix.ID)
 			g.memberSlab = append(g.memberSlab, Member{
 				ASN: in.asn, IXP: ix.ID, Iface: ip, Router: r.ID,
@@ -810,7 +811,7 @@ func (g *gen) getRouter(asn ASN, fac FacilityID) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.Ifaces = append(r.Ifaces, ip)
+	r.Ifaces = append(r.Ifaces, ip4.U32(ip))
 	g.w.Routers[id] = r
 	g.routers[key] = id
 	// Ground-truth colocation record.
@@ -969,10 +970,11 @@ func (g *gen) buildPrivateLinks() error {
 			if err1 != nil || err2 != nil {
 				continue
 			}
-			ra.Ifaces = append(ra.Ifaces, ipa)
-			rb.Ifaces = append(rb.Ifaces, ipb)
+			a, b := ip4.U32(ipa), ip4.U32(ipb)
+			ra.Ifaces = append(ra.Ifaces, a)
+			rb.Ifaces = append(rb.Ifaces, b)
 			g.w.Private = append(g.w.Private, PrivateLink{
-				A: c.a, B: c.b, AIface: ipa, BIface: ipb, Facility: c.fac,
+				A: c.a, B: c.b, AIface: a, BIface: b, Facility: c.fac,
 			})
 		}
 	}

@@ -15,6 +15,7 @@ package netsim
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"rpeer/internal/geo"
@@ -189,7 +190,11 @@ type Router struct {
 	// the owner's off-net location (office, national POP).
 	Facility FacilityID
 	Loc      geo.Point
-	Ifaces   []netip.Addr
+	// Ifaces are the router's interface addresses as IPv4 words (the
+	// whole simulated infrastructure is IPv4). After generation or
+	// loading they are a capped sub-slice of the world's one interface
+	// slab: read-only.
+	Ifaces []uint32
 	// IXPs lists exchanges this router has layer-3 presence on
 	// (multi-IXP routers have more than one).
 	IXPs []IXPID
@@ -199,11 +204,18 @@ type Router struct {
 	IPIDRate float64
 }
 
+// maxIPIDRate bounds IPIDRate (IDs per second): a counter advancing
+// faster wraps more than once a second, which no generated router does
+// (they draw 40-500).
+const maxIPIDRate = 65536
+
 // PrivateLink is a private (non-IXP) interconnection between two
 // routers, almost always inside a single facility.
 type PrivateLink struct {
-	A, B           RouterID
-	AIface, BIface netip.Addr
+	A, B RouterID
+	// AIface and BIface are the two sides' interface addresses, as IPv4
+	// words (see Router.Ifaces).
+	AIface, BIface uint32
 	// Facility where the cross-connect lives; -1 for the rare tethered
 	// interconnects spanning facilities.
 	Facility FacilityID
@@ -224,12 +236,10 @@ type World struct {
 	Private    []PrivateLink
 	Resellers  []ASN
 
-	// ifaceRouter4 maps IPv4 interface addresses (every address the
-	// generator and the loader produce) to their routers on uint32
-	// keys; ifaceRouterGen holds any other address. An interface's
-	// owner is its router's.
-	ifaceRouter4   map[uint32]RouterID
-	ifaceRouterGen map[netip.Addr]RouterID
+	// ifaceRouter maps every router interface to its router: sorted
+	// address<<32 | router words, one binary search per lookup. An
+	// interface's owner is its router's.
+	ifaceRouter []uint64
 
 	memberByIXP map[IXPID][]*Member
 	asMembers   map[ASN][]*Member
@@ -270,7 +280,7 @@ func (w *World) MembersOf(id IXPID) []*Member { return w.memberByIXP[id] }
 // NumIfaces returns the total number of router interface addresses in
 // the world — the capacity bound consumers interning world addresses
 // (peering-LAN and infrastructure alike) should presize for.
-func (w *World) NumIfaces() int { return len(w.ifaceRouter4) + len(w.ifaceRouterGen) }
+func (w *World) NumIfaces() int { return len(w.ifaceRouter) }
 
 // MembershipsOf returns all IXP memberships of an AS.
 func (w *World) MembershipsOf(asn ASN) []*Member { return w.asMembers[asn] }
@@ -278,12 +288,15 @@ func (w *World) MembershipsOf(asn ASN) []*Member { return w.asMembers[asn] }
 // RouterOf returns the router an interface address belongs to and
 // whether the address is known.
 func (w *World) RouterOf(ip netip.Addr) (RouterID, bool) {
-	if ip.Is4() {
-		r, ok := w.ifaceRouter4[ip4.U32(ip)]
-		return r, ok
+	if !ip.Is4() {
+		return 0, false
 	}
-	r, ok := w.ifaceRouterGen[ip]
-	return r, ok
+	u := uint64(ip4.U32(ip))
+	i, _ := slices.BinarySearch(w.ifaceRouter, u<<32)
+	if i < len(w.ifaceRouter) && w.ifaceRouter[i]>>32 == u {
+		return RouterID(int32(uint32(w.ifaceRouter[i]))), true
+	}
+	return 0, false
 }
 
 // ASPrefixes returns the infrastructure prefixes originated by an AS.
@@ -338,37 +351,40 @@ func CommonFacilities(a, b []FacilityID) []FacilityID {
 	return out
 }
 
-// buildIndices populates the lookup maps after generation.
+// buildIndices populates the lookup indices after generation or
+// loading. The routers' interfaces move into one slab, in router ID
+// order, and the interface-to-router column is built from it.
 func (w *World) buildIndices() {
+	w.RouterIDs = w.RouterIDs[:0]
 	nIfaces := 0
-	maxRtr := RouterID(-1)
-	for _, r := range w.Routers {
+	for id, r := range w.Routers {
+		w.RouterIDs = append(w.RouterIDs, id)
 		nIfaces += len(r.Ifaces)
-		if r.ID > maxRtr {
-			maxRtr = r.ID
+	}
+	slices.Sort(w.RouterIDs)
+	maxRtr := RouterID(-1)
+	if n := len(w.RouterIDs); n > 0 {
+		maxRtr = w.RouterIDs[n-1]
+	}
+	w.routerByID = make([]*Router, maxRtr+1)
+	slab := make([]uint32, 0, nIfaces)
+	w.ifaceRouter = make([]uint64, 0, nIfaces)
+	for _, id := range w.RouterIDs {
+		r := w.Routers[id]
+		w.routerByID[id] = r
+		lo := len(slab)
+		slab = append(slab, r.Ifaces...)
+		r.Ifaces = slab[lo:len(slab):len(slab)]
+		for _, ip := range r.Ifaces {
+			w.ifaceRouter = append(w.ifaceRouter, uint64(ip)<<32|uint64(uint32(id)))
 		}
 	}
-	w.ifaceRouter4 = make(map[uint32]RouterID, nIfaces)
-	w.ifaceRouterGen = nil
+	slices.Sort(w.ifaceRouter)
 	w.memberByIXP = make(map[IXPID][]*Member, len(w.IXPs))
 	w.asMembers = make(map[ASN][]*Member, len(w.ASes))
 	w.facByID = make(map[FacilityID]*Facility, len(w.Facilities))
 	for _, f := range w.Facilities {
 		w.facByID[f.ID] = f
-	}
-	w.routerByID = make([]*Router, maxRtr+1)
-	for _, r := range w.Routers {
-		w.routerByID[r.ID] = r
-		for _, ip := range r.Ifaces {
-			if ip.Is4() {
-				w.ifaceRouter4[ip4.U32(ip)] = r.ID
-				continue
-			}
-			if w.ifaceRouterGen == nil {
-				w.ifaceRouterGen = make(map[netip.Addr]RouterID)
-			}
-			w.ifaceRouterGen[ip] = r.ID
-		}
 	}
 	for _, m := range w.Members {
 		w.memberByIXP[m.IXP] = append(w.memberByIXP[m.IXP], m)
@@ -379,9 +395,4 @@ func (w *World) buildIndices() {
 		w.ASNs = append(w.ASNs, asn)
 	}
 	sort.Slice(w.ASNs, func(i, j int) bool { return w.ASNs[i] < w.ASNs[j] })
-	w.RouterIDs = w.RouterIDs[:0]
-	for id := range w.Routers {
-		w.RouterIDs = append(w.RouterIDs, id)
-	}
-	sort.Slice(w.RouterIDs, func(i, j int) bool { return w.RouterIDs[i] < w.RouterIDs[j] })
 }

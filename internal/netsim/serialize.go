@@ -69,7 +69,16 @@ func FromParts(parts WorldParts) (*World, error) {
 	for _, as := range parts.ASes {
 		w.ASes[as.ASN] = as
 	}
+	// Router IDs are dense (the generator assigns them sequentially),
+	// which the indices below rely on. A counter rate outside
+	// [0, maxIPIDRate] is no IP-ID counter the generator makes.
 	for _, r := range parts.Routers {
+		if r.ID < 0 || int(r.ID) >= len(parts.Routers) || w.Routers[r.ID] != nil {
+			return nil, fmt.Errorf("netsim: router ID %d is out of range or repeated among %d routers", r.ID, len(parts.Routers))
+		}
+		if !(r.IPIDRate >= 0 && r.IPIDRate <= maxIPIDRate) {
+			return nil, fmt.Errorf("netsim: router %d IP-ID rate %v is outside [0, %d]", r.ID, r.IPIDRate, maxIPIDRate)
+		}
 		w.Routers[r.ID] = r
 	}
 	w.lat = newLatency(w, parts.Cfg.Seed)
@@ -81,6 +90,11 @@ func FromParts(parts WorldParts) (*World, error) {
 		}
 		if w.Router(m.Router) == nil {
 			return nil, fmt.Errorf("netsim: member %s references unknown router %d", m.ASN, m.Router)
+		}
+	}
+	for _, pl := range w.Private {
+		if w.Router(pl.A) == nil || w.Router(pl.B) == nil {
+			return nil, fmt.Errorf("netsim: private link references unknown router %d or %d", pl.A, pl.B)
 		}
 	}
 	return w, nil

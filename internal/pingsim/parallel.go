@@ -75,7 +75,6 @@ func Run(w *netsim.World, vps []*VP, cfg CampaignConfig, workers int) *Result {
 	// stage that runs on the worker pool, so downstream consumers
 	// (core's context build) read finished columns instead of paying
 	// the fold serially.
-	res.IfaceIndex()
 	res.AggRows()
 	return res
 }

@@ -28,8 +28,9 @@ import (
 //
 // A decoded campaign answers every aggregate query (IfaceIndex,
 // AggRows, MinRTTByIface) and composes with WithOverrides exactly like
-// a freshly run one; only ByVP, the raw per-VP measurement view some
-// offline experiment artefacts read, is absent.
+// a freshly run one: its rows are the base aggregate layer as decoded.
+// Only ByVP, the raw per-VP measurement view some offline experiment
+// artefacts read, is absent.
 
 // noVP is the persisted VP ID of an aggregate without a vantage point
 // (a measurement revocation).
@@ -250,9 +251,14 @@ func DecodeCampaign(rd *snapshot.Reader) *Result {
 	if rd.Err() != nil {
 		return nil
 	}
-	r.baseAgg = make(map[netip.Addr]*IfaceAgg, len(rows))
-	for _, row := range rows {
-		r.baseAgg[row.Iface] = row.Agg
+	// The rows are the base layer as they stand, which holds them to
+	// the order EncodeCampaign writes.
+	for i := 1; i < len(rows); i++ {
+		if !rows[i-1].Iface.Less(rows[i].Iface) {
+			rd.Failf("aggregate rows out of address order at %s", rows[i].Iface)
+			return nil
+		}
 	}
+	r.base = rows
 	return r
 }

@@ -198,23 +198,28 @@ type Result struct {
 	// the campaign fold by WithOverrides (re-campaign refreshes).
 	overrides map[netip.Addr]IfaceAgg
 
-	// baseAgg, when set, replaces the ByVP fold as the campaign's
-	// aggregate layer: Results restored from a world file carry folded
-	// per-interface aggregates, not the raw measurement set (which is
-	// regenerable and an order of magnitude larger). The map is shared
-	// across WithOverrides views and must never be mutated.
-	baseAgg map[netip.Addr]*IfaceAgg
+	// base is the campaign's aggregate layer: one row per usably
+	// measured interface, ascending by address. A campaign run from
+	// measurements folds ByVP into it on first use; a decoded one
+	// carries it (world files persist the folded aggregates, not the raw
+	// measurement set, which is regenerable and an order of magnitude
+	// larger). It is shared across WithOverrides views and never
+	// mutated.
+	baseOnce sync.Once
+	base     []AggRow
 
-	idxOnce sync.Once
-	idx     map[netip.Addr]*IfaceAgg
+	// rows is the base layer with the overrides merged in, built on
+	// first use; idx is the same rows keyed by address, built only when
+	// a caller asks for the map (IfaceIndex).
+	rowsOnce sync.Once
+	rows     []AggRow
+	idxOnce  sync.Once
+	idx      map[netip.Addr]*IfaceAgg
 
 	// byID is the roster by VP ID (see VP), shared by every
 	// WithOverrides view of one campaign.
 	vpOnce sync.Once
 	byID   map[int]*VP
-
-	rowsOnce sync.Once
-	rows     []AggRow
 }
 
 // AggRow is one interface's campaign aggregate in the address-ordered
@@ -226,20 +231,75 @@ type AggRow struct {
 
 // AggRows returns the per-interface aggregates as rows sorted
 // ascending by address — the form bulk consumers (core's context
-// build) ingest without re-sorting map keys. Built once per Result;
-// the campaign builds it eagerly so the cost lands in the campaign
-// stage, not in the consumer.
+// build) ingest without re-sorting map keys. Without overrides they
+// are the base layer itself; the campaign folds it eagerly so the cost
+// lands in the campaign stage, not in the consumer. The rows are
+// shared and read-only.
 func (r *Result) AggRows() []AggRow {
+	base := r.baseRows()
+	if len(r.overrides) == 0 {
+		return base
+	}
 	r.rowsOnce.Do(func() {
-		idx := r.IfaceIndex()
+		// Merge the address-ordered overlay into the base rows: an
+		// override replaces its interface's row, and a NaN RTT removes
+		// it.
+		over := r.OverlayRows()
+		rows := make([]AggRow, 0, len(base)+len(over))
+		i := 0
+		for _, o := range over {
+			for ; i < len(base) && base[i].Iface.Less(o.Iface); i++ {
+				rows = append(rows, base[i])
+			}
+			if i < len(base) && base[i].Iface == o.Iface {
+				i++
+			}
+			if !math.IsNaN(o.Agg.RTTMinMs) {
+				rows = append(rows, o)
+			}
+		}
+		r.rows = append(rows, base[i:]...)
+	})
+	return r.rows
+}
+
+// baseRows returns the base aggregate layer, folding it from the
+// measurements on first use: per interface, the minimum over usable
+// VPs' usable measurements.
+func (r *Result) baseRows() []AggRow {
+	r.baseOnce.Do(func() {
+		if r.base != nil {
+			return // decoded, or inherited from the view's parent
+		}
+		idx := make(map[netip.Addr]*IfaceAgg)
+		for _, vp := range r.UsableVPs {
+			for _, m := range r.ByVP[vp.ID] {
+				if !m.Usable() {
+					continue
+				}
+				a := idx[m.Iface]
+				if a == nil {
+					a = &IfaceAgg{RTTMinMs: math.Inf(1)}
+					idx[m.Iface] = a
+				}
+				if m.RTTMinMs < a.RTTMinMs {
+					a.RTTMinMs = m.RTTMinMs
+					a.BestVP = vp
+					a.BestRoundsUp = vp.RoundsUp
+				}
+				if vp.RoundsUp {
+					a.AnyRounding = true
+				}
+			}
+		}
 		rows := make([]AggRow, 0, len(idx))
 		for ip, a := range idx {
 			rows = append(rows, AggRow{Iface: ip, Agg: a})
 		}
 		slices.SortFunc(rows, func(a, b AggRow) int { return a.Iface.Compare(b.Iface) })
-		r.rows = rows
+		r.base = rows
 	})
-	return r.rows
+	return r.base
 }
 
 // IfaceAgg is the campaign aggregate for one member interface across
@@ -264,61 +324,20 @@ type IfaceAgg struct {
 	AnyRounding bool
 }
 
-// IfaceIndex returns the per-interface campaign aggregates, building
-// them on first use (one pass over all usable-VP measurements, then
-// any overrides layered on top). The returned map is shared and must
-// be treated as read-only; concurrent callers are safe.
+// IfaceIndex returns the per-interface campaign aggregates keyed by
+// address (the AggRows rows), building the map on first use. The
+// returned map is shared and must be treated as read-only; concurrent
+// callers are safe.
 func (r *Result) IfaceIndex() map[netip.Addr]*IfaceAgg {
 	r.idxOnce.Do(func() {
-		if r.baseAgg != nil {
-			// Restored campaign: the folded aggregates were persisted;
-			// layer overrides over a copy (entries are immutable and
-			// shared, the map itself is per-view).
-			idx := make(map[netip.Addr]*IfaceAgg, len(r.baseAgg))
-			for ip, a := range r.baseAgg {
-				idx[ip] = a
-			}
-			r.applyOverrides(idx)
-			r.idx = idx
-			return
+		rows := r.AggRows()
+		idx := make(map[netip.Addr]*IfaceAgg, len(rows))
+		for _, row := range rows {
+			idx[row.Iface] = row.Agg
 		}
-		idx := make(map[netip.Addr]*IfaceAgg)
-		for _, vp := range r.UsableVPs {
-			for _, m := range r.ByVP[vp.ID] {
-				if !m.Usable() {
-					continue
-				}
-				a := idx[m.Iface]
-				if a == nil {
-					a = &IfaceAgg{RTTMinMs: math.Inf(1)}
-					idx[m.Iface] = a
-				}
-				if m.RTTMinMs < a.RTTMinMs {
-					a.RTTMinMs = m.RTTMinMs
-					a.BestVP = vp
-					a.BestRoundsUp = vp.RoundsUp
-				}
-				if vp.RoundsUp {
-					a.AnyRounding = true
-				}
-			}
-		}
-		r.applyOverrides(idx)
 		r.idx = idx
 	})
 	return r.idx
-}
-
-// applyOverrides layers the cumulative override overlay over a folded
-// aggregate index (NaN RTT removes the interface).
-func (r *Result) applyOverrides(idx map[netip.Addr]*IfaceAgg) {
-	for ip, o := range r.overrides {
-		if math.IsNaN(o.RTTMinMs) {
-			delete(idx, ip)
-			continue
-		}
-		idx[ip] = &o
-	}
 }
 
 // WithOverrides returns a view of the campaign with the given
@@ -337,7 +356,7 @@ func (r *Result) WithOverrides(ov map[netip.Addr]IfaceAgg) *Result {
 		VPs: r.VPs, ByVP: r.ByVP,
 		RouteServerRTT: r.RouteServerRTT,
 		UsableVPs:      r.UsableVPs,
-		baseAgg:        r.baseAgg,
+		base:           r.baseRows(),
 		byID:           r.vpIndex(),
 		overrides:      merged,
 	}

@@ -11,6 +11,7 @@ package registry
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"net/netip"
 	"sort"
@@ -284,30 +285,23 @@ func Merge(snaps []*Snapshot) *Dataset {
 // their view of the registry — the rpi engine absorbing membership
 // deltas — clone first so the caller's dataset stays frozen.
 func (d *Dataset) Clone() *Dataset {
-	c := &Dataset{
-		PrefixIXP: make(map[netip.Prefix]string, len(d.PrefixIXP)),
-		IfaceASN:  make(map[netip.Addr]netsim.ASN, len(d.IfaceASN)),
-		IfaceIXP:  make(map[netip.Addr]string, len(d.IfaceIXP)),
-		Ports:     make(map[PortKey]int, len(d.Ports)),
-		MinPort:   make(map[string]int, len(d.MinPort)),
+	return &Dataset{
+		PrefixIXP: cloneMap(d.PrefixIXP),
+		IfaceASN:  cloneMap(d.IfaceASN),
+		IfaceIXP:  cloneMap(d.IfaceIXP),
+		Ports:     cloneMap(d.Ports),
+		MinPort:   cloneMap(d.MinPort),
 		Stats:     append([]SourceStats(nil), d.Stats...),
 	}
-	for k, v := range d.PrefixIXP {
-		c.PrefixIXP[k] = v
+}
+
+// cloneMap copies m in bulk; a nil m clones to an empty map, so every
+// map of a clone takes writes.
+func cloneMap[M ~map[K]V, K comparable, V any](m M) M {
+	if m == nil {
+		return M{}
 	}
-	for k, v := range d.IfaceASN {
-		c.IfaceASN[k] = v
-	}
-	for k, v := range d.IfaceIXP {
-		c.IfaceIXP[k] = v
-	}
-	for k, v := range d.Ports {
-		c.Ports[k] = v
-	}
-	for k, v := range d.MinPort {
-		c.MinPort[k] = v
-	}
-	return c
+	return maps.Clone(m)
 }
 
 // IXPOf returns the IXP name whose peering LAN contains ip, if any.

@@ -133,7 +133,8 @@ func (r *Reader) F64(name string) []float64 {
 	return nil
 }
 
-// U8 returns the named u8 column.
+// U8 returns the named u8 column: a read-only view of the decoded
+// image, valid while it is (see Column).
 func (r *Reader) U8(name string) []uint8 {
 	if c := r.col(name, KindU8); c != nil {
 		return c.U8

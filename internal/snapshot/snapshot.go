@@ -70,7 +70,9 @@ const (
 )
 
 // Column is one named, typed value column. Exactly the field matching
-// Kind is populated.
+// Kind is populated. A decoded u8 column is a read-only view of the
+// image it was decoded from: decoders read it while they decode and
+// keep nothing of it, or the image would stay live with it.
 type Column struct {
 	Name string
 	Kind Kind
@@ -268,7 +270,8 @@ func decodeColumn(d *ByteReader) (Column, error) {
 			c.F64[j] = math.Float64frombits(d.U64())
 		}
 	case KindU8:
-		c.U8 = append([]uint8(nil), d.Take(n)...)
+		b := d.Take(n)
+		c.U8 = b[:n:n]
 	case KindAddr:
 		c.Addr = make([]netip.Addr, n)
 		for j := range c.Addr {

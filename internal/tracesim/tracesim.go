@@ -11,6 +11,7 @@ import (
 	"net/netip"
 
 	"rpeer/internal/geo"
+	"rpeer/internal/ip4"
 	"rpeer/internal/netsim"
 	"rpeer/internal/par"
 	"rpeer/internal/rng"
@@ -200,7 +201,7 @@ func (g *pathGen) crossingPath(near, far *netsim.Member) {
 	}
 	// Near member's router: replies with its infrastructure interface.
 	nearRTT := g.hopRTT(src, srcKey, nearR)
-	g.out.AddHop(nearR.Ifaces[0], nearRTT)
+	g.out.AddHop(ip4.Addr(nearR.Ifaces[0]), nearRTT)
 	// The far member's peering-LAN interface: this hop must stay
 	// responsive for the crossing to be detectable; traIXroute-style
 	// pipelines simply never see the paths where it is not. Its RTT
@@ -246,8 +247,8 @@ func (g *pathGen) privatePath(pl *netsim.PrivateLink, reverse bool) {
 	bRTT := g.nextHopRTT(aRTT, ra, rb)
 	// The near router replies with its side of the cross-connect.
 	g.out.Add(0, dst)
-	g.out.AddHop(aIface, aRTT)
-	g.out.AddHop(bIface, bRTT)
+	g.out.AddHop(ip4.Addr(aIface), aRTT)
+	g.out.AddHop(ip4.Addr(bIface), bRTT)
 	g.starHop(dst, bRTT+0.2)
 }
 

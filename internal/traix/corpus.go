@@ -46,22 +46,21 @@ import (
 // nor the infrastructure prefix-to-AS map, so the pair's ASes cannot
 // both be established), and a pair without one cannot be affected by
 // membership state. The static verdicts are computed once in NewCorpus
-// from the prefix-to-AS map alone; CompactStaticInto hands them over as
-// ID columns.
+// from the prefix-to-AS map alone; CompactStatic hands them over once,
+// as the per-member neighbour index Step 5 reads.
 type Corpus struct {
 	paths Paths
 	set   *LANSet
 
 	// The static private-hop verdicts in path-then-hop order, columnar
-	// (no per-row pointers for the garbage collector to chase): path
-	// and hop index, the IPv4 endpoint words, and the two ASes. The
-	// endpoints are always IPv4: a static pair's ASes resolve through
-	// the prefix-to-AS map, which only maps IPv4 infrastructure
+	// (no per-row pointers for the garbage collector to chase): the
+	// IPv4 endpoint words and the two ASes, until CompactStatic takes
+	// them. The endpoints are always IPv4: a static pair's ASes resolve
+	// through the prefix-to-AS map, which only maps IPv4 infrastructure
 	// prefixes (the whole detection plane is IPv4, like the simulators
 	// and datasets feeding it).
-	sPath, sHop []int32
-	sA, sB      []uint32
-	sAAS, sBAS  []netsim.ASN
+	sA, sB     []uint32
+	sAAS, sBAS []netsim.ASN
 
 	// Crossing candidates in path-then-hop order (columnar).
 	candPath []int32
@@ -202,8 +201,6 @@ func NewCorpus(paths *Paths, set *LANSet, ipmap *registry.IPMap) *Corpus {
 	type chunkOut struct {
 		candPath []int32
 		candHop  []int32
-		sPath    []int32
-		sHop     []int32
 		sA, sB   []uint32
 		sAAS     []netsim.ASN
 		sBAS     []netsim.ASN
@@ -218,6 +215,10 @@ func NewCorpus(paths *Paths, set *LANSet, ipmap *registry.IPMap) *Corpus {
 			for _, h := range hops {
 				onLAN = append(onLAN, h != 0 && set.contains(h))
 			}
+			// A static pair reads both its hops' ASes; the B side's
+			// carries forward as the next pair's A side.
+			var prevAS netsim.ASN
+			prevOK, prevAt := false, -1
 			for i := 1; i < len(hops); i++ {
 				if onLAN[i] {
 					o.candPath = append(o.candPath, int32(pi))
@@ -231,13 +232,15 @@ func NewCorpus(paths *Paths, set *LANSet, ipmap *registry.IPMap) *Corpus {
 				}
 				// Static pair: no peering-LAN address involved, so the
 				// dataset's exclusion and AS maps can never apply.
-				aAS, okA := ipmap.ASOf(ip4.Addr(hops[i-1]))
+				aAS, okA := prevAS, prevOK
+				if prevAt != i-1 {
+					aAS, okA = ipmap.ASOf(ip4.Addr(hops[i-1]))
+				}
 				bAS, okB := ipmap.ASOf(ip4.Addr(hops[i]))
+				prevAS, prevOK, prevAt = bAS, okB, i
 				if !okA || !okB || aAS == bAS {
 					continue
 				}
-				o.sPath = append(o.sPath, int32(pi))
-				o.sHop = append(o.sHop, int32(i))
 				o.sA = append(o.sA, hops[i-1])
 				o.sB = append(o.sB, hops[i])
 				o.sAAS = append(o.sAAS, aAS)
@@ -249,12 +252,10 @@ func NewCorpus(paths *Paths, set *LANSet, ipmap *registry.IPMap) *Corpus {
 	nc, ns := 0, 0
 	for _, o := range outs {
 		nc += len(o.candPath)
-		ns += len(o.sPath)
+		ns += len(o.sA)
 	}
 	c.candPath = make([]int32, 0, nc)
 	c.candHop = make([]int32, 0, nc)
-	c.sPath = make([]int32, 0, ns)
-	c.sHop = make([]int32, 0, ns)
 	c.sA = make([]uint32, 0, ns)
 	c.sB = make([]uint32, 0, ns)
 	c.sAAS = make([]netsim.ASN, 0, ns)
@@ -262,8 +263,6 @@ func NewCorpus(paths *Paths, set *LANSet, ipmap *registry.IPMap) *Corpus {
 	for _, o := range outs {
 		c.candPath = append(c.candPath, o.candPath...)
 		c.candHop = append(c.candHop, o.candHop...)
-		c.sPath = append(c.sPath, o.sPath...)
-		c.sHop = append(c.sHop, o.sHop...)
 		c.sA = append(c.sA, o.sA...)
 		c.sB = append(c.sB, o.sB...)
 		c.sAAS = append(c.sAAS, o.sAAS...)
@@ -747,27 +746,76 @@ func (c *Corpus) buildByLAN() {
 	c.byLAN = words
 }
 
-// CompactStaticInto fills a PrivateTab from the static columns — the
-// private hops DetectPrivateAll finds over the corpus paths, in the
-// same order — interning endpoints as it goes.
-func (c *Corpus) CompactStaticInto(t *PrivateTab, tab *ident.Table) {
-	n := len(c.sPath)
-	if cap(t.A) < n {
-		t.A = make([]ident.IfaceID, 0, n)
-		t.B = make([]ident.IfaceID, 0, n)
-		t.AAS = make([]ident.MemberID, 0, n)
-		t.BAS = make([]ident.MemberID, 0, n)
+// PrivNeighbour is one private-hop observation of a member: the
+// interface on the member's side of the hop, and the member on the
+// other side.
+type PrivNeighbour struct {
+	Iface ident.IfaceID
+	Other ident.MemberID
+}
+
+// PrivNeighbours indexes the static private hops by member, as one
+// compressed sparse row: member m's observations are
+// ents[off[m]:off[m+1]], in path-then-hop order, each hop adding its A
+// side's observation before its B side's. Members interned after the
+// index was built have none.
+type PrivNeighbours struct {
+	off  []int32
+	ents []PrivNeighbour
+}
+
+// Of returns member m's observations (read-only).
+func (p *PrivNeighbours) Of(m ident.MemberID) []PrivNeighbour {
+	if int(m)+1 >= len(p.off) {
+		return nil
 	}
-	t.A = t.A[:0]
-	t.B = t.B[:0]
-	t.AAS = t.AAS[:0]
-	t.BAS = t.BAS[:0]
-	for i := 0; i < n; i++ {
-		t.A = append(t.A, tab.AddIface(ip4.Addr(c.sA[i])))
-		t.B = append(t.B, tab.AddIface(ip4.Addr(c.sB[i])))
-		t.AAS = append(t.AAS, tab.AddMember(c.sAAS[i]))
-		t.BAS = append(t.BAS, tab.AddMember(c.sBAS[i]))
+	return p.ents[p.off[m]:p.off[m+1]]
+}
+
+// Len returns the number of private hops indexed.
+func (p *PrivNeighbours) Len() int { return len(p.ents) / 2 }
+
+// CompactStatic hands the static private hops over as the per-member
+// neighbour index — the private hops DetectPrivateAll finds over the
+// corpus paths, in the same order — interning each hop's interfaces,
+// then its ASes, as it goes. The corpus keeps no copy: a second call
+// returns an empty index.
+func (c *Corpus) CompactStatic(tab *ident.Table) PrivNeighbours {
+	type hop struct {
+		a, b   ident.IfaceID
+		am, bm ident.MemberID
 	}
+	hops := make([]hop, len(c.sA))
+	for i := range hops {
+		h := &hops[i]
+		h.a = tab.AddIface(ip4.Addr(c.sA[i]))
+		h.b = tab.AddIface(ip4.Addr(c.sB[i]))
+		h.am = tab.AddMember(c.sAAS[i])
+		h.bm = tab.AddMember(c.sBAS[i])
+	}
+	c.sA, c.sB, c.sAAS, c.sBAS = nil, nil, nil, nil
+
+	nm := tab.NumMembers()
+	off := make([]int32, nm+1)
+	for _, h := range hops {
+		off[h.am+1]++
+		off[h.bm+1]++
+	}
+	for m := 1; m <= nm; m++ {
+		off[m] += off[m-1]
+	}
+	// Fill with off[m] as member m's cursor, then shift the advanced
+	// cursors (now each member's end) back into start offsets.
+	ents := make([]PrivNeighbour, 2*len(hops))
+	for _, h := range hops {
+		ents[off[h.am]] = PrivNeighbour{h.a, h.bm}
+		off[h.am]++
+		ents[off[h.bm]] = PrivNeighbour{h.b, h.am}
+		off[h.bm]++
+	}
+	copy(off[1:], off[:nm])
+	off[0] = 0
+	return PrivNeighbours{off: off, ents: ents}
 }
 
 // LANPrefixes extracts the peering-LAN plan of a world, the lans input

@@ -51,31 +51,87 @@ func sameCrossings(t *testing.T, label string, a, b []traix.Crossing) {
 	}
 }
 
-// samePrivateColumns holds the columns CompactStaticInto fills, read
-// back through their intern table, to want's endpoints and ASes, in
-// order.
-func samePrivateColumns(t *testing.T, label string, corpus *traix.Corpus, want []traix.PrivateHop) {
+// privObs is one private-hop observation in the address domain: the
+// member's interface and the AS on the other side.
+type privObs struct {
+	ip    netip.Addr
+	other netsim.ASN
+}
+
+// appendLoopOrder is each AS's observations as a per-member append
+// loop over the hops gives them: hop by hop in path-then-hop order,
+// (A address, B AS) to A's AS, then (B address, A AS) to B's.
+func appendLoopOrder(hops []traix.PrivateHop) map[netsim.ASN][]privObs {
+	byAS := make(map[netsim.ASN][]privObs)
+	for _, h := range hops {
+		byAS[h.AAS] = append(byAS[h.AAS], privObs{h.AIP, h.BAS})
+		byAS[h.BAS] = append(byAS[h.BAS], privObs{h.BIP, h.AAS})
+	}
+	return byAS
+}
+
+// samePrivNeighbours holds the index CompactStatic builds, read back
+// through its intern table, to want's hops: every member's
+// observations, in the append loop's order (Step 5 lists a router's
+// neighbours in first-observation order, so the order is part of the
+// contract). It returns the table and the index.
+func samePrivNeighbours(t *testing.T, label string, corpus *traix.Corpus, want []traix.PrivateHop) (*ident.Table, traix.PrivNeighbours) {
 	t.Helper()
 	tab := ident.NewTable(0, 0, 0)
-	var pt traix.PrivateTab
-	corpus.CompactStaticInto(&pt, tab)
-	if pt.Len() != len(want) {
-		t.Fatalf("%s: %d private hops vs %d", label, pt.Len(), len(want))
+	pn := corpus.CompactStatic(tab)
+	if pn.Len() != len(want) {
+		t.Fatalf("%s: %d private hops vs %d", label, pn.Len(), len(want))
 	}
-	for i, h := range want {
-		got := traix.PrivateHop{
-			Path: h.Path, Index: h.Index,
-			AIP: tab.Addr(pt.A[i]), BIP: tab.Addr(pt.B[i]),
-			AAS: tab.ASN(pt.AAS[i]), BAS: tab.ASN(pt.BAS[i]),
+	byAS := appendLoopOrder(want)
+	total := 0
+	for m := 0; m < tab.NumMembers(); m++ {
+		var got []privObs
+		for _, n := range pn.Of(ident.MemberID(m)) {
+			got = append(got, privObs{tab.Addr(n.Iface), tab.ASN(n.Other)})
 		}
-		if got != h {
-			t.Fatalf("%s: private hop %d differs: %+v vs %+v", label, i, got, h)
+		if asn := tab.ASN(ident.MemberID(m)); !slices.Equal(got, byAS[asn]) {
+			t.Fatalf("%s: %v observations %v, the append loop gives %v", label, asn, got, byAS[asn])
 		}
+		total += len(got)
+	}
+	if total != 2*len(want) {
+		t.Fatalf("%s: %d observations indexed for %d hops", label, total, len(want))
+	}
+	return tab, pn
+}
+
+// TestPrivNeighboursKeepHopOrder pins the neighbour index's layout:
+// each member's observations come in the order of the per-member
+// append loop it replaces, a member interned after the build has none,
+// and the corpus hands its static hops over once.
+func TestPrivNeighboursKeepHopOrder(t *testing.T) {
+	w, ds, im, paths := corpusFixtures(t)
+	d := traix.NewDetector(ds, im)
+	corpus := traix.NewCorpus(paths, traix.NewLANSet(traix.LANPrefixes(w)), im)
+	want := d.DetectPrivateAll(paths)
+	tab, pn := samePrivNeighbours(t, "cold", corpus, want)
+
+	// The order check must bite: some member is a hop's B side before
+	// it is a later hop's A side, so a layout listing every member's A
+	// sides first would differ.
+	seenB, mixed := make(map[netsim.ASN]bool), false
+	for _, h := range want {
+		mixed = mixed || seenB[h.AAS]
+		seenB[h.BAS] = true
+	}
+	if !mixed {
+		t.Fatal("no member is a B side before an A side; the order check is vacuous")
+	}
+	if late := tab.AddMember(netsim.ASN(1<<32 - 1)); len(pn.Of(late)) != 0 {
+		t.Fatalf("a member interned after the build has %d observations", len(pn.Of(late)))
+	}
+	if again := corpus.CompactStatic(tab); again.Len() != 0 {
+		t.Fatalf("a second CompactStatic returned %d hops", again.Len())
 	}
 }
 
 // TestCorpusMatchesColdDetection pins the corpus contract: a settled
-// corpus's live crossings and its static private columns must
+// corpus's live crossings and its static private hops must
 // reproduce the full DetectAll / DetectPrivateAll passes exactly, in
 // content and order.
 func TestCorpusMatchesColdDetection(t *testing.T) {
@@ -86,7 +142,7 @@ func TestCorpusMatchesColdDetection(t *testing.T) {
 
 	gotC, wantP := corpus.Crossings(), d.DetectPrivateAll(paths)
 	sameCrossings(t, "cold", gotC, d.DetectAll(paths))
-	samePrivateColumns(t, "cold", corpus, wantP)
+	samePrivNeighbours(t, "cold", corpus, wantP)
 
 	if len(gotC) == 0 || len(wantP) == 0 {
 		t.Fatalf("degenerate corpus: %d crossings, %d private hops", len(gotC), len(wantP))
@@ -128,7 +184,7 @@ func TestCorpusTracksMembershipChurn(t *testing.T) {
 	d := traix.NewDetector(mut, im)
 	corpus.Settle(d)
 	sameCrossings(t, "churned", corpus.Crossings(), d.DetectAll(paths))
-	samePrivateColumns(t, "churned", corpus, d.DetectPrivateAll(paths))
+	samePrivNeighbours(t, "churned", corpus, d.DetectPrivateAll(paths))
 }
 
 func TestLANSetContains(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"net/netip"
 	"testing"
 
+	"rpeer/internal/ip4"
 	"rpeer/internal/netsim"
 	"rpeer/internal/registry"
 )
@@ -67,7 +68,7 @@ func TestDetectCrossing(t *testing.T) {
 	nearR := w.Router(near.Router)
 	farInterior := w.ASPrefixes(far.ASN)[0].Addr().Next()
 
-	p := onePath([]netip.Addr{nearR.Ifaces[0], far.Iface, farInterior}, 10, 11, 11.5)
+	p := onePath([]netip.Addr{ip4.Addr(nearR.Ifaces[0]), far.Iface, farInterior}, 10, 11, 11.5)
 	d := NewDetector(ds, im)
 	got := d.Detect(p, 0)
 	if len(got) != 1 {
@@ -77,7 +78,7 @@ func TestDetectCrossing(t *testing.T) {
 	if c.IXP != ix.Name || c.NearAS != near.ASN || c.FarAS != far.ASN {
 		t.Errorf("crossing = %+v, want %s near=%d far=%d", c, ix.Name, near.ASN, far.ASN)
 	}
-	if c.NearIP != nearR.Ifaces[0] || c.IXPIP != far.Iface {
+	if c.NearIP != ip4.Addr(nearR.Ifaces[0]) || c.IXPIP != far.Iface {
 		t.Error("crossing IPs wrong")
 	}
 }
@@ -90,7 +91,7 @@ func TestDetectRejectsWrongFarAS(t *testing.T) {
 	other := knownMember(t, w, ds, ix, 2)
 	nearR := w.Router(near.Router)
 	// Hop after the IXP IP belongs to a third AS: rule 1 fails.
-	p := onePath([]netip.Addr{nearR.Ifaces[0], far.Iface, w.ASPrefixes(other.ASN)[0].Addr().Next()})
+	p := onePath([]netip.Addr{ip4.Addr(nearR.Ifaces[0]), far.Iface, w.ASPrefixes(other.ASN)[0].Addr().Next()})
 	d := NewDetector(ds, im)
 	if got := d.Detect(p, 0); len(got) != 0 {
 		t.Errorf("crossings = %d, want 0 (far-AS mismatch)", len(got))
@@ -115,7 +116,7 @@ func TestDetectRejectsTrailingIXPHop(t *testing.T) {
 	ix := w.LargestIXPs(1)[0]
 	near := knownMember(t, w, ds, ix, 0)
 	far := knownMember(t, w, ds, ix, 1)
-	p := onePath([]netip.Addr{w.Router(near.Router).Ifaces[0], far.Iface})
+	p := onePath([]netip.Addr{ip4.Addr(w.Router(near.Router).Ifaces[0]), far.Iface})
 	d := NewDetector(ds, im)
 	if got := d.Detect(p, 0); len(got) != 0 {
 		t.Error("crossing accepted without far-side confirmation")
@@ -128,7 +129,7 @@ func TestDetectPrivate(t *testing.T) {
 		t.Fatal("no private links in world")
 	}
 	pl := w.Private[0]
-	p := onePath([]netip.Addr{pl.AIface, pl.BIface})
+	p := onePath([]netip.Addr{ip4.Addr(pl.AIface), ip4.Addr(pl.BIface)})
 	d := NewDetector(ds, im)
 	got := d.DetectPrivate(p, 0)
 	if len(got) != 1 {
@@ -147,7 +148,7 @@ func TestDetectPrivateSkipsIXPLAN(t *testing.T) {
 	near := knownMember(t, w, ds, ix, 0)
 	far := knownMember(t, w, ds, ix, 1)
 	p := onePath([]netip.Addr{
-		w.Router(near.Router).Ifaces[0],
+		ip4.Addr(w.Router(near.Router).Ifaces[0]),
 		far.Iface, // peering LAN: not private
 	})
 	d := NewDetector(ds, im)

@@ -1,6 +1,7 @@
 package worldfile
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"net/netip"
@@ -8,6 +9,7 @@ import (
 
 	"rpeer/internal/core"
 	"rpeer/internal/geo"
+	"rpeer/internal/ip4"
 	"rpeer/internal/netsim"
 	"rpeer/internal/registry"
 	"rpeer/internal/snapshot"
@@ -38,7 +40,10 @@ const (
 	asFlagReseller = 1 << 0
 )
 
-func encodeWorld(w *netsim.World) []byte {
+func encodeWorld(w *netsim.World) []byte { return snapshot.EncodeColumns(worldCols(w)) }
+
+// worldCols lays the world out as the world section's columns.
+func worldCols(w *netsim.World) snapshot.Cols {
 	p := w.Parts()
 	var c snapshot.Cols
 
@@ -213,7 +218,9 @@ func encodeWorld(w *netsim.World) []byte {
 		rtrIPIDInit[i] = r.IPIDInit
 		rtrIPIDRate[i] = r.IPIDRate
 		rtrIfaceN[i] = uint32(len(r.Ifaces))
-		rtrIface = append(rtrIface, r.Ifaces...)
+		for _, ip := range r.Ifaces {
+			rtrIface = append(rtrIface, ip4.Addr(ip))
+		}
 		rtrIXPN[i] = uint32(len(r.IXPs))
 		for _, x := range r.IXPs {
 			rtrIXP = append(rtrIXP, uint32(x))
@@ -270,8 +277,8 @@ func encodeWorld(w *netsim.World) []byte {
 	for i, pl := range p.Private {
 		privA[i] = uint32(pl.A)
 		privB[i] = uint32(pl.B)
-		privAIface[i] = pl.AIface
-		privBIface[i] = pl.BIface
+		privAIface[i] = ip4.Addr(pl.AIface)
+		privBIface[i] = ip4.Addr(pl.BIface)
 		privFac[i] = uint32(int32(pl.Facility))
 	}
 	c.U32("priv.a", privA)
@@ -299,7 +306,7 @@ func encodeWorld(w *netsim.World) []byte {
 	c.U32("pfx.asn", pfxASN)
 	c.Str("pfx.prefix", pfxStr)
 
-	return snapshot.EncodeColumns(c)
+	return c
 }
 
 // decodeWorld rebuilds the world from its section. A location that is
@@ -440,6 +447,10 @@ func decodeWorld(cfg netsim.Config, d *snapshot.Reader) (*netsim.World, error) {
 		rtrInit, rtrRate := d.U32("rtr.ipidinit"), d.F64("rtr.ipidrate")
 		ifaceN, iface := d.U32("rtr.ifaces.n"), d.Addr("rtr.ifaces")
 		ixpN, ixp := d.U32("rtr.ixps.n"), d.U32("rtr.ixps")
+		words, err := ipv4Words("router", iface)
+		if err != nil {
+			return nil, err
+		}
 		ifaceOff, ixpOff := 0, 0
 		parts.Routers = make([]*netsim.Router, n)
 		for i := range parts.Routers {
@@ -452,7 +463,7 @@ func decodeWorld(cfg netsim.Config, d *snapshot.Reader) (*netsim.World, error) {
 			if !r.Loc.Valid() {
 				return nil, fmt.Errorf("router %d location %v is not a coordinate", r.ID, r.Loc)
 			}
-			r.Ifaces = append(r.Ifaces, iface[ifaceOff:ifaceOff+int(ifaceN[i])]...)
+			r.Ifaces = words[ifaceOff : ifaceOff+int(ifaceN[i])]
 			ifaceOff += int(ifaceN[i])
 			for j := 0; j < int(ixpN[i]); j++ {
 				r.IXPs = append(r.IXPs, netsim.IXPID(int32(ixp[ixpOff+j])))
@@ -483,7 +494,12 @@ func decodeWorld(cfg netsim.Config, d *snapshot.Reader) (*netsim.World, error) {
 	n = d.Rows("priv.a", "priv.b", "priv.aiface", "priv.biface", "priv.fac")
 	if d.Err() == nil {
 		privA, privB := d.U32("priv.a"), d.U32("priv.b")
-		privAI, privBI, privFac := d.Addr("priv.aiface"), d.Addr("priv.biface"), d.U32("priv.fac")
+		privAI, errA := ipv4Words("private link", d.Addr("priv.aiface"))
+		privBI, errB := ipv4Words("private link", d.Addr("priv.biface"))
+		if err := cmp.Or(errA, errB); err != nil {
+			return nil, err
+		}
+		privFac := d.U32("priv.fac")
 		parts.Private = make([]netsim.PrivateLink, n)
 		for i := range parts.Private {
 			parts.Private[i] = netsim.PrivateLink{
@@ -796,4 +812,17 @@ func decodeMeta(d *snapshot.Reader, in *core.Inputs) error {
 		}
 	}
 	return nil
+}
+
+// ipv4Words converts a decoded interface column to the IPv4 words the
+// world holds; an address of any other family fails the section.
+func ipv4Words(what string, addrs []netip.Addr) ([]uint32, error) {
+	words := make([]uint32, len(addrs))
+	for i, a := range addrs {
+		if !a.Is4() {
+			return nil, fmt.Errorf("%s interface %d (%v) is not an IPv4 address", what, i, a)
+		}
+		words[i] = ip4.U32(a)
+	}
+	return words, nil
 }
