@@ -132,6 +132,22 @@ func BenchmarkWorldGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkAliasCampaign prices the MIDAR probe campaign, which world
+// generation (rpi.InputsFromConfig) pays once per world and no start
+// pays: the world file carries it.
+func BenchmarkAliasCampaign(b *testing.B) {
+	for _, factor := range []int{1, 4} {
+		b.Run(fmt.Sprintf("%dx", factor), func(b *testing.B) {
+			e := benchScaledEnv(b, factor)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sink = alias.NewProber(e.World, e.Inputs.Seed).Campaign()
+			}
+		})
+	}
+}
+
 func BenchmarkPingCampaign(b *testing.B) {
 	e := benchEnv(b)
 	cfg := pingsim.DefaultCampaign()
@@ -428,9 +444,11 @@ func benchScaledEnv(b *testing.B, factor int) *exp.Env {
 // substrate is re-derived.
 
 // warmApply applies one forward/inverse pair before the timer starts,
-// so the one-time growth the first apply pays (the alias probe plane
-// sized for newly interned interfaces) stays out of B/op, which then
-// does not depend on the iteration count.
+// so the one-time growth the first apply pays (the intern table and
+// the ID-indexed columns, the alias plane's slot-to-row index among
+// them, sized for newly interned interfaces) stays out of B/op, which
+// then does not depend on the iteration count. No apply probes: the
+// alias probe campaign is an input.
 func warmApply(b *testing.B, eng *rpi.Engine, fwd, rev rpi.Delta) {
 	b.Helper()
 	for _, d := range []rpi.Delta{fwd, rev} {

@@ -12,17 +12,16 @@
 // higher coverage, more errors).
 //
 // Probing is mode-independent and a pure function of (seed,
-// interface), so the probe outcomes live in one columnar Plane indexed
-// by interface slot; resolution under either mode reads that plane.
+// interface), so the probe outcomes of a world are one columnar
+// Campaign, generated once per world; resolution under either mode
+// reads it through a Plane indexed by interface slot.
 package alias
 
 import (
 	"math"
 	"net/netip"
-	"slices"
 	"sync"
 
-	"rpeer/internal/ident"
 	"rpeer/internal/netsim"
 	"rpeer/internal/rng"
 )
@@ -155,36 +154,4 @@ func (p *Prober) Probe(iface netip.Addr, t float64) (uint16, bool) {
 	// Shared counter: base progression plus cross-traffic increments.
 	v := ipidBase(counter{float64(r.IPIDInit), r.IPIDRate}, t) + float64(p.noise(iface, t, 0x33)*3)
 	return uint16(uint64(v)), true
-}
-
-// Resolver clusters an ad-hoc address set into routers. It is the
-// address-edge convenience over a Plane built for the one call; callers
-// that resolve many sets over one interface space (core.Context) keep
-// a Plane and resolve slot lists on it instead.
-type Resolver struct {
-	Prober *Prober
-	Mode   Mode
-}
-
-// NewResolver returns a resolver running the MIDAR probe schedule
-// (30 rounds, 10 s apart).
-func NewResolver(p *Prober, mode Mode) *Resolver {
-	return &Resolver{Prober: p, Mode: mode}
-}
-
-// Resolve clusters the given interfaces into alias sets (routers).
-// Interfaces that resolve with nothing form singleton clusters.
-// Duplicates collapse, and clusters come in ascending address order of
-// their first member, each in ascending address order.
-func (r *Resolver) Resolve(ifaces []netip.Addr) [][]netip.Addr {
-	dedup := slices.Clone(ifaces)
-	slices.SortFunc(dedup, netip.Addr.Compare)
-	dedup = slices.Compact(dedup)
-	pl := NewPlane(r.Prober)
-	pl.Cover(ident.AddrsOf(dedup))
-	slots := make([]ident.IfaceID, len(dedup))
-	for i := range slots {
-		slots[i] = ident.IfaceID(i)
-	}
-	return Sets(dedup, pl.Resolve(r.Mode, slots))
 }

@@ -2,14 +2,15 @@ package alias
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/bits"
-	"net/netip"
 	"slices"
 	"sync"
 	"sync/atomic"
 
 	"rpeer/internal/ident"
+	"rpeer/internal/ip4"
 	"rpeer/internal/netsim"
 	"rpeer/internal/par"
 	"rpeer/internal/rng"
@@ -39,112 +40,219 @@ var probeTimes = func() (ts [scheduleOffsets][rounds]float64) {
 	return ts
 }()
 
-// Plane is the columnar probe plane: the outcome of the full MIDAR
-// probe schedule for every interface of one slot space (core uses
-// slot = ident.IfaceID). Probing is a pure function of (seed, address)
-// and independent of the alias mode, so one plane serves every
-// resolution under both modes, and a slot's columns never change once
-// filled. Per slot it holds:
+// Campaign is the outcome of the MIDAR probe schedule over every
+// router interface of one world. Row i is the interface at row i of
+// the world's interface column (netsim.World.IfaceAt), so rows run in
+// ascending address order. Probing is a pure function of (seed,
+// address) and independent of the alias mode, so one campaign serves
+// every resolution under both modes. Per row it holds:
 //
-//   - the schedule-offset index (which row of probeTimes applies);
-//   - the replying rounds as a bitmask (bit i: round i replied with a
-//     usable IP-ID);
-//   - the interface's router, and the jitter of every round as two bits
-//     of one word, from which the IP-ID samples are rebuilt (see
-//     sample);
-//   - the fitted counter velocity, NaN when the series cannot be used
-//     (no router, randomized IP-IDs, or fewer than five replies).
+//   - Off: the schedule-offset index (which row of probeTimes applies);
+//   - Mask: the replying rounds as a bitmask (bit i: round i replied
+//     with a usable IP-ID);
+//   - Jit: the jitter of every replying round as two bits of one word,
+//     from which the IP-ID samples are rebuilt (see sampleOf);
+//   - Vel: the fitted counter velocity, NaN exactly when the row has
+//     fewer than five replies (a router with randomized IP-IDs has
+//     none).
 //
 // A sample is the counter value floor(base + 3·jitter) mod 2^16, with
 // base = IPIDInit + IPIDRate·t the router's counter at the probe time
 // and jitter in [0, 1), so it exceeds floor(base) by 0 to 3: those two
-// bits per round are all a slot stores, and the per-router counter
-// parameters live once in the plane (ctr), not once per sample.
+// bits per round are all a row stores, and the per-router counter
+// parameters are read from the world, not stored per sample.
 //
-// Cover extends the plane; Resolve and Aliased read it. Readers load
-// an immutable column view, and Cover only appends slots past every
-// view already handed out, so resolution never blocks on a fill.
-type Plane struct {
-	prober *Prober
-
-	mu   sync.Mutex // serializes Cover
-	cols atomic.Pointer[planeCols]
+// The campaign is an input, like the ping campaign: it is generated
+// once per world (Prober.Campaign) and stored in the world file.
+type Campaign struct {
+	Off  []uint8
+	Mask []uint32
+	Jit  []uint64
+	Vel  []float64
 }
 
-type planeCols struct {
-	ctr  []counter // by router ID, shared by every view
-	off  []uint8
-	mask []uint32
-	rid  []netsim.RouterID
-	jit  []uint64 // bits 2i..2i+1: round i's floor(sample) - floor(base)
-	vel  []float64
+// Len returns the number of rows.
+func (c *Campaign) Len() int { return len(c.Vel) }
+
+// Check validates a campaign of n rows, as a decoder must before a
+// plane reads it: parallel columns of n rows, schedule offsets in
+// range, no reply past the last round, jitter only on replying rounds,
+// and a velocity that is NaN when the row has fewer than five replies
+// and finite otherwise.
+func (c *Campaign) Check(n int) error {
+	if len(c.Off) != n || len(c.Mask) != n || len(c.Jit) != n || len(c.Vel) != n {
+		return fmt.Errorf("campaign columns have %d/%d/%d/%d rows, want %d",
+			len(c.Off), len(c.Mask), len(c.Jit), len(c.Vel), n)
+	}
+	for i := range n {
+		mask := c.Mask[i]
+		switch {
+		case c.Off[i] >= scheduleOffsets:
+			return fmt.Errorf("row %d: schedule offset %d out of range", i, c.Off[i])
+		case mask>>rounds != 0:
+			return fmt.Errorf("row %d: reply mask %#x has rounds past %d", i, mask, rounds)
+		case c.Jit[i]&^roundBits(mask) != 0:
+			return fmt.Errorf("row %d: jitter outside the replying rounds", i)
+		case math.IsNaN(c.Vel[i]) != (bits.OnesCount32(mask) < 5):
+			return fmt.Errorf("row %d: velocity %v with %d replies", i, c.Vel[i], bits.OnesCount32(mask))
+		case math.IsInf(c.Vel[i], 0):
+			return fmt.Errorf("row %d: infinite velocity", i)
+		}
+	}
+	return nil
+}
+
+// roundBits spreads a reply mask to the two jitter bits of each
+// replying round: bit i of mask becomes bits 2i and 2i+1.
+func roundBits(mask uint32) uint64 {
+	x := uint64(mask)
+	x = (x | x<<16) & 0x0000ffff0000ffff
+	x = (x | x<<8) & 0x00ff00ff00ff00ff
+	x = (x | x<<4) & 0x0f0f0f0f0f0f0f0f
+	x = (x | x<<2) & 0x3333333333333333
+	x = (x | x<<1) & 0x5555555555555555
+	return x | x<<1
+}
+
+// Campaign probes every router interface of the prober's world across
+// the schedule. Rows fan out over par's default pool; they do not
+// depend on the worker count.
+func (p *Prober) Campaign() Campaign {
+	n := p.w.NumIfaces()
+	c := Campaign{
+		Off:  make([]uint8, n),
+		Mask: make([]uint32, n),
+		Jit:  make([]uint64, n),
+		Vel:  make([]float64, n),
+	}
+	ctr := counters(p.w)
+	par.Do(0, n, 256, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			p.probeRow(&c, ctr, i)
+		}
+	})
+	return c
+}
+
+// probeRow probes row i of the interface column across the schedule.
+// The arithmetic is the one Probe applies per call, hoisted per
+// interface: router, usability verdict and address words are resolved
+// once, not once per round.
+func (p *Prober) probeRow(c *Campaign, ctr []counter, i int) {
+	ip, rid := p.w.IfaceAt(i)
+	lo, hi := addrWords(ip4.Addr(ip))
+	k := rng.Key3(p.seed, lo, hi, 0x0f) % scheduleOffsets
+	c.Off[i] = uint8(k)
+	c.Vel[i] = math.NaN()
+	if !p.usableCounter(p.w.Router(rid)) {
+		return // every probe replies without signal
+	}
+	key := rng.Key2(p.seed, lo, hi)
+	ts := &probeTimes[k]
+	var row [rounds]uint16
+	var mask uint32
+	var jit uint64
+	for r, t := range ts {
+		ht := rng.Mix(key, math.Float64bits(t))
+		if float64(rng.Mix(ht, 0x5A)>>11)/(1<<53) < p.NoReplyProb {
+			continue
+		}
+		jitter := float64(rng.Mix(ht, 0x33)>>11) / (1 << 53)
+		base := ipidBase(ctr[rid], t)
+		v := uint64(base + float64(jitter*3))
+		// base >= 0 and jitter*3 < 3 rounds to below floor(base)+4, so
+		// the difference fits two bits.
+		jit |= (v - uint64(base)) << (2 * r)
+		row[r] = uint16(v)
+		mask |= 1 << r
+	}
+	c.Jit[i], c.Mask[i] = jit, mask
+	if rate, ok := velocity(&row, mask, ts); ok {
+		c.Vel[i] = rate
+	}
 }
 
 // counter is one router's IP-ID counter parameters (netsim.Router).
 type counter struct{ init, rate float64 }
 
 // ipidBase returns the counter value of a router with parameters k at
-// probe time t, before cross-traffic jitter. Probe, fill and sample all
-// read it here; the explicit conversion keeps the product rounded, so
-// no fused multiply-add can make them disagree.
+// probe time t, before cross-traffic jitter. Probe, probeRow and
+// sampleOf all read it here; the explicit conversion keeps the product rounded,
+// so no fused multiply-add can make them disagree.
 func ipidBase(k counter, t float64) float64 { return k.init + float64(k.rate*t) }
 
 // counters returns the counter parameters of the world's routers,
 // indexed by router ID.
-func (p *Prober) counters() []counter {
+func counters(w *netsim.World) []counter {
 	n := 0
-	if k := len(p.w.RouterIDs); k > 0 {
-		n = int(p.w.RouterIDs[k-1]) + 1
+	if k := len(w.RouterIDs); k > 0 {
+		n = int(w.RouterIDs[k-1]) + 1
 	}
 	ctr := make([]counter, n)
-	for _, id := range p.w.RouterIDs {
-		r := p.w.Router(id)
+	for _, id := range w.RouterIDs {
+		r := w.Router(id)
 		ctr[id] = counter{float64(r.IPIDInit), r.IPIDRate}
 	}
 	return ctr
 }
 
-// NewPlane returns an empty plane probing through p.
-func NewPlane(p *Prober) *Plane { return &Plane{prober: p} }
+// Plane is the probe plane of one interface slot space (core uses
+// slot = ident.IfaceID): a world's probe campaign plus, per slot, the
+// campaign row of the slot's address, -1 for an address that is not a
+// router interface (it never aliases). Campaign rows run in address
+// order, so the plane orders a pair by comparing row numbers.
+//
+// Cover extends the slot-to-row index; Resolve and Aliased read it.
+// Readers load an immutable index view, and Cover only appends slots
+// past every view already handed out, so resolution never blocks on
+// an extension.
+type Plane struct {
+	c planeCols
 
-// Len returns the number of filled slots.
-func (pl *Plane) Len() int {
-	if c := pl.cols.Load(); c != nil {
-		return len(c.vel)
-	}
-	return 0
+	mu   sync.Mutex // serializes Cover
+	rows atomic.Pointer[[]int32]
 }
 
-// Cover extends the plane so that slot i holds the probe outcome of
-// addrs.At(i) for every i < addrs.Len(). Slots already filled are kept,
-// so addrs must extend the column an earlier call covered (an
-// append-only interning column does). The fill of new slots fans out over par's
-// default pool; results do not depend on the worker count.
+// planeCols is the campaign a plane reads, with the world that names
+// each row's router and the per-router counter parameters.
+type planeCols struct {
+	Campaign
+	w   *netsim.World
+	ctr []counter // by router ID
+}
+
+// NewPlane returns a plane over the campaign of w, covering no slot
+// yet. cam must be w's campaign: one row per row of w's interface
+// column.
+func NewPlane(w *netsim.World, cam Campaign) *Plane {
+	pl := &Plane{c: planeCols{Campaign: cam, w: w, ctr: counters(w)}}
+	pl.rows.Store(new([]int32))
+	return pl
+}
+
+// Len returns the number of covered slots.
+func (pl *Plane) Len() int { return len(*pl.rows.Load()) }
+
+// Cover extends the plane so that slot i names the campaign row of
+// addrs.At(i) for every i < addrs.Len(). Slots already covered are
+// kept, so addrs must extend the column an earlier call covered (an
+// append-only interning column does). The new slots' row lookups fan
+// out over par's default pool.
 func (pl *Plane) Cover(addrs ident.Addrs) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	old := pl.cols.Load()
-	if old == nil {
-		old = &planeCols{ctr: pl.prober.counters()}
-	}
-	n0, n := len(old.vel), addrs.Len()
+	old := *pl.rows.Load()
+	n0, n := len(old), addrs.Len()
 	if n <= n0 {
 		return
 	}
-	next := &planeCols{
-		ctr:  old.ctr,
-		off:  grow(old.off, n),
-		mask: grow(old.mask, n),
-		rid:  grow(old.rid, n),
-		jit:  grow(old.jit, n),
-		vel:  grow(old.vel, n),
-	}
-	par.Do(0, n-n0, 64, func(lo, hi int) {
+	rows := grow(old, n)
+	par.Do(0, n-n0, 1024, func(lo, hi int) {
 		for i := n0 + lo; i < n0+hi; i++ {
-			pl.fill(next, i, addrs.At(ident.IfaceID(i)))
+			rows[i] = int32(pl.c.w.IfaceRow(addrs.At(ident.IfaceID(i))))
 		}
 	})
-	pl.cols.Store(next)
+	pl.rows.Store(&rows)
 }
 
 // grow extends s to length n, appending zeroes. Elements below the old
@@ -154,53 +262,11 @@ func grow[T any](s []T, n int) []T {
 	return append(s, make([]T, n-len(s))...)
 }
 
-// fill probes one interface across the schedule. The arithmetic is the
-// one Probe applies per call, hoisted per interface: router, usability
-// verdict and address words are resolved once, not once per round.
-func (pl *Plane) fill(c *planeCols, slot int, addr netip.Addr) {
-	p := pl.prober
-	lo, hi := addrWords(addr)
-	k := rng.Key3(p.seed, lo, hi, 0x0f) % scheduleOffsets
-	c.off[slot] = uint8(k)
-	c.vel[slot] = math.NaN()
-	rid, ok := p.w.RouterOf(addr)
-	if !ok {
-		return
-	}
-	r := p.w.Router(rid)
-	if !p.usableCounter(r) {
-		return // every probe replies without signal
-	}
-	key := rng.Key2(p.seed, lo, hi)
-	ts := &probeTimes[k]
-	ctr := c.ctr[rid]
-	var row [rounds]uint16
-	var mask uint32
-	var jit uint64
-	for i, t := range ts {
-		ht := rng.Mix(key, math.Float64bits(t))
-		if float64(rng.Mix(ht, 0x5A)>>11)/(1<<53) < p.NoReplyProb {
-			continue
-		}
-		jitter := float64(rng.Mix(ht, 0x33)>>11) / (1 << 53)
-		base := ipidBase(ctr, t)
-		v := uint64(base + float64(jitter*3))
-		// base >= 0 and jitter*3 < 3 rounds to below floor(base)+4, so
-		// the difference fits two bits.
-		jit |= (v - uint64(base)) << (2 * i)
-		row[i] = uint16(v)
-		mask |= 1 << i
-	}
-	c.rid[slot], c.jit[slot], c.mask[slot] = rid, jit, mask
-	if rate, ok := velocity(&row, mask, ts); ok {
-		c.vel[slot] = rate
-	}
-}
-
-// sample rebuilds slot s's IP-ID sample of round i, probed at time t:
-// the value fill measured.
-func (c *planeCols) sample(s ident.IfaceID, i int, t float64) uint16 {
-	return uint16(uint64(ipidBase(c.ctr[c.rid[s]], t)) + c.jit[s]>>(2*i)&3)
+// sampleOf rebuilds the round-i sample, probed at time t, of a row
+// with jitter word jit on a router with counter k: the value probeRow
+// measured.
+func sampleOf(k counter, jit uint64, i int, t float64) uint16 {
+	return uint16(uint64(ipidBase(k, t)) + jit>>(2*i)&3)
 }
 
 // velocity estimates the counter rate (IDs per second) of one series
@@ -238,12 +304,12 @@ func velocity(row *[rounds]uint16, mask uint32, ts *[rounds]float64) (rate float
 	return (n*sxy - sx*sy) / den, true
 }
 
-// linked is the pair predicate of resolution: whether slots a and b
-// alias under mode. Callers pass a before b in address order — the
-// merge in mbt breaks probe-time ties toward a, so the predicate of an
-// unordered pair is the one evaluated in address order.
-func (c *planeCols) linked(mode Mode, a, b ident.IfaceID) bool {
-	va, vb := c.vel[a], c.vel[b]
+// linked is the pair predicate of resolution: whether campaign rows a
+// and b alias under mode. Callers pass a < b, the lower address first —
+// the merge in mbt breaks probe-time ties toward a, so the predicate of
+// an unordered pair is the one evaluated in row order.
+func (c *planeCols) linked(mode Mode, a, b int32) bool {
+	va, vb := c.Vel[a], c.Vel[b]
 	if math.IsNaN(va) || math.IsNaN(vb) {
 		return false
 	}
@@ -267,7 +333,7 @@ func (c *planeCols) linked(mode Mode, a, b ident.IfaceID) bool {
 // stay below one spacing, so every probe of round r precedes every
 // probe of round r+1, and the time merge walks the rounds, taking the
 // series with the smaller offset first within a round (a on a tie).
-func (c *planeCols) mbt(a, b ident.IfaceID, va, vb float64) bool {
+func (c *planeCols) mbt(a, b int32, va, vb float64) bool {
 	// Velocities of a shared counter agree closely.
 	if math.Abs(va-vb) > 0.05*math.Max(va, vb)+2 {
 		return false
@@ -275,25 +341,29 @@ func (c *planeCols) mbt(a, b ident.IfaceID, va, vb float64) bool {
 	// Monotonicity of the merged sequence with the common velocity:
 	// successive samples must advance by roughly rate*dt.
 	rate := (va + vb) / 2
-	if c.off[b] < c.off[a] {
+	if c.Off[b] < c.Off[a] {
 		a, b = b, a
 	}
-	ta, tb := &probeTimes[c.off[a]], &probeTimes[c.off[b]]
-	ma, mb := c.mask[a], c.mask[b]
+	_, ra := c.w.IfaceAt(int(a))
+	_, rb := c.w.IfaceAt(int(b))
+	ka, kb := c.ctr[ra], c.ctr[rb]
+	ja, jb := c.Jit[a], c.Jit[b]
+	ta, tb := &probeTimes[c.Off[a]], &probeTimes[c.Off[b]]
+	ma, mb := c.Mask[a], c.Mask[b]
 	seen := false
 	var prevT float64
 	var prevID uint16
 	for m := ma | mb; m != 0; m &= m - 1 {
 		r := bits.TrailingZeros32(m)
 		if ma>>r&1 != 0 {
-			id := c.sample(a, r, ta[r])
+			id := sampleOf(ka, ja, r, ta[r])
 			if seen && !advances(rate, ta[r]-prevT, prevID, id) {
 				return false
 			}
 			seen, prevT, prevID = true, ta[r], id
 		}
 		if mb>>r&1 != 0 {
-			id := c.sample(b, r, tb[r])
+			id := sampleOf(kb, jb, r, tb[r])
 			if seen && !advances(rate, tb[r]-prevT, prevID, id) {
 				return false
 			}
@@ -315,13 +385,28 @@ func advances(rate, dt float64, from, to uint16) bool {
 	return !(math.Abs(diff-expect) > 0.35*expect+25)
 }
 
-// Aliased reports whether two filled slots alias under mode; a must
-// precede b in address order (see Resolve).
+// Aliased reports whether two covered slots alias under mode, in
+// either order.
 func (pl *Plane) Aliased(mode Mode, a, b ident.IfaceID) bool {
-	return pl.cols.Load().linked(mode, a, b)
+	rows := *pl.rows.Load()
+	ra, rb := rows[a], rows[b]
+	if ra < 0 || rb < 0 {
+		return false
+	}
+	if rb < ra {
+		ra, rb = rb, ra
+	}
+	return pl.c.linked(mode, ra, rb)
 }
 
-// Resolve partitions slots — distinct, filled, in ascending address
+// Usable reports whether a covered slot can alias at all: it is a
+// router interface whose series has a velocity.
+func (pl *Plane) Usable(s ident.IfaceID) bool {
+	r := (*pl.rows.Load())[s]
+	return r >= 0 && !math.IsNaN(pl.c.Vel[r])
+}
+
+// Resolve partitions slots — distinct, covered, in ascending address
 // order — into alias sets: the connected components of the pair
 // predicate (Aliased) over the set, as labels: comp[i] is the index of
 // the first (lowest-address) member of slots[i]'s set, so sets read off
@@ -333,7 +418,8 @@ func (pl *Plane) Aliased(mode Mode, a, b ident.IfaceID) bool {
 // each paired with the ones above it up to the filter's bound. The
 // union-find runs in comp itself, the velocity order on pooled scratch.
 func (pl *Plane) Resolve(mode Mode, slots []ident.IfaceID) (comp []int32) {
-	c := pl.cols.Load()
+	c := &pl.c
+	rows := *pl.rows.Load()
 	comp = make([]int32, len(slots))
 	for i := range comp {
 		comp[i] = int32(i)
@@ -345,33 +431,34 @@ func (pl *Plane) Resolve(mode Mode, slots []ident.IfaceID) (comp []int32) {
 		}
 		return x
 	}
+	vel := func(i int32) float64 { return c.Vel[rows[slots[i]]] }
 
 	buf := orderPool.Get().(*[]int32)
 	order := (*buf)[:0]
 	for i, s := range slots {
-		if !math.IsNaN(c.vel[s]) {
+		if r := rows[s]; r >= 0 && !math.IsNaN(c.Vel[r]) {
 			order = append(order, int32(i))
 		}
 	}
-	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(c.vel[slots[a]], c.vel[slots[b]]) })
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(vel(a), vel(b)) })
 	for x, i := range order {
 		// The pre-filter rejects vj > (vi+5)/0.9 for every vj >= vi;
 		// the slack keeps float rounding at the bound on linked's side.
-		bound := (c.vel[slots[i]] + 5) / 0.9
+		bound := (vel(i) + 5) / 0.9
 		bound += 1e-9 * (math.Abs(bound) + 1)
 		for _, j := range order[x+1:] {
-			if c.vel[slots[j]] > bound {
+			if vel(j) > bound {
 				break
 			}
 			ri, rj := find(i), find(j)
 			if ri == rj {
 				continue
 			}
-			a, b := i, j
+			a, b := rows[slots[i]], rows[slots[j]]
 			if b < a {
 				a, b = b, a
 			}
-			if !c.linked(mode, slots[a], slots[b]) {
+			if !c.linked(mode, a, b) {
 				continue
 			}
 			// The lower root wins, so every root is its set's first

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rpeer/internal/ident"
+	"rpeer/internal/ip4"
 	"rpeer/internal/netsim"
 )
 
@@ -63,7 +64,7 @@ func fuzzFixture(t testing.TB) *fuzzPool {
 			col[slot] = fx.pool[k]
 			fx.slotOf[k] = ident.IfaceID(slot)
 		}
-		fx.plane = NewPlane(fx.prober)
+		fx.plane = NewPlane(w, campaignOf(fx.prober))
 		fx.plane.Cover(ident.AddrsOf(col[:n/2]))
 		fx.plane.Cover(ident.AddrsOf(col))
 		fuzzFix = fx
@@ -168,27 +169,26 @@ func TestPlaneMatchesOracleAtScale(t *testing.T) {
 	}
 }
 
-// TestPlaneSamplesMatchProbe holds the plane's two-bit sample storage
-// to the per-sample oracle: over every router interface of the default
-// world, every replying round rebuilds to the IP-ID Prober.Probe
-// returns for it, and every other round is one Probe finds no usable
-// reply in.
+// TestPlaneSamplesMatchProbe holds the campaign's two-bit sample
+// storage to the per-sample oracle: over every row of the default
+// world's campaign, every replying round rebuilds to the IP-ID
+// Prober.Probe returns for the row's interface, and every other round
+// is one Probe finds no usable reply in. The campaign passes Check.
 func TestPlaneSamplesMatchProbe(t *testing.T) {
 	w := world(t)
 	p := NewProber(w, 9)
-	var ifaces []netip.Addr
-	for _, id := range w.RouterIDs {
-		ifaces = append(ifaces, addrs(w.Router(id).Ifaces)...)
+	pl := NewPlane(w, campaignOf(p))
+	c := &pl.c
+	if err := c.Check(w.NumIfaces()); err != nil {
+		t.Fatal(err)
 	}
-	pl := NewPlane(p)
-	pl.Cover(ident.AddrsOf(ifaces))
-	c := pl.cols.Load()
 	replies := 0
-	for slot, addr := range ifaces {
-		s := ident.IfaceID(slot)
-		for i, at := range probeTimes[c.off[s]] {
+	for row := range w.NumIfaces() {
+		ip, rid := w.IfaceAt(row)
+		addr, s := ip4.Addr(ip), int32(row)
+		for i, at := range probeTimes[c.Off[s]] {
 			want, ok := p.Probe(addr, at)
-			if c.mask[s]>>i&1 == 0 {
+			if c.Mask[s]>>i&1 == 0 {
 				if ok {
 					t.Fatalf("%v round %d: Probe replied, the plane has no reply", addr, i)
 				}
@@ -197,13 +197,79 @@ func TestPlaneSamplesMatchProbe(t *testing.T) {
 			if !ok {
 				t.Fatalf("%v round %d: the plane has a reply, Probe has none", addr, i)
 			}
-			if got := c.sample(s, i, at); got != want {
+			if got := sampleOf(c.ctr[rid], c.Jit[s], i, at); got != want {
 				t.Fatalf("%v round %d: plane rebuilds IP-ID %d, Probe returns %d", addr, i, got, want)
 			}
 			replies++
 		}
 	}
-	if replies < 100*len(ifaces)/10 {
-		t.Fatalf("only %d replying rounds over %d interfaces", replies, len(ifaces))
+	if replies < 10*w.NumIfaces() {
+		t.Fatalf("only %d replying rounds over %d interfaces", replies, w.NumIfaces())
+	}
+}
+
+// campaigns caches each prober's world campaign: tests build many
+// probers over one world and seed.
+var campaigns sync.Map // campaignKey -> Campaign
+
+type campaignKey struct {
+	w    *netsim.World
+	seed int64
+}
+
+// campaignOf returns the probe campaign of p's world under p's seed.
+func campaignOf(p *Prober) Campaign {
+	k := campaignKey{p.w, p.seed}
+	if c, ok := campaigns.Load(k); ok {
+		return c.(Campaign)
+	}
+	c, _ := campaigns.LoadOrStore(k, p.Campaign())
+	return c.(Campaign)
+}
+
+// Resolver clusters an ad-hoc address set into routers on a plane over
+// its prober's world campaign, covering just that set: the address-edge
+// resolution the tests hold to the sample-series oracle.
+type Resolver struct {
+	Prober *Prober
+	Mode   Mode
+}
+
+// NewResolver returns a resolver running the MIDAR probe schedule
+// (30 rounds, 10 s apart).
+func NewResolver(p *Prober, mode Mode) *Resolver {
+	return &Resolver{Prober: p, Mode: mode}
+}
+
+// Resolve clusters the given interfaces into alias sets (routers).
+// Interfaces that resolve with nothing form singleton clusters.
+// Duplicates collapse, and clusters come in ascending address order of
+// their first member, each in ascending address order.
+func (r *Resolver) Resolve(ifaces []netip.Addr) [][]netip.Addr {
+	dedup := slices.Clone(ifaces)
+	slices.SortFunc(dedup, netip.Addr.Compare)
+	dedup = slices.Compact(dedup)
+	pl := NewPlane(r.Prober.w, campaignOf(r.Prober))
+	pl.Cover(ident.AddrsOf(dedup))
+	slots := make([]ident.IfaceID, len(dedup))
+	for i := range slots {
+		slots[i] = ident.IfaceID(i)
+	}
+	return Sets(dedup, pl.Resolve(r.Mode, slots))
+}
+
+// TestRoundBitsSpreadsEveryRound holds roundBits to its definition:
+// round i's reply bit owns jitter bits 2i and 2i+1.
+func TestRoundBitsSpreadsEveryRound(t *testing.T) {
+	for _, mask := range []uint32{0, 1, 1 << 29, 1<<30 - 1, 0x2aaaaaaa, 0x15555555, 0xdeadbeef, 1<<32 - 1} {
+		var want uint64
+		for i := 0; i < 32; i++ {
+			if mask>>i&1 != 0 {
+				want |= 3 << (2 * i)
+			}
+		}
+		if got := roundBits(mask); got != want {
+			t.Fatalf("roundBits(%#x) = %#x, want %#x", mask, got, want)
+		}
 	}
 }

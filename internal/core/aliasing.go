@@ -65,29 +65,24 @@ func (c *Context) aliasMemoFor(mode alias.Mode) *aliasMemo {
 }
 
 // aliasPlane returns the probe plane covering the current interface ID
-// space. The first call probes every interface; later calls probe only
-// the interfaces interned since.
+// space. The first call maps every interface to its campaign row;
+// later calls map only the interfaces interned since.
 func (c *Context) aliasPlane() *alias.Plane {
 	c.probes.Cover(c.ids.Ifaces())
 	return c.probes
 }
 
-// addrCmp orders interface IDs by address, the canonical order of
-// every set the plane resolves.
-func (c *Context) addrCmp(a, b ident.IfaceID) int {
-	return c.ids.Addr(a).Compare(c.ids.Addr(b))
-}
-
-// sortedSet sorts interface IDs into ascending address order and drops
-// duplicates. All-IPv4 sets (every set this system builds) sort as
-// packed (address, ID) words: one integer compare per step instead of
-// a netip compare through the intern table.
+// sortedSet sorts interface IDs into ascending address order, the
+// order of every set the plane resolves, and drops duplicates. All-IPv4
+// sets (every set this system builds) sort as packed (address, ID)
+// words: one integer compare per step instead of a netip compare
+// through the intern table.
 func (c *Context) sortedSet(ids []ident.IfaceID) []ident.IfaceID {
 	keys := make([]uint64, len(ids))
 	for i, id := range ids {
 		a := c.ids.Addr(id)
 		if !a.Is4() {
-			slices.SortFunc(ids, c.addrCmp)
+			slices.SortFunc(ids, func(x, y ident.IfaceID) int { return c.ids.Addr(x).Compare(c.ids.Addr(y)) })
 			return slices.Compact(ids)
 		}
 		keys[i] = uint64(ip4.U32(a))<<32 | uint64(id)
@@ -246,33 +241,47 @@ func (p *pipeline) privRouterNeighbours(s *scratch, e domEntry, ns []traix.PrivN
 // markPrivCluster stamps s.ifaceMark, under a fresh epoch it returns,
 // on the alias set holding iface when P ∪ {iface} is resolved, P being
 // the interfaces of ns. Resolution yields the connected components of
-// a pure predicate on interface pairs (evaluated in address order), so
-// that set is iface's component: a search from iface that tests each
-// stamped interface against the unstamped interfaces of P finds it,
-// and no other component of P is resolved. Nothing is kept per member;
-// the neighbours each membership derives are memoized instead
-// (privNbrs).
+// a pure predicate on interface pairs, so that set is iface's
+// component: a search from iface that tests each stamped interface
+// against the candidates not yet stamped finds it, and no other
+// component of P is resolved. The candidates are P's distinct usable
+// interfaces, built once per search; a candidate leaves the list when
+// it joins the component, and an unusable iface aliases nothing.
+// Nothing is kept per member; the neighbours each membership derives
+// are memoized instead (privNbrs).
 func (c *Context) markPrivCluster(s *scratch, mode alias.Mode, ns []traix.PrivNeighbour, iface ident.IfaceID) uint32 {
+	seen := s.nextEpoch()
 	mark := s.nextEpoch()
 	s.ifaceMark[iface] = mark
-	queue := append(s.queue[:0], iface)
-	for k := 0; k < len(queue); k++ {
-		x := queue[k]
-		for _, n := range ns {
-			y := n.Iface
-			if s.ifaceMark[y] == mark {
-				continue
-			}
-			a, b := x, y
-			if c.addrCmp(a, b) > 0 {
-				a, b = b, a
-			}
-			if c.probes.Aliased(mode, a, b) {
-				s.ifaceMark[y] = mark
-				queue = append(queue, y)
-			}
+	if !c.probes.Usable(iface) {
+		return mark
+	}
+	cand := s.cand[:0]
+	for _, n := range ns {
+		y := n.Iface
+		if s.ifaceMark[y] == seen || s.ifaceMark[y] == mark {
+			continue
+		}
+		s.ifaceMark[y] = seen
+		if c.probes.Usable(y) {
+			cand = append(cand, y)
 		}
 	}
-	s.queue = queue
+	queue := append(s.queue[:0], iface)
+	for k := 0; k < len(queue) && len(cand) > 0; k++ {
+		x := queue[k]
+		for j := 0; j < len(cand); {
+			y := cand[j]
+			if !c.probes.Aliased(mode, x, y) {
+				j++
+				continue
+			}
+			s.ifaceMark[y] = mark
+			queue = append(queue, y)
+			last := len(cand) - 1
+			cand[j], cand = cand[last], cand[:last]
+		}
+	}
+	s.queue, s.cand = queue, cand
 	return mark
 }

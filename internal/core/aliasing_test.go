@@ -3,11 +3,15 @@ package core
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"rpeer/internal/alias"
 	"rpeer/internal/ident"
 	"rpeer/internal/netsim"
+	"rpeer/internal/registry"
+	"rpeer/internal/tracesim"
+	"rpeer/internal/traix"
 )
 
 var aliasModes = []alias.Mode{alias.ModePrecision, alias.ModeCoverage}
@@ -146,4 +150,124 @@ func TestAliasPlaneAcrossApply(t *testing.T) {
 		}
 	}
 	runBoth("rejoin")
+}
+
+// oracleMarkPrivCluster is the Step 5 search markPrivCluster replaced,
+// kept as its oracle: every interface reached is tested against every
+// entry of ns, duplicates and unusable interfaces included, each pair
+// in address order.
+func oracleMarkPrivCluster(c *Context, s *scratch, mode alias.Mode, ns []traix.PrivNeighbour, iface ident.IfaceID) uint32 {
+	mark := s.nextEpoch()
+	s.ifaceMark[iface] = mark
+	queue := []ident.IfaceID{iface}
+	for k := 0; k < len(queue); k++ {
+		x := queue[k]
+		for _, n := range ns {
+			y := n.Iface
+			if s.ifaceMark[y] == mark {
+				continue
+			}
+			a, b := x, y
+			if c.ids.Addr(a).Compare(c.ids.Addr(b)) > 0 {
+				a, b = b, a
+			}
+			if c.probes.Aliased(mode, a, b) {
+				s.ifaceMark[y] = mark
+				queue = append(queue, y)
+			}
+		}
+	}
+	return mark
+}
+
+// oraclePrivNeighbours derives membership e's private router
+// neighbours through the oracle search, in first-observation order.
+func oraclePrivNeighbours(c *Context, s *scratch, mode alias.Mode, e domEntry, ns []traix.PrivNeighbour) []ident.MemberID {
+	mark := oracleMarkPrivCluster(c, s, mode, ns, e.iface)
+	var nbrs []ident.MemberID
+	for _, n := range ns {
+		if s.ifaceMark[n.Iface] == mark && !slices.Contains(nbrs, n.Other) {
+			nbrs = append(nbrs, n.Other)
+		}
+	}
+	return nbrs
+}
+
+// step5Inputs builds the inputs Step 5 reads for one generated world:
+// the stages and seed offsets of rpi.InputsFromConfig, without the
+// ping campaign (Step 5's alias search never reads it).
+func step5Inputs(t *testing.T, cfg netsim.Config, seed int64) Inputs {
+	t.Helper()
+	cfg.Seed = seed
+	w, err := netsim.Generate(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcfg := tracesim.DefaultConfig()
+	tcfg.Seed = seed + 5
+	return Inputs{
+		World:   w,
+		Dataset: registry.Build(w, registry.DefaultNoise(), seed+1, 0),
+		Colo:    registry.BuildColo(w, registry.DefaultColoNoise(), seed+2),
+		Paths:   tracesim.Generate(w, tcfg, 0),
+		Seed:    seed + 6,
+		Alias:   alias.NewProber(w, seed+6).Campaign(),
+	}
+}
+
+// TestPrivNeighboursMatchOracleSearch holds Step 5's search over
+// distinct usable candidates to the search it replaced: for every
+// membership with private-link observations, in both alias modes, of
+// the paper-scale worlds of seeds 1 to 3 and of tiny worlds,
+// privRouterNeighbours returns the oracle's neighbours in the oracle's
+// order.
+func TestPrivNeighboursMatchOracleSearch(t *testing.T) {
+	type world struct {
+		name string
+		cfg  netsim.Config
+		seed int64
+	}
+	var worlds []world
+	for seed := int64(1); seed <= 3; seed++ {
+		worlds = append(worlds, world{fmt.Sprintf("paper/seed%d", seed), netsim.DefaultConfig(), seed})
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		worlds = append(worlds, world{fmt.Sprintf("tiny/seed%d", seed), netsim.TinyConfig(), seed})
+	}
+	for _, wc := range worlds {
+		t.Run(wc.name, func(t *testing.T) {
+			ctx, err := NewContext(step5Inputs(t, wc.cfg, wc.seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx.aliasPlane()
+			s := ctx.getScratch()
+			defer ctx.putScratch(s)
+			dom, _ := ctx.domainGroups()
+			for _, mode := range aliasModes {
+				opt := DefaultOptions()
+				opt.AliasMode = mode
+				p := ctx.newPipeline(opt)
+				checked, joined := 0, 0
+				for _, e := range dom.rows {
+					ns := ctx.priv.Of(e.member)
+					if len(ns) == 0 {
+						continue
+					}
+					want := oraclePrivNeighbours(ctx, s, mode, e, ns)
+					got := p.privRouterNeighbours(s, e, ns)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%v: membership %v: neighbours %v, oracle %v", mode, ctx.ids.Addr(e.iface), got, want)
+					}
+					checked++
+					if len(want) > 0 {
+						joined++
+					}
+				}
+				if wc.cfg.NASes == netsim.DefaultConfig().NASes && joined == 0 {
+					t.Fatalf("%v: %d memberships checked, none with a neighbour; the world must exercise the search", mode, checked)
+				}
+			}
+		})
+	}
 }

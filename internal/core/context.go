@@ -50,8 +50,8 @@ import (
 //     memoized per-(VP, facility-set) sorted-distance index keyed by
 //     packed integer IDs, so each feasible-ring query is a binary
 //     search instead of a Vincenty solve per facility;
-//   - the alias probe plane (alias.Plane): every interface's IP-ID
-//     series in ID-indexed columns, probed in parallel on the first
+//   - the alias probe plane (alias.Plane): the inputs' probe campaign
+//     plus each interface ID's campaign row, indexed on the first
 //     resolution and shared by both alias modes, plus each mode's
 //     resolution memos (aliasMemo) — Step 4's multi-IXP routers and
 //     Step 5's per-AS private-link components and per-membership
@@ -135,7 +135,7 @@ type Context struct {
 	fallbackRuns    atomic.Uint64
 
 	// probes is the alias probe plane over the interface ID space
-	// (slot = IfaceID): filled on the first resolution, extended by
+	// (slot = IfaceID): covered on the first resolution, extended by
 	// the interfaces Apply interns. aliasMemos holds each alias mode's
 	// resolution memos.
 	probes     *alias.Plane
@@ -207,6 +207,9 @@ func NewContext(in Inputs) (*Context, error) {
 	if in.World == nil || in.Dataset == nil || in.Colo == nil {
 		return nil, fmt.Errorf("core: World, Dataset and Colo inputs are required")
 	}
+	if n := in.World.NumIfaces(); in.Alias.Len() != n {
+		return nil, fmt.Errorf("core: the alias probe campaign has %d rows, the world %d router interfaces", in.Alias.Len(), n)
+	}
 	return newContext(in), nil
 }
 
@@ -219,7 +222,7 @@ func newContext(in Inputs) *Context {
 		vpSlot:     make(map[*pingsim.VP]int32),
 		pseudoVPs:  make(map[string]*pingsim.VP),
 		rings:      make(map[uint64][]ringEntry),
-		probes:     alias.NewPlane(alias.NewProber(in.World, in.Seed)),
+		probes:     alias.NewPlane(in.World, in.Alias),
 		aliasMemos: make(map[alias.Mode]*aliasMemo),
 	}
 
@@ -714,7 +717,9 @@ func (g *groupIndex) of(m ident.MemberID, x ident.IXPID) []int32 {
 // records groups them per roster IXP (the old per-IXP MembersOf scans
 // walked the whole record map once per exchange — O(records x IXPs));
 // the per-IXP buckets then sort by address and emit in roster-name
-// order, which is interned-IXPID order.
+// order, which is interned-IXPID order. An all-IPv4 bucket sorts as
+// packed (address, bucket index) words, one integer compare per step
+// instead of two intern-table lookups.
 func (c *Context) buildDomainLocked() {
 	if c.dom != nil {
 		return
@@ -740,9 +745,25 @@ func (c *Context) buildDomainLocked() {
 		n += len(b)
 	}
 	rows := make([]domEntry, 0, n)
+	var keys []uint64
 	for _, b := range buckets {
-		slices.SortFunc(b, c.compareIface)
-		rows = append(rows, b...)
+		keys = keys[:0]
+		for i, e := range b {
+			a := c.ids.Addr(e.iface)
+			if !a.Is4() {
+				break
+			}
+			keys = append(keys, uint64(ip4.U32(a))<<32|uint64(i))
+		}
+		if len(keys) < len(b) {
+			slices.SortFunc(b, c.compareIface)
+			rows = append(rows, b...)
+			continue
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			rows = append(rows, b[uint32(k)])
+		}
 	}
 	c.setDomainLocked(rows)
 }

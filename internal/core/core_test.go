@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"rpeer/internal/alias"
 	"rpeer/internal/geo"
 	"rpeer/internal/netsim"
 	"rpeer/internal/pingsim"
@@ -35,7 +36,7 @@ func fixtures(t testing.TB) (Inputs, *Report, *Validation) {
 		paths := tracesim.Generate(w, tracesim.DefaultConfig(), 0)
 		cin = Inputs{
 			World: w, Dataset: ds, Colo: colo, Ping: ping, Paths: paths,
-			Speed: geo.DefaultSpeedModel(), Seed: 7,
+			Speed: geo.DefaultSpeedModel(), Seed: 7, Alias: alias.NewProber(w, 7).Campaign(),
 		}
 		rep, err := coldContext(t, cin).Run(DefaultOptions())
 		if err != nil {
@@ -48,7 +49,8 @@ func fixtures(t testing.TB) (Inputs, *Report, *Validation) {
 }
 
 // TestRunRequiresInputs: the pipeline entry refuses inputs that lack
-// any one of World, Dataset or Colo, not only wholly empty ones.
+// any one of World, Dataset, Colo or the alias probe campaign, not
+// only wholly empty ones.
 func TestRunRequiresInputs(t *testing.T) {
 	in, _, _ := fixtures(t)
 	for name, drop := range map[string]func(*Inputs){
@@ -56,6 +58,7 @@ func TestRunRequiresInputs(t *testing.T) {
 		"World":   func(p *Inputs) { p.World = nil },
 		"Dataset": func(p *Inputs) { p.Dataset = nil },
 		"Colo":    func(p *Inputs) { p.Colo = nil },
+		"Alias":   func(p *Inputs) { p.Alias = alias.Campaign{} },
 	} {
 		bad := in
 		drop(&bad)

@@ -66,7 +66,8 @@ func (d *Delta) Empty() bool {
 //   - the facility geometry, ring memos, alias probe plane and alias
 //     memos survive: they are keyed by VP slot, facility set,
 //     interface ID and member AS, none of which a delta invalidates.
-//     The plane only grows to probe newly interned interfaces.
+//     The plane only grows to map newly interned interfaces to
+//     their campaign rows.
 //
 // Apply also marks the members the delta dirtied (markDirty): a
 // member's verdicts, and its Step 4 evidence and routers, can move

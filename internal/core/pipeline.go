@@ -16,8 +16,9 @@ import (
 // Inputs bundles the observable artefacts the pipeline consumes.
 //
 // World is used only as the live network substrate (facility
-// coordinates, which are public PDB/Inflect data, and alias probing);
-// the pipeline never reads ground-truth membership kinds.
+// coordinates, which are public PDB/Inflect data, and the routers the
+// alias probe campaign's rows name); the pipeline never reads
+// ground-truth membership kinds.
 type Inputs struct {
 	World   *netsim.World
 	Dataset *registry.Dataset
@@ -28,6 +29,10 @@ type Inputs struct {
 	Speed geo.SpeedModel
 	// Seed drives alias-probing randomness.
 	Seed int64
+	// Alias is the MIDAR probe campaign over World's router interfaces
+	// (alias.Prober.Campaign with Seed): Steps 4 and 5 read it instead
+	// of probing.
+	Alias alias.Campaign
 }
 
 // Options selects the steps and knobs of a run, mainly for the
@@ -190,8 +195,9 @@ type scratch struct {
 	// of involved IXPs by prior verdict.
 	ixpLocal, ixpRemote, ixpUnknown []ident.IXPID
 
-	// queue is Step 5's alias-set search frontier (markPrivCluster).
-	queue []ident.IfaceID
+	// queue is Step 5's alias-set search frontier and cand the
+	// candidates it has not reached (markPrivCluster).
+	queue, cand []ident.IfaceID
 }
 
 // sizeTo grows the mark columns to the current ID spaces. Fresh

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"rpeer/internal/alias"
 	"rpeer/internal/geo"
 	"rpeer/internal/netsim"
 	"rpeer/internal/pingsim"
@@ -50,6 +51,7 @@ func newTinyFixture(t *testing.T) *tinyFixture {
 				IXPFacilities: map[string][]netsim.FacilityID{ix.Name: ix.Facilities},
 			},
 			Speed: geo.DefaultSpeedModel(),
+			Alias: alias.NewProber(w, 0).Campaign(),
 		},
 		// Fabricated addresses from the top of the peering LAN cannot
 		// collide with real member allocations (which grow upward from

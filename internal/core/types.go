@@ -6,9 +6,9 @@
 //
 // The pipeline consumes only observable artefacts — the merged IXP
 // registry dataset, the colocation database, ping-campaign minimum
-// RTTs, the traceroute corpus and live alias probing. Ground-truth
-// membership kinds in the netsim world are touched exclusively by the
-// validation helpers.
+// RTTs, the traceroute corpus and the alias probe campaign.
+// Ground-truth membership kinds in the netsim world are touched
+// exclusively by the validation helpers.
 //
 // The one entry point is NewContext followed by the Context's Run /
 // RunStep / Baseline methods. The context precomputes

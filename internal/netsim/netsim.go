@@ -288,15 +288,34 @@ func (w *World) MembershipsOf(asn ASN) []*Member { return w.asMembers[asn] }
 // RouterOf returns the router an interface address belongs to and
 // whether the address is known.
 func (w *World) RouterOf(ip netip.Addr) (RouterID, bool) {
-	if !ip.Is4() {
+	i := w.IfaceRow(ip)
+	if i < 0 {
 		return 0, false
+	}
+	_, r := w.IfaceAt(i)
+	return r, true
+}
+
+// IfaceRow returns the row of ip in the world's interface column, or
+// -1 when ip is not a router interface. Rows run in ascending address
+// order, from 0 to NumIfaces()-1.
+func (w *World) IfaceRow(ip netip.Addr) int {
+	if !ip.Is4() {
+		return -1
 	}
 	u := uint64(ip4.U32(ip))
 	i, _ := slices.BinarySearch(w.ifaceRouter, u<<32)
 	if i < len(w.ifaceRouter) && w.ifaceRouter[i]>>32 == u {
-		return RouterID(int32(uint32(w.ifaceRouter[i]))), true
+		return i
 	}
-	return 0, false
+	return -1
+}
+
+// IfaceAt returns row i of the interface column: the interface address
+// as an IPv4 word, and its router.
+func (w *World) IfaceAt(i int) (uint32, RouterID) {
+	k := w.ifaceRouter[i]
+	return uint32(k >> 32), RouterID(int32(uint32(k)))
 }
 
 // ASPrefixes returns the infrastructure prefixes originated by an AS.

@@ -11,12 +11,18 @@ import (
 // IPMap performs longest-prefix IP-to-AS mapping, the analogue of the
 // CAIDA Routeviews prefix2as dataset the paper uses for traceroute
 // interpretation (Section 5.2, Step 5). Entries are columnar over the
-// IPv4 integer domain: a lookup is one binary search over a []uint32
-// with no netip comparisons on the hot path.
+// IPv4 integer domain: a lookup reads an index on the address's /16,
+// then binary-searches that /16's run of a []uint32, with no netip
+// comparisons on the hot path.
 type IPMap struct {
 	base []uint32 // masked prefix base addresses, ascending
 	last []uint32 // inclusive last address per prefix
 	asn  []netsim.ASN
+	// start indexes the /16s from the first entry's to the last's:
+	// start[k] is the first entry whose base is in /16 number first16+k
+	// or above, so that /16's entries are start[k] to start[k+1].
+	first16 uint32
+	start   []uint32
 }
 
 // BuildIPMap compiles the map from the world's per-AS infrastructure
@@ -45,6 +51,17 @@ func BuildIPMap(w *netsim.World) *IPMap {
 		base[i], last[i], asns[i] = m.base[o], m.last[o], m.asn[o]
 	}
 	m.base, m.last, m.asn = base, last, asns
+	if n := len(base); n > 0 {
+		m.first16 = base[0] >> 16
+		m.start = make([]uint32, base[n-1]>>16-m.first16+2)
+		j := 0
+		for k := range m.start {
+			for j < n && base[j]>>16 < m.first16+uint32(k) {
+				j++
+			}
+			m.start[k] = uint32(j)
+		}
+	}
 	return m
 }
 
@@ -55,8 +72,18 @@ func (m *IPMap) ASOf(ip netip.Addr) (netsim.ASN, bool) {
 	}
 	u := ip4.U32(ip)
 	// The world's infrastructure prefixes never overlap, so the last
-	// entry whose base is <= u decides.
-	lo, hi := 0, len(m.base)
+	// entry whose base is <= u decides. Every entry before u's /16 has
+	// a base below u and every entry after it one above, so the search
+	// runs inside the /16's entries and falls back to the entry before
+	// them.
+	k := int(u>>16) - int(m.first16)
+	if k < 0 {
+		return 0, false // below every base
+	}
+	lo, hi := len(m.base), len(m.base) // past the last /16: the last entry decides
+	if k+1 < len(m.start) {
+		lo, hi = int(m.start[k]), int(m.start[k+1])
+	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if m.base[mid] <= u {

@@ -234,3 +234,44 @@ func mustAddr(t *testing.T, s string) netip.Addr {
 	}
 	return a
 }
+
+// TestIPMapBucketsMatchFullSearch holds ASOf's bucketed search to a
+// search over every prefix: at each prefix's first and last address,
+// one past either end, the /16 boundaries around them, and random
+// addresses in and around the infrastructure pool.
+func TestIPMapBucketsMatchFullSearch(t *testing.T) {
+	m := BuildIPMap(world(t))
+	full := func(u uint32) (netsim.ASN, bool) {
+		for i := range m.base {
+			if m.base[i] <= u && u <= m.last[i] {
+				return m.asn[i], true
+			}
+		}
+		return 0, false
+	}
+	var probes []uint32
+	for i := range m.base {
+		b, l := m.base[i], m.last[i]
+		probes = append(probes, b, l, b-1, l+1, b&^0xffff, b&^0xffff-1, l|0xffff, l|0xffff+1)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 20000 {
+		probes = append(probes, m.base[0]&^0xffffff+uint32(rng.Int63n(1<<28)), rng.Uint32())
+	}
+	probes = append(probes, 0, 1<<32-1)
+	hits := 0
+	for _, u := range probes {
+		ip := netip.AddrFrom4([4]byte{byte(u >> 24), byte(u >> 16), byte(u >> 8), byte(u)})
+		gotAS, gotOK := m.ASOf(ip)
+		wantAS, wantOK := full(u)
+		if gotAS != wantAS || gotOK != wantOK {
+			t.Fatalf("ASOf(%v) = (%d, %v), full search (%d, %v)", ip, gotAS, gotOK, wantAS, wantOK)
+		}
+		if gotOK {
+			hits++
+		}
+	}
+	if hits < len(m.base) {
+		t.Fatalf("only %d of %d probes hit a prefix", hits, len(probes))
+	}
+}

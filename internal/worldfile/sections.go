@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"slices"
 	"sort"
 
+	"rpeer/internal/alias"
 	"rpeer/internal/core"
 	"rpeer/internal/geo"
 	"rpeer/internal/ip4"
@@ -16,10 +18,11 @@ import (
 	"rpeer/internal/traix"
 )
 
-// This file maps the world, dataset, colo, paths and meta components
-// of an input bundle to and from their sections' column groups; the
-// ping section is pingsim's campaign codec, and the dataset section's
-// membership rows are the registry codec engine snapshots share.
+// This file maps the world, dataset, colo, paths, alias and meta
+// components of an input bundle to and from their sections' column
+// groups; the ping section is pingsim's campaign codec, and the dataset
+// section's membership rows are the registry codec engine snapshots
+// share.
 // Encoding is deterministic: map-backed data is emitted in sorted
 // natural-key order, slice-backed data in slice order (which
 // generation fixes), so the same bundle always encodes byte-identical.
@@ -783,6 +786,31 @@ func decodePaths(d *snapshot.Reader) (traix.Paths, error) {
 		p.Off[i+1] = p.Off[i] + int32(hopN[i])
 	}
 	return p, nil
+}
+
+// ---------------------------------------------------------------------------
+// alias
+
+func encodeAlias(cam alias.Campaign) []byte {
+	var c snapshot.Cols
+	c.U8("alias.off", cam.Off)
+	c.U32("alias.mask", cam.Mask)
+	c.U64("alias.jit", cam.Jit)
+	c.F64("alias.vel", cam.Vel)
+	return snapshot.EncodeColumns(c)
+}
+
+// decodeAlias decodes the probe campaign's columns. Decode checks the
+// rows against the world once both sections are in (Campaign.Check).
+func decodeAlias(d *snapshot.Reader) (alias.Campaign, error) {
+	d.Rows("alias.off", "alias.mask", "alias.jit", "alias.vel")
+	cam := alias.Campaign{
+		Off:  slices.Clone(d.U8("alias.off")), // a view of the image
+		Mask: d.U32("alias.mask"),
+		Jit:  d.U64("alias.jit"),
+		Vel:  d.F64("alias.vel"),
+	}
+	return cam, d.Err()
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // Package worldfile is the binary columnar world interchange format:
 // one .rpw file carries a complete inference input bundle (world,
 // merged registry dataset, colocation database, ping campaign in folded
-// aggregate form, traceroute corpus, speed model, seed), so world
+// aggregate form, traceroute corpus, alias probe campaign, speed model,
+// seed), so world
 // generation is paid once per world — by cmd/rpi-gen — and every
 // serving process (rpi-serve, rpi-bot, the scaling benchmarks) loads it
 // back in seconds with one large read and column slicing.
@@ -57,8 +58,8 @@ const Magic = "RPWFILE1"
 // World files are regenerable, so there is no reader for older
 // versions: any other version fails with ErrVersion. Version 2 moved
 // the dataset membership and the ping aggregates onto the row codecs
-// engine snapshots share.
-const FormatVersion = 2
+// engine snapshots share; version 3 added the alias probe campaign.
+const FormatVersion = 3
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -87,6 +88,7 @@ const (
 	secColo    = "colo"
 	secPing    = "ping"
 	secPaths   = "paths"
+	secAlias   = "alias"
 	secMeta    = "meta"
 )
 
@@ -96,8 +98,8 @@ const (
 // measurements are not — see pingsim.EncodeCampaign for what a decoded
 // campaign answers.
 func Encode(in core.Inputs) ([]byte, error) {
-	if in.World == nil || in.Dataset == nil || in.Colo == nil || in.Ping == nil {
-		return nil, fmt.Errorf("worldfile: encode needs a complete input bundle (world, dataset, colo, ping)")
+	if in.World == nil || in.Dataset == nil || in.Colo == nil || in.Ping == nil || in.Alias.Len() != in.World.NumIfaces() {
+		return nil, fmt.Errorf("worldfile: encode needs a complete input bundle (world, dataset, colo, ping, alias campaign)")
 	}
 	cfg, err := json.Marshal(in.World.Cfg)
 	if err != nil {
@@ -112,6 +114,7 @@ func Encode(in core.Inputs) ([]byte, error) {
 		{secColo, encodeColo(in.Colo)},
 		{secPing, snapshot.EncodeColumns(ping)},
 		{secPaths, encodePaths(in.Paths)},
+		{secAlias, encodeAlias(in.Alias)},
 		{secMeta, encodeMeta(in)},
 	}
 
@@ -184,6 +187,10 @@ func Decode(data []byte) (core.Inputs, error) {
 			in.Paths, err = decodePaths(rd)
 			return err
 		}},
+		{secAlias, func(rd *snapshot.Reader) (err error) {
+			in.Alias, err = decodeAlias(rd)
+			return err
+		}},
 		{secMeta, func(rd *snapshot.Reader) error { return decodeMeta(rd, &in) }},
 	}
 	errs := make([]error, len(steps))
@@ -206,6 +213,10 @@ func Decode(data []byte) (core.Inputs, error) {
 		if err != nil {
 			return core.Inputs{}, err
 		}
+	}
+	// The campaign has one row per router interface of the world.
+	if err := in.Alias.Check(in.World.NumIfaces()); err != nil {
+		return core.Inputs{}, fmt.Errorf("%w: section %q: %v", ErrInvalid, secAlias, err)
 	}
 	if got := core.Fingerprint(in); got != fp {
 		return core.Inputs{}, fmt.Errorf("%w: header says %016x, content hashes to %016x", ErrFingerprint, fp, got)

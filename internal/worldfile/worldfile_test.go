@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rpeer/internal/core"
@@ -203,6 +204,36 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 }
 
+// TestAliasCampaignRoundTrip holds the alias section to the generated
+// probe campaign, byte for byte (velocities by their bits), for the
+// paper-scale and 4x worlds of seeds 1 to 3; the 4x worlds run only
+// without -short.
+func TestAliasCampaignRoundTrip(t *testing.T) {
+	for _, scale := range []int{1, 4} {
+		if scale > 1 && testing.Short() {
+			continue
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			in, err := rpi.SyntheticInputs(seed, scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := worldfile.Decode(encode(t, in))
+			if err != nil {
+				t.Fatalf("%dx seed %d: decode: %v", scale, seed, err)
+			}
+			want, have := in.Alias, got.Alias
+			if want.Len() != in.World.NumIfaces() ||
+				!bytes.Equal(want.Off, have.Off) ||
+				!slices.Equal(want.Mask, have.Mask) ||
+				!slices.Equal(want.Jit, have.Jit) ||
+				!slices.EqualFunc(want.Vel, have.Vel, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+				t.Fatalf("%dx seed %d: decoded campaign differs from the generated one", scale, seed)
+			}
+		}
+	}
+}
+
 // TestTinyWorldBytesPinned pins the generated bytes of the seed-1 tiny
 // world across commits. The worker-count identity tests compare worker
 // counts within one build, so they cannot see generator drift between
@@ -210,8 +241,8 @@ func TestEncodeDeterministic(t *testing.T) {
 // re-pins it and says so.
 func TestTinyWorldBytesPinned(t *testing.T) {
 	const (
-		wantSHA   = "d482f08ec54a8c486a2875a5dc43a7365c6ed4b3aba6b7a70221c3a6ae924777"
-		wantBytes = 313745
+		wantSHA   = "d4aa695a849a3f4b689b3245eff8b4812ad018d52e84de9a3c1a466c88d96db8"
+		wantBytes = 363179
 	)
 	in, err := rpi.InputsFromConfig(netsim.TinyConfig(), 1)
 	if err != nil {
@@ -308,11 +339,12 @@ func TestCorruptFlippedByte(t *testing.T) {
 }
 
 // TestCorruptVersionMismatch: world files are regenerable, so a build
-// reads exactly its own format version — an older (v1) header fails
-// with ErrVersion just like a future one.
+// reads exactly its own format version — an older (v1, or v2 without
+// the alias section) header fails with ErrVersion just like a future
+// one.
 func TestCorruptVersionMismatch(t *testing.T) {
 	enc := encode(t, testInputs(t))
-	for _, v := range []byte{1, worldfile.FormatVersion + 1} {
+	for _, v := range []byte{1, 2, worldfile.FormatVersion + 1} {
 		b := bytes.Clone(enc)
 		b[len("RPWFILE1")] = v
 		if _, err := worldfile.Decode(b); !errors.Is(err, worldfile.ErrVersion) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"rpeer/internal/alias"
 	"rpeer/internal/core"
 	"rpeer/internal/geo"
 	"rpeer/internal/netsim"
@@ -105,8 +106,8 @@ func SyntheticInputs(seed int64, scale int) (Inputs, error) {
 // InputsFromConfig builds the full input bundle over an explicit world
 // config, overriding cfg.Seed with seed. Each stage draws from its own
 // offset of seed (registry +1, colo +2, VPs +3, campaign +4,
-// traceroutes +5; Inputs.Seed is +6), and the independent stages build
-// concurrently. A netsim.TinyConfig world builds in milliseconds, which
+// traceroutes +5; Inputs.Seed, which the alias probe campaign draws
+// from, is +6), and the independent stages build concurrently. A netsim.TinyConfig world builds in milliseconds, which
 // rpi-bot, rpi-serve's tenant profiles and the crash-recovery tests
 // rely on.
 func InputsFromConfig(cfg netsim.Config, seed int64) (Inputs, error) {
@@ -121,8 +122,9 @@ func InputsFromConfig(cfg netsim.Config, seed int64) (Inputs, error) {
 		colo  *registry.ColoDB
 		ping  *pingsim.Result
 		paths traix.Paths
+		probe alias.Campaign
 	)
-	wg.Add(4)
+	wg.Add(5)
 	go func() {
 		defer wg.Done()
 		ds = registry.Build(w, registry.DefaultNoise(), seed+1, 0)
@@ -144,9 +146,13 @@ func InputsFromConfig(cfg netsim.Config, seed int64) (Inputs, error) {
 		tcfg.Seed = seed + 5
 		paths = tracesim.Generate(w, tcfg, 0)
 	}()
+	go func() {
+		defer wg.Done()
+		probe = alias.NewProber(w, seed+6).Campaign()
+	}()
 	wg.Wait()
 	return Inputs{
 		World: w, Dataset: ds, Colo: colo, Ping: ping, Paths: paths,
-		Speed: geo.DefaultSpeedModel(), Seed: seed + 6,
+		Speed: geo.DefaultSpeedModel(), Seed: seed + 6, Alias: probe,
 	}, nil
 }

@@ -2,6 +2,7 @@ package rpi
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -137,6 +139,66 @@ func TestWireSchemaGolden(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("wire schema drifted from golden (%d vs %d bytes); if intentional, bump "+
 			"WireVersion and regenerate with -update", len(got), len(want))
+	}
+}
+
+// TestTraceRTTPlaneGolden pins the trace_rtt field, which no engine
+// report carries (the SDK has no option that turns traceroute RTTs
+// on): the plane bytes of a context run with UseTracerouteRTT, for the
+// three smallest IXPs with a traceroute-derived RTT, must reproduce
+// the committed golden (regenerate with -update, as
+// TestWireSchemaGolden).
+func TestTraceRTTPlaneGolden(t *testing.T) {
+	eng, err := New(testInputs(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := core.DefaultOptions()
+	opt.UseTracerouteRTT = true
+	rep, err := eng.ctx.Run(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts, traced := make(map[string]int), make(map[string]bool)
+	for _, inf := range rep.All() {
+		counts[inf.IXP]++
+		traced[inf.IXP] = traced[inf.IXP] || inf.TraceRTT
+	}
+	var ixps []string
+	for name := range traced {
+		if traced[name] {
+			ixps = append(ixps, name)
+		}
+	}
+	slices.SortFunc(ixps, func(a, b string) int { return cmp.Or(cmp.Compare(counts[a], counts[b]), cmp.Compare(a, b)) })
+	if len(ixps) < 3 {
+		t.Fatalf("only %d IXPs have a traceroute-derived RTT", len(ixps))
+	}
+	p, err := BuildPlane(context.Background(), rep, ixps[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	for _, name := range ixps[:3] {
+		r, _ := p.IXP(name)
+		if _, err := r.WriteTo(&got); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join("testdata", "report_v1_trace_rtt.golden.json")
+	if *updateGolden {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("golden rewritten: %d bytes", got.Len())
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("traceroute-RTT plane bytes drifted from golden (%d vs %d bytes)", got.Len(), len(want))
 	}
 }
 

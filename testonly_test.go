@@ -19,7 +19,6 @@ import (
 var testOnlyAllowed = map[string]string{
 	"internal/traix.Detector.DetectAll":        "test oracle: the full scan the crossing plane is held to",
 	"internal/traix.Detector.DetectPrivateAll": "test oracle: the full scan private-link detection is held to",
-	"internal/alias.NewResolver":               "test oracle: the sample-series resolver the probe plane is held to",
 	"internal/alias.Prober.Probe":              "test oracle: the per-sample probe the sample-series resolver reads",
 	"internal/wal.MemFS.Ops":                   "fault hook: counts the operations a crash matrix kills at",
 	"internal/wal.MemFS.Crashed":               "fault hook: reports whether an injected crash fired",
